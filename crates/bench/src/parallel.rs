@@ -27,6 +27,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use phonoc_core::parallel::{pool_map_with, reference_map_with, FORK_FLOOR};
+use phonoc_core::telemetry::push_json_str;
 
 /// A forked map is "at parity" with the sequential loop when it is
 /// within this factor of it — the crossover batch size is the smallest
@@ -395,10 +396,6 @@ pub fn run_parallel_cli(args: &[String], command_prefix: &str) -> Result<(), Str
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn opt_usize(v: Option<usize>) -> String {
     v.map_or_else(|| "null".into(), |b| b.to_string())
 }
@@ -410,7 +407,9 @@ pub fn report_to_json(report: &ParallelReport, command: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"phonocmap-bench-parallel/1\",");
-    let _ = writeln!(out, "  \"command\": \"{}\",", json_escape(command));
+    out.push_str("  \"command\": ");
+    push_json_str(&mut out, command);
+    out.push_str(",\n");
     let _ = writeln!(
         out,
         "  \"mode\": \"{}\",",

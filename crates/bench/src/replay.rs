@@ -52,6 +52,7 @@
 use crate::sweep::scenario_problem;
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_apps::TaskId;
+use phonoc_core::telemetry::push_json_str;
 use phonoc_core::{render_trace, MappingProblem, NullSink, RunTrace, TraceSink};
 use phonoc_opt::{run_portfolio_seeded, PortfolioResult, PortfolioSpec, WarmCache, WarmSource};
 use rand::rngs::StdRng;
@@ -532,10 +533,6 @@ pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), Strin
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the report as the `phonocmap-bench-warmstart/2` JSON
 /// document (hand-rolled — the workspace builds offline, without
 /// `serde_json`). Version 2 added the `host_cores` field recording the
@@ -545,7 +542,9 @@ pub fn report_to_json(report: &ReplayReport, command: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"phonocmap-bench-warmstart/2\",");
-    let _ = writeln!(out, "  \"command\": \"{}\",", json_escape(command));
+    out.push_str("  \"command\": ");
+    push_json_str(&mut out, command);
+    out.push_str(",\n");
     let _ = writeln!(
         out,
         "  \"mode\": \"{}\",",
@@ -553,11 +552,9 @@ pub fn report_to_json(report: &ReplayReport, command: &str) -> String {
     );
     let _ = writeln!(out, "  \"host_cores\": {},", report.host_cores);
     let _ = writeln!(out, "  \"budget\": {},", report.budget);
-    let _ = writeln!(
-        out,
-        "  \"portfolio\": \"{}\",",
-        json_escape(REPLAY_PORTFOLIO)
-    );
+    out.push_str("  \"portfolio\": ");
+    push_json_str(&mut out, REPLAY_PORTFOLIO);
+    out.push_str(",\n");
     out.push_str("  \"notes\": [\n");
     let _ = writeln!(
         out,
@@ -609,7 +606,9 @@ pub fn report_to_json(report: &ReplayReport, command: &str) -> String {
     out.push_str("  \"cells\": [\n");
     for (i, c) in report.cells.iter().enumerate() {
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"id\": \"{}\",", json_escape(&c.id));
+        out.push_str("      \"id\": ");
+        push_json_str(&mut out, &c.id);
+        out.push_str(",\n");
         let _ = writeln!(out, "      \"family\": \"{}\",", c.spec.family.name());
         let _ = writeln!(out, "      \"mesh\": {},", c.spec.mesh);
         let _ = writeln!(out, "      \"seed\": {},", c.spec.seed);

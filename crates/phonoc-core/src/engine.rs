@@ -68,35 +68,42 @@
 //! [`NeighborhoodPolicy`], an [`Objective`] override (applied via
 //! [`OptContext::set_objective`] *before* any evaluation, so a
 //! session's scores are always on one scale), and a seed-start
-//! [`Mapping`]. The former `run_dse_with_strategy` /
-//! `run_dse_with_policy` / `run_dse_configured` / `run_dse_session`
-//! wrappers are deprecated shims over the same path.
+//! [`Mapping`].
 //!
-//! # The adaptive (hybrid) evaluation strategy
+//! # One peek route per cursor
 //!
-//! The PR 2 benches overturned the "deltas are always cheaper"
-//! assumption: after the scratch optimization, a full
-//! [`crate::Evaluator::evaluate_into`] re-evaluation beats even the
-//! *exact* SNR delta on dense random placements at every measured mesh
-//! size — the delta only wins when a move perturbs few communications
-//! relative to the whole problem. SNR-objective peeks therefore route
-//! **per move** under a [`PeekStrategy`]:
+//! Deltas are not always cheaper: the allocation-free full
+//! [`crate::Evaluator::evaluate_into`] re-evaluation beats the SNR delta
+//! on short-path placements, and the delta (or the bound-then-verify
+//! peek) wins once paths grow long or traffic concentrates on a hub.
+//! Which side wins is a property of the *placement*, not of the move:
+//! the committed scenario sweep shows a per-move router sending either
+//! all or none of a run's peeks to the full pass on all but a few
+//! percent of its rows. SNR-family peeks therefore take **one route per
+//! cursor** under a [`PeekStrategy`]:
 //!
-//! * [`PeekStrategy::Hybrid`] (the default) consults a
-//!   [`PeekCostModel`] calibrated from the problem's occupancy density
-//!   at [`OptContext::set_current`] time: moves whose cheap moved-edge
-//!   estimate ([`crate::Evaluator::moved_edge_count`], two index
-//!   lookups) predicts more delta work than a full pass are scored by a
-//!   full scratch re-evaluation ([`MoveEval::Full`]), the rest by the
-//!   exact delta (or the bound-then-verify peek in `_improving` scans);
-//! * [`PeekStrategy::Delta`] / [`PeekStrategy::Full`] pin one backend —
-//!   for benchmarking the router itself and for tests that exercise one
+//! * [`PeekStrategy::Hybrid`] (the default) decides the route when the
+//!   cursor is seated ([`OptContext::set_current`]) and after every
+//!   commit ([`OptContext::apply_scored_move`]), from the cursor's
+//!   [`EvalState`] alone ([`EvalState::prefers_full_peeks`]: mean path
+//!   length and occupancy concentration). Every peek against that
+//!   cursor is then a full scratch re-evaluation ([`MoveEval::Full`]) or
+//!   the delta side — the exact delta, or the bound-then-verify peek in
+//!   `_improving` scans;
+//! * [`PeekStrategy::Delta`] / [`PeekStrategy::Full`] pin one side —
+//!   for benchmarking the route itself and for tests that exercise one
 //!   path's accounting.
 //!
+//! All four peek entry points score through one per-move scorer and
+//! book through one routine: the sequential peeks on the context's own
+//! scratches, the batch scans on each worker's sticky scratch pair. A
+//! sequential peek is therefore indistinguishable from a one-element
+//! batch — same [`MoveEval`], ledger, counters and trace events
+//! (property-tested in `tests/hybrid_properties.rs`).
+//!
 //! All routes are **bit-identical**, so the strategy can never change a
-//! committed score or a greedy selection (property-tested in
-//! `tests/hybrid_properties.rs`) — only the wall-clock cost and the
-//! *honest* budget charge: a full-backed peek is billed `edge_count`
+//! committed score or a greedy selection — only the wall-clock cost and
+//! the *honest* budget charge: a full-backed peek is billed `edge_count`
 //! units (and counted as a full evaluation), a delta peek its
 //! `affected_edges`. Cheaper routes simply buy more peeks out of the
 //! same budget.
@@ -135,7 +142,7 @@
 //! stream of related requests should not rebuild one per request:
 //! [`OptContext::reset_for`] re-arms an existing context for a new
 //! `(problem, budget, seed)` while keeping the allocated capital — the
-//! grow-only full-evaluation [`EvalScratch`] and the cursor's
+//! grow-only full-evaluation [`EvalScratch`] and the peeks'
 //! [`DeltaScratch`] — so steady-state sessions allocate nothing on the
 //! hot path. [`OptContext::finish`] extracts a [`DseResult`] without
 //! consuming the context, making the persistent-engine loop:
@@ -176,8 +183,8 @@
 
 use crate::error::CoreError;
 use crate::evaluator::{
-    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, EvalState, EvalSummary,
-    PeekCostModel, ScoreDelta,
+    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, EvalState, EvalSummary, Evaluator,
+    ScoreDelta,
 };
 use crate::mapping::{Mapping, Move};
 use crate::parallel;
@@ -193,12 +200,13 @@ use std::fmt;
 /// approaches). See the [module docs](self) for the measured rationale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeekStrategy {
-    /// Route each move adaptively through the [`PeekCostModel`]
-    /// calibrated at [`OptContext::set_current`] time (default).
+    /// One route per cursor, decided from its state when it is seated
+    /// and after every commit ([`EvalState::prefers_full_peeks`]) —
+    /// every peek against that cursor takes it (default).
     #[default]
     Hybrid,
     /// Always the incremental delta (exact, or bound-then-verify in the
-    /// `_improving` peeks) — the pre-hybrid behaviour.
+    /// `_improving` peeks).
     Delta,
     /// Always a full scratch re-evaluation of the moved mapping.
     Full,
@@ -243,7 +251,7 @@ impl fmt::Display for PeekStrategy {
 /// in `phonoc-opt`. The policy lives on the [`OptContext`] (set it with
 /// [`OptContext::set_neighborhood_policy`] or run through
 /// [`DseConfig::with_policy`]) so one setting reaches every optimizer a
-/// sweep runs, while the hybrid peek router and the honest budget
+/// sweep runs, while the peek route and the honest budget
 /// ledger keep working unchanged underneath: a policy only changes
 /// *which* moves a scan looks at, never how a looked-at move is scored
 /// or billed.
@@ -343,9 +351,9 @@ pub enum MoveEval {
         delta: ScoreDelta,
     },
     /// Full-scratch peek: the moved mapping was re-evaluated from
-    /// scratch because the active [`PeekStrategy`] predicted the delta
-    /// would cost more ([`PeekStrategy::Hybrid`]) or was pinned to full
-    /// evaluation ([`PeekStrategy::Full`]). Exact and committable —
+    /// scratch because the cursor's route is the full pass — chosen
+    /// from its state under [`PeekStrategy::Hybrid`], or pinned by
+    /// [`PeekStrategy::Full`]. Exact and committable —
     /// bit-identical to the delta-backed [`MoveEval::Snr`] — and billed
     /// the full pass's honest cost (`edge_count` budget units, counted
     /// as a full evaluation).
@@ -415,35 +423,171 @@ impl MoveEval {
 }
 
 /// The cursor: the mapping a move-based strategy currently stands on,
-/// with its incremental evaluation state and the hybrid peek's cost
-/// model (recalibrated whenever the cursor is re-seated *and* after
-/// every committed move, so routing always reflects the current
-/// placement's density).
+/// with its incremental evaluation state and its hybrid peek route.
 struct Cursor {
     mapping: Mapping,
     state: EvalState,
     score: f64,
-    scratch: DeltaScratch,
-    model: PeekCostModel,
+    /// Whether [`PeekStrategy::Hybrid`] sends SNR peeks against this
+    /// cursor to the full pass — decided when the cursor is seated and
+    /// after every commit, never per move.
+    full_route: bool,
 }
 
-/// The shared hybrid routing decision: whether `strategy` sends `mv`
-/// to a full scratch re-evaluation. One source of truth for the
-/// sequential peeks ([`OptContext::peek_move`] and friends) and the
-/// batch scan, which must route identically.
-fn route_full(
-    strategy: PeekStrategy,
-    evaluator: &crate::Evaluator,
-    cursor: &Cursor,
-    mv: Move,
-    improving: bool,
-) -> bool {
-    match strategy {
-        PeekStrategy::Delta => false,
-        PeekStrategy::Full => true,
-        PeekStrategy::Hybrid => {
-            let moved = evaluator.moved_edge_count(&cursor.mapping, mv);
-            cursor.model.routes_full(moved, improving)
+impl Cursor {
+    fn new(mapping: Mapping, state: EvalState, score: f64) -> Cursor {
+        let full_route = state.prefers_full_peeks();
+        Cursor {
+            mapping,
+            state,
+            score,
+            full_route,
+        }
+    }
+
+    /// The scorer every peek against this cursor runs through.
+    fn scorer<'a>(
+        &'a self,
+        evaluator: &'a Evaluator,
+        objective: Objective,
+        strategy: PeekStrategy,
+        improving: bool,
+        unit: u64,
+    ) -> Scorer<'a> {
+        Scorer {
+            evaluator,
+            objective,
+            mapping: &self.mapping,
+            state: &self.state,
+            scoring: self.scoring(objective, strategy, improving),
+            unit: unit as usize,
+        }
+    }
+
+    /// How every peek against this cursor is scored, from the objective
+    /// family, the pinned strategy and whether the scan only needs
+    /// improving moves exactly. Loss-based objectives always ride their
+    /// fast path; the plain loss objective's fast path is already exact
+    /// and cheap, so it has no bounded variant.
+    fn scoring(&self, objective: Objective, strategy: PeekStrategy, improving: bool) -> Scoring {
+        if objective.is_loss_based() {
+            return if improving && !matches!(objective, Objective::MinimizeWorstCaseLoss) {
+                Scoring::LossBounded(objective.il_threshold_for_score(self.score))
+            } else {
+                Scoring::Loss
+            };
+        }
+        let full = match strategy {
+            PeekStrategy::Hybrid => self.full_route,
+            PeekStrategy::Delta => false,
+            PeekStrategy::Full => true,
+        };
+        if full {
+            Scoring::Full
+        } else if improving {
+            Scoring::SnrBounded(objective.snr_threshold_for_score(self.score))
+        } else {
+            Scoring::Snr
+        }
+    }
+}
+
+/// The evaluation path every peek against one cursor takes (the cursor
+/// threshold rides along for the bound-then-verify variants).
+#[derive(Debug, Clone, Copy)]
+enum Scoring {
+    /// Full scratch re-evaluation of the moved mapping.
+    Full,
+    /// Exact SNR delta.
+    Snr,
+    /// Bound-then-verify SNR peek against the threshold.
+    SnrBounded(Db),
+    /// Crosstalk-free loss fast path.
+    Loss,
+    /// Bound-then-verify loss peek against the threshold.
+    LossBounded(Db),
+}
+
+impl Scoring {
+    /// Whether exact results came through a bound-then-verify peek
+    /// (booked as verify fall-throughs rather than plain deltas).
+    fn bounded(self) -> bool {
+        matches!(self, Scoring::SnrBounded(_) | Scoring::LossBounded(_))
+    }
+}
+
+/// The one per-move scorer behind all four peek entry points: what a
+/// peek reads (never writes) about the cursor, plus how to score. The
+/// sequential peeks run it on the context's own scratches, the batch
+/// scans on each worker's sticky pair.
+struct Scorer<'a> {
+    evaluator: &'a Evaluator,
+    objective: Objective,
+    mapping: &'a Mapping,
+    state: &'a EvalState,
+    scoring: Scoring,
+    /// Budget units of a full pass (its honest cost).
+    unit: usize,
+}
+
+impl Scorer<'_> {
+    /// Scores `mv`, returning the typed evaluation and the evaluator
+    /// work it cost in budget units (before the one-unit floor).
+    fn score(
+        &self,
+        mv: Move,
+        full: &mut EvalScratch,
+        delta: &mut DeltaScratch,
+    ) -> (MoveEval, usize) {
+        let (evaluator, objective) = (self.evaluator, self.objective);
+        let (state, mapping) = (self.state, self.mapping);
+        let snr = |delta: ScoreDelta| {
+            let score = objective.score_worst_snr(delta.new_worst_snr);
+            (MoveEval::Snr { mv, score, delta }, delta.affected_edges)
+        };
+        let loss = |new_worst_il: Db, moved_edges: usize| {
+            let score = objective.score_worst_il(new_worst_il);
+            let ev = MoveEval::Loss {
+                mv,
+                score,
+                new_worst_il,
+                moved_edges,
+            };
+            (ev, moved_edges)
+        };
+        match self.scoring {
+            Scoring::Full => {
+                let summary = evaluator.evaluate_into(&mapping.with_move(mv), None, full);
+                let score =
+                    objective.score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
+                (MoveEval::Full { mv, score, summary }, self.unit)
+            }
+            Scoring::Snr => snr(evaluator.evaluate_delta_with(state, mapping, mv, delta)),
+            Scoring::SnrBounded(threshold) => {
+                match evaluator.evaluate_delta_bounded(state, mapping, mv, delta, threshold) {
+                    BoundedDelta::Rejected { bound, cost } => {
+                        let bound = Db(objective.score_worst_snr(bound));
+                        (MoveEval::Bounded { mv, bound }, cost)
+                    }
+                    BoundedDelta::Exact(d) => snr(d),
+                }
+            }
+            Scoring::Loss => {
+                let (il, moved) = evaluator.evaluate_delta_loss(state, mapping, mv, delta);
+                loss(il, moved)
+            }
+            Scoring::LossBounded(threshold) => {
+                match evaluator.evaluate_delta_loss_bounded(state, mapping, mv, delta, threshold) {
+                    BoundedLossDelta::Rejected { bound, cost } => {
+                        let bound = Db(objective.score_worst_il(bound));
+                        (MoveEval::Bounded { mv, bound }, cost)
+                    }
+                    BoundedLossDelta::Exact {
+                        new_worst_il,
+                        moved_edges,
+                    } => loss(new_worst_il, moved_edges),
+                }
+            }
         }
     }
 }
@@ -487,11 +631,11 @@ pub struct OptContext<'p> {
     /// Reused buffers for full evaluations: after warm-up,
     /// [`OptContext::evaluate`] performs no heap allocation.
     full_scratch: EvalScratch,
-    /// Delta-scratch parked between cursors: [`OptContext::reset_for`]
-    /// stashes the dropped cursor's buffers here so the next
+    /// Reused buffers for the sequential delta peeks and commits; they
+    /// outlive cursors and sessions, so the next
     /// [`OptContext::set_current`] — possibly on a different problem —
     /// starts warm.
-    spare_scratch: DeltaScratch,
+    delta_scratch: DeltaScratch,
 }
 
 impl fmt::Debug for OptContext<'_> {
@@ -530,7 +674,7 @@ impl<'p> OptContext<'p> {
             stats: RunStats::default(),
             sink: Box::new(NullSink),
             full_scratch: EvalScratch::default(),
-            spare_scratch: DeltaScratch::default(),
+            delta_scratch: DeltaScratch::default(),
         }
     }
 
@@ -538,15 +682,14 @@ impl<'p> OptContext<'p> {
     /// warm-start path for request streams. All *run state* (budget
     /// ledger, RNG, incumbent, history, cursor, pending seed start) is
     /// reset exactly as [`OptContext::new`] would; all *capital* is
-    /// kept: the grow-only [`EvalScratch`] and the cursor's
-    /// [`DeltaScratch`] survive (parked in the spare slot), so the next
-    /// session starts allocation-free even on a different problem. The
+    /// kept: the grow-only [`EvalScratch`] and [`DeltaScratch`]
+    /// survive, so the next session starts allocation-free even on a
+    /// different problem. The
     /// problem itself carries the other reusable capital — distance
     /// tables and the interaction matrix live in its [`Evaluator`]
-    /// (see its docs on incremental mutation), and the hybrid
-    /// [`PeekCostModel`] recalibrates from occupancy density at the
-    /// first [`OptContext::set_current`], which is exactly when the new
-    /// problem's density is known.
+    /// (see its docs on incremental mutation), and the hybrid peek
+    /// route is decided at the first [`OptContext::set_current`], which
+    /// is exactly when the new placement's state is known.
     ///
     /// A session reset with a planted-but-unconsumed seed start logs
     /// the same misuse warning as a finished session (see
@@ -561,9 +704,7 @@ impl<'p> OptContext<'p> {
     /// [`Evaluator`]: crate::Evaluator
     pub fn reset_for(&mut self, problem: &'p MappingProblem, budget: usize, seed: u64) {
         self.warn_unconsumed_seed("reset_for");
-        if let Some(c) = self.cursor.take() {
-            self.spare_scratch = c.scratch;
-        }
+        self.cursor = None;
         self.problem = problem;
         self.objective = problem.objective();
         self.rng = StdRng::seed_from_u64(seed);
@@ -661,14 +802,6 @@ impl<'p> OptContext<'p> {
     /// peek costs (wall clock and honest budget units).
     pub fn set_peek_strategy(&mut self, strategy: PeekStrategy) {
         self.strategy = strategy;
-        // A cursor seated under a non-hybrid strategy skipped its
-        // per-commit recalibrations; refresh the model so hybrid
-        // routing never consults stale density statistics.
-        if strategy == PeekStrategy::Hybrid {
-            if let Some(cursor) = self.cursor.as_mut() {
-                cursor.model = PeekCostModel::of(&cursor.state);
-            }
-        }
     }
 
     /// The problem under optimization.
@@ -996,19 +1129,7 @@ impl<'p> OptContext<'p> {
             .objective
             .score_worst_cases(state.worst_case_il(), state.worst_case_snr());
         self.record(&mapping, score);
-        let scratch = self
-            .cursor
-            .take()
-            .map(|c| c.scratch)
-            .unwrap_or_else(|| std::mem::take(&mut self.spare_scratch));
-        let model = PeekCostModel::of(&state);
-        self.cursor = Some(Cursor {
-            mapping,
-            state,
-            score,
-            scratch,
-            model,
-        });
+        self.cursor = Some(Cursor::new(mapping, state, score));
         Some(score)
     }
 
@@ -1024,56 +1145,6 @@ impl<'p> OptContext<'p> {
         self.cursor.as_ref().map(|c| c.score)
     }
 
-    /// Whether the active [`PeekStrategy`] routes `mv` to a full
-    /// scratch re-evaluation (SNR objective only — the caller has
-    /// already dispatched on the objective). Improving scans route
-    /// against the bound-then-verify peek's discounted cost estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cursor is set.
-    fn routes_to_full(&self, mv: Move, improving: bool) -> bool {
-        let cursor = self.cursor.as_ref().expect("peek_move without set_current");
-        route_full(
-            self.strategy,
-            self.problem.evaluator(),
-            cursor,
-            mv,
-            improving,
-        )
-    }
-
-    /// Scores `mv` with a full scratch re-evaluation of the moved
-    /// mapping (the strategy routed it here): billed the honest full
-    /// cost — `edge_count` budget units, counted as a full evaluation.
-    /// The score is bit-identical to the delta-backed peek; the moved
-    /// mapping is materialized (the one allocation of this path).
-    fn peek_move_full(&mut self, mv: Move) -> MoveEval {
-        let moved = self
-            .cursor
-            .as_ref()
-            .expect("peek_move without set_current")
-            .mapping
-            .with_move(mv);
-        let summary = self
-            .problem
-            .evaluator()
-            .evaluate_into(&moved, None, &mut self.full_scratch);
-        let score = self
-            .objective
-            .score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
-        self.charge(self.unit);
-        self.full_evaluations += 1;
-        self.stats.full_peeks += 1;
-        let cost = self.unit as usize;
-        self.emit(|| TraceEvent::PeekRouted {
-            route: PeekRoute::Full,
-            cost,
-        });
-        self.note_peeked(mv, score);
-        MoveEval::Full { mv, score, summary }
-    }
-
     /// Incrementally scores `mv` against the cursor without moving it,
     /// dispatching on the [`Objective`] family (see
     /// [`Objective::is_loss_based`]):
@@ -1082,11 +1153,11 @@ impl<'p> OptContext<'p> {
     ///   crosstalk-free fast path
     ///   ([`crate::Evaluator::evaluate_delta_loss`]), charged
     ///   `max(1, moved_edges)` units, returning [`MoveEval::Loss`];
-    /// * SNR-based objectives (worst-case SNR, SNR margin) — routed per
-    ///   the active [`PeekStrategy`]: the exact SNR-bearing delta,
-    ///   charged `max(1, affected_edges)` units and returning
-    ///   [`MoveEval::Snr`], or a full scratch re-evaluation, charged
-    ///   `edge_count` units and returning [`MoveEval::Full`].
+    /// * SNR-based objectives (worst-case SNR, SNR margin) — the
+    ///   cursor's route under the active [`PeekStrategy`]: the exact
+    ///   SNR-bearing delta, charged `max(1, affected_edges)` units and
+    ///   returning [`MoveEval::Snr`], or a full scratch re-evaluation,
+    ///   charged `edge_count` units and returning [`MoveEval::Full`].
     ///
     /// Either way the score is bit-identical to a full evaluation of
     /// the moved mapping. Returns `None` once the budget is exhausted.
@@ -1095,63 +1166,7 @@ impl<'p> OptContext<'p> {
     ///
     /// Panics if no cursor is set.
     pub fn peek_move(&mut self, mv: Move) -> Option<MoveEval> {
-        if self.exhausted() {
-            return None;
-        }
-        if self.objective.uses_snr() && self.routes_to_full(mv, false) {
-            return Some(self.peek_move_full(mv));
-        }
-        let objective = self.objective;
-        let cursor = self.cursor.as_mut().expect("peek_move without set_current");
-        let evaluator = self.problem.evaluator();
-        let (ev, cost) = if objective.is_loss_based() {
-            let (new_worst_il, moved_edges) = evaluator.evaluate_delta_loss(
-                &cursor.state,
-                &cursor.mapping,
-                mv,
-                &mut cursor.scratch,
-            );
-            (
-                MoveEval::Loss {
-                    mv,
-                    score: objective.score_worst_il(new_worst_il),
-                    new_worst_il,
-                    moved_edges,
-                },
-                moved_edges,
-            )
-        } else {
-            let delta = evaluator.evaluate_delta_with(
-                &cursor.state,
-                &cursor.mapping,
-                mv,
-                &mut cursor.scratch,
-            );
-            (
-                MoveEval::Snr {
-                    mv,
-                    score: objective.score_worst_snr(delta.new_worst_snr),
-                    delta,
-                },
-                delta.affected_edges,
-            )
-        };
-        self.charge((cost as u64).max(1));
-        self.delta_evaluations += 1;
-        let route = if matches!(ev, MoveEval::Loss { .. }) {
-            self.stats.loss_fast_path += 1;
-            PeekRoute::Loss
-        } else {
-            self.stats.delta_exact += 1;
-            PeekRoute::Delta
-        };
-        let charged = cost.max(1);
-        self.emit(|| TraceEvent::PeekRouted {
-            route,
-            cost: charged,
-        });
-        self.note_peeked(mv, ev.score());
-        Some(ev)
+        self.peek_one(mv, false)
     }
 
     /// Like [`OptContext::peek_move`], but only guarantees an exact
@@ -1168,11 +1183,11 @@ impl<'p> OptContext<'p> {
     /// beat the cursor are scored exactly, bit-identical to
     /// [`OptContext::peek_move`]. Under the plain loss objective the
     /// fast path is already cheap and exact, so this is identical to
-    /// `peek_move`. Moves the active [`PeekStrategy`] routes to full
-    /// evaluation come back as exact [`MoveEval::Full`]s whether they
-    /// improve or not — which never changes what a greedy scan selects,
-    /// since exact scores and bounds order identically around the
-    /// cursor threshold.
+    /// `peek_move`. When the cursor's route is the full pass, every
+    /// move comes back as an exact [`MoveEval::Full`], improving or
+    /// not — which never changes what a greedy scan selects, since
+    /// exact scores and bounds order identically around the cursor
+    /// threshold.
     ///
     /// Greedy strategies (steepest or first improvement against the
     /// cursor) select exactly the same moves as with exact peeks.
@@ -1181,350 +1196,143 @@ impl<'p> OptContext<'p> {
     ///
     /// Panics if no cursor is set.
     pub fn peek_move_improving(&mut self, mv: Move) -> Option<MoveEval> {
-        if matches!(self.objective, Objective::MinimizeWorstCaseLoss) {
-            return self.peek_move(mv);
-        }
-        if self.exhausted() {
-            return None;
-        }
-        if self.objective.uses_snr() && self.routes_to_full(mv, true) {
-            return Some(self.peek_move_full(mv));
-        }
-        let objective = self.objective;
-        let cursor = self.cursor.as_mut().expect("peek_move without set_current");
-        let evaluator = self.problem.evaluator();
-        let (ev, cost) = if objective.is_loss_based() {
-            let threshold = objective.il_threshold_for_score(cursor.score);
-            match evaluator.evaluate_delta_loss_bounded(
-                &cursor.state,
-                &cursor.mapping,
-                mv,
-                &mut cursor.scratch,
-                threshold,
-            ) {
-                BoundedLossDelta::Rejected { bound, cost } => (
-                    MoveEval::Bounded {
-                        mv,
-                        bound: Db(objective.score_worst_il(bound)),
-                    },
-                    cost,
-                ),
-                BoundedLossDelta::Exact {
-                    new_worst_il,
-                    moved_edges,
-                } => (
-                    MoveEval::Loss {
-                        mv,
-                        score: objective.score_worst_il(new_worst_il),
-                        new_worst_il,
-                        moved_edges,
-                    },
-                    moved_edges,
-                ),
-            }
-        } else {
-            let threshold = objective.snr_threshold_for_score(cursor.score);
-            match evaluator.evaluate_delta_bounded(
-                &cursor.state,
-                &cursor.mapping,
-                mv,
-                &mut cursor.scratch,
-                threshold,
-            ) {
-                BoundedDelta::Rejected { bound, cost } => (
-                    MoveEval::Bounded {
-                        mv,
-                        bound: Db(objective.score_worst_snr(bound)),
-                    },
-                    cost,
-                ),
-                BoundedDelta::Exact(delta) => (
-                    MoveEval::Snr {
-                        mv,
-                        score: objective.score_worst_snr(delta.new_worst_snr),
-                        delta,
-                    },
-                    delta.affected_edges,
-                ),
-            }
-        };
-        self.charge((cost as u64).max(1));
-        self.delta_evaluations += 1;
-        let route = if ev.is_exact() {
-            self.stats.bound_verified += 1;
-            PeekRoute::BoundedVerified
-        } else {
-            self.stats.bound_rejected += 1;
-            PeekRoute::BoundedRejected
-        };
-        let charged = cost.max(1);
-        self.emit(|| TraceEvent::PeekRouted {
-            route,
-            cost: charged,
-        });
-        if ev.is_exact() {
-            self.note_peeked(mv, ev.score());
-        }
-        Some(ev)
+        self.peek_one(mv, true)
     }
 
-    /// Incrementally scores a batch of candidate moves in parallel (the
-    /// R-PBLA admitted-list scan), dispatching on the objective and the
-    /// active [`PeekStrategy`] exactly like [`OptContext::peek_move`].
-    /// Only as many moves as the remaining budget admits are *charged*:
-    /// the returned vector covers the charged prefix of `moves` and may
-    /// be shorter than the input. Deterministic: routing decisions are
-    /// made up front, and results and incumbent updates are in input
-    /// order.
+    /// Batch variant of [`OptContext::peek_move`] (the R-PBLA
+    /// admitted-list scan): scores every move in one order-preserving
+    /// parallel pass. Only as many moves as the remaining budget admits
+    /// are *charged*: the returned vector covers the charged prefix of
+    /// `moves` and may be shorter than the input. Deterministic: results
+    /// and incumbent updates are in input order.
     ///
     /// # Panics
     ///
     /// Panics if no cursor is set.
     pub fn peek_moves(&mut self, moves: &[Move]) -> Vec<MoveEval> {
-        if self.exhausted() || moves.is_empty() {
-            return Vec::new();
-        }
-        let evals: Vec<(MoveEval, usize)> = if self.objective.is_loss_based() {
-            let objective = self.objective;
-            let cursor = self
-                .cursor
-                .as_ref()
-                .expect("peek_moves without set_current");
-            self.problem
-                .evaluator()
-                .evaluate_delta_loss_batch(&cursor.state, &cursor.mapping, moves)
-                .into_iter()
-                .zip(moves)
-                .map(|((new_worst_il, moved_edges), &mv)| {
-                    (
-                        MoveEval::Loss {
-                            mv,
-                            score: objective.score_worst_il(new_worst_il),
-                            new_worst_il,
-                            moved_edges,
-                        },
-                        moved_edges,
-                    )
-                })
-                .collect()
-        } else {
-            self.scan_snr_batch(moves, false)
-        };
-        self.admit_peeked(evals, false)
+        self.peek_batch(moves, false)
     }
 
     /// Batch variant of [`OptContext::peek_move_improving`]: every move
-    /// is tested against the cursor score at the time of the call (the
-    /// parallel scan is deterministic and order-preserving). Improving
-    /// moves come back exact, non-improving ones as [`MoveEval::Bounded`]
-    /// — except moves the strategy routed to full evaluation, which are
-    /// always exact [`MoveEval::Full`]s. Either way the selection a
-    /// greedy step makes over the result is identical to one over
-    /// [`OptContext::peek_moves`].
+    /// is tested against the cursor score at the time of the call.
+    /// Improving moves come back exact, non-improving ones as
+    /// [`MoveEval::Bounded`] — unless the cursor's route is the full
+    /// pass, which always yields exact [`MoveEval::Full`]s. Either way
+    /// the selection a greedy step makes over the result is identical
+    /// to one over [`OptContext::peek_moves`].
     ///
     /// # Panics
     ///
     /// Panics if no cursor is set.
     pub fn peek_moves_improving(&mut self, moves: &[Move]) -> Vec<MoveEval> {
-        if matches!(self.objective, Objective::MinimizeWorstCaseLoss) {
-            return self.peek_moves(moves);
+        self.peek_batch(moves, true)
+    }
+
+    /// The sequential peeks: the shared scorer on the context's own
+    /// scratches (no pool dispatch, no result vector), then the shared
+    /// booking.
+    fn peek_one(&mut self, mv: Move, improving: bool) -> Option<MoveEval> {
+        if self.exhausted() {
+            return None;
         }
+        let scorer = self
+            .cursor
+            .as_ref()
+            .expect("peek_move without set_current")
+            .scorer(
+                self.problem.evaluator(),
+                self.objective,
+                self.strategy,
+                improving,
+                self.unit,
+            );
+        let (ev, cost) = scorer.score(mv, &mut self.full_scratch, &mut self.delta_scratch);
+        let bounded = scorer.scoring.bounded();
+        Some(self.book_peek(ev, cost, bounded))
+    }
+
+    /// The batch scans: the shared scorer over `moves` in one
+    /// order-preserving parallel pass (each worker's sticky scratch slot
+    /// holds a full/delta scratch pair, built once per worker lifetime),
+    /// then the shared booking in input order until the budget runs
+    /// out.
+    fn peek_batch(&mut self, moves: &[Move], improving: bool) -> Vec<MoveEval> {
         if self.exhausted() || moves.is_empty() {
             return Vec::new();
         }
-        let evals = if self.objective.is_loss_based() {
-            self.scan_loss_bounded_batch(moves)
-        } else {
-            self.scan_snr_batch(moves, true)
-        };
-        self.admit_peeked(evals, true)
-    }
-
-    /// The loss-family improving batch scan (laser-power objective):
-    /// every move runs through the bound-then-verify loss peek against
-    /// the objective's admissible threshold at the cursor score, in one
-    /// order-preserving parallel pass. Returns `(eval, honest cost)`
-    /// pairs in input order; the caller charges them.
-    fn scan_loss_bounded_batch(&self, moves: &[Move]) -> Vec<(MoveEval, usize)> {
-        let cursor = self
+        let scorer = self
             .cursor
             .as_ref()
-            .expect("peek_moves without set_current");
-        let objective = self.objective;
-        let threshold = objective.il_threshold_for_score(cursor.score);
-        self.problem
-            .evaluator()
-            .evaluate_delta_loss_bounded_batch(&cursor.state, &cursor.mapping, moves, threshold)
-            .into_iter()
-            .zip(moves)
-            .map(|(bounded, &mv)| match bounded {
-                BoundedLossDelta::Rejected { bound, cost } => (
-                    MoveEval::Bounded {
-                        mv,
-                        bound: Db(objective.score_worst_il(bound)),
-                    },
-                    cost,
-                ),
-                BoundedLossDelta::Exact {
-                    new_worst_il,
-                    moved_edges,
-                } => (
-                    MoveEval::Loss {
-                        mv,
-                        score: objective.score_worst_il(new_worst_il),
-                        new_worst_il,
-                        moved_edges,
-                    },
-                    moved_edges,
-                ),
-            })
-            .collect()
-    }
-
-    /// The shared SNR batch scan: routes every move up front per the
-    /// active [`PeekStrategy`] (cheap index lookups, sequential and
-    /// deterministic), then scores the whole batch in one
-    /// order-preserving parallel pass — each worker's sticky scratch
-    /// slot holds a (full-evaluation, delta) scratch pair, built once
-    /// per worker lifetime. `improving` selects the
-    /// bound-then-verify peek (threshold at the cursor score) for
-    /// delta-routed moves. Returns `(eval, honest cost)` pairs in input
-    /// order; the caller charges them.
-    fn scan_snr_batch(&self, moves: &[Move], improving: bool) -> Vec<(MoveEval, usize)> {
-        let cursor = self
-            .cursor
-            .as_ref()
-            .expect("peek_moves without set_current");
-        let objective = self.objective;
-        let evaluator = self.problem.evaluator();
-        let unit = self.unit as usize;
-        let threshold = objective.snr_threshold_for_score(cursor.score);
-        let routed: Vec<(Move, bool)> = moves
-            .iter()
-            .map(|&mv| {
-                (
-                    mv,
-                    route_full(self.strategy, evaluator, cursor, mv, improving),
-                )
-            })
-            .collect();
-        parallel::parallel_map_with(
-            &routed,
+            .expect("peek_moves without set_current")
+            .scorer(
+                self.problem.evaluator(),
+                self.objective,
+                self.strategy,
+                improving,
+                self.unit,
+            );
+        let scored = parallel::parallel_map_with(
+            moves,
             || (EvalScratch::default(), DeltaScratch::default()),
-            |(full_scratch, delta_scratch), &(mv, full)| {
-                if full {
-                    let moved = cursor.mapping.with_move(mv);
-                    let summary = evaluator.evaluate_into(&moved, None, full_scratch);
-                    let score =
-                        objective.score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
-                    (MoveEval::Full { mv, score, summary }, unit)
-                } else if improving {
-                    match evaluator.evaluate_delta_bounded(
-                        &cursor.state,
-                        &cursor.mapping,
-                        mv,
-                        delta_scratch,
-                        threshold,
-                    ) {
-                        BoundedDelta::Rejected { bound, cost } => (
-                            MoveEval::Bounded {
-                                mv,
-                                bound: Db(objective.score_worst_snr(bound)),
-                            },
-                            cost,
-                        ),
-                        BoundedDelta::Exact(delta) => (
-                            MoveEval::Snr {
-                                mv,
-                                score: objective.score_worst_snr(delta.new_worst_snr),
-                                delta,
-                            },
-                            delta.affected_edges,
-                        ),
-                    }
-                } else {
-                    let delta = evaluator.evaluate_delta_with(
-                        &cursor.state,
-                        &cursor.mapping,
-                        mv,
-                        delta_scratch,
-                    );
-                    (
-                        MoveEval::Snr {
-                            mv,
-                            score: objective.score_worst_snr(delta.new_worst_snr),
-                            delta,
-                        },
-                        delta.affected_edges,
-                    )
-                }
-            },
-        )
-    }
-
-    /// Shared tail of the batch peeks: charges each evaluation in input
-    /// order until the budget runs out, tracking the incumbent. Full-
-    /// backed peeks count as full evaluations, everything else as delta
-    /// evaluations — the same books the sequential peeks keep.
-    /// `improving` tells the route classifier whether delta results
-    /// came through the bound-then-verify peek (they count as
-    /// verify fall-throughs) or the plain exact scan. Counters and
-    /// events happen here, in input order, never inside the parallel
-    /// scan — that is what keeps the stream deterministic.
-    fn admit_peeked(&mut self, evals: Vec<(MoveEval, usize)>, improving: bool) -> Vec<MoveEval> {
-        let mut out = Vec::with_capacity(evals.len());
-        for (ev, cost) in evals {
+            |(full, delta), &mv| scorer.score(mv, full, delta),
+        );
+        let bounded = scorer.scoring.bounded();
+        let mut out = Vec::with_capacity(scored.len());
+        for (ev, cost) in scored {
             if self.exhausted() {
                 break;
             }
-            self.charge((cost as u64).max(1));
-            let route = match &ev {
-                MoveEval::Full { .. } => {
-                    self.full_evaluations += 1;
-                    self.stats.full_peeks += 1;
-                    PeekRoute::Full
-                }
-                MoveEval::Bounded { .. } => {
-                    self.delta_evaluations += 1;
-                    self.stats.bound_rejected += 1;
-                    PeekRoute::BoundedRejected
-                }
-                MoveEval::Snr { .. } if improving => {
-                    self.delta_evaluations += 1;
-                    self.stats.bound_verified += 1;
-                    PeekRoute::BoundedVerified
-                }
-                MoveEval::Loss { .. } if improving => {
-                    self.delta_evaluations += 1;
-                    self.stats.bound_verified += 1;
-                    PeekRoute::BoundedVerified
-                }
-                MoveEval::Snr { .. } => {
-                    self.delta_evaluations += 1;
-                    self.stats.delta_exact += 1;
-                    PeekRoute::Delta
-                }
-                MoveEval::Loss { .. } => {
-                    self.delta_evaluations += 1;
-                    self.stats.loss_fast_path += 1;
-                    PeekRoute::Loss
-                }
-            };
-            let charged = if matches!(ev, MoveEval::Full { .. }) {
-                self.unit as usize
-            } else {
-                cost.max(1)
-            };
-            self.emit(|| TraceEvent::PeekRouted {
-                route,
-                cost: charged,
-            });
-            if ev.is_exact() {
-                self.note_peeked(ev.mv(), ev.score());
-            }
-            out.push(ev);
+            out.push(self.book_peek(ev, cost, bounded));
         }
         out
+    }
+
+    /// Books one scored peek — the one routine every peek entry point
+    /// charges through: bills `max(1, cost)` units, counts a full-backed
+    /// peek as a full evaluation and everything else as a delta
+    /// evaluation, classifies the route (`bounded` says whether exact
+    /// results came through the bound-then-verify peek), emits the
+    /// [`TraceEvent::PeekRouted`] event and tracks the incumbent.
+    /// Counters and events happen here, in input order, never inside a
+    /// parallel scan — that is what keeps the stream deterministic.
+    fn book_peek(&mut self, ev: MoveEval, cost: usize, bounded: bool) -> MoveEval {
+        let charged = cost.max(1);
+        self.charge(charged as u64);
+        let route = match ev {
+            MoveEval::Full { .. } => {
+                self.full_evaluations += 1;
+                self.stats.full_peeks += 1;
+                PeekRoute::Full
+            }
+            MoveEval::Bounded { .. } => {
+                self.delta_evaluations += 1;
+                self.stats.bound_rejected += 1;
+                PeekRoute::BoundedRejected
+            }
+            MoveEval::Snr { .. } | MoveEval::Loss { .. } if bounded => {
+                self.delta_evaluations += 1;
+                self.stats.bound_verified += 1;
+                PeekRoute::BoundedVerified
+            }
+            MoveEval::Snr { .. } => {
+                self.delta_evaluations += 1;
+                self.stats.delta_exact += 1;
+                PeekRoute::Delta
+            }
+            MoveEval::Loss { .. } => {
+                self.delta_evaluations += 1;
+                self.stats.loss_fast_path += 1;
+                PeekRoute::Loss
+            }
+        };
+        self.emit(|| TraceEvent::PeekRouted {
+            route,
+            cost: charged,
+        });
+        if ev.is_exact() {
+            self.note_peeked(ev.mv(), ev.score());
+        }
+        ev
     }
 
     /// Records a peeked candidate into the incumbent if it improves —
@@ -1565,7 +1373,7 @@ impl<'p> OptContext<'p> {
             &mut cursor.state,
             &mut cursor.mapping,
             ev.mv(),
-            &mut cursor.scratch,
+            &mut self.delta_scratch,
         );
         let score = self
             .objective
@@ -1576,15 +1384,10 @@ impl<'p> OptContext<'p> {
             "committed move score diverged from its peek"
         );
         cursor.score = score;
-        // Recalibrate the hybrid cost model on the committed state:
-        // descents change path lengths and occupancy, and routing
-        // should track the placement the peeks actually score (a cheap
-        // `O(tiles + edges)` pass, paid once per commit). Skipped when
-        // no peek will ever consult the model — loss-based objectives
-        // ride their own fast path, and pinned strategies never route.
-        if self.strategy == PeekStrategy::Hybrid && self.objective.uses_snr() {
-            cursor.model = PeekCostModel::of(&cursor.state);
-        }
+        // Re-decide the route on the committed state: descents change
+        // path lengths and occupancy, and the route should track the
+        // placement the peeks actually score (one `O(tiles)` pass).
+        cursor.full_route = cursor.state.prefers_full_peeks();
         let mapping = cursor.mapping.clone();
         self.record(&mapping, score);
     }
@@ -1821,89 +1624,6 @@ fn apply_config(ctx: &mut OptContext<'_>, config: &DseConfig) {
     }
 }
 
-/// Deprecated spelling of [`run_dse`] with an explicit
-/// [`PeekStrategy`].
-#[deprecated(note = "use run_dse(problem, optimizer, \
-                     &DseConfig::new(budget, seed).with_strategy(strategy))")]
-#[must_use]
-pub fn run_dse_with_strategy(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    strategy: PeekStrategy,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig::new(budget, seed).with_strategy(strategy),
-    )
-}
-
-/// Deprecated spelling of [`run_dse`] with an explicit
-/// [`NeighborhoodPolicy`].
-#[deprecated(note = "use run_dse(problem, optimizer, \
-                     &DseConfig::new(budget, seed).with_policy(policy))")]
-#[must_use]
-pub fn run_dse_with_policy(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    policy: NeighborhoodPolicy,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig::new(budget, seed).with_policy(policy),
-    )
-}
-
-/// Deprecated spelling of [`run_dse`] with explicit strategy and
-/// policy.
-#[deprecated(note = "use run_dse(problem, optimizer, &DseConfig::new(budget, seed)\
-                     .with_strategy(strategy).with_policy(policy))")]
-#[must_use]
-pub fn run_dse_configured(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    strategy: PeekStrategy,
-    policy: NeighborhoodPolicy,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig::new(budget, seed)
-            .with_strategy(strategy)
-            .with_policy(policy),
-    )
-}
-
-/// Deprecated spelling of [`run_dse`] taking budget and seed beside the
-/// config (they now live *in* [`DseConfig`]).
-#[deprecated(note = "use run_dse(problem, optimizer, &config) with \
-                     DseConfig::new(budget, seed)")]
-#[must_use]
-pub fn run_dse_session(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    config: DseConfig,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig {
-            budget,
-            seed,
-            ..config
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2044,61 +1764,6 @@ mod tests {
         assert_eq!(ctx.delta_evaluations(), calls);
     }
 
-    /// The four `#[deprecated]` `run_dse_*` shims must stay *shims*:
-    /// every field of their result — mapping, score bits, budget
-    /// accounting, history — bit-identical to the equivalent
-    /// `run_dse(problem, optimizer, &DseConfig)` call.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_bit_identically() {
-        let p = tiny_problem();
-        let (budget, seed) = (23, 5);
-        let strategy = PeekStrategy::Delta;
-        let policy = NeighborhoodPolicy::Sampled;
-        let assert_same = |shim: DseResult, config: &DseConfig| {
-            let direct = run_dse(&p, &FirstRandom, config);
-            assert_eq!(shim.optimizer, direct.optimizer);
-            assert_eq!(shim.best_mapping, direct.best_mapping);
-            assert_eq!(shim.best_score.to_bits(), direct.best_score.to_bits());
-            assert_eq!(shim.evaluations, direct.evaluations);
-            assert_eq!(shim.full_evaluations, direct.full_evaluations);
-            assert_eq!(shim.delta_evaluations, direct.delta_evaluations);
-            assert_eq!(shim.history.len(), direct.history.len());
-            for ((si, ss), (di, ds)) in shim.history.iter().zip(&direct.history) {
-                assert_eq!(si, di);
-                assert_eq!(ss.to_bits(), ds.to_bits());
-            }
-        };
-        assert_same(
-            run_dse_with_strategy(&p, &FirstRandom, budget, seed, strategy),
-            &DseConfig::new(budget, seed).with_strategy(strategy),
-        );
-        assert_same(
-            run_dse_with_policy(&p, &FirstRandom, budget, seed, policy),
-            &DseConfig::new(budget, seed).with_policy(policy),
-        );
-        assert_same(
-            run_dse_configured(&p, &FirstRandom, budget, seed, strategy, policy),
-            &DseConfig::new(budget, seed)
-                .with_strategy(strategy)
-                .with_policy(policy),
-        );
-        // `run_dse_session` overlays budget and seed onto a config that
-        // carries the other knobs (including an objective override).
-        let session_config = DseConfig::new(0, 0)
-            .with_strategy(strategy)
-            .with_policy(policy)
-            .with_objective(Objective::by_name("power").unwrap());
-        assert_same(
-            run_dse_session(&p, &FirstRandom, budget, seed, session_config.clone()),
-            &DseConfig {
-                budget,
-                seed,
-                ..session_config
-            },
-        );
-    }
-
     #[test]
     fn incumbent_never_worsens() {
         let p = tiny_problem();
@@ -2215,7 +1880,7 @@ mod tests {
         let budget = 10;
         let mut ctx = OptContext::new(&p, budget, 1);
         // Pin the delta backend: this test documents *delta* budget
-        // accounting, independent of what the hybrid router would pick.
+        // accounting, independent of what the hybrid route would pick.
         ctx.set_peek_strategy(PeekStrategy::Delta);
         let m = ctx.random_mapping();
         ctx.set_current(m).unwrap();

@@ -90,9 +90,7 @@ use crate::mapping::Mapping;
 pub mod bound;
 #[path = "evaluator_delta.rs"]
 mod delta;
-pub use delta::{
-    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalState, PeekCostModel, ScoreDelta,
-};
+pub use delta::{BoundedDelta, BoundedLossDelta, DeltaScratch, EvalState, ScoreDelta};
 use phonoc_apps::CommunicationGraph;
 use phonoc_phys::{Db, LinearGain, PhysicalParameters};
 use phonoc_route::RoutingAlgorithm;

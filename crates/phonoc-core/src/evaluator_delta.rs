@@ -240,166 +240,81 @@ pub enum BoundedLossDelta {
     },
 }
 
-/// The hybrid peek's cost model: a per-cursor calibration deciding, for
-/// each candidate [`Move`], whether a full scratch re-evaluation
-/// ([`Evaluator::evaluate_into`]) or the incremental SNR delta
-/// ([`Evaluator::evaluate_delta_with`] /
-/// [`Evaluator::evaluate_delta_bounded`]) is the cheaper way to score
-/// it.
-///
-/// Built once per [`Evaluator::init_state`]-style full evaluation (the
-/// engine rebuilds it at `set_current` time), it captures the problem's
-/// density in two statistics, derived from the state's occupancy lists
-/// in one `O(tiles + edges)` pass:
-///
-/// * **mean path length** `h̄ = Σ hops / edges` — how many routers the
-///   average communication traverses;
-/// * **occupancy concentration** `(Σk²/Σk) / (Σk/tiles)` — the
-///   size-biased occupancy of the router a random hop sits on, relative
-///   to the plain mean: ≈1 for evenly spread traffic, ≫1 for hub
-///   workloads whose worst-case edge lives on one hot router.
-///
-/// The decision constants are **calibrated from the scenario-matrix
-/// sweep** (`BENCH_sweep.json`: 7 generator families × 4×4–16×16 meshes
-/// × densities × seeds, measured on dense random placements):
-///
-/// * the scratch full pass wins *every* cell with `h̄ ≲ 6.6` and loses
-///   *every* cell with `h̄ ≳ 8.7`, across all families and densities —
-///   the delta's advantage (recomputing only coupled victims) grows
-///   with path length, while short-path problems are dominated by the
-///   delta's fixed patching/marking overheads;
-/// * in improving-only scans the bound-then-verify peek additionally
-///   wins on *concentrated* workloads (star/hotspot/MPEG-like hubs)
-///   one size class earlier: the incumbent's worst edge sits on the
-///   hub, so moves that do not touch it reject via the structural
-///   bound at near-zero cost;
-/// * a move displacing the majority of all edges (a hub relocation)
-///   degenerates the delta into a patched full pass with worse
-///   constants, so such moves always route to the full evaluation —
-///   this is the per-move part of the decision, fed by the cheap
-///   [`Evaluator::moved_edge_count`] estimate (two index lookups).
-///
-/// The model only *routes* between bit-identical evaluation paths, so a
-/// wrong estimate can never change a score or a greedy selection — only
-/// the constant factor of the peek (property-tested in
-/// `tests/hybrid_properties.rs`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeekCostModel {
-    /// Mean path length `h̄` of the cursor's mapping.
-    mean_hops: f64,
-    /// Size-biased occupancy concentration (≥ 1 in practice).
-    concentration: f64,
-    /// Edge count (for the hub-scale move guard).
-    edges: usize,
-}
+/// Mean path length `h̄` below which a full scratch pass
+/// ([`Evaluator::evaluate_into`]) scores SNR peeks faster than the delta
+/// side: the delta's advantage (recomputing only coupled victims) grows
+/// with path length, while short-path problems are dominated by its
+/// fixed patching and marking overheads. Pinned by the gap in the
+/// committed scenario sweep (`BENCH_sweep.json`, random placements):
+/// every 8×8 cell sits at `h̄ ≤ 6.66` with the full pass ahead
+/// (`clustered-8x8-d200-s1`, `h̄` 6.66: delta 11% and bounded 2%
+/// slower), every 12×12 cell at `h̄ ≥ 8.70` with the delta side ahead
+/// (`clustered-12x12-d50-s1`, `h̄` 8.70: full 35% slower than the
+/// delta, 65% slower than the bounded peek).
+const FULL_PASS_MAX_HOPS: f64 = 7.0;
+/// Occupancy concentration from which hub workloads go to the delta
+/// side early: the incumbent's worst edge sits on the hub, so moves that
+/// do not touch it reject through the structural bound at near-zero
+/// cost. Pinned between `mpeg-like-6x6-d100-s2` (concentration 1.48:
+/// bounded 30% slower than full) and `mpeg-like-8x8-d100-s2` (1.62: full
+/// 3% slower than bounded); `hotspot-8x8-d100-s1` (1.71) has full 43%
+/// slower.
+const HUB_CONCENTRATION: f64 = 1.5;
+/// `h̄` floor of the hub exception: below it, the bound-then-verify
+/// overheads still beat what rejection saves. Pinned between
+/// `mpeg-like-6x6-d50-s2` (`h̄` 4.49, concentration 1.84: bounded 10%
+/// slower than full) and `hotspot-6x6-d100-s1` (`h̄` 4.60, concentration
+/// 1.91: full 39% slower than bounded).
+const HUB_MIN_HOPS: f64 = 4.5;
 
-impl PeekCostModel {
-    /// `h̄` above which the exact delta beats the scratch full pass
-    /// (mid-gap of the measured crossover band 6.6–8.7).
-    const DELTA_CROSSOVER_HOPS: f64 = 7.0;
-    /// Extreme concentration (a single dominant hub, star-like) pulls
-    /// the *exact*-delta crossover one size class earlier: the full
-    /// pass pays the hub router's quadratic accumulation on every peek,
-    /// the delta only when the move actually perturbs the hub.
-    const EXACT_HUB_CONCENTRATION: f64 = 3.5;
-    /// Moderate concentration does the same closer to the crossover
-    /// (the hotspot/mpeg band at 8×8 in `BENCH_sweep.json`).
-    const EXACT_WARM_CONCENTRATION: f64 = 1.6;
-    /// `h̄` floor for the moderate-concentration exact crossover.
-    const EXACT_WARM_MIN_HOPS: f64 = 5.5;
-    /// Concentration above which the bound-then-verify peek wins
-    /// improving scans even below the delta crossover…
-    const BOUNDED_CONCENTRATION: f64 = 1.5;
-    /// …but only once the problem is large enough that rejection saves
-    /// real work (below this `h̄`, bounded overheads still dominate).
-    const BOUNDED_MIN_HOPS: f64 = 4.5;
-    /// `h̄` floor for the hub-concentration early crossovers.
-    const HUB_MIN_HOPS: f64 = 5.0;
+impl EvalState {
+    /// Mean path length `h̄ = Σ hops / edges`: how many routers the
+    /// average communication traverses.
+    fn mean_path_hops(&self) -> f64 {
+        self.hop_count() as f64 / self.edge_count().max(1) as f64
+    }
 
-    /// Calibrates the model from a cursor's evaluation state.
+    /// Occupancy concentration `(Σk²/Σk) / (Σk/tiles)` over the routers'
+    /// occupancy counts `k`: the size-biased occupancy of the router a
+    /// random hop sits on, relative to the plain mean. ≈1 for evenly
+    /// spread traffic, ≫1 for hub workloads whose worst-case edge lives
+    /// on one hot router. One `O(tiles)` pass.
     #[must_use]
-    pub fn of(state: &EvalState) -> PeekCostModel {
-        let edges = state.edge_count();
-        let hops = state.hop_count() as f64;
-        let tiles = state.tile_hops.len().max(1) as f64;
-        let mut sum_sq = 0.0f64;
-        for list in &state.tile_hops {
-            let k = list.len() as f64;
-            sum_sq += k * k;
-        }
+    pub fn occupancy_concentration(&self) -> f64 {
+        let hops = self.hop_count() as f64;
+        let tiles = self.tile_hops.len().max(1) as f64;
+        let sum_sq: f64 = self
+            .tile_hops
+            .iter()
+            .map(|list| (list.len() as f64).powi(2))
+            .sum();
         let mean_occ = hops / tiles;
         // Size-biased mean occupancy E_sb[k] = Σk²/Σk: the expected
         // list length at the router a uniformly random hop sits on.
         let biased_occ = if hops > 0.0 { sum_sq / hops } else { 0.0 };
-        PeekCostModel {
-            mean_hops: hops / edges.max(1) as f64,
-            concentration: if mean_occ > 0.0 {
-                biased_occ / mean_occ
-            } else {
-                0.0
-            },
-            edges,
+        if mean_occ > 0.0 {
+            biased_occ / mean_occ
+        } else {
+            0.0
         }
     }
 
-    /// The complete routing decision the engine's hybrid peeks use:
-    /// whether a move displacing `moved_edges` communications goes to
-    /// a full scratch re-evaluation (`true`) or to the delta side —
-    /// the exact delta for plain peeks, the bound-then-verify peek for
-    /// `improving` scans. Neutral moves (`moved_edges == 0`) are free
-    /// on the delta path and never routed full. The sweep harness
-    /// times exactly this function, so `BENCH_sweep.json` always
-    /// measures the router the engine runs.
+    /// The hybrid SNR-peek route of a cursor standing on this state:
+    /// `true` sends every peek to a full scratch re-evaluation, `false`
+    /// to the delta side (the exact delta, or the bound-then-verify
+    /// peek in improving scans). The engine decides it once per cursor —
+    /// when the cursor is seated and after every commit — so no peek
+    /// pays for routing:
+    ///
+    /// `full ⇔ h̄ < 7.0 ∧ ¬(concentration ≥ 1.5 ∧ h̄ ≥ 4.5)`.
+    ///
+    /// Every route scores bit-identically, so the rule can only change
+    /// what a peek costs, never a score or a greedy selection.
     #[must_use]
-    pub fn routes_full(&self, moved_edges: usize, improving: bool) -> bool {
-        moved_edges > 0
-            && if improving {
-                self.prefers_full_improving(moved_edges)
-            } else {
-                self.prefers_full(moved_edges)
-            }
-    }
-
-    /// Whether a move displacing `moved_edges` communications is
-    /// estimated to be cheaper to score with a full scratch
-    /// re-evaluation than with the exact incremental delta.
-    #[must_use]
-    pub fn prefers_full(&self, moved_edges: usize) -> bool {
-        if 2 * moved_edges > self.edges {
-            return true; // hub-scale move: the delta degenerates
-        }
-        self.mean_hops < Self::DELTA_CROSSOVER_HOPS
-            && !(self.concentration >= Self::EXACT_HUB_CONCENTRATION
-                && self.mean_hops >= Self::HUB_MIN_HOPS)
-            && !(self.concentration >= Self::EXACT_WARM_CONCENTRATION
-                && self.mean_hops >= Self::EXACT_WARM_MIN_HOPS)
-    }
-
-    /// [`PeekCostModel::prefers_full`] for improving-only scans, where
-    /// the delta side is the bound-then-verify peek: concentrated
-    /// (hub-heavy) workloads reject most moves through the structural
-    /// bound, which moves the crossover one size class earlier.
-    #[must_use]
-    pub fn prefers_full_improving(&self, moved_edges: usize) -> bool {
-        if 2 * moved_edges > self.edges {
-            return true;
-        }
-        self.mean_hops < Self::DELTA_CROSSOVER_HOPS
-            && !(self.concentration >= Self::BOUNDED_CONCENTRATION
-                && self.mean_hops >= Self::BOUNDED_MIN_HOPS)
-    }
-
-    /// Mean path length `h̄` the model was calibrated on (diagnostic;
-    /// the sweep harness records it alongside measured timings).
-    #[must_use]
-    pub fn mean_path_hops(&self) -> f64 {
-        self.mean_hops
-    }
-
-    /// Occupancy concentration the model was calibrated on (diagnostic).
-    #[must_use]
-    pub fn concentration(&self) -> f64 {
-        self.concentration
+    pub fn prefers_full_peeks(&self) -> bool {
+        let hops = self.mean_path_hops();
+        hops < FULL_PASS_MAX_HOPS
+            && !(hops >= HUB_MIN_HOPS && self.occupancy_concentration() >= HUB_CONCENTRATION)
     }
 }
 
@@ -704,35 +619,6 @@ impl Evaluator {
             }
         }
         acc
-    }
-
-    /// Number of communications whose network paths `mv` would change —
-    /// the edges incident to the task(s) the move displaces. This is the
-    /// input of [`PeekCostModel::prefers_full`], computed in `O(deg)`
-    /// from the task→edges index (no evaluation work), so a hybrid peek
-    /// can route each move to the cheaper evaluation path before paying
-    /// for either.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the move is out of range for `mapping` (see
-    /// [`Move::positions`]).
-    #[must_use]
-    pub fn moved_edge_count(&self, mapping: &Mapping, mv: Move) -> usize {
-        let tasks = mapping.task_count();
-        let (a, b) = mv.positions(mapping);
-        if a == b || a >= tasks {
-            return 0;
-        }
-        let ea = &self.task_edges[a];
-        if b >= tasks {
-            return ea.len();
-        }
-        let eb = &self.task_edges[b];
-        // Edges joining the two moved tasks would be double-counted;
-        // both lists are ascending and tiny (task degrees).
-        let shared = ea.iter().filter(|e| eb.binary_search(e).is_ok()).count();
-        ea.len() + eb.len() - shared
     }
 
     /// Incrementally scores `mv` against `state` (which must describe

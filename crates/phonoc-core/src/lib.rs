@@ -134,13 +134,11 @@ pub use engine::{
     run_dse, run_dse_traced, DseConfig, DseResult, MappingOptimizer, MoveEval, NeighborhoodPolicy,
     OptContext, PeekStrategy,
 };
-#[allow(deprecated)]
-pub use engine::{run_dse_configured, run_dse_session, run_dse_with_policy, run_dse_with_strategy};
 pub use error::CoreError;
 pub use evaluator::bound::{CertificateBound, LowerBound};
 pub use evaluator::{
     BoundedDelta, BoundedLossDelta, DeltaScratch, EdgeMetrics, EvalScratch, EvalState, EvalSummary,
-    Evaluator, EvaluatorOptions, NetworkMetrics, PeekCostModel, ScoreDelta,
+    Evaluator, EvaluatorOptions, NetworkMetrics, ScoreDelta,
 };
 pub use mapping::{Mapping, Move};
 pub use montecarlo::{activity_study, ActivityStudy};
@@ -158,15 +156,11 @@ pub mod prelude {
         run_dse, run_dse_traced, DseConfig, DseResult, MappingOptimizer, MoveEval,
         NeighborhoodPolicy, OptContext, PeekStrategy,
     };
-    #[allow(deprecated)]
-    pub use crate::engine::{
-        run_dse_configured, run_dse_session, run_dse_with_policy, run_dse_with_strategy,
-    };
     pub use crate::error::CoreError;
     pub use crate::evaluator::bound::{CertificateBound, LowerBound};
     pub use crate::evaluator::{
         EvalScratch, EvalState, EvalSummary, Evaluator, EvaluatorOptions, NetworkMetrics,
-        PeekCostModel, ScoreDelta,
+        ScoreDelta,
     };
     pub use crate::mapping::{Mapping, Move};
     pub use crate::montecarlo::{activity_study, ActivityStudy};

@@ -70,12 +70,11 @@ use std::fmt::Write as _;
 /// Schema identifier written in the header line of every JSONL trace.
 pub const TRACE_SCHEMA: &str = "phonocmap-trace/1";
 
-/// Which backend an admitted peek was routed to — the per-move outcome
-/// of the hybrid routing decision plus the bound-then-verify split of
-/// improving scans.
+/// Which backend an admitted peek was routed to — the cursor's peek
+/// route plus the bound-then-verify split of improving scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeekRoute {
-    /// Routed to a full scratch re-evaluation (strategy decision).
+    /// Routed to a full scratch re-evaluation (the cursor's route).
     Full,
     /// Exact incremental SNR delta.
     Delta,
@@ -533,7 +532,12 @@ pub struct TraceHeader {
     pub events: usize,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal, escaping
+/// quotes, backslashes and every control character (`\n`, `\t`, `\r`
+/// by name, the rest as `\u00XX`) — the one JSON string escaper the
+/// hand-rolled writers here and in the bench harnesses share (the
+/// workspace builds offline, without `serde_json`).
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -1197,6 +1201,13 @@ mod tests {
         assert_eq!(header.source, "unit-test");
         assert_eq!(header.events, events.len());
         assert_eq!(parsed, events);
+    }
+
+    #[test]
+    fn json_strings_escape_quotes_backslashes_and_control_characters() {
+        let mut out = String::new();
+        push_json_str(&mut out, "a\"b\\c\nd\u{1}e");
+        assert_eq!(out, r#""a\"b\\c\nd\u0001e""#);
     }
 
     #[test]

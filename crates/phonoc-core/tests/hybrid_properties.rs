@@ -13,10 +13,17 @@
 //!   strategies, and that score matches an independent full
 //!   evaluation;
 //! * the hybrid's budget books stay honest: every peek is counted as
-//!   exactly one full *or* one delta evaluation, matching its route.
+//!   exactly one full *or* one delta evaluation, matching its route;
+//! * the sequential peeks and the batch scans are one path: a
+//!   `peek_move`/`peek_move_improving` is indistinguishable from the
+//!   one-element `peek_moves`/`peek_moves_improving` — same `MoveEval`,
+//!   ledger, `RunStats` and trace events — under every objective and
+//!   every strategy, up to and across budget exhaustion.
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
-use phonoc_core::{Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekStrategy};
+use phonoc_core::{
+    Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekStrategy, RunTrace,
+};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
@@ -439,5 +446,88 @@ fn hybrid_books_every_peek_as_exactly_one_evaluation() {
             "{}: delta ledger",
             spec.id()
         );
+    }
+}
+
+/// Everything a peek can observably change on a context: the ledger,
+/// the decision counters, the cursor and the incumbent.
+fn books(ctx: &OptContext<'_>) -> (usize, usize, usize, bool, phonoc_core::RunStats) {
+    (
+        ctx.used(),
+        ctx.full_evaluations(),
+        ctx.delta_evaluations(),
+        ctx.exhausted(),
+        ctx.stats(),
+    )
+}
+
+#[test]
+fn sequential_peeks_equal_one_element_batches() {
+    for objective in Objective::ALL {
+        for (family, mesh) in [(ScenarioFamily::Random, 4), (ScenarioFamily::Hotspot, 6)] {
+            let spec = ScenarioSpec {
+                family,
+                mesh,
+                density_pct: 100,
+                seed: 1,
+            };
+            let p = MappingProblem::new(
+                spec.build(),
+                Topology::mesh(mesh, mesh, Length::from_mm(2.5)),
+                crux_router(),
+                Box::new(XyRouting),
+                PhysicalParameters::default(),
+                objective,
+            )
+            .expect("scenario problems are valid");
+            let mut rng = StdRng::seed_from_u64(0x5E9B);
+            let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
+            let moves: Vec<Move> = (0..400).map(|_| start.random_swap_move(&mut rng)).collect();
+            for strategy in STRATEGIES {
+                let label = format!("{objective}/{}/{strategy}", spec.id());
+                // A small budget, so the loop also crosses exhaustion.
+                let context = || {
+                    let mut ctx = OptContext::new(&p, 6, 0);
+                    ctx.set_trace_sink(Box::new(RunTrace::new()));
+                    ctx.set_peek_strategy(strategy);
+                    ctx.set_current(start.clone()).expect("budget");
+                    ctx
+                };
+                let (mut seq, mut bat) = (context(), context());
+                for (i, &mv) in moves.iter().enumerate() {
+                    let improving = i % 2 == 1;
+                    let one = if improving {
+                        seq.peek_move_improving(mv)
+                    } else {
+                        seq.peek_move(mv)
+                    };
+                    let batch = if improving {
+                        bat.peek_moves_improving(&[mv])
+                    } else {
+                        bat.peek_moves(&[mv])
+                    };
+                    assert_eq!(
+                        one.into_iter().collect::<Vec<_>>(),
+                        batch,
+                        "{label}: {mv:?}"
+                    );
+                    assert_eq!(books(&seq), books(&bat), "{label}: books after {mv:?}");
+                    assert_eq!(seq.drain_trace(), bat.drain_trace(), "{label}: events");
+                    assert_eq!(seq.best(), bat.best(), "{label}: incumbent");
+                    // Commit every improving exact peek, so later peeks
+                    // run against re-routed cursors.
+                    if let Some(ev) = one.filter(|ev| {
+                        ev.is_exact() && ev.score() > seq.current_score().expect("cursor")
+                    }) {
+                        seq.apply_scored_move(&ev);
+                        bat.apply_scored_move(&ev);
+                    }
+                }
+                assert!(
+                    seq.exhausted(),
+                    "{label}: the loop never reached exhaustion"
+                );
+            }
+        }
     }
 }

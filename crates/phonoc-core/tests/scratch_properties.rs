@@ -256,8 +256,8 @@ fn bounded_loss_delta_batch_matches_sequential() {
 #[test]
 fn bounded_delta_batch_matches_sequential() {
     // The parallel batch is a public entry point in its own right (the
-    // engine's scan now routes per move and calls the sequential peek
-    // per worker), so its input-ordered equivalence is pinned here.
+    // engine's scan runs its own scorer per worker), so its
+    // input-ordered equivalence is pinned here.
     for p in instances() {
         let ev = p.evaluator();
         let mut rng = StdRng::seed_from_u64(0xBA7C4);

@@ -37,7 +37,7 @@
 //!   large ones actually descend.
 //!
 //! The stream only *selects* moves. Scoring still goes through the
-//! `OptContext` peek family, so the adaptive hybrid peek router and the
+//! `OptContext` peek family, so the per-cursor peek route and the
 //! honest edge-unit budget ledger are untouched: a sampled scan of `k`
 //! moves costs exactly what peeking those `k` moves costs, and every
 //! policy is deterministic per seed (the stream's RNG is seeded once,

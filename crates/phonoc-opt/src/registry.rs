@@ -15,7 +15,7 @@
 //! * `@policy` — the [`NeighborhoodPolicy`] the run pins
 //!   (`@sampled`, `@locality`, ...).
 //! * `/peek` — the [`phonoc_core::PeekStrategy`] SNR peeks route
-//!   through (`/delta`, `/full`, `/bounded`, `/hybrid`).
+//!   through (`/hybrid`, `/delta`, `/full`).
 //! * `!objective` — an [`Objective`] override (`!power`, `!margin`,
 //!   `!power-pam4`, ...): the session scores under this objective
 //!   instead of the problem's own, without rebuilding the problem.

@@ -164,7 +164,7 @@ mod tests {
         assert_eq!(r.evaluations, 400);
         assert!(r.best_mapping.is_valid());
         // The descent scans run on the peek API; pin the delta backend
-        // (the hybrid router legitimately picks full passes on a dense
+        // (the hybrid route legitimately picks full passes on a dense
         // 3×3) to check the incremental path is really exercised.
         let rd = run_dse(
             &p,

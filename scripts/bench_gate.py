@@ -5,25 +5,18 @@ against the committed baselines.
 Usage:
     python3 scripts/bench_gate.py [BENCH_sweep_smoke.json] [BENCH_evaluator.json]
         [--baseline BENCH_sweep.json] [--warmstart BENCH_warmstart.json]
-        [--parallel BENCH_parallel.json] [--lint-deprecated REPO_ROOT]
+        [--parallel BENCH_parallel.json]
         [--trace run.trace.jsonl]... [--gaps] [--strict] [--strict-quality]
 
 Checks (all *advisory* — the script always exits 0 — unless --strict
 makes any finding fatal, --strict-quality makes the quality findings
-(checks 3, 5, 6 and 7 plus the deprecation lint — deterministic data,
-not timing) fatal, or an input file is malformed):
+(checks 3, 5, 6 and 7 — deterministic data, not timing) fatal, or an
+input file is malformed):
 
---lint-deprecated REPO_ROOT greps the Rust tree for callers of the
-deprecated `run_dse_*` entry-point wrappers (`run_dse_with_strategy`,
-`run_dse_with_policy`, `run_dse_configured`, `run_dse_session`) outside
-the files that define and re-export them — the single-entry-point
-contract of the `run_dse(problem, optimizer, &DseConfig)` API. Any hit
-is a quality finding (fatal under --strict or --strict-quality).
-
-1. Hybrid regression: per scenario, the adaptive peek must stay within
-   GENEROUS_HYBRID_FACTOR of the best single strategy. The committed
-   full-matrix acceptance bound is 1.10; CI smoke runs on shared
-   runners, so the advisory threshold is looser.
+1. Hybrid regression: per scenario, the hybrid's per-cursor route must
+   stay within GENEROUS_HYBRID_FACTOR of the best single route. The
+   committed full-matrix headline is 1.20 on improving scans; CI smoke
+   runs on shared runners, so the advisory threshold is looser.
 2. Anchor drift: scenarios whose shape matches a committed
    BENCH_evaluator.json anchor (mesh 4/6/8 full evaluation) must land
    within GENEROUS_ANCHOR_FACTOR of the recorded median in either
@@ -345,58 +338,6 @@ def check_power_columns(sweep):
         print(
             f"bench_gate: power-objective columns present on "
             f"{power_cells}/{cells} cells ({power_rows} rows)"
-        )
-    return findings
-
-
-DEPRECATED_ENTRY_POINTS = (
-    "run_dse_with_strategy",
-    "run_dse_with_policy",
-    "run_dse_configured",
-    "run_dse_session",
-)
-# Files allowed to mention the deprecated names: the definitions, their
-# re-exports, and this script's own documentation.
-DEPRECATION_ALLOWED = (
-    "crates/phonoc-core/src/engine.rs",
-    "crates/phonoc-core/src/lib.rs",
-    "scripts/bench_gate.py",
-)
-
-
-def check_deprecated_callers(root):
-    """Returns quality findings: in-tree users of the deprecated
-    `run_dse_*` wrappers outside their defining/re-exporting files."""
-    import os
-
-    findings = []
-    for base in ("crates", "src"):
-        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, base)):
-            for fname in filenames:
-                if not fname.endswith(".rs"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                rel = os.path.relpath(path, root).replace(os.sep, "/")
-                if rel in DEPRECATION_ALLOWED:
-                    continue
-                try:
-                    with open(path, encoding="utf-8") as fh:
-                        lines = fh.readlines()
-                except OSError as exc:
-                    findings.append(f"{rel}: unreadable ({exc})")
-                    continue
-                for lineno, line in enumerate(lines, 1):
-                    for name in DEPRECATED_ENTRY_POINTS:
-                        if name in line:
-                            findings.append(
-                                f"{rel}:{lineno}: uses deprecated `{name}` — "
-                                f"migrate to run_dse(problem, optimizer, "
-                                f"&DseConfig)"
-                            )
-    if not findings:
-        print(
-            "bench_gate: deprecation lint clean — no in-tree callers of "
-            "the deprecated run_dse_* wrappers"
         )
     return findings
 
@@ -786,7 +727,6 @@ def main(argv):
     baseline_path = None
     warmstart_path = None
     parallel_path = None
-    lint_root = None
     trace_paths = []
     i = 1
     while i < len(argv):
@@ -815,12 +755,6 @@ def main(argv):
                 return 2
             parallel_path = argv[i + 1]
             i += 1
-        elif arg == "--lint-deprecated":
-            if i + 1 >= len(argv):
-                print("bench_gate: --lint-deprecated needs a path", file=sys.stderr)
-                return 2
-            lint_root = argv[i + 1]
-            i += 1
         elif arg == "--trace":
             if i + 1 >= len(argv):
                 print("bench_gate: --trace needs a path", file=sys.stderr)
@@ -837,7 +771,6 @@ def main(argv):
         not args
         and not warmstart_path
         and not parallel_path
-        and not lint_root
         and not trace_paths
     ):
         print(__doc__)
@@ -874,10 +807,6 @@ def main(argv):
         par_quality, par_advisories = check_parallel(load(parallel_path))
         quality_advisories += par_quality
         advisories += par_quality + par_advisories
-    if lint_root:
-        lint_findings = check_deprecated_callers(lint_root)
-        quality_advisories += lint_findings
-        advisories += lint_findings
     for trace_path in trace_paths:
         trace_findings = check_trace(trace_path)
         quality_advisories += trace_findings
@@ -891,7 +820,7 @@ def main(argv):
         if strict_quality and quality_advisories:
             print(
                 "bench_gate: quality claim (neighborhood/portfolio/power/"
-                "gaps/warm-start/parallel/deprecation/trace) violated — fatal"
+                "gaps/warm-start/parallel/trace) violated — fatal"
             )
             return 1
         print("bench_gate: advisory mode — not failing the build")

@@ -29,6 +29,7 @@
 //! The CG text format is documented in `phonoc_apps::text`.
 
 use phonocmap::apps::text::parse_cg;
+use phonocmap::core::PeekStrategy;
 use phonocmap::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +38,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
@@ -52,10 +53,10 @@ fn main() -> ExitCode {
         "parallel-bench" => cmd_parallel_bench(&args),
         "trace" => cmd_trace(&args),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -66,7 +67,29 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "phonocmap — application mapping for photonic NoCs
+/// `a|b|c` over the canonical names of every [`Objective`] — the help
+/// text and error messages list exactly what the parsers accept.
+fn objective_names() -> String {
+    Objective::ALL.map(|o| o.name()).join("|")
+}
+
+/// `a|b|c` over every [`NeighborhoodPolicy`] name.
+fn policy_names() -> String {
+    NeighborhoodPolicy::ALL.map(|p| p.name()).join("|")
+}
+
+/// `a|b|c` over every [`PeekStrategy`] name.
+fn peek_names() -> String {
+    PeekStrategy::ALL.map(|p| p.name()).join("|")
+}
+
+/// The top-level help. The `@policy`, `/peek`, `!objective`,
+/// `--objective` and `--neighborhood` name lists come from the enums'
+/// `ALL`, so every advertised name parses.
+fn usage() -> String {
+    let (objectives, policies, peeks) = (objective_names(), policy_names(), peek_names());
+    format!(
+        "phonocmap — application mapping for photonic NoCs
 commands:
   list                         available benchmarks, routers, algorithms
   describe-router <name>       router datasheet (losses + crosstalk)
@@ -75,7 +98,7 @@ commands:
   optimize --app <name> | --file <cg>   search for the best mapping
   portfolio --app <name> | --file <cg>  race N search lanes with elite
         [--spec LANES[,exchange=E][,rounds=N][,collapse=K]]  (try `portfolio help`)
-  sweep [--smoke] [--out PATH]          scenario-matrix sweep: peek-strategy
+  sweep [--smoke] [--out PATH]          scenario-matrix sweep: peek-route
         [--samples N] [--moves N]       timings + optimizer results as JSON
         [--budget N]                    (r-pbla runs once per neighborhood
         [--neighborhood POLICY]         stream; POLICY restricts to one)
@@ -91,18 +114,21 @@ commands:
 options (analyze/optimize/portfolio):
   --topology mesh|torus|ring   (default mesh)
   --router   crux|crossbar|xy-crossbar   (default crux)
-  --objective snr|loss|power[-pam4]|margin[-pam4]   (default snr)
+  --objective {objectives}   (default snr)
   --algo NAME[@policy][/peek][!objective]  (default r-pbla; optimize only)
              NAME: rs|ga|r-pbla|sa|tabu|ils|exhaustive or portfolio:...
-             /peek pins full|delta|bounded|hybrid; !objective re-targets
-             the search (loss|snr|power[-pam4]|margin[-pam4])
-  --neighborhood auto|exhaustive|sampled|locality  (default auto: exhaustive
+             @policy {policies}   (swap-scan stream)
+             /peek {peeks}   (SNR peek route; cost only, never scores)
+             !objective {objectives}   (re-targets the search)
+  --neighborhood {policies}  (default auto: exhaustive
              swap scans up to ~8x8 meshes, budget-aware sampling beyond)
   --budget N                   evaluations (default 100000)
   --seed N                     RNG seed (default 42)
   --trace-out PATH             record the run as phonocmap-trace/1 JSONL
              (optimize/portfolio/replay; read back with `phonocmap trace`;
-             PHONOC_TRACE_NULL=1 writes a header-only trace, sink off)";
+             PHONOC_TRACE_NULL=1 writes a header-only trace, sink off)"
+    )
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -194,9 +220,8 @@ fn build_problem(args: &[String]) -> Result<Setup, String> {
     let router_name = flag(args, "--router").unwrap_or_else(|| "crux".into());
     let objective = match flag(args, "--objective").as_deref() {
         None => Objective::MaximizeWorstCaseSnr,
-        Some(name) => Objective::by_name(name).ok_or_else(|| {
-            format!("unknown objective `{name}` (snr|loss|power[-pam4]|margin[-pam4])")
-        })?,
+        Some(name) => Objective::by_name(name)
+            .ok_or_else(|| format!("unknown objective `{name}` ({})", objective_names()))?,
     };
     let seed: u64 = flag(args, "--seed")
         .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
@@ -240,7 +265,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-const PORTFOLIO_HELP: &str = "phonocmap portfolio — deterministic multi-lane search with elite exchange
+/// The `portfolio` subcommand's help (lane name lists generated like
+/// [`usage`]'s).
+fn portfolio_help() -> String {
+    let (policies, peeks) = (policy_names(), peek_names());
+    format!(
+        "phonocmap portfolio — deterministic multi-lane search with elite exchange
 Runs N search lanes as bulk-synchronous rounds. After each round, lanes
 restart from an elite incumbent per the exchange policy; per-lane budget
 slices sum exactly to --budget, so a portfolio run is comparable to any
@@ -254,8 +284,8 @@ SPEC grammar (default: r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14):
   lane[+lane...][,exchange=isolated|best|ring][,rounds=N][,collapse=K]
   lane = optimizer[@neighborhood][/peek]
     optimizer     rs|ga|r-pbla|sa|tabu|ils
-    @neighborhood auto|exhaustive|sampled|locality  (swap-scan streams)
-    /peek         hybrid|delta|full                 (cost only, never scores)
+    @neighborhood {policies}  (swap-scan streams)
+    /peek         {peeks}  (cost only, never scores)
   exchange: isolated = pure race, best = all lanes restart from the round's
   best incumbent, ring = each lane inherits its left neighbour's elite.
   collapse: once one lane holds the global best K rounds in a row, all
@@ -267,14 +297,16 @@ examples:
   phonocmap portfolio --app VOPD --spec \"r-pbla+tabu+ils,exchange=ring,rounds=4\" --budget 30000
   phonocmap optimize --app VOPD --algo \"portfolio:r-pbla@sampled+sa,rounds=4\"   # same engine
 
-options: --topology, --router, --objective, --budget, --seed as in optimize";
+options: --topology, --router, --objective, --budget, --seed as in optimize"
+    )
+}
 
 fn cmd_portfolio(args: &[String]) -> Result<(), String> {
     if args
         .iter()
         .any(|a| a == "--help" || a == "-h" || a == "help")
     {
-        println!("{PORTFOLIO_HELP}");
+        println!("{}", portfolio_help());
         return Ok(());
     }
     if flag(args, "--neighborhood").is_some() {
@@ -437,9 +469,10 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         phonocmap::opt::SearchSpec::Single(single) => single,
     };
     let explicit_policy = match flag(args, "--neighborhood") {
-        Some(name) => Some(NeighborhoodPolicy::by_name(&name).ok_or_else(|| {
-            format!("unknown neighborhood `{name}` (auto|exhaustive|sampled|locality)")
-        })?),
+        Some(name) => Some(
+            NeighborhoodPolicy::by_name(&name)
+                .ok_or_else(|| format!("unknown neighborhood `{name}` ({})", policy_names()))?,
+        ),
         // `--algo r-pbla@sampled` works too; an explicit flag wins.
         None => single.policy,
     };

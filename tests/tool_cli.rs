@@ -155,3 +155,71 @@ fn yx_on_crux_style_incompatibility_reaches_the_user() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("self-loop"));
 }
+
+/// The `a|b|c` name list the help prints after `key` (the first token
+/// of its line).
+fn help_list(help: &str, key: &str) -> Vec<String> {
+    help.lines()
+        .find_map(|line| {
+            let mut tokens = line.split_whitespace();
+            (tokens.next() == Some(key))
+                .then(|| tokens.next())
+                .flatten()
+        })
+        .unwrap_or_else(|| panic!("help lists no `{key}` names:\n{help}"))
+        .split('|')
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn every_name_the_help_advertises_parses() {
+    let help = phonocmap(&["help"]);
+    assert!(help.status.success());
+    let help = String::from_utf8_lossy(&help.stdout);
+    let policies = help_list(&help, "@policy");
+    let peeks = help_list(&help, "/peek");
+    let objectives = help_list(&help, "!objective");
+    let objective_flags = help_list(&help, "--objective");
+    let neighborhoods = help_list(&help, "--neighborhood");
+    let rounds = [
+        &policies,
+        &peeks,
+        &objectives,
+        &objective_flags,
+        &neighborhoods,
+    ]
+    .iter()
+    .map(|names| names.len())
+    .max()
+    .unwrap();
+    // Cycle every list until each name has appeared at least once.
+    for i in 0..rounds {
+        let pick = |names: &[String]| names[i % names.len()].clone();
+        let algo = format!(
+            "r-pbla@{}/{}!{}",
+            pick(&policies),
+            pick(&peeks),
+            pick(&objectives)
+        );
+        let (objective, neighborhood) = (pick(&objective_flags), pick(&neighborhoods));
+        let out = phonocmap(&[
+            "optimize",
+            "--app",
+            "PIP",
+            "--budget",
+            "20",
+            "--algo",
+            &algo,
+            "--objective",
+            &objective,
+            "--neighborhood",
+            &neighborhood,
+        ]);
+        assert!(
+            out.status.success(),
+            "{algo} --objective {objective} --neighborhood {neighborhood}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
