@@ -266,6 +266,80 @@ impl Histogram {
     }
 }
 
+/// One command's arguments, checked against what the command accepts:
+/// `--name value` flags, bare `--switch`es and up to a fixed number of
+/// positional words. Anything else — an unknown flag such as the typo
+/// `--budjet`, a flag missing its value, a stray word — is an error, so
+/// a mistyped option never silently runs with the default. Shared by
+/// every `phonocmap` subcommand and the standalone sweep, replay and
+/// parallel drivers.
+#[derive(Debug, Default)]
+pub struct CliArgs {
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+    positionals: Vec<String>,
+}
+
+impl CliArgs {
+    /// Parses `args` (everything after the command name) against the
+    /// accepted value `flags`, `switches` and number of `positionals`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown flag (with the accepted
+    /// ones), the flag missing its value, or the unexpected word.
+    pub fn parse(
+        args: &[String],
+        flags: &[&str],
+        switches: &[&str],
+        positionals: usize,
+    ) -> Result<CliArgs, String> {
+        let mut out = CliArgs::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if flags.contains(&arg.as_str()) {
+                let value = it.next().ok_or_else(|| format!("`{arg}` needs a value"))?;
+                out.values.push((arg.clone(), value.clone()));
+            } else if switches.contains(&arg.as_str()) {
+                out.switches.push(arg.clone());
+            } else if arg.starts_with("--") {
+                let accepted: Vec<&str> = flags.iter().chain(switches).copied().collect();
+                return Err(if accepted.is_empty() {
+                    format!("unknown flag `{arg}` (this command takes no flags)")
+                } else {
+                    format!("unknown flag `{arg}` (accepted: {})", accepted.join(" "))
+                });
+            } else if out.positionals.len() < positionals {
+                out.positionals.push(arg.clone());
+            } else {
+                return Err(format!("unexpected argument `{arg}`"));
+            }
+        }
+        Ok(out)
+    }
+
+    /// The value of the first occurrence of `flag`.
+    #[must_use]
+    pub fn value(&self, flag: &str) -> Option<String> {
+        self.values
+            .iter()
+            .find(|(name, _)| name == flag)
+            .map(|(_, value)| value.clone())
+    }
+
+    /// Whether `switch` was given.
+    #[must_use]
+    pub fn switch(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    /// The `index`-th positional word.
+    #[must_use]
+    pub fn positional(&self, index: usize) -> Option<&str> {
+        self.positionals.get(index).map(String::as_str)
+    }
+}
+
 /// Parses `--flag value` style options from `std::env::args`, returning
 /// the value for `flag` if present and parseable.
 #[must_use]

@@ -325,16 +325,12 @@ pub fn run_parallel_bench(
 ///
 /// # Errors
 ///
-/// Returns a message for unparseable flag values or an unwritable
-/// output path.
+/// Returns a message for unknown flags, unparseable flag values or an
+/// unwritable output path.
 pub fn run_parallel_cli(args: &[String], command_prefix: &str) -> Result<(), String> {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let args = crate::CliArgs::parse(args, &["--samples", "--out"], &["--smoke"], 0)?;
+    let flag = |name: &str| args.value(name);
+    let smoke = args.switch("--smoke");
     let mut cfg = if smoke {
         ParallelBenchConfig::smoke()
     } else {

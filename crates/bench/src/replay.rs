@@ -54,17 +54,12 @@ use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_apps::TaskId;
 use phonoc_core::telemetry::push_json_str;
 use phonoc_core::{render_trace, MappingProblem, NullSink, RunTrace, TraceSink};
+use phonoc_opt::portfolio::DEFAULT_SPEC;
 use phonoc_opt::{run_portfolio_seeded, PortfolioResult, PortfolioSpec, WarmCache, WarmSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// The portfolio every replay request runs: the sweep's two
-/// budget-aware R-PBLA streams under broadcast-best exchange. 14
-/// rounds gives the parity measurement a resolution of ~1/14th of the
-/// budget.
-pub const REPLAY_PORTFOLIO: &str = "r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14";
 
 /// Replay parameters: the cells plus the per-request budget.
 #[derive(Debug, Clone)]
@@ -300,7 +295,7 @@ pub fn replay_cell_traced(
     cfg: &ReplayConfig,
     sink: &mut dyn TraceSink,
 ) -> CellOutcome {
-    let pspec = PortfolioSpec::parse(REPLAY_PORTFOLIO).expect("replay spec parses");
+    let pspec = PortfolioSpec::parse(DEFAULT_SPEC).expect("replay spec parses");
     let mut problem = scenario_problem(spec);
     let tasks = problem.task_count();
     let edges = problem.cg().edge_count();
@@ -448,16 +443,12 @@ pub fn run_replay_traced(
 ///
 /// # Errors
 ///
-/// Returns a message for unparseable flag values or an unwritable
-/// output path.
+/// Returns a message for unknown flags, unparseable flag values or an
+/// unwritable output path.
 pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), String> {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let args = crate::CliArgs::parse(args, &["--budget", "--out", "--trace-out"], &["--smoke"], 0)?;
+    let flag = |name: &str| args.value(name);
+    let smoke = args.switch("--smoke");
     let mut cfg = if smoke {
         ReplayConfig::smoke()
     } else {
@@ -482,7 +473,7 @@ pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), Strin
         if cfg.smoke { "smoke" } else { "full" },
         cfg.cells.len(),
         cfg.budget,
-        REPLAY_PORTFOLIO
+        DEFAULT_SPEC
     );
     println!(
         "{:<26} {:>6} {:>10} {:>6} {:>10} {:>10} {:>8} {:>7}",
@@ -553,7 +544,7 @@ pub fn report_to_json(report: &ReplayReport, command: &str) -> String {
     let _ = writeln!(out, "  \"host_cores\": {},", report.host_cores);
     let _ = writeln!(out, "  \"budget\": {},", report.budget);
     out.push_str("  \"portfolio\": ");
-    push_json_str(&mut out, REPLAY_PORTFOLIO);
+    push_json_str(&mut out, DEFAULT_SPEC);
     out.push_str(",\n");
     out.push_str("  \"notes\": [\n");
     let _ = writeln!(
@@ -713,7 +704,6 @@ mod tests {
     fn parity_accounting_reads_the_measured_trajectory() {
         let result = PortfolioResult {
             spec: "test".into(),
-            exchange: phonoc_opt::ExchangePolicy::BroadcastBest,
             rounds: 3,
             best_mapping: phonoc_core::Mapping::identity(2, 4),
             best_score: 3.0,
@@ -721,7 +711,6 @@ mod tests {
             round_evaluations: vec![10, 10, 12],
             evaluations: 32,
             budget: 40,
-            collapsed: None,
             lanes: Vec::new(),
             stats: phonoc_core::RunStats::default(),
         };

@@ -27,7 +27,7 @@
 //! (`r-pbla@exhaustive` / `@sampled` / `@locality` registry specs), so
 //! every cell records how the neighbourhood streams compare to the
 //! truncated exhaustive scan at the same budget — plus the
-//! [`PORTFOLIO_SPEC`] portfolio column, which races the two
+//! [`DEFAULT_SPEC`] portfolio column, which races the two
 //! budget-aware streams under elite exchange at the same *total*
 //! budget (`scripts/bench_gate.py` holds the committed sweep to
 //! "portfolio ≥ best single lane" on 12×12+ cells). A `--neighborhood`
@@ -42,6 +42,7 @@ use crate::tile_pitch;
 use phonoc_apps::scenario::{ScenarioMatrix, ScenarioSpec};
 use phonoc_core::telemetry::push_json_str;
 use phonoc_core::{DeltaScratch, EvalScratch, Mapping, MappingProblem, Move, Objective};
+use phonoc_opt::portfolio::DEFAULT_SPEC;
 use phonoc_phys::PhysicalParameters;
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
@@ -91,7 +92,7 @@ impl SweepConfig {
                 "r-pbla@locality".into(),
                 "r-pbla@sampled!power".into(),
                 "r-pbla@sampled!margin-pam4".into(),
-                PORTFOLIO_SPEC.into(),
+                format!("portfolio:{DEFAULT_SPEC}"),
             ],
             smoke: false,
         }
@@ -118,23 +119,12 @@ impl SweepConfig {
                 "r-pbla@exhaustive".into(),
                 "r-pbla@sampled".into(),
                 "r-pbla@sampled!power".into(),
-                PORTFOLIO_SPEC.into(),
+                format!("portfolio:{DEFAULT_SPEC}"),
             ],
             smoke: true,
         }
     }
 }
-
-/// The portfolio column every sweep cell runs: the two budget-aware
-/// R-PBLA streams racing under broadcast-best elite exchange, at the
-/// same *total* budget as each single-lane row — the equal-budget
-/// comparison `scripts/bench_gate.py` enforces on the committed sweep
-/// (portfolio ≥ best single lane on ≥ 80% of 12×12+ cells). The round
-/// count was tuned on those cells: with the performance-weighted
-/// ledger, win share grows with exchange frequency (6 rounds 71%,
-/// 10 rounds 85%, 14 rounds 88%) because each round re-aims 75% of
-/// the slice at the currently winning lane.
-pub const PORTFOLIO_SPEC: &str = "portfolio:r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14";
 
 /// Representative peek costs (ns per move, fastest-of-N passes) of one
 /// scenario, per route, plus the route the hybrid strategy takes there.
@@ -674,16 +664,23 @@ pub fn run_sweep(cfg: &SweepConfig, mut progress: impl FnMut(&ScenarioOutcome)) 
 ///
 /// # Errors
 ///
-/// Returns a message for unparseable flag values or an unwritable
-/// output path.
+/// Returns a message for unknown flags, unparseable flag values or an
+/// unwritable output path.
 pub fn run_sweep_cli(args: &[String], command_prefix: &str) -> Result<(), String> {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let args = crate::CliArgs::parse(
+        args,
+        &[
+            "--samples",
+            "--moves",
+            "--budget",
+            "--neighborhood",
+            "--out",
+        ],
+        &["--smoke"],
+        0,
+    )?;
+    let flag = |name: &str| args.value(name);
+    let smoke = args.switch("--smoke");
     let mut cfg = if smoke {
         SweepConfig::smoke()
     } else {

@@ -39,10 +39,9 @@
 //!
 //! * [`Evaluator::evaluate`] / [`Evaluator::evaluate_subset`] — thin
 //!   allocating wrappers (fresh scratch + materialized metrics);
-//! * [`Evaluator::evaluate_batch`] /
-//!   [`Evaluator::evaluate_summaries_batch`] — deterministic parallel
-//!   batches on sticky per-worker scratch slots (built once per worker
-//!   lifetime, see [`crate::parallel`]);
+//! * [`Evaluator::evaluate_summaries_batch`] — a deterministic
+//!   parallel batch on sticky per-worker scratch slots (built once per
+//!   worker lifetime, see [`crate::parallel`]);
 //! * the incremental move path (see [`EvalState`]), which shares the
 //!   accumulation kernel and summation order.
 //!

@@ -321,7 +321,7 @@ impl EvalState {
 /// Reusable buffers for delta evaluation.
 ///
 /// One scratch serves any number of sequential
-/// [`Evaluator::evaluate_delta_with`] calls; parallel batch entry points
+/// [`Evaluator::evaluate_delta_with`] calls; the engine's batched scans
 /// draw one from each worker's sticky scratch slot (built once per
 /// worker lifetime — see [`crate::parallel`]). All buffers use
 /// epoch-stamped marks, so reuse never requires clearing.
@@ -680,13 +680,29 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> (Db, usize) {
+        if !self.loss_mark_moved(state, mapping, mv, scratch) {
+            return (Db(state.worst_il), 0);
+        }
+        (Db(self.loss_worst_il(state, scratch)), scratch.moved.len())
+    }
+
+    /// The shared first pass of both loss peeks: marks the edges `mv`
+    /// moves and records their new paths in `scratch`. Returns `false`
+    /// for a neutral move (nothing moves; the old worst case stands).
+    fn loss_mark_moved(
+        &self,
+        state: &EvalState,
+        mapping: &Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+    ) -> bool {
         let edges = self.edge_endpoints.len();
         let tasks = mapping.task_count();
         scratch.begin(edges, self.tile_count, state.acc.len());
 
         let (a, b) = mv.positions(mapping);
         if a == b || a >= tasks || edges == 0 {
-            return (Db(state.worst_il), 0);
+            return false;
         }
         let perm = mapping.permutation();
         let task_b = if b < tasks { Some(b) } else { None };
@@ -709,8 +725,15 @@ impl Evaluator {
                 }
             }
         }
+        true
+    }
+
+    /// The exact new worst-case insertion loss after the move marked in
+    /// `scratch`: the minimum over every edge, moved edges on their new
+    /// paths — the one scan both loss peeks verify with.
+    fn loss_worst_il(&self, state: &EvalState, scratch: &DeltaScratch) -> f64 {
         let mut worst_il = 0.0f64;
-        for e in 0..edges {
+        for e in 0..self.edge_endpoints.len() {
             let il = if scratch.is_moved(e) {
                 self.path(scratch.new_path[e]).total_db
             } else {
@@ -718,40 +741,7 @@ impl Evaluator {
             };
             worst_il = worst_il.min(il);
         }
-        (Db(worst_il), scratch.moved.len())
-    }
-
-    /// Scores a batch of candidate moves in parallel (the R-PBLA
-    /// admitted-list scan). Results are in input order; each worker
-    /// reuses its sticky [`DeltaScratch`] slot, so the outcome is
-    /// deterministic and bit-identical to a sequential loop.
-    #[must_use]
-    pub fn evaluate_delta_batch(
-        &self,
-        state: &EvalState,
-        mapping: &Mapping,
-        moves: &[Move],
-    ) -> Vec<ScoreDelta> {
-        parallel::parallel_map_with(moves, DeltaScratch::default, |scratch, &mv| {
-            self.evaluate_delta_with(state, mapping, mv, scratch)
-        })
-    }
-
-    /// Loss-objective fast path over a batch of moves (the IL-only
-    /// admitted-list scan). Results are in input order; each worker
-    /// reuses its sticky scratch slot, so the outcome is deterministic
-    /// and bit-identical to a sequential
-    /// [`Evaluator::evaluate_delta_loss`] loop.
-    #[must_use]
-    pub fn evaluate_delta_loss_batch(
-        &self,
-        state: &EvalState,
-        mapping: &Mapping,
-        moves: &[Move],
-    ) -> Vec<(Db, usize)> {
-        parallel::parallel_map_with(moves, DeltaScratch::default, |scratch, &mv| {
-            self.evaluate_delta_loss(state, mapping, mv, scratch)
-        })
+        worst_il
     }
 
     /// Bound-then-verify loss peek: scores `mv` only as far as needed to
@@ -792,38 +782,12 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedLossDelta {
-        let edges = self.edge_endpoints.len();
-        let tasks = mapping.task_count();
-        scratch.begin(edges, self.tile_count, state.acc.len());
-
-        let (a, b) = mv.positions(mapping);
-        if a == b || a >= tasks || edges == 0 {
+        if !self.loss_mark_moved(state, mapping, mv, scratch) {
             // Neutral move: the exact value is free.
             return BoundedLossDelta::Exact {
                 new_worst_il: Db(state.worst_il),
                 moved_edges: 0,
             };
-        }
-        let perm = mapping.permutation();
-        let task_b = if b < tasks { Some(b) } else { None };
-        let new_tile = |task: usize| -> usize {
-            if task == a {
-                perm[b].0
-            } else if Some(task) == task_b {
-                perm[a].0
-            } else {
-                perm[task].0
-            }
-        };
-        for &t in [Some(a), task_b].iter().flatten() {
-            for &e in &self.task_edges[t] {
-                if scratch.moved_mark[e] != scratch.epoch {
-                    scratch.moved_mark[e] = scratch.epoch;
-                    scratch.moved.push(e);
-                    let (s, d) = self.edge_endpoints[e];
-                    scratch.new_path[e] = new_tile(s) * self.tile_count + new_tile(d);
-                }
-            }
         }
         // Admissible bound, O(moved): the new worst case is at most the
         // minimum new IL over moved edges, and — when the current worst
@@ -845,38 +809,12 @@ impl Evaluator {
                 cost: scratch.moved.len(),
             };
         }
-        // Verify: the exhaustive scan, with the same expressions as
-        // `evaluate_delta_loss` (bit-identical exact value).
-        let mut worst_il = 0.0f64;
-        for e in 0..edges {
-            let il = if scratch.is_moved(e) {
-                self.path(scratch.new_path[e]).total_db
-            } else {
-                state.il[e]
-            };
-            worst_il = worst_il.min(il);
-        }
+        // Verify: the exhaustive scan `evaluate_delta_loss` runs
+        // (bit-identical exact value).
         BoundedLossDelta::Exact {
-            new_worst_il: Db(worst_il),
+            new_worst_il: Db(self.loss_worst_il(state, scratch)),
             moved_edges: scratch.moved.len(),
         }
-    }
-
-    /// [`Evaluator::evaluate_delta_loss_bounded`] over a batch of moves,
-    /// all tested against the same threshold, in parallel. Results are
-    /// in input order; each worker reuses its sticky scratch slot, so
-    /// the outcome is deterministic and identical to a sequential loop.
-    #[must_use]
-    pub fn evaluate_delta_loss_bounded_batch(
-        &self,
-        state: &EvalState,
-        mapping: &Mapping,
-        moves: &[Move],
-        threshold: Db,
-    ) -> Vec<BoundedLossDelta> {
-        parallel::parallel_map_with(moves, DeltaScratch::default, |scratch, &mv| {
-            self.evaluate_delta_loss_bounded(state, mapping, mv, scratch, threshold)
-        })
     }
 
     /// Bound-then-verify SNR peek: scores `mv` only as far as needed to
@@ -987,23 +925,6 @@ impl Evaluator {
         })
     }
 
-    /// [`Evaluator::evaluate_delta_bounded`] over a batch of moves, all
-    /// tested against the same threshold, in parallel. Results are in
-    /// input order; each worker reuses its sticky scratch slot, so the
-    /// outcome is deterministic and identical to a sequential loop.
-    #[must_use]
-    pub fn evaluate_delta_bounded_batch(
-        &self,
-        state: &EvalState,
-        mapping: &Mapping,
-        moves: &[Move],
-        threshold: Db,
-    ) -> Vec<BoundedDelta> {
-        parallel::parallel_map_with(moves, DeltaScratch::default, |scratch, &mv| {
-            self.evaluate_delta_bounded(state, mapping, mv, scratch, threshold)
-        })
-    }
-
     /// Memoized lazy accumulation for kept hop `flat` of victim `v`:
     /// hops marked dirty are recomputed (at most once per epoch)
     /// against the patched list at `tile`; clean hops read the cached
@@ -1076,24 +997,12 @@ impl Evaluator {
         }
     }
 
-    /// Evaluates many independent mappings in parallel (population
-    /// strategies, random sweeps). Results are in input order and
-    /// identical to calling [`Evaluator::evaluate`] per mapping; each
-    /// worker reuses the [`EvalScratch`] in its sticky slot, so only
-    /// the returned [`NetworkMetrics`] are allocated.
-    #[must_use]
-    pub fn evaluate_batch(&self, mappings: &[Mapping]) -> Vec<NetworkMetrics> {
-        parallel::parallel_map_with(mappings, EvalScratch::default, |scratch, m| {
-            self.evaluate_into(m, None, scratch);
-            scratch.to_metrics()
-        })
-    }
-
-    /// Worst-cases-only parallel batch — the form search loops consume.
-    /// Same ordering and determinism guarantees as
-    /// [`Evaluator::evaluate_batch`], with **zero** per-mapping
-    /// allocation (sticky worker scratches are reused across chunks
-    /// and across batch calls).
+    /// Evaluates many independent mappings in parallel, worst cases only
+    /// — the form search loops consume (population strategies, random
+    /// sweeps). Results are in input order and identical to calling
+    /// [`Evaluator::evaluate_into`] per mapping, with **zero**
+    /// per-mapping allocation (each worker reuses the [`EvalScratch`]
+    /// in its sticky slot across chunks and across batch calls).
     #[must_use]
     pub fn evaluate_summaries_batch(&self, mappings: &[Mapping]) -> Vec<EvalSummary> {
         parallel::parallel_map_with(mappings, EvalScratch::default, |scratch, m| {

@@ -20,9 +20,9 @@
 //!   (incremental — see [`evaluator::EvalState`]) plus the
 //!   loss-objective fast path `evaluate_delta_loss` and the
 //!   bound-then-verify SNR peek `evaluate_delta_bounded`; and the
-//!   parallel batches ([`Evaluator::evaluate_batch`],
-//!   `evaluate_summaries_batch`, `evaluate_delta_batch`) with
-//!   deterministic, input-ordered results.
+//!   parallel batch [`Evaluator::evaluate_summaries_batch`] with
+//!   deterministic, input-ordered results (batched move scans run on
+//!   the engine's worker scratches — see [`engine`]).
 //! * [`problem`] — [`problem::MappingProblem`]: CG + topology + router +
 //!   routing + parameters + objective. [`problem::Objective`] spans
 //!   three families: worst-case insertion loss, worst-case SNR, and the

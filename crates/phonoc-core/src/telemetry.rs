@@ -2,8 +2,8 @@
 //! statistics, and the `phonocmap-trace/1` JSONL format.
 //!
 //! The engine makes hundreds of hidden decisions per run — hybrid peek
-//! routing, neighbourhood widen/narrow, portfolio budget reweighting
-//! and collapse, warm-cache donor selection, bound-based pruning. This
+//! routing, neighbourhood widen/narrow, portfolio budget reweighting,
+//! warm-cache donor selection, bound-based pruning. This
 //! module makes them observable without changing them:
 //!
 //! * [`RunStats`] — integer decision counters every [`OptContext`]
@@ -28,7 +28,6 @@
 //! | `improved` | engine | budget spent at the improvement + score bits |
 //! | `widen` / `dry_scan` / `narrow` | neighbourhood streams | radius trajectory |
 //! | `lane_round` | portfolio | per-(round, lane) allotment, spend, score, seeding |
-//! | `collapse` | portfolio | round the collapse fired and the surviving lane |
 //! | `warm_lookup` | warm cache | exact / near / cold + donor overlap |
 //! | `exact_summary` / `exact_cuts` | exact lane | nodes, leaves, bound-cut depth histogram |
 //! | `session_end` | engine / portfolio | the full [`RunStats`] + ledger totals |
@@ -57,10 +56,10 @@
 //!                      + bound_rejected + bound_verified + bound_charges
 //! ```
 //!
-//! `phonocmap trace` and `bench_gate.py --trace` verify these identities
-//! on every `session_end` event, and — when per-peek events are present
-//! (single-session traces) — that the event stream's route counts match
-//! the counters one for one.
+//! `phonocmap trace` verifies these identities on every `session_end`
+//! event, and — when per-peek events are present (single-session
+//! traces) — that the event stream's route counts match the counters
+//! one for one.
 //!
 //! [`OptContext`]: crate::OptContext
 //! [`DseResult::stats`]: crate::DseResult::stats
@@ -203,8 +202,6 @@ pub struct RunStats {
     pub exact_leaves: usize,
     /// Portfolio rounds executed.
     pub rounds: usize,
-    /// Portfolio collapses fired.
-    pub collapses: usize,
 }
 
 /// The `(JSON key, value)` pairs of a [`RunStats`], in canonical order.
@@ -233,7 +230,6 @@ macro_rules! for_each_stat {
         f("exact_nodes", &mut s.exact_nodes);
         f("exact_leaves", &mut s.exact_leaves);
         f("rounds", &mut s.rounds);
-        f("collapses", &mut s.collapses);
     }};
 }
 
@@ -242,7 +238,7 @@ impl RunStats {
     /// folds its lanes' per-session stats into one aggregate.
     pub fn absorb(&mut self, other: &RunStats) {
         let mut o = *other;
-        let mut theirs: Vec<usize> = Vec::with_capacity(20);
+        let mut theirs: Vec<usize> = Vec::with_capacity(19);
         for_each_stat!(&mut o, |_k: &str, v: &mut usize| theirs.push(*v));
         let mut i = 0;
         for_each_stat!(self, |_k: &str, v: &mut usize| {
@@ -406,13 +402,6 @@ pub enum TraceEvent {
         /// Whether the lane was seeded with an exchanged elite (or a
         /// warm start) this round.
         seeded: bool,
-    },
-    /// The portfolio collapsed to its dominant lane.
-    CollapseFired {
-        /// Round the collapse fired after.
-        round: usize,
-        /// Index of the surviving lane.
-        survivor: usize,
     },
     /// A warm-cache request was classified.
     WarmLookup {
@@ -609,12 +598,6 @@ fn render_event(out: &mut String, event: &TraceEvent) {
             push_score(out, *score_bits);
             let _ = write!(out, ",\"seeded\":{}}}", usize::from(*seeded));
         }
-        TraceEvent::CollapseFired { round, survivor } => {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"collapse\",\"round\":{round},\"survivor\":{survivor}}}"
-            );
-        }
         TraceEvent::WarmLookup {
             outcome,
             shared_edges,
@@ -676,7 +659,7 @@ pub fn render_trace(source: &str, events: &[TraceEvent]) -> String {
     out
 }
 
-/// A parsed flat JSON object: string, integer and `null`/bool values
+/// A parsed flat JSON object: string, number and `null`/bool values
 /// only (all any trace line contains).
 struct FlatObject {
     fields: Vec<(String, FlatValue)>,
@@ -719,7 +702,9 @@ impl FlatObject {
 
 /// Parses one flat JSON object (`{"key":value,...}`, no nesting). The
 /// trace format only ever writes flat objects, so this is the whole
-/// grammar.
+/// grammar — but within it the line must be strict JSON: every value a
+/// string, a number, `true`, `false` or `null`, and nothing after the
+/// closing brace.
 fn parse_flat_object(line: &str) -> Result<FlatObject, String> {
     let mut chars = line.trim().char_indices().peekable();
     let text = line.trim();
@@ -763,7 +748,11 @@ fn parse_flat_object(line: &str) -> Result<FlatObject, String> {
                     }
                     chars.next();
                 }
-                FlatValue::Raw(text[start..end].trim().to_string())
+                let raw = text[start..end].trim();
+                if !is_json_scalar(raw) {
+                    return Err(format!("value of '{key}' is not a JSON scalar: {raw}"));
+                }
+                FlatValue::Raw(raw.to_string())
             }
             None => return Err(format!("unterminated value for key '{key}'")),
         };
@@ -777,7 +766,40 @@ fn parse_flat_object(line: &str) -> Result<FlatObject, String> {
             _ => return Err("expected ',' or '}'".to_string()),
         }
     }
+    if chars.any(|(_, c)| !c.is_whitespace()) {
+        return Err("trailing characters after '}'".to_string());
+    }
     Ok(FlatObject { fields })
+}
+
+/// Whether `token` is a JSON number, `true`, `false` or `null`.
+fn is_json_scalar(token: &str) -> bool {
+    if matches!(token, "true" | "false" | "null") {
+        return true;
+    }
+    let digits = |s: &str| s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    let mut rest = token.strip_prefix('-').unwrap_or(token);
+    let int = digits(rest);
+    if int == 0 || (int > 1 && rest.starts_with('0')) {
+        return false;
+    }
+    rest = &rest[int..];
+    if let Some(frac) = rest.strip_prefix('.') {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        rest = &frac[n..];
+    }
+    if let Some(exp) = rest.strip_prefix(['e', 'E']) {
+        let exp = exp.strip_prefix(['+', '-']).unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return false;
+        }
+        rest = &exp[n..];
+    }
+    rest.is_empty()
 }
 
 fn parse_string(
@@ -797,9 +819,23 @@ fn parse_string(
                 Some((_, 'n')) => out.push('\n'),
                 Some((_, 't')) => out.push('\t'),
                 Some((_, 'r')) => out.push('\r'),
+                Some((_, 'u')) => {
+                    let hex: String = chars.by_ref().take(4).map(|(_, c)| c).collect();
+                    // Surrogate halves (never written by `push_json_str`)
+                    // are not decoded.
+                    let c = Some(&hex)
+                        .filter(|h| h.len() == 4 && h.chars().all(|c| c.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| format!("bad escape '\\u{hex}'"))?;
+                    out.push(c);
+                }
                 Some((_, other)) => return Err(format!("unsupported escape '\\{other}'")),
                 None => return Err("unterminated escape".to_string()),
             },
+            Some((_, c)) if (c as u32) < 0x20 => {
+                return Err(format!("unescaped control character U+{:04X}", c as u32))
+            }
             Some((_, c)) => out.push(c),
             None => return Err("unterminated string".to_string()),
         }
@@ -835,10 +871,6 @@ fn parse_event(obj: &FlatObject) -> Result<TraceEvent, String> {
             used: obj.usize_field("used")?,
             score_bits: obj.u64_field("score_bits")?,
             seeded: obj.u64_field("seeded")? != 0,
-        }),
-        "collapse" => Ok(TraceEvent::CollapseFired {
-            round: obj.usize_field("round")?,
-            survivor: obj.usize_field("survivor")?,
         }),
         "warm_lookup" => Ok(TraceEvent::WarmLookup {
             outcome: WarmOutcome::by_name(obj.str_field("outcome")?).ok_or_else(|| {
@@ -958,7 +990,6 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
     let mut dry = 0usize;
     let mut narrow = 0usize;
     let mut lane_rounds: Vec<(usize, usize, usize, usize, u64, bool)> = Vec::new();
-    let mut collapses: Vec<(usize, usize)> = Vec::new();
     let mut warm = [0usize; WarmOutcome::ALL.len()];
     let mut warm_shared = 0usize;
     let mut exact_nodes = 0usize;
@@ -984,7 +1015,6 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
                 score_bits,
                 seeded,
             } => lane_rounds.push((*round, *lane, *allotted, *used, *score_bits, *seeded)),
-            TraceEvent::CollapseFired { round, survivor } => collapses.push((*round, *survivor)),
             TraceEvent::WarmLookup {
                 outcome,
                 shared_edges,
@@ -1089,12 +1119,6 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
                 if *seeded { "seeded" } else { "-" }
             );
         }
-        for (round, survivor) in &collapses {
-            let _ = writeln!(
-                out,
-                "  collapse after round {round}: lane {survivor} survives"
-            );
-        }
     }
 
     if warm.iter().sum::<usize>() > 0 {
@@ -1145,7 +1169,6 @@ mod tests {
             exact_nodes: 12,
             exact_leaves: 4,
             rounds: 2,
-            collapses: 1,
         }
     }
 
@@ -1169,10 +1192,6 @@ mod tests {
                 used: 48,
                 score_bits: (19.25f64).to_bits(),
                 seeded: true,
-            },
-            TraceEvent::CollapseFired {
-                round: 1,
-                survivor: 1,
             },
             TraceEvent::WarmLookup {
                 outcome: WarmOutcome::NearHit,
@@ -1251,6 +1270,37 @@ mod tests {
         assert!(err.contains("sideways"), "{err}");
     }
 
+    /// The parser holds every line to strict JSON (the checks a generic
+    /// JSON reader would make), and reads back every escape the writer
+    /// emits.
+    #[test]
+    fn lines_must_be_strict_json() {
+        let header = render_trace("x", &[TraceEvent::Widened { radius: 2 }]);
+        let header = header.lines().next().unwrap();
+        for (line, needle) in [
+            ("{\"ev\":\"widen\",\"radius\":2} x", "trailing characters"),
+            (
+                "{\"ev\":\"widen\",\"radius\":2,\"note\":nope}",
+                "not a JSON scalar",
+            ),
+            ("{\"ev\":\"widen\",\"radius\":02}", "not a JSON scalar"),
+            ("{\"ev\":\"widen\",\"radius\":2.}", "not a JSON scalar"),
+            ("{\"ev\":\"wid\u{1}en\",\"radius\":2}", "control character"),
+            ("{\"ev\":\"wid\\u+0a1en\",\"radius\":2}", "bad escape"),
+        ] {
+            let err = parse_trace(&format!("{header}\n{line}\n")).unwrap_err();
+            assert!(err.contains("event line 1"), "{line}: {err}");
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+        for scalar in ["0", "-1", "2.5", "1e9", "-0.5E-3", "true", "false", "null"] {
+            assert!(is_json_scalar(scalar), "{scalar}");
+        }
+        // Every escape `push_json_str` writes parses back.
+        let source = "a\"b\\c\nd\u{1}e";
+        let (parsed, _) = parse_trace(&render_trace(source, &[])).unwrap();
+        assert_eq!(parsed.source, source);
+    }
+
     #[test]
     fn stats_reconcile_and_absorb() {
         let stats = sample_stats();
@@ -1261,7 +1311,7 @@ mod tests {
         doubled.absorb(&stats);
         assert_eq!(doubled.full_evaluations, 14);
         assert_eq!(doubled.delta_evaluations, 50);
-        assert_eq!(doubled.collapses, 2);
+        assert_eq!(doubled.rounds, 4);
         assert!(doubled.reconciles());
         let mut broken = stats;
         broken.full_peeks += 1;

@@ -172,30 +172,3 @@ fn neutral_moves_change_nothing_and_cost_nothing() {
         assert_eq!(delta.new_worst_snr, delta.old_worst_snr);
     }
 }
-
-#[test]
-fn batch_entry_points_match_sequential_results() {
-    let p = problem("vopd", 4, 4, Objective::MaximizeWorstCaseSnr);
-    let ev = p.evaluator();
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    // Full-evaluation batch.
-    let mappings: Vec<Mapping> = (0..24)
-        .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
-        .collect();
-    let batch = ev.evaluate_batch(&mappings);
-    for (m, b) in mappings.iter().zip(&batch) {
-        assert_eq!(*b, ev.evaluate(m));
-    }
-    // Delta batch over the full admitted swap list.
-    let mapping = &mappings[0];
-    let state = ev.init_state(mapping);
-    let tiles = p.tile_count();
-    let moves: Vec<Move> = (0..tiles)
-        .flat_map(|a| ((a + 1)..tiles).map(move |b| Move::Swap(a, b)))
-        .collect();
-    let deltas = ev.evaluate_delta_batch(&state, mapping, &moves);
-    assert_eq!(deltas.len(), moves.len());
-    for (mv, d) in moves.iter().zip(&deltas) {
-        assert_eq!(*d, ev.evaluate_delta(&state, mapping, *mv), "{mv:?}");
-    }
-}

@@ -231,52 +231,6 @@ fn bounded_loss_delta_is_admissible_and_exact_when_it_completes() {
     }
 }
 
-#[test]
-fn bounded_loss_delta_batch_matches_sequential() {
-    for p in instances() {
-        let ev = p.evaluator();
-        let mut rng = StdRng::seed_from_u64(0xBA7C5);
-        let mut scratch = DeltaScratch::default();
-        let mapping = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
-        let state = ev.init_state(&mapping);
-        let threshold = state.worst_case_il();
-        let moves: Vec<Move> = (0..40)
-            .map(|_| mapping.random_swap_move(&mut rng))
-            .collect();
-        let batch = ev.evaluate_delta_loss_bounded_batch(&state, &mapping, &moves, threshold);
-        assert_eq!(batch.len(), moves.len());
-        for (&mv, got) in moves.iter().zip(&batch) {
-            let want =
-                ev.evaluate_delta_loss_bounded(&state, &mapping, mv, &mut scratch, threshold);
-            assert_eq!(*got, want, "{p:?}: {mv:?}");
-        }
-    }
-}
-
-#[test]
-fn bounded_delta_batch_matches_sequential() {
-    // The parallel batch is a public entry point in its own right (the
-    // engine's scan runs its own scorer per worker), so its
-    // input-ordered equivalence is pinned here.
-    for p in instances() {
-        let ev = p.evaluator();
-        let mut rng = StdRng::seed_from_u64(0xBA7C4);
-        let mut scratch = DeltaScratch::default();
-        let mapping = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
-        let state = ev.init_state(&mapping);
-        let threshold = state.worst_case_snr();
-        let moves: Vec<Move> = (0..40)
-            .map(|_| mapping.random_swap_move(&mut rng))
-            .collect();
-        let batch = ev.evaluate_delta_bounded_batch(&state, &mapping, &moves, threshold);
-        assert_eq!(batch.len(), moves.len());
-        for (&mv, got) in moves.iter().zip(&batch) {
-            let want = ev.evaluate_delta_bounded(&state, &mapping, mv, &mut scratch, threshold);
-            assert_eq!(*got, want, "{p:?}: {mv:?}");
-        }
-    }
-}
-
 /// First maximum-score entry, the R-PBLA steepest-descent selection.
 fn best_of(evals: &[MoveEval]) -> Option<&MoveEval> {
     let mut best: Option<&MoveEval> = None;

@@ -63,9 +63,10 @@
 //! (sampled takes 42/52 large cells, locality the rest), so the
 //! [`portfolio`] subsystem races N lanes — each `(optimizer,
 //! NeighborhoodPolicy, PeekStrategy, RNG stream)` — as deterministic
-//! bulk-synchronous rounds with **elite exchange** between rounds
-//! ([`ExchangePolicy`]: isolated / broadcast-best / ring) and per-lane
-//! budget ledgers that sum exactly to the global budget. Results are
+//! bulk-synchronous rounds with **broadcast-best elite exchange**
+//! between rounds (every lane restarts from the round's best
+//! incumbent) and per-lane budget ledgers that sum exactly to the
+//! global budget. Results are
 //! bit-identical at every worker-thread count. Registry specs with a
 //! `portfolio:` prefix (see [`registry::search_spec`]) name portfolio
 //! runs, e.g.
@@ -184,8 +185,8 @@ pub use genetic::{Crossover, GeneticAlgorithm};
 pub use ils::IteratedLocalSearch;
 pub use neighborhood::{admitted_moves, scan_quota, Neighborhood};
 pub use portfolio::{
-    run_portfolio, run_portfolio_seeded, run_portfolio_seeded_traced, BudgetLedger, ExchangePolicy,
-    LaneOutcome, LaneSpec, PortfolioResult, PortfolioSpec,
+    run_portfolio, run_portfolio_seeded, run_portfolio_seeded_traced, BudgetLedger, LaneOutcome,
+    LaneSpec, PortfolioResult, PortfolioSpec,
 };
 pub use random_search::RandomSearch;
 pub use registry::{

@@ -14,23 +14,26 @@
 //! [`LaneSpec`]: an optimizer from the registry, the
 //! [`NeighborhoodPolicy`] its scans pin, the [`PeekStrategy`] its
 //! peeks route through, and (implicitly) a private RNG stream — plus
-//! an [`ExchangePolicy`] and a round count. [`run_portfolio`] executes
-//! the lanes as **bulk-synchronous rounds**:
+//! a round count. [`run_portfolio`] executes the lanes as
+//! **bulk-synchronous rounds**:
 //!
 //! 1. every lane runs one budgeted search session
 //!    ([`phonoc_core::run_dse`]) — in parallel across CPU
 //!    cores via [`phonoc_core::parallel::parallel_map_tasks`];
 //! 2. lane results are folded into per-lane incumbents in **fixed lane
 //!    order** (the reduction never depends on scheduling);
-//! 3. the exchange policy decides which incumbent each lane restarts
-//!    from next round: [`ExchangePolicy::Isolated`] (its own),
-//!    [`ExchangePolicy::BroadcastBest`] (the round's global best,
-//!    ties to the lowest lane index), or [`ExchangePolicy::Ring`]
-//!    (its left neighbour's — diversity-preserving, elites migrate one
-//!    lane per round). The incumbent reaches the lane through
+//! 3. **broadcast-best exchange**: every lane restarts next round from
+//!    the round's global best incumbent (ties to the lowest lane
+//!    index). The incumbent reaches the lane through
 //!    [`phonoc_core::OptContext::initial_mapping`], which every seeded
 //!    strategy honours (RS deliberately stays start-free — see
 //!    `random_search`).
+//!
+//! Broadcast-best is the only exchange rule because exchange is what
+//! makes the race pay: when the sweep compared them on its 52 large
+//! cells, broadcast-best reached the best single lane on 46 and an
+//! isolated race (no exchange) on only 17. The spec grammar spells it
+//! `exchange=best`, and canonical spec strings always print it.
 //!
 //! # Determinism and budget discipline
 //!
@@ -54,32 +57,14 @@
 //! column and `scripts/bench_gate.py` enforce on the committed
 //! `BENCH_sweep.json`.
 //!
-//! # Dominance collapse
-//!
-//! With `collapse=K` in the spec (default **off**), the portfolio
-//! watches the post-round standings: once one lane has held the global
-//! best for `K` consecutive rounds, the race is declared decided and
-//! every later round's budget flows to that lane alone (one-hot
-//! weights — the losing lanes' cells allocate zero and are skipped,
-//! exactly like the zero-allotment cells of a tiny budget). The
-//! detection is a pure function of the fixed lane-order reduction
-//! (ties break to the lowest lane index), so it is as deterministic
-//! and worker-count invariant as the rest of the round loop, and it is
-//! orthogonal to the [`ExchangePolicy`]: exchange still decides where
-//! the surviving lane restarts from. The collapse point is reported in
-//! [`PortfolioResult::collapsed`]. Because the knob is off by default
-//! and [`PortfolioSpec::canonical`] only prints it when set, committed
-//! warm-cache keys and sweep spec strings are byte-stable.
-//!
 //! # Telemetry
 //!
 //! Portfolio runs participate in the [`phonoc_core::telemetry`] layer
 //! at round granularity: [`run_portfolio_seeded_traced`] takes a
 //! [`TraceSink`] and emits one `lane_round`
 //! event per funded `(round, lane)` cell (allotment, spend, the lane's
-//! session score, whether it restarted from a seeded incumbent), a
-//! `collapse` event when dominance collapse fires, and a closing
-//! aggregate `session_end`. Lane sessions themselves run with the
+//! session score, whether it restarted from a seeded incumbent) and a
+//! closing aggregate `session_end`. Lane sessions themselves run with the
 //! disabled [`NullSink`] — their decision
 //! counters still flow up: every lane's
 //! [`RunStats`] is absorbed into
@@ -99,57 +84,6 @@ use phonoc_core::{
 };
 use std::fmt;
 use std::fmt::Write as _;
-
-/// How elites move between lanes at the end of each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangePolicy {
-    /// No exchange: each lane restarts from its own incumbent — a
-    /// pure race, the baseline the exchanging policies are measured
-    /// against.
-    Isolated,
-    /// Every lane restarts from the round's best incumbent across all
-    /// lanes (ties break to the lowest lane index). The default:
-    /// maximum exploitation of the strongest lane.
-    #[default]
-    BroadcastBest,
-    /// Lane `i` restarts from lane `i-1`'s incumbent (wrapping):
-    /// elites migrate one lane per round, preserving diversity longer
-    /// than a broadcast.
-    Ring,
-}
-
-impl ExchangePolicy {
-    /// Every policy, in the canonical order.
-    pub const ALL: [ExchangePolicy; 3] = [
-        ExchangePolicy::Isolated,
-        ExchangePolicy::BroadcastBest,
-        ExchangePolicy::Ring,
-    ];
-
-    /// Stable lowercase identifier (used in portfolio spec strings).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExchangePolicy::Isolated => "isolated",
-            ExchangePolicy::BroadcastBest => "best",
-            ExchangePolicy::Ring => "ring",
-        }
-    }
-
-    /// Looks a policy up by its [`ExchangePolicy::name`]
-    /// (case-insensitive).
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<ExchangePolicy> {
-        let lower = name.to_lowercase();
-        ExchangePolicy::ALL.into_iter().find(|p| p.name() == lower)
-    }
-}
-
-impl fmt::Display for ExchangePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One lane of a portfolio: a registry optimizer, the neighbourhood
 /// policy its scans pin, the peek strategy its SNR peeks route
@@ -212,22 +146,14 @@ impl LaneSpec {
     }
 }
 
-/// A full portfolio configuration: the lanes, the exchange policy and
-/// the round count.
+/// A full portfolio configuration: the lanes and the round count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortfolioSpec {
     /// The lanes, in fixed order (the order is part of the semantics:
-    /// ties and the ring wiring follow it).
+    /// ties follow it).
     pub lanes: Vec<LaneSpec>,
-    /// How elites move between lanes after each round.
-    pub exchange: ExchangePolicy,
     /// Bulk-synchronous rounds the budget is split over (≥ 1).
     pub rounds: usize,
-    /// Dominance collapse: once one lane has held the global best for
-    /// this many consecutive rounds, all remaining budget flows to it
-    /// (see the [module docs](self#dominance-collapse)). `None` (the
-    /// default) races every lane to the end.
-    pub collapse: Option<usize>,
 }
 
 /// Default round count when a spec does not name one: enough rounds
@@ -235,18 +161,33 @@ pub struct PortfolioSpec {
 /// still funds a real descent.
 pub const DEFAULT_ROUNDS: usize = 6;
 
+/// The portfolio `phonocmap portfolio` runs when no `--spec` is given,
+/// and the one the sweep's portfolio column and the warm-start replay
+/// race: the two budget-aware R-PBLA streams that split the large
+/// sweep cells between them. The sweep runs it at the same *total*
+/// budget as each single-lane row — the equal-budget comparison
+/// `scripts/bench_gate.py` enforces (portfolio ≥ best single lane on
+/// ≥ 80% of 12×12+ cells). The round count was tuned on those cells:
+/// with the performance-weighted ledger, win share grows with exchange
+/// frequency (6 rounds 71%, 10 rounds 85%, 14 rounds 88%) because each
+/// round re-aims 75% of the slice at the currently winning lane. 14
+/// rounds also give the replay's parity measurement a resolution of
+/// ~1/14th of the budget.
+pub const DEFAULT_SPEC: &str = "r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14";
+
 impl PortfolioSpec {
     /// Parses a portfolio spec of the form
-    /// `lane+lane+...[,exchange=isolated|best|ring][,rounds=N][,collapse=K]`,
-    /// e.g. `r-pbla@sampled+r-pbla@locality+sa,exchange=best,rounds=8`.
+    /// `lane+lane+...[,exchange=best][,rounds=N]`, e.g.
+    /// `r-pbla@sampled+r-pbla@locality+sa,exchange=best,rounds=8`.
     /// (The registry accepts the same string behind a `portfolio:`
-    /// prefix.) Defaults: `exchange=best`, `rounds=6`, no collapse.
+    /// prefix.) `exchange=best` names the one exchange rule and may be
+    /// omitted; `rounds` defaults to [`DEFAULT_ROUNDS`].
     ///
     /// # Errors
     ///
-    /// Returns a message for an empty lane list, an unknown lane or
-    /// exchange name, a malformed option, or a zero round or collapse
-    /// count.
+    /// Returns a message for an empty lane list, an unknown lane, an
+    /// exchange other than `best`, any other option, or a malformed or
+    /// zero round count.
     pub fn parse(spec: &str) -> Result<PortfolioSpec, String> {
         let mut sections = spec.split(',');
         let lane_list = sections.next().unwrap_or("");
@@ -258,14 +199,14 @@ impl PortfolioSpec {
         if lanes.is_empty() {
             return Err(format!("portfolio spec `{spec}` names no lanes"));
         }
-        let mut exchange = ExchangePolicy::default();
         let mut rounds = DEFAULT_ROUNDS;
-        let mut collapse = None;
         for section in sections {
             match section.split_once('=') {
+                Some(("exchange", "best")) => {}
                 Some(("exchange", v)) => {
-                    exchange = ExchangePolicy::by_name(v)
-                        .ok_or_else(|| format!("unknown exchange `{v}` (isolated|best|ring)"))?;
+                    return Err(format!(
+                        "unknown exchange `{v}` (the portfolio's one exchange rule is `exchange=best`)"
+                    ));
                 }
                 Some(("rounds", v)) => {
                     rounds = v
@@ -275,44 +216,28 @@ impl PortfolioSpec {
                         return Err("rounds must be at least 1".into());
                     }
                 }
-                Some(("collapse", v)) => {
-                    let k: usize = v
-                        .parse()
-                        .map_err(|_| format!("bad collapse `{v}` (positive integer)"))?;
-                    if k == 0 {
-                        return Err("collapse must be at least 1".into());
-                    }
-                    collapse = Some(k);
+                _ => {
+                    return Err(format!(
+                        "unknown portfolio option `{section}` (exchange=best|rounds=N)"
+                    ))
                 }
-                _ => return Err(format!("unknown portfolio option `{section}`")),
             }
         }
-        Ok(PortfolioSpec {
-            lanes,
-            exchange,
-            rounds,
-            collapse,
-        })
+        Ok(PortfolioSpec { lanes, rounds })
     }
 
     /// The canonical spec string (with the `portfolio:` registry
-    /// prefix), normalizing option order and spelling. `collapse` only
-    /// appears when set, so pre-existing spec strings (and the
-    /// warm-cache keys derived from them) are unchanged by the knob's
-    /// existence.
+    /// prefix), normalizing option order and spelling. It always
+    /// prints `exchange=best`: canonical strings key warm-cache entries
+    /// and label committed sweep rows, so their bytes must not move.
     #[must_use]
     pub fn canonical(&self) -> String {
         let lanes: Vec<String> = self.lanes.iter().map(LaneSpec::label).collect();
-        let mut spec = format!(
-            "portfolio:{},exchange={},rounds={}",
+        format!(
+            "portfolio:{},exchange=best,rounds={}",
             lanes.join("+"),
-            self.exchange,
             self.rounds
-        );
-        if let Some(k) = self.collapse {
-            let _ = write!(spec, ",collapse={k}");
-        }
-        spec
+        )
     }
 }
 
@@ -498,7 +423,7 @@ pub struct LaneOutcome {
     /// Delta evaluations across the lane's sessions.
     pub delta_evaluations: usize,
     /// The lane's own best score (its incumbent — which may have been
-    /// seeded by another lane's elite under exchange).
+    /// seeded by another lane's elite through exchange).
     pub best_score: f64,
 }
 
@@ -507,8 +432,6 @@ pub struct LaneOutcome {
 pub struct PortfolioResult {
     /// Canonical spec of the portfolio that ran.
     pub spec: String,
-    /// The exchange policy that ran.
-    pub exchange: ExchangePolicy,
     /// Rounds executed.
     pub rounds: usize,
     /// Best mapping across all lanes and rounds (fixed reduction:
@@ -528,17 +451,12 @@ pub struct PortfolioResult {
     pub evaluations: usize,
     /// The global budget (= the sum of every lane's allotment).
     pub budget: usize,
-    /// Dominance collapse, if it fired: `(lane, round)` — the lane the
-    /// portfolio collapsed to and the (0-based) round whose standings
-    /// triggered it; every later round funds that lane alone. `None`
-    /// when the knob is off or no lane dominated long enough.
-    pub collapsed: Option<(usize, usize)>,
     /// Per-lane breakdown, in lane order.
     pub lanes: Vec<LaneOutcome>,
     /// Aggregate decision counters absorbed from every lane session in
     /// fixed lane order (peek route mix, neighbourhood stream, rounds
-    /// executed, collapse count — see the [module
-    /// docs](self#telemetry)). Bit-identical at any worker count.
+    /// executed — see the [module docs](self#telemetry)).
+    /// Bit-identical at any worker count.
     pub stats: RunStats,
 }
 
@@ -629,11 +547,6 @@ pub fn run_portfolio_seeded_traced(
     let mut delta_evals = vec![0usize; n];
     let mut round_best = Vec::with_capacity(rounds);
     let mut round_evaluations = Vec::with_capacity(rounds);
-    // Dominance tracking: (lane, consecutive rounds it has held the
-    // global best), and the permanent collapse decision once the
-    // streak reaches `spec.collapse`.
-    let mut streak: Option<(usize, usize)> = None;
-    let mut collapsed: Option<(usize, usize)> = None;
     // Aggregate decision counters, absorbed lane by lane in the fixed
     // reduction below — never inside the parallel step.
     let mut stats = RunStats::default();
@@ -641,53 +554,37 @@ pub fn run_portfolio_seeded_traced(
     for round in 0..rounds {
         // Performance-weighted allocation: the lane holding the global
         // best gets ELITE_WEIGHT shares, everyone else one. Round 0 is
-        // an even probe (no standings yet). After a dominance collapse
-        // the weights go one-hot — the winner takes the whole round.
-        // Pure function of the fixed reductions below, so still
-        // worker-count invariant.
-        let weights: Vec<u64> = if let Some((winner, _)) = collapsed {
-            (0..n).map(|lane| u64::from(lane == winner)).collect()
-        } else {
-            match elite_lane(&incumbents) {
-                Some(owner) => (0..n)
-                    .map(|lane| if lane == owner { ELITE_WEIGHT } else { 1 })
-                    .collect(),
-                None => vec![1; n],
-            }
+        // an even probe (no standings yet). Pure function of the fixed
+        // reductions below, so still worker-count invariant.
+        let weights: Vec<u64> = match elite_lane(&incumbents) {
+            Some(owner) => (0..n)
+                .map(|lane| if lane == owner { ELITE_WEIGHT } else { 1 })
+                .collect(),
+            None => vec![1; n],
         };
         let allot = ledger.allocate_round(round, &weights);
 
-        // Which incumbent each lane resumes from (None = random start;
-        // in round 0 the caller's warm start, if any, plays the role
-        // an exchanged elite plays in later rounds).
-        let starts: Vec<Option<Mapping>> = (0..n)
-            .map(|lane| {
-                if round == 0 {
-                    return warm_start.cloned();
-                }
-                let source = match spec.exchange {
-                    ExchangePolicy::Isolated => incumbents[lane].as_ref(),
-                    ExchangePolicy::BroadcastBest => best_incumbent(&incumbents),
-                    ExchangePolicy::Ring => incumbents[(lane + n - 1) % n].as_ref(),
-                };
-                source.map(|(m, _)| m.clone())
-            })
-            .collect();
-
-        let seeded_flags: Vec<bool> = starts.iter().map(Option::is_some).collect();
+        // Which incumbent every lane resumes from: the global best
+        // (None = random start; in round 0 the caller's warm start, if
+        // any, plays the role the broadcast elite plays later).
+        let start = if round == 0 {
+            warm_start.cloned()
+        } else {
+            best_incumbent(&incumbents).map(|(m, _)| m.clone())
+        };
+        let seeded = start.is_some();
         let runs: Vec<LaneRun> = spec
             .lanes
             .iter()
-            .zip(starts)
             .enumerate()
-            .map(|(lane, (ls, start))| LaneRun {
+            .map(|(lane, ls)| LaneRun {
                 algo: ls.algo.clone(),
                 policy: ls.policy,
                 strategy: ls.strategy,
                 objective: ls.objective,
                 budget: allot[lane],
                 seed: lane_round_seed(seed, lane, round),
-                start,
+                start: start.clone(),
             })
             .collect();
 
@@ -730,7 +627,7 @@ pub fn run_portfolio_seeded_traced(
                     allotted: allot[lane],
                     used: result.evaluations,
                     score_bits: result.best_score.to_bits(),
-                    seeded: seeded_flags[lane],
+                    seeded,
                 });
             }
             let improves = incumbents[lane]
@@ -747,30 +644,6 @@ pub fn run_portfolio_seeded_traced(
         );
         round_evaluations.push(round_used);
         stats.rounds += 1;
-
-        // Dominance detection on the post-round standings (the same
-        // fixed reduction the weights read): extend or reset the
-        // streak, and collapse permanently once it reaches K.
-        if let Some(owner) = elite_lane(&incumbents) {
-            streak = match streak {
-                Some((lane, count)) if lane == owner => Some((owner, count + 1)),
-                _ => Some((owner, 1)),
-            };
-            if collapsed.is_none() {
-                if let (Some(k), Some((lane, count))) = (spec.collapse, streak) {
-                    if count >= k {
-                        collapsed = Some((lane, round));
-                        stats.collapses += 1;
-                        if sink.enabled() {
-                            sink.record(TraceEvent::CollapseFired {
-                                round,
-                                survivor: lane,
-                            });
-                        }
-                    }
-                }
-            }
-        }
     }
 
     let (best_mapping, best_score) = best_incumbent(&incumbents)
@@ -804,7 +677,6 @@ pub fn run_portfolio_seeded_traced(
     }
     PortfolioResult {
         spec: spec.canonical(),
-        exchange: spec.exchange,
         rounds,
         best_mapping,
         best_score,
@@ -812,7 +684,6 @@ pub fn run_portfolio_seeded_traced(
         round_evaluations,
         evaluations: ledger.total_used(),
         budget: ledger.total_allotted(),
-        collapsed,
         lanes,
         stats,
     }
@@ -914,7 +785,6 @@ mod tests {
         assert_eq!(spec.lanes[0].policy, NeighborhoodPolicy::Sampled);
         assert_eq!(spec.lanes[1].policy, NeighborhoodPolicy::Locality);
         assert_eq!(spec.lanes[2].policy, NeighborhoodPolicy::Auto);
-        assert_eq!(spec.exchange, ExchangePolicy::BroadcastBest);
         assert_eq!(spec.rounds, 8);
         assert_eq!(
             spec.canonical(),
@@ -922,13 +792,12 @@ mod tests {
         );
         // Defaults.
         let spec = PortfolioSpec::parse("rs+sa").unwrap();
-        assert_eq!(spec.exchange, ExchangePolicy::BroadcastBest);
         assert_eq!(spec.rounds, DEFAULT_ROUNDS);
+        assert_eq!(spec, PortfolioSpec::parse("rs+sa,exchange=best").unwrap());
         // Peek suffix.
-        let spec = PortfolioSpec::parse("r-pbla@sampled/delta+tabu/full,exchange=ring").unwrap();
+        let spec = PortfolioSpec::parse("r-pbla@sampled/delta+tabu/full").unwrap();
         assert_eq!(spec.lanes[0].strategy, PeekStrategy::Delta);
         assert_eq!(spec.lanes[1].strategy, PeekStrategy::Full);
-        assert_eq!(spec.exchange, ExchangePolicy::Ring);
         assert!(spec.canonical().contains("r-pbla@sampled/delta"));
         // Objective suffix (the unified grammar's third knob).
         let spec = PortfolioSpec::parse("r-pbla@sampled!power+tabu/full!margin,rounds=3").unwrap();
@@ -957,27 +826,32 @@ mod tests {
         assert!(PortfolioSpec::parse("rs,rounds=0").is_err());
         assert!(PortfolioSpec::parse("rs,rounds=x").is_err());
         assert!(PortfolioSpec::parse("rs,frobnicate=1").is_err());
-        assert!(PortfolioSpec::parse("rs+sa,collapse=0").is_err());
-        assert!(PortfolioSpec::parse("rs+sa,collapse=x").is_err());
     }
 
-    /// The committed two-lane sweep spec — the configuration the
-    /// collapse knob is specified against.
-    const TWO_LANE: &str = "r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14";
-
+    /// Broadcast-best is the only exchange rule and dominance collapse
+    /// is gone: the retired spellings fail to parse, and the message
+    /// names the accepted form.
     #[test]
-    fn collapse_parses_round_trips_and_leaves_plain_specs_untouched() {
-        // Without the knob the canonical string is byte-identical to
-        // what PR 4/5 committed (warm-cache keys must not move).
-        let plain = PortfolioSpec::parse(TWO_LANE).unwrap();
-        assert_eq!(plain.collapse, None);
-        assert_eq!(plain.canonical(), format!("portfolio:{TWO_LANE}"));
-        // With the knob it round-trips through the canonical form.
-        let spec = PortfolioSpec::parse(&format!("{TWO_LANE},collapse=3")).unwrap();
-        assert_eq!(spec.collapse, Some(3));
-        assert_eq!(spec.canonical(), format!("portfolio:{TWO_LANE},collapse=3"));
-        let reparsed = PortfolioSpec::parse(&format!("{TWO_LANE},collapse=3")).unwrap();
-        assert_eq!(spec, reparsed);
+    fn retired_exchange_rules_and_collapse_fail_to_parse() {
+        for spec in [
+            "r-pbla+sa,exchange=ring",
+            "r-pbla+sa,exchange=isolated",
+            "r-pbla+sa,exchange=best,rounds=6,collapse=3",
+        ] {
+            let err = PortfolioSpec::parse(spec).unwrap_err();
+            assert!(err.contains("exchange=best"), "`{spec}`: {err}");
+        }
+    }
+
+    /// The default spec is the committed sweep's portfolio label, byte
+    /// for byte (its canonical form keys warm-cache entries and sweep
+    /// rows).
+    #[test]
+    fn default_spec_is_the_committed_sweep_label() {
+        assert_eq!(
+            PortfolioSpec::parse(DEFAULT_SPEC).unwrap().canonical(),
+            "portfolio:r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14"
+        );
     }
 
     /// A `!objective` lane suffix must actually re-target the lane: a
@@ -1012,13 +886,13 @@ mod tests {
         for (input, golden) in [
             // Pre-suffix keys (committed by earlier PRs): exact bytes.
             (
-                TWO_LANE,
+                DEFAULT_SPEC,
                 "portfolio:r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14",
             ),
             ("rs+sa", "portfolio:rs+sa,exchange=best,rounds=6"),
             (
-                "r-pbla@sampled/delta+tabu/full,exchange=ring",
-                "portfolio:r-pbla@sampled/delta+tabu/full,exchange=ring,rounds=6",
+                "r-pbla@sampled/delta+tabu/full",
+                "portfolio:r-pbla@sampled/delta+tabu/full,exchange=best,rounds=6",
             ),
             // Objective-suffixed keys: one canonical spelling each
             // (`/hybrid` is the default peek and normalizes away).
@@ -1040,87 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn collapse_fires_and_funds_only_the_winning_lane() {
-        let p = tiny_problem();
-        let spec = PortfolioSpec::parse(
-            "r-pbla@sampled+r-pbla@locality,exchange=best,rounds=6,collapse=2",
-        )
-        .unwrap();
-        let r = run_portfolio(&p, &spec, 600, 11);
-        let (winner, at_round) = r
-            .collapsed
-            .expect("a 2-round streak must occur in 6 rounds");
-        assert!(winner < 2);
-        assert!(at_round >= 1, "a streak of 2 needs at least two rounds");
-        // Budget discipline is untouched: the lane allotments still sum
-        // exactly to the global budget.
-        assert_eq!(r.budget, 600);
-        assert_eq!(r.lanes.iter().map(|l| l.allotted).sum::<usize>(), 600);
-        assert!(r.evaluations <= 600);
-        assert!(r.best_mapping.is_valid());
-        // Deterministic, including the collapse point.
-        let r2 = run_portfolio(&p, &spec, 600, 11);
-        assert_eq!(r2.collapsed, Some((winner, at_round)));
-        assert_eq!(r2.best_score, r.best_score);
-        assert_eq!(r2.best_mapping, r.best_mapping);
-    }
-
-    #[test]
-    fn collapse_off_reports_none_and_matches_the_plain_run() {
-        let p = tiny_problem();
-        let plain = PortfolioSpec::parse(TWO_LANE).unwrap();
-        let r = run_portfolio(&p, &plain, 280, 7);
-        assert_eq!(r.collapsed, None);
-        // A collapse window longer than the run never fires and never
-        // changes the race.
-        let mut never = plain.clone();
-        never.collapse = Some(usize::MAX);
-        let rn = run_portfolio(&p, &never, 280, 7);
-        assert_eq!(rn.collapsed, None);
-        assert_eq!(rn.best_score, r.best_score);
-        assert_eq!(rn.best_mapping, r.best_mapping);
-        assert_eq!(rn.round_best, r.round_best);
-        assert_eq!(rn.round_evaluations, r.round_evaluations);
-    }
-
-    #[test]
-    fn collapse_is_orthogonal_to_every_exchange_policy() {
-        let p = tiny_problem();
-        for exchange in ExchangePolicy::ALL {
-            let spec = PortfolioSpec {
-                lanes: vec![
-                    LaneSpec::parse("r-pbla@sampled").unwrap(),
-                    LaneSpec::parse("r-pbla@locality").unwrap(),
-                ],
-                exchange,
-                rounds: 5,
-                collapse: Some(1),
-            };
-            let r = run_portfolio(&p, &spec, 300, 13);
-            // collapse=1 fires on the first decided round (round 0
-            // unless no lane evaluated anything).
-            assert_eq!(r.collapsed.map(|(_, round)| round), Some(0), "{exchange}");
-            assert_eq!(r.budget, 300, "{exchange}");
-            assert_eq!(
-                r.lanes.iter().map(|l| l.allotted).sum::<usize>(),
-                300,
-                "{exchange}"
-            );
-            assert!(r.best_mapping.is_valid(), "{exchange}");
-            // After the collapse every later round funds the winner
-            // alone.
-            let (winner, _) = r.collapsed.unwrap();
-            let loser = 1 - winner;
-            assert!(
-                r.lanes[loser].allotted < r.lanes[winner].allotted,
-                "{exchange}: loser {} vs winner {}",
-                r.lanes[loser].allotted,
-                r.lanes[winner].allotted
-            );
-        }
-    }
-
-    #[test]
     fn portfolio_runs_within_budget_and_is_deterministic() {
         let p = tiny_problem();
         let spec = PortfolioSpec::parse("r-pbla+sa+rs,exchange=best,rounds=3").unwrap();
@@ -1136,45 +929,6 @@ mod tests {
         // The global incumbent can only improve round over round.
         assert!(a.round_best.windows(2).all(|w| w[1] >= w[0]));
         assert_eq!(a.round_best.last().copied(), Some(a.best_score));
-    }
-
-    #[test]
-    fn every_exchange_policy_runs() {
-        let p = tiny_problem();
-        for exchange in ExchangePolicy::ALL {
-            let spec = PortfolioSpec {
-                lanes: vec![
-                    LaneSpec::parse("r-pbla").unwrap(),
-                    LaneSpec::parse("tabu").unwrap(),
-                ],
-                exchange,
-                rounds: 3,
-                collapse: None,
-            };
-            let r = run_portfolio(&p, &spec, 240, 5);
-            assert!(r.best_mapping.is_valid(), "{exchange}");
-            assert_eq!(r.budget, 240, "{exchange}");
-            assert!(r.evaluations <= 240, "{exchange}");
-        }
-    }
-
-    #[test]
-    fn portfolio_not_worse_than_its_isolated_self() {
-        // Broadcast exchange reuses the best incumbent; on a structured
-        // tiny problem it should never trail the isolated race badly.
-        let p = tiny_problem();
-        let lanes = "r-pbla+ils";
-        let best = PortfolioSpec::parse(&format!("{lanes},exchange=best,rounds=4")).unwrap();
-        let isolated =
-            PortfolioSpec::parse(&format!("{lanes},exchange=isolated,rounds=4")).unwrap();
-        let rb = run_portfolio(&p, &best, 400, 9);
-        let ri = run_portfolio(&p, &isolated, 400, 9);
-        assert!(
-            rb.best_score >= ri.best_score - 0.5,
-            "broadcast {} far below isolated {}",
-            rb.best_score,
-            ri.best_score
-        );
     }
 
     #[test]

@@ -174,7 +174,7 @@ pub enum SearchSpec {
 }
 
 /// Resolves any registry spec — `name[@policy][/peek][!objective]` or
-/// `portfolio:lane+lane,exchange=...,rounds=N[,collapse=K]` — into a
+/// `portfolio:lane+lane[,exchange=best][,rounds=N]` — into a
 /// [`SearchSpec`].
 ///
 /// # Errors
@@ -289,7 +289,7 @@ mod tests {
             }
             SearchSpec::Portfolio(_) => panic!("expected a single optimizer"),
         }
-        match search_spec("portfolio:r-pbla@sampled+sa,exchange=ring,rounds=4").unwrap() {
+        match search_spec("portfolio:r-pbla@sampled+sa,exchange=best,rounds=4").unwrap() {
             SearchSpec::Portfolio(spec) => {
                 assert_eq!(spec.lanes.len(), 2);
                 assert_eq!(spec.rounds, 4);

@@ -3,8 +3,8 @@
 //!
 //! * **thread-count invariance** — a full portfolio run (lanes fanned
 //!   out over `parallel_map_tasks`, nested batch scans inside each
-//!   lane) is bit-identical at 1, 2 and 4 workers, under every
-//!   exchange policy;
+//!   lane) is bit-identical at 1, 2 and 4 workers, for scan-based,
+//!   trajectory and population lanes;
 //! * **budget honesty** — lane allotments sum exactly to the global
 //!   budget and no lane overruns its allotment;
 //! * **determinism per seed**, and seed sensitivity;
@@ -14,7 +14,7 @@
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::parallel::set_worker_override;
 use phonoc_core::{MappingProblem, Objective, OptContext};
-use phonoc_opt::{run_portfolio, ExchangePolicy, PortfolioSpec};
+use phonoc_opt::{run_portfolio, PortfolioSpec};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
@@ -90,27 +90,25 @@ fn portfolio_runs_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn every_exchange_policy_is_worker_count_invariant() {
+fn trajectory_lanes_are_worker_count_invariant() {
     let _pin = pin();
     let p = problem(ScenarioFamily::Random, 4, 2);
-    for exchange in ExchangePolicy::ALL {
-        let spec = PortfolioSpec::parse(&format!(
-            "r-pbla@locality+tabu+ils,exchange={exchange},rounds=3"
-        ))
-        .unwrap();
-        set_worker_override(Some(1));
-        let reference = run_portfolio(&p, &spec, 240, 7);
-        for workers in [2usize, 4] {
-            set_worker_override(Some(workers));
-            let run = run_portfolio(&p, &spec, 240, 7);
-            assert_eq!(run.best_mapping, reference.best_mapping, "{exchange}");
-            assert_eq!(
-                run.best_score.to_bits(),
-                reference.best_score.to_bits(),
-                "{exchange}"
-            );
-            assert_eq!(run.evaluations, reference.evaluations, "{exchange}");
-        }
+    let spec = PortfolioSpec::parse("r-pbla@locality+tabu+ils,exchange=best,rounds=3").unwrap();
+    set_worker_override(Some(1));
+    let reference = run_portfolio(&p, &spec, 240, 7);
+    for workers in [2usize, 4] {
+        set_worker_override(Some(workers));
+        let run = run_portfolio(&p, &spec, 240, 7);
+        assert_eq!(
+            run.best_mapping, reference.best_mapping,
+            "{workers} workers"
+        );
+        assert_eq!(
+            run.best_score.to_bits(),
+            reference.best_score.to_bits(),
+            "{workers} workers"
+        );
+        assert_eq!(run.evaluations, reference.evaluations, "{workers} workers");
     }
 }
 
@@ -118,7 +116,7 @@ fn every_exchange_policy_is_worker_count_invariant() {
 fn ledgers_sum_to_the_global_budget_and_lanes_never_overrun() {
     let p = problem(ScenarioFamily::Tree, 4, 3);
     for budget in [37usize, 240, 1_001] {
-        let spec = PortfolioSpec::parse("r-pbla+sa+rs,exchange=ring,rounds=4").unwrap();
+        let spec = PortfolioSpec::parse("r-pbla+sa+rs,rounds=4").unwrap();
         let r = run_portfolio(&p, &spec, budget, 5);
         assert_eq!(r.budget, budget);
         assert_eq!(

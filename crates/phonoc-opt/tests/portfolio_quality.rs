@@ -12,15 +12,12 @@
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{run_dse, DseConfig, MappingProblem, NeighborhoodPolicy, Objective};
+use phonoc_opt::portfolio::DEFAULT_SPEC;
 use phonoc_opt::{run_portfolio, PortfolioSpec, Rpbla};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
 use phonoc_topo::Topology;
-
-/// The committed sweep's portfolio configuration (see
-/// `bench::sweep::PORTFOLIO_SPEC`).
-const SPEC: &str = "r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14";
 
 /// The sweep's per-cell optimizer budget.
 const BUDGET: usize = 1_500;
@@ -45,7 +42,7 @@ fn problem(family: ScenarioFamily, mesh: usize, seed: u64) -> MappingProblem {
 
 #[test]
 fn portfolio_matches_or_beats_the_best_single_lane_at_12x12() {
-    let spec = PortfolioSpec::parse(SPEC).unwrap();
+    let spec = PortfolioSpec::parse(DEFAULT_SPEC).unwrap();
     let mut wins = 0;
     let mut cells = 0;
     for family in [ScenarioFamily::Pipeline, ScenarioFamily::Hotspot] {

@@ -253,7 +253,7 @@ fn every_result_relevant_parameter_changes_the_key() {
         RequestKey::of(&problem_from(cg(), 2), &spec(), 50, 2),
         "seed"
     );
-    let other_spec = PortfolioSpec::parse("r-pbla+rs,exchange=ring,rounds=2").unwrap();
+    let other_spec = PortfolioSpec::parse("r-pbla@sampled+sa,exchange=best,rounds=2").unwrap();
     assert_ne!(
         base,
         RequestKey::of(&problem_from(cg(), 2), &other_spec, 50, 1),

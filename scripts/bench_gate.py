@@ -5,8 +5,7 @@ against the committed baselines.
 Usage:
     python3 scripts/bench_gate.py [BENCH_sweep_smoke.json] [BENCH_evaluator.json]
         [--baseline BENCH_sweep.json] [--warmstart BENCH_warmstart.json]
-        [--parallel BENCH_parallel.json]
-        [--trace run.trace.jsonl]... [--gaps] [--strict] [--strict-quality]
+        [--parallel BENCH_parallel.json] [--gaps] [--strict] [--strict-quality]
 
 Checks (all *advisory* — the script always exits 0 — unless --strict
 makes any finding fatal, --strict-quality makes the quality findings
@@ -90,20 +89,6 @@ input file is malformed):
    the baseline losing its proof, and the per-objective *median* gap
    widening by more than GAP_WIDEN_DB — a bound that got looser, or a
    search that stopped reaching it.
-10. Run traces (--trace FILE, repeatable): a `phonocmap-trace/1` JSONL
-   file written by `--trace-out` (phonocmap optimize/portfolio/replay).
-   The header must carry the schema tag and an `events` count equal to
-   the number of event lines that follow; every event line must be
-   strict JSON with a known `ev` tag; every `session_end`'s route
-   counters must partition its evaluation ledger exactly
-   (full_evaluations == full_peeks + full_direct, delta_evaluations ==
-   delta_exact + loss_fast_path + bound_rejected + bound_verified +
-   bound_charges); and when per-peek events are present their per-route
-   counts must match the summed session counters one for one. A
-   zero-event trace (header only) is valid — it is what the sink-off
-   path (PHONOC_TRACE_NULL) must produce. Traces are deterministic
-   data, so every violation is a quality finding (fatal under
-   --strict-quality).
 
 Everything is stdlib-only (CI runners have bare python3).
 """
@@ -594,131 +579,6 @@ def check_gaps(sweep, baseline):
     return findings
 
 
-TRACE_SCHEMA = "phonocmap-trace/1"
-# JSONL `ev` tags, mirroring phonoc_core::telemetry::render_trace.
-TRACE_EVENT_TAGS = {
-    "peek",
-    "improved",
-    "widen",
-    "dry_scan",
-    "narrow",
-    "lane_round",
-    "collapse",
-    "warm_lookup",
-    "exact_summary",
-    "exact_cuts",
-    "session_end",
-}
-# peek `route` field -> the session_end counter it must sum to.
-TRACE_ROUTE_COUNTERS = {
-    "full": "full_peeks",
-    "delta": "delta_exact",
-    "loss": "loss_fast_path",
-    "bound_rejected": "bound_rejected",
-    "bound_verified": "bound_verified",
-}
-
-
-def check_trace(path):
-    """Returns quality findings for one phonocmap-trace/1 JSONL file.
-
-    Traces are deterministic data (integer payloads, no wall-clock), so
-    every violation is a quality finding, fatal under --strict-quality.
-    """
-    findings = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line]
-    except OSError as exc:
-        return [f"{path}: unreadable ({exc})"]
-    if not lines:
-        return [f"{path}: empty file — even a sink-off trace has a header line"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"{path}: header line is not valid JSON ({exc})"]
-    if header.get("schema") != TRACE_SCHEMA:
-        findings.append(
-            f"{path}: header schema {header.get('schema')!r} is not "
-            f"{TRACE_SCHEMA!r}"
-        )
-    declared = header.get("events")
-    event_lines = lines[1:]
-    if declared != len(event_lines):
-        findings.append(
-            f"{path}: header declares {declared!r} events but "
-            f"{len(event_lines)} event lines follow"
-        )
-    events = []
-    for lineno, line in enumerate(event_lines, 2):
-        try:
-            ev = json.loads(line)
-        except json.JSONDecodeError as exc:
-            findings.append(f"{path}:{lineno}: not valid JSON ({exc})")
-            continue
-        tag = ev.get("ev")
-        if tag not in TRACE_EVENT_TAGS:
-            findings.append(f"{path}:{lineno}: unknown event tag {tag!r}")
-            continue
-        events.append(ev)
-    sessions = [ev for ev in events if ev["ev"] == "session_end"]
-    if events and not sessions:
-        findings.append(
-            f"{path}: trace has events but no session_end summary"
-        )
-    totals = {counter: 0 for counter in TRACE_ROUTE_COUNTERS.values()}
-    for ev in sessions:
-        full = ev.get("full_peeks", 0) + ev.get("full_direct", 0)
-        if ev.get("full_evaluations") != full:
-            findings.append(
-                f"{path}: session_end full_evaluations "
-                f"{ev.get('full_evaluations')} != full_peeks + full_direct "
-                f"= {full} — route counters must partition the ledger"
-            )
-        delta = (
-            ev.get("delta_exact", 0)
-            + ev.get("loss_fast_path", 0)
-            + ev.get("bound_rejected", 0)
-            + ev.get("bound_verified", 0)
-            + ev.get("bound_charges", 0)
-        )
-        if ev.get("delta_evaluations") != delta:
-            findings.append(
-                f"{path}: session_end delta_evaluations "
-                f"{ev.get('delta_evaluations')} != sum of delta route "
-                f"counters = {delta} — route counters must partition the "
-                f"ledger"
-            )
-        for counter in totals:
-            totals[counter] += ev.get(counter, 0)
-    peek_counts = {route: 0 for route in TRACE_ROUTE_COUNTERS}
-    for ev in events:
-        if ev["ev"] != "peek":
-            continue
-        route = ev.get("route")
-        if route not in peek_counts:
-            findings.append(f"{path}: peek event has unknown route {route!r}")
-            continue
-        peek_counts[route] += 1
-    if any(peek_counts.values()):
-        # Per-peek events are only recorded by single-session traces
-        # (portfolio lanes report through session_end totals); when they
-        # are present they must match the counters exactly.
-        for route, counter in TRACE_ROUTE_COUNTERS.items():
-            if peek_counts[route] != totals[counter]:
-                findings.append(
-                    f"{path}: {peek_counts[route]} peek events on route "
-                    f"'{route}' but session counters sum to "
-                    f"{totals[counter]}"
-                )
-    print(
-        f"bench_gate: trace {path} — {len(event_lines)} events, "
-        f"{len(sessions)} session(s)"
-        + (" (header-only: sink off)" if not event_lines else "")
-    )
-    return findings
-
-
 def main(argv):
     args = []
     strict = False
@@ -727,7 +587,6 @@ def main(argv):
     baseline_path = None
     warmstart_path = None
     parallel_path = None
-    trace_paths = []
     i = 1
     while i < len(argv):
         arg = argv[i]
@@ -755,24 +614,13 @@ def main(argv):
                 return 2
             parallel_path = argv[i + 1]
             i += 1
-        elif arg == "--trace":
-            if i + 1 >= len(argv):
-                print("bench_gate: --trace needs a path", file=sys.stderr)
-                return 2
-            trace_paths.append(argv[i + 1])
-            i += 1
         elif arg.startswith("--"):
             print(f"bench_gate: unknown flag {arg}", file=sys.stderr)
             return 2
         else:
             args.append(arg)
         i += 1
-    if (
-        not args
-        and not warmstart_path
-        and not parallel_path
-        and not trace_paths
-    ):
+    if not args and not warmstart_path and not parallel_path:
         print(__doc__)
         return 2
     advisories = []
@@ -807,10 +655,6 @@ def main(argv):
         par_quality, par_advisories = check_parallel(load(parallel_path))
         quality_advisories += par_quality
         advisories += par_quality + par_advisories
-    for trace_path in trace_paths:
-        trace_findings = check_trace(trace_path)
-        quality_advisories += trace_findings
-        advisories += trace_findings
     if advisories:
         print(f"bench_gate: {len(advisories)} advisory finding(s):")
         for a in advisories:
@@ -820,7 +664,7 @@ def main(argv):
         if strict_quality and quality_advisories:
             print(
                 "bench_gate: quality claim (neighborhood/portfolio/power/"
-                "gaps/warm-start/parallel/trace) violated — fatal"
+                "gaps/warm-start/parallel) violated — fatal"
             )
             return 1
         print("bench_gate: advisory mode — not failing the build")

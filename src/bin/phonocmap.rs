@@ -6,12 +6,11 @@
 //! phonocmap describe-router crux
 //! phonocmap show-app VOPD [--dot]
 //! phonocmap analyze  --app VOPD [--topology mesh] [--router crux] [--seed 1]
-//! phonocmap optimize --app VOPD [--algo r-pbla] [--objective snr|loss|power|margin]
+//! phonocmap optimize --app VOPD [--algo r-pbla[@policy]] [--objective snr|loss|power|margin]
 //!                    [--topology mesh|torus|ring] [--router crux]
-//!                    [--neighborhood auto|exhaustive|sampled|locality]
 //!                    [--budget 100000] [--seed 42]
 //! phonocmap optimize --file my_app.cg ...      # text-format CG input
-//! phonocmap portfolio --app VOPD [--spec "r-pbla@sampled+sa,exchange=best,rounds=8"]
+//! phonocmap portfolio --app VOPD [--spec "r-pbla@sampled+sa,rounds=8"]
 //! phonocmap sweep [--smoke] [--neighborhood P] [--out BENCH_sweep.json]
 //! phonocmap replay [--smoke] [--budget N] [--out BENCH_warmstart.json]
 //! phonocmap parallel-bench [--smoke] [--out BENCH_parallel.json]
@@ -26,10 +25,14 @@
 //! keeps the sink off and writes a header-only trace — the CI check
 //! that tracing is genuinely opt-in.
 //!
-//! The CG text format is documented in `phonoc_apps::text`.
+//! Every subcommand rejects flags it does not know with an `error:`
+//! line and a non-zero exit. The CG text format is documented in
+//! `phonoc_apps::text`.
 
+use bench::CliArgs;
 use phonocmap::apps::text::parse_cg;
 use phonocmap::core::PeekStrategy;
+use phonocmap::opt::portfolio::DEFAULT_SPEC;
 use phonocmap::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,17 +44,18 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
+    let rest = &args[1..];
     let result = match command.as_str() {
-        "list" => cmd_list(),
-        "describe-router" => cmd_describe_router(&args),
-        "show-app" => cmd_show_app(&args),
-        "analyze" => cmd_analyze(&args),
-        "optimize" => cmd_optimize(&args),
-        "portfolio" => cmd_portfolio(&args),
-        "sweep" => cmd_sweep(&args),
-        "replay" => cmd_replay(&args),
-        "parallel-bench" => cmd_parallel_bench(&args),
-        "trace" => cmd_trace(&args),
+        "list" => cmd_list(rest),
+        "describe-router" => cmd_describe_router(rest),
+        "show-app" => cmd_show_app(rest),
+        "analyze" => cmd_analyze(rest),
+        "optimize" => cmd_optimize(rest),
+        "portfolio" => cmd_portfolio(rest),
+        "sweep" => cmd_sweep(rest),
+        "replay" => cmd_replay(rest),
+        "parallel-bench" => cmd_parallel_bench(rest),
+        "trace" => cmd_trace(rest),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             Ok(())
@@ -83,9 +87,9 @@ fn peek_names() -> String {
     PeekStrategy::ALL.map(|p| p.name()).join("|")
 }
 
-/// The top-level help. The `@policy`, `/peek`, `!objective`,
-/// `--objective` and `--neighborhood` name lists come from the enums'
-/// `ALL`, so every advertised name parses.
+/// The top-level help. The `@policy`, `/peek`, `!objective` and
+/// `--objective` name lists come from the enums' `ALL`, so every
+/// advertised name parses.
 fn usage() -> String {
     let (objectives, policies, peeks) = (objective_names(), policy_names(), peek_names());
     format!(
@@ -97,7 +101,7 @@ commands:
   analyze  --app <name> | --file <cg>   evaluate a random mapping
   optimize --app <name> | --file <cg>   search for the best mapping
   portfolio --app <name> | --file <cg>  race N search lanes with elite
-        [--spec LANES[,exchange=E][,rounds=N][,collapse=K]]  (try `portfolio help`)
+        [--spec LANES[,rounds=N]]       exchange (try `portfolio help`)
   sweep [--smoke] [--out PATH]          scenario-matrix sweep: peek-route
         [--samples N] [--moves N]       timings + optimizer results as JSON
         [--budget N]                    (r-pbla runs once per neighborhood
@@ -117,11 +121,10 @@ options (analyze/optimize/portfolio):
   --objective {objectives}   (default snr)
   --algo NAME[@policy][/peek][!objective]  (default r-pbla; optimize only)
              NAME: rs|ga|r-pbla|sa|tabu|ils|exhaustive or portfolio:...
-             @policy {policies}   (swap-scan stream)
+             @policy {policies}   (swap-scan stream; default
+                     auto: exhaustive up to ~8x8 meshes, budget-aware sampling beyond)
              /peek {peeks}   (SNR peek route; cost only, never scores)
              !objective {objectives}   (re-targets the search)
-  --neighborhood {policies}  (default auto: exhaustive
-             swap scans up to ~8x8 meshes, budget-aware sampling beyond)
   --budget N                   evaluations (default 100000)
   --seed N                     RNG seed (default 42)
   --trace-out PATH             record the run as phonocmap-trace/1 JSONL
@@ -130,14 +133,38 @@ options (analyze/optimize/portfolio):
     )
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The flags every command that builds a mapping problem accepts.
+const PROBLEM_FLAGS: [&str; 6] = [
+    "--app",
+    "--file",
+    "--topology",
+    "--router",
+    "--objective",
+    "--seed",
+];
+
+/// Parses a problem-building command's arguments: [`PROBLEM_FLAGS`]
+/// plus the command's own `extra` flags.
+fn problem_args(args: &[String], extra: &[&str]) -> Result<CliArgs, String> {
+    let flags: Vec<&str> = PROBLEM_FLAGS.iter().chain(extra).copied().collect();
+    CliArgs::parse(args, &flags, &[], 0)
 }
 
-fn cmd_list() -> Result<(), String> {
+/// `--budget N` (default 100000, at least 1).
+fn budget(args: &CliArgs) -> Result<usize, String> {
+    let budget = args
+        .value("--budget")
+        .map(|s| s.parse().map_err(|_| format!("bad budget `{s}`")))
+        .transpose()?
+        .unwrap_or(100_000);
+    if budget == 0 {
+        return Err("--budget must be at least 1".into());
+    }
+    Ok(budget)
+}
+
+fn cmd_list(args: &[String]) -> Result<(), String> {
+    CliArgs::parse(args, &[], &[], 0)?;
     println!("benchmarks:");
     for cg in phonocmap::apps::benchmarks::all_benchmarks() {
         println!(
@@ -167,9 +194,9 @@ fn cmd_list() -> Result<(), String> {
 }
 
 fn cmd_describe_router(args: &[String]) -> Result<(), String> {
+    let args = CliArgs::parse(args, &[], &[], 1)?;
     let name = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
+        .positional(0)
         .ok_or("describe-router needs a router name")?;
     let router = RouterRegistry::with_builtins()
         .get(name)
@@ -182,13 +209,13 @@ fn cmd_describe_router(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_show_app(args: &[String]) -> Result<(), String> {
+    let args = CliArgs::parse(args, &[], &["--dot"], 1)?;
     let name = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
+        .positional(0)
         .ok_or("show-app needs a benchmark name")?;
     let cg = phonocmap::apps::benchmarks::benchmark(name)
         .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    if args.iter().any(|a| a == "--dot") {
+    if args.switch("--dot") {
         print!("{}", cg.to_dot());
     } else {
         print!("{}", phonocmap::apps::text::render_cg(&cg));
@@ -196,12 +223,12 @@ fn cmd_show_app(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_cg(args: &[String]) -> Result<CommunicationGraph, String> {
-    if let Some(app) = flag(args, "--app") {
+fn load_cg(args: &CliArgs) -> Result<CommunicationGraph, String> {
+    if let Some(app) = args.value("--app") {
         return phonocmap::apps::benchmarks::benchmark(&app)
             .ok_or_else(|| format!("unknown benchmark `{app}`"));
     }
-    if let Some(path) = flag(args, "--file") {
+    if let Some(path) = args.value("--file") {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         return parse_cg(&text).map_err(|e| format!("cannot parse {path}: {e}"));
@@ -214,16 +241,17 @@ struct Setup {
     seed: u64,
 }
 
-fn build_problem(args: &[String]) -> Result<Setup, String> {
+fn build_problem(args: &CliArgs) -> Result<Setup, String> {
     let cg = load_cg(args)?;
-    let topology_kind = flag(args, "--topology").unwrap_or_else(|| "mesh".into());
-    let router_name = flag(args, "--router").unwrap_or_else(|| "crux".into());
-    let objective = match flag(args, "--objective").as_deref() {
+    let topology_kind = args.value("--topology").unwrap_or_else(|| "mesh".into());
+    let router_name = args.value("--router").unwrap_or_else(|| "crux".into());
+    let objective = match args.value("--objective").as_deref() {
         None => Objective::MaximizeWorstCaseSnr,
         Some(name) => Objective::by_name(name)
             .ok_or_else(|| format!("unknown objective `{name}` ({})", objective_names()))?,
     };
-    let seed: u64 = flag(args, "--seed")
+    let seed: u64 = args
+        .value("--seed")
         .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
         .transpose()?
         .unwrap_or(42);
@@ -258,7 +286,7 @@ fn build_problem(args: &[String]) -> Result<Setup, String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let Setup { problem, seed } = build_problem(args)?;
+    let Setup { problem, seed } = build_problem(&problem_args(args, &[])?)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mapping = Mapping::random(problem.task_count(), problem.tile_count(), &mut rng);
     print!("{}", analyze(&problem, &mapping));
@@ -271,30 +299,26 @@ fn portfolio_help() -> String {
     let (policies, peeks) = (policy_names(), peek_names());
     format!(
         "phonocmap portfolio — deterministic multi-lane search with elite exchange
-Runs N search lanes as bulk-synchronous rounds. After each round, lanes
-restart from an elite incumbent per the exchange policy; per-lane budget
-slices sum exactly to --budget, so a portfolio run is comparable to any
-single optimizer at the same budget. Results are bit-identical for every
+Runs N search lanes as bulk-synchronous rounds. After each round, every
+lane restarts from the round's best incumbent; per-lane budget slices
+sum exactly to --budget, so a portfolio run is comparable to any single
+optimizer at the same budget. Results are bit-identical for every
 worker-thread count (set PHONOC_WORKERS=N to pin).
 
 usage:
   phonocmap portfolio --app <name> | --file <cg> [--spec SPEC] [options]
 
-SPEC grammar (default: r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14):
-  lane[+lane...][,exchange=isolated|best|ring][,rounds=N][,collapse=K]
+SPEC grammar (default: {DEFAULT_SPEC}):
+  lane[+lane...][,rounds=N]
   lane = optimizer[@neighborhood][/peek]
     optimizer     rs|ga|r-pbla|sa|tabu|ils
     @neighborhood {policies}  (swap-scan streams)
     /peek         {peeks}  (cost only, never scores)
-  exchange: isolated = pure race, best = all lanes restart from the round's
-  best incumbent, ring = each lane inherits its left neighbour's elite.
-  collapse: once one lane holds the global best K rounds in a row, all
-  remaining budget flows to it (dominance collapse; off by default).
 
 examples:
   phonocmap portfolio --app VOPD
-  phonocmap portfolio --app MPEG4 --spec \"r-pbla@sampled+r-pbla@locality+sa,exchange=best,rounds=8\"
-  phonocmap portfolio --app VOPD --spec \"r-pbla+tabu+ils,exchange=ring,rounds=4\" --budget 30000
+  phonocmap portfolio --app MPEG4 --spec \"r-pbla@sampled+r-pbla@locality+sa,rounds=8\"
+  phonocmap portfolio --app VOPD --spec \"r-pbla+tabu+ils,rounds=4\" --budget 30000
   phonocmap optimize --app VOPD --algo \"portfolio:r-pbla@sampled+sa,rounds=4\"   # same engine
 
 options: --topology, --router, --objective, --budget, --seed as in optimize"
@@ -309,25 +333,12 @@ fn cmd_portfolio(args: &[String]) -> Result<(), String> {
         println!("{}", portfolio_help());
         return Ok(());
     }
-    if flag(args, "--neighborhood").is_some() {
-        return Err(
-            "--neighborhood does not apply to a portfolio run: each lane pins its own \
-             policy in the spec (e.g. `r-pbla@locality+sa`)"
-                .into(),
-        );
-    }
-    let spec_text = flag(args, "--spec")
-        .unwrap_or_else(|| "r-pbla@sampled+r-pbla@locality,exchange=best,rounds=14".into());
+    let args = problem_args(args, &["--spec", "--budget", "--trace-out"])?;
+    let spec_text = args.value("--spec").unwrap_or_else(|| DEFAULT_SPEC.into());
     let spec = PortfolioSpec::parse(&spec_text)?;
-    let Setup { problem, seed } = build_problem(args)?;
-    let budget: usize = flag(args, "--budget")
-        .map(|s| s.parse().map_err(|_| format!("bad budget `{s}`")))
-        .transpose()?
-        .unwrap_or(100_000);
-    if budget == 0 {
-        return Err("--budget must be at least 1".into());
-    }
-    run_portfolio_session(&problem, &spec, budget, seed, flag(args, "--trace-out"))
+    let Setup { problem, seed } = build_problem(&args)?;
+    let budget = budget(&args)?;
+    run_portfolio_session(&problem, &spec, budget, seed, args.value("--trace-out"))
 }
 
 /// Shared portfolio driver behind `phonocmap portfolio` and
@@ -363,13 +374,6 @@ fn run_portfolio_session(
         problem.objective(),
         result.best_score
     );
-    if let Some((lane, round)) = result.collapsed {
-        println!(
-            "dominance collapse: lane {lane} ({}) took the whole budget from round {} on",
-            result.lanes[lane].label,
-            round + 1
-        );
-    }
     println!("lanes (allotments sum to the global budget):");
     for lane in &result.lanes {
         println!(
@@ -413,9 +417,9 @@ fn cmd_parallel_bench(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
+    let args = CliArgs::parse(args, &[], &[], 1)?;
     let path = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
+        .positional(0)
         .ok_or("trace needs a JSONL trace file (record one with --trace-out)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let (header, events) = phonocmap::core::parse_trace(&text)?;
@@ -442,49 +446,31 @@ fn write_trace(
 }
 
 fn cmd_optimize(args: &[String]) -> Result<(), String> {
-    let Setup { problem, seed } = build_problem(args)?;
-    let algo_name = flag(args, "--algo").unwrap_or_else(|| "r-pbla".into());
-    let budget: usize = flag(args, "--budget")
-        .map(|s| s.parse().map_err(|_| format!("bad budget `{s}`")))
-        .transpose()?
-        .unwrap_or(100_000);
-    if budget == 0 {
-        return Err("--budget must be at least 1".into());
-    }
+    let args = problem_args(args, &["--algo", "--budget", "--trace-out"])?;
+    let Setup { problem, seed } = build_problem(&args)?;
+    let algo_name = args.value("--algo").unwrap_or_else(|| "r-pbla".into());
+    let budget = budget(&args)?;
     // `--algo` speaks the one search grammar:
     // `name[@policy][/peek][!objective]` for a single optimizer (e.g.
     // `r-pbla@sampled/hybrid!power`), or `portfolio:...` for the
     // multi-lane racer (same engine as the `portfolio` subcommand).
     let single = match phonocmap::opt::search_spec(&algo_name)? {
         phonocmap::opt::SearchSpec::Portfolio(spec) => {
-            if flag(args, "--neighborhood").is_some() {
-                return Err(
-                    "--neighborhood does not apply to a portfolio run: each lane pins its own \
-                     policy in the spec (e.g. `portfolio:r-pbla@locality+sa`)"
-                        .into(),
-                );
-            }
-            return run_portfolio_session(&problem, &spec, budget, seed, flag(args, "--trace-out"));
+            return run_portfolio_session(&problem, &spec, budget, seed, args.value("--trace-out"));
         }
         phonocmap::opt::SearchSpec::Single(single) => single,
     };
-    let explicit_policy = match flag(args, "--neighborhood") {
-        Some(name) => Some(
-            NeighborhoodPolicy::by_name(&name)
-                .ok_or_else(|| format!("unknown neighborhood `{name}` ({})", policy_names()))?,
-        ),
-        // `--algo r-pbla@sampled` works too; an explicit flag wins.
-        None => single.policy,
-    };
     // The policy only steers the swap-neighbourhood scanners; warn
     // instead of silently mislabeling a population-strategy run.
-    if explicit_policy.is_some() && matches!(single.optimizer.name(), "rs" | "ga" | "exhaustive") {
-        eprintln!(
-            "warning: `{}` does not scan a swap neighborhood; --neighborhood has no effect",
-            single.optimizer.name()
-        );
+    if let Some(policy) = single.policy {
+        if matches!(single.optimizer.name(), "rs" | "ga" | "exhaustive") {
+            eprintln!(
+                "warning: `{}` does not scan a swap neighborhood; `@{policy}` has no effect",
+                single.optimizer.name()
+            );
+        }
     }
-    let policy = explicit_policy.unwrap_or_default();
+    let policy = single.policy.unwrap_or_default();
 
     let mut config = DseConfig::new(budget, seed)
         .with_strategy(single.strategy.unwrap_or_default())
@@ -493,7 +479,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     // A `!objective` suffix re-targets the session; report under the
     // objective the scores actually mean.
     let objective = single.objective.unwrap_or_else(|| problem.objective());
-    let trace_out = flag(args, "--trace-out");
+    let trace_out = args.value("--trace-out");
     // The recorder is invisible to the search (bit-identical results,
     // property-pinned), so the traced and untraced paths print the
     // same report.

@@ -60,8 +60,8 @@ pub mod prelude {
         MappingProblem, NeighborhoodPolicy, NetworkReport, Objective, OptContext,
     };
     pub use phonoc_opt::{
-        run_portfolio, Certificate, ExactSearch, ExchangePolicy, Exhaustive, GeneticAlgorithm,
-        PortfolioResult, PortfolioSpec, RandomSearch, Rpbla, SimulatedAnnealing, TabuSearch,
+        run_portfolio, Certificate, ExactSearch, Exhaustive, GeneticAlgorithm, PortfolioResult,
+        PortfolioSpec, RandomSearch, Rpbla, SimulatedAnnealing, TabuSearch,
     };
     pub use phonoc_phys::{Db, Dbm, Length, PhysicalParameters, PowerBudget};
     pub use phonoc_route::{RingRouting, RoutingAlgorithm, XyRouting, YxRouting};

@@ -129,6 +129,53 @@ fn bad_flags_fail_with_messages() {
         ),
         (vec!["optimize"], "--app"),
         (vec!["frobnicate"], "unknown command"),
+        // A typo must not silently run the 100000-evaluation default.
+        (
+            vec![
+                "optimize", "--app", "VOPD", "--budget", "50", "--bogus", "3",
+            ],
+            "unknown flag `--bogus`",
+        ),
+        (
+            vec!["optimize", "--app", "PIP", "--budjet", "50"],
+            "unknown flag `--budjet`",
+        ),
+        // The neighbourhood policy has one spelling: the `@policy`
+        // suffix.
+        (
+            vec!["optimize", "--app", "PIP", "--neighborhood", "sampled"],
+            "unknown flag `--neighborhood`",
+        ),
+        (
+            vec!["portfolio", "--app", "PIP", "--neighborhood", "sampled"],
+            "unknown flag `--neighborhood`",
+        ),
+        (
+            vec!["optimize", "--app", "PIP", "--budget"],
+            "needs a value",
+        ),
+        (
+            vec!["analyze", "--app", "PIP", "stray"],
+            "unexpected argument",
+        ),
+        (vec!["list", "--all"], "unknown flag `--all`"),
+        (vec!["show-app", "PIP", "--svg"], "unknown flag `--svg`"),
+        (
+            vec!["trace", "a.jsonl", "--verbose"],
+            "unknown flag `--verbose`",
+        ),
+        (vec!["sweep", "--smoke", "--fast"], "unknown flag `--fast`"),
+        (vec!["replay", "--smoke", "--fast"], "unknown flag `--fast`"),
+        (vec!["parallel-bench", "--fast"], "unknown flag `--fast`"),
+        // Retired portfolio options name the accepted form.
+        (
+            vec!["portfolio", "--app", "PIP", "--spec", "rs+sa,exchange=ring"],
+            "exchange=best",
+        ),
+        (
+            vec!["portfolio", "--app", "PIP", "--spec", "rs+sa,collapse=3"],
+            "exchange=best",
+        ),
     ] {
         let out = phonocmap(&args);
         assert!(!out.status.success(), "{args:?} should fail");
@@ -181,18 +228,11 @@ fn every_name_the_help_advertises_parses() {
     let peeks = help_list(&help, "/peek");
     let objectives = help_list(&help, "!objective");
     let objective_flags = help_list(&help, "--objective");
-    let neighborhoods = help_list(&help, "--neighborhood");
-    let rounds = [
-        &policies,
-        &peeks,
-        &objectives,
-        &objective_flags,
-        &neighborhoods,
-    ]
-    .iter()
-    .map(|names| names.len())
-    .max()
-    .unwrap();
+    let rounds = [&policies, &peeks, &objectives, &objective_flags]
+        .iter()
+        .map(|names| names.len())
+        .max()
+        .unwrap();
     // Cycle every list until each name has appeared at least once.
     for i in 0..rounds {
         let pick = |names: &[String]| names[i % names.len()].clone();
@@ -202,7 +242,7 @@ fn every_name_the_help_advertises_parses() {
             pick(&peeks),
             pick(&objectives)
         );
-        let (objective, neighborhood) = (pick(&objective_flags), pick(&neighborhoods));
+        let objective = pick(&objective_flags);
         let out = phonocmap(&[
             "optimize",
             "--app",
@@ -213,12 +253,10 @@ fn every_name_the_help_advertises_parses() {
             &algo,
             "--objective",
             &objective,
-            "--neighborhood",
-            &neighborhood,
         ]);
         assert!(
             out.status.success(),
-            "{algo} --objective {objective} --neighborhood {neighborhood}: {}",
+            "{algo} --objective {objective}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
