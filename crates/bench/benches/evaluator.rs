@@ -8,7 +8,11 @@
 
 use bench::{paper_problem, TABLE2_APPS};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use phonoc_core::{DeltaScratch, DseConfig, EvalScratch, Mapping, MappingProblem, Objective};
+use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
+use phonoc_core::{
+    DeltaScratch, DseConfig, EvalScratch, Mapping, MappingProblem, Objective, OptContext,
+    PeekStrategy,
+};
 use phonoc_phys::PhysicalParameters;
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
@@ -266,12 +270,80 @@ fn snr_peek_bound_vs_exact(c: &mut Criterion) {
     group.finish();
 }
 
+/// Loss-only cursor state vs. the full crosstalk state on an 8×8
+/// scenario cell (one of the power/loss request stream's): the same
+/// mapping seated and the same swap committed by a context under the
+/// SNR objective (which builds and patches the full per-hop crosstalk
+/// caches) and under the laser-power objective (which keeps only each
+/// edge's path and insertion loss).
+///
+///  * `seat_*` — [`OptContext::set_current`]: `init_state` vs.
+///    `init_loss_state` behind the same bookkeeping;
+///  * `commit_*` — two [`OptContext::apply_scored_move`] calls that
+///    commit a swap and swap it back (peeks scored once up front, so
+///    only the commit is timed: `apply_move` vs. `apply_loss_move`
+///    behind the same bookkeeping).
+fn loss_seat_vs_full_state(c: &mut Criterion) {
+    let spec = ScenarioSpec {
+        family: ScenarioFamily::MpegLike,
+        mesh: 8,
+        density_pct: 100,
+        seed: 200,
+    };
+    let problem = MappingProblem::new(
+        spec.build(),
+        Topology::mesh(8, 8, bench::tile_pitch()),
+        crux_router(),
+        Box::new(XyRouting),
+        PhysicalParameters::default(),
+        Objective::MaximizeWorstCaseSnr,
+    )
+    .expect("8x8 scenario cell is valid");
+    let mut rng = StdRng::seed_from_u64(5);
+    let mapping = Mapping::random(problem.task_count(), problem.tile_count(), &mut rng);
+    let mv = mapping.random_swap_move(&mut rng);
+    let power = Objective::by_name("power").expect("power objective");
+    // Effectively unlimited: the bench must never exhaust a context.
+    let budget = 1usize << 40;
+    let context = |objective: Objective| {
+        let mut ctx = OptContext::new(&problem, budget, 1);
+        ctx.set_objective(objective)
+            .expect("a fresh context has not evaluated yet");
+        ctx.set_peek_strategy(PeekStrategy::Delta);
+        ctx
+    };
+
+    let mut group = c.benchmark_group("loss_seat_vs_full_state");
+    for (name, objective) in [("full", Objective::MaximizeWorstCaseSnr), ("loss", power)] {
+        group.bench_function(&format!("seat_{name}_state"), |b| {
+            let mut ctx = context(objective);
+            b.iter(|| black_box(ctx.set_current(mapping.clone())));
+        });
+        group.bench_function(&format!("commit_{name}_state"), |b| {
+            let mut ctx = context(objective);
+            ctx.set_current(mapping.clone());
+            // A swap is its own inverse: score it from both sides once,
+            // then commit the pair alternately.
+            let there = ctx.peek_move(mv).expect("budget left");
+            ctx.apply_scored_move(&there);
+            let back = ctx.peek_move(mv).expect("budget left");
+            ctx.apply_scored_move(&back);
+            b.iter(|| {
+                ctx.apply_scored_move(&there);
+                ctx.apply_scored_move(&back);
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     evaluator_throughput,
     evaluator_construction,
     full_vs_delta,
     full_alloc_vs_scratch,
-    snr_peek_bound_vs_exact
+    snr_peek_bound_vs_exact,
+    loss_seat_vs_full_state
 );
 criterion_main!(benches);

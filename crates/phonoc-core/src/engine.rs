@@ -37,7 +37,15 @@
 //!   cheaper than an SNR delta; improving-only scans additionally ride
 //!   the bound-then-verify loss peek (`evaluate_delta_loss_bounded`)
 //!   against the threshold [`Objective::il_threshold_for_score`]
-//!   derives from the cursor score;
+//!   derives from the cursor score. Insertion loss (paper Eq. 3)
+//!   depends only on each communication's own path, so loss-family
+//!   cursors carry **no crosstalk state**: [`OptContext::set_current`]
+//!   seats them with only per-edge paths and losses (`O(edges)`, no
+//!   occupancy lists, accumulations or noise), and
+//!   [`OptContext::apply_scored_move`] patches just the moved edges —
+//!   the same scores bit for bit (pinned by
+//!   `crates/phonoc-opt/tests/loss_family_golden.rs`), at a fraction of
+//!   the seat and commit cost;
 //! * SNR-based family (worst-case SNR, SNR margin), exact
 //!   ([`OptContext::peek_move`] / [`OptContext::peek_moves`]) —
 //!   [`MoveEval::Snr`] with the full bit-exact delta, or
@@ -175,8 +183,7 @@
 //! core so that new strategies can be added "without any changes in the
 //! tool core", paper Section I — implementations live in `phonoc-opt`).
 //! Swap-based strategies walk a *cursor* — [`OptContext::set_current`]
-//! to full-evaluate a starting point (on the context's reused
-//! [`EvalScratch`]), the peek family to score candidate moves
+//! to evaluate a starting point, the peek family to score candidate moves
 //! incrementally, and [`OptContext::apply_scored_move`] to commit one —
 //! while population strategies batch-score whole generations with
 //! [`OptContext::evaluate_batch`].
@@ -436,12 +443,30 @@ struct Cursor {
 
 impl Cursor {
     fn new(mapping: Mapping, state: EvalState, score: f64) -> Cursor {
-        let full_route = state.prefers_full_peeks();
+        let full_route = Cursor::route(&state);
         Cursor {
             mapping,
             state,
             score,
             full_route,
+        }
+    }
+
+    /// The hybrid SNR-peek route for `state`. Loss-only states carry no
+    /// occupancy data and their peeks never consult a route, so the
+    /// decision is skipped.
+    fn route(state: &EvalState) -> bool {
+        !state.is_loss_only() && state.prefers_full_peeks()
+    }
+
+    /// The cursor's objective score from its state: the loss family
+    /// scores the worst-case loss of a loss-only state, the SNR family
+    /// the worst-case SNR.
+    fn state_score(objective: Objective, state: &EvalState) -> f64 {
+        if objective.is_loss_based() {
+            objective.score_worst_il(state.worst_case_il())
+        } else {
+            objective.score_worst_snr(state.worst_case_snr())
         }
     }
 
@@ -1113,10 +1138,13 @@ impl<'p> OptContext<'p> {
         }
     }
 
-    /// Full-evaluates `mapping`, makes it the cursor for subsequent
+    /// Evaluates `mapping`, makes it the cursor for subsequent
     /// [`OptContext::peek_move`] / [`OptContext::apply_scored_move`]
     /// calls, and returns its score. Consumes one full evaluation;
-    /// `None` once the budget is exhausted.
+    /// `None` once the budget is exhausted. Loss-based objectives seat
+    /// a loss-only state (paths and insertion losses; see the [module
+    /// docs](self#typed-objective-aware-peeks)), SNR-based ones the full
+    /// crosstalk state.
     pub fn set_current(&mut self, mapping: Mapping) -> Option<f64> {
         if self.exhausted() {
             return None;
@@ -1124,10 +1152,16 @@ impl<'p> OptContext<'p> {
         self.charge(self.unit);
         self.full_evaluations += 1;
         self.stats.full_direct += 1;
-        let state = self.problem.evaluator().init_state(&mapping);
-        let score = self
-            .objective
-            .score_worst_cases(state.worst_case_il(), state.worst_case_snr());
+        // Loss-family peeks read only paths and insertion losses, so
+        // their cursors skip the crosstalk caches (still billed as the
+        // full evaluation the seat replaces).
+        let evaluator = self.problem.evaluator();
+        let state = if self.objective.is_loss_based() {
+            evaluator.init_loss_state(&mapping)
+        } else {
+            evaluator.init_state(&mapping)
+        };
+        let score = Cursor::state_score(self.objective, &state);
         self.record(&mapping, score);
         self.cursor = Some(Cursor::new(mapping, state, score));
         Some(score)
@@ -1369,15 +1403,14 @@ impl<'p> OptContext<'p> {
             .cursor
             .as_mut()
             .expect("apply_scored_move without set_current");
-        self.problem.evaluator().apply_move(
-            &mut cursor.state,
-            &mut cursor.mapping,
-            ev.mv(),
-            &mut self.delta_scratch,
-        );
-        let score = self
-            .objective
-            .score_worst_cases(cursor.state.worst_case_il(), cursor.state.worst_case_snr());
+        let evaluator = self.problem.evaluator();
+        let (state, mapping) = (&mut cursor.state, &mut cursor.mapping);
+        if self.objective.is_loss_based() {
+            evaluator.apply_loss_move(state, mapping, ev.mv(), &mut self.delta_scratch);
+        } else {
+            evaluator.apply_move(state, mapping, ev.mv(), &mut self.delta_scratch);
+        }
+        let score = Cursor::state_score(self.objective, &cursor.state);
         debug_assert_eq!(
             score,
             ev.score(),
@@ -1387,7 +1420,7 @@ impl<'p> OptContext<'p> {
         // Re-decide the route on the committed state: descents change
         // path lengths and occupancy, and the route should track the
         // placement the peeks actually score (one `O(tiles)` pass).
-        cursor.full_route = cursor.state.prefers_full_peeks();
+        cursor.full_route = Cursor::route(&cursor.state);
         let mapping = cursor.mapping.clone();
         self.record(&mapping, score);
     }

@@ -14,6 +14,14 @@ pub enum CoreError {
         /// `size(T)`.
         tiles: usize,
     },
+    /// The CG has more tasks than the evaluator can index: occupancy
+    /// entries pack task ids into `u16`s.
+    TaskLimit {
+        /// `size(C)`.
+        tasks: usize,
+        /// The largest supported task count.
+        limit: usize,
+    },
     /// The routing algorithm failed on some tile pair.
     Routing(RoutingError),
     /// The routing algorithm asked the router for a connection its
@@ -49,6 +57,10 @@ impl fmt::Display for CoreError {
             CoreError::TooManyTasks { tasks, tiles } => write!(
                 f,
                 "cannot map {tasks} tasks onto {tiles} tiles (condition size(C) <= size(T))"
+            ),
+            CoreError::TaskLimit { tasks, limit } => write!(
+                f,
+                "cannot evaluate {tasks} tasks: at most {limit} are supported"
             ),
             CoreError::Routing(e) => write!(f, "routing failed: {e}"),
             CoreError::UnsupportedConnection { router, pair } => write!(

@@ -373,12 +373,16 @@ impl Evaluator {
             });
         }
         // Occupancy entries pack endpoint task ids into u16s; a CG past
-        // this bound would need a tile count whose precomputed path
-        // table (tiles²) is far beyond any realistic memory budget.
-        assert!(
-            cg.task_count() <= usize::from(u16::MAX),
-            "task indices must fit the packed occupancy entries"
-        );
+        // this bound would also need a tile count whose precomputed path
+        // table (tiles², allocated below) is far beyond any realistic
+        // memory budget.
+        let limit = usize::from(u16::MAX);
+        if cg.task_count() > limit {
+            return Err(CoreError::TaskLimit {
+                tasks: cg.task_count(),
+                limit,
+            });
+        }
 
         // Per-pair router losses as linear gains and dB.
         let mut pair_gain = [0.0f64; 25];
@@ -1166,6 +1170,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::TooManyTasks { .. }));
+    }
+
+    #[test]
+    fn task_counts_past_the_packed_index_are_rejected() {
+        // 65 536 tasks on a 256×256 mesh: one past the u16 task index.
+        // The error must come before the tiles² path table is built.
+        let names: Vec<String> = (0..=usize::from(u16::MAX))
+            .map(|t| format!("t{t}"))
+            .collect();
+        let cg = CgBuilder::new("huge").tasks(names).build().unwrap();
+        let topo = Topology::mesh(256, 256, pitch());
+        let err = Evaluator::new(
+            &cg,
+            &topo,
+            &crux_router(),
+            &XyRouting,
+            &PhysicalParameters::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::TaskLimit {
+                tasks: 65_536,
+                limit: 65_535
+            }
+        );
+        assert!(err.to_string().contains("65536"));
     }
 
     #[test]

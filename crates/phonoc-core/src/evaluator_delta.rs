@@ -87,6 +87,15 @@ pub(super) struct Occ {
 /// them with [`Evaluator::apply_move`]. The state is tied to the
 /// evaluator and mapping it was built from; the commit path keeps all
 /// three in sync.
+///
+/// Inside the crate a state can also be **loss-only**: the engine seats
+/// and commits cursors of the loss-based objective family with
+/// `init_loss_state` / `apply_loss_move`, which fill just
+/// `path_of_edge`, `il` and `worst_il` — insertion loss (paper Eq. 3)
+/// depends only on each edge's own path, so the loss peeks read
+/// nothing else. The crosstalk caches (`hop_offset`, `acc`, `suffix`,
+/// `noise`, `snr`, `tile_hops`) stay empty, and every SNR-side entry
+/// point asserts they are present rather than read them.
 #[derive(Debug, Clone)]
 pub struct EvalState {
     /// Per edge: index of its current path (`src_tile * tiles + dst`).
@@ -123,13 +132,30 @@ impl EvalState {
     /// Worst-case SNR (paper Eq. 4) of the cached mapping.
     #[must_use]
     pub fn worst_case_snr(&self) -> Db {
+        self.assert_crosstalk("worst_case_snr");
         Db(self.worst_snr)
     }
 
     /// Number of edges whose metrics are cached.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.noise.len()
+        self.il.len()
+    }
+
+    /// Whether this state was seated by `init_loss_state`: it carries
+    /// each edge's path and insertion loss but no crosstalk caches.
+    pub(crate) fn is_loss_only(&self) -> bool {
+        // A crosstalk-bearing state always holds `edges + 1` offsets.
+        self.hop_offset.is_empty()
+    }
+
+    /// The guard of every SNR-side entry point: a loss-only state has
+    /// no crosstalk caches, so no SNR figure may be derived from it.
+    fn assert_crosstalk(&self, entry: &str) {
+        assert!(
+            !self.is_loss_only(),
+            "{entry} needs crosstalk caches, but the state is loss-only"
+        );
     }
 
     /// Total router occupancies of the cached mapping (the sum of all
@@ -142,6 +168,7 @@ impl EvalState {
     /// Materializes full [`NetworkMetrics`] from the cached state.
     #[must_use]
     pub fn to_metrics(&self) -> NetworkMetrics {
+        self.assert_crosstalk("to_metrics");
         NetworkMetrics {
             edges: (0..self.noise.len())
                 .map(|e| super::EdgeMetrics {
@@ -447,21 +474,8 @@ impl Evaluator {
     /// [`Evaluator::evaluate`] does).
     #[must_use]
     pub fn init_state(&self, mapping: &Mapping) -> EvalState {
-        assert_eq!(
-            mapping.tile_count(),
-            self.tile_count,
-            "mapping built for a different topology"
-        );
         let edges = self.edge_endpoints.len();
-        let path_of_edge: Vec<usize> = self
-            .edge_endpoints
-            .iter()
-            .map(|&(s, d)| {
-                let st = mapping.tile_of_task(s).0;
-                let dt = mapping.tile_of_task(d).0;
-                st * self.tile_count + dt
-            })
-            .collect();
+        let path_of_edge = self.path_of_edge(mapping);
         let edge_paths: Vec<&PathInfo> = path_of_edge.iter().map(|&p| self.path(p)).collect();
         let mut hop_offset = Vec::with_capacity(edges + 1);
         let mut total_hops = 0usize;
@@ -533,6 +547,46 @@ impl Evaluator {
             worst_il,
             worst_snr,
         }
+    }
+
+    /// The loss-only cursor seat: per-edge paths and insertion losses
+    /// plus the worst case, in `O(edges)` — no occupancy lists,
+    /// accumulations or noise (see [`EvalState`]). `worst_il` is
+    /// bit-identical to [`Evaluator::init_state`]'s (the same min-scan
+    /// in edge order).
+    pub(crate) fn init_loss_state(&self, mapping: &Mapping) -> EvalState {
+        let path_of_edge = self.path_of_edge(mapping);
+        let il: Vec<f64> = path_of_edge
+            .iter()
+            .map(|&p| self.path(p).total_db)
+            .collect();
+        let worst_il = il.iter().fold(0.0f64, |worst, &l| worst.min(l));
+        EvalState {
+            path_of_edge,
+            hop_offset: Vec::new(),
+            acc: Vec::new(),
+            suffix: Vec::new(),
+            noise: Vec::new(),
+            il,
+            snr: Vec::new(),
+            tile_hops: Vec::new(),
+            worst_il,
+            worst_snr: f64::NAN,
+        }
+    }
+
+    /// Per edge: the index of its path under `mapping` (`src_tile ×
+    /// tiles + dst_tile`) — the first step of both state seats.
+    fn path_of_edge(&self, mapping: &Mapping) -> Vec<usize> {
+        assert_eq!(
+            mapping.tile_count(),
+            self.tile_count,
+            "mapping built for a different topology"
+        );
+        self.edge_endpoints
+            .iter()
+            .map(|&(s, d)| mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0)
+            .collect()
     }
 
     pub(super) fn path(&self, idx: usize) -> &PathInfo {
@@ -649,6 +703,7 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
+        state.assert_crosstalk("evaluate_delta_with");
         let (new_worst_il, new_worst_snr) = self.compute_delta(state, mapping, mv, scratch, false);
         ScoreDelta {
             old_worst_il: Db(state.worst_il),
@@ -853,6 +908,7 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedDelta {
+        state.assert_crosstalk("evaluate_delta_bounded");
         if !self.delta_collect_moved(state, mapping, mv, scratch) {
             // Neutral move: the exact delta is free.
             return BoundedDelta::Exact(ScoreDelta {
@@ -1025,6 +1081,7 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
+        state.assert_crosstalk("apply_move");
         let (new_worst_il, new_worst_snr) = self.compute_delta(state, mapping, mv, scratch, true);
         let delta = ScoreDelta {
             old_worst_il: Db(state.worst_il),
@@ -1103,6 +1160,45 @@ impl Evaluator {
             "incremental state diverged from full evaluation after {mv:?}"
         );
         delta
+    }
+
+    /// The loss-only commit: patches the moved edges' paths and
+    /// insertion losses and the worst case (the same marking pass and
+    /// min-scan the loss peeks score with), then applies `mv` to
+    /// `mapping`. Debug builds check the result against a fresh
+    /// [`Evaluator::init_loss_state`] and a full evaluation.
+    pub(crate) fn apply_loss_move(
+        &self,
+        state: &mut EvalState,
+        mapping: &mut Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+    ) {
+        if self.loss_mark_moved(state, mapping, mv, scratch) {
+            state.worst_il = self.loss_worst_il(state, scratch);
+            for &e in &scratch.moved {
+                let p = scratch.new_path[e];
+                state.path_of_edge[e] = p;
+                state.il[e] = self.path(p).total_db;
+            }
+        }
+        mapping.apply_move(mv);
+        debug_assert!(
+            self.loss_state_matches_full_eval(state, mapping),
+            "loss-only state diverged from full evaluation after {mv:?}"
+        );
+    }
+
+    /// Debug-only invariant of [`Evaluator::apply_loss_move`]: `state`
+    /// equals a fresh loss-only seat of `mapping`, and its worst case is
+    /// bit-identical to a full evaluation's.
+    fn loss_state_matches_full_eval(&self, state: &EvalState, mapping: &Mapping) -> bool {
+        let fresh = self.init_loss_state(mapping);
+        state.is_loss_only()
+            && state.path_of_edge == fresh.path_of_edge
+            && state.il == fresh.il
+            && state.worst_il.to_bits() == fresh.worst_il.to_bits()
+            && state.worst_il.to_bits() == self.evaluate(mapping).worst_case_il.0.to_bits()
     }
 
     /// Debug-only invariant: `state` is bit-identical to a fresh full
@@ -1465,5 +1561,87 @@ impl Evaluator {
                 .filter(|occ| !scratch.occ_removed(occ.edge as usize, occ.hop as usize)),
         );
         scratch.patched_lists[slot] = list;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phonoc_phys::{Length, PhysicalParameters};
+    use phonoc_route::XyRouting;
+    use phonoc_router::crux::crux_router;
+    use phonoc_topo::Topology;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// VOPD on a 5×5 mesh: nine free tiles, so the random swaps include
+    /// task-to-free-tile moves and neutral free-to-free ones.
+    fn vopd() -> Evaluator {
+        Evaluator::new(
+            &phonoc_apps::benchmarks::vopd(),
+            &Topology::mesh(5, 5, Length::from_mm(2.5)),
+            &crux_router(),
+            &XyRouting,
+            &PhysicalParameters::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn loss_only_commits_track_the_full_state_on_every_loss_field() {
+        let ev = vopd();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut full_map = Mapping::random(16, 25, &mut rng);
+        let mut loss_map = full_map.clone();
+        let mut full = ev.init_state(&full_map);
+        let mut loss = ev.init_loss_state(&loss_map);
+        let mut scratch = DeltaScratch::default();
+        for _ in 0..80 {
+            assert!(loss.is_loss_only() && !full.is_loss_only());
+            assert_eq!(loss.edge_count(), full.edge_count());
+            assert_eq!(loss.path_of_edge, full.path_of_edge);
+            assert_eq!(loss.il, full.il);
+            assert_eq!(
+                loss.worst_case_il().0.to_bits(),
+                full.worst_case_il().0.to_bits()
+            );
+            let mv = full_map.random_swap_move(&mut rng);
+            ev.apply_move(&mut full, &mut full_map, mv, &mut scratch);
+            ev.apply_loss_move(&mut loss, &mut loss_map, mv, &mut scratch);
+            assert_eq!(loss_map, full_map);
+        }
+    }
+
+    /// Runs `call` and checks it panics with the loss-only guard.
+    fn assert_rejected(entry: &str, call: impl FnOnce()) {
+        let err = catch_unwind(AssertUnwindSafe(call)).expect_err(entry);
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("loss-only"), "{entry}: {msg}");
+    }
+
+    #[test]
+    fn snr_entry_points_reject_loss_only_states() {
+        let ev = vopd();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut mapping = Mapping::random(16, 25, &mut rng);
+        let mut state = ev.init_loss_state(&mapping);
+        let mv = mapping.random_swap_move(&mut rng);
+        let mut scratch = DeltaScratch::default();
+        assert_rejected("evaluate_delta_with", || {
+            let _ = ev.evaluate_delta_with(&state, &mapping, mv, &mut scratch);
+        });
+        assert_rejected("evaluate_delta_bounded", || {
+            let _ = ev.evaluate_delta_bounded(&state, &mapping, mv, &mut scratch, Db(0.0));
+        });
+        assert_rejected("to_metrics", || {
+            let _ = state.to_metrics();
+        });
+        assert_rejected("worst_case_snr", || {
+            let _ = state.worst_case_snr();
+        });
+        assert_rejected("apply_move", || {
+            ev.apply_move(&mut state, &mut mapping, mv, &mut scratch);
+        });
     }
 }

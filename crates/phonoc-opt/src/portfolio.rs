@@ -278,7 +278,9 @@ pub struct BudgetLedger {
 impl BudgetLedger {
     /// Prepares a ledger for `total` full-evaluation-equivalents over
     /// `rounds × lanes` cells. Lane allotments are assigned round by
-    /// round via [`BudgetLedger::allocate_round`].
+    /// round via [`BudgetLedger::allocate_round`]. Every cell is
+    /// allocated up front, so callers pass the rounds they can fund
+    /// ([`run_portfolio`] caps them at the budget).
     ///
     /// # Panics
     ///
@@ -538,7 +540,10 @@ pub fn run_portfolio_seeded_traced(
     let n = spec.lanes.len();
     assert!(n > 0, "portfolio needs at least one lane");
     assert!(budget > 0, "portfolio needs a budget");
-    let rounds = spec.rounds.max(1);
+    // Only rounds with at least one evaluation to spend can change the
+    // race; the ledger and the loop are sized by those, so a huge
+    // `rounds=N` neither allocates nor iterates past the budget.
+    let rounds = spec.rounds.clamp(1, budget);
     let mut ledger = BudgetLedger::new(budget, n, rounds);
 
     // Per-lane running state, folded in fixed lane order every round.
@@ -940,6 +945,28 @@ mod tests {
         assert_eq!(r.budget, 5);
         assert!(r.evaluations <= 5);
         assert!(r.best_mapping.is_valid());
+    }
+
+    /// Rounds past the budget are unfundable: a `rounds=usize::MAX`
+    /// spec must neither panic nor abort on the ledger allocation, and
+    /// must race exactly like the budget-sized round count, while its
+    /// canonical spec (the warm-cache key half) keeps the bytes the
+    /// user wrote.
+    #[test]
+    fn round_counts_past_the_budget_race_like_the_budget() {
+        let p = tiny_problem();
+        let huge = PortfolioSpec::parse(&format!("r-pbla+rs,rounds={}", usize::MAX)).unwrap();
+        let funded = PortfolioSpec::parse("r-pbla+rs,rounds=20").unwrap();
+        let a = run_portfolio(&p, &huge, 20, 7);
+        let b = run_portfolio(&p, &funded, 20, 7);
+        assert_eq!(a.best_score.to_bits(), b.best_score.to_bits());
+        assert_eq!(a.best_mapping, b.best_mapping);
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.rounds, 20);
+        assert_eq!(
+            a.spec,
+            format!("portfolio:r-pbla+rs,exchange=best,rounds={}", usize::MAX)
+        );
     }
 
     #[test]

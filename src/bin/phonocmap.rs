@@ -243,6 +243,9 @@ struct Setup {
 
 fn build_problem(args: &CliArgs) -> Result<Setup, String> {
     let cg = load_cg(args)?;
+    if cg.task_count() == 0 {
+        return Err(format!("application `{}` has no tasks to map", cg.name()));
+    }
     let topology_kind = args.value("--topology").unwrap_or_else(|| "mesh".into());
     let router_name = args.value("--router").unwrap_or_else(|| "crux".into());
     let objective = match args.value("--objective").as_deref() {

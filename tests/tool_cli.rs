@@ -116,6 +116,45 @@ fn optimize_accepts_cg_files() {
 }
 
 #[test]
+fn task_free_cg_files_fail_with_messages() {
+    let dir = std::env::temp_dir().join("phonocmap_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [("empty.cg", ""), ("app-only.cg", "app x\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        for command in ["optimize", "analyze", "portfolio"] {
+            let out = phonocmap(&[command, "--file", path.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(1), "{command} {name}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.starts_with("error:") && err.contains("no tasks"),
+                "{command} {name}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cg_files_past_the_task_limit_fail_with_messages() {
+    let dir = std::env::temp_dir().join("phonocmap_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.cg");
+    let mut text = String::from("app huge\n");
+    for t in 0..70_000 {
+        text.push_str(&format!("task t{t}\n"));
+    }
+    text.push_str("edge t0 t1 1\n");
+    std::fs::write(&path, text).unwrap();
+    let out = phonocmap(&["optimize", "--file", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error:") && err.contains("70000 tasks"),
+        "{err}"
+    );
+}
+
+#[test]
 fn bad_flags_fail_with_messages() {
     for (args, needle) in [
         (vec!["optimize", "--app", "nope"], "unknown benchmark"),
