@@ -168,6 +168,50 @@ fn full_vs_delta(c: &mut Criterion) {
     full_vs_delta_on(c, "full_vs_delta_dvopd_6x6", &dvopd);
     let synth = synthetic_8x8();
     full_vs_delta_on(c, "full_vs_delta_synthetic_8x8", &synth);
+    let cell = bench::sweep::scenario_problem(&mpeg_like(16));
+    full_vs_delta_on(c, "full_vs_delta_mpeg_like_16x16", &cell);
+}
+
+/// The `mpeg-like` scenario cell on an `mesh × mesh` grid at density
+/// 200 (seed 1): hub traffic with long XY paths.
+fn mpeg_like(mesh: usize) -> ScenarioSpec {
+    ScenarioSpec {
+        family: ScenarioFamily::MpegLike,
+        mesh,
+        density_pct: 200,
+        seed: 1,
+    }
+}
+
+/// The SNR commit: [`phonoc_core::Evaluator::apply_move`] along a walk
+/// of random swaps from a random placement, on 8×8 and 16×16 `mpeg-like`
+/// cells — the state patch every accepted move of an SNR search pays.
+/// Swaps are their own inverses, so the walk commits 64 swaps and then
+/// undoes them in reverse: it cycles through the same 128 commits
+/// however many iterations a sample runs.
+fn snr_commit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("snr_commit_walk");
+    for mesh in [8, 16] {
+        let problem = bench::sweep::scenario_problem(&mpeg_like(mesh));
+        let evaluator = problem.evaluator();
+        let mut rng = StdRng::seed_from_u64(9);
+        let start = Mapping::random(problem.task_count(), problem.tile_count(), &mut rng);
+        let moves: Vec<phonoc_core::Move> =
+            (0..64).map(|_| start.random_swap_move(&mut rng)).collect();
+        group.bench_function(&format!("apply_move_mpeg_like_{mesh}x{mesh}"), |b| {
+            let mut mapping = start.clone();
+            let mut state = evaluator.init_state(&mapping);
+            let mut scratch = DeltaScratch::default();
+            let mut i = 0usize;
+            b.iter(|| {
+                let k = i % (2 * moves.len());
+                let mv = moves[k.min(2 * moves.len() - 1 - k)];
+                i += 1;
+                black_box(evaluator.apply_move(&mut state, &mut mapping, mv, &mut scratch))
+            });
+        });
+    }
+    group.finish();
 }
 
 /// Allocating full evaluation vs. the scratch-reusing path, on the
@@ -344,6 +388,7 @@ criterion_group!(
     full_vs_delta,
     full_alloc_vs_scratch,
     snr_peek_bound_vs_exact,
+    snr_commit,
     loss_seat_vs_full_state
 );
 criterion_main!(benches);

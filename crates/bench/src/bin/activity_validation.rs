@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin activity_validation [--samples N] [--seed S]
 //! ```
 
-use bench::{arg_value, paper_problem, write_results_file, TABLE2_APPS};
+use bench::{bin_args, paper_problem, write_results_file, TABLE2_APPS};
 use phonoc_core::montecarlo::activity_study;
 use phonoc_core::{run_dse, DseConfig, Objective};
 use phonoc_opt::Rpbla;
@@ -14,8 +14,9 @@ use phonoc_topo::TopologyKind;
 use std::fmt::Write as _;
 
 fn main() {
-    let samples: usize = arg_value("--samples").unwrap_or(2_000);
-    let seed: u64 = arg_value("--seed").unwrap_or(19);
+    let (samples, seed): (usize, u64) = bin_args(&["--samples", "--seed"], |a| {
+        Ok((a.parsed("--samples", 2_000)?, a.parsed("--seed", 19)?))
+    });
 
     println!("Monte-Carlo validation: {samples} sampled activity patterns per cell\n");
     println!(

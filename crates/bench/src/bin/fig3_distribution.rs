@@ -11,16 +11,21 @@
 //! Prints ASCII histograms and writes one CSV per application and axis
 //! under `results/`.
 
-use bench::{arg_value, paper_problem, write_results_file, Histogram, TABLE2_APPS};
+use bench::{bin_args, paper_problem, write_results_file, Histogram, TABLE2_APPS};
 use phonoc_core::{Mapping, Objective};
 use phonoc_topo::TopologyKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let samples: usize = arg_value("--samples").unwrap_or(100_000);
-    let seed: u64 = arg_value("--seed").unwrap_or(3);
-    let bins: usize = arg_value("--bins").unwrap_or(40);
+    let (samples, seed, bins): (usize, u64, usize) =
+        bin_args(&["--samples", "--seed", "--bins"], |a| {
+            Ok((
+                a.parsed("--samples", 100_000)?,
+                a.parsed("--seed", 3)?,
+                a.parsed("--bins", 40)?,
+            ))
+        });
 
     println!("Figure 3 reproduction: {samples} random mappings per application\n");
 

@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin optimizer_ablation [--budget N] [--seed S]
 //! ```
 
-use bench::{arg_value, paper_problem, write_results_file};
+use bench::{bin_args, paper_problem, write_results_file};
 use phonoc_core::{run_dse, DseConfig, MappingOptimizer, Objective};
 use phonoc_opt::{
     GeneticAlgorithm, IteratedLocalSearch, RandomSearch, Rpbla, SimulatedAnnealing, TabuSearch,
@@ -17,8 +17,9 @@ use std::fmt::Write as _;
 const APPS: [&str; 3] = ["VOPD", "MPEG-4", "Wavelet"];
 
 fn main() {
-    let budget: usize = arg_value("--budget").unwrap_or(30_000);
-    let seed: u64 = arg_value("--seed").unwrap_or(11);
+    let (budget, seed): (usize, u64) = bin_args(&["--budget", "--seed"], |a| {
+        Ok((a.parsed("--budget", 30_000)?, a.parsed("--seed", 11)?))
+    });
 
     let optimizers: Vec<Box<dyn MappingOptimizer>> = vec![
         Box::new(RandomSearch),

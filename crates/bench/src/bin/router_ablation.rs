@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --bin router_ablation [--budget N] [--seed S]
 //! ```
 
-use bench::{arg_value, problem_with_router, router_by_name, write_results_file};
+use bench::{bin_args, problem_with_router, router_by_name, write_results_file};
 use phonoc_core::{run_dse, DseConfig, Objective};
 use phonoc_opt::Rpbla;
 use phonoc_topo::TopologyKind;
@@ -20,8 +20,9 @@ const ROUTERS: [&str; 3] = ["crux", "crossbar", "xy-crossbar"];
 const APPS: [&str; 4] = ["PIP", "MPEG-4", "VOPD", "Wavelet"];
 
 fn main() {
-    let budget: usize = arg_value("--budget").unwrap_or(30_000);
-    let seed: u64 = arg_value("--seed").unwrap_or(7);
+    let (budget, seed): (usize, u64) = bin_args(&["--budget", "--seed"], |a| {
+        Ok((a.parsed("--budget", 30_000)?, a.parsed("--seed", 7)?))
+    });
 
     println!("Router ablation: R-PBLA, {budget} evaluations per cell, mesh topology\n");
     println!(

@@ -15,7 +15,7 @@
 //! ```
 
 use bench::sweep::scenario_problem_with_objective;
-use bench::{arg_value, write_results_file};
+use bench::{bin_args, write_results_file};
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{run_dse, DseConfig, Objective};
 use phonoc_opt::Rpbla;
@@ -23,14 +23,18 @@ use phonoc_phys::{PhysicalParameters, PowerBudget};
 use std::fmt::Write as _;
 
 fn main() {
-    let budget: usize = arg_value("--budget").unwrap_or(5_000);
-    let seed: u64 = arg_value("--seed").unwrap_or(5);
-    let density_pct: u32 = arg_value("--density").unwrap_or(100);
-    let family_name: String = arg_value("--family").unwrap_or_else(|| "pipeline".into());
-    let Some(family) = ScenarioFamily::by_name(&family_name) else {
-        eprintln!("error: unknown scenario family `{family_name}`");
-        std::process::exit(1);
-    };
+    let (budget, seed, density_pct, family): (usize, u64, u32, ScenarioFamily) =
+        bin_args(&["--budget", "--seed", "--density", "--family"], |a| {
+            let name = a.value("--family").unwrap_or_else(|| "pipeline".into());
+            let family = ScenarioFamily::by_name(&name)
+                .ok_or_else(|| format!("unknown scenario family `{name}`"))?;
+            Ok((
+                a.parsed("--budget", 5_000)?,
+                a.parsed("--seed", 5)?,
+                a.parsed("--density", 100)?,
+                family,
+            ))
+        });
     let params = PhysicalParameters::default();
     let power = PowerBudget::new(params);
 

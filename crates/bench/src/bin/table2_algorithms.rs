@@ -13,7 +13,7 @@
 //! paper's and writes `results/table2.csv`.
 
 use bench::{
-    arg_value, paper_problem, write_results_file, PAPER_TABLE2_LOSS, PAPER_TABLE2_SNR, TABLE2_APPS,
+    bin_args, paper_problem, write_results_file, PAPER_TABLE2_LOSS, PAPER_TABLE2_SNR, TABLE2_APPS,
 };
 use phonoc_core::{run_dse, DseConfig, MappingOptimizer, Objective};
 use phonoc_opt::{GeneticAlgorithm, RandomSearch, Rpbla};
@@ -37,8 +37,9 @@ fn optimizers() -> Vec<(&'static str, Box<dyn MappingOptimizer + Sync>)> {
 }
 
 fn main() {
-    let budget: usize = arg_value("--budget").unwrap_or(100_000);
-    let seed: u64 = arg_value("--seed").unwrap_or(2016);
+    let (budget, seed): (usize, u64) = bin_args(&["--budget", "--seed"], |a| {
+        Ok((a.parsed("--budget", 100_000)?, a.parsed("--seed", 2016)?))
+    });
     let kinds = [TopologyKind::Mesh, TopologyKind::Torus];
     let algos = optimizers();
 

@@ -338,17 +338,33 @@ impl CliArgs {
     pub fn positional(&self, index: usize) -> Option<&str> {
         self.positionals.get(index).map(String::as_str)
     }
+
+    /// The value of `flag` parsed as `T`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag and its unparseable value.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        self.value(flag).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
+        })
+    }
 }
 
-/// Parses `--flag value` style options from `std::env::args`, returning
-/// the value for `flag` if present and parseable.
-#[must_use]
-pub fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The argument front door of the experiment bins: parses the process
+/// arguments against the accepted value `flags` and hands them to
+/// `read`, which pulls out the typed values. An unknown flag, a missing
+/// or unparseable value or a stray word prints `error: …` and exits
+/// with status 1 before any experiment work starts.
+pub fn bin_args<T>(flags: &[&str], read: impl FnOnce(&CliArgs) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match CliArgs::parse(&args, flags, &[], 0).and_then(|args| read(&args)) {
+        Ok(values) => values,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Writes `content` to `results/<name>` under the current directory,

@@ -109,12 +109,15 @@
 //! batch — same [`MoveEval`], ledger, counters and trace events
 //! (property-tested in `tests/hybrid_properties.rs`).
 //!
-//! All routes are **bit-identical**, so the strategy can never change a
-//! committed score or a greedy selection — only the wall-clock cost and
-//! the *honest* budget charge: a full-backed peek is billed `edge_count`
-//! units (and counted as a full evaluation), a delta peek its
-//! `affected_edges`. Cheaper routes simply buy more peeks out of the
-//! same budget.
+//! All routes score each peek **bit-identically**, so the strategy can
+//! never change a single peek's score or which move one greedy scan
+//! selects — only the wall-clock cost and the *honest* budget charge: a
+//! full-backed peek is billed `edge_count` units (and counted as a full
+//! evaluation), a delta peek its `affected_edges`. Cheaper routes
+//! simply buy more peeks out of the same budget, so at equal budget a
+//! run on another route goes a different distance and can end on a
+//! different score (e.g. `optimize --app DVOPD --budget 3000 --seed 1`:
+//! `r-pbla` 13.466 dB, `r-pbla/delta` 18.858 dB).
 //!
 //! # Neighbourhood policies
 //!
@@ -815,16 +818,10 @@ impl<'p> OptContext<'p> {
         ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)
     }
 
-    /// The active SNR-peek routing strategy.
-    #[must_use]
-    pub fn peek_strategy(&self) -> PeekStrategy {
-        self.strategy
-    }
-
     /// Pins (or restores) the SNR-peek routing strategy for subsequent
-    /// peeks. Every strategy produces bit-identical exact scores, so
-    /// this can never change what a search *selects* — only what each
-    /// peek costs (wall clock and honest budget units).
+    /// peeks. Every strategy scores each peek bit-identically; what
+    /// changes is what each peek costs (wall clock and honest budget
+    /// units), and so how far a budgeted run gets.
     pub fn set_peek_strategy(&mut self, strategy: PeekStrategy) {
         self.strategy = strategy;
     }
@@ -1534,7 +1531,10 @@ pub struct DseConfig {
     pub budget: usize,
     /// RNG seed — same seed, same result.
     pub seed: u64,
-    /// SNR-peek routing (cost only — never changes scores).
+    /// SNR-peek routing. Each single peek scores bit-identically on
+    /// every route, but the route sets how many units each peek bills,
+    /// so at equal budget the search goes a different distance and can
+    /// end on a different score.
     pub strategy: PeekStrategy,
     /// Neighbourhood-enumeration policy for swap-based scans.
     pub policy: NeighborhoodPolicy,
@@ -1578,14 +1578,6 @@ impl DseConfig {
     #[must_use]
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = Some(objective);
-        self
-    }
-
-    /// Plants the mapping the optimizer starts from (the portfolio
-    /// elite-exchange / warm-start hook).
-    #[must_use]
-    pub fn with_start(mut self, start: Mapping) -> Self {
-        self.start = Some(start);
         self
     }
 }

@@ -53,6 +53,12 @@
 //! communications are simultaneously active, and noise generated in a
 //! router suffers no loss inside that router (simplification
 //! `K_i·L_i = K_i`) but does suffer the victim's remaining path loss.
+//! The one exception is fixed: two communications with the same
+//! *source task* never interfere, since a single modulator serializes
+//! its outgoing transmissions. This matches the best-case SNR plateau
+//! (~38–40 dB, one residual crossing event) visible in the paper's
+//! Table II. Communications sharing only a destination still count,
+//! since different sources can transmit concurrently.
 //!
 //! # Reuse across problems: incremental mutation
 //!
@@ -237,30 +243,6 @@ impl EvalScratch {
     }
 }
 
-/// Tuning knobs for the worst-case crosstalk analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EvaluatorOptions {
-    /// Do not count two communications with the same *source task* as
-    /// simultaneous (default `true`): a single modulator serializes its
-    /// outgoing transmissions, so they can never interfere in time. This
-    /// matches the best-case SNR plateau (~38–40 dB, one residual
-    /// crossing event) visible in the paper's Table II.
-    pub exclude_same_source: bool,
-    /// Also exclude communications sharing a *destination task*
-    /// (default `false`: different sources can transmit concurrently, so
-    /// the strict worst case keeps them).
-    pub exclude_same_destination: bool,
-}
-
-impl Default for EvaluatorOptions {
-    fn default() -> Self {
-        EvaluatorOptions {
-            exclude_same_source: true,
-            exclude_same_destination: false,
-        }
-    }
-}
-
 /// One hop of a precomputed path, with everything the noise accumulation
 /// needs.
 #[derive(Debug, Clone, Copy)]
@@ -317,11 +299,10 @@ pub struct Evaluator {
     row_mask: [u32; 25],
     /// Ceiling reported when a path collects zero noise.
     snr_ceiling: Db,
-    options: EvaluatorOptions,
 }
 
 impl Evaluator {
-    /// Precomputes all tables with the default [`EvaluatorOptions`].
+    /// Precomputes all tables.
     ///
     /// # Errors
     ///
@@ -340,29 +321,6 @@ impl Evaluator {
         router: &RouterModel,
         routing: &dyn RoutingAlgorithm,
         params: &PhysicalParameters,
-    ) -> Result<Evaluator, CoreError> {
-        Evaluator::with_options(
-            cg,
-            topology,
-            router,
-            routing,
-            params,
-            EvaluatorOptions::default(),
-        )
-    }
-
-    /// Precomputes all tables with explicit [`EvaluatorOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Evaluator::new`].
-    pub fn with_options(
-        cg: &CommunicationGraph,
-        topology: &Topology,
-        router: &RouterModel,
-        routing: &dyn RoutingAlgorithm,
-        params: &PhysicalParameters,
-        options: EvaluatorOptions,
     ) -> Result<Evaluator, CoreError> {
         params.validate().map_err(CoreError::BadParameters)?;
         let tiles = topology.tile_count();
@@ -488,7 +446,6 @@ impl Evaluator {
             coupled,
             row_mask,
             snr_ceiling: params.snr_ceiling,
-            options,
         })
     }
 
@@ -496,14 +453,6 @@ impl Evaluator {
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.edge_endpoints.len()
-    }
-
-    /// The crosstalk-analysis options this evaluator was built with
-    /// (part of a problem's cache-key identity: different options give
-    /// different worst cases for the same CG).
-    #[must_use]
-    pub fn options(&self) -> EvaluatorOptions {
-        self.options
     }
 
     /// Applies a batch of edge *re-weights* `(src, dst, new_weight)`
@@ -701,18 +650,11 @@ impl Evaluator {
             }
             for &(ve, vh) in hops_here {
                 let victim = edge_paths[ve].hops[vh];
-                let (v_src, v_dst) = self.edge_endpoints[ve];
+                let v_src = self.edge_endpoints[ve].0;
                 let row = &self.interaction[victim.pair];
                 let mut acc = 0.0;
                 for &(ae, ah) in hops_here {
-                    if ae == ve {
-                        continue;
-                    }
-                    let (a_src, a_dst) = self.edge_endpoints[ae];
-                    if self.options.exclude_same_source && a_src == v_src {
-                        continue;
-                    }
-                    if self.options.exclude_same_destination && a_dst == v_dst {
+                    if ae == ve || self.edge_endpoints[ae].0 == v_src {
                         continue;
                     }
                     let aggressor = edge_paths[ae].hops[ah];
@@ -830,7 +772,7 @@ impl Evaluator {
             if !scratch.edge_active[e] {
                 continue;
             }
-            let (src, dst) = self.edge_endpoints[e];
+            let src = self.edge_endpoints[e].0;
             for (h, hop) in self.path(scratch.edge_path[e]).hops.iter().enumerate() {
                 let slot = scratch.cursor[hop.tile] as usize;
                 scratch.cursor[hop.tile] += 1;
@@ -840,7 +782,6 @@ impl Evaluator {
                     hop: h as u32,
                     pair: hop.pair as u16,
                     src: src as u16,
-                    dst: dst as u16,
                     prefix: hop.prefix,
                 };
                 scratch.occ_suffix[slot] = hop.suffix;
@@ -875,13 +816,8 @@ impl Evaluator {
                 if self.row_mask[victim.pair as usize] & present == 0 {
                     continue;
                 }
-                let acc = self.aggressor_sum_packed(
-                    victim.edge,
-                    victim.pair,
-                    victim.src,
-                    victim.dst,
-                    hops_here,
-                );
+                let acc =
+                    self.aggressor_sum_packed(victim.edge, victim.pair, victim.src, hops_here);
                 noise[victim.edge as usize] += acc * occ_suffix[lo + local];
             }
         }
@@ -1098,12 +1034,8 @@ mod tests {
 
     #[test]
     fn same_source_streams_do_not_interfere() {
-        // Both edges originate at task a: the modulator serializes them.
-        // Under deterministic monotone routing (XY) they share routers
-        // only along their common prefix, where they also share the
-        // input port — so the router-level same-input exclusion already
-        // guarantees zero interaction, with or without the evaluator's
-        // own same-source option.
+        // Both edges originate at task a: the modulator serializes them,
+        // so the evaluator's same-source exclusion keeps them apart.
         let cg = CgBuilder::new("fanout")
             .tasks(["a", "b", "c"])
             .edge("a", "b", 1.0)
@@ -1112,26 +1044,15 @@ mod tests {
             .unwrap();
         let m = Mapping::from_assignment(vec![TileId(4), TileId(5), TileId(7)], 9).unwrap();
         let topo = Topology::mesh(3, 3, pitch());
-        for exclude in [true, false] {
-            let ev = Evaluator::with_options(
-                &cg,
-                &topo,
-                &crux_router(),
-                &XyRouting,
-                &PhysicalParameters::default(),
-                EvaluatorOptions {
-                    exclude_same_source: exclude,
-                    exclude_same_destination: false,
-                },
-            )
-            .unwrap();
-            let metrics = ev.evaluate(&m);
-            assert_eq!(
-                metrics.worst_case_snr,
-                ev.snr_ceiling(),
-                "exclude={exclude}"
-            );
-        }
+        let ev = Evaluator::new(
+            &cg,
+            &topo,
+            &crux_router(),
+            &XyRouting,
+            &PhysicalParameters::default(),
+        )
+        .unwrap();
+        assert_eq!(ev.evaluate(&m).worst_case_snr, ev.snr_ceiling());
     }
 
     #[test]

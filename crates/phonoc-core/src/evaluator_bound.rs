@@ -80,45 +80,6 @@ const NOISE_RELAX: f64 = 1.0 - 1e-9;
 /// library `log10` between the bound's ratio and the canonical one.
 const SNR_SLACK_DB: f64 = 1e-9;
 
-/// An admissible score bound over partial task→tile assignments.
-///
-/// Implementations maintain incremental state: [`assign`] extends the
-/// partial assignment, [`unassign`] backtracks the most recent
-/// extension (LIFO), and [`bound`] reports a score-space value that
-/// upper-bounds every complete mapping extending the current partial
-/// assignment — at depth 0 an instance-wide bound on the optimum, at
-/// full depth (for a tight implementation) the exact score. The trait
-/// is object-safe so search harnesses can swap bounds.
-///
-/// [`assign`]: LowerBound::assign
-/// [`unassign`]: LowerBound::unassign
-/// [`bound`]: LowerBound::bound
-pub trait LowerBound {
-    /// Short identifier for certificates and reports.
-    fn name(&self) -> &'static str;
-
-    /// Number of tasks currently placed.
-    fn depth(&self) -> usize;
-
-    /// Admissible score-space bound on any completion of the current
-    /// partial assignment (higher-is-better dB, same scale as
-    /// [`Objective::score_worst_cases`]).
-    fn bound(&self) -> f64;
-
-    /// Places `task` on `tile`, updating the incremental state.
-    /// Returns the bound work performed in **edge units** (the number
-    /// of communications this placement newly determined) — the cost a
-    /// budgeted search charges via
-    /// [`OptContext::charge_bound`](crate::OptContext::charge_bound).
-    fn assign(&mut self, task: usize, tile: TileId) -> usize;
-
-    /// Undoes the most recent [`assign`](LowerBound::assign) (LIFO).
-    fn unassign(&mut self);
-
-    /// Clears back to the empty assignment.
-    fn reset(&mut self);
-}
-
 /// One determined-edge hop parked on a tile, carrying everything the
 /// incremental noise exchange needs inline — the same
 /// entry-with-payload layout as the evaluator's counting-sort
@@ -129,13 +90,12 @@ struct BoundOcc {
     edge: u32,
     pair: u16,
     src: u16,
-    dst: u16,
     prefix: f64,
     suffix: f64,
 }
 
-/// Per-[`assign`](LowerBound::assign) frame: how far to roll every
-/// stack back on [`unassign`](LowerBound::unassign).
+/// Per-[`assign`](CertificateBound::assign) frame: how far to roll
+/// every stack back on [`unassign`](CertificateBound::unassign).
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     task: u32,
@@ -147,17 +107,24 @@ struct Frame {
 
 /// The combined unaffected-minimum + Gilmore–Lawler certificate bound
 /// (see the module docs for the derivation and admissibility
-/// argument).
+/// argument): an admissible score bound over partial task→tile
+/// assignments.
 ///
-/// Construct once per (problem, objective) and drive through the
-/// [`LowerBound`] trait. [`bound`](LowerBound::bound) at the empty
-/// assignment is the instance-wide **root bound** — the cheap
-/// any-mesh-size value the bench sweep reports as `lower_bound`.
+/// Construct once per (problem, objective). The state is incremental:
+/// [`assign`] extends the partial assignment, [`unassign`] backtracks
+/// the most recent extension (LIFO), and [`bound`] reports a
+/// score-space value that upper-bounds every complete mapping
+/// extending the current partial assignment. At the empty assignment
+/// that is the instance-wide **root bound** — the cheap any-mesh-size
+/// value the bench sweep reports as `lower_bound`.
+///
+/// [`assign`]: CertificateBound::assign
+/// [`unassign`]: CertificateBound::unassign
+/// [`bound`]: CertificateBound::bound
 #[derive(Debug)]
 pub struct CertificateBound<'a> {
     ev: &'a Evaluator,
     objective: Objective,
-    name: &'static str,
     /// Instance-wide per-tile-pair path ILs, sorted descending (least
     /// lossy first): the Gilmore–Lawler table.
     pair_il_desc: Vec<f64>,
@@ -228,7 +195,6 @@ impl<'a> CertificateBound<'a> {
         CertificateBound {
             ev: evaluator,
             objective,
-            name: "gl+unaffected-min",
             pair_il_desc,
             edge_pair_id,
             undet_per_pair,
@@ -287,19 +253,12 @@ impl<'a> CertificateBound<'a> {
     /// the edge's hops. Every noise write of *existing* victims is
     /// snapshot-logged first.
     fn couple_edge(&mut self, e: usize, path: &PathInfo) {
-        let (src, dst) = self.ev.edge_endpoints[e];
-        let opts = self.ev.options;
+        let src = self.ev.edge_endpoints[e].0;
         for hop in &path.hops {
             let mut acc = 0.0;
             let row = &self.ev.interaction[hop.pair];
             for o in &self.tile_occ[hop.tile] {
-                if o.edge as usize == e {
-                    continue;
-                }
-                if opts.exclude_same_source && o.src as usize == src {
-                    continue;
-                }
-                if opts.exclude_same_destination && o.dst as usize == dst {
+                if o.edge as usize == e || o.src as usize == src {
                     continue;
                 }
                 // The occupant aggresses the new edge …
@@ -320,25 +279,30 @@ impl<'a> CertificateBound<'a> {
                 edge: e as u32,
                 pair: hop.pair as u16,
                 src: src as u16,
-                dst: dst as u16,
                 prefix: hop.prefix,
                 suffix: hop.suffix,
             });
             self.occ_log.push(hop.tile as u32);
         }
     }
-}
 
-impl LowerBound for CertificateBound<'_> {
-    fn name(&self) -> &'static str {
-        self.name
+    /// Short identifier for certificates and reports.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        "gl+unaffected-min"
     }
 
-    fn depth(&self) -> usize {
+    /// Number of tasks currently placed.
+    #[must_use]
+    pub fn depth(&self) -> usize {
         self.frames.len()
     }
 
-    fn bound(&self) -> f64 {
+    /// Admissible score-space bound on any completion of the current
+    /// partial assignment (higher-is-better dB, same scale as
+    /// [`Objective::score_worst_cases`]).
+    #[must_use]
+    pub fn bound(&self) -> f64 {
         // Any completion's worst IL is ≤ each determined edge's final
         // IL, ≤ the undetermined tail, and ≤ 0 (the evaluator's
         // worst-case scan starts at 0 dB).
@@ -347,7 +311,12 @@ impl LowerBound for CertificateBound<'_> {
             .score_worst_cases(Db(il_ub), Db(self.snr_ub()))
     }
 
-    fn assign(&mut self, task: usize, tile: TileId) -> usize {
+    /// Places `task` on `tile`, updating the incremental state.
+    /// Returns the bound work performed in **edge units** (the number
+    /// of communications this placement newly determined) — the cost a
+    /// budgeted search charges via
+    /// [`OptContext::charge_bound`](crate::OptContext::charge_bound).
+    pub fn assign(&mut self, task: usize, tile: TileId) -> usize {
         debug_assert!(self.tile_of[task] == usize::MAX, "task already placed");
         debug_assert!(
             tile.0 < self.tile_occ.len(),
@@ -388,7 +357,9 @@ impl LowerBound for CertificateBound<'_> {
         determined
     }
 
-    fn unassign(&mut self) {
+    /// Undoes the most recent [`assign`](CertificateBound::assign)
+    /// (LIFO).
+    pub fn unassign(&mut self) {
         let frame = self.frames.pop().expect("unassign without a frame");
         self.tile_of[frame.task as usize] = usize::MAX;
         // Un-determine this frame's edges (restore the pair counters).
@@ -415,7 +386,8 @@ impl LowerBound for CertificateBound<'_> {
         self.det_min_il = frame.prev_min_il;
     }
 
-    fn reset(&mut self) {
+    /// Clears back to the empty assignment.
+    pub fn reset(&mut self) {
         while !self.frames.is_empty() {
             self.unassign();
         }

@@ -8,7 +8,15 @@
 //! per-edge noise/IL/SNR, the **per-(edge, hop) aggressor accumulation**
 //! (`acc`) of every router visit, and per-router occupancy lists whose
 //! entries carry the aggressor data (port pair, prefix gain) inline so
-//! the hot loops never chase path pointers. The delta pass
+//! the hot loops never chase path pointers.
+//!
+//! # One kernel
+//!
+//! Every SNR delta — the exact peek ([`Evaluator::evaluate_delta`]),
+//! the bound-then-verify peek ([`Evaluator::evaluate_delta_bounded`])
+//! and the commit ([`Evaluator::apply_move`]) — runs one kernel that
+//! scores a move against a threshold. The exact peek and the commit
+//! pass `-∞`, which the kernel can never reject. The kernel
 //!
 //! 1. collects the moved edges (via the evaluator's task→edges index)
 //!    and trims each one to the hops that *really* change — XY routes
@@ -16,17 +24,26 @@
 //!    old path, which is skipped entirely,
 //! 2. patches the occupancy lists of the changed tiles and marks a
 //!    resident victim hop *dirty* only if a changed occupancy actually
-//!    couples into it (nonzero interaction gain after the
-//!    same-source/destination exclusions),
-//! 3. recomputes just the dirty accumulations against the patched
-//!    lists (a branch-free multiply-select loop: excluded or zero-gain
-//!    entries contribute an exact `+0.0`), re-sums each affected
-//!    victim's noise from its (mostly cached) accumulations, and
-//! 4. re-derives the two worst cases with an `O(edges)` min-scan — in
-//!    the peek path via a single `log10` (the affected minimum is
-//!    selected in the linear ratio domain, where `log10`'s monotonicity
-//!    makes the selection exact; debug builds verify against the
-//!    canonical scan).
+//!    couples into it (nonzero interaction gain after the same-source
+//!    exclusion),
+//! 3. takes the worst-IL min-scan and the minimum SNR over unaffected
+//!    edges, an admissible bound that rejects before any noise work,
+//! 4. re-sums each affected victim's noise in canonical tile order,
+//!    computing each dirty accumulation at most once against the
+//!    patched lists (a branch-free multiply-select loop: excluded or
+//!    zero-gain entries contribute an exact `+0.0`) — lazily under a
+//!    finite threshold, so a rejected peek skips the rest, and in one
+//!    linear warm-up pass at `-∞`, where every one is read — and
+//! 5. selects the affected minimum in the linear ratio domain, where
+//!    `log10`'s monotonicity makes the selection exact: under a finite
+//!    threshold one `log10` per decrease of the running minimum feeds
+//!    the early exit, at `-∞` a single `log10` at the end. Debug builds
+//!    verify the result against the canonical per-edge scan.
+//!
+//! The commit then writes back what the kernel left in the scratch:
+//! the patched lists, the dirty accumulations, the moved edges'
+//! accumulations along their new paths, and the affected noise and
+//! SNR.
 //!
 //! # Exactness
 //!
@@ -54,7 +71,7 @@
 //! workspace property tests (`crates/phonoc-core/tests/`,
 //! `tests/properties.rs`) pin the equality on random mappings and moves.
 
-use super::{EvalScratch, EvalSummary, Evaluator, NetworkMetrics, PathInfo};
+use super::{EvalScratch, EvalSummary, Evaluator, HopInfo, NetworkMetrics, PathInfo};
 use crate::mapping::{Mapping, Move};
 use crate::parallel;
 use phonoc_phys::Db;
@@ -66,17 +83,15 @@ use phonoc_phys::Db;
 /// both passes run the same branch-free accumulate over the same entry
 /// layout.
 ///
-/// The edge's endpoint tasks ride along as packed `u16`s (the evaluator
-/// asserts they fit at construction) so the inner accumulate loop runs
-/// the same-source/destination exclusions without a gather into the
-/// endpoint table.
+/// The edge's source task rides along as a packed `u16` (the evaluator
+/// checks it fits at construction) so the inner accumulate loop runs
+/// the same-source exclusion without a gather into the endpoint table.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub(super) struct Occ {
     pub(super) edge: u32,
     pub(super) hop: u32,
     pub(super) pair: u16,
     pub(super) src: u16,
-    pub(super) dst: u16,
     pub(super) prefix: f64,
 }
 
@@ -335,8 +350,9 @@ impl EvalState {
     ///
     /// `full ⇔ h̄ < 7.0 ∧ ¬(concentration ≥ 1.5 ∧ h̄ ≥ 4.5)`.
     ///
-    /// Every route scores bit-identically, so the rule can only change
-    /// what a peek costs, never a score or a greedy selection.
+    /// Every route scores each peek bit-identically, so the rule only
+    /// changes what a peek costs — which, at equal budget, changes how
+    /// far a run gets.
     #[must_use]
     pub fn prefers_full_peeks(&self) -> bool {
         let hops = self.mean_path_hops();
@@ -363,20 +379,25 @@ pub struct DeltaScratch {
     /// Per edge (dense): length of the bitwise-shared head between its
     /// old and new paths (valid where moved).
     head_len: Vec<u32>,
-    /// Per moved edge (parallel to `moved`): its accumulations along
-    /// the new path.
-    moved_acc: Vec<Vec<f64>>,
-    /// Victims whose noise changes.
+    /// The moved edges' accumulations along their new paths, one run
+    /// per moved edge in `moved` order (the kernel re-sums moved
+    /// victims first, in that order); filled at `-∞` and read by the
+    /// commit.
+    moved_acc: Vec<f64>,
+    /// Victims whose noise changes; the moved edges come first, in
+    /// `moved` order.
     affected: Vec<usize>,
     affected_mark: Vec<u32>,
     new_noise: Vec<f64>,
-    new_snr: Vec<f64>,
-    /// Per (edge, hop) flat index: updated accumulation (valid where
-    /// `acc_mark` carries the current epoch). Flat indices refer to the
-    /// *current* state layout, so only kept hops use them.
+    /// Per (edge, hop) flat index: the kernel's memo of updated
+    /// accumulations (valid for every dirty hop once the kernel has run
+    /// to completion). Flat indices refer to the *current* state
+    /// layout, so only kept hops use them.
     acc_new: Vec<f64>,
+    /// The hop is dirty this epoch: some changed occupancy couples
+    /// into it.
     acc_mark: Vec<u32>,
-    /// Lazy-recompute memo for the bound-then-verify path: `acc_new`
+    /// Under a finite threshold, where the memo fills lazily: `acc_new`
     /// at this flat index has been computed this epoch.
     acc_done: Vec<u32>,
     /// Kept victim hops needing recomputation: `(edge, hop, tile,
@@ -401,7 +422,6 @@ impl DeltaScratch {
             self.new_path.resize(edges, 0);
             self.head_len.resize(edges, 0);
             self.new_noise.resize(edges, 0.0);
-            self.new_snr.resize(edges, 0.0);
         }
         if self.tile_mark.len() < tiles {
             self.tile_mark.resize(tiles, 0);
@@ -423,6 +443,7 @@ impl DeltaScratch {
             self.epoch = 1;
         }
         self.moved.clear();
+        self.moved_acc.clear();
         self.affected.clear();
         self.patched_tiles.clear();
         self.dirty_hops.clear();
@@ -441,14 +462,6 @@ impl DeltaScratch {
             self.affected_mark[e] = self.epoch;
             self.affected.push(e);
         }
-    }
-
-    /// Index of `e` within the `moved` list (moved edges only).
-    fn moved_slot(&self, e: usize) -> usize {
-        self.moved
-            .iter()
-            .position(|&m| m == e)
-            .expect("edge is moved")
     }
 
     /// Whether the occupancy `(e, h)` is removed by this move: `e`
@@ -489,7 +502,7 @@ impl Evaluator {
         let mut suffix = vec![0.0f64; total_hops];
         let mut tile_hops: Vec<Vec<Occ>> = vec![Vec::new(); self.tile_count];
         for (e, path) in edge_paths.iter().enumerate() {
-            let (src, dst) = self.edge_endpoints[e];
+            let src = self.edge_endpoints[e].0;
             for (h, hop) in path.hops.iter().enumerate() {
                 suffix[hop_offset[e] + h] = hop.suffix;
                 tile_hops[hop.tile].push(Occ {
@@ -497,7 +510,6 @@ impl Evaluator {
                     hop: h as u32,
                     pair: hop.pair as u16,
                     src: src as u16,
-                    dst: dst as u16,
                     prefix: hop.prefix,
                 });
             }
@@ -608,69 +620,46 @@ impl Evaluator {
 
     /// Whether aggressor edge `ae` (port pair `a_pair`) contributes
     /// noise to victim edge `ve` (port pair `v_pair`) at a shared router
-    /// — the full pass's exclusion rules plus the zero-gain skip.
+    /// — the full pass's same-source exclusion plus the zero-gain skip.
     fn interacts(&self, ve: usize, v_pair: u16, ae: usize, a_pair: u16) -> bool {
-        if ae == ve {
-            return false;
-        }
-        let (v_src, v_dst) = self.edge_endpoints[ve];
-        let (a_src, a_dst) = self.edge_endpoints[ae];
-        if self.options.exclude_same_source && a_src == v_src {
-            return false;
-        }
-        if self.options.exclude_same_destination && a_dst == v_dst {
-            return false;
-        }
-        self.coupled[v_pair as usize][a_pair as usize]
+        ae != ve
+            && self.edge_endpoints[ae].0 != self.edge_endpoints[ve].0
+            && self.coupled[v_pair as usize][a_pair as usize]
     }
 
     /// One router's aggressor accumulation for victim edge `ve` (hop
     /// port pair `v_pair`), iterating `hops_here` in list order — the
     /// shared inner loop of the full and incremental passes. Entries
     /// carry pair and prefix inline, so no path lookups happen here.
-    ///
-    /// Branch-free: excluded entries contribute an exact `+0.0` via a
-    /// multiply-select, which is bit-identical to skipping them (all
-    /// terms are non-negative, so `acc + 0.0 == acc` to the bit). The
-    /// exclusion tests run entirely on the entries' inline endpoint
-    /// fields — no lookups leave the occupancy list.
     pub(super) fn aggressor_sum(&self, ve: usize, v_pair: u16, hops_here: &[Occ]) -> f64 {
-        let (v_src, v_dst) = self.edge_endpoints[ve];
-        self.aggressor_sum_packed(ve as u32, v_pair, v_src as u16, v_dst as u16, hops_here)
+        let v_src = self.edge_endpoints[ve].0;
+        self.aggressor_sum_packed(ve as u32, v_pair, v_src as u16, hops_here)
     }
 
     /// [`Evaluator::aggressor_sum`] with the victim's identity already
     /// packed — the form the scratch-reusing full pass uses, where the
-    /// victim's own occupancy entry carries everything needed. The
-    /// default exclusion configuration (same-source only) gets a
-    /// specialized loop; both compute the identical ordered sum.
+    /// victim's own occupancy entry carries everything needed.
+    ///
+    /// Branch-free: excluded entries (the victim itself, and every
+    /// stream of the victim's source task) contribute an exact `+0.0`
+    /// via a multiply-select, which is bit-identical to skipping them
+    /// (all terms are non-negative, so `acc + 0.0 == acc` to the bit).
+    /// The exclusion tests run entirely on the entries' inline fields —
+    /// no lookups leave the occupancy list.
     #[inline]
     pub(super) fn aggressor_sum_packed(
         &self,
         ve: u32,
         v_pair: u16,
         v_src: u16,
-        v_dst: u16,
         hops_here: &[Occ],
     ) -> f64 {
         let row = &self.interaction[v_pair as usize];
-        let ex_src = self.options.exclude_same_source;
-        let ex_dst = self.options.exclude_same_destination;
         let mut acc = 0.0;
-        if ex_src & !ex_dst {
-            for occ in hops_here {
-                let excluded = (occ.edge == ve) | (occ.src == v_src);
-                let select = f64::from(u8::from(!excluded));
-                acc += occ.prefix * row[occ.pair as usize] * select;
-            }
-        } else {
-            for occ in hops_here {
-                let excluded = (occ.edge == ve)
-                    | (ex_src & (occ.src == v_src))
-                    | (ex_dst & (occ.dst == v_dst));
-                let select = f64::from(u8::from(!excluded));
-                acc += occ.prefix * row[occ.pair as usize] * select;
-            }
+        for occ in hops_here {
+            let excluded = (occ.edge == ve) | (occ.src == v_src);
+            let select = f64::from(u8::from(!excluded));
+            acc += occ.prefix * row[occ.pair as usize] * select;
         }
         acc
     }
@@ -704,14 +693,7 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
         state.assert_crosstalk("evaluate_delta_with");
-        let (new_worst_il, new_worst_snr) = self.compute_delta(state, mapping, mv, scratch, false);
-        ScoreDelta {
-            old_worst_il: Db(state.worst_il),
-            old_worst_snr: Db(state.worst_snr),
-            new_worst_il: Db(new_worst_il),
-            new_worst_snr: Db(new_worst_snr),
-            affected_edges: scratch.affected.len(),
-        }
+        self.exact_snr_delta(state, mapping, mv, scratch)
     }
 
     /// Loss-objective fast path: the new worst-case insertion loss
@@ -909,43 +891,95 @@ impl Evaluator {
         threshold: Db,
     ) -> BoundedDelta {
         state.assert_crosstalk("evaluate_delta_bounded");
+        self.snr_delta(state, mapping, mv, scratch, threshold.0)
+    }
+
+    /// The kernel at `-∞`, which never rejects: the exact delta of the
+    /// exact peek and the commit.
+    fn exact_snr_delta(
+        &self,
+        state: &EvalState,
+        mapping: &Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+    ) -> ScoreDelta {
+        match self.snr_delta(state, mapping, mv, scratch, f64::NEG_INFINITY) {
+            BoundedDelta::Exact(delta) => delta,
+            BoundedDelta::Rejected { .. } => unreachable!("a -∞ threshold never rejects"),
+        }
+    }
+
+    /// The one SNR delta kernel (see the module docs): scores `mv` as
+    /// far as needed to decide whether its new worst-case SNR can
+    /// exceed `threshold`, leaving the moved edges, patched lists, dirty
+    /// accumulations, moved accumulations and affected noise in
+    /// `scratch`. At `threshold = -∞` it never rejects, warms its memo
+    /// in one linear pass and takes a single `log10`.
+    ///
+    /// Inlined into its two callers, so the `-∞` one compiles with the
+    /// threshold tests folded away and a re-sum that only reads the
+    /// memo.
+    #[inline(always)]
+    fn snr_delta(
+        &self,
+        state: &EvalState,
+        mapping: &Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+        threshold: f64,
+    ) -> BoundedDelta {
+        let delta = |new_worst_il: f64, new_worst_snr: f64, affected_edges: usize| ScoreDelta {
+            old_worst_il: Db(state.worst_il),
+            old_worst_snr: Db(state.worst_snr),
+            new_worst_il: Db(new_worst_il),
+            new_worst_snr: Db(new_worst_snr),
+            affected_edges,
+        };
         if !self.delta_collect_moved(state, mapping, mv, scratch) {
-            // Neutral move: the exact delta is free.
-            return BoundedDelta::Exact(ScoreDelta {
-                old_worst_il: Db(state.worst_il),
-                old_worst_snr: Db(state.worst_snr),
-                new_worst_il: Db(state.worst_il),
-                new_worst_snr: Db(state.worst_snr),
-                affected_edges: 0,
-            });
+            // Neutral move (free↔free or identity): nothing changes.
+            return BoundedDelta::Exact(delta(state.worst_il, state.worst_snr, 0));
         }
         self.delta_patch_and_mark(state, scratch);
 
+        let exact = threshold == f64::NEG_INFINITY;
         let (worst_il, unaffected_snr) = self.delta_scan_il_and_unaffected_snr(state, scratch);
-        if unaffected_snr <= threshold.0 {
+        if !exact && unaffected_snr <= threshold {
             return BoundedDelta::Rejected {
                 bound: Db(unaffected_snr),
                 cost: 0,
             };
         }
+        if exact {
+            // Every dirty accumulation will be read: compute them all
+            // in one linear pass, so the re-sums below only read the
+            // memo.
+            for i in 0..scratch.dirty_hops.len() {
+                let (v, vh, tile, pair) = scratch.dirty_hops[i];
+                let slot = scratch.slot_of(tile as usize);
+                scratch.acc_new[state.hop_offset[v as usize] + vh as usize] =
+                    self.aggressor_sum(v as usize, pair, &scratch.patched_lists[slot]);
+            }
+        }
 
-        // Verify: exact per-victim SNRs (dirty accumulations computed
-        // lazily, each at most once), tracking the affected minimum in
-        // the linear ratio domain exactly like the peek path — one
-        // `log10` per *decrease* of the minimum, at which point the
-        // early-exit test runs.
+        // Verify: exact per-victim noise, tracking the affected minimum
+        // in the linear ratio domain. Under a finite threshold each
+        // *decrease* of the minimum takes one `log10` and runs the
+        // early-exit test; at `-∞` no test can fire, so the single
+        // `log10` waits for the end.
         let mut min_ratio = f64::INFINITY;
         let mut any_noise_free = false;
         for i in 0..scratch.affected.len() {
             let v = scratch.affected[i];
-            let (noise, gain) = self.lazy_victim_noise(state, scratch, v);
+            let (noise, gain) = self.lazy_victim_noise(state, scratch, v, exact);
             scratch.new_noise[v] = noise;
             if noise > 0.0 {
                 let ratio = gain / noise;
-                if ratio < min_ratio {
+                if exact {
+                    min_ratio = min_ratio.min(ratio);
+                } else if ratio < min_ratio {
                     min_ratio = ratio;
                     let affected_snr = (10.0 * min_ratio.log10()).min(self.snr_ceiling.0);
-                    if affected_snr <= threshold.0 {
+                    if affected_snr <= threshold {
                         return BoundedDelta::Rejected {
                             bound: Db(unaffected_snr.min(affected_snr)),
                             cost: i + 1,
@@ -957,8 +991,9 @@ impl Evaluator {
             }
         }
 
-        // Survived every bound: assemble the exact worst cases with the
-        // same expressions as the exact peek path.
+        // Survived every bound: `snr_of` is monotone non-decreasing in
+        // gain/noise, so the minimum affected SNR is attained at the
+        // minimum ratio; noise-free victims sit at the ceiling.
         let affected_snr = if min_ratio.is_finite() {
             (10.0 * min_ratio.log10()).min(self.snr_ceiling.0)
         } else if any_noise_free {
@@ -970,36 +1005,32 @@ impl Evaluator {
         debug_assert_eq!(
             worst_snr,
             self.canonical_worst_snr(state, scratch),
-            "bounded verify diverged from the canonical scan"
+            "ratio-domain SNR selection diverged from the canonical scan"
         );
-        BoundedDelta::Exact(ScoreDelta {
-            old_worst_il: Db(state.worst_il),
-            old_worst_snr: Db(state.worst_snr),
-            new_worst_il: Db(worst_il),
-            new_worst_snr: Db(worst_snr),
-            affected_edges: scratch.affected.len(),
-        })
+        BoundedDelta::Exact(delta(worst_il, worst_snr, scratch.affected.len()))
     }
 
     /// Memoized lazy accumulation for kept hop `flat` of victim `v`:
     /// hops marked dirty are recomputed (at most once per epoch)
-    /// against the patched list at `tile`; clean hops read the cached
-    /// state — exactly the values the eager recompute pass produces.
+    /// against the patched list at the hop's tile; clean hops read the
+    /// cached state. `hop` is only read on a recompute. A `warm` memo
+    /// already holds every dirty hop, so it is only read.
+    #[inline]
     fn lazy_acc(
         &self,
         state: &EvalState,
         scratch: &mut DeltaScratch,
         flat: usize,
         v: usize,
-        pair: u16,
-        tile: usize,
+        hop: &HopInfo,
+        warm: bool,
     ) -> f64 {
         if scratch.acc_mark[flat] != scratch.epoch {
             return state.acc[flat];
         }
-        if scratch.acc_done[flat] != scratch.epoch {
-            let slot = scratch.slot_of(tile);
-            let acc = self.aggressor_sum(v, pair, &scratch.patched_lists[slot]);
+        if !warm && scratch.acc_done[flat] != scratch.epoch {
+            let slot = scratch.slot_of(hop.tile);
+            let acc = self.aggressor_sum(v, hop.pair as u16, &scratch.patched_lists[slot]);
             scratch.acc_new[flat] = acc;
             scratch.acc_done[flat] = scratch.epoch;
         }
@@ -1007,27 +1038,35 @@ impl Evaluator {
     }
 
     /// Exact `(noise, total gain)` of affected victim `v` against the
-    /// patched occupancies, computing dirty accumulations on demand —
-    /// the lazy twin of the eager resum, summing in the same canonical
-    /// tile order with the same terms (bit-identical by construction).
+    /// patched occupancies, computing dirty accumulations on demand and
+    /// summing in the canonical tile order of the full pass. With a
+    /// `warm` memo (the kernel at `-∞`, see [`Evaluator::lazy_acc`]) a
+    /// moved victim's accumulations along its new path are appended to
+    /// `moved_acc` for the commit.
+    #[inline(always)]
     fn lazy_victim_noise(
         &self,
         state: &EvalState,
         scratch: &mut DeltaScratch,
         v: usize,
+        warm: bool,
     ) -> (f64, f64) {
         let base = state.hop_offset[v];
         if scratch.is_moved(v) {
             let head = scratch.head_len[v] as usize;
             let path = self.path(scratch.new_path[v]);
+            let run = scratch.moved_acc.len();
+            if warm {
+                scratch.moved_acc.resize(run + path.hops.len(), 0.0);
+            }
             let mut noise = 0.0f64;
             for &h in &path.tile_order {
                 let h = h as usize;
-                let hop = path.hops[h];
+                let hop = &path.hops[h];
                 let acc = if h < head {
                     // Shared-head hops are entrywise identical to the
                     // old path, so the cached flat layout still applies.
-                    self.lazy_acc(state, scratch, base + h, v, hop.pair as u16, hop.tile)
+                    self.lazy_acc(state, scratch, base + h, v, hop, warm)
                 } else {
                     let slot = scratch.slot_of(hop.tile);
                     let hops_here = &scratch.patched_lists[slot];
@@ -1037,6 +1076,9 @@ impl Evaluator {
                         0.0
                     }
                 };
+                if warm {
+                    scratch.moved_acc[run + h] = acc;
+                }
                 noise += acc * hop.suffix;
             }
             (noise, path.total_gain)
@@ -1044,10 +1086,9 @@ impl Evaluator {
             let path = self.path(state.path_of_edge[v]);
             let mut noise = 0.0f64;
             for &h in &path.tile_order {
-                let h = h as usize;
-                let hop = path.hops[h];
-                let acc = self.lazy_acc(state, scratch, base + h, v, hop.pair as u16, hop.tile);
-                noise += acc * state.suffix[base + h];
+                let flat = base + h as usize;
+                let acc = self.lazy_acc(state, scratch, flat, v, &path.hops[h as usize], warm);
+                noise += acc * state.suffix[flat];
             }
             (noise, path.total_gain)
         }
@@ -1082,14 +1123,7 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
         state.assert_crosstalk("apply_move");
-        let (new_worst_il, new_worst_snr) = self.compute_delta(state, mapping, mv, scratch, true);
-        let delta = ScoreDelta {
-            old_worst_il: Db(state.worst_il),
-            old_worst_snr: Db(state.worst_snr),
-            new_worst_il: Db(new_worst_il),
-            new_worst_snr: Db(new_worst_snr),
-            affected_edges: scratch.affected.len(),
-        };
+        let delta = self.exact_snr_delta(state, mapping, mv, scratch);
 
         if !scratch.moved.is_empty() {
             // Patched tile occupancies.
@@ -1115,44 +1149,47 @@ impl Evaluator {
             new_offset.push(total);
             let mut new_acc = vec![0.0f64; total];
             let mut new_suffix = vec![0.0f64; total];
-            for e in 0..edges {
-                let dst = new_offset[e];
-                let n = new_offset[e + 1] - dst;
-                if scratch.is_moved(e) {
-                    let vals = &scratch.moved_acc[scratch.moved_slot(e)];
-                    new_acc[dst..dst + n].copy_from_slice(vals);
-                    for (h, hop) in self.path(scratch.new_path[e]).hops.iter().enumerate() {
-                        new_suffix[dst + h] = hop.suffix;
-                    }
-                } else {
-                    let src = state.hop_offset[e];
-                    for h in 0..n {
-                        let flat = src + h;
-                        new_suffix[dst + h] = state.suffix[flat];
-                        new_acc[dst + h] = if scratch.acc_mark[flat] == scratch.epoch {
-                            scratch.acc_new[flat]
-                        } else {
-                            state.acc[flat]
-                        };
-                    }
+            // Kept edges: cached accumulations, dirty ones from the
+            // kernel's memo.
+            for e in (0..edges).filter(|&e| !scratch.is_moved(e)) {
+                let (src, dst) = (state.hop_offset[e], new_offset[e]);
+                for h in 0..new_offset[e + 1] - dst {
+                    let flat = src + h;
+                    new_suffix[dst + h] = state.suffix[flat];
+                    new_acc[dst + h] = if scratch.acc_mark[flat] == scratch.epoch {
+                        scratch.acc_new[flat]
+                    } else {
+                        state.acc[flat]
+                    };
                 }
             }
+            // Moved edges: the kernel's runs, in `moved` order.
+            debug_assert_eq!(scratch.affected[..scratch.moved.len()], scratch.moved[..]);
+            let mut run = 0;
             for &e in &scratch.moved {
-                let p = scratch.new_path[e];
+                let (p, dst) = (scratch.new_path[e], new_offset[e]);
+                let path = self.path(p);
+                let n = path.hops.len();
+                new_acc[dst..dst + n].copy_from_slice(&scratch.moved_acc[run..run + n]);
+                run += n;
+                for (h, hop) in path.hops.iter().enumerate() {
+                    new_suffix[dst + h] = hop.suffix;
+                }
                 state.path_of_edge[e] = p;
-                state.il[e] = self.path(p).total_db;
+                state.il[e] = path.total_db;
             }
             state.hop_offset = new_offset;
             state.acc = new_acc;
             state.suffix = new_suffix;
             // Recomputed victims.
             for &v in &scratch.affected {
-                state.noise[v] = scratch.new_noise[v];
-                state.snr[v] = scratch.new_snr[v];
+                let noise = scratch.new_noise[v];
+                state.noise[v] = noise;
+                state.snr[v] = self.snr_of(self.path(state.path_of_edge[v]).total_gain, noise);
             }
         }
-        state.worst_il = new_worst_il;
-        state.worst_snr = new_worst_snr;
+        state.worst_il = delta.new_worst_il.0;
+        state.worst_snr = delta.new_worst_snr.0;
         mapping.apply_move(mv);
 
         debug_assert!(
@@ -1295,7 +1332,7 @@ impl Evaluator {
         // insertions.
         for i in 0..scratch.moved.len() {
             let e = scratch.moved[i];
-            let (src, dst) = self.edge_endpoints[e];
+            let src = self.edge_endpoints[e].0;
             let head = scratch.head_len[e] as usize;
             for hop in &self.path(state.path_of_edge[e]).hops[head..] {
                 self.touch_tile(state, scratch, hop.tile);
@@ -1312,7 +1349,6 @@ impl Evaluator {
                     hop: (head + off) as u32,
                     pair: hop.pair as u16,
                     src: src as u16,
-                    dst: dst as u16,
                     prefix: hop.prefix,
                 });
             }
@@ -1356,7 +1392,7 @@ impl Evaluator {
     }
 
     /// Worst-IL min-scan plus the minimum SNR over *unaffected* edges —
-    /// the structural part every delta (exact or bounded) needs.
+    /// the structural part of every delta.
     fn delta_scan_il_and_unaffected_snr(
         &self,
         state: &EvalState,
@@ -1377,138 +1413,6 @@ impl Evaluator {
             }
         }
         (worst_il, unaffected_snr)
-    }
-
-    /// The shared peek/commit computation: fills `scratch` with the
-    /// moved-edge set, patched tile lists and recomputed victims
-    /// (composing the phase helpers above), and returns the new worst
-    /// cases. The commit path additionally caches every affected
-    /// victim's SNR; the peek path derives the worst SNR with a single
-    /// `log10`.
-    fn compute_delta(
-        &self,
-        state: &EvalState,
-        mapping: &Mapping,
-        mv: Move,
-        scratch: &mut DeltaScratch,
-        commit: bool,
-    ) -> (f64, f64) {
-        if !self.delta_collect_moved(state, mapping, mv, scratch) {
-            // Neutral move (free↔free or identity): nothing changes.
-            return (state.worst_il, state.worst_snr);
-        }
-        self.delta_patch_and_mark(state, scratch);
-
-        // Recompute the dirty kept hops against the patched occupancies.
-        // (These may include shared-head hops of moved edges whose tile
-        // was perturbed by another moved edge.)
-        for i in 0..scratch.dirty_hops.len() {
-            let (v, vh, tile, pair) = scratch.dirty_hops[i];
-            let slot = scratch.slot_of(tile as usize);
-            let acc = self.aggressor_sum(v as usize, pair, &scratch.patched_lists[slot]);
-            scratch.acc_new[state.hop_offset[v as usize] + vh as usize] = acc;
-        }
-        // Moved victims: assemble accumulations along the new path —
-        // cached (or freshly marked) values for the shared head,
-        // recomputed beyond it.
-        for i in 0..scratch.moved.len() {
-            let e = scratch.moved[i];
-            let head = scratch.head_len[e] as usize;
-            let path = self.path(scratch.new_path[e]);
-            while scratch.moved_acc.len() <= i {
-                scratch.moved_acc.push(Vec::new());
-            }
-            let mut vals = std::mem::take(&mut scratch.moved_acc[i]);
-            vals.clear();
-            vals.resize(path.hops.len(), 0.0);
-            let base = state.hop_offset[e];
-            for (h, slot_val) in vals.iter_mut().enumerate().take(head) {
-                let flat = base + h;
-                *slot_val = if scratch.acc_mark[flat] == scratch.epoch {
-                    scratch.acc_new[flat]
-                } else {
-                    state.acc[flat]
-                };
-            }
-            for (off, hop) in path.hops[head..].iter().enumerate() {
-                let slot = scratch.slot_of(hop.tile);
-                let hops_here = &scratch.patched_lists[slot];
-                if hops_here.len() >= 2 {
-                    vals[head + off] = self.aggressor_sum(e, hop.pair as u16, hops_here);
-                }
-            }
-            scratch.moved_acc[i] = vals;
-        }
-
-        // Noise re-sums for every affected victim, in canonical tile
-        // order. The peek path tracks the affected minimum in the linear
-        // ratio domain (one log10 at the end); the commit path caches
-        // every affected SNR.
-        let mut min_ratio = f64::INFINITY; // min over gain/noise, noise > 0
-        let mut any_noise_free = false;
-        for i in 0..scratch.affected.len() {
-            let v = scratch.affected[i];
-            let (noise, gain) = if scratch.is_moved(v) {
-                let path = self.path(scratch.new_path[v]);
-                let vals = &scratch.moved_acc[scratch.moved_slot(v)];
-                let mut noise = 0.0f64;
-                for &h in &path.tile_order {
-                    noise += vals[h as usize] * path.hops[h as usize].suffix;
-                }
-                (noise, path.total_gain)
-            } else {
-                let path = self.path(state.path_of_edge[v]);
-                let base = state.hop_offset[v];
-                let mut noise = 0.0f64;
-                for &h in &path.tile_order {
-                    let flat = base + h as usize;
-                    let acc = if scratch.acc_mark[flat] == scratch.epoch {
-                        scratch.acc_new[flat]
-                    } else {
-                        state.acc[flat]
-                    };
-                    noise += acc * state.suffix[flat];
-                }
-                (noise, path.total_gain)
-            };
-            scratch.new_noise[v] = noise;
-            if commit {
-                scratch.new_snr[v] = self.snr_of(gain, noise);
-            } else if noise > 0.0 {
-                min_ratio = min_ratio.min(gain / noise);
-            } else {
-                any_noise_free = true;
-            }
-        }
-
-        // Worst-case min-scans over cached + recomputed per-edge values.
-        let (worst_il, unaffected_snr) = self.delta_scan_il_and_unaffected_snr(state, scratch);
-        let worst_snr = if commit {
-            let mut worst = unaffected_snr;
-            for &v in &scratch.affected {
-                worst = worst.min(scratch.new_snr[v]);
-            }
-            worst
-        } else {
-            // `snr_of` is monotone non-decreasing in gain/noise (log10
-            // is monotone), so the minimum affected SNR is attained at
-            // the minimum ratio; noise-free victims sit at the ceiling.
-            let affected_snr = if min_ratio.is_finite() {
-                (10.0 * min_ratio.log10()).min(self.snr_ceiling.0)
-            } else if any_noise_free {
-                self.snr_ceiling.0
-            } else {
-                f64::INFINITY
-            };
-            let worst = unaffected_snr.min(affected_snr);
-            debug_assert_eq!(
-                worst,
-                self.canonical_worst_snr(state, scratch),
-                "ratio-domain SNR selection diverged from the canonical scan"
-            );
-            worst
-        };
-        (worst_il, worst_snr)
     }
 
     /// Debug-only reference: the worst SNR computed edge-by-edge with

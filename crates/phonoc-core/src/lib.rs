@@ -12,17 +12,18 @@
 //!   [`mapping::Move`] neighbourhood operations.
 //! * [`evaluator`] — worst-case insertion loss and SNR evaluation
 //!   (Eqs. 3–4) over precomputed per-tile-pair paths and router
-//!   interaction matrices. Four scoring tiers, all **bit-identical**
-//!   to each other: [`Evaluator::evaluate_into`] (allocation-free full
-//!   evaluation on a reused [`evaluator::EvalScratch`]) with the thin
-//!   allocating wrapper [`Evaluator::evaluate`];
-//!   [`Evaluator::evaluate_delta`] / [`Evaluator::apply_move`]
-//!   (incremental — see [`evaluator::EvalState`]) plus the
-//!   loss-objective fast path `evaluate_delta_loss` and the
-//!   bound-then-verify SNR peek `evaluate_delta_bounded`; and the
-//!   parallel batch [`Evaluator::evaluate_summaries_batch`] with
-//!   deterministic, input-ordered results (batched move scans run on
-//!   the engine's worker scratches — see [`engine`]).
+//!   interaction matrices. Every scorer is **bit-identical** to every
+//!   other: the full pass [`Evaluator::evaluate_into`]
+//!   (allocation-free on a reused [`evaluator::EvalScratch`]) with the
+//!   thin allocating wrapper [`Evaluator::evaluate`] and the parallel
+//!   batch [`Evaluator::evaluate_summaries_batch`] (deterministic,
+//!   input-ordered results); and the incremental side over an
+//!   [`evaluator::EvalState`], where one SNR delta kernel serves the
+//!   exact peek [`Evaluator::evaluate_delta`], the bound-then-verify
+//!   peek [`Evaluator::evaluate_delta_bounded`] and the commit
+//!   [`Evaluator::apply_move`], next to the crosstalk-free loss peeks
+//!   (`evaluate_delta_loss`, `evaluate_delta_loss_bounded`). Batched
+//!   move scans run on the engine's worker scratches — see [`engine`].
 //! * [`problem`] — [`problem::MappingProblem`]: CG + topology + router +
 //!   routing + parameters + objective. [`problem::Objective`] spans
 //!   three families: worst-case insertion loss, worst-case SNR, and the
@@ -135,10 +136,10 @@ pub use engine::{
     OptContext, PeekStrategy,
 };
 pub use error::CoreError;
-pub use evaluator::bound::{CertificateBound, LowerBound};
+pub use evaluator::bound::CertificateBound;
 pub use evaluator::{
     BoundedDelta, BoundedLossDelta, DeltaScratch, EdgeMetrics, EvalScratch, EvalState, EvalSummary,
-    Evaluator, EvaluatorOptions, NetworkMetrics, ScoreDelta,
+    Evaluator, NetworkMetrics, ScoreDelta,
 };
 pub use mapping::{Mapping, Move};
 pub use montecarlo::{activity_study, ActivityStudy};
@@ -157,10 +158,9 @@ pub mod prelude {
         NeighborhoodPolicy, OptContext, PeekStrategy,
     };
     pub use crate::error::CoreError;
-    pub use crate::evaluator::bound::{CertificateBound, LowerBound};
+    pub use crate::evaluator::bound::CertificateBound;
     pub use crate::evaluator::{
-        EvalScratch, EvalState, EvalSummary, Evaluator, EvaluatorOptions, NetworkMetrics,
-        ScoreDelta,
+        EvalScratch, EvalState, EvalSummary, Evaluator, NetworkMetrics, ScoreDelta,
     };
     pub use crate::mapping::{Mapping, Move};
     pub use crate::montecarlo::{activity_study, ActivityStudy};

@@ -2,7 +2,7 @@
 //! (paper Section II-D1).
 
 use crate::error::CoreError;
-use crate::evaluator::{Evaluator, EvaluatorOptions, NetworkMetrics};
+use crate::evaluator::{Evaluator, NetworkMetrics};
 use crate::mapping::Mapping;
 use phonoc_apps::CommunicationGraph;
 use phonoc_phys::{Db, Modulation, PhysicalParameters};
@@ -308,33 +308,7 @@ impl MappingProblem {
         params: PhysicalParameters,
         objective: Objective,
     ) -> Result<MappingProblem, CoreError> {
-        Self::with_options(
-            cg,
-            topology,
-            router,
-            routing,
-            params,
-            objective,
-            EvaluatorOptions::default(),
-        )
-    }
-
-    /// Assembles a problem with explicit evaluator options.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MappingProblem::new`].
-    pub fn with_options(
-        cg: CommunicationGraph,
-        topology: Topology,
-        router: RouterModel,
-        routing: Box<dyn RoutingAlgorithm>,
-        params: PhysicalParameters,
-        objective: Objective,
-        options: EvaluatorOptions,
-    ) -> Result<MappingProblem, CoreError> {
-        let evaluator =
-            Evaluator::with_options(&cg, &topology, &router, routing.as_ref(), &params, options)?;
+        let evaluator = Evaluator::new(&cg, &topology, &router, routing.as_ref(), &params)?;
         Ok(MappingProblem {
             cg,
             topology,

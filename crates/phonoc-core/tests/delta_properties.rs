@@ -2,8 +2,10 @@
 //! search core: **incremental evaluation is bit-identical to full
 //! re-evaluation** — for random mappings, random moves (task–task and
 //! task–free swaps, relocations), on PIP and VOPD over 3×3 and 4×4
-//! meshes, under both objectives.
+//! meshes plus two long-path inputs (DVOPD on 6×6, an 8×8 hotspot
+//! scenario cell), under every objective family.
 
+use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{Evaluator, Mapping, MappingProblem, Move, Objective};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
@@ -16,6 +18,14 @@ fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProble
     let cg = match app {
         "pip" => phonoc_apps::benchmarks::pip(),
         "vopd" => phonoc_apps::benchmarks::vopd(),
+        "dvopd" => phonoc_apps::benchmarks::dvopd(),
+        "hotspot" => ScenarioSpec {
+            family: ScenarioFamily::Hotspot,
+            mesh: w,
+            density_pct: 100,
+            seed: 1,
+        }
+        .build(),
         other => panic!("unknown app {other}"),
     };
     MappingProblem::new(
@@ -29,9 +39,11 @@ fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProble
     .unwrap()
 }
 
-/// Every (app, mesh) instance the issue calls out, across all four
-/// objective families. PIP (8 tasks) fits 3×3 and gains free tiles on
-/// 4×4; VOPD (16 tasks) saturates 4×4.
+/// Every (app, mesh) instance, across all four objective families.
+/// PIP (8 tasks) fits 3×3 and gains free tiles on 4×4; VOPD (16 tasks)
+/// saturates 4×4. DVOPD (32 tasks) on 6×6 keeps free tiles and the
+/// 8×8 hotspot cell saturates its mesh; both have long paths, so a
+/// move perturbs many victims and shared path heads.
 fn instances() -> Vec<MappingProblem> {
     let mut out = Vec::new();
     for objective in [
@@ -47,6 +59,8 @@ fn instances() -> Vec<MappingProblem> {
         out.push(problem("pip", 3, 3, objective));
         out.push(problem("pip", 4, 4, objective));
         out.push(problem("vopd", 4, 4, objective));
+        out.push(problem("dvopd", 6, 6, objective));
+        out.push(problem("hotspot", 8, 8, objective));
     }
     out
 }

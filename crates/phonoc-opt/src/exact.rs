@@ -51,8 +51,8 @@
 //! deterministic, events carry integers only).
 
 use phonoc_core::{
-    CertificateBound, DseConfig, DseResult, LowerBound, Mapping, MappingOptimizer, MappingProblem,
-    Objective, OptContext, RunTrace, TraceEvent,
+    CertificateBound, DseConfig, DseResult, Mapping, MappingOptimizer, MappingProblem, Objective,
+    OptContext, RunTrace, TraceEvent,
 };
 use phonoc_topo::TileId;
 

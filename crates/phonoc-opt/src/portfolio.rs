@@ -98,8 +98,9 @@ pub struct LaneSpec {
     /// suffix; [`NeighborhoodPolicy::Auto`] when the spec has none).
     pub policy: NeighborhoodPolicy,
     /// The peek-routing strategy the lane pins (from an optional
-    /// `/peek` suffix; hybrid by default — cost-only, never changes
-    /// scores).
+    /// `/peek` suffix; hybrid by default). Each peek scores the same on
+    /// every route, but the route sets what each peek bills, so at
+    /// equal budget the lane goes a different distance.
     pub strategy: PeekStrategy,
     /// Objective override from an optional `!objective` suffix; `None`
     /// scores under the problem's own objective. Lanes with different

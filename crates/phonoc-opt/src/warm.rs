@@ -38,7 +38,7 @@
 //!   and dimensions, every link (endpoints, ports, length bits,
 //!   crossings), router identity (name, ring/crossing counts,
 //!   supported pairs), routing name, all physical parameters (bit
-//!   patterns), evaluator options, task and tile counts, objective.
+//!   patterns), task and tile counts, objective.
 //! * **Run parameters** — canonical portfolio spec string, budget,
 //!   seed.
 //!
@@ -91,8 +91,6 @@ pub struct FamilyKey {
     routing: String,
     /// Bit patterns of every physical parameter, in declaration order.
     params: Vec<u64>,
-    /// (exclude_same_source, exclude_same_destination).
-    options: (bool, bool),
     tasks: usize,
     objective: Objective,
 }
@@ -110,7 +108,6 @@ impl FamilyKey {
             .map(|pp| pp.index())
             .collect();
         pairs.sort_unstable();
-        let opts = problem.evaluator().options();
         FamilyKey {
             topo_kind: topo.kind().to_string(),
             width: topo.width(),
@@ -151,7 +148,6 @@ impl FamilyKey {
                 p.nonlinearity_threshold.0.to_bits(),
                 p.snr_ceiling.0.to_bits(),
             ],
-            options: (opts.exclude_same_source, opts.exclude_same_destination),
             tasks: problem.task_count(),
             objective: problem.objective(),
         }

@@ -123,7 +123,9 @@ options (analyze/optimize/portfolio):
              NAME: rs|ga|r-pbla|sa|tabu|ils|exhaustive or portfolio:...
              @policy {policies}   (swap-scan stream; default
                      auto: exhaustive up to ~8x8 meshes, budget-aware sampling beyond)
-             /peek {peeks}   (SNR peek route; cost only, never scores)
+             /peek {peeks}   (SNR peek route: every peek scores the same,
+                     but the units it bills, so the distance a run
+                     covers at equal budget, differ)
              !objective {objectives}   (re-targets the search)
   --budget N                   evaluations (default 100000)
   --seed N                     RNG seed (default 42)
@@ -316,7 +318,8 @@ SPEC grammar (default: {DEFAULT_SPEC}):
   lane = optimizer[@neighborhood][/peek]
     optimizer     rs|ga|r-pbla|sa|tabu|ils
     @neighborhood {policies}  (swap-scan streams)
-    /peek         {peeks}  (cost only, never scores)
+    /peek         {peeks}  (same score per peek; the units billed, so a
+                  lane's progress at equal budget, differ)
 
 examples:
   phonocmap portfolio --app VOPD
