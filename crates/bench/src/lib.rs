@@ -1,5 +1,6 @@
 //! Shared experiment harness for regenerating the paper's tables and
-//! figures (see EXPERIMENTS.md for the experiment index).
+//! figures (one binary per experiment under `src/bin/`, e.g.
+//! `table2_algorithms`, `fig3_distribution`).
 //!
 //! Everything here is deterministic given a seed, and the heavy sweeps
 //! are parallelized over [`phonoc_core::parallel`]'s persistent worker
@@ -18,7 +19,7 @@ use phonoc_route::XyRouting;
 use phonoc_router::{RouterModel, RouterRegistry};
 use phonoc_topo::{fit_grid, Topology, TopologyKind};
 
-/// Default tile pitch used by every experiment (DESIGN.md §3).
+/// Default tile pitch used by every experiment (2.5 mm, as in the CLI).
 #[must_use]
 pub fn tile_pitch() -> Length {
     Length::from_mm(2.5)

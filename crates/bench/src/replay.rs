@@ -704,7 +704,6 @@ mod tests {
     fn parity_accounting_reads_the_measured_trajectory() {
         let result = PortfolioResult {
             spec: "test".into(),
-            rounds: 3,
             best_mapping: phonoc_core::Mapping::identity(2, 4),
             best_score: 3.0,
             round_best: vec![1.0, 2.5, 3.0],
@@ -712,7 +711,10 @@ mod tests {
             evaluations: 32,
             budget: 40,
             lanes: Vec::new(),
-            stats: phonoc_core::RunStats::default(),
+            stats: phonoc_core::RunStats {
+                rounds: 3,
+                ..phonoc_core::RunStats::default()
+            },
         };
         assert_eq!(evaluations_to_reach(&result, 2.0), Some(20));
         assert_eq!(evaluations_to_reach(&result, 3.0), Some(32));

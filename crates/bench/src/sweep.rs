@@ -229,16 +229,12 @@ pub struct OptOutcome {
     pub best_score: f64,
     /// Budget consumed (full-evaluation-equivalents).
     pub evaluations: usize,
-    /// Full evaluations (including hybrid full-backed peeks).
-    pub full_evaluations: usize,
-    /// Delta evaluations.
-    pub delta_evaluations: usize,
-    /// Peek-route decision counters for the run (the `route_mix`
-    /// object in the JSON, schema /8): how the per-cursor routes split
-    /// the ledger totals above. The full counters partition
-    /// `full_evaluations` and the delta counters partition
-    /// `delta_evaluations` exactly — `scripts/bench_gate.py` checks
-    /// the partition on every row.
+    /// The run's counters: the full and delta evaluation counts (the
+    /// `full_evaluations` / `delta_evaluations` JSON columns, full
+    /// counts including hybrid full-backed peeks) and the peek-route
+    /// decision counters that partition them exactly (the `route_mix`
+    /// object, schema /8 — `scripts/bench_gate.py` checks the
+    /// partition on every row).
     pub stats: phonoc_core::RunStats,
     /// Wall-clock of the run, in milliseconds.
     pub ms: u64,
@@ -502,8 +498,6 @@ pub fn measure_scenario(spec: &ScenarioSpec, cfg: &SweepConfig) -> ScenarioOutco
                             .name(),
                         best_score: result.best_score,
                         evaluations: result.evaluations,
-                        full_evaluations: result.full_evaluations,
-                        delta_evaluations: result.delta_evaluations,
                         stats: result.stats,
                         ms: t.elapsed().as_millis() as u64,
                         lane_parallel_ms: None,
@@ -540,8 +534,6 @@ pub fn measure_scenario(spec: &ScenarioSpec, cfg: &SweepConfig) -> ScenarioOutco
                         objective: problem.objective().name(),
                         best_score: result.best_score,
                         evaluations: result.evaluations,
-                        full_evaluations: result.lanes.iter().map(|l| l.full_evaluations).sum(),
-                        delta_evaluations: result.lanes.iter().map(|l| l.delta_evaluations).sum(),
                         stats: result.stats,
                         ms,
                         lane_parallel_ms: Some((pinned_ms[0], pinned_ms[1])),
@@ -881,8 +873,8 @@ pub fn report_to_json(report: &SweepReport, command: &str) -> String {
                 o.objective,
                 o.best_score,
                 o.evaluations,
-                o.full_evaluations,
-                o.delta_evaluations,
+                o.stats.full_evaluations,
+                o.stats.delta_evaluations,
                 o.ms
             );
             let _ = write!(
@@ -985,20 +977,9 @@ mod tests {
             // the full-evaluation ledger and the delta counters the
             // delta ledger, exactly, on every row.
             for o in &s.optimizers {
-                assert_eq!(
-                    o.stats.full_peeks + o.stats.full_direct,
-                    o.full_evaluations,
-                    "{}: full route counters must partition full_evaluations",
-                    o.algo
-                );
-                assert_eq!(
-                    o.stats.delta_exact
-                        + o.stats.loss_fast_path
-                        + o.stats.bound_rejected
-                        + o.stats.bound_verified
-                        + o.stats.bound_charges,
-                    o.delta_evaluations,
-                    "{}: delta route counters must partition delta_evaluations",
+                assert!(
+                    o.stats.reconciles(),
+                    "{}: route counters must partition full_evaluations and delta_evaluations",
                     o.algo
                 );
             }

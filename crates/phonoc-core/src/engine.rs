@@ -634,8 +634,6 @@ pub struct OptContext<'p> {
     used_units: u64,
     /// Units per full evaluation (= CG edge count, min 1).
     unit: u64,
-    full_evaluations: usize,
-    delta_evaluations: usize,
     best: Option<(Mapping, f64)>,
     history: Vec<(usize, f64)>,
     cursor: Option<Cursor>,
@@ -649,9 +647,9 @@ pub struct OptContext<'p> {
     /// hand out instead of a random draw — how a portfolio lane
     /// resumes from an exchanged elite incumbent.
     seed_start: Option<Mapping>,
-    /// Decision counters (always on; see [`crate::telemetry`]). The
-    /// two ledger mirrors (`full_evaluations` / `delta_evaluations`)
-    /// are filled from the fields above at snapshot time.
+    /// The session's evaluation counters and decision counters (always
+    /// on; see [`crate::telemetry`]) — the one store of both, bumped
+    /// where each evaluation is billed.
     stats: RunStats,
     /// Where trace events go — [`NullSink`] (disabled) unless a
     /// recorder was installed with [`OptContext::set_trace_sink`].
@@ -671,8 +669,6 @@ impl fmt::Debug for OptContext<'_> {
         f.debug_struct("OptContext")
             .field("budget", &(self.budget_units / self.unit))
             .field("used_units", &self.used_units)
-            .field("full_evaluations", &self.full_evaluations)
-            .field("delta_evaluations", &self.delta_evaluations)
             .field("best_score", &self.best.as_ref().map(|(_, s)| *s))
             .finish_non_exhaustive()
     }
@@ -691,8 +687,6 @@ impl<'p> OptContext<'p> {
             budget_units: budget as u64 * unit,
             used_units: 0,
             unit,
-            full_evaluations: 0,
-            delta_evaluations: 0,
             best: None,
             history: Vec::new(),
             cursor: None,
@@ -704,6 +698,22 @@ impl<'p> OptContext<'p> {
             full_scratch: EvalScratch::default(),
             delta_scratch: DeltaScratch::default(),
         }
+    }
+
+    /// A fresh context with every [`DseConfig`] knob applied — budget,
+    /// seed, objective override, peek strategy, neighbourhood policy
+    /// and seeded start. The one config-to-context step [`run_dse`],
+    /// [`run_dse_traced`] and the exact lane's certificate runs share.
+    #[must_use]
+    pub fn with_config(problem: &'p MappingProblem, config: &DseConfig) -> Self {
+        let mut ctx = OptContext::new(problem, config.budget, config.seed);
+        if let Some(objective) = config.objective {
+            ctx.objective = objective;
+        }
+        ctx.strategy = config.strategy;
+        ctx.policy = config.policy;
+        ctx.seed_start.clone_from(&config.start);
+        ctx
     }
 
     /// Re-arms the context for a fresh session on `problem` — the
@@ -739,8 +749,6 @@ impl<'p> OptContext<'p> {
         self.unit = problem.evaluator().edge_count().max(1) as u64;
         self.budget_units = budget as u64 * self.unit;
         self.used_units = 0;
-        self.full_evaluations = 0;
-        self.delta_evaluations = 0;
         self.best = None;
         self.history.clear();
         self.seed_start = None;
@@ -862,20 +870,6 @@ impl<'p> OptContext<'p> {
         self.used_units.div_ceil(self.unit) as usize
     }
 
-    /// Full evaluations performed (each charged `edge_count` units),
-    /// including peeks the [`PeekStrategy`] routed to a full pass.
-    #[must_use]
-    pub fn full_evaluations(&self) -> usize {
-        self.full_evaluations
-    }
-
-    /// Incremental move evaluations performed (each charged by its
-    /// affected-edge count).
-    #[must_use]
-    pub fn delta_evaluations(&self) -> usize {
-        self.delta_evaluations
-    }
-
     /// Whether the budget is exhausted.
     #[must_use]
     pub fn exhausted(&self) -> bool {
@@ -907,7 +901,7 @@ impl<'p> OptContext<'p> {
             return false;
         }
         self.charge(cost.max(1));
-        self.delta_evaluations += 1;
+        self.stats.delta_evaluations += 1;
         self.stats.bound_charges += 1;
         true
     }
@@ -946,17 +940,12 @@ impl<'p> OptContext<'p> {
         self.sink.drain()
     }
 
-    /// Snapshot of the session's decision counters, with the ledger
-    /// mirrors (`full_evaluations` / `delta_evaluations`) filled in.
-    /// The route counters always partition the ledger
-    /// ([`RunStats::reconciles`]).
+    /// Snapshot of the session's counters: the evaluation ledger
+    /// (`full_evaluations` / `delta_evaluations`) and the decision
+    /// counters that partition it ([`RunStats::reconciles`]).
     #[must_use]
     pub fn stats(&self) -> RunStats {
-        RunStats {
-            full_evaluations: self.full_evaluations,
-            delta_evaluations: self.delta_evaluations,
-            ..self.stats
-        }
+        self.stats
     }
 
     /// The convergence history so far: `(evaluation index, incumbent
@@ -1028,7 +1017,7 @@ impl<'p> OptContext<'p> {
             return None;
         }
         self.charge(self.unit);
-        self.full_evaluations += 1;
+        self.stats.full_evaluations += 1;
         self.stats.full_direct += 1;
         let summary = self
             .problem
@@ -1061,7 +1050,7 @@ impl<'p> OptContext<'p> {
         let mut scores = Vec::with_capacity(admit);
         for (mapping, s) in mappings.iter().zip(summaries) {
             self.charge(self.unit);
-            self.full_evaluations += 1;
+            self.stats.full_evaluations += 1;
             self.stats.full_direct += 1;
             let score = objective.score_worst_cases(s.worst_case_il, s.worst_case_snr);
             self.record(mapping, score);
@@ -1147,7 +1136,7 @@ impl<'p> OptContext<'p> {
             return None;
         }
         self.charge(self.unit);
-        self.full_evaluations += 1;
+        self.stats.full_evaluations += 1;
         self.stats.full_direct += 1;
         // Loss-family peeks read only paths and insertion losses, so
         // their cursors skip the crosstalk caches (still billed as the
@@ -1331,27 +1320,27 @@ impl<'p> OptContext<'p> {
         self.charge(charged as u64);
         let route = match ev {
             MoveEval::Full { .. } => {
-                self.full_evaluations += 1;
+                self.stats.full_evaluations += 1;
                 self.stats.full_peeks += 1;
                 PeekRoute::Full
             }
             MoveEval::Bounded { .. } => {
-                self.delta_evaluations += 1;
+                self.stats.delta_evaluations += 1;
                 self.stats.bound_rejected += 1;
                 PeekRoute::BoundedRejected
             }
             MoveEval::Snr { .. } | MoveEval::Loss { .. } if bounded => {
-                self.delta_evaluations += 1;
+                self.stats.delta_evaluations += 1;
                 self.stats.bound_verified += 1;
                 PeekRoute::BoundedVerified
             }
             MoveEval::Snr { .. } => {
-                self.delta_evaluations += 1;
+                self.stats.delta_evaluations += 1;
                 self.stats.delta_exact += 1;
                 PeekRoute::Delta
             }
             MoveEval::Loss { .. } => {
-                self.delta_evaluations += 1;
+                self.stats.delta_evaluations += 1;
                 self.stats.loss_fast_path += 1;
                 PeekRoute::Loss
             }
@@ -1458,8 +1447,6 @@ impl<'p> OptContext<'p> {
             best_mapping,
             best_score,
             evaluations,
-            full_evaluations: self.full_evaluations,
-            delta_evaluations: self.delta_evaluations,
             history: std::mem::take(&mut self.history),
             stats,
         }
@@ -1493,14 +1480,12 @@ pub struct DseResult {
     /// (rounded up; delta evaluations are charged fractionally, see
     /// [`OptContext`]).
     pub evaluations: usize,
-    /// Count of full evaluations performed.
-    pub full_evaluations: usize,
-    /// Count of incremental move evaluations performed.
-    pub delta_evaluations: usize,
     /// `(evaluation index, incumbent score)` at every improvement.
     pub history: Vec<(usize, f64)>,
-    /// Decision counters for the session (route mix, bound rejections,
-    /// neighbourhood stream, improvements) — see [`crate::telemetry`].
+    /// The session's counters: full and delta evaluation counts plus
+    /// the decision counters that partition them (route mix, bound
+    /// rejections, neighbourhood stream, improvements) — see
+    /// [`crate::telemetry`].
     pub stats: RunStats,
 }
 
@@ -1604,8 +1589,7 @@ pub fn run_dse(
     optimizer: &dyn MappingOptimizer,
     config: &DseConfig,
 ) -> DseResult {
-    let mut ctx = OptContext::new(problem, config.budget, config.seed);
-    apply_config(&mut ctx, config);
+    let mut ctx = OptContext::with_config(problem, config);
     optimizer.optimize(&mut ctx);
     ctx.finish(optimizer.name())
 }
@@ -1626,27 +1610,12 @@ pub fn run_dse_traced(
     optimizer: &dyn MappingOptimizer,
     config: &DseConfig,
 ) -> (DseResult, Vec<TraceEvent>) {
-    let mut ctx = OptContext::new(problem, config.budget, config.seed);
+    let mut ctx = OptContext::with_config(problem, config);
     ctx.set_trace_sink(Box::new(RunTrace::new()));
-    apply_config(&mut ctx, config);
     optimizer.optimize(&mut ctx);
     let result = ctx.finish(optimizer.name());
     let events = ctx.drain_trace();
     (result, events)
-}
-
-/// The shared configuration step of [`run_dse`] / [`run_dse_traced`]:
-/// applies every [`DseConfig`] knob to a fresh context.
-fn apply_config(ctx: &mut OptContext<'_>, config: &DseConfig) {
-    if let Some(objective) = config.objective {
-        ctx.set_objective(objective)
-            .expect("a fresh context has not evaluated yet");
-    }
-    ctx.set_peek_strategy(config.strategy);
-    ctx.set_neighborhood_policy(config.policy);
-    if let Some(start) = &config.start {
-        ctx.set_seed_start(start.clone());
-    }
 }
 
 #[cfg(test)]
@@ -1693,8 +1662,8 @@ mod tests {
         let p = tiny_problem();
         let r = run_dse(&p, &FirstRandom, &DseConfig::new(37, 1));
         assert_eq!(r.evaluations, 37);
-        assert_eq!(r.full_evaluations, 37);
-        assert_eq!(r.delta_evaluations, 0);
+        assert_eq!(r.stats.full_evaluations, 37);
+        assert_eq!(r.stats.delta_evaluations, 0);
     }
 
     #[test]
@@ -1782,11 +1751,11 @@ mod tests {
         }
         assert!(ctx.exhausted());
         assert_eq!(calls, (2 * unit).div_ceil(3) as usize);
-        assert_eq!(ctx.delta_evaluations(), calls);
-        assert_eq!(ctx.full_evaluations(), 0);
+        assert_eq!(ctx.stats().delta_evaluations, calls);
+        assert_eq!(ctx.stats().full_evaluations, 0);
         // Exhausted contexts admit nothing and charge nothing.
         assert!(!ctx.charge_bound(1));
-        assert_eq!(ctx.delta_evaluations(), calls);
+        assert_eq!(ctx.stats().delta_evaluations, calls);
     }
 
     #[test]
@@ -1924,8 +1893,8 @@ mod tests {
             peeks > budget,
             "only {peeks} peeks fit in a {budget}-evaluation budget"
         );
-        assert_eq!(ctx.delta_evaluations(), peeks);
-        assert_eq!(ctx.full_evaluations(), 1);
+        assert_eq!(ctx.stats().delta_evaluations, peeks);
+        assert_eq!(ctx.stats().full_evaluations, 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   thread (still on its sticky scratch slot); above it the worker
 //!   count scales with `n / FORK_FLOOR` up to the effective ceiling.
 //!   With the spawn cost gone the floor was re-measured on the pool
-//!   (`bench::parallel`, committed `BENCH_parallel.json`): a pool
+//!   (`bench::parallel`, on a 1-core host): a pool
 //!   dispatch costs ~4 µs per remote chunk (4.3 µs at 2 workers,
 //!   11.1 µs at 4) against the scope-spawn path's ~38 µs at 2 workers
 //!   and ~77 µs at 4 — about 9× cheaper, pool ≤ spawn on all 51
@@ -42,6 +42,8 @@
 //!   8: at ~10 µs/item the pool reaches sequential parity at 8-item
 //!   batches where the spawn path needed 256+, and at ~1 µs/item it
 //!   reaches parity at 64 where the spawn path never did (≤ 512).
+//!   The committed `BENCH_parallel.json` is a 2-core rerun: pool ≤
+//!   spawn still holds on all 51 cells (median ratio 0.48).
 //! * [`parallel_map_tasks`] — the coarse-grained map behind portfolio
 //!   lanes: items are whole optimizer runs (milliseconds to seconds
 //!   each), so it forks for *any* batch of two or more items instead of
@@ -98,8 +100,8 @@ use std::sync::{Mutex, OnceLock};
 
 /// Minimum items per worker before a fine-grained batch forks.
 ///
-/// Recalibrated for the persistent pool (`bench::parallel`, committed
-/// `BENCH_parallel.json`): dispatching one pool chunk costs a channel
+/// Recalibrated for the persistent pool (`bench::parallel` on a 1-core
+/// host; see the [module docs](self)): dispatching one pool chunk costs a channel
 /// send plus a wake-up — ~4 µs (measured 4.3 µs at 2 workers, 11.1 µs
 /// at 4) — against the ~38 µs (2 workers) to ~77 µs (4 workers) spawn
 /// cost the old `std::thread::scope` path paid, which is what forced

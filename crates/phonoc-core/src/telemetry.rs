@@ -158,10 +158,12 @@ impl WarmOutcome {
 /// deterministic per `(problem, config, seed)` at any worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Full evaluations performed (ledger total; `== full_peeks +
-    /// full_direct`).
+    /// Full evaluations performed, each charged `edge_count` units —
+    /// the session's one count of them, bumped where each is billed
+    /// (`== full_peeks + full_direct`).
     pub full_evaluations: usize,
-    /// Incremental evaluations performed (ledger total; the sum of
+    /// Incremental evaluations performed, each charged by the work it
+    /// did — the session's one count of them (the sum of
     /// `delta_exact`, `loss_fast_path`, `bound_rejected`,
     /// `bound_verified` and `bound_charges`).
     pub delta_evaluations: usize,

@@ -365,7 +365,7 @@ fn power_route_peeks_keep_the_budget_ledger_honest() {
         ctx.set_peek_strategy(PeekStrategy::Hybrid);
         let start = ctx.random_mapping();
         ctx.set_current(start).expect("budget is huge");
-        assert_eq!(ctx.full_evaluations(), 1, "set_current is one full");
+        assert_eq!(ctx.stats().full_evaluations, 1, "set_current is one full");
         assert_eq!(ctx.used(), 1, "a full costs one equivalent");
 
         let moves = admitted_subset(p.task_count(), p.tile_count(), 100);
@@ -381,9 +381,9 @@ fn power_route_peeks_keep_the_budget_ledger_honest() {
         if objective.is_loss_based() {
             assert_eq!(routed_full, 0, "{objective}: loss peeks routed to full");
         }
-        assert_eq!(ctx.full_evaluations(), 1 + routed_full, "{objective}");
+        assert_eq!(ctx.stats().full_evaluations, 1 + routed_full, "{objective}");
         assert_eq!(
-            ctx.delta_evaluations(),
+            ctx.stats().delta_evaluations,
             moves.len() - routed_full,
             "{objective}"
         );
@@ -396,7 +396,7 @@ fn power_route_peeks_keep_the_budget_ledger_honest() {
         // Improving scan: bounded rejections also charge their work —
         // one more booked delta per peek, nonzero total spend.
         let before = ctx.used();
-        let deltas_before = ctx.delta_evaluations();
+        let deltas_before = ctx.stats().delta_evaluations;
         let improving = ctx.peek_moves_improving(&moves);
         assert_eq!(improving.len(), moves.len());
         let routed_full = improving
@@ -407,7 +407,7 @@ fn power_route_peeks_keep_the_budget_ledger_honest() {
             assert_eq!(routed_full, 0, "{objective}: loss peeks routed to full");
         }
         assert_eq!(
-            ctx.delta_evaluations() - deltas_before,
+            ctx.stats().delta_evaluations - deltas_before,
             moves.len() - routed_full,
             "{objective}: every peek (rejections included) books one delta"
         );
@@ -424,7 +424,7 @@ fn hybrid_books_every_peek_as_exactly_one_evaluation() {
         ctx.set_peek_strategy(PeekStrategy::Hybrid);
         let start = ctx.random_mapping();
         ctx.set_current(start).expect("budget is huge");
-        assert_eq!(ctx.full_evaluations(), 1, "set_current is one full");
+        assert_eq!(ctx.stats().full_evaluations, 1, "set_current is one full");
 
         let moves = admitted_subset(p.task_count(), p.tile_count(), 120);
         let scanned = ctx.peek_moves(&moves);
@@ -435,13 +435,13 @@ fn hybrid_books_every_peek_as_exactly_one_evaluation() {
             .filter(|ev| matches!(ev, MoveEval::Full { .. }))
             .count();
         assert_eq!(
-            ctx.full_evaluations(),
+            ctx.stats().full_evaluations,
             1 + routed_full,
             "{}: full ledger",
             spec.id()
         );
         assert_eq!(
-            ctx.delta_evaluations(),
+            ctx.stats().delta_evaluations,
             moves.len() - routed_full,
             "{}: delta ledger",
             spec.id()
@@ -454,8 +454,8 @@ fn hybrid_books_every_peek_as_exactly_one_evaluation() {
 fn books(ctx: &OptContext<'_>) -> (usize, usize, usize, bool, phonoc_core::RunStats) {
     (
         ctx.used(),
-        ctx.full_evaluations(),
-        ctx.delta_evaluations(),
+        ctx.stats().full_evaluations,
+        ctx.stats().delta_evaluations,
         ctx.exhausted(),
         ctx.stats(),
     )

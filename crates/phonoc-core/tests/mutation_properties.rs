@@ -214,8 +214,8 @@ fn result_fingerprint(r: &phonoc_core::DseResult) -> (u64, Mapping, usize, usize
         r.best_score.to_bits(),
         r.best_mapping.clone(),
         r.evaluations,
-        r.full_evaluations,
-        r.delta_evaluations,
+        r.stats.full_evaluations,
+        r.stats.delta_evaluations,
     )
 }
 

@@ -103,8 +103,8 @@ fn fingerprint(result: &phonoc_core::DseResult) -> (u64, usize, usize, usize, Ve
     (
         result.best_score.to_bits(),
         result.evaluations,
-        result.full_evaluations,
-        result.delta_evaluations,
+        result.stats.full_evaluations,
+        result.stats.delta_evaluations,
         result
             .history
             .iter()
@@ -202,8 +202,7 @@ fn null_sink_records_nothing_and_is_the_default() {
     assert!(ctx.drain_trace().is_empty(), "NullSink must record nothing");
     // The always-on counters still filled in and reconcile.
     assert!(result.stats.reconciles());
-    assert_eq!(result.stats.full_evaluations, result.full_evaluations);
-    assert_eq!(result.stats.delta_evaluations, result.delta_evaluations);
+    assert!(result.stats.full_evaluations > 0, "the seat is billed");
 }
 
 #[test]

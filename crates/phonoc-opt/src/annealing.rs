@@ -149,7 +149,10 @@ mod tests {
             &SimulatedAnnealing::default(),
             &DseConfig::new(500, 17).with_strategy(PeekStrategy::Delta),
         );
-        assert!(rd.delta_evaluations > 0, "sa must walk on the move API");
+        assert!(
+            rd.stats.delta_evaluations > 0,
+            "sa must walk on the move API"
+        );
     }
 
     #[test]

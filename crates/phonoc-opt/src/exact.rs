@@ -171,18 +171,9 @@ fn prove_inner(
     config: &DseConfig,
     traced: bool,
 ) -> (Certificate, Vec<TraceEvent>) {
-    let mut ctx = OptContext::new(problem, config.budget, config.seed);
+    let mut ctx = OptContext::with_config(problem, config);
     if traced {
         ctx.set_trace_sink(Box::new(RunTrace::new()));
-    }
-    if let Some(objective) = config.objective {
-        ctx.set_objective(objective)
-            .expect("a fresh context has not evaluated yet");
-    }
-    ctx.set_peek_strategy(config.strategy);
-    ctx.set_neighborhood_policy(config.policy);
-    if let Some(start) = &config.start {
-        ctx.set_seed_start(start.clone());
     }
     let root_bound = root_bound(problem, ctx.objective());
     let mut stats = SearchStats::default();

@@ -127,7 +127,10 @@ mod tests {
             &IteratedLocalSearch::default(),
             &DseConfig::new(600, 4).with_strategy(PeekStrategy::Delta),
         );
-        assert!(rd.delta_evaluations > 0, "ils must descend on the move API");
+        assert!(
+            rd.stats.delta_evaluations > 0,
+            "ils must descend on the move API"
+        );
     }
 
     #[test]

@@ -91,8 +91,8 @@ use std::fmt::Write as _;
 /// is derived from the portfolio seed and the lane index at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneSpec {
-    /// Registry optimizer spec (`name[@policy]`, e.g. `r-pbla@sampled`
-    /// — validated against the registry at parse time).
+    /// Registry optimizer name in its canonical spelling (`r-pbla` for
+    /// a lane written `RPBLA@sampled` — resolved at parse time).
     pub algo: String,
     /// The neighbourhood policy the lane pins (from the `@policy`
     /// suffix; [`NeighborhoodPolicy::Auto`] when the spec has none).
@@ -124,19 +124,25 @@ impl LaneSpec {
     pub fn parse(spec: &str) -> Result<LaneSpec, String> {
         let parsed = registry::single_spec(spec)?;
         Ok(LaneSpec {
-            algo: parsed.algo,
+            algo: parsed.optimizer.name().to_owned(),
             policy: parsed.policy.unwrap_or_default(),
             strategy: parsed.strategy.unwrap_or_default(),
             objective: parsed.objective,
         })
     }
 
-    /// The canonical lane label (`name[@policy][/peek][!objective]`,
-    /// suffixes only when non-default / present — pre-suffix spec
-    /// strings keep their exact bytes).
+    /// The canonical lane label (`name[@policy][/peek][!objective]`):
+    /// the resolved optimizer name, then each suffix only when
+    /// non-default / present. Alias and case spellings of one lane
+    /// (`rpbla@sampled`, `R-PBLA@Sampled`) share one label, and
+    /// `@auto` is omitted like an absent policy — both run the same
+    /// race, so they must share one warm-cache key.
     #[must_use]
     pub fn label(&self) -> String {
         let mut label = self.algo.clone();
+        if self.policy != NeighborhoodPolicy::Auto {
+            let _ = write!(label, "@{}", self.policy.name());
+        }
         if self.strategy != PeekStrategy::default() {
             let _ = write!(label, "/{}", self.strategy);
         }
@@ -412,19 +418,11 @@ fn lane_round_seed(seed: u64, lane: usize, round: usize) -> u64 {
 pub struct LaneOutcome {
     /// Canonical lane label ([`LaneSpec::label`]).
     pub label: String,
-    /// The lane's neighbourhood policy.
-    pub policy: NeighborhoodPolicy,
-    /// The lane's peek strategy.
-    pub strategy: PeekStrategy,
     /// Budget allotted to the lane across all rounds (the lane
     /// allotments of all lanes sum exactly to the global budget).
     pub allotted: usize,
     /// Budget the lane actually consumed (≤ `allotted`).
     pub used: usize,
-    /// Full evaluations across the lane's sessions.
-    pub full_evaluations: usize,
-    /// Delta evaluations across the lane's sessions.
-    pub delta_evaluations: usize,
     /// The lane's own best score (its incumbent — which may have been
     /// seeded by another lane's elite through exchange).
     pub best_score: f64,
@@ -435,8 +433,6 @@ pub struct LaneOutcome {
 pub struct PortfolioResult {
     /// Canonical spec of the portfolio that ran.
     pub spec: String,
-    /// Rounds executed.
-    pub rounds: usize,
     /// Best mapping across all lanes and rounds (fixed reduction:
     /// ties break to the lowest lane index).
     pub best_mapping: Mapping,
@@ -456,23 +452,11 @@ pub struct PortfolioResult {
     pub budget: usize,
     /// Per-lane breakdown, in lane order.
     pub lanes: Vec<LaneOutcome>,
-    /// Aggregate decision counters absorbed from every lane session in
-    /// fixed lane order (peek route mix, neighbourhood stream, rounds
-    /// executed — see the [module docs](self#telemetry)).
-    /// Bit-identical at any worker count.
+    /// Aggregate counters absorbed from every lane session in fixed
+    /// lane order (full/delta evaluation ledger, peek route mix,
+    /// neighbourhood stream, rounds executed — see the [module
+    /// docs](self#telemetry)). Bit-identical at any worker count.
     pub stats: RunStats,
-}
-
-/// One lane's inputs for one round — a pure value, so the lane can run
-/// on any worker thread.
-struct LaneRun {
-    algo: String,
-    policy: NeighborhoodPolicy,
-    strategy: PeekStrategy,
-    objective: Option<Objective>,
-    budget: usize,
-    seed: u64,
-    start: Option<Mapping>,
 }
 
 /// Runs `spec` on `problem` with a global evaluation `budget` and RNG
@@ -549,8 +533,6 @@ pub fn run_portfolio_seeded_traced(
 
     // Per-lane running state, folded in fixed lane order every round.
     let mut incumbents: Vec<Option<(Mapping, f64)>> = vec![None; n];
-    let mut full_evals = vec![0usize; n];
-    let mut delta_evals = vec![0usize; n];
     let mut round_best = Vec::with_capacity(rounds);
     let mut round_evaluations = Vec::with_capacity(rounds);
     // Aggregate decision counters, absorbed lane by lane in the fixed
@@ -579,42 +561,32 @@ pub fn run_portfolio_seeded_traced(
             best_incumbent(&incumbents).map(|(m, _)| m.clone())
         };
         let seeded = start.is_some();
-        let runs: Vec<LaneRun> = spec
+        let runs: Vec<(&str, DseConfig)> = spec
             .lanes
             .iter()
             .enumerate()
-            .map(|(lane, ls)| LaneRun {
-                algo: ls.algo.clone(),
-                policy: ls.policy,
-                strategy: ls.strategy,
-                objective: ls.objective,
-                budget: allot[lane],
-                seed: lane_round_seed(seed, lane, round),
-                start: start.clone(),
+            .map(|(lane, ls)| {
+                let config = DseConfig {
+                    budget: allot[lane],
+                    seed: lane_round_seed(seed, lane, round),
+                    strategy: ls.strategy,
+                    policy: ls.policy,
+                    objective: ls.objective,
+                    start: start.clone(),
+                };
+                (ls.algo.as_str(), config)
             })
             .collect();
 
         // The bulk-synchronous step: every lane round is a pure
-        // function of its LaneRun, and results come back in lane
-        // order — bit-identical at any worker count.
-        let results = parallel_map_tasks(&runs, |run| {
-            if run.budget == 0 {
+        // function of its optimizer and config, and results come back
+        // in lane order — bit-identical at any worker count.
+        let results = parallel_map_tasks(&runs, |(algo, config)| {
+            if config.budget == 0 {
                 return None;
             }
-            let (optimizer, _) =
-                registry::optimizer_spec(&run.algo).expect("lane specs are validated at parse");
-            Some(run_dse(
-                problem,
-                optimizer.as_ref(),
-                &DseConfig {
-                    budget: run.budget,
-                    seed: run.seed,
-                    strategy: run.strategy,
-                    policy: run.policy,
-                    objective: run.objective,
-                    start: run.start.clone(),
-                },
-            ))
+            let optimizer = registry::optimizer(algo).expect("lane specs are validated at parse");
+            Some(run_dse(problem, optimizer.as_ref(), config))
         });
 
         // Fixed lane→result reduction.
@@ -623,8 +595,6 @@ pub fn run_portfolio_seeded_traced(
             let Some(result) = result else { continue };
             ledger.record(round, lane, result.evaluations);
             round_used += result.evaluations;
-            full_evals[lane] += result.full_evaluations;
-            delta_evals[lane] += result.delta_evaluations;
             stats.absorb(&result.stats);
             if sink.enabled() {
                 sink.record(TraceEvent::LaneRound {
@@ -661,12 +631,8 @@ pub fn run_portfolio_seeded_traced(
         .enumerate()
         .map(|(lane, ls)| LaneOutcome {
             label: ls.label(),
-            policy: ls.policy,
-            strategy: ls.strategy,
             allotted: ledger.lane_allotted(lane),
             used: ledger.lane_used(lane),
-            full_evaluations: full_evals[lane],
-            delta_evaluations: delta_evals[lane],
             best_score: incumbents[lane]
                 .as_ref()
                 .map(|(_, s)| *s)
@@ -683,7 +649,6 @@ pub fn run_portfolio_seeded_traced(
     }
     PortfolioResult {
         spec: spec.canonical(),
-        rounds,
         best_mapping,
         best_score,
         round_best,
@@ -910,6 +875,11 @@ mod tests {
                 "sa!power-pam4+rs!margin",
                 "portfolio:sa!power-pam4+rs!margin,exchange=best,rounds=6",
             ),
+            // The sweep's single-lane spellings label committed rows.
+            (
+                "rs+r-pbla@exhaustive+r-pbla@sampled+r-pbla@locality+r-pbla@sampled!power+r-pbla@sampled!margin-pam4",
+                "portfolio:rs+r-pbla@exhaustive+r-pbla@sampled+r-pbla@locality+r-pbla@sampled!power+r-pbla@sampled!margin-pam4,exchange=best,rounds=6",
+            ),
         ] {
             let spec = PortfolioSpec::parse(input).unwrap();
             assert_eq!(spec.canonical(), golden, "input `{input}`");
@@ -963,7 +933,7 @@ mod tests {
         assert_eq!(a.best_score.to_bits(), b.best_score.to_bits());
         assert_eq!(a.best_mapping, b.best_mapping);
         assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.rounds, 20);
+        assert_eq!(a.stats.rounds, 20);
         assert_eq!(
             a.spec,
             format!("portfolio:r-pbla+rs,exchange=best,rounds={}", usize::MAX)

@@ -300,4 +300,32 @@ mod tests {
         assert!(search_spec("portfolio:nonsense").is_err());
         assert!(search_spec("nonsense").is_err());
     }
+
+    /// Malformed specs — empty pieces, dangling separators, doubled
+    /// suffixes, empty/zero/overflowing round counts, valueless
+    /// options — fail with an error through both parsers, never a
+    /// panic.
+    #[test]
+    fn malformed_specs_fail_in_both_parsers() {
+        for spec in [
+            "",
+            "+",
+            ",",
+            "r-pbla@",
+            "r-pbla/",
+            "r-pbla!",
+            "r-pbla/full/delta",
+            "portfolio:",
+            "r-pbla,rounds=",
+            "r-pbla,rounds=0",
+            "r-pbla,rounds=99999999999999999999",
+            "r-pbla,exchange",
+        ] {
+            assert!(search_spec(spec).is_err(), "search_spec accepted `{spec}`");
+            assert!(
+                PortfolioSpec::parse(spec).is_err(),
+                "PortfolioSpec::parse accepted `{spec}`"
+            );
+        }
+    }
 }

@@ -172,7 +172,7 @@ mod tests {
             &DseConfig::new(400, 9).with_strategy(PeekStrategy::Delta),
         );
         assert!(
-            rd.delta_evaluations > 0,
+            rd.stats.delta_evaluations > 0,
             "R-PBLA must use incremental scans"
         );
     }

@@ -135,7 +135,10 @@ mod tests {
             &TabuSearch::default(),
             &DseConfig::new(400, 13).with_strategy(PeekStrategy::Delta),
         );
-        assert!(rd.delta_evaluations > 0, "tabu must use incremental scans");
+        assert!(
+            rd.stats.delta_evaluations > 0,
+            "tabu must use incremental scans"
+        );
     }
 
     #[test]

@@ -69,8 +69,8 @@ fn dse_fingerprint(r: &phonoc_core::DseResult) -> (u64, usize, usize, usize) {
     (
         r.best_score.to_bits(),
         r.evaluations,
-        r.full_evaluations,
-        r.delta_evaluations,
+        r.stats.full_evaluations,
+        r.stats.delta_evaluations,
     )
 }
 
@@ -161,7 +161,7 @@ fn portfolio_trace_is_invisible_and_worker_invariant() {
         .iter()
         .filter(|e| matches!(e, TraceEvent::LaneRound { .. }))
         .count();
-    assert_eq!(lane_rounds, reference.rounds * pspec.lanes.len());
+    assert_eq!(lane_rounds, reference.stats.rounds * pspec.lanes.len());
     let summary = summarize_trace(&header, &events).expect("portfolio trace reconciles");
     assert!(summary.contains("reconciliation: OK"));
 }

@@ -281,4 +281,19 @@ fn every_result_relevant_parameter_changes_the_key() {
 
     // Identical reconstruction collides (the whole point).
     assert_eq!(base, RequestKey::of(&problem_from(cg(), 2), &spec(), 50, 1));
+
+    // So do alias, case and `@auto` spellings of the same lanes: they
+    // run the same race, so a repeated request must hit the same entry.
+    for alias in [
+        "rpbla@sampled+annealing,exchange=best,rounds=3",
+        "R-PBLA@Sampled+SA@auto,rounds=3",
+        "r-pbla@SAMPLED/hybrid+sa@AUTO/Hybrid,exchange=best,rounds=3",
+    ] {
+        let aliased = PortfolioSpec::parse(alias).unwrap();
+        assert_eq!(
+            base,
+            RequestKey::of(&problem_from(cg(), 2), &aliased, 50, 1),
+            "alias `{alias}`"
+        );
+    }
 }

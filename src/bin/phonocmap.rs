@@ -374,7 +374,7 @@ fn run_portfolio_session(
     println!(
         "{} finished: {} rounds, {}/{} evaluations, best {} = {:.3}",
         result.spec,
-        result.rounds,
+        result.stats.rounds,
         result.evaluations,
         result.budget,
         problem.objective(),
@@ -466,10 +466,11 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         }
         phonocmap::opt::SearchSpec::Single(single) => single,
     };
-    // The policy only steers the swap-neighbourhood scanners; warn
-    // instead of silently mislabeling a population-strategy run.
+    // The policy only steers optimizers that draw from a swap
+    // neighbourhood (GA mutation included); warn instead of silently
+    // mislabeling a run that never builds one.
     if let Some(policy) = single.policy {
-        if matches!(single.optimizer.name(), "rs" | "ga" | "exhaustive") {
+        if matches!(single.optimizer.name(), "rs" | "exhaustive" | "exact") {
             eprintln!(
                 "warning: `{}` does not scan a swap neighborhood; `@{policy}` has no effect",
                 single.optimizer.name()

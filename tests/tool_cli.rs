@@ -87,6 +87,19 @@ fn optimize_runs_with_a_small_budget() {
     assert!(stdout.contains("task placement"));
 }
 
+/// `@policy` warns exactly where it has no effect: GA mutation draws
+/// from the policy's neighbourhood, while the exact lane never builds
+/// one.
+#[test]
+fn policy_warnings_name_only_optimizers_without_a_neighborhood() {
+    for (algo, warns) in [("ga@locality", false), ("exact@sampled", true)] {
+        let out = phonocmap(&["optimize", "--app", "PIP", "--budget", "40", "--algo", algo]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{algo}: {err}");
+        assert_eq!(err.contains("has no effect"), warns, "{algo}: {err}");
+    }
+}
+
 #[test]
 fn optimize_accepts_cg_files() {
     let dir = std::env::temp_dir().join("phonocmap_cli_test");
