@@ -272,8 +272,7 @@ impl Histogram {
 /// positional words. Anything else — an unknown flag such as the typo
 /// `--budjet`, a flag missing its value, a stray word — is an error, so
 /// a mistyped option never silently runs with the default. Shared by
-/// every `phonocmap` subcommand and the standalone sweep, replay and
-/// parallel drivers.
+/// every `phonocmap` subcommand and the experiment bins.
 #[derive(Debug, Default)]
 pub struct CliArgs {
     values: Vec<(String, String)>,

@@ -318,16 +318,16 @@ pub fn run_parallel_bench(
     }
 }
 
-/// The shared command-line driver behind `phonocmap parallel-bench`
-/// and the standalone `parallel` bin: parses `--smoke`, `--samples N`
-/// and `--out PATH`, runs the grid with live progress, prints the
-/// crossover summary and writes the JSON.
+/// The command-line entry point behind `phonocmap parallel-bench`:
+/// parses `--smoke`, `--samples N` and `--out PATH`, runs the grid
+/// with live progress, prints the crossover summary and writes the
+/// JSON.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown flags, unparseable flag values or an
 /// unwritable output path.
-pub fn run_parallel_cli(args: &[String], command_prefix: &str) -> Result<(), String> {
+pub fn run_parallel_cli(args: &[String]) -> Result<(), String> {
     let args = crate::CliArgs::parse(args, &["--samples", "--out"], &["--smoke"], 0)?;
     let flag = |name: &str| args.value(name);
     let smoke = args.switch("--smoke");
@@ -336,7 +336,10 @@ pub fn run_parallel_cli(args: &[String], command_prefix: &str) -> Result<(), Str
     } else {
         ParallelBenchConfig::full()
     };
-    let mut command = format!("{command_prefix}{}", if smoke { " --smoke" } else { "" });
+    let mut command = format!(
+        "phonocmap parallel-bench{}",
+        if smoke { " --smoke" } else { "" }
+    );
     if let Some(v) = flag("--samples") {
         cfg.samples = v.parse().map_err(|_| format!("bad samples `{v}`"))?;
         let _ = write!(command, " --samples {v}");
@@ -542,6 +545,6 @@ mod tests {
     #[test]
     fn cli_rejects_bad_flags() {
         let args = vec!["--samples".to_string(), "no".to_string()];
-        assert!(run_parallel_cli(&args, "test").is_err());
+        assert!(run_parallel_cli(&args).is_err());
     }
 }

@@ -433,19 +433,18 @@ pub fn run_replay_traced(
     }
 }
 
-/// The shared command-line driver behind `phonocmap replay` and the
-/// standalone `replay` bin: parses `--smoke`, `--budget N`,
-/// `--out PATH` and `--trace-out PATH`, runs the replay with live
-/// progress, prints the warm-start summary and writes the JSON (plus,
-/// with `--trace-out`, the `phonocmap-trace/1` JSONL trace — or a
-/// header-only trace when `PHONOC_TRACE_NULL` is set, proving the
-/// disabled sink records nothing).
+/// The command-line entry point behind `phonocmap replay`: parses
+/// `--smoke`, `--budget N`, `--out PATH` and `--trace-out PATH`, runs
+/// the replay with live progress, prints the warm-start summary and
+/// writes the JSON (plus, with `--trace-out`, the `phonocmap-trace/1`
+/// JSONL trace — or a header-only trace when `PHONOC_TRACE_NULL` is
+/// set, proving the disabled sink records nothing).
 ///
 /// # Errors
 ///
 /// Returns a message for unknown flags, unparseable flag values or an
 /// unwritable output path.
-pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), String> {
+pub fn run_replay_cli(args: &[String]) -> Result<(), String> {
     let args = crate::CliArgs::parse(args, &["--budget", "--out", "--trace-out"], &["--smoke"], 0)?;
     let flag = |name: &str| args.value(name);
     let smoke = args.switch("--smoke");
@@ -454,7 +453,7 @@ pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), Strin
     } else {
         ReplayConfig::full()
     };
-    let mut command = format!("{command_prefix}{}", if smoke { " --smoke" } else { "" });
+    let mut command = format!("phonocmap replay{}", if smoke { " --smoke" } else { "" });
     if let Some(v) = flag("--budget") {
         cfg.budget = v.parse().map_err(|_| format!("bad budget `{v}`"))?;
         let _ = write!(command, " --budget {v}");

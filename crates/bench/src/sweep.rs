@@ -641,12 +641,12 @@ pub fn run_sweep(cfg: &SweepConfig, mut progress: impl FnMut(&ScenarioOutcome)) 
     }
 }
 
-/// The shared command-line driver behind `phonocmap sweep` and the
-/// standalone `sweep` bin: parses `--smoke`, `--samples N`, `--moves N`,
-/// `--budget N`, `--neighborhood POLICY` and `--out PATH`, runs the
-/// sweep with live progress, prints the acceptance summary and writes
-/// the JSON — recording the exact invocation (prefix + overrides) as
-/// the file's provenance.
+/// The command-line entry point behind `phonocmap sweep`: parses
+/// `--smoke`, `--samples N`, `--moves N`, `--budget N`,
+/// `--neighborhood POLICY` and `--out PATH`, runs the sweep with live
+/// progress, prints the acceptance summary and writes the JSON —
+/// recording the exact invocation (command + overrides) as the file's
+/// provenance.
 ///
 /// `--neighborhood` takes a [`phonoc_core::NeighborhoodPolicy`] name
 /// (`auto`, `exhaustive`, `sampled`, `locality`) and restricts the
@@ -658,7 +658,7 @@ pub fn run_sweep(cfg: &SweepConfig, mut progress: impl FnMut(&ScenarioOutcome)) 
 ///
 /// Returns a message for unknown flags, unparseable flag values or an
 /// unwritable output path.
-pub fn run_sweep_cli(args: &[String], command_prefix: &str) -> Result<(), String> {
+pub fn run_sweep_cli(args: &[String]) -> Result<(), String> {
     let args = crate::CliArgs::parse(
         args,
         &[
@@ -678,7 +678,7 @@ pub fn run_sweep_cli(args: &[String], command_prefix: &str) -> Result<(), String
     } else {
         SweepConfig::full()
     };
-    let mut command = format!("{command_prefix}{}", if smoke { " --smoke" } else { "" });
+    let mut command = format!("phonocmap sweep{}", if smoke { " --smoke" } else { "" });
     if let Some(v) = flag("--samples") {
         cfg.samples = v.parse().map_err(|_| format!("bad samples `{v}`"))?;
         let _ = write!(command, " --samples {v}");

@@ -24,15 +24,18 @@
 //! saturating at the budget (`evaluations` then reports exactly the
 //! configured budget).
 //!
-//! # Typed, objective-aware peeks
+//! # Objective-aware peeks, tagged by route
 //!
 //! Peeks dispatch on the problem [`Objective`] **family** (see
-//! [`Objective::is_loss_based`]) and return a [`MoveEval`] **typed by
-//! what was actually computed**, so stale figures cannot leak:
+//! [`Objective::is_loss_based`]) and return a [`MoveEval`]: the move,
+//! its score, and the [`PeekRoute`] that produced it. The scorer
+//! decides the route once per peek; the budget ledger, the
+//! [`RunStats`] route counters, the trace and the text reports all
+//! read that one tag:
 //!
 //! * loss-based family (worst-case loss, and the modulation-aware
 //!   laser-power objective, which is the same worst-link figure shifted
-//!   by a constant margin) — [`MoveEval::Loss`] from the crosstalk-free
+//!   by a constant margin) — [`PeekRoute::Loss`], the crosstalk-free
 //!   fast path (`evaluate_delta_loss`), one to two orders of magnitude
 //!   cheaper than an SNR delta; improving-only scans additionally ride
 //!   the bound-then-verify loss peek (`evaluate_delta_loss_bounded`)
@@ -48,16 +51,18 @@
 //!   the seat and commit cost;
 //! * SNR-based family (worst-case SNR, SNR margin), exact
 //!   ([`OptContext::peek_move`] / [`OptContext::peek_moves`]) —
-//!   [`MoveEval::Snr`] with the full bit-exact delta, or
-//!   [`MoveEval::Full`] when the active [`PeekStrategy`] routed the
+//!   [`PeekRoute::Delta`], the bit-exact incremental delta, or
+//!   [`PeekRoute::Full`] when the active [`PeekStrategy`] routed the
 //!   move to a full scratch re-evaluation;
-//! * SNR-based family, improving-only
+//! * either family, improving-only
 //!   ([`OptContext::peek_move_improving`] /
 //!   [`OptContext::peek_moves_improving`]) — bound-then-verify: moves
-//!   that cannot beat the cursor come back as [`MoveEval::Bounded`]
-//!   (admissible upper bound, cheap), candidates that might improve are
-//!   scored exactly. Greedy selection over an improving scan is
-//!   identical to one over exact peeks (property-tested).
+//!   that cannot beat the cursor come back
+//!   [`PeekRoute::BoundedRejected`] with their admissible upper bound as
+//!   the score (cheap), candidates that might improve are scored
+//!   exactly and come back [`PeekRoute::BoundedVerified`]. Greedy
+//!   selection over an improving scan is identical to one over exact
+//!   peeks (property-tested).
 //!
 //! Every route is bit-identical for every objective in its family
 //! (`tests/hybrid_properties.rs` pins all four objectives under all
@@ -66,8 +71,8 @@
 //! maximizes SNR, or minimizes the modulation-aware launch power,
 //! depending only on the [`Objective`] the context carries.
 //!
-//! Only exact variants can be committed; [`OptContext::apply_scored_move`]
-//! rejects a bounded peek.
+//! Only exact peeks can be committed; [`OptContext::apply_scored_move`]
+//! rejects a bound-rejected one.
 //!
 //! # One entry point
 //!
@@ -95,7 +100,7 @@
 //!   commit ([`OptContext::apply_scored_move`]), from the cursor's
 //!   [`EvalState`] alone ([`EvalState::prefers_full_peeks`]: mean path
 //!   length and occupancy concentration). Every peek against that
-//!   cursor is then a full scratch re-evaluation ([`MoveEval::Full`]) or
+//!   cursor is then a full scratch re-evaluation ([`PeekRoute::Full`]) or
 //!   the delta side — the exact delta, or the bound-then-verify peek in
 //!   `_improving` scans;
 //! * [`PeekStrategy::Delta`] / [`PeekStrategy::Full`] pin one side —
@@ -193,8 +198,7 @@
 
 use crate::error::CoreError;
 use crate::evaluator::{
-    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, EvalState, EvalSummary, Evaluator,
-    ScoreDelta,
+    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, EvalState, Evaluator,
 };
 use crate::mapping::{Mapping, Move};
 use crate::parallel;
@@ -329,106 +333,46 @@ impl fmt::Display for NeighborhoodPolicy {
 /// `_improving` variants) and consumed by
 /// [`OptContext::apply_scored_move`].
 ///
-/// The variant is **typed by what was actually computed**, so stale
-/// fields cannot leak: a loss-objective peek never carries an SNR
-/// figure (none was evaluated), and a bound-rejected peek carries only
-/// its upper bound (the exact score was never derived).
+/// It carries the [`PeekRoute`] the scorer took, decided once per peek:
+/// the ledger, the route counters in [`RunStats`] and the
+/// [`TraceEvent::PeekRouted`] event all read that one tag. A
+/// [`PeekRoute::BoundedRejected`] peek carries only its admissible upper
+/// bound (the exact score was never derived) and cannot be committed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MoveEval {
-    /// Loss-objective peek: only the new worst-case insertion loss was
-    /// computed, via the crosstalk-free fast path
-    /// ([`crate::Evaluator::evaluate_delta_loss`]).
-    Loss {
-        /// The move that was scored.
-        mv: Move,
-        /// Objective score (the new worst-case IL in dB; higher =
-        /// better) — bit-identical to a full evaluation.
-        score: f64,
-        /// Worst-case insertion loss after the move.
-        new_worst_il: Db,
-        /// Edges whose paths the move changes (the delta's honest
-        /// cost).
-        moved_edges: usize,
-    },
-    /// SNR-objective exact peek: the full incremental delta.
-    Snr {
-        /// The move that was scored.
-        mv: Move,
-        /// Objective score (the new worst-case SNR in dB; higher =
-        /// better) — bit-identical to a full evaluation.
-        score: f64,
-        /// The underlying incremental evaluation.
-        delta: ScoreDelta,
-    },
-    /// Full-scratch peek: the moved mapping was re-evaluated from
-    /// scratch because the cursor's route is the full pass — chosen
-    /// from its state under [`PeekStrategy::Hybrid`], or pinned by
-    /// [`PeekStrategy::Full`]. Exact and committable —
-    /// bit-identical to the delta-backed [`MoveEval::Snr`] — and billed
-    /// the full pass's honest cost (`edge_count` budget units, counted
-    /// as a full evaluation).
-    Full {
-        /// The move that was scored.
-        mv: Move,
-        /// Objective score (the new worst-case SNR in dB; higher =
-        /// better).
-        score: f64,
-        /// The full evaluation's worst cases.
-        summary: EvalSummary,
-    },
-    /// Bound-rejected SNR peek: the move's exact score is `≤ bound ≤`
-    /// the threshold it was tested against (the cursor score, for the
-    /// `_improving` peeks), so it cannot improve. It carries no exact
-    /// score and **cannot be committed**.
-    Bounded {
-        /// The move that was bounded.
-        mv: Move,
-        /// Admissible upper bound on the move's score.
-        bound: Db,
-    },
+pub struct MoveEval {
+    mv: Move,
+    score: f64,
+    route: PeekRoute,
 }
 
 impl MoveEval {
     /// The move this evaluation describes.
     #[must_use]
     pub fn mv(&self) -> Move {
-        match *self {
-            MoveEval::Loss { mv, .. }
-            | MoveEval::Snr { mv, .. }
-            | MoveEval::Full { mv, .. }
-            | MoveEval::Bounded { mv, .. } => mv,
-        }
+        self.mv
     }
 
-    /// The objective score (higher = better). For exact variants this
-    /// is bit-identical to a full evaluation of the moved mapping; for
-    /// [`MoveEval::Bounded`] it is the *upper bound* — comparisons
-    /// against an incumbent the bound was tested at remain sound, since
-    /// the true score is no larger.
+    /// The objective score (higher = better). For exact routes this is
+    /// bit-identical to a full evaluation of the moved mapping; for a
+    /// bound-rejected peek it is the admissible *upper bound* —
+    /// comparisons against an incumbent the bound was tested at remain
+    /// sound, since the true score is no larger.
     #[must_use]
     pub fn score(&self) -> f64 {
-        match *self {
-            MoveEval::Loss { score, .. }
-            | MoveEval::Snr { score, .. }
-            | MoveEval::Full { score, .. } => score,
-            MoveEval::Bounded { bound, .. } => bound.0,
-        }
+        self.score
     }
 
-    /// Whether an exact score was computed (committable).
+    /// Whether an exact score was computed (committable): every route
+    /// but [`PeekRoute::BoundedRejected`].
     #[must_use]
     pub fn is_exact(&self) -> bool {
-        !matches!(self, MoveEval::Bounded { .. })
+        self.route != PeekRoute::BoundedRejected
     }
 
-    /// The full incremental delta, when one was computed
-    /// ([`MoveEval::Snr`] only).
+    /// The route the scorer took for this peek.
     #[must_use]
-    pub fn delta(&self) -> Option<&ScoreDelta> {
-        match self {
-            MoveEval::Snr { delta, .. } => Some(delta),
-            _ => None,
-        }
+    pub fn route(&self) -> PeekRoute {
+        self.route
     }
 }
 
@@ -536,14 +480,6 @@ enum Scoring {
     LossBounded(Db),
 }
 
-impl Scoring {
-    /// Whether exact results came through a bound-then-verify peek
-    /// (booked as verify fall-throughs rather than plain deltas).
-    fn bounded(self) -> bool {
-        matches!(self, Scoring::SnrBounded(_) | Scoring::LossBounded(_))
-    }
-}
-
 /// The one per-move scorer behind all four peek entry points: what a
 /// peek reads (never writes) about the cursor, plus how to score. The
 /// sequential peeks run it on the context's own scratches, the batch
@@ -559,8 +495,9 @@ struct Scorer<'a> {
 }
 
 impl Scorer<'_> {
-    /// Scores `mv`, returning the typed evaluation and the evaluator
-    /// work it cost in budget units (before the one-unit floor).
+    /// Scores `mv`, returning the evaluation — tagged with the route
+    /// taken — and the evaluator work it cost in budget units (before
+    /// the one-unit floor).
     fn score(
         &self,
         mv: Move,
@@ -569,54 +506,51 @@ impl Scorer<'_> {
     ) -> (MoveEval, usize) {
         let (evaluator, objective) = (self.evaluator, self.objective);
         let (state, mapping) = (self.state, self.mapping);
-        let snr = |delta: ScoreDelta| {
-            let score = objective.score_worst_snr(delta.new_worst_snr);
-            (MoveEval::Snr { mv, score, delta }, delta.affected_edges)
-        };
-        let loss = |new_worst_il: Db, moved_edges: usize| {
-            let score = objective.score_worst_il(new_worst_il);
-            let ev = MoveEval::Loss {
-                mv,
-                score,
-                new_worst_il,
-                moved_edges,
-            };
-            (ev, moved_edges)
-        };
-        match self.scoring {
+        let (score, route, cost) = match self.scoring {
             Scoring::Full => {
                 let summary = evaluator.evaluate_into(&mapping.with_move(mv), None, full);
                 let score =
                     objective.score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
-                (MoveEval::Full { mv, score, summary }, self.unit)
+                (score, PeekRoute::Full, self.unit)
             }
-            Scoring::Snr => snr(evaluator.evaluate_delta_with(state, mapping, mv, delta)),
+            Scoring::Snr => {
+                let d = evaluator.evaluate_delta_with(state, mapping, mv, delta);
+                let score = objective.score_worst_snr(d.new_worst_snr);
+                (score, PeekRoute::Delta, d.affected_edges)
+            }
             Scoring::SnrBounded(threshold) => {
                 match evaluator.evaluate_delta_bounded(state, mapping, mv, delta, threshold) {
                     BoundedDelta::Rejected { bound, cost } => {
-                        let bound = Db(objective.score_worst_snr(bound));
-                        (MoveEval::Bounded { mv, bound }, cost)
+                        let bound = objective.score_worst_snr(bound);
+                        (bound, PeekRoute::BoundedRejected, cost)
                     }
-                    BoundedDelta::Exact(d) => snr(d),
+                    BoundedDelta::Exact(d) => {
+                        let score = objective.score_worst_snr(d.new_worst_snr);
+                        (score, PeekRoute::BoundedVerified, d.affected_edges)
+                    }
                 }
             }
             Scoring::Loss => {
                 let (il, moved) = evaluator.evaluate_delta_loss(state, mapping, mv, delta);
-                loss(il, moved)
+                (objective.score_worst_il(il), PeekRoute::Loss, moved)
             }
             Scoring::LossBounded(threshold) => {
                 match evaluator.evaluate_delta_loss_bounded(state, mapping, mv, delta, threshold) {
                     BoundedLossDelta::Rejected { bound, cost } => {
-                        let bound = Db(objective.score_worst_il(bound));
-                        (MoveEval::Bounded { mv, bound }, cost)
+                        let bound = objective.score_worst_il(bound);
+                        (bound, PeekRoute::BoundedRejected, cost)
                     }
                     BoundedLossDelta::Exact {
                         new_worst_il,
                         moved_edges,
-                    } => loss(new_worst_il, moved_edges),
+                    } => {
+                        let score = objective.score_worst_il(new_worst_il);
+                        (score, PeekRoute::BoundedVerified, moved_edges)
+                    }
                 }
             }
-        }
+        };
+        (MoveEval { mv, score, route }, cost)
     }
 }
 
@@ -684,7 +618,7 @@ impl<'p> OptContext<'p> {
             problem,
             objective: problem.objective(),
             rng: StdRng::seed_from_u64(seed),
-            budget_units: budget as u64 * unit,
+            budget_units: (budget as u64).saturating_mul(unit),
             used_units: 0,
             unit,
             best: None,
@@ -747,7 +681,7 @@ impl<'p> OptContext<'p> {
         self.objective = problem.objective();
         self.rng = StdRng::seed_from_u64(seed);
         self.unit = problem.evaluator().edge_count().max(1) as u64;
-        self.budget_units = budget as u64 * self.unit;
+        self.budget_units = (budget as u64).saturating_mul(self.unit);
         self.used_units = 0;
         self.best = None;
         self.history.clear();
@@ -879,7 +813,7 @@ impl<'p> OptContext<'p> {
     /// Charges `cost` units; the action was admitted before starting, so
     /// the spend saturates at the budget.
     fn charge(&mut self, cost: u64) {
-        self.used_units = (self.used_units + cost).min(self.budget_units);
+        self.used_units = self.used_units.saturating_add(cost).min(self.budget_units);
     }
 
     /// Admits and charges `cost` edge-units of admissible-bound work —
@@ -1129,7 +1063,7 @@ impl<'p> OptContext<'p> {
     /// calls, and returns its score. Consumes one full evaluation;
     /// `None` once the budget is exhausted. Loss-based objectives seat
     /// a loss-only state (paths and insertion losses; see the [module
-    /// docs](self#typed-objective-aware-peeks)), SNR-based ones the full
+    /// docs](self#objective-aware-peeks-tagged-by-route)), SNR-based ones the full
     /// crosstalk state.
     pub fn set_current(&mut self, mapping: Mapping) -> Option<f64> {
         if self.exhausted() {
@@ -1172,12 +1106,12 @@ impl<'p> OptContext<'p> {
     /// * loss-based objectives (worst-case loss, laser power) — the
     ///   crosstalk-free fast path
     ///   ([`crate::Evaluator::evaluate_delta_loss`]), charged
-    ///   `max(1, moved_edges)` units, returning [`MoveEval::Loss`];
+    ///   `max(1, moved_edges)` units, on [`PeekRoute::Loss`];
     /// * SNR-based objectives (worst-case SNR, SNR margin) — the
     ///   cursor's route under the active [`PeekStrategy`]: the exact
     ///   SNR-bearing delta, charged `max(1, affected_edges)` units and
-    ///   returning [`MoveEval::Snr`], or a full scratch re-evaluation,
-    ///   charged `edge_count` units and returning [`MoveEval::Full`].
+    ///   on [`PeekRoute::Delta`], or a full scratch re-evaluation,
+    ///   charged `edge_count` units, on [`PeekRoute::Full`].
     ///
     /// Either way the score is bit-identical to a full evaluation of
     /// the moved mapping. Returns `None` once the budget is exhausted.
@@ -1198,13 +1132,13 @@ impl<'p> OptContext<'p> {
     /// threshold the objective derives from the cursor score
     /// ([`Objective::snr_threshold_for_score`] /
     /// [`Objective::il_threshold_for_score`]), and non-improving moves
-    /// come back as [`MoveEval::Bounded`] at a fraction of the exact
+    /// come back [`PeekRoute::BoundedRejected`] at a fraction of the exact
     /// cost (charged by the work actually performed). Moves that can
     /// beat the cursor are scored exactly, bit-identical to
     /// [`OptContext::peek_move`]. Under the plain loss objective the
     /// fast path is already cheap and exact, so this is identical to
     /// `peek_move`. When the cursor's route is the full pass, every
-    /// move comes back as an exact [`MoveEval::Full`], improving or
+    /// move comes back exact on [`PeekRoute::Full`], improving or
     /// not — which never changes what a greedy scan selects, since
     /// exact scores and bounds order identically around the cursor
     /// threshold.
@@ -1235,11 +1169,11 @@ impl<'p> OptContext<'p> {
 
     /// Batch variant of [`OptContext::peek_move_improving`]: every move
     /// is tested against the cursor score at the time of the call.
-    /// Improving moves come back exact, non-improving ones as
-    /// [`MoveEval::Bounded`] — unless the cursor's route is the full
-    /// pass, which always yields exact [`MoveEval::Full`]s. Either way
-    /// the selection a greedy step makes over the result is identical
-    /// to one over [`OptContext::peek_moves`].
+    /// Improving moves come back exact, non-improving ones
+    /// [`PeekRoute::BoundedRejected`] — unless the cursor's route is the
+    /// full pass, which always yields exact [`PeekRoute::Full`] peeks.
+    /// Either way the selection a greedy step makes over the result is
+    /// identical to one over [`OptContext::peek_moves`].
     ///
     /// # Panics
     ///
@@ -1267,8 +1201,7 @@ impl<'p> OptContext<'p> {
                 self.unit,
             );
         let (ev, cost) = scorer.score(mv, &mut self.full_scratch, &mut self.delta_scratch);
-        let bounded = scorer.scoring.bounded();
-        Some(self.book_peek(ev, cost, bounded))
+        Some(self.book_peek(ev, cost))
     }
 
     /// The batch scans: the shared scorer over `moves` in one
@@ -1296,61 +1229,38 @@ impl<'p> OptContext<'p> {
             || (EvalScratch::default(), DeltaScratch::default()),
             |(full, delta), &mv| scorer.score(mv, full, delta),
         );
-        let bounded = scorer.scoring.bounded();
         let mut out = Vec::with_capacity(scored.len());
         for (ev, cost) in scored {
             if self.exhausted() {
                 break;
             }
-            out.push(self.book_peek(ev, cost, bounded));
+            out.push(self.book_peek(ev, cost));
         }
         out
     }
 
     /// Books one scored peek — the one routine every peek entry point
-    /// charges through: bills `max(1, cost)` units, counts a full-backed
+    /// charges through: bills `max(1, cost)` units, counts a full-routed
     /// peek as a full evaluation and everything else as a delta
-    /// evaluation, classifies the route (`bounded` says whether exact
-    /// results came through the bound-then-verify peek), emits the
-    /// [`TraceEvent::PeekRouted`] event and tracks the incumbent.
+    /// evaluation, bumps the counter of the peek's [`PeekRoute`], emits
+    /// the [`TraceEvent::PeekRouted`] event and tracks the incumbent.
     /// Counters and events happen here, in input order, never inside a
     /// parallel scan — that is what keeps the stream deterministic.
-    fn book_peek(&mut self, ev: MoveEval, cost: usize, bounded: bool) -> MoveEval {
+    fn book_peek(&mut self, ev: MoveEval, cost: usize) -> MoveEval {
         let charged = cost.max(1);
         self.charge(charged as u64);
-        let route = match ev {
-            MoveEval::Full { .. } => {
-                self.stats.full_evaluations += 1;
-                self.stats.full_peeks += 1;
-                PeekRoute::Full
-            }
-            MoveEval::Bounded { .. } => {
-                self.stats.delta_evaluations += 1;
-                self.stats.bound_rejected += 1;
-                PeekRoute::BoundedRejected
-            }
-            MoveEval::Snr { .. } | MoveEval::Loss { .. } if bounded => {
-                self.stats.delta_evaluations += 1;
-                self.stats.bound_verified += 1;
-                PeekRoute::BoundedVerified
-            }
-            MoveEval::Snr { .. } => {
-                self.stats.delta_evaluations += 1;
-                self.stats.delta_exact += 1;
-                PeekRoute::Delta
-            }
-            MoveEval::Loss { .. } => {
-                self.stats.delta_evaluations += 1;
-                self.stats.loss_fast_path += 1;
-                PeekRoute::Loss
-            }
-        };
+        if ev.route == PeekRoute::Full {
+            self.stats.full_evaluations += 1;
+        } else {
+            self.stats.delta_evaluations += 1;
+        }
+        *self.stats.route_counter(ev.route) += 1;
         self.emit(|| TraceEvent::PeekRouted {
-            route,
+            route: ev.route,
             cost: charged,
         });
         if ev.is_exact() {
-            self.note_peeked(ev.mv(), ev.score());
+            self.note_peeked(ev.mv, ev.score);
         }
         ev
     }
@@ -1374,9 +1284,9 @@ impl<'p> OptContext<'p> {
     /// # Panics
     ///
     /// Panics if no cursor is set, or if `ev` is a bound-rejected peek
-    /// ([`MoveEval::Bounded`] carries no exact score — re-peek the move
-    /// exactly if a strategy really wants to commit a non-improving
-    /// move). Debug builds additionally assert that the committed state
+    /// ([`PeekRoute::BoundedRejected`] carries no exact score — re-peek
+    /// the move exactly if a strategy really wants to commit a
+    /// non-improving move). Debug builds additionally assert that the committed state
     /// bit-matches a full re-evaluation and that the peeked score is
     /// consistent with it.
     pub fn apply_scored_move(&mut self, ev: &MoveEval) {
@@ -1756,6 +1666,24 @@ mod tests {
         // Exhausted contexts admit nothing and charge nothing.
         assert!(!ctx.charge_bound(1));
         assert_eq!(ctx.stats().delta_evaluations, calls);
+    }
+
+    #[test]
+    fn huge_budgets_saturate_instead_of_wrapping() {
+        let p = tiny_problem();
+        let unit = p.evaluator().edge_count() as u64;
+        // The smallest budget whose edge units overflow 64 bits: a
+        // wrapping product would leave a budget of a few units.
+        let budget = (u64::MAX / unit + 1) as usize;
+        let mut ctx = OptContext::new(&p, budget, 0);
+        assert!(ctx.remaining() >= budget - 1);
+        let m = ctx.random_mapping();
+        assert!(ctx.evaluate(&m).is_some());
+        assert!(!ctx.exhausted());
+        ctx.reset_for(&p, usize::MAX, 1);
+        assert!(ctx.remaining() >= budget - 1);
+        assert!(ctx.evaluate(&m).is_some());
+        assert!(!ctx.exhausted());
     }
 
     #[test]

@@ -201,36 +201,17 @@ impl EvalState {
 /// Outcome of incrementally scoring one [`Move`].
 ///
 /// The two *new* worst cases are bit-identical to what a full
-/// re-evaluation of the moved mapping would report; the *old* values
-/// echo the state the delta was computed against. `affected_edges` is
+/// re-evaluation of the moved mapping would report. `affected_edges` is
 /// the number of victims whose noise had to be re-derived — the honest
 /// cost of the delta, which the engine uses for budget accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreDelta {
-    /// Worst-case insertion loss before the move.
-    pub old_worst_il: Db,
-    /// Worst-case SNR before the move.
-    pub old_worst_snr: Db,
     /// Worst-case insertion loss after the move.
     pub new_worst_il: Db,
     /// Worst-case SNR after the move.
     pub new_worst_snr: Db,
     /// Victim edges whose noise was recomputed (0 for neutral moves).
     pub affected_edges: usize,
-}
-
-impl ScoreDelta {
-    /// Change in worst-case insertion loss (dB, new − old).
-    #[must_use]
-    pub fn il_delta(&self) -> f64 {
-        self.new_worst_il.0 - self.old_worst_il.0
-    }
-
-    /// Change in worst-case SNR (dB, new − old).
-    #[must_use]
-    pub fn snr_delta(&self) -> f64 {
-        self.new_worst_snr.0 - self.old_worst_snr.0
-    }
 }
 
 /// Outcome of a bound-then-verify SNR peek
@@ -929,8 +910,6 @@ impl Evaluator {
         threshold: f64,
     ) -> BoundedDelta {
         let delta = |new_worst_il: f64, new_worst_snr: f64, affected_edges: usize| ScoreDelta {
-            old_worst_il: Db(state.worst_il),
-            old_worst_snr: Db(state.worst_snr),
             new_worst_il: Db(new_worst_il),
             new_worst_snr: Db(new_worst_snr),
             affected_edges,

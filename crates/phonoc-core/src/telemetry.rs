@@ -114,6 +114,17 @@ impl PeekRoute {
     pub fn by_name(name: &str) -> Option<PeekRoute> {
         PeekRoute::ALL.into_iter().find(|r| r.name() == name)
     }
+
+    /// Row label in [`RunStats::route_mix_table`].
+    fn label(self) -> &'static str {
+        match self {
+            PeekRoute::Full => "full-routed peeks",
+            PeekRoute::Delta => "exact delta peeks",
+            PeekRoute::Loss => "loss fast path",
+            PeekRoute::BoundedRejected => "bound rejected",
+            PeekRoute::BoundedVerified => "bound verified",
+        }
+    }
 }
 
 /// How a warm-cache lookup was satisfied.
@@ -266,11 +277,10 @@ impl RunStats {
     /// loss fast path, or the bound-then-verify pair).
     #[must_use]
     pub fn peeks_total(&self) -> usize {
-        self.full_peeks
-            + self.delta_exact
-            + self.loss_fast_path
-            + self.bound_rejected
-            + self.bound_verified
+        PeekRoute::ALL
+            .into_iter()
+            .map(|r| self.route_count(r))
+            .sum()
     }
 
     /// Fraction of bound-then-verify peeks rejected on their bound
@@ -285,16 +295,25 @@ impl RunStats {
         }
     }
 
+    /// The counter a peek on `route` is booked in — the one
+    /// route-to-counter mapping, shared by the engine's booking and
+    /// [`RunStats::route_count`].
+    pub(crate) fn route_counter(&mut self, route: PeekRoute) -> &mut usize {
+        match route {
+            PeekRoute::Full => &mut self.full_peeks,
+            PeekRoute::Delta => &mut self.delta_exact,
+            PeekRoute::Loss => &mut self.loss_fast_path,
+            PeekRoute::BoundedRejected => &mut self.bound_rejected,
+            PeekRoute::BoundedVerified => &mut self.bound_verified,
+        }
+    }
+
     /// The per-route peek counter.
     #[must_use]
     pub fn route_count(&self, route: PeekRoute) -> usize {
-        match route {
-            PeekRoute::Full => self.full_peeks,
-            PeekRoute::Delta => self.delta_exact,
-            PeekRoute::Loss => self.loss_fast_path,
-            PeekRoute::BoundedRejected => self.bound_rejected,
-            PeekRoute::BoundedVerified => self.bound_verified,
-        }
+        // Read through the one mapping on a copy (`RunStats` is `Copy`).
+        let mut stats = *self;
+        *stats.route_counter(route)
     }
 
     /// Renders the hybrid route mix as an aligned text table — the
@@ -302,39 +321,13 @@ impl RunStats {
     #[must_use]
     pub fn route_mix_table(&self) -> String {
         let total = self.peeks_total().max(1);
-        let pct = |n: usize| 100.0 * n as f64 / total as f64;
         let mut out = String::new();
         out.push_str("Peek route mix\n");
-        let _ = writeln!(
-            out,
-            "  full-routed peeks   {:>8}  ({:5.1}%)",
-            self.full_peeks,
-            pct(self.full_peeks)
-        );
-        let _ = writeln!(
-            out,
-            "  exact delta peeks   {:>8}  ({:5.1}%)",
-            self.delta_exact,
-            pct(self.delta_exact)
-        );
-        let _ = writeln!(
-            out,
-            "  loss fast path      {:>8}  ({:5.1}%)",
-            self.loss_fast_path,
-            pct(self.loss_fast_path)
-        );
-        let _ = writeln!(
-            out,
-            "  bound rejected      {:>8}  ({:5.1}%)",
-            self.bound_rejected,
-            pct(self.bound_rejected)
-        );
-        let _ = writeln!(
-            out,
-            "  bound verified      {:>8}  ({:5.1}%)",
-            self.bound_verified,
-            pct(self.bound_verified)
-        );
+        for route in PeekRoute::ALL {
+            let n = self.route_count(route);
+            let pct = 100.0 * n as f64 / total as f64;
+            let _ = writeln!(out, "  {:<20}{n:>8}  ({pct:5.1}%)", route.label());
+        }
         let _ = writeln!(
             out,
             "  bound rejection rate {:6.1}%",
@@ -985,7 +978,7 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
 
     // Per-peek route counts from the event stream (single-session
     // traces; portfolio lanes report through their session_end totals).
-    let mut peek_counts = [0usize; PeekRoute::ALL.len()];
+    let mut peeks = RunStats::default();
     let mut peek_units = 0usize;
     let mut improvements = 0usize;
     let mut widen = 0usize;
@@ -1001,8 +994,7 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
     for event in events {
         match event {
             TraceEvent::PeekRouted { route, cost } => {
-                let i = PeekRoute::ALL.iter().position(|r| r == route).unwrap();
-                peek_counts[i] += 1;
+                *peeks.route_counter(*route) += 1;
                 peek_units += cost;
             }
             TraceEvent::Improved { .. } => improvements += 1,
@@ -1065,14 +1057,14 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
         }
         total.absorb(stats);
     }
-    if peek_counts.iter().sum::<usize>() > 0 {
-        for (i, route) in PeekRoute::ALL.into_iter().enumerate() {
-            if peek_counts[i] != total.route_count(route) {
+    if peeks.peeks_total() > 0 {
+        for route in PeekRoute::ALL {
+            if peeks.route_count(route) != total.route_count(route) {
                 return Err(format!(
                     "peek events disagree with session counters on route '{}': \
                      {} events vs counter {}",
                     route.name(),
-                    peek_counts[i],
+                    peeks.route_count(route),
                     total.route_count(route)
                 ));
             }
@@ -1099,7 +1091,7 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
         let _ = writeln!(
             out,
             "  peek events: {} ({} edge units)",
-            peek_counts.iter().sum::<usize>(),
+            peeks.peeks_total(),
             peek_units
         );
     }
@@ -1322,13 +1314,17 @@ mod tests {
 
     #[test]
     fn route_mix_table_prints_every_route() {
-        let table = sample_stats().route_mix_table();
-        assert!(table.contains("full-routed peeks"));
-        assert!(table.contains("exact delta peeks"));
-        assert!(table.contains("loss fast path"));
-        assert!(table.contains("bound rejected"));
-        assert!(table.contains("bound verified"));
-        assert!(table.contains("rejection rate"));
+        // Byte-pinned: `phonocmap optimize` and `phonocmap trace` print
+        // this block.
+        let expected = "Peek route mix\n\
+                        \x20 full-routed peeks          4  ( 14.3%)\n\
+                        \x20 exact delta peeks         10  ( 35.7%)\n\
+                        \x20 loss fast path             2  (  7.1%)\n\
+                        \x20 bound rejected             8  ( 28.6%)\n\
+                        \x20 bound verified             4  ( 14.3%)\n\
+                        \x20 bound rejection rate   66.7%\n\
+                        \x20 ledger: 7 full (4 peek + 3 direct), 25 delta (+1 bound charges)\n";
+        assert_eq!(sample_stats().route_mix_table(), expected);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{
-    DeltaScratch, EvalScratch, EvalState, Mapping, MappingProblem, Move, MoveEval, Objective,
-    OptContext,
+    DeltaScratch, EvalScratch, EvalState, Mapping, MappingProblem, Move, Objective, OptContext,
+    PeekRoute,
 };
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
@@ -124,7 +124,7 @@ fn hub_band_route_is_a_pure_function_of_the_cursor_state() {
         let routes_of = |ctx: &mut OptContext<'_>| -> Vec<bool> {
             ctx.peek_moves_improving(&cell.moves)
                 .iter()
-                .map(|ev| matches!(ev, MoveEval::Full { .. }))
+                .map(|ev| ev.route() == PeekRoute::Full)
                 .collect()
         };
         let mut seated = OptContext::new(&cell.problem, 1_000_000, 0);

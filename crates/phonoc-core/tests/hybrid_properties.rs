@@ -22,7 +22,8 @@
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{
-    Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekStrategy, RunTrace,
+    Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekRoute, PeekStrategy,
+    RunTrace,
 };
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
@@ -376,7 +377,7 @@ fn power_route_peeks_keep_the_budget_ledger_honest() {
         let scanned = ctx.peek_moves(&moves);
         let routed_full = scanned
             .iter()
-            .filter(|ev| matches!(ev, MoveEval::Full { .. }))
+            .filter(|ev| ev.route() == PeekRoute::Full)
             .count();
         if objective.is_loss_based() {
             assert_eq!(routed_full, 0, "{objective}: loss peeks routed to full");
@@ -401,7 +402,7 @@ fn power_route_peeks_keep_the_budget_ledger_honest() {
         assert_eq!(improving.len(), moves.len());
         let routed_full = improving
             .iter()
-            .filter(|ev| matches!(ev, MoveEval::Full { .. }))
+            .filter(|ev| ev.route() == PeekRoute::Full)
             .count();
         if objective.is_loss_based() {
             assert_eq!(routed_full, 0, "{objective}: loss peeks routed to full");
@@ -432,7 +433,7 @@ fn hybrid_books_every_peek_as_exactly_one_evaluation() {
         // Every peek lands in exactly one ledger, matching its route.
         let routed_full = scanned
             .iter()
-            .filter(|ev| matches!(ev, MoveEval::Full { .. }))
+            .filter(|ev| ev.route() == PeekRoute::Full)
             .count();
         assert_eq!(
             ctx.stats().full_evaluations,

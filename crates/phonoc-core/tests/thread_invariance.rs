@@ -16,7 +16,7 @@
 use phonoc_core::parallel::{
     parallel_map, parallel_map_tasks, pool_map_with, reference_map_with, set_worker_override,
 };
-use phonoc_core::{EvalScratch, Mapping, MappingProblem, Move, MoveEval, Objective, OptContext};
+use phonoc_core::{EvalScratch, Mapping, MappingProblem, Move, Objective, OptContext};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
@@ -121,13 +121,7 @@ fn peek_scans_are_worker_count_invariant() {
         };
         evals
             .into_iter()
-            .map(|ev| {
-                let score = match ev {
-                    MoveEval::Bounded { bound, .. } => bound.0,
-                    ref exact => exact.score(),
-                };
-                (ev.mv(), score.to_bits())
-            })
+            .map(|ev| (ev.mv(), ev.score().to_bits()))
             .collect()
     };
     for improving in [false, true] {

@@ -13,10 +13,10 @@
 //!
 //! Strategies whose neighbourhood is the pairwise swap walk the engine's
 //! **move cursor**: `OptContext::set_current` full-evaluates a starting
-//! point once, the typed peek family scores candidate
+//! point once, the peek family scores candidate
 //! [`Move`](phonoc_core::Move)s *incrementally*, and `apply_scored_move`
-//! commits the chosen one. Peeks are objective-aware
-//! (`MoveEval::Loss`/`Snr`/`Bounded`): IL runs ride the crosstalk-free
+//! commits the chosen one. Peeks are objective-aware, and each
+//! `MoveEval` names the `PeekRoute` it took: IL runs ride the crosstalk-free
 //! loss fast path, SNR runs the exact delta — or, for greedy steps
 //! ([`Rpbla`], [`IteratedLocalSearch`] via `peek_move_improving` /
 //! `peek_moves_improving`), the bound-then-verify peek that rejects

@@ -192,30 +192,41 @@ impl PortfolioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message for an empty lane list, an unknown lane, an
-    /// exchange other than `best`, any other option, or a malformed or
-    /// zero round count.
+    /// Returns a message for an empty lane (including an empty lane
+    /// list), an unknown lane, an exchange other than `best`, any other
+    /// option, an option given twice, or a malformed or zero round
+    /// count.
     pub fn parse(spec: &str) -> Result<PortfolioSpec, String> {
         let mut sections = spec.split(',');
         let lane_list = sections.next().unwrap_or("");
         let lanes: Vec<LaneSpec> = lane_list
             .split('+')
-            .filter(|s| !s.is_empty())
-            .map(LaneSpec::parse)
+            .map(|lane| {
+                if lane.is_empty() {
+                    Err(format!("portfolio spec `{spec}` has an empty lane"))
+                } else {
+                    LaneSpec::parse(lane)
+                }
+            })
             .collect::<Result<_, _>>()?;
-        if lanes.is_empty() {
-            return Err(format!("portfolio spec `{spec}` names no lanes"));
-        }
         let mut rounds = DEFAULT_ROUNDS;
+        let mut seen: Vec<&str> = Vec::new();
         for section in sections {
-            match section.split_once('=') {
-                Some(("exchange", "best")) => {}
-                Some(("exchange", v)) => {
+            let unknown =
+                || format!("unknown portfolio option `{section}` (exchange=best|rounds=N)");
+            let (key, v) = section.split_once('=').ok_or_else(unknown)?;
+            if seen.contains(&key) {
+                return Err(format!("portfolio option `{key}` given twice in `{spec}`"));
+            }
+            seen.push(key);
+            match (key, v) {
+                ("exchange", "best") => {}
+                ("exchange", v) => {
                     return Err(format!(
                         "unknown exchange `{v}` (the portfolio's one exchange rule is `exchange=best`)"
                     ));
                 }
-                Some(("rounds", v)) => {
+                ("rounds", v) => {
                     rounds = v
                         .parse()
                         .map_err(|_| format!("bad rounds `{v}` (positive integer)"))?;
@@ -223,11 +234,7 @@ impl PortfolioSpec {
                         return Err("rounds must be at least 1".into());
                     }
                 }
-                _ => {
-                    return Err(format!(
-                        "unknown portfolio option `{section}` (exchange=best|rounds=N)"
-                    ))
-                }
+                _ => return Err(unknown()),
             }
         }
         Ok(PortfolioSpec { lanes, rounds })
@@ -323,12 +330,14 @@ impl BudgetLedger {
     /// zero.
     pub fn allocate_round(&mut self, round: usize, weights: &[u64]) -> Vec<usize> {
         assert_eq!(weights.len(), self.lanes, "one weight per lane");
-        let w_sum: u64 = weights.iter().sum();
+        // Widened: `total × w` overflows 64 bits on huge budgets, and
+        // each exact share is at most `total`, so it narrows back.
+        let w_sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
         assert!(w_sum > 0, "weights must not all be zero");
-        let total = self.round_totals[round] as u64;
+        let total = self.round_totals[round] as u128;
         let mut shares: Vec<usize> = weights
             .iter()
-            .map(|&w| (total * w / w_sum) as usize)
+            .map(|&w| (total * u128::from(w) / w_sum) as usize)
             .collect();
         let mut remainder = self.round_totals[round] - shares.iter().sum::<usize>();
         for share in shares.iter_mut() {
@@ -746,6 +755,16 @@ mod tests {
         // lane order.
         assert_eq!(shares, vec![101, 300]);
         assert_eq!(shares.iter().sum::<usize>(), 401);
+    }
+
+    #[test]
+    fn huge_budgets_split_without_overflow() {
+        // `round total × weight` exceeds 64 bits here.
+        let mut ledger = BudgetLedger::new(usize::MAX, 2, 2);
+        let shares = ledger.allocate_round(1, &[3, 1]);
+        let round_total = usize::MAX / 2;
+        assert_eq!(shares.iter().sum::<usize>(), round_total);
+        assert_eq!(shares[1], round_total / 4);
     }
 
     #[test]

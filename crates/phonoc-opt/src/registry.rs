@@ -320,6 +320,11 @@ mod tests {
             "r-pbla,rounds=0",
             "r-pbla,rounds=99999999999999999999",
             "r-pbla,exchange",
+            "r-pbla+",
+            "+r-pbla",
+            "r-pbla++sa",
+            "r-pbla,rounds=1,rounds=2",
+            "r-pbla,exchange=best,exchange=best",
         ] {
             assert!(search_spec(spec).is_err(), "search_spec accepted `{spec}`");
             assert!(

@@ -52,9 +52,9 @@ fn main() -> ExitCode {
         "analyze" => cmd_analyze(rest),
         "optimize" => cmd_optimize(rest),
         "portfolio" => cmd_portfolio(rest),
-        "sweep" => cmd_sweep(rest),
-        "replay" => cmd_replay(rest),
-        "parallel-bench" => cmd_parallel_bench(rest),
+        "sweep" => bench::sweep::run_sweep_cli(rest),
+        "replay" => bench::replay::run_replay_cli(rest),
+        "parallel-bench" => bench::parallel::run_parallel_cli(rest),
         "trace" => cmd_trace(rest),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
@@ -87,11 +87,17 @@ fn peek_names() -> String {
     PeekStrategy::ALL.map(|p| p.name()).join("|")
 }
 
-/// The top-level help. The `@policy`, `/peek`, `!objective` and
-/// `--objective` name lists come from the enums' `ALL`, so every
-/// advertised name parses.
+/// `a|b|c` over every built-in optimizer name in the registry.
+fn optimizer_names() -> String {
+    phonocmap::opt::builtin_names().join("|")
+}
+
+/// The top-level help. The optimizer list comes from the registry and
+/// the `@policy`, `/peek`, `!objective` and `--objective` name lists
+/// from the enums' `ALL`, so every advertised name parses.
 fn usage() -> String {
     let (objectives, policies, peeks) = (objective_names(), policy_names(), peek_names());
+    let optimizers = optimizer_names();
     format!(
         "phonocmap — application mapping for photonic NoCs
 commands:
@@ -120,7 +126,7 @@ options (analyze/optimize/portfolio):
   --router   crux|crossbar|xy-crossbar   (default crux)
   --objective {objectives}   (default snr)
   --algo NAME[@policy][/peek][!objective]  (default r-pbla; optimize only)
-             NAME: rs|ga|r-pbla|sa|tabu|ils|exhaustive or portfolio:...
+             NAME: {optimizers} or portfolio:...
              @policy {policies}   (swap-scan stream; default
                      auto: exhaustive up to ~8x8 meshes, budget-aware sampling beyond)
              /peek {peeks}   (SNR peek route: every peek scores the same,
@@ -301,7 +307,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// The `portfolio` subcommand's help (lane name lists generated like
 /// [`usage`]'s).
 fn portfolio_help() -> String {
-    let (policies, peeks) = (policy_names(), peek_names());
+    let (objectives, policies, peeks) = (objective_names(), policy_names(), peek_names());
+    let optimizers = optimizer_names();
     format!(
         "phonocmap portfolio — deterministic multi-lane search with elite exchange
 Runs N search lanes as bulk-synchronous rounds. After each round, every
@@ -314,12 +321,14 @@ usage:
   phonocmap portfolio --app <name> | --file <cg> [--spec SPEC] [options]
 
 SPEC grammar (default: {DEFAULT_SPEC}):
-  lane[+lane...][,rounds=N]
-  lane = optimizer[@neighborhood][/peek]
-    optimizer     rs|ga|r-pbla|sa|tabu|ils
+  lane[+lane...][,exchange=best][,rounds=N]
+  lane = optimizer[@neighborhood][/peek][!objective]
+    optimizer     {optimizers}
     @neighborhood {policies}  (swap-scan streams)
     /peek         {peeks}  (same score per peek; the units billed, so a
                   lane's progress at equal budget, differ)
+    !objective    {objectives}  (re-targets the lane)
+  exchange=best   every lane restarts from the round's best (the one rule)
 
 examples:
   phonocmap portfolio --app VOPD
@@ -404,22 +413,6 @@ fn run_portfolio_session(
         write_trace(&path, "portfolio", &sink.drain())?;
     }
     Ok(())
-}
-
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    // One shared driver with the standalone `sweep` bin: same flags,
-    // same progress output, same JSON provenance.
-    bench::sweep::run_sweep_cli(args, "phonocmap sweep")
-}
-
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    // One shared driver with the standalone `replay` bin.
-    bench::replay::run_replay_cli(args, "phonocmap replay")
-}
-
-fn cmd_parallel_bench(args: &[String]) -> Result<(), String> {
-    // One shared driver with the standalone `parallel` bin.
-    bench::parallel::run_parallel_cli(args, "phonocmap parallel-bench")
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {

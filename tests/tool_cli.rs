@@ -313,3 +313,29 @@ fn every_name_the_help_advertises_parses() {
         );
     }
 }
+
+#[test]
+fn every_builtin_optimizer_is_advertised() {
+    let builtins: Vec<String> = phonocmap::opt::builtin_names()
+        .iter()
+        .map(|&n| n.to_owned())
+        .collect();
+    let help = phonocmap(&["help"]);
+    assert!(help.status.success());
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert_eq!(help_list(&help, "NAME:"), builtins);
+
+    let portfolio = phonocmap(&["portfolio", "help"]);
+    assert!(portfolio.status.success());
+    let portfolio = String::from_utf8_lossy(&portfolio.stdout);
+    // The lane grammar's `optimizer` row (the prose above it also has
+    // a line starting with "optimizer").
+    let lane_row = portfolio
+        .lines()
+        .find(|line| line.starts_with("    optimizer "))
+        .unwrap_or_else(|| panic!("no optimizer row:\n{portfolio}"));
+    assert_eq!(help_list(lane_row, "optimizer"), builtins);
+    // The lane grammar names every suffix and option the parser takes.
+    assert!(portfolio.contains("[!objective]"), "{portfolio}");
+    assert!(portfolio.contains("exchange=best"), "{portfolio}");
+}
