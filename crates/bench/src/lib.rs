@@ -270,9 +270,11 @@ impl Histogram {
 /// One command's arguments, checked against what the command accepts:
 /// `--name value` flags, bare `--switch`es and up to a fixed number of
 /// positional words. Anything else — an unknown flag such as the typo
-/// `--budjet`, a flag missing its value, a stray word — is an error, so
-/// a mistyped option never silently runs with the default. Shared by
-/// every `phonocmap` subcommand and the experiment bins.
+/// `--budjet`, a flag missing its value (or followed by another
+/// `--flag`), a flag or switch given twice, a stray word — is an error,
+/// so a mistyped option never silently runs with a value the user did
+/// not mean. Shared by every `phonocmap` subcommand and the experiment
+/// bins.
 #[derive(Debug, Default)]
 pub struct CliArgs {
     values: Vec<(String, String)>,
@@ -287,7 +289,8 @@ impl CliArgs {
     /// # Errors
     ///
     /// Returns a message naming the unknown flag (with the accepted
-    /// ones), the flag missing its value, or the unexpected word.
+    /// ones), the flag missing its value, the repeated flag, or the
+    /// unexpected word.
     pub fn parse(
         args: &[String],
         flags: &[&str],
@@ -297,8 +300,14 @@ impl CliArgs {
         let mut out = CliArgs::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if out.value(arg).is_some() || out.switch(arg) {
+                return Err(format!("`{arg}` given twice"));
+            }
             if flags.contains(&arg.as_str()) {
-                let value = it.next().ok_or_else(|| format!("`{arg}` needs a value"))?;
+                let value = it
+                    .next()
+                    .filter(|value| !value.starts_with("--"))
+                    .ok_or_else(|| format!("`{arg}` needs a value"))?;
                 out.values.push((arg.clone(), value.clone()));
             } else if switches.contains(&arg.as_str()) {
                 out.switches.push(arg.clone());
@@ -318,7 +327,7 @@ impl CliArgs {
         Ok(out)
     }
 
-    /// The value of the first occurrence of `flag`.
+    /// The value given for `flag`.
     #[must_use]
     pub fn value(&self, flag: &str) -> Option<String> {
         self.values
@@ -348,6 +357,24 @@ impl CliArgs {
         self.value(flag).map_or(Ok(default), |v| {
             v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
         })
+    }
+
+    /// The value of `flag` as a count of at least 1, or `None` when
+    /// absent — budgets, samples and moves, where a zero would panic or
+    /// report nonsense further down.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag and its unparseable value, or
+    /// `--flag must be at least 1` for zero.
+    pub fn count(&self, flag: &str) -> Result<Option<usize>, String> {
+        if self.value(flag).is_none() {
+            return Ok(None);
+        }
+        match self.parsed(flag, 0)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            count => Ok(Some(count)),
+        }
     }
 }
 
@@ -386,6 +413,56 @@ pub fn write_results_file(name: &str, content: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliArgs, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        CliArgs::parse(&args, &["--budget", "--trace-out"], &["--smoke"], 1)
+    }
+
+    #[test]
+    fn cli_args_read_flags_switches_and_positionals() {
+        let args = parse(&["cell", "--budget", "50", "--smoke"]).unwrap();
+        assert_eq!(args.positional(0), Some("cell"));
+        assert_eq!(args.parsed("--budget", 0usize), Ok(50));
+        assert!(args.switch("--smoke"));
+        assert_eq!(args.value("--trace-out"), None);
+    }
+
+    #[test]
+    fn cli_args_reject_repeated_flags_and_switches() {
+        let err = parse(&["--budget", "50", "--budget", "2000"]).unwrap_err();
+        assert_eq!(err, "`--budget` given twice");
+        let err = parse(&["--smoke", "--smoke"]).unwrap_err();
+        assert_eq!(err, "`--smoke` given twice");
+    }
+
+    #[test]
+    fn cli_args_reject_flag_shaped_values() {
+        let err = parse(&["--trace-out", "--smoke"]).unwrap_err();
+        assert_eq!(err, "`--trace-out` needs a value");
+        let err = parse(&["--budget", "50", "--trace-out"]).unwrap_err();
+        assert_eq!(err, "`--trace-out` needs a value");
+        // A single leading dash is still a value (a negative number).
+        let args = parse(&["--trace-out", "-"]).unwrap();
+        assert_eq!(args.value("--trace-out").as_deref(), Some("-"));
+    }
+
+    #[test]
+    fn cli_counts_must_be_positive() {
+        assert_eq!(parse(&[]).unwrap().count("--budget"), Ok(None));
+        let args = parse(&["--budget", "7"]).unwrap();
+        assert_eq!(args.count("--budget"), Ok(Some(7)));
+        let args = parse(&["--budget", "0"]).unwrap();
+        assert_eq!(
+            args.count("--budget").unwrap_err(),
+            "--budget must be at least 1"
+        );
+        let args = parse(&["--budget", "-1"]).unwrap();
+        assert_eq!(
+            args.count("--budget").unwrap_err(),
+            "bad value `-1` for --budget"
+        );
+    }
 
     #[test]
     fn histogram_counts_and_clamps() {

@@ -340,8 +340,8 @@ pub fn run_parallel_cli(args: &[String]) -> Result<(), String> {
         "phonocmap parallel-bench{}",
         if smoke { " --smoke" } else { "" }
     );
-    if let Some(v) = flag("--samples") {
-        cfg.samples = v.parse().map_err(|_| format!("bad samples `{v}`"))?;
+    if let Some(v) = args.count("--samples")? {
+        cfg.samples = v;
         let _ = write!(command, " --samples {v}");
     }
     let out = flag("--out").unwrap_or_else(|| "BENCH_parallel.json".into());

@@ -270,25 +270,16 @@ fn free_pair(problem: &MappingProblem) -> Option<(TaskId, TaskId)> {
     None
 }
 
-/// Replays one cell's four-request stream through a fresh cache.
+/// Replays one cell's four-request stream through a fresh cache, with
+/// a [`TraceSink`] receiving the telemetry of the four cache-mediated
+/// requests (the cold reference runs stay untraced; pass [`NullSink`]
+/// for none).
 ///
 /// # Panics
 ///
 /// Panics if the stream does not behave as constructed (a repeat that
 /// misses the cache, a mutation the problem rejects): these are
 /// programming errors, not measurement outcomes.
-#[must_use]
-pub fn replay_cell(spec: &ScenarioSpec, cfg: &ReplayConfig) -> CellOutcome {
-    replay_cell_traced(spec, cfg, &mut NullSink)
-}
-
-/// [`replay_cell`] with a [`TraceSink`] receiving the telemetry of the
-/// four cache-mediated requests (the cold reference runs stay
-/// untraced). Passing [`NullSink`] is bit-identical to [`replay_cell`].
-///
-/// # Panics
-///
-/// Same as [`replay_cell`].
 #[must_use]
 pub fn replay_cell_traced(
     spec: &ScenarioSpec,
@@ -404,15 +395,9 @@ pub fn replay_cell_traced(
     }
 }
 
-/// Runs the whole replay, invoking `progress` after each cell.
-#[must_use]
-pub fn run_replay(cfg: &ReplayConfig, progress: impl FnMut(&CellOutcome)) -> ReplayReport {
-    run_replay_traced(cfg, progress, &mut NullSink)
-}
-
-/// [`run_replay`] with a [`TraceSink`] receiving every cell's
-/// cache-request telemetry (see [`replay_cell_traced`]). Passing
-/// [`NullSink`] is bit-identical to [`run_replay`].
+/// Runs the whole replay, invoking `progress` after each cell, with a
+/// [`TraceSink`] receiving every cell's cache-request telemetry (see
+/// [`replay_cell_traced`]; pass [`NullSink`] for none).
 #[must_use]
 pub fn run_replay_traced(
     cfg: &ReplayConfig,
@@ -454,8 +439,8 @@ pub fn run_replay_cli(args: &[String]) -> Result<(), String> {
         ReplayConfig::full()
     };
     let mut command = format!("phonocmap replay{}", if smoke { " --smoke" } else { "" });
-    if let Some(v) = flag("--budget") {
-        cfg.budget = v.parse().map_err(|_| format!("bad budget `{v}`"))?;
+    if let Some(v) = args.count("--budget")? {
+        cfg.budget = v;
         let _ = write!(command, " --budget {v}");
     }
     let out = flag("--out").unwrap_or_else(|| "BENCH_warmstart.json".into());
@@ -673,7 +658,7 @@ mod tests {
     fn replay_stream_hits_and_renders_valid_shaped_json() {
         let cfg = tiny_config();
         let mut seen = 0;
-        let report = run_replay(&cfg, |_| seen += 1);
+        let report = run_replay_traced(&cfg, |_| seen += 1, &mut NullSink);
         assert_eq!(seen, 2);
         assert!(report.all_exact_hits_zero());
         for c in &report.cells {

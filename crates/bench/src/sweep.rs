@@ -679,16 +679,16 @@ pub fn run_sweep_cli(args: &[String]) -> Result<(), String> {
         SweepConfig::full()
     };
     let mut command = format!("phonocmap sweep{}", if smoke { " --smoke" } else { "" });
-    if let Some(v) = flag("--samples") {
-        cfg.samples = v.parse().map_err(|_| format!("bad samples `{v}`"))?;
+    if let Some(v) = args.count("--samples")? {
+        cfg.samples = v;
         let _ = write!(command, " --samples {v}");
     }
-    if let Some(v) = flag("--moves") {
-        cfg.moves_per_sample = v.parse().map_err(|_| format!("bad moves `{v}`"))?;
+    if let Some(v) = args.count("--moves")? {
+        cfg.moves_per_sample = v;
         let _ = write!(command, " --moves {v}");
     }
-    if let Some(v) = flag("--budget") {
-        cfg.budget = v.parse().map_err(|_| format!("bad budget `{v}`"))?;
+    if let Some(v) = args.count("--budget")? {
+        cfg.budget = v;
         let _ = write!(command, " --budget {v}");
     }
     if let Some(v) = flag("--neighborhood") {

@@ -34,12 +34,11 @@
 //! assert_eq!(cg.edge_count(), 2);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a task within a communication graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
 impl fmt::Display for TaskId {
@@ -49,7 +48,7 @@ impl fmt::Display for TaskId {
 }
 
 /// A directed communication between two tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgEdge {
     /// Producing task.
     pub src: TaskId,
@@ -122,7 +121,7 @@ impl fmt::Display for CgError {
 impl std::error::Error for CgError {}
 
 /// A validated communication graph (paper Definition 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommunicationGraph {
     name: String,
     tasks: Vec<String>,

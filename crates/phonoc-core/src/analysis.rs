@@ -7,11 +7,10 @@ use crate::mapping::Mapping;
 use crate::problem::MappingProblem;
 use phonoc_phys::ber::ber_from_snr;
 use phonoc_phys::{Db, Dbm, LaserBudget, Milliwatts, Modulation, PowerBudget};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Analysis of one mapped communication.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeReport {
     /// Source task name.
     pub src_task: String,
@@ -34,7 +33,7 @@ pub struct EdgeReport {
 /// One source laser's share of the chip power budget: each source
 /// drives all its outgoing communications off one laser, so its
 /// requirement is set by its worst (most lossy) link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceLaserReport {
     /// Source task name.
     pub src_task: String,
@@ -57,7 +56,7 @@ pub struct SourceLaserReport {
 /// drives down via the worst link overall.
 ///
 /// [`Objective::MinimizeLaserPower`]: crate::problem::Objective::MinimizeLaserPower
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaserReport {
     /// The modulation format the margins assume.
     pub modulation: Modulation,
@@ -73,7 +72,7 @@ pub struct LaserReport {
 }
 
 /// Whole-network analysis of one mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkReport {
     /// Application name.
     pub application: String,

@@ -152,22 +152,6 @@
 //! start-free strategies like random search legitimately ignore
 //! seeds).
 //!
-//! # Reusable contexts (request streams)
-//!
-//! A context is built per *session*, but a long-lived driver solving a
-//! stream of related requests should not rebuild one per request:
-//! [`OptContext::reset_for`] re-arms an existing context for a new
-//! `(problem, budget, seed)` while keeping the allocated capital — the
-//! grow-only full-evaluation [`EvalScratch`] and the peeks'
-//! [`DeltaScratch`] — so steady-state sessions allocate nothing on the
-//! hot path. [`OptContext::finish`] extracts a [`DseResult`] without
-//! consuming the context, making the persistent-engine loop:
-//! `reset_for` → `optimize` → `finish`, repeat. A reused context is
-//! property-tested bit-identical to a fresh one
-//! (`tests/mutation_properties.rs`); pair with the incremental problem
-//! mutation API on [`MappingProblem`] to re-solve a mutated problem
-//! without re-running the architecture precomputations.
-//!
 //! # Telemetry
 //!
 //! Every routing, bounding and improvement decision the context makes
@@ -592,9 +576,8 @@ pub struct OptContext<'p> {
     /// [`OptContext::evaluate`] performs no heap allocation.
     full_scratch: EvalScratch,
     /// Reused buffers for the sequential delta peeks and commits; they
-    /// outlive cursors and sessions, so the next
-    /// [`OptContext::set_current`] — possibly on a different problem —
-    /// starts warm.
+    /// outlive cursors, so the next [`OptContext::set_current`] starts
+    /// warm.
     delta_scratch: DeltaScratch,
 }
 
@@ -650,45 +633,6 @@ impl<'p> OptContext<'p> {
         ctx
     }
 
-    /// Re-arms the context for a fresh session on `problem` — the
-    /// warm-start path for request streams. All *run state* (budget
-    /// ledger, RNG, incumbent, history, cursor, pending seed start) is
-    /// reset exactly as [`OptContext::new`] would; all *capital* is
-    /// kept: the grow-only [`EvalScratch`] and [`DeltaScratch`]
-    /// survive, so the next session starts allocation-free even on a
-    /// different problem. The
-    /// problem itself carries the other reusable capital — distance
-    /// tables and the interaction matrix live in its [`Evaluator`]
-    /// (see its docs on incremental mutation), and the hybrid peek
-    /// route is decided at the first [`OptContext::set_current`], which
-    /// is exactly when the new placement's state is known.
-    ///
-    /// A session reset with a planted-but-unconsumed seed start logs
-    /// the same misuse warning as a finished session (see
-    /// [`OptContext::seed_start_pending`]).
-    ///
-    /// Peek strategy, neighbourhood policy and the installed
-    /// [`TraceSink`] persist across resets — they configure the
-    /// engine, not one run. Decision counters ([`OptContext::stats`])
-    /// reset with the rest of the run state; drain a recording sink
-    /// before resetting if its events should be kept per session.
-    ///
-    /// [`Evaluator`]: crate::Evaluator
-    pub fn reset_for(&mut self, problem: &'p MappingProblem, budget: usize, seed: u64) {
-        self.warn_unconsumed_seed("reset_for");
-        self.cursor = None;
-        self.problem = problem;
-        self.objective = problem.objective();
-        self.rng = StdRng::seed_from_u64(seed);
-        self.unit = problem.evaluator().edge_count().max(1) as u64;
-        self.budget_units = (budget as u64).saturating_mul(self.unit);
-        self.used_units = 0;
-        self.best = None;
-        self.history.clear();
-        self.seed_start = None;
-        self.stats = RunStats::default();
-    }
-
     /// The objective every evaluation and peek scores under — the
     /// problem's own unless overridden.
     #[must_use]
@@ -699,8 +643,7 @@ impl<'p> OptContext<'p> {
     /// Overrides the scoring objective for this session — how
     /// [`DseConfig::objective`] re-targets a search (e.g. a `!power`
     /// spec suffix) without rebuilding the problem and its precomputed
-    /// evaluator capital. Resets to the problem's own objective on
-    /// [`OptContext::reset_for`].
+    /// evaluator capital.
     ///
     /// # Errors
     ///
@@ -1015,10 +958,9 @@ impl<'p> OptContext<'p> {
 
     /// Whether a planted seed start is still waiting to be consumed by
     /// [`OptContext::initial_mapping`]. A seed still pending when the
-    /// session ends (or is [`OptContext::reset_for`]) usually means the
-    /// optimizer never called `initial_mapping` — e.g. a strategy that
-    /// draws its own random starts was handed an elite incumbent it
-    /// silently ignored. That is *legal* (random search deliberately
+    /// session ends usually means the optimizer never called
+    /// `initial_mapping` — e.g. a strategy that draws its own random
+    /// starts was handed an elite incumbent it silently ignored. That is *legal* (random search deliberately
     /// stays start-free, and portfolios do seed RS lanes), so the
     /// engine logs a rate-limited warning instead of asserting; this
     /// query lets harnesses and tests check the outcome explicitly.
@@ -1031,13 +973,13 @@ impl<'p> OptContext<'p> {
     /// seed start nobody consumed — the "seed set but never used"
     /// misuse is otherwise silent, and a hard assert would misfire on
     /// the legitimately start-free strategies.
-    fn warn_unconsumed_seed(&self, when: &str) {
+    fn warn_unconsumed_seed(&self) {
         if self.seed_start.is_some() {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| {
                 eprintln!(
                     "phonoc-core: a seed start planted with set_seed_start was never \
-                     consumed by initial_mapping (detected at {when}); the optimizer \
+                     consumed by initial_mapping before the session finished; the optimizer \
                      likely draws its own starts. Further occurrences are not logged."
                 );
             });
@@ -1327,10 +1269,8 @@ impl<'p> OptContext<'p> {
         self.best.as_ref().map(|(m, s)| (m, *s))
     }
 
-    /// Extracts the finished session's [`DseResult`] while keeping the
-    /// context alive for reuse — pair with [`OptContext::reset_for`] to
-    /// run a request stream through one context. Logs the unconsumed-
-    /// seed-start warning if applicable.
+    /// Extracts the finished session's [`DseResult`]. Logs the
+    /// unconsumed-seed-start warning if applicable.
     ///
     /// # Panics
     ///
@@ -1338,7 +1278,7 @@ impl<'p> OptContext<'p> {
     /// strategy) — same contract as [`run_dse`].
     #[must_use]
     pub fn finish(&mut self, optimizer: &str) -> DseResult {
-        self.warn_unconsumed_seed("finish");
+        self.warn_unconsumed_seed();
         let evaluations = self.used();
         let (best_mapping, best_score) = self
             .best
@@ -1680,7 +1620,7 @@ mod tests {
         let m = ctx.random_mapping();
         assert!(ctx.evaluate(&m).is_some());
         assert!(!ctx.exhausted());
-        ctx.reset_for(&p, usize::MAX, 1);
+        let mut ctx = OptContext::new(&p, usize::MAX, 1);
         assert!(ctx.remaining() >= budget - 1);
         assert!(ctx.evaluate(&m).is_some());
         assert!(!ctx.exhausted());
@@ -1775,13 +1715,16 @@ mod tests {
         // Peek a few swaps: each must agree with a from-scratch eval.
         for (a, b) in [(0usize, 1usize), (2, 5), (0, 8), (3, 4)] {
             let ev = ctx.peek_move(Move::Swap(a, b)).unwrap();
-            let (_, full) = p.evaluate(&start.with_swap(a, b));
+            let (_, full) = p.evaluate(&start.with_move(Move::Swap(a, b)));
             assert_eq!(ev.score(), full, "swap ({a},{b})");
         }
         // Commit one and verify the cursor advanced.
         let ev = ctx.peek_move(Move::Swap(1, 6)).unwrap();
         ctx.apply_scored_move(&ev);
-        assert_eq!(ctx.current_mapping().unwrap(), &start.with_swap(1, 6));
+        assert_eq!(
+            ctx.current_mapping().unwrap(),
+            &start.with_move(Move::Swap(1, 6))
+        );
         assert_eq!(ctx.current_score(), Some(ev.score()));
     }
 

@@ -73,8 +73,7 @@ impl fmt::Display for CoreError {
             CoreError::ObjectiveLocked { evaluations } => write!(
                 f,
                 "set_objective after {evaluations} evaluation(s): the scoring objective is \
-                 locked once a session evaluates (set it before any evaluation, or start a \
-                 fresh session via reset_for)"
+                 locked once a session evaluates (set it before any evaluation)"
             ),
         }
     }

@@ -81,10 +81,10 @@
 //! from-scratch build over the mutated CG (pinned by
 //! `tests/mutation_properties.rs` on random mutation batches).
 //! Mutations invalidate outstanding [`EvalState`]s — re-initialize via
-//! [`Evaluator::init_state`] (the engine's
-//! [`OptContext::reset_for`](crate::OptContext::reset_for) does this
-//! bookkeeping for search sessions). The safe entry points live on
-//! [`MappingProblem`](crate::MappingProblem)
+//! [`Evaluator::init_state`] (a search session does this by building a
+//! fresh [`OptContext`](crate::OptContext) over the mutated problem,
+//! whose first `set_current` seats a new state). The safe entry points
+//! live on [`MappingProblem`](crate::MappingProblem)
 //! (`update_edge_bandwidths` / `add_edge` / `remove_edge`), which keep
 //! the CG and these caches in lock-step.
 
@@ -101,10 +101,9 @@ use phonoc_phys::{Db, LinearGain, PhysicalParameters};
 use phonoc_route::RoutingAlgorithm;
 use phonoc_router::{PortPair, RouterModel};
 use phonoc_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Per-communication evaluation result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeMetrics {
     /// Index into the CG's edge list.
     pub edge: usize,
@@ -116,7 +115,7 @@ pub struct EdgeMetrics {
 }
 
 /// Whole-network evaluation result for one mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkMetrics {
     /// Per-edge metrics, in CG edge order.
     pub edges: Vec<EdgeMetrics>,
@@ -128,7 +127,7 @@ pub struct NetworkMetrics {
 
 /// The two worst-case figures of one evaluation — all a search objective
 /// needs — produced without materializing per-edge metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalSummary {
     /// `IL_wc`: the most negative insertion loss (paper Eq. 3).
     pub worst_case_il: Db,

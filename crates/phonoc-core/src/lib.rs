@@ -3,8 +3,8 @@
 //! This crate is the paper's primary contribution — the "Design Space
 //! Exploration" box of Fig. 1 plus the "Mapping Evaluator" — built
 //! around an explicit **move abstraction**: search strategies describe
-//! candidate solutions as [`mapping::Move`]s (pairwise swaps, or
-//! relocations onto free tiles) and score them *incrementally*, paying
+//! candidate solutions as [`mapping::Move`]s (pairwise position swaps,
+//! task↔task or task↔free tile) and score them *incrementally*, paying
 //! only for the communications a move actually perturbs instead of a
 //! full `O(edges × interactions)` re-evaluation.
 //!

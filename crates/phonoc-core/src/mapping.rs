@@ -5,7 +5,7 @@
 //! hold the tiles of the tasks, positions `task_count..` hold the free
 //! tiles. This makes the neighbourhood used by the search algorithms —
 //! "swap the contents of two tiles", where one side may be empty —
-//! a single uniform operation, [`Mapping::swap_positions`].
+//! a single uniform operation, [`Move::Swap`].
 //!
 //! # Examples
 //!
@@ -23,38 +23,24 @@ use crate::error::CoreError;
 use phonoc_topo::TileId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An elementary modification of a [`Mapping`] — the unit of the
 /// move-based search API.
 ///
-/// Every move reduces to exchanging the contents of two positions of the
-/// underlying tile permutation, which keeps the mapping valid by
-/// construction. The two variants express the two neighbourhoods search
-/// strategies use:
-///
-/// * [`Move::Swap`] exchanges two *positions* (task↔task, or task↔free
-///   when one index lies in the free tail) — the paper's R-PBLA
-///   neighbourhood.
-/// * [`Move::Relocate`] moves one task onto an explicitly named **free
-///   tile**, which only exists when `task_count < tile_count`. It is
-///   sugar for the swap with that tile's position.
+/// A move exchanges the contents of two positions of the underlying
+/// tile permutation, which keeps the mapping valid by construction.
+/// Both positions below `task_count` swap two tasks' tiles; one in the
+/// free tail moves a task onto a free tile (which only exists when
+/// `task_count < tile_count`). This is the paper's R-PBLA neighbourhood.
 ///
 /// Moves are evaluated incrementally by
 /// [`Evaluator::evaluate_delta`](crate::evaluator::Evaluator::evaluate_delta):
 /// only the communications touching the two affected tiles are
 /// re-scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Move {
     /// Exchange the contents of permutation positions `.0` and `.1`.
     Swap(usize, usize),
-    /// Relocate `task` onto the free tile `to`.
-    Relocate {
-        /// Task to move.
-        task: usize,
-        /// Destination tile; must currently host no task.
-        to: TileId,
-    },
 }
 
 impl Move {
@@ -80,28 +66,15 @@ impl Move {
     ///
     /// # Panics
     ///
-    /// Panics if a position or task index is out of range, or if a
-    /// [`Move::Relocate`] targets an occupied tile.
+    /// Panics if a position is out of range.
     #[must_use]
     pub fn positions(&self, mapping: &Mapping) -> (usize, usize) {
-        match *self {
-            Move::Swap(a, b) => {
-                assert!(
-                    a < mapping.tile_count() && b < mapping.tile_count(),
-                    "swap position out of range"
-                );
-                (a.min(b), a.max(b))
-            }
-            Move::Relocate { task, to } => {
-                assert!(task < mapping.task_count(), "task {task} out of range");
-                let pos = mapping.position_of_tile(to);
-                assert!(
-                    pos >= mapping.task_count(),
-                    "relocate target {to} hosts a task"
-                );
-                (task, pos)
-            }
-        }
+        let Move::Swap(a, b) = *self;
+        assert!(
+            a < mapping.tile_count() && b < mapping.tile_count(),
+            "swap position out of range"
+        );
+        (a.min(b), a.max(b))
     }
 
     /// Whether applying this move cannot change any evaluation: both
@@ -114,7 +87,7 @@ impl Move {
 }
 
 /// An injective assignment of tasks to tiles (paper conditions 5 and 6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     /// Permutation of all tiles; the first `task_count` entries are the
     /// mapped tiles, the rest are free.
@@ -233,26 +206,6 @@ impl Mapping {
         &self.perm
     }
 
-    /// Swaps the contents of two *positions* of the permutation. If both
-    /// are below `task_count` this swaps two tasks' tiles; if one is in
-    /// the free tail it relocates a task to a free tile. This is the
-    /// "move" of the paper's R-PBLA neighbourhood.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either position is out of range.
-    pub fn swap_positions(&mut self, a: usize, b: usize) {
-        self.perm.swap(a, b);
-    }
-
-    /// Returns a copy with positions `a` and `b` swapped.
-    #[must_use]
-    pub fn with_swap(&self, a: usize, b: usize) -> Mapping {
-        let mut m = self.clone();
-        m.swap_positions(a, b);
-        m
-    }
-
     /// Applies a random position swap (used by mutation operators).
     pub fn random_swap<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let mv = self.random_swap_move(rng);
@@ -265,21 +218,6 @@ impl Mapping {
     #[must_use]
     pub fn random_swap_move<R: Rng + ?Sized>(&self, rng: &mut R) -> Move {
         Move::random_swap(self.perm.len(), rng)
-    }
-
-    /// Position of `tile` in the permutation (`< task_count` when it
-    /// hosts a task, in the free tail otherwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range for this mapping.
-    #[must_use]
-    pub fn position_of_tile(&self, tile: TileId) -> usize {
-        assert!(tile.0 < self.perm.len(), "tile {tile} out of range");
-        self.perm
-            .iter()
-            .position(|&t| t == tile)
-            .expect("permutation covers every tile")
     }
 
     /// Applies `mv` in place.
@@ -370,23 +308,23 @@ mod tests {
     }
 
     #[test]
-    fn swap_positions_covers_task_task_and_task_free() {
+    fn swap_moves_cover_task_task_and_task_free() {
         let mut m = Mapping::from_assignment(vec![TileId(0), TileId(1)], 3).unwrap();
         // Task-task swap.
-        m.swap_positions(0, 1);
+        m.apply_move(Move::Swap(0, 1));
         assert_eq!(m.tile_of_task(0), TileId(1));
         assert_eq!(m.tile_of_task(1), TileId(0));
-        // Task-free swap: task 0 relocates to the free tile 2.
-        m.swap_positions(0, 2);
+        // Task-free swap: task 0 moves onto the free tile 2.
+        m.apply_move(Move::Swap(0, 2));
         assert_eq!(m.tile_of_task(0), TileId(2));
         assert_eq!(m.task_on_tile(TileId(1)), None);
         assert!(m.is_valid());
     }
 
     #[test]
-    fn with_swap_does_not_mutate_original() {
+    fn with_move_does_not_mutate_original() {
         let m = Mapping::identity(2, 4);
-        let s = m.with_swap(0, 3);
+        let s = m.with_move(Move::Swap(0, 3));
         assert_eq!(m.tile_of_task(0), TileId(0));
         assert_eq!(s.tile_of_task(0), TileId(3));
     }
@@ -402,35 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn move_swap_matches_swap_positions() {
+    fn swap_order_is_irrelevant() {
         let m = Mapping::from_assignment(vec![TileId(2), TileId(0)], 4).unwrap();
-        assert_eq!(m.with_move(Move::Swap(0, 1)), m.with_swap(0, 1));
-        // Order of the pair is irrelevant.
-        assert_eq!(m.with_move(Move::Swap(1, 0)), m.with_swap(0, 1));
-    }
-
-    #[test]
-    fn move_relocate_targets_a_free_tile() {
-        // Tasks on tiles 2 and 0; tiles 1 and 3 free.
-        let m = Mapping::from_assignment(vec![TileId(2), TileId(0)], 4).unwrap();
-        let moved = m.with_move(Move::Relocate {
-            task: 0,
-            to: TileId(3),
-        });
-        assert_eq!(moved.tile_of_task(0), TileId(3));
-        assert_eq!(moved.tile_of_task(1), TileId(0));
-        assert!(moved.is_valid());
-        assert_eq!(moved.task_on_tile(TileId(2)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "hosts a task")]
-    fn move_relocate_rejects_occupied_tiles() {
-        let m = Mapping::from_assignment(vec![TileId(2), TileId(0)], 4).unwrap();
-        let _ = m.with_move(Move::Relocate {
-            task: 0,
-            to: TileId(0),
-        });
+        assert_eq!(m.with_move(Move::Swap(1, 0)), m.with_move(Move::Swap(0, 1)));
+        assert_eq!(Move::Swap(3, 1).positions(&m), (1, 3));
     }
 
     #[test]

@@ -46,10 +46,9 @@ use crate::problem::MappingProblem;
 use phonoc_phys::Db;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo activity study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityStudy {
     /// Per-communication activity probability used for sampling.
     pub activity: f64,

@@ -23,10 +23,9 @@
 //! ```
 
 use crate::mapping::Mapping;
-use serde::{Deserialize, Serialize};
 
 /// A point on the loss/SNR trade-off curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint {
     /// The mapping achieving this trade-off.
     pub mapping: Mapping,
@@ -41,7 +40,7 @@ pub struct ParetoPoint {
 ///
 /// Both coordinates are maximized. A point dominates another if it is
 /// at least as good on both axes and strictly better on one.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParetoFront {
     points: Vec<ParetoPoint>,
 }

@@ -9,7 +9,6 @@ use phonoc_phys::{Db, Modulation, PhysicalParameters};
 use phonoc_route::RoutingAlgorithm;
 use phonoc_router::RouterModel;
 use phonoc_topo::Topology;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The optimization objectives: the paper's two (Eqs. 3 and 4) plus the
@@ -36,7 +35,7 @@ use std::fmt;
 ///   `MaximizeSnrMargin` scores the *headroom* above the modulation's
 ///   required SNR (positive = the worst link closes its 10⁻⁹ BER
 ///   target). Both ride the exact-delta and bound-then-verify peeks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Minimize the worst-case insertion loss magnitude (Eq. 3).
     MinimizeWorstCaseLoss,

@@ -1,4 +1,4 @@
-//! Incremental problem mutation and context reuse: the warm-start
+//! Incremental problem mutation and seed starts: the warm-start
 //! engine's correctness contract.
 //!
 //! * Mutating a live [`MappingProblem`] in place
@@ -7,10 +7,6 @@
 //!   down and rebuilding it from the mutated CG — over random mutation
 //!   batches, checked by evaluating random mappings against a
 //!   fresh-built oracle.
-//! * Reusing one [`OptContext`] across problems via
-//!   [`OptContext::reset_for`] must be bit-identical to constructing a
-//!   fresh context — the reused scratches and tables are a cost
-//!   optimization, never a behavior change.
 //! * A seed start planted with [`OptContext::set_seed_start`] but never
 //!   consumed must be *detectable* ([`OptContext::seed_start_pending`])
 //!   without being an error — start-free strategies legitimately
@@ -167,29 +163,6 @@ fn invalid_mutations_are_rejected_atomically() {
     assert_eq!(problem.evaluator().edge_count(), edges_before.len());
 }
 
-/// A deliberately simple strategy that *does* consume seed starts: a
-/// greedy walk restarting from `initial_mapping`.
-#[derive(Debug)]
-struct SeededWalk;
-
-impl MappingOptimizer for SeededWalk {
-    fn name(&self) -> &'static str {
-        "seeded-walk"
-    }
-    fn optimize(&self, ctx: &mut OptContext<'_>) {
-        let start = ctx.initial_mapping();
-        if ctx.evaluate(&start).is_none() {
-            return;
-        }
-        while !ctx.exhausted() {
-            let m = ctx.random_mapping();
-            if ctx.evaluate(&m).is_none() {
-                break;
-            }
-        }
-    }
-}
-
 /// A start-free strategy (like random search): never calls
 /// `initial_mapping`, so a planted seed goes unconsumed.
 #[derive(Debug)]
@@ -207,65 +180,6 @@ impl MappingOptimizer for StartFree {
             }
         }
     }
-}
-
-fn result_fingerprint(r: &phonoc_core::DseResult) -> (u64, Mapping, usize, usize, usize) {
-    (
-        r.best_score.to_bits(),
-        r.best_mapping.clone(),
-        r.evaluations,
-        r.stats.full_evaluations,
-        r.stats.delta_evaluations,
-    )
-}
-
-/// A context reused across problems via `reset_for` must reproduce a
-/// fresh context bit-for-bit: same best, same budget accounting, same
-/// history.
-#[test]
-fn reset_for_is_bit_identical_to_a_fresh_context() {
-    let first = problem_from(scenario_cg(11));
-    let second = problem_from(scenario_cg(12));
-    let opt = SeededWalk;
-
-    for seed in [3u64, 17, 99] {
-        let fresh = {
-            let mut ctx = OptContext::new(&second, 40, seed);
-            opt.optimize(&mut ctx);
-            ctx.finish(opt.name())
-        };
-        let reused = {
-            // Warm the context up on a *different* problem first, so
-            // reused scratches and RNG state would show up as a diff.
-            let mut ctx = OptContext::new(&first, 40, seed ^ 0xDEAD);
-            opt.optimize(&mut ctx);
-            let _ = ctx.finish(opt.name());
-            ctx.reset_for(&second, 40, seed);
-            opt.optimize(&mut ctx);
-            ctx.finish(opt.name())
-        };
-        assert_eq!(
-            result_fingerprint(&fresh),
-            result_fingerprint(&reused),
-            "seed {seed}: reset_for diverged from a fresh context"
-        );
-        assert_eq!(fresh.history, reused.history, "seed {seed}");
-    }
-}
-
-/// `reset_for` must also serve *the same problem* again (the replay
-/// harness's repeat-request path) with fresh-run results.
-#[test]
-fn reset_for_same_problem_repeats_the_run() {
-    let problem = problem_from(scenario_cg(21));
-    let opt = SeededWalk;
-    let mut ctx = OptContext::new(&problem, 30, 5);
-    opt.optimize(&mut ctx);
-    let first = ctx.finish(opt.name());
-    ctx.reset_for(&problem, 30, 5);
-    opt.optimize(&mut ctx);
-    let again = ctx.finish(opt.name());
-    assert_eq!(result_fingerprint(&first), result_fingerprint(&again));
 }
 
 /// Seed-start misuse detection: a planted seed a start-free strategy
@@ -301,11 +215,4 @@ fn unconsumed_seed_starts_are_detectable_not_fatal() {
     // Later draws fall back to random (no stale seed replay).
     let next = ctx.initial_mapping();
     assert_ne!(next, planted, "consumed seeds must not be handed out twice");
-
-    // reset_for clears a pending seed: a stale elite from a previous
-    // request must never leak into the next one.
-    let mut ctx = OptContext::new(&problem, 10, 1);
-    ctx.set_seed_start(planted);
-    ctx.reset_for(&problem, 10, 2);
-    assert!(!ctx.seed_start_pending(), "reset_for must drop stale seeds");
 }

@@ -85,9 +85,9 @@
 //! `set_seed_start` hook elite exchange rides between rounds. Paired
 //! with phonoc-core's in-place problem mutation
 //! (`MappingProblem::update_edge_bandwidths` / `add_edge` /
-//! `remove_edge`) and `OptContext::reset_for`, a request stream runs
-//! through one engine without rebuilding architecture tables per
-//! request. `bench::replay` measures what this buys
+//! `remove_edge`), a request stream re-solves a mutated problem
+//! without rebuilding architecture tables per request; each request
+//! runs in a fresh `OptContext`. `bench::replay` measures what this buys
 //! (`BENCH_warmstart.json`); `tests/warm_properties.rs` pins the
 //! determinism and key-canonicalization contracts.
 //!
@@ -189,9 +189,7 @@ pub use portfolio::{
     LaneSpec, PortfolioResult, PortfolioSpec,
 };
 pub use random_search::RandomSearch;
-pub use registry::{
-    builtin_names, optimizer, optimizer_spec, search_spec, single_spec, SearchSpec, SingleSpec,
-};
+pub use registry::{builtin_names, optimizer, search_spec, single_spec, SearchSpec, SingleSpec};
 pub use rpbla::Rpbla;
 pub use tabu::TabuSearch;
 pub use warm::{FamilyKey, RequestKey, WarmCache, WarmSolve, WarmSource};

@@ -327,7 +327,7 @@ impl Neighborhood {
         let perm = mapping.permutation();
         self.pool.clear();
         for (i, &mv) in self.admitted.iter().enumerate() {
-            let Move::Swap(a, b) = mv else { continue };
+            let Move::Swap(a, b) = mv;
             let d = self.tile_dist[perm[a].0 * self.tiles + perm[b].0];
             if d as usize <= self.radius {
                 self.pool.push(i as u32);
@@ -376,10 +376,9 @@ mod tests {
     #[test]
     fn admitted_list_excludes_free_free_pairs() {
         let moves = admitted_moves(3, 5);
-        assert!(moves.iter().all(|m| match *m {
-            Move::Swap(a, b) => a < 3 && a < b && b < 5,
-            Move::Relocate { .. } => false,
-        }));
+        assert!(moves
+            .iter()
+            .all(|&Move::Swap(a, b)| a < 3 && a < b && b < 5));
         // 3 task rows against all later positions: 4 + 3 + 2.
         assert_eq!(moves.len(), 9);
     }
@@ -442,7 +441,7 @@ mod tests {
         for _ in 0..100 {
             let mv = n.draw_for(&mapping).expect("non-empty neighbourhood");
             assert!(admitted.contains(&mv));
-            let Move::Swap(a, b) = mv else { unreachable!() };
+            let Move::Swap(a, b) = mv;
             let perm = mapping.permutation();
             assert!(
                 ctx.tile_distance(perm[a].0, perm[b].0) <= radius,

@@ -64,23 +64,6 @@ pub fn optimizer(name: &str) -> Option<Box<dyn MappingOptimizer>> {
     }
 }
 
-/// Parses an optimizer spec of the form `name[@neighborhood]` — e.g.
-/// `r-pbla@sampled` or plain `tabu` — into the optimizer and the
-/// [`NeighborhoodPolicy`] the run should pin (`None` means "leave the
-/// context default", i.e. [`NeighborhoodPolicy::Auto`]). Returns `None`
-/// for an unknown optimizer name *or* an unknown policy suffix.
-#[must_use]
-pub fn optimizer_spec(
-    spec: &str,
-) -> Option<(Box<dyn MappingOptimizer>, Option<NeighborhoodPolicy>)> {
-    match spec.split_once('@') {
-        Some((name, policy)) => {
-            Some((optimizer(name)?, Some(NeighborhoodPolicy::by_name(policy)?)))
-        }
-        None => Some((optimizer(spec)?, None)),
-    }
-}
-
 /// One fully-parsed single-optimizer spec under the unified grammar
 /// `name[@policy][/peek][!objective]` (see the [module docs](self)):
 /// the resolved optimizer plus every knob the suffixes pinned. `None`
@@ -89,7 +72,7 @@ pub fn optimizer_spec(
 #[derive(Debug)]
 pub struct SingleSpec {
     /// The registry half of the spec, `name[@policy]`, exactly as
-    /// written (this is the half [`optimizer_spec`] understands).
+    /// written.
     pub algo: String,
     /// The resolved optimizer.
     pub optimizer: Box<dyn MappingOptimizer>,
@@ -129,7 +112,8 @@ impl SingleSpec {
 /// # Errors
 ///
 /// Returns a message naming the unknown optimizer, neighbourhood
-/// policy, peek strategy or objective.
+/// policy, peek strategy or objective (an unknown name and an unknown
+/// `@policy` both report the whole `name[@policy]` half).
 pub fn single_spec(spec: &str) -> Result<SingleSpec, String> {
     let (rest, objective) = match spec.rsplit_once('!') {
         Some((rest, name)) => (
@@ -151,8 +135,15 @@ pub fn single_spec(spec: &str) -> Result<SingleSpec, String> {
         ),
         None => (rest, None),
     };
-    let (optimizer, policy) = optimizer_spec(algo)
-        .ok_or_else(|| format!("unknown optimizer spec `{algo}` in spec `{spec}`"))?;
+    let unknown = || format!("unknown optimizer spec `{algo}` in spec `{spec}`");
+    let (name, policy) = match algo.split_once('@') {
+        Some((name, policy)) => (
+            name,
+            Some(NeighborhoodPolicy::by_name(policy).ok_or_else(unknown)?),
+        ),
+        None => (algo, None),
+    };
+    let optimizer = optimizer(name).ok_or_else(unknown)?;
     Ok(SingleSpec {
         algo: algo.to_owned(),
         optimizer,
@@ -224,15 +215,19 @@ mod tests {
 
     #[test]
     fn specs_carry_neighborhood_policies() {
-        let (opt, policy) = optimizer_spec("r-pbla@sampled").unwrap();
-        assert_eq!(opt.name(), "r-pbla");
-        assert_eq!(policy, Some(NeighborhoodPolicy::Sampled));
-        let (_, policy) = optimizer_spec("tabu@Locality").unwrap();
-        assert_eq!(policy, Some(NeighborhoodPolicy::Locality));
-        let (_, policy) = optimizer_spec("rs").unwrap();
-        assert_eq!(policy, None);
-        assert!(optimizer_spec("r-pbla@nonsense").is_none());
-        assert!(optimizer_spec("nonsense@sampled").is_none());
+        let s = single_spec("r-pbla@sampled").unwrap();
+        assert_eq!(s.optimizer.name(), "r-pbla");
+        assert_eq!(s.policy, Some(NeighborhoodPolicy::Sampled));
+        let s = single_spec("tabu@Locality").unwrap();
+        assert_eq!(s.policy, Some(NeighborhoodPolicy::Locality));
+        assert_eq!(single_spec("rs").unwrap().policy, None);
+        for bad in ["r-pbla@nonsense", "nonsense@sampled"] {
+            let err = single_spec(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown optimizer spec `{bad}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -68,9 +68,7 @@ impl MappingOptimizer for TabuSearch {
             let truncated = scanned.len() < moves.len();
             let mut best: Option<&MoveEval> = None;
             for ev in &scanned {
-                let Move::Swap(a, b) = ev.mv() else {
-                    continue;
-                };
+                let Move::Swap(a, b) = ev.mv();
                 let is_tabu = tabu.get(&(a, b)).is_some_and(|&until| until > iteration);
                 // Aspiration: a new global best is always admissible.
                 if is_tabu && ev.score() <= global_best {
@@ -108,9 +106,8 @@ impl MappingOptimizer for TabuSearch {
                 }
             }
             global_best = global_best.max(best.score());
-            if let Move::Swap(a, b) = best.mv() {
-                tabu.insert((a, b), iteration + tenure);
-            }
+            let Move::Swap(a, b) = best.mv();
+            tabu.insert((a, b), iteration + tenure);
             if truncated {
                 break;
             }

@@ -68,11 +68,8 @@ fn ctx_with_cursor(p: &MappingProblem, seed: u64) -> OptContext<'_> {
     ctx
 }
 
-fn is_admitted(mv: Move, tasks: usize, tiles: usize) -> bool {
-    match mv {
-        Move::Swap(a, b) => a < b && b < tiles && (a < tasks || b < tasks),
-        Move::Relocate { .. } => false,
-    }
+fn is_admitted(Move::Swap(a, b): Move, tasks: usize, tiles: usize) -> bool {
+    a < b && b < tiles && (a < tasks || b < tasks)
 }
 
 #[test]
@@ -129,13 +126,7 @@ fn passes_are_duplicate_free_and_admitted_only() {
             for quota in [3, 16, 50, 10_000] {
                 let moves = n.pass(&ctx, quota).to_vec();
                 assert!(moves.len() <= quota.min(n.admitted_len()));
-                let unique: HashSet<_> = moves
-                    .iter()
-                    .map(|m| match *m {
-                        Move::Swap(a, b) => (a, b),
-                        Move::Relocate { .. } => unreachable!(),
-                    })
-                    .collect();
+                let unique: HashSet<_> = moves.iter().map(|&Move::Swap(a, b)| (a, b)).collect();
                 assert_eq!(unique.len(), moves.len(), "{policy}: duplicates in a pass");
                 for mv in moves {
                     assert!(
@@ -161,7 +152,7 @@ fn locality_restricts_by_mapped_tile_distance_and_widens() {
             let radius = n.radius().unwrap();
             let moves = n.pass(&ctx, usize::MAX).to_vec();
             for &mv in &moves {
-                let Move::Swap(a, b) = mv else { unreachable!() };
+                let Move::Swap(a, b) = mv;
                 // The restriction is on the tiles the swap exchanges
                 // under the cursor mapping, not on the slot indices.
                 let d = ctx.tile_distance(perm[a].0, perm[b].0);
@@ -200,10 +191,7 @@ fn locality_pool_tracks_the_cursor_mapping() {
         let moves: HashSet<(usize, usize)> = n
             .pass(&ctx, usize::MAX)
             .iter()
-            .map(|m| match *m {
-                Move::Swap(a, b) => (a, b),
-                Move::Relocate { .. } => unreachable!(),
-            })
+            .map(|&Move::Swap(a, b)| (a, b))
             .collect();
         sets.push(moves);
     }

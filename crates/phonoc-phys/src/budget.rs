@@ -33,10 +33,9 @@
 
 use crate::params::PhysicalParameters;
 use crate::units::{Db, Dbm};
-use serde::{Deserialize, Serialize};
 
 /// Power-budget analyzer for a given physical parameter set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBudget {
     params: PhysicalParameters,
 }

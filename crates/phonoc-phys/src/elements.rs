@@ -37,11 +37,10 @@
 
 use crate::params::PhysicalParameters;
 use crate::units::{Db, LinearGain, Milliwatts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two PSE geometries of Fig. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PseKind {
     /// PPSE: microring between two *parallel* waveguides (Fig. 2a–b).
     /// Dropping reverses the propagation direction on the second
@@ -62,7 +61,7 @@ impl fmt::Display for PseKind {
 }
 
 /// Whether the microring resonance matches the traversing wavelength.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResonanceState {
     /// The ring resonates: the input signal is coupled to the drop port.
     On,

@@ -54,7 +54,6 @@
 
 use crate::params::PhysicalParameters;
 use crate::units::{Db, Dbm, Milliwatts};
-use serde::{Deserialize, Serialize};
 
 /// The bit-error-rate target the preset margins are derived for.
 pub const TARGET_BER: f64 = 1e-9;
@@ -73,7 +72,7 @@ const PAM4_EYE_PENALTY_DB: f64 = 9.542_425_094_393_248;
 /// Fieldless by design: each variant pins a (levels, required-margin)
 /// pair, so the enum is `Copy`/`Eq`/`Hash` and embeds directly in
 /// objective enums and cache keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modulation {
     /// On-off keying: 2 levels, 1 bit/symbol. The implicit format of
     /// the paper's SNR analysis.
@@ -166,7 +165,7 @@ impl std::fmt::Display for Modulation {
 /// Each source drives all its links off one laser, so a *source's*
 /// requirement is set by its worst (most lossy) link; the chip total is
 /// the linear (mW) sum over sources.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserBudget {
     params: PhysicalParameters,
     modulation: Modulation,

@@ -33,7 +33,6 @@
 //! ```
 
 use crate::units::{Db, Dbm};
-use serde::{Deserialize, Serialize};
 
 /// The complete set of physical-layer coefficients used by the loss and
 /// crosstalk models.
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// override individual coefficients (e.g. to model a different fabrication
 /// process, which is exactly the "extend the library with new photonic
 /// building blocks" use case of the paper's Section II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalParameters {
     /// `Lc`: loss of a waveguide crossing traversal (Ding et al. 2010).
     pub crossing_loss: Db,

@@ -23,7 +23,6 @@
 //! assert!((after.0 - 0.5).abs() < 1e-4);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
@@ -43,7 +42,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 /// assert!((path_loss.0 - -0.814).abs() < 1e-12);
 /// assert!(path_loss.to_linear().0 < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Db(pub f64);
 
 impl Db {
@@ -141,7 +140,7 @@ impl fmt::Display for Db {
 /// assert!((g.to_db().0 - -6.0).abs() < 1e-9);
 /// assert_eq!(LinearGain::UNIT.0, 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct LinearGain(pub f64);
 
 impl LinearGain {
@@ -203,7 +202,7 @@ impl fmt::Display for LinearGain {
 /// let detected = laser.attenuate(Db(-20.0));
 /// assert!((detected.to_dbm().0 - -20.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Milliwatts(pub f64);
 
 impl Milliwatts {
@@ -268,7 +267,7 @@ impl fmt::Display for Milliwatts {
 /// let budget: Db = laser - sensitivity;
 /// assert_eq!(budget, Db(26.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Dbm(pub f64);
 
 impl Dbm {
@@ -320,7 +319,7 @@ impl fmt::Display for Dbm {
 /// assert!((pitch.as_cm() - 0.25).abs() < 1e-12);
 /// assert_eq!(pitch + pitch, Length::from_mm(5.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Length {
     micrometers: f64,
 }

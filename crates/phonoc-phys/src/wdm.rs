@@ -28,13 +28,12 @@
 
 use crate::params::PhysicalParameters;
 use crate::units::{Db, Dbm};
-use serde::{Deserialize, Serialize};
 
 /// Speed of light (m/s) for wavelength/frequency conversions.
 const C_M_PER_S: f64 = 299_792_458.0;
 
 /// A dense WDM channel plan centred on 1550 nm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WdmGrid {
     channels: usize,
     /// Channel spacing in nanometres (0.8 nm ≈ 100 GHz at 1550 nm).
@@ -125,7 +124,7 @@ impl WdmGrid {
 }
 
 /// Outcome of a WDM power-budget check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WdmFeasibility {
     /// Channels in the plan.
     pub channels: usize,

@@ -39,11 +39,10 @@
 use phonoc_phys::Length;
 use phonoc_router::Port;
 use phonoc_topo::{TileId, Topology, TopologyKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One router traversal along a network path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// The tile whose router is traversed.
     pub tile: TileId,
@@ -54,7 +53,7 @@ pub struct Hop {
 }
 
 /// Geometry of the link between two consecutive hops.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSegment {
     /// Physical waveguide length.
     pub length: Length,
@@ -64,7 +63,7 @@ pub struct LinkSegment {
 
 /// A source-to-destination route: routers traversed plus the links
 /// between them (`links.len() == hops.len() - 1`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkPath {
     /// Source tile (signal injected at its Local port).
     pub src: TileId,
@@ -233,7 +232,7 @@ fn dimension_steps(
 }
 
 /// XY dimension-order routing (X first, then Y); torus-aware.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XyRouting;
 
 impl RoutingAlgorithm for XyRouting {
@@ -269,7 +268,7 @@ impl RoutingAlgorithm for XyRouting {
 
 /// YX dimension-order routing (Y first, then X); torus-aware. Extension
 /// algorithm: requires a router that implements Y→X turns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct YxRouting;
 
 impl RoutingAlgorithm for YxRouting {
@@ -304,7 +303,7 @@ impl RoutingAlgorithm for YxRouting {
 }
 
 /// Shortest-way-around routing for [`TopologyKind::Ring`] topologies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingRouting;
 
 impl RoutingAlgorithm for RingRouting {

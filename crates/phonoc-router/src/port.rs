@@ -4,11 +4,10 @@
 //! bidirectional ports: four toward the cardinal neighbours and one toward
 //! the local tile (injection/ejection).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the five ports of a mesh/torus optical router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Port {
     /// The local tile (injection on input, ejection on output).
     Local,
@@ -77,7 +76,7 @@ impl fmt::Display for Port {
 
 /// An ordered (input port, output port) pair identifying one connection
 /// through a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortPair {
     /// The port the signal enters.
     pub input: Port,

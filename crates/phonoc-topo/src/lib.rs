@@ -33,13 +33,12 @@
 
 use phonoc_phys::Length;
 use phonoc_router::Port;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a tile (and its router) within a topology.
 ///
 /// Tiles are numbered row-major: `id = y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileId(pub usize);
 
 impl fmt::Display for TileId {
@@ -49,7 +48,7 @@ impl fmt::Display for TileId {
 }
 
 /// Grid coordinate of a tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Column, increasing eastward.
     pub x: usize,
@@ -64,7 +63,7 @@ impl fmt::Display for Coord {
 }
 
 /// A directed physical link between two routers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Source tile.
     pub from: TileId,
@@ -82,7 +81,7 @@ pub struct Link {
 
 /// The flavour of a topology, for reporting and for routing algorithms
 /// that need wrap-around awareness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// Planar W×H mesh.
     Mesh,
@@ -107,7 +106,7 @@ impl fmt::Display for TopologyKind {
 }
 
 /// A tile-and-link graph with physical geometry (paper Definition 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     kind: TopologyKind,
     width: usize,

@@ -160,15 +160,7 @@ fn problem_args(args: &[String], extra: &[&str]) -> Result<CliArgs, String> {
 
 /// `--budget N` (default 100000, at least 1).
 fn budget(args: &CliArgs) -> Result<usize, String> {
-    let budget = args
-        .value("--budget")
-        .map(|s| s.parse().map_err(|_| format!("bad budget `{s}`")))
-        .transpose()?
-        .unwrap_or(100_000);
-    if budget == 0 {
-        return Err("--budget must be at least 1".into());
-    }
-    Ok(budget)
+    Ok(args.count("--budget")?.unwrap_or(100_000))
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {

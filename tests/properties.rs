@@ -2,6 +2,7 @@
 //! applications, topologies and mappings must uphold the evaluator's
 //! invariants.
 
+use phonocmap::core::Move;
 use phonocmap::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,7 +70,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = Mapping::random(tasks, tiles, &mut rng);
         let (before, _) = p.evaluate(&m);
-        let swapped = m.with_swap(tasks, tasks + 1); // two free positions
+        let swapped = m.with_move(Move::Swap(tasks, tasks + 1)); // two free positions
         prop_assert!(swapped.is_valid());
         let (after, _) = p.evaluate(&swapped);
         prop_assert_eq!(before, after);
@@ -89,7 +90,7 @@ proptest! {
         for (a, b) in swaps {
             let (a, b) = (a % tiles, b % tiles);
             if a != b {
-                m.swap_positions(a, b);
+                m.apply_move(Move::Swap(a, b));
             }
             prop_assert!(m.is_valid());
         }

@@ -239,6 +239,90 @@ fn bad_flags_fail_with_messages() {
     }
 }
 
+/// A repeated flag or a value that is really the next flag must fail
+/// instead of silently running with one of the two readings.
+#[test]
+fn repeated_flags_and_flag_shaped_values_fail() {
+    let dir = std::env::temp_dir().join("phonocmap_cli_flag_values");
+    std::fs::create_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_file(dir.join("--seed"));
+    for (args, needle) in [
+        (
+            vec![
+                "optimize", "--app", "VOPD", "--budget", "50", "--budget", "2000",
+            ],
+            "`--budget` given twice",
+        ),
+        (
+            vec![
+                "optimize", "--app", "VOPD", "--app", "MPEG4", "--budget", "50",
+            ],
+            "`--app` given twice",
+        ),
+        (
+            vec![
+                "optimize",
+                "--app",
+                "VOPD",
+                "--budget",
+                "50",
+                "--trace-out",
+                "--seed",
+            ],
+            "`--trace-out` needs a value",
+        ),
+        (vec!["sweep", "--smoke", "--smoke"], "`--smoke` given twice"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_phonocmap"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error:") && err.contains(needle),
+            "{args:?}: missing `{needle}` in {err}"
+        );
+    }
+    assert!(
+        !dir.join("--seed").exists(),
+        "a flag-shaped value must not become a trace file"
+    );
+}
+
+/// Zero budgets, samples and moves are rejected before any work starts
+/// (they used to panic or write bogus timings).
+#[test]
+fn zero_counts_fail_before_any_work() {
+    let dir = std::env::temp_dir().join("phonocmap_cli_zero_counts");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("bench.json");
+    let out_path = out_path.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["replay", "--smoke", "--budget", "0"], "--budget"),
+        (vec!["sweep", "--smoke", "--budget", "0"], "--budget"),
+        (vec!["sweep", "--smoke", "--samples", "0"], "--samples"),
+        (vec!["sweep", "--smoke", "--moves", "0"], "--moves"),
+        (
+            vec!["parallel-bench", "--smoke", "--samples", "0"],
+            "--samples",
+        ),
+    ] {
+        let mut args = args;
+        args.extend(["--out", out_path]);
+        let out = phonocmap(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let needle = format!("error: {flag} must be at least 1");
+        assert!(
+            err.contains(&needle),
+            "{args:?}: missing `{needle}` in {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+    }
+}
+
 #[test]
 fn yx_on_crux_style_incompatibility_reaches_the_user() {
     // DVOPD on a 4×4 has too many tasks; the core error must surface.
