@@ -5,8 +5,12 @@
 //! must keep small.
 
 use bench::paper_problem;
-use criterion::{criterion_group, criterion_main, Criterion};
-use phonoc_core::{run_dse, DseConfig, MappingOptimizer, Objective};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
+use phonoc_core::{
+    run_dse, DseConfig, MappingOptimizer, NeighborhoodPolicy, Objective, OptContext,
+};
+use phonoc_opt::neighborhood::Neighborhood;
 use phonoc_opt::{GeneticAlgorithm, RandomSearch, Rpbla, SimulatedAnnealing, TabuSearch};
 use phonoc_topo::TopologyKind;
 
@@ -30,5 +34,50 @@ fn optimizer_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, optimizer_overhead);
+/// Move-stream generation: building a [`Neighborhood`] plus one
+/// quota-32 pass against a seated random cursor, on the 8×8 and 16×16
+/// `mpeg-like` cells (density 200, seed 1). `locality_start` passes at
+/// the start radius, `locality_widened` after widening all the way
+/// (where every admitted pair qualifies); `locality_new` times the
+/// construction alone.
+fn neighborhood_pass(c: &mut Criterion) {
+    let mut group = c.benchmark_group("neighborhood_pass");
+    for mesh in [8, 16] {
+        let problem = bench::sweep::scenario_problem(&ScenarioSpec {
+            family: ScenarioFamily::MpegLike,
+            mesh,
+            density_pct: 200,
+            seed: 1,
+        });
+        let mut ctx = OptContext::new(&problem, 1_000_000, 5);
+        let start = ctx.random_mapping();
+        ctx.set_current(start).expect("budget is ample");
+        let cell = format!("mpeg_like_{mesh}x{mesh}");
+        group.bench_function(&format!("sampled_{cell}"), |b| {
+            b.iter(|| {
+                let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Sampled, 7);
+                black_box(n.pass(&ctx, 32).len())
+            });
+        });
+        group.bench_function(&format!("locality_new_{cell}"), |b| {
+            b.iter(|| Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 7));
+        });
+        group.bench_function(&format!("locality_start_{cell}"), |b| {
+            b.iter(|| {
+                let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 7);
+                black_box(n.pass(&ctx, 32).len())
+            });
+        });
+        group.bench_function(&format!("locality_widened_{cell}"), |b| {
+            b.iter(|| {
+                let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 7);
+                while n.widen() {}
+                black_box(n.pass(&ctx, 32).len())
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, optimizer_overhead, neighborhood_pass);
 criterion_main!(benches);

@@ -270,8 +270,11 @@ pub enum NeighborhoodPolicy {
     /// lexicographically truncated.
     Sampled,
     /// Distance-restricted swaps: only moves whose two exchanged tiles
-    /// (under the *current* cursor mapping) lie within a Manhattan
-    /// radius of each other, widening adaptively when a scan goes dry.
+    /// (under the *current* cursor mapping — `Move::Swap(a, b)` names
+    /// permutation slots, so the tiles are `perm[a]` and `perm[b]`) lie
+    /// within a Manhattan radius of each other on the topology's grid
+    /// (wrap-around links ignored), widening adaptively when a scan
+    /// goes dry.
     Locality,
 }
 
@@ -682,25 +685,6 @@ impl<'p> OptContext<'p> {
     /// ledger honest under every policy.
     pub fn set_neighborhood_policy(&mut self, policy: NeighborhoodPolicy) {
         self.policy = policy;
-    }
-
-    /// Manhattan distance between two **tiles** (row-major tile
-    /// indices) on the problem's topology grid; wrap-around links, if
-    /// any, are ignored. This is the layout distance
-    /// [`NeighborhoodPolicy::Locality`] move streams restrict swaps by
-    /// — note that a `Move::Swap(a, b)` names permutation *slots*, so
-    /// the tiles it exchanges are `mapping.permutation()[a]` /
-    /// `[b]`, not `a`/`b` themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tile index is out of the topology's range.
-    #[must_use]
-    pub fn tile_distance(&self, a: usize, b: usize) -> usize {
-        let topo = self.problem.topology();
-        let ca = topo.coord(phonoc_topo::TileId(a));
-        let cb = topo.coord(phonoc_topo::TileId(b));
-        ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)
     }
 
     /// Pins (or restores) the SNR-peek routing strategy for subsequent

@@ -391,6 +391,13 @@ pub struct DeltaScratch {
     patched_tiles: Vec<usize>,
     patched_lists: Vec<Vec<Occ>>,
     changed_occs: Vec<Vec<(u32, u16)>>,
+    /// Spare flat per-hop stores the SNR commit assembles the moved
+    /// state's offsets, accumulations and suffixes into, then swaps
+    /// with the state's — so commits reuse two sets of buffers instead
+    /// of allocating.
+    spare_offset: Vec<usize>,
+    spare_acc: Vec<f64>,
+    spare_suffix: Vec<f64>,
 }
 
 impl DeltaScratch {
@@ -1114,7 +1121,8 @@ impl Evaluator {
             // rebuilt (edge count is tiny). The assembly reads the *old*
             // layout, so `path_of_edge`/`hop_offset` are replaced after.
             let edges = state.noise.len();
-            let mut new_offset = Vec::with_capacity(edges + 1);
+            let mut new_offset = std::mem::take(&mut scratch.spare_offset);
+            new_offset.clear();
             let mut total = 0usize;
             for e in 0..edges {
                 new_offset.push(total);
@@ -1126,8 +1134,12 @@ impl Evaluator {
                 total += self.path(p).hops.len();
             }
             new_offset.push(total);
-            let mut new_acc = vec![0.0f64; total];
-            let mut new_suffix = vec![0.0f64; total];
+            let mut new_acc = std::mem::take(&mut scratch.spare_acc);
+            let mut new_suffix = std::mem::take(&mut scratch.spare_suffix);
+            new_acc.clear();
+            new_acc.resize(total, 0.0);
+            new_suffix.clear();
+            new_suffix.resize(total, 0.0);
             // Kept edges: cached accumulations, dirty ones from the
             // kernel's memo.
             for e in (0..edges).filter(|&e| !scratch.is_moved(e)) {
@@ -1157,9 +1169,9 @@ impl Evaluator {
                 state.path_of_edge[e] = p;
                 state.il[e] = path.total_db;
             }
-            state.hop_offset = new_offset;
-            state.acc = new_acc;
-            state.suffix = new_suffix;
+            scratch.spare_offset = std::mem::replace(&mut state.hop_offset, new_offset);
+            scratch.spare_acc = std::mem::replace(&mut state.acc, new_acc);
+            scratch.spare_suffix = std::mem::replace(&mut state.suffix, new_suffix);
             // Recomputed victims.
             for &v in &scratch.affected {
                 let noise = scratch.new_noise[v];

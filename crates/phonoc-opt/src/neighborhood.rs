@@ -23,13 +23,15 @@
 //!   cursor mapping** (`Move::Swap(a, b)` exchanges the tiles
 //!   `perm[a]` and `perm[b]`, so each displaced task moves at most the
 //!   radius). The within-radius subset is recomputed against the live
-//!   mapping on every pass — it changes with every committed move —
-//!   from a tile-pair distance table built once at construction. The
-//!   radius widens adaptively (doubling) when a scan goes dry and
-//!   narrows back on every committed improvement. Nearby swaps perturb
-//!   fewer paths, so their deltas are cheaper — the same budget buys
-//!   more probes — and grid embeddings improve mostly through local
-//!   repairs.
+//!   mapping on every pass — it changes with every committed move — by
+//!   a branch-free filter over the grid coordinates of the tiles each
+//!   position holds (per-tile coordinates are gathered once at
+//!   construction, in O(tiles)); fully widened, it is simply every
+//!   admitted pair. The radius widens adaptively (doubling) when a
+//!   scan goes dry and narrows back on every committed improvement.
+//!   Nearby swaps perturb fewer paths, so their deltas are cheaper —
+//!   the same budget buys more probes — and grid embeddings improve
+//!   mostly through local repairs.
 //! * [`NeighborhoodPolicy::Auto`] (the default) resolves to
 //!   `Exhaustive` while the admitted list fits
 //!   [`AUTO_EXHAUSTIVE_MAX_PAIRS`] (8×8-class meshes and below) and to
@@ -129,17 +131,23 @@ pub struct Neighborhood {
     kind: NeighborhoodPolicy,
     /// The stream's private RNG (seeded once at construction).
     rng: StdRng,
-    /// Sampling pool: indices into `admitted` the next pass draws from
-    /// (all of them for `Sampled`; rebuilt per pass against the cursor
-    /// mapping for `Locality`; unused for `Exhaustive`).
+    /// Sampling pool: indices into `admitted` the next pass draws from,
+    /// ascending when rebuilt (all of them for `Sampled`; rebuilt per
+    /// pass against the cursor mapping for `Locality`; unused for
+    /// `Exhaustive`).
     pool: Vec<u32>,
-    /// Flat `tiles × tiles` Manhattan-distance table (`Locality` only).
-    tile_dist: Vec<u16>,
-    /// Tile count (row stride of `tile_dist`).
-    tiles: usize,
+    /// Grid coordinates of each tile (`Locality` only).
+    tile_xy: Vec<(i32, i32)>,
+    /// Per-pass scratch: the coordinates of the tile each permutation
+    /// position holds under the mapping being filtered (`Locality`
+    /// only).
+    slot_xy: Vec<(i32, i32)>,
+    /// Positions that head admitted rows (`min(tasks, tiles)`).
+    rows: usize,
     /// Current `Locality` radius.
     radius: usize,
-    /// Largest distance any tile pair spans (widening stops here).
+    /// Largest Manhattan distance any tile pair spans (widening stops
+    /// here).
     max_dist: usize,
     /// Output buffer for sampled passes.
     buf: Vec<Move>,
@@ -179,28 +187,33 @@ impl Neighborhood {
             }
             pinned => pinned,
         };
-        // Locality needs tile-pair distances; the swap positions are
+        // Locality needs tile coordinates; the swap positions are
         // permutation slots, so which *tiles* a move exchanges depends
-        // on the cursor mapping — only the tile-pair table is static.
-        let tile_dist: Vec<u16> = if kind == NeighborhoodPolicy::Locality {
-            let mut table = Vec::with_capacity(tiles * tiles);
-            for a in 0..tiles {
-                for b in 0..tiles {
-                    table.push(ctx.tile_distance(a, b) as u16);
-                }
-            }
-            table
+        // on the cursor mapping — only the tiles' coordinates are
+        // static. Wrap-around links are ignored: the distance is the
+        // layout's.
+        let topo = ctx.problem().topology();
+        let tile_xy: Vec<(i32, i32)> = if kind == NeighborhoodPolicy::Locality {
+            topo.tiles()
+                .map(|t| {
+                    let c = topo.coord(t);
+                    (c.x as i32, c.y as i32)
+                })
+                .collect()
         } else {
             Vec::new()
         };
-        let max_dist = tile_dist.iter().copied().max().unwrap_or(0) as usize;
+        // Every topology lays its tiles out on the full width × height
+        // grid, so opposite corners span the widest pair.
+        let max_dist = topo.width() + topo.height() - 2;
         let mut nbhd = Neighborhood {
             admitted,
             kind,
             rng: StdRng::seed_from_u64(seed),
             pool: Vec::new(),
-            tile_dist,
-            tiles,
+            tile_xy,
+            slot_xy: Vec::new(),
+            rows: ctx.task_count().min(tiles),
             radius: LOCALITY_START_RADIUS,
             max_dist,
             buf: Vec::new(),
@@ -238,10 +251,11 @@ impl Neighborhood {
     /// uniformly without replacement, fresh every pass. `Locality`
     /// first rebuilds its within-radius pool against the **current
     /// cursor mapping** — a swap qualifies when the two tiles it
-    /// exchanges (`perm[a]`, `perm[b]`) lie within the radius — then
-    /// samples up to `quota` of it. Sampled subsets are emitted in
-    /// canonical admitted order (see the [module docs](self) on
-    /// plateau tie-breaking).
+    /// exchanges (`perm[a]`, `perm[b]`) lie within the radius; the pool
+    /// is those admitted indices in ascending order, and fully widened
+    /// it is all of them — then samples up to `quota` of it. Sampled
+    /// subsets are emitted in canonical admitted order (see the [module
+    /// docs](self) on plateau tie-breaking).
     ///
     /// # Panics
     ///
@@ -322,17 +336,36 @@ impl Neighborhood {
     /// scan passes ([`Neighborhood::pass`], against the cursor) and
     /// single draws ([`Neighborhood::draw_for`], against the mutated
     /// individual): a swap qualifies when the two tiles it exchanges
-    /// (`perm[a]`, `perm[b]`) lie within the current radius.
+    /// (`perm[a]`, `perm[b]`) lie within the current radius. The pool
+    /// comes out as those admitted indices in ascending order.
     fn rebuild_locality_pool(&mut self, mapping: &Mapping) {
-        let perm = mapping.permutation();
-        self.pool.clear();
-        for (i, &mv) in self.admitted.iter().enumerate() {
-            let Move::Swap(a, b) = mv;
-            let d = self.tile_dist[perm[a].0 * self.tiles + perm[b].0];
-            if d as usize <= self.radius {
-                self.pool.push(i as u32);
+        let admitted = self.admitted.len();
+        if self.radius >= self.max_dist {
+            // Fully widened: every admitted pair qualifies.
+            self.pool.clear();
+            self.pool.extend(0..admitted as u32);
+            return;
+        }
+        self.slot_xy.clear();
+        self.slot_xy
+            .extend(mapping.permutation().iter().map(|t| self.tile_xy[t.0]));
+        // Walk the admitted list row by row (`a` against every later
+        // position `b`, its canonical order): every index is written,
+        // and the fill cursor advances only past the qualifying ones,
+        // so the filter has no data-dependent branch. Every slot is
+        // written before it is read, so only the length needs setting.
+        self.pool.resize(admitted, 0);
+        let (slots, pool) = (&self.slot_xy[..], &mut self.pool[..]);
+        let radius = self.radius as i32;
+        let (mut fill, mut idx) = (0, 0u32);
+        for (a, &(xa, ya)) in slots[..self.rows].iter().enumerate() {
+            for &(xb, yb) in &slots[a + 1..] {
+                pool[fill] = idx;
+                fill += usize::from((xa - xb).abs() + (ya - yb).abs() <= radius);
+                idx += 1;
             }
         }
+        self.pool.truncate(fill);
     }
 
     /// Reacts to a dry scan (no improving move found): `Locality`
@@ -442,9 +475,11 @@ mod tests {
             let mv = n.draw_for(&mapping).expect("non-empty neighbourhood");
             assert!(admitted.contains(&mv));
             let Move::Swap(a, b) = mv;
+            let topo = ctx.problem().topology();
             let perm = mapping.permutation();
+            let (ca, cb) = (topo.coord(perm[a]), topo.coord(perm[b]));
             assert!(
-                ctx.tile_distance(perm[a].0, perm[b].0) <= radius,
+                ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y) <= radius,
                 "mutation {mv:?} exceeds radius {radius} for this individual"
             );
         }

@@ -16,12 +16,30 @@ use phonoc_core::{
 use phonoc_opt::neighborhood::{admitted_moves, Neighborhood, LOCALITY_START_RADIUS};
 use phonoc_opt::rpbla::Rpbla;
 use phonoc_phys::{Length, PhysicalParameters};
-use phonoc_route::XyRouting;
+use phonoc_route::{RingRouting, XyRouting};
 use phonoc_router::crux::crux_router;
-use phonoc_topo::Topology;
+use phonoc_topo::{TileId, Topology};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+
+/// `cg` on `topo` with Crux routers and `routing`, under the SNR
+/// objective.
+fn problem_on(
+    cg: phonoc_apps::CommunicationGraph,
+    topo: Topology,
+    routing: Box<dyn phonoc_route::RoutingAlgorithm>,
+) -> MappingProblem {
+    MappingProblem::new(
+        cg,
+        topo,
+        crux_router(),
+        routing,
+        PhysicalParameters::default(),
+        Objective::MaximizeWorstCaseSnr,
+    )
+    .unwrap()
+}
 
 /// A mid-size instance (hotspot 4×4, 16 tasks on 16 tiles, 120 admitted
 /// pairs): big enough that sampling and locality differ from the
@@ -33,29 +51,21 @@ fn mid_problem() -> MappingProblem {
         density_pct: 100,
         seed: 1,
     };
-    MappingProblem::new(
+    problem_on(
         spec.build(),
         Topology::mesh(4, 4, Length::from_mm(2.5)),
-        crux_router(),
         Box::new(XyRouting),
-        PhysicalParameters::default(),
-        Objective::MaximizeWorstCaseSnr,
     )
-    .unwrap()
 }
 
 /// A sparse instance (8 tasks on a 6×6 mesh) where free–free pairs
 /// exist and must never be emitted.
 fn sparse_problem() -> MappingProblem {
-    MappingProblem::new(
+    problem_on(
         phonoc_apps::synthetic::pipeline(8),
         Topology::mesh(6, 6, Length::from_mm(2.5)),
-        crux_router(),
         Box::new(XyRouting),
-        PhysicalParameters::default(),
-        Objective::MaximizeWorstCaseSnr,
     )
-    .unwrap()
 }
 
 /// A context with a seated (seeded, random) cursor — the state every
@@ -66,6 +76,15 @@ fn ctx_with_cursor(p: &MappingProblem, seed: u64) -> OptContext<'_> {
     let start = ctx.random_mapping();
     ctx.set_current(start).expect("budget is ample");
     ctx
+}
+
+/// Manhattan distance between two tiles on the problem's grid
+/// (wrap-around links ignored) — the layout distance the locality
+/// stream restricts swaps by.
+fn tile_distance(ctx: &OptContext<'_>, a: usize, b: usize) -> usize {
+    let topo = ctx.problem().topology();
+    let (ca, cb) = (topo.coord(TileId(a)), topo.coord(TileId(b)));
+    ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)
 }
 
 fn is_admitted(Move::Swap(a, b): Move, tasks: usize, tiles: usize) -> bool {
@@ -155,7 +174,7 @@ fn locality_restricts_by_mapped_tile_distance_and_widens() {
                 let Move::Swap(a, b) = mv;
                 // The restriction is on the tiles the swap exchanges
                 // under the cursor mapping, not on the slot indices.
-                let d = ctx.tile_distance(perm[a].0, perm[b].0);
+                let d = tile_distance(&ctx, perm[a].0, perm[b].0);
                 assert!(
                     d <= radius,
                     "swap ({a},{b}) exchanges tiles {} and {} at distance {d} > radius {radius}",
@@ -249,6 +268,157 @@ fn budget_ledger_stays_honest_under_every_policy() {
             let r2 = run_dse(&p, &Rpbla, &DseConfig::new(budget, 5).with_policy(policy));
             assert_eq!(r.best_mapping, r2.best_mapping, "{policy}");
             assert!((r.best_score - r2.best_score).abs() < 1e-15);
+        }
+    }
+}
+
+/// The in-test locality oracle: the admitted indices whose two
+/// exchanged tiles (under `perm`) lie within `radius`, ascending.
+fn oracle_pool(
+    ctx: &OptContext<'_>,
+    admitted: &[Move],
+    perm: &[TileId],
+    radius: usize,
+) -> Vec<usize> {
+    (0..admitted.len())
+        .filter(|&i| {
+            let Move::Swap(a, b) = admitted[i];
+            tile_distance(ctx, perm[a].0, perm[b].0) <= radius
+        })
+        .collect()
+}
+
+/// The in-test replay of one sampled pass over `pool`: a partial
+/// Fisher–Yates of `quota` draws from `rng`, the drawn prefix sorted
+/// back into canonical order.
+fn oracle_pass(rng: &mut StdRng, pool: &[usize], admitted: &[Move], quota: usize) -> Vec<Move> {
+    let mut pool = pool.to_vec();
+    let k = quota.min(pool.len());
+    for i in 0..k {
+        let j = rng.gen_range(i..pool.len());
+        pool.swap(i, j);
+    }
+    pool[..k].sort_unstable();
+    pool[..k].iter().map(|&i| admitted[i]).collect()
+}
+
+#[test]
+fn locality_passes_replay_the_filtered_pool_oracle() {
+    // Full occupancy on 8×8, a sparse mesh, a non-square mesh, a torus
+    // (the distance ignores wrap links) and a ring (an n×1 grid).
+    let cases = [
+        (
+            "mesh 8x8",
+            problem_on(
+                phonoc_apps::scenario::ScenarioSpec {
+                    family: phonoc_apps::scenario::ScenarioFamily::MpegLike,
+                    mesh: 8,
+                    density_pct: 100,
+                    seed: 1,
+                }
+                .build(),
+                Topology::mesh(8, 8, Length::from_mm(2.5)),
+                Box::new(XyRouting),
+            ),
+        ),
+        ("sparse mesh 6x6", sparse_problem()),
+        (
+            "mesh 5x3",
+            problem_on(
+                phonoc_apps::synthetic::pipeline(11),
+                Topology::mesh(5, 3, Length::from_mm(2.5)),
+                Box::new(XyRouting),
+            ),
+        ),
+        (
+            "torus 4x4",
+            problem_on(
+                phonoc_apps::synthetic::pipeline(16),
+                Topology::torus(4, 4, Length::from_mm(2.5)),
+                Box::new(XyRouting),
+            ),
+        ),
+        (
+            "ring 9",
+            problem_on(
+                phonoc_apps::synthetic::pipeline(7),
+                Topology::ring(9, Length::from_mm(2.5)),
+                Box::new(RingRouting),
+            ),
+        ),
+    ];
+    for (name, p) in &cases {
+        let (tasks, tiles) = (p.task_count(), p.tile_count());
+        let admitted = admitted_moves(tasks, tiles);
+        for m in 0..16u64 {
+            let ctx = ctx_with_cursor(p, 100 + m);
+            let perm = ctx
+                .current_mapping()
+                .expect("cursor set")
+                .permutation()
+                .to_vec();
+            let max_dist = (0..tiles)
+                .flat_map(|a| (0..tiles).map(move |b| (a, b)))
+                .map(|(a, b)| tile_distance(&ctx, a, b))
+                .max()
+                .unwrap();
+            let seed = 7_000 + m;
+            let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut expected_radius = LOCALITY_START_RADIUS;
+            // Every radius the widening schedule visits, from the start
+            // radius through full widening.
+            loop {
+                let radius = n.radius().unwrap();
+                assert_eq!(radius, expected_radius, "{name}: widening schedule");
+                let pool = oracle_pool(&ctx, &admitted, &perm, radius);
+                // A full pass is the filtered admitted list in
+                // canonical order (and still draws one index per move).
+                let full = oracle_pass(&mut rng, &pool, &admitted, usize::MAX);
+                assert_eq!(full.len(), pool.len());
+                assert_eq!(
+                    n.pass(&ctx, usize::MAX),
+                    &full[..],
+                    "{name} r={radius}: full pass"
+                );
+                // A partial pass replays the draws over the pool in its
+                // canonical order, which pins that order.
+                for quota in [1, pool.len() / 3, pool.len().saturating_sub(1)] {
+                    let want = oracle_pass(&mut rng, &pool, &admitted, quota);
+                    assert_eq!(
+                        n.pass(&ctx, quota),
+                        &want[..],
+                        "{name} mapping {m} r={radius}: quota {quota}"
+                    );
+                }
+                // GA draws against the same mapping come from the same
+                // filtered pool.
+                for _ in 0..8 {
+                    let mv = n.draw_for(ctx.current_mapping().unwrap()).unwrap();
+                    let want = if pool.is_empty() {
+                        admitted[rng.gen_range(0..admitted.len())]
+                    } else {
+                        admitted[pool[rng.gen_range(0..pool.len())]]
+                    };
+                    assert_eq!(mv, want, "{name} r={radius}: draw_for");
+                    assert!(pool.is_empty() || pool.iter().any(|&i| admitted[i] == mv));
+                }
+                if !n.widen() {
+                    break;
+                }
+                expected_radius = (expected_radius * 2).min(max_dist);
+            }
+            // Widening stops exactly at the largest tile-pair distance,
+            // where the pool is the whole admitted list.
+            assert_eq!(
+                n.radius(),
+                Some(max_dist.max(LOCALITY_START_RADIUS)),
+                "{name}"
+            );
+            assert_eq!(
+                oracle_pool(&ctx, &admitted, &perm, max_dist).len(),
+                admitted.len()
+            );
         }
     }
 }
