@@ -71,7 +71,7 @@ fn neighborhood_pass(c: &mut Criterion) {
         group.bench_function(&format!("locality_widened_{cell}"), |b| {
             b.iter(|| {
                 let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 7);
-                while n.widen() {}
+                while n.widen(&mut ctx) {}
                 black_box(n.pass(&ctx, 32).len())
             });
         });

@@ -42,8 +42,10 @@
 //! * [`Evaluator::evaluate_summaries_batch`] — a deterministic
 //!   parallel batch on sticky per-worker scratch slots (built once per
 //!   worker lifetime, see [`crate::parallel`]);
-//! * the incremental move path (see [`EvalState`]), which shares the
-//!   accumulation kernel and summation order.
+//! * the SNR cursor seat ([`Evaluator::init_state`]), which runs this
+//!   very pass and keeps its occupancies and accumulations, laid out
+//!   per edge and per tile, as the caches the incremental move path
+//!   (see [`EvalState`]) patches in the same summation order.
 //!
 //! On VOPD/4×4 the scratch path is ~3× faster than the reference pass
 //! (see `BENCH_evaluator.json`); search loops (the engine's full
@@ -288,13 +290,11 @@ pub struct Evaluator {
     paths: Vec<Option<PathInfo>>,
     /// 25×25 linear interaction gains.
     interaction: [[f64; 25]; 25],
-    /// `interaction[v][a] > 0` — the branch-free coupling test used by
-    /// the incremental path's victim marking.
-    coupled: [[bool; 25]; 25],
     /// Bit `a` of `row_mask[v]` set iff `interaction[v][a] > 0`: the
-    /// per-victim-pair coupling mask, tested against a router's
+    /// one coupling table. The full pass tests it against a router's
     /// present-pairs mask to skip victims that cannot collect noise
-    /// there (an exact `+0.0` either way, so skipping is bit-exact).
+    /// there (an exact `+0.0` either way, so skipping is bit-exact);
+    /// the incremental path's victim marking reads single bits.
     row_mask: [u32; 25],
     /// Ceiling reported when a path collects zero noise.
     snr_ceiling: Db,
@@ -353,13 +353,11 @@ impl Evaluator {
             }
         }
         let mut interaction = [[0.0f64; 25]; 25];
-        let mut coupled = [[false; 25]; 25];
         let mut row_mask = [0u32; 25];
         for v in PortPair::all() {
             for a in PortPair::all() {
                 let g = router.interaction_gain(v, a, params).0;
                 interaction[v.index()][a.index()] = g;
-                coupled[v.index()][a.index()] = g > 0.0;
                 if g > 0.0 {
                     row_mask[v.index()] |= 1 << a.index();
                 }
@@ -442,7 +440,6 @@ impl Evaluator {
             tile_count: tiles,
             paths,
             interaction,
-            coupled,
             row_mask,
             snr_ceiling: params.snr_ceiling,
         })
@@ -716,6 +713,22 @@ impl Evaluator {
         active: Option<&[bool]>,
         scratch: &mut EvalScratch,
     ) -> EvalSummary {
+        self.full_pass(mapping, active, scratch, |_, _| {})
+    }
+
+    /// The one full pass, behind [`Evaluator::evaluate_into`] and the
+    /// SNR cursor seat ([`Evaluator::init_state`]): fills `scratch` and
+    /// hands each accumulation it computes to `on_acc(victim, acc)`
+    /// (the victims it skips accumulate an exact `+0.0`). Inlined, so
+    /// `evaluate_into`'s no-op callback compiles away.
+    #[inline(always)]
+    fn full_pass(
+        &self,
+        mapping: &Mapping,
+        active: Option<&[bool]>,
+        scratch: &mut EvalScratch,
+        mut on_acc: impl FnMut(&delta::Occ, f64),
+    ) -> EvalSummary {
         assert_eq!(
             mapping.tile_count(),
             self.tile_count,
@@ -818,6 +831,7 @@ impl Evaluator {
                 let acc =
                     self.aggressor_sum_packed(victim.edge, victim.pair, victim.src, hops_here);
                 noise[victim.edge as usize] += acc * occ_suffix[lo + local];
+                on_acc(victim, acc);
             }
         }
 

@@ -66,10 +66,19 @@
 //!   entrywise identical (tile, port pair, and bitwise prefix), which
 //!   holds by construction when the leading route segments coincide.
 //!
+//! The seat ([`Evaluator::init_state`]) *is* the full pass: it runs
+//! [`Evaluator::evaluate_into`]'s kernel and lays that pass's
+//! occupancies, suffixes, accumulations, noise, losses and worst cases
+//! out per edge and per tile, so no second copy of the pass has to keep
+//! its order. Victims the pass skips (tiles with fewer than two
+//! occupants, or no coupling partner among the pairs present) hold an
+//! exact `+0.0` accumulation, which is what summing them would give.
+//!
 //! The [`Evaluator::apply_move`] commit carries a debug assertion
-//! comparing the updated state against a fresh full evaluation, and the
-//! workspace property tests (`crates/phonoc-core/tests/`,
-//! `tests/properties.rs`) pin the equality on random mappings and moves.
+//! comparing the updated state against a fresh seat — that is, against
+//! the full pass — and the workspace property tests
+//! (`crates/phonoc-core/tests/`, `tests/properties.rs`) pin the equality
+//! on random mappings and moves.
 
 use super::{EvalScratch, EvalSummary, Evaluator, HopInfo, NetworkMetrics, PathInfo};
 use crate::mapping::{Mapping, Move};
@@ -97,7 +106,7 @@ pub(super) struct Occ {
 
 /// Mapping-dependent caches enabling incremental re-evaluation.
 ///
-/// Build one with [`Evaluator::init_state`] (a full evaluation), then
+/// Build one with [`Evaluator::init_state`] (a full pass, kept), then
 /// score candidate moves with [`Evaluator::evaluate_delta`] and commit
 /// them with [`Evaluator::apply_move`]. The state is tied to the
 /// evaluator and mapping it was built from; the commit path keeps all
@@ -465,9 +474,11 @@ impl DeltaScratch {
 }
 
 impl Evaluator {
-    /// Full evaluation that also builds the caches incremental scoring
-    /// needs. The resulting metrics are identical to
-    /// [`Evaluator::evaluate`].
+    /// The SNR cursor seat: one full pass ([`Evaluator::evaluate_into`]'s
+    /// own kernel), whose occupancies, suffixes, accumulations, noise,
+    /// losses and worst cases are laid out per edge and per tile as the
+    /// caches incremental scoring needs. The resulting metrics are the
+    /// full pass's, so identical to [`Evaluator::evaluate`].
     ///
     /// # Panics
     ///
@@ -475,77 +486,55 @@ impl Evaluator {
     /// [`Evaluator::evaluate`] does).
     #[must_use]
     pub fn init_state(&self, mapping: &Mapping) -> EvalState {
-        let edges = self.edge_endpoints.len();
         let path_of_edge = self.path_of_edge(mapping);
-        let edge_paths: Vec<&PathInfo> = path_of_edge.iter().map(|&p| self.path(p)).collect();
-        let mut hop_offset = Vec::with_capacity(edges + 1);
+        let mut hop_offset = Vec::with_capacity(path_of_edge.len() + 1);
         let mut total_hops = 0usize;
-        for path in &edge_paths {
+        for &p in &path_of_edge {
             hop_offset.push(total_hops);
-            total_hops += path.hops.len();
+            total_hops += self.path(p).hops.len();
         }
         hop_offset.push(total_hops);
+        let flat = |o: &Occ| hop_offset[o.edge as usize] + o.hop as usize;
 
-        // Same insertion order as the full pass: edge-major, then hop.
+        // Accumulations the pass skips are an exact `+0.0`.
+        let mut acc = vec![0.0f64; total_hops];
+        let mut scratch = EvalScratch::default();
+        let summary = self.full_pass(mapping, None, &mut scratch, |o, a| acc[flat(o)] = a);
+        // A fresh scratch is sized exactly to this problem, so its
+        // per-edge buffers move into the state as they are.
+        let EvalScratch {
+            tile_offset,
+            occ,
+            occ_suffix,
+            noise,
+            il,
+            gain,
+            ..
+        } = scratch;
         let mut suffix = vec![0.0f64; total_hops];
-        let mut tile_hops: Vec<Vec<Occ>> = vec![Vec::new(); self.tile_count];
-        for (e, path) in edge_paths.iter().enumerate() {
-            let src = self.edge_endpoints[e].0;
-            for (h, hop) in path.hops.iter().enumerate() {
-                suffix[hop_offset[e] + h] = hop.suffix;
-                tile_hops[hop.tile].push(Occ {
-                    edge: e as u32,
-                    hop: h as u32,
-                    pair: hop.pair as u16,
-                    src: src as u16,
-                    prefix: hop.prefix,
-                });
-            }
+        for (o, &s) in occ.iter().zip(&occ_suffix) {
+            suffix[flat(o)] = s;
         }
-
-        // Same accumulation order as the full pass: tiles ascending,
-        // victims and aggressors in list order.
-        let mut acc_store = vec![0.0f64; total_hops];
-        let mut noise = vec![0.0f64; edges];
-        for hops_here in &tile_hops {
-            if hops_here.len() < 2 {
-                continue;
-            }
-            for occ in hops_here {
-                let (ve, vh) = (occ.edge as usize, occ.hop as usize);
-                let acc = self.aggressor_sum(ve, occ.pair, hops_here);
-                let flat = hop_offset[ve] + vh;
-                acc_store[flat] = acc;
-                noise[ve] += acc * suffix[flat];
-            }
-        }
-
-        let mut il = Vec::with_capacity(edges);
-        let mut snr = Vec::with_capacity(edges);
-        let mut worst_il = 0.0f64;
-        let mut worst_snr = f64::INFINITY;
-        for (e, path) in edge_paths.iter().enumerate() {
-            let edge_il = path.total_db;
-            let edge_snr = self.snr_of(path.total_gain, noise[e]);
-            worst_il = worst_il.min(edge_il);
-            worst_snr = worst_snr.min(edge_snr);
-            il.push(edge_il);
-            snr.push(edge_snr);
-        }
-        if edges == 0 {
-            worst_snr = self.snr_ceiling.0;
-        }
+        let tile_hops = tile_offset
+            .windows(2)
+            .map(|w| occ[w[0] as usize..w[1] as usize].to_vec())
+            .collect();
+        let snr = gain
+            .iter()
+            .zip(&noise)
+            .map(|(&g, &n)| self.snr_of(g, n))
+            .collect();
         EvalState {
             path_of_edge,
             hop_offset,
-            acc: acc_store,
+            acc,
             suffix,
             noise,
             il,
             snr,
             tile_hops,
-            worst_il,
-            worst_snr,
+            worst_il: summary.worst_case_il.0,
+            worst_snr: summary.worst_case_snr.0,
         }
     }
 
@@ -612,7 +601,7 @@ impl Evaluator {
     fn interacts(&self, ve: usize, v_pair: u16, ae: usize, a_pair: u16) -> bool {
         ae != ve
             && self.edge_endpoints[ae].0 != self.edge_endpoints[ve].0
-            && self.coupled[v_pair as usize][a_pair as usize]
+            && (self.row_mask[v_pair as usize] >> a_pair) & 1 != 0
     }
 
     /// One router's aggressor accumulation for victim edge `ve` (hop

@@ -1,24 +1,43 @@
 //! Property tests for the allocation-free evaluation pipeline:
 //!
-//! * [`Evaluator::evaluate_into`] on a **reused** scratch is
-//!   bit-identical to the allocating wrappers (and to the independent
-//!   full pass inside [`Evaluator::init_state`]) on random mappings and
-//!   random activity masks;
+//! * [`Evaluator::evaluate_into`] on a **reused** scratch, and the SNR
+//!   cursor seat ([`Evaluator::init_state`]) built on its pass, are
+//!   bit-identical to the allocating wrappers and the independent
+//!   reference pass on random mappings and random activity masks —
+//!   mesh, torus (wrap links), ring (ring routing) and an edgeless CG;
 //! * bound-then-verify SNR peeks ([`Evaluator::evaluate_delta_bounded`])
 //!   are admissible — a rejection's bound really bounds the exact score
 //!   — and never change which move a greedy R-PBLA step selects
 //!   compared to exact peeks (PIP + VOPD, both objectives).
 
+use phonoc_apps::{CgBuilder, CommunicationGraph};
 use phonoc_core::{
     BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, Evaluator, Mapping, MappingProblem,
     Move, MoveEval, Objective, OptContext, PeekRoute,
 };
 use phonoc_phys::{Db, Length, PhysicalParameters};
-use phonoc_route::XyRouting;
+use phonoc_route::{RingRouting, RoutingAlgorithm, XyRouting};
 use phonoc_router::crux::crux_router;
 use phonoc_topo::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+fn problem_on(
+    cg: CommunicationGraph,
+    topology: Topology,
+    routing: Box<dyn RoutingAlgorithm>,
+    objective: Objective,
+) -> MappingProblem {
+    MappingProblem::new(
+        cg,
+        topology,
+        crux_router(),
+        routing,
+        PhysicalParameters::default(),
+        objective,
+    )
+    .unwrap()
+}
 
 fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProblem {
     let cg = match app {
@@ -26,18 +45,29 @@ fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProble
         "vopd" => phonoc_apps::benchmarks::vopd(),
         other => panic!("unknown app {other}"),
     };
-    MappingProblem::new(
+    let mesh = Topology::mesh(w, h, Length::from_mm(2.5));
+    problem_on(cg, mesh, Box::new(XyRouting), objective)
+}
+
+/// Six tasks and no communications: the seat's `edges == 0` path. Seat
+/// test only — the evaluator short-circuits every move on it, which the
+/// bounded-peek test's neutral-move check does not expect.
+fn edgeless_problem() -> MappingProblem {
+    let cg = CgBuilder::new("edgeless")
+        .tasks(["a", "b", "c", "d", "e", "f"])
+        .build()
+        .unwrap();
+    let mesh = Topology::mesh(3, 3, Length::from_mm(2.5));
+    problem_on(
         cg,
-        Topology::mesh(w, h, Length::from_mm(2.5)),
-        crux_router(),
+        mesh,
         Box::new(XyRouting),
-        PhysicalParameters::default(),
-        objective,
+        Objective::MaximizeWorstCaseSnr,
     )
-    .unwrap()
 }
 
 fn instances() -> Vec<MappingProblem> {
+    let pitch = Length::from_mm(2.5);
     let mut out = Vec::new();
     for objective in [
         Objective::MinimizeWorstCaseLoss,
@@ -55,6 +85,18 @@ fn instances() -> Vec<MappingProblem> {
         out.push(problem("pip", 3, 3, objective));
         out.push(problem("pip", 4, 4, objective));
         out.push(problem("vopd", 4, 4, objective));
+        out.push(problem_on(
+            phonoc_apps::benchmarks::vopd(),
+            Topology::torus(4, 4, pitch),
+            Box::new(XyRouting),
+            objective,
+        ));
+        out.push(problem_on(
+            phonoc_apps::benchmarks::pip(),
+            Topology::ring(9, pitch),
+            Box::new(RingRouting),
+            objective,
+        ));
     }
     out
 }
@@ -77,7 +119,7 @@ fn evaluate_into_bit_matches_wrappers_on_random_mappings_and_masks() {
     // stale buffer contents from a previous (even differently-shaped)
     // evaluation must never leak into the next result.
     let mut scratch = EvalScratch::default();
-    for p in instances() {
+    for p in instances().into_iter().chain([edgeless_problem()]) {
         let ev: &Evaluator = p.evaluator();
         let mut rng = StdRng::seed_from_u64(0x5C4A7C4);
         for round in 0..30 {
@@ -85,7 +127,8 @@ fn evaluate_into_bit_matches_wrappers_on_random_mappings_and_masks() {
 
             // All-active: compare against the *independent* reference
             // implementation (the original allocating pass), the public
-            // wrapper, and the delta path's init_state full pass.
+            // wrapper, and the SNR cursor seat laid out from this pass
+            // (an edgeless CG must seat at the SNR ceiling).
             let summary = ev.evaluate_into(&mapping, None, &mut scratch);
             let reference = ev.evaluate_reference(&mapping, None);
             assert_eq!(scratch.to_metrics(), reference, "{p:?} round {round}");
@@ -94,6 +137,9 @@ fn evaluate_into_bit_matches_wrappers_on_random_mappings_and_masks() {
             assert_eq!(ev.evaluate(&mapping), reference, "{p:?} round {round}");
             let state = ev.init_state(&mapping);
             assert_eq!(state.to_metrics(), reference, "{p:?} round {round} (state)");
+            if ev.edge_count() == 0 {
+                assert_eq!(state.worst_case_snr(), ev.snr_ceiling(), "{p:?}");
+            }
 
             // Random activity masks, including the degenerate extremes.
             for mask_round in 0..4 {

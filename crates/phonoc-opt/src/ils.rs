@@ -86,20 +86,12 @@ impl MappingOptimizer for IteratedLocalSearch {
                     }
                 }
                 if improved {
-                    let before = nbhd.radius();
-                    nbhd.notify_improved();
-                    if let (Some(b), Some(a)) = (before, nbhd.radius()) {
-                        if a < b {
-                            ctx.note_narrowed(a);
-                        }
-                    }
+                    nbhd.notify_improved(ctx);
                     continue;
                 }
-                ctx.note_scan_dry(nbhd.radius().unwrap_or(0));
-                if !nbhd.widen() {
+                if !nbhd.widen(ctx) {
                     break;
                 }
-                ctx.note_widened(nbhd.radius().unwrap_or(0));
             }
             if current_score > best_score {
                 best = ctx.current_mapping().expect("cursor set").clone();

@@ -368,35 +368,40 @@ impl Neighborhood {
         self.pool.truncate(fill);
     }
 
-    /// Reacts to a dry scan (no improving move found): `Locality`
-    /// doubles its radius and reports `true` (a rescan will see new
-    /// pairs) until the whole admitted neighbourhood is covered;
+    /// Reacts to a dry scan (no improving move found) and records it on
+    /// `ctx` (the dry scan at the current radius, then any widening):
+    /// `Locality` doubles its radius and reports `true` (a rescan will
+    /// see new pairs) until the whole admitted neighbourhood is covered;
     /// `Sampled` and `Exhaustive` report `false` — a dry pass there
     /// means a (probable, resp. proven) local optimum.
-    pub fn widen(&mut self) -> bool {
+    pub fn widen(&mut self, ctx: &mut OptContext<'_>) -> bool {
+        ctx.note_scan_dry(self.radius().unwrap_or(0));
         if self.kind != NeighborhoodPolicy::Locality || self.radius >= self.max_dist {
             return false;
         }
         self.radius = (self.radius * 2).min(self.max_dist);
+        ctx.note_widened(self.radius);
         true
     }
 
     /// Reacts to a committed improvement: `Locality` narrows back to
     /// its start radius (the classic variable-neighbourhood-descent
     /// reset — after a successful move, cheap local repairs are worth
-    /// trying first again). No-op for the other streams.
-    pub fn notify_improved(&mut self) {
-        if self.kind == NeighborhoodPolicy::Locality {
+    /// trying first again) and records the narrowing on `ctx`. No-op
+    /// for the other streams.
+    pub fn notify_improved(&mut self, ctx: &mut OptContext<'_>) {
+        if self.kind == NeighborhoodPolicy::Locality && self.radius > LOCALITY_START_RADIUS {
             self.radius = LOCALITY_START_RADIUS;
+            ctx.note_narrowed(self.radius);
         }
     }
 
     /// Resets the stream for a fresh descent (fresh random restart):
-    /// `Locality` narrows back to the start radius. Sampling state is
-    /// deliberately *not* re-seeded — successive restarts keep drawing
-    /// fresh subsets.
+    /// `Locality` narrows back to the start radius, unrecorded. Sampling
+    /// state is deliberately *not* re-seeded — successive restarts keep
+    /// drawing fresh subsets.
     pub fn reset(&mut self) {
-        self.notify_improved();
+        self.radius = LOCALITY_START_RADIUS;
     }
 }
 
@@ -428,12 +433,12 @@ mod tests {
     #[test]
     fn exhaustive_pass_is_the_admitted_oracle() {
         let p = tiny_problem();
-        let ctx = OptContext::new(&p, 10, 0);
+        let mut ctx = OptContext::new(&p, 10, 0);
         let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Exhaustive, 7);
         let oracle = admitted_moves(p.task_count(), p.tile_count());
         assert_eq!(n.pass(&ctx, 1), &oracle[..], "quota must not truncate");
         assert_eq!(n.pass(&ctx, usize::MAX), &oracle[..]);
-        assert!(!n.widen());
+        assert!(!n.widen(&mut ctx));
     }
 
     #[test]

@@ -101,9 +101,7 @@ impl MappingOptimizer for Rpbla {
                 if moves.is_empty() {
                     // An empty locality pool at this radius: widen, or
                     // give up on this start if already maximal.
-                    ctx.note_scan_dry(nbhd.radius().unwrap_or(0));
-                    if nbhd.widen() {
-                        ctx.note_widened(nbhd.radius().unwrap_or(0));
+                    if nbhd.widen(ctx) {
                         continue;
                     }
                     continue 'restarts;
@@ -115,13 +113,7 @@ impl MappingOptimizer for Rpbla {
                     Some(best) if best.score() > ctx.current_score().expect("cursor set") => {
                         let best = *best;
                         ctx.apply_scored_move(&best);
-                        let before = nbhd.radius();
-                        nbhd.notify_improved();
-                        if let (Some(b), Some(a)) = (before, nbhd.radius()) {
-                            if a < b {
-                                ctx.note_narrowed(a);
-                            }
-                        }
+                        nbhd.notify_improved(ctx);
                         if truncated {
                             // The scan was cut short by the budget; the
                             // partial best was still applied, but stop.
@@ -136,11 +128,9 @@ impl MappingOptimizer for Rpbla {
                         if truncated {
                             break 'restarts;
                         }
-                        ctx.note_scan_dry(nbhd.radius().unwrap_or(0));
-                        if !nbhd.widen() {
+                        if !nbhd.widen(ctx) {
                             continue 'restarts;
                         }
-                        ctx.note_widened(nbhd.radius().unwrap_or(0));
                     }
                     // Budget exhausted before anything was scored.
                     None => break 'restarts,

@@ -57,9 +57,7 @@ impl MappingOptimizer for TabuSearch {
             let quota = scan_quota(ctx.remaining(), nbhd.admitted_len());
             let moves = nbhd.pass(ctx, quota);
             if moves.is_empty() {
-                ctx.note_scan_dry(nbhd.radius().unwrap_or(0));
-                if nbhd.widen() {
-                    ctx.note_widened(nbhd.radius().unwrap_or(0));
+                if nbhd.widen(ctx) {
                     continue;
                 }
                 break;
@@ -85,9 +83,7 @@ impl MappingOptimizer for TabuSearch {
                 // Everything tabu (or the locality radius too tight)
                 // and nothing aspirational: open the neighbourhood up,
                 // then fall back to clearing the tabu list.
-                ctx.note_scan_dry(nbhd.radius().unwrap_or(0));
-                if nbhd.widen() {
-                    ctx.note_widened(nbhd.radius().unwrap_or(0));
+                if nbhd.widen(ctx) {
                     continue;
                 }
                 tabu.clear();
@@ -97,13 +93,7 @@ impl MappingOptimizer for TabuSearch {
             // Tabu commits worsening moves too; "improvement" for the
             // locality stream's narrow-back rule is a new global best.
             if best.score() > global_best {
-                let before = nbhd.radius();
-                nbhd.notify_improved();
-                if let (Some(b), Some(a)) = (before, nbhd.radius()) {
-                    if a < b {
-                        ctx.note_narrowed(a);
-                    }
-                }
+                nbhd.notify_improved(ctx);
             }
             global_best = global_best.max(best.score());
             let Move::Swap(a, b) = best.mv();

@@ -161,12 +161,13 @@ fn passes_are_duplicate_free_and_admitted_only() {
 #[test]
 fn locality_restricts_by_mapped_tile_distance_and_widens() {
     for p in [mid_problem(), sparse_problem()] {
-        let ctx = ctx_with_cursor(&p, 31);
+        let mut ctx = ctx_with_cursor(&p, 31);
         let mapping = ctx.current_mapping().expect("cursor set").clone();
         let perm = mapping.permutation();
         let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 11);
         assert_eq!(n.radius(), Some(LOCALITY_START_RADIUS));
         let mut prev_pool = 0;
+        let mut widen_calls = 0;
         loop {
             let radius = n.radius().unwrap();
             let moves = n.pass(&ctx, usize::MAX).to_vec();
@@ -184,16 +185,25 @@ fn locality_restricts_by_mapped_tile_distance_and_widens() {
             }
             assert!(moves.len() >= prev_pool, "widening must not shrink");
             prev_pool = moves.len();
-            if !n.widen() {
+            widen_calls += 1;
+            if !n.widen(&mut ctx) {
                 break;
             }
         }
         // Fully widened, the stream covers the whole admitted set…
         assert_eq!(prev_pool, n.admitted_len());
         // …and an improvement narrows it back to the start radius.
-        n.notify_improved();
+        n.notify_improved(&mut ctx);
         assert_eq!(n.radius(), Some(LOCALITY_START_RADIUS));
         assert!(n.pass(&ctx, usize::MAX).len() < n.admitted_len());
+        // The stream recorded its own steps: a dry scan per `widen`
+        // call, a widening for all but the last, and one narrowing —
+        // a second improvement at the start radius records nothing.
+        n.notify_improved(&mut ctx);
+        let stats = ctx.stats();
+        assert_eq!(stats.dry_scans, widen_calls);
+        assert_eq!(stats.widenings, widen_calls - 1);
+        assert_eq!(stats.narrowings, 1);
     }
 }
 
@@ -351,7 +361,7 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
         let (tasks, tiles) = (p.task_count(), p.tile_count());
         let admitted = admitted_moves(tasks, tiles);
         for m in 0..16u64 {
-            let ctx = ctx_with_cursor(p, 100 + m);
+            let mut ctx = ctx_with_cursor(p, 100 + m);
             let perm = ctx
                 .current_mapping()
                 .expect("cursor set")
@@ -403,7 +413,7 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
                     assert_eq!(mv, want, "{name} r={radius}: draw_for");
                     assert!(pool.is_empty() || pool.iter().any(|&i| admitted[i] == mv));
                 }
-                if !n.widen() {
+                if !n.widen(&mut ctx) {
                     break;
                 }
                 expected_radius = (expected_radius * 2).min(max_dist);

@@ -53,11 +53,9 @@ pub mod elements;
 pub mod modulation;
 pub mod params;
 pub mod units;
-pub mod wdm;
 
 pub use budget::PowerBudget;
 pub use elements::{ElementTransfer, PseKind, ResonanceState};
 pub use modulation::{LaserBudget, Modulation};
 pub use params::{PhysicalParameters, PhysicalParametersBuilder};
 pub use units::{Db, Dbm, Length, LinearGain, Milliwatts};
-pub use wdm::{wdm_feasibility, WdmFeasibility, WdmGrid};
