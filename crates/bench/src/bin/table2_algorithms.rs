@@ -9,8 +9,8 @@
 //!
 //! Default budget: 100 000 evaluations per (app, topology, objective,
 //! algorithm) cell — the paper equalizes running time; we equalize
-//! evaluations (DESIGN.md §5). The binary prints our numbers next to the
-//! paper's and writes `results/table2.csv`.
+//! evaluations so budgets are deterministic. The binary prints our
+//! numbers next to the paper's and writes `results/table2.csv`.
 
 use bench::{
     bin_args, paper_problem, write_results_file, PAPER_TABLE2_LOSS, PAPER_TABLE2_SNR, TABLE2_APPS,

@@ -9,7 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod parallel;
 pub mod replay;
 pub mod sweep;
 

@@ -14,8 +14,9 @@
 //!
 //! Edge lists follow the standard versions circulating in the NoC
 //! mapping literature where one exists, and documented reconstructions
-//! otherwise (DESIGN.md §5). Bandwidth annotations do not affect the
-//! paper's worst-case IL/SNR objectives.
+//! otherwise, since the paper gives task counts but no edge lists.
+//! Bandwidth annotations do not affect the paper's worst-case IL/SNR
+//! objectives.
 
 mod dvopd;
 mod h263;

@@ -1,8 +1,8 @@
 //! Wavelet — two-level 2D discrete wavelet transform, 22 tasks.
 //!
 //! The paper lists "Wavelet, a wavelet transform application (22 tasks)"
-//! without a public edge list, so this is a documented reconstruction
-//! (DESIGN.md §5): a standard two-level separable 2D DWT filter bank —
+//! without a public edge list, so this is a documented reconstruction:
+//! a standard two-level separable 2D DWT filter bank —
 //! row low/high-pass filtering, column filtering into the LL/LH/HL/HH
 //! subbands, recursion on LL, per-subband quantizers and an output
 //! collector.

@@ -39,7 +39,7 @@
 //!   fast path (`evaluate_delta_loss`), one to two orders of magnitude
 //!   cheaper than an SNR delta; improving-only scans additionally ride
 //!   the bound-then-verify loss peek (`evaluate_delta_loss_bounded`)
-//!   against the threshold [`Objective::il_threshold_for_score`]
+//!   against the threshold [`Objective::threshold_for_score`]
 //!   derives from the cursor score. Insertion loss (paper Eq. 3)
 //!   depends only on each communication's own path, so loss-family
 //!   cursors carry **no crosstalk state**: [`OptContext::set_current`]
@@ -431,7 +431,7 @@ impl Cursor {
     fn scoring(&self, objective: Objective, strategy: PeekStrategy, improving: bool) -> Scoring {
         if objective.is_loss_based() {
             return if improving && !matches!(objective, Objective::MinimizeWorstCaseLoss) {
-                Scoring::LossBounded(objective.il_threshold_for_score(self.score))
+                Scoring::LossBounded(objective.threshold_for_score(self.score))
             } else {
                 Scoring::Loss
             };
@@ -444,7 +444,7 @@ impl Cursor {
         if full {
             Scoring::Full
         } else if improving {
-            Scoring::SnrBounded(objective.snr_threshold_for_score(self.score))
+            Scoring::SnrBounded(objective.threshold_for_score(self.score))
         } else {
             Scoring::Snr
         }
@@ -1056,8 +1056,7 @@ impl<'p> OptContext<'p> {
     /// objectives, [`crate::Evaluator::evaluate_delta_loss_bounded`]
     /// for the laser-power objective) with the admissible rejection
     /// threshold the objective derives from the cursor score
-    /// ([`Objective::snr_threshold_for_score`] /
-    /// [`Objective::il_threshold_for_score`]), and non-improving moves
+    /// ([`Objective::threshold_for_score`]), and non-improving moves
     /// come back [`PeekRoute::BoundedRejected`] at a fraction of the exact
     /// cost (charged by the work actually performed). Moves that can
     /// beat the cursor are scored exactly, bit-identical to

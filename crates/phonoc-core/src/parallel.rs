@@ -32,28 +32,10 @@
 //!   below `2 × FORK_FLOOR` items a batch runs inline on the caller
 //!   thread (still on its sticky scratch slot); above it the worker
 //!   count scales with `n / FORK_FLOOR` up to the effective ceiling.
-//!   With the spawn cost gone the floor was re-measured on the pool
-//!   (`bench::parallel`, on a 1-core host): a pool
-//!   dispatch costs ~4 µs per remote chunk (4.3 µs at 2 workers,
-//!   11.1 µs at 4) against the scope-spawn path's ~38 µs at 2 workers
-//!   and ~77 µs at 4 — about 9× cheaper, pool ≤ spawn on all 51
-//!   measured cells (median ratio 0.42). That dropped the floor from
-//!   16 to 4, and the smallest batch that can fork from 32 items to
-//!   8: at ~10 µs/item the pool reaches sequential parity at 8-item
-//!   batches where the spawn path needed 256+, and at ~1 µs/item it
-//!   reaches parity at 64 where the spawn path never did (≤ 512).
-//!   The committed `BENCH_parallel.json` is a 2-core rerun: pool ≤
-//!   spawn still holds on all 51 cells (median ratio 0.48).
 //! * [`parallel_map_tasks`] — the coarse-grained map behind portfolio
 //!   lanes: items are whole optimizer runs (milliseconds to seconds
 //!   each), so it forks for *any* batch of two or more items instead of
 //!   applying the floor.
-//! * [`pool_map_with`] / [`reference_map_with`] — the measurement and
-//!   property-test surface: the former forces pool dispatch at an
-//!   explicit worker count (no floor), the latter is the retained
-//!   scope-spawn implementation (fresh threads, fresh scratches) that
-//!   `bench::parallel` races the pool against and
-//!   `tests/thread_invariance.rs` pins bit-identical to it.
 //!
 //! # Pool lifecycle
 //!
@@ -100,18 +82,13 @@ use std::sync::{Mutex, OnceLock};
 
 /// Minimum items per worker before a fine-grained batch forks.
 ///
-/// Recalibrated for the persistent pool (`bench::parallel` on a 1-core
-/// host; see the [module docs](self)): dispatching one pool chunk costs a channel
-/// send plus a wake-up — ~4 µs (measured 4.3 µs at 2 workers, 11.1 µs
-/// at 4) — against the ~38 µs (2 workers) to ~77 µs (4 workers) spawn
-/// cost the old `std::thread::scope` path paid, which is what forced
-/// the old floor of 16. The items flowing through here (full or delta
-/// evaluations) cost a microsecond or more each, so a handful per
-/// worker now amortize a dispatch: at ~10 µs/item the pool matches the
-/// sequential loop from 8-item batches, where the spawn path needed
-/// 256+. Below `2 × FORK_FLOOR` items, batches run inline on the
-/// caller thread (on its sticky scratch slot); above it, worker count
-/// scales with `n / FORK_FLOOR` up to the effective ceiling.
+/// Dispatching one pool chunk costs a channel send plus a wake-up —
+/// about 4 µs per remote chunk — and the items flowing through here
+/// (full or delta evaluations) cost a microsecond or more each, so a
+/// handful per worker amortize a dispatch. Below `2 × FORK_FLOOR`
+/// items, batches run inline on the caller thread (on its sticky
+/// scratch slot); above it, worker count scales with `n / FORK_FLOOR`
+/// up to the effective ceiling.
 pub const FORK_FLOOR: usize = 4;
 
 /// Runtime worker-count override; `0` means "not set". Takes
@@ -479,67 +456,6 @@ where
     run_batch(items, workers, || (), move |_: &mut (), item| f(item))
 }
 
-// ---------------------------------------------------------------------
-// Measurement / property-test surface
-// ---------------------------------------------------------------------
-
-/// Forces **pool dispatch** at exactly `workers` workers, bypassing
-/// the fork floor (1 worker or fewer than 2 items still run inline).
-/// This is the measurement entry `bench::parallel` uses to race the
-/// pool against [`reference_map_with`] at controlled worker counts,
-/// and the surface `tests/thread_invariance.rs` pins bit-identical to
-/// the reference path. Semantics are exactly [`parallel_map_with`]'s.
-pub fn pool_map_with<S, T, R, I, F>(items: &[T], workers: usize, init: I, f: F) -> Vec<R>
-where
-    S: Send + 'static,
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    run_batch(items, workers.min(items.len()).max(1), init, f)
-}
-
-/// The retained **scope-spawn reference path**: the pre-pool
-/// implementation (one fresh [`std::thread::scope`] thread per chunk,
-/// a fresh scratch per worker per call), kept as the baseline the pool
-/// is benchmarked against (`bench::parallel` / `BENCH_parallel.json`)
-/// and the oracle the pool is property-tested bit-identical to
-/// (`tests/thread_invariance.rs`). Not used by any production path.
-pub fn reference_map_with<S, T, R, I, F>(items: &[T], workers: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let workers = workers.min(items.len()).max(1);
-    if workers <= 1 || items.len() < 2 {
-        let mut scratch = init();
-        return items.iter().map(|item| f(&mut scratch, item)).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    slice
-                        .iter()
-                        .map(|item| f(&mut scratch, item))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("batch evaluation worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_reference_at_every_worker_count() {
+    fn pool_matches_the_sequential_map_at_every_worker_count() {
+        let _guard = override_lock();
         let items: Vec<u64> = (0..321).collect();
         let f = |acc: &mut u64, &x: &u64| {
             // Scratch used as a buffer: overwritten, then read — the
@@ -588,17 +505,14 @@ mod tests {
             *acc = x.wrapping_mul(0x9E37_79B9).rotate_left(9);
             *acc ^ 0xABCD
         };
-        let reference = reference_map_with(&items, 1, || 0u64, f);
+        let mut scratch = 0u64;
+        let expected: Vec<u64> = items.iter().map(|x| f(&mut scratch, x)).collect();
         for workers in [1, 2, 3, 4, 8, 64] {
+            set_worker_override(Some(workers));
             assert_eq!(
-                pool_map_with(&items, workers, || 0u64, f),
-                reference,
+                parallel_map_with(&items, || 0u64, f),
+                expected,
                 "pool @ {workers} workers"
-            );
-            assert_eq!(
-                reference_map_with(&items, workers, || 0u64, f),
-                reference,
-                "reference @ {workers} workers"
             );
         }
     }
@@ -680,13 +594,14 @@ mod tests {
 
     #[test]
     fn scratch_slots_are_sticky_per_thread() {
+        let _guard = override_lock();
+        set_worker_override(Some(4));
         // Distinct scratch type so no other test shares the slot.
         struct Counter(usize);
         let items: Vec<usize> = (0..64).collect();
         let run = || {
-            pool_map_with(
+            parallel_map_with(
                 &items,
-                4,
                 || Counter(0),
                 |c: &mut Counter, &x| {
                     c.0 += 1;
@@ -715,21 +630,52 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_and_the_pool_survives() {
+        // The pool's `unsafe` soundness rests on the dispatcher waiting
+        // for every remote chunk before it unwinds. Panic in the
+        // caller's chunk 0 (item 0) and in the last remote chunk (item
+        // n − 1): the panic must propagate, the next batch at the same
+        // worker count must be correct and input-ordered, and the
+        // panicking thread's sticky slot must have been rebuilt.
+        let _guard = override_lock();
+        // Counts the items mapped since this slot was built; local to
+        // the test so no other test shares its slots.
+        struct Counting(usize);
+        const PANIC_AT_NONE: usize = usize::MAX;
         let items: Vec<usize> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            pool_map_with(
+        let run = |panic_at: usize| {
+            parallel_map_with(
                 &items,
-                4,
-                || (),
-                |(), &x| {
-                    assert!(x != 40, "injected failure");
-                    x
+                || Counting(0),
+                |c: &mut Counting, &x| {
+                    c.0 += 1;
+                    assert!(x != panic_at, "injected failure");
+                    (x, c.0)
                 },
             )
-        });
-        assert!(result.is_err(), "the mapped panic must propagate");
-        // The pool must keep working after a panicked batch.
-        let ok = pool_map_with(&items, 4, || (), |(), &x| x + 1);
-        assert_eq!(ok, (1..=64).collect::<Vec<_>>());
+        };
+        for workers in [2, 4, 8] {
+            set_worker_override(Some(workers));
+            let chunk = items.len().div_ceil(workers);
+            for panic_at in [0, items.len() - 1] {
+                // Warm every slot first, so a slot that survived the
+                // panic would keep counting past its chunk.
+                let _ = run(PANIC_AT_NONE);
+                let result = std::panic::catch_unwind(|| run(panic_at));
+                assert!(
+                    result.is_err(),
+                    "the panic at item {panic_at} must propagate @ {workers} workers"
+                );
+                let after = run(PANIC_AT_NONE);
+                let order: Vec<usize> = after.iter().map(|&(x, _)| x).collect();
+                assert_eq!(order, items, "input order @ {workers} workers");
+                // The first item of the panicking chunk is the first
+                // item its rebuilt slot ever mapped.
+                let first_of_chunk = panic_at / chunk * chunk;
+                assert_eq!(
+                    after[first_of_chunk].1, 1,
+                    "slot of the chunk holding item {panic_at} was not rebuilt @ {workers} workers"
+                );
+            }
+        }
     }
 }

@@ -168,33 +168,21 @@ impl Objective {
         }
     }
 
-    /// For SNR-based objectives: the largest worst-case-SNR threshold
-    /// `t` such that any candidate whose SNR bound is `≤ t` is
-    /// guaranteed to score `≤ score` — the **admissible rejection
-    /// threshold** bound-then-verify peeks need. For the plain SNR
-    /// objective this is exactly `Db(score)`; for the margin objective
-    /// it is `score + margin` nudged down until the round-trip
-    /// guarantee holds (FP subtraction is monotone, so
-    /// `snr ≤ t` ⇒ `snr − margin ≤ t − margin ≤ score`).
+    /// The **admissible rejection threshold** bound-then-verify peeks
+    /// need: the largest worst-case figure `t` (worst-case SNR for
+    /// SNR-based objectives, worst-case IL for loss-based ones) such
+    /// that any candidate whose bound is `≤ t` is guaranteed to score
+    /// `≤ score`. For the plain objectives this is exactly `Db(score)`;
+    /// for the power family it is `score + margin` nudged down until
+    /// `t − margin ≤ score` holds, verified directly so the
+    /// admissibility argument never depends on FP round-trip identities
+    /// (FP subtraction is monotone, so `x ≤ t` ⇒
+    /// `x − margin ≤ t − margin ≤ score`).
     #[must_use]
-    pub fn snr_threshold_for_score(&self, score: f64) -> Db {
-        Db(Self::inverse_threshold(score, self.margin()))
-    }
-
-    /// For loss-based objectives: the analogous admissible worst-IL
-    /// rejection threshold (any candidate whose worst-IL bound is
-    /// `≤ t` scores `≤ score`).
-    #[must_use]
-    pub fn il_threshold_for_score(&self, score: f64) -> Db {
-        Db(Self::inverse_threshold(score, self.margin()))
-    }
-
-    /// Largest `t` (up to a couple of ulps) with `t − margin ≤ score`,
-    /// verified directly so the admissibility argument never depends on
-    /// FP round-trip identities.
-    fn inverse_threshold(score: f64, margin: f64) -> f64 {
+    pub fn threshold_for_score(&self, score: f64) -> Db {
+        let margin = self.margin();
         if margin == 0.0 {
-            return score;
+            return Db(score);
         }
         let mut t = score + margin;
         while t - margin > score {
@@ -204,7 +192,7 @@ impl Objective {
                 t.to_bits() + 1
             });
         }
-        t
+        Db(t)
     }
 
     /// Canonical spec-suffix name, as accepted by
@@ -539,24 +527,20 @@ mod tests {
                 Some(m) => m.required_snr_margin().0,
             };
             for score in [-37.25, -1e-3, 0.0, 0.1875, 19.75, 93.5] {
-                for t in [
-                    o.snr_threshold_for_score(score),
-                    o.il_threshold_for_score(score),
-                ] {
-                    assert!(
-                        t.0 - margin <= score,
-                        "{o}: threshold {t:?} not admissible for score {score}"
-                    );
-                    assert!(
-                        (t.0 - (score + margin)).abs() <= (score + margin).abs() * 1e-12 + 1e-12,
-                        "{o}: threshold {t:?} too loose for score {score}"
-                    );
-                }
+                let t = o.threshold_for_score(score);
+                assert!(
+                    t.0 - margin <= score,
+                    "{o}: threshold {t:?} not admissible for score {score}"
+                );
+                assert!(
+                    (t.0 - (score + margin)).abs() <= (score + margin).abs() * 1e-12 + 1e-12,
+                    "{o}: threshold {t:?} too loose for score {score}"
+                );
             }
             // Plain objectives must pass the score through exactly.
             if o.modulation().is_none() {
-                assert_eq!(o.snr_threshold_for_score(17.5).0, 17.5);
-                assert_eq!(o.il_threshold_for_score(-3.25).0, -3.25);
+                assert_eq!(o.threshold_for_score(17.5).0, 17.5);
+                assert_eq!(o.threshold_for_score(-3.25).0, -3.25);
             }
         }
     }

@@ -246,31 +246,62 @@ macro_rules! for_each_stat {
     }};
 }
 
+/// Sums named counters with checked adds, naming the first one whose
+/// addition overflows: trace counters are untrusted input.
+fn checked_sum<const N: usize>(terms: [(&'static str, usize); N]) -> Result<usize, &'static str> {
+    terms
+        .into_iter()
+        .try_fold(0usize, |acc, (name, v)| acc.checked_add(v).ok_or(name))
+}
+
 impl RunStats {
     /// Adds every counter of `other` into `self` — how a portfolio run
     /// folds its lanes' per-session stats into one aggregate.
-    pub fn absorb(&mut self, other: &RunStats) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the name of the first counter whose sum overflows.
+    pub fn absorb(&mut self, other: &RunStats) -> Result<(), &'static str> {
         let mut o = *other;
         let mut theirs: Vec<usize> = Vec::with_capacity(19);
         for_each_stat!(&mut o, |_k: &str, v: &mut usize| theirs.push(*v));
         let mut i = 0;
-        for_each_stat!(self, |_k: &str, v: &mut usize| {
-            *v += theirs[i];
+        let mut overflow = None;
+        for_each_stat!(self, |k: &'static str, v: &mut usize| {
+            match v.checked_add(theirs[i]) {
+                Some(sum) => *v = sum,
+                None => {
+                    overflow.get_or_insert(k);
+                }
+            }
             i += 1;
         });
+        overflow.map_or(Ok(()), Err)
+    }
+
+    /// The full and delta route sums the ledger must equal, or the name
+    /// of the counter whose addition overflows.
+    fn route_sums(&self) -> Result<(usize, usize), &'static str> {
+        let full = checked_sum([
+            ("full_peeks", self.full_peeks),
+            ("full_direct", self.full_direct),
+        ])?;
+        let delta = checked_sum([
+            ("delta_exact", self.delta_exact),
+            ("loss_fast_path", self.loss_fast_path),
+            ("bound_rejected", self.bound_rejected),
+            ("bound_verified", self.bound_verified),
+            ("bound_charges", self.bound_charges),
+        ])?;
+        Ok((full, delta))
     }
 
     /// Whether the route counters partition the evaluation ledger
-    /// exactly (see the [module docs](self)).
+    /// exactly (see the [module docs](self)). Route sums that overflow
+    /// never reconcile.
     #[must_use]
     pub fn reconciles(&self) -> bool {
-        self.full_evaluations == self.full_peeks + self.full_direct
-            && self.delta_evaluations
-                == self.delta_exact
-                    + self.loss_fast_path
-                    + self.bound_rejected
-                    + self.bound_verified
-                    + self.bound_charges
+        self.route_sums() == Ok((self.full_evaluations, self.delta_evaluations))
     }
 
     /// Peeks admitted through any route (full-routed, exact delta,
@@ -961,7 +992,8 @@ pub fn parse_trace(text: &str) -> Result<(TraceHeader, Vec<TraceEvent>), String>
 ///
 /// # Errors
 ///
-/// Returns a description of the first reconciliation failure.
+/// Returns a description of the first reconciliation failure, or names
+/// the counter whose sum overflows.
 pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
@@ -991,11 +1023,15 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
     let mut exact_leaves = 0usize;
     let mut cuts: Vec<(usize, usize)> = Vec::new();
     let mut sessions: Vec<(RunStats, usize, usize, u64)> = Vec::new();
+    let add = |sum: usize, v: usize, field: &str| {
+        sum.checked_add(v)
+            .ok_or_else(|| format!("counter `{field}` overflows when summed over the trace"))
+    };
     for event in events {
         match event {
             TraceEvent::PeekRouted { route, cost } => {
                 *peeks.route_counter(*route) += 1;
-                peek_units += cost;
+                peek_units = add(peek_units, *cost, "cost")?;
             }
             TraceEvent::Improved { .. } => improvements += 1,
             TraceEvent::Widened { .. } => widen += 1,
@@ -1015,11 +1051,11 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
             } => {
                 let i = WarmOutcome::ALL.iter().position(|o| o == outcome).unwrap();
                 warm[i] += 1;
-                warm_shared += shared_edges;
+                warm_shared = add(warm_shared, *shared_edges, "shared_edges")?;
             }
             TraceEvent::ExactSummary { nodes, leaves } => {
-                exact_nodes += nodes;
-                exact_leaves += leaves;
+                exact_nodes = add(exact_nodes, *nodes, "nodes")?;
+                exact_leaves = add(exact_leaves, *leaves, "leaves")?;
             }
             TraceEvent::ExactCuts { depth, cuts: n } => cuts.push((*depth, *n)),
             TraceEvent::SessionEnd {
@@ -1038,9 +1074,11 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
     // Reconciliation: each session's counters must partition its
     // ledger; peek events (when present) must match the summed
     // counters route for route.
+    let overflow = |field: &str| format!("session_end counter `{field}` overflows");
     let mut total = RunStats::default();
     for (stats, _, _, _) in &sessions {
-        if !stats.reconciles() {
+        let sums = stats.route_sums().map_err(overflow)?;
+        if sums != (stats.full_evaluations, stats.delta_evaluations) {
             return Err(format!(
                 "session_end counters do not partition the ledger: \
                  full {} != {} + {} or delta {} != {}+{}+{}+{}+{}",
@@ -1055,8 +1093,14 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
                 stats.bound_charges
             ));
         }
-        total.absorb(stats);
+        total.absorb(stats).map_err(overflow)?;
     }
+    // The rendered route mix sums peeks across the full and delta
+    // ledgers, so their total must fit too.
+    total
+        .full_evaluations
+        .checked_add(total.delta_evaluations)
+        .ok_or_else(|| overflow("delta_evaluations"))?;
     if peeks.peeks_total() > 0 {
         for route in PeekRoute::ALL {
             if peeks.route_count(route) != total.route_count(route) {
@@ -1126,7 +1170,7 @@ pub fn summarize_trace(header: &TraceHeader, events: &[TraceEvent]) -> Result<St
         );
     }
 
-    if exact_nodes + exact_leaves > 0 || !cuts.is_empty() {
+    if exact_nodes > 0 || exact_leaves > 0 || !cuts.is_empty() {
         out.push_str("\nExact lane\n");
         let _ = writeln!(out, "  nodes {exact_nodes} · leaves {exact_leaves}");
         for (depth, n) in &cuts {
@@ -1302,7 +1346,7 @@ mod tests {
         assert_eq!(stats.peeks_total(), 4 + 10 + 2 + 8 + 4);
         assert!((stats.bound_rejection_rate() - 8.0 / 12.0).abs() < 1e-12);
         let mut doubled = stats;
-        doubled.absorb(&stats);
+        doubled.absorb(&stats).unwrap();
         assert_eq!(doubled.full_evaluations, 14);
         assert_eq!(doubled.delta_evaluations, 50);
         assert_eq!(doubled.rounds, 4);
@@ -1349,6 +1393,53 @@ mod tests {
         }
         let err = summarize_trace(&header, &broken).unwrap_err();
         assert!(err.contains("do not partition"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_counters_fail_instead_of_reconciling() {
+        let session = |stats: RunStats| TraceEvent::SessionEnd {
+            stats,
+            spent: 0,
+            budget: 1,
+            score_bits: 0,
+        };
+        let summarize = |events: &[TraceEvent]| {
+            let (header, parsed) = parse_trace(&render_trace("unit-test", events)).unwrap();
+            summarize_trace(&header, &parsed)
+        };
+        // Wrapping, MAX + 1 would equal the claimed 0.
+        let wrapped = RunStats {
+            full_peeks: usize::MAX,
+            full_direct: 1,
+            ..RunStats::default()
+        };
+        assert!(!wrapped.reconciles());
+        let err = summarize(&[session(wrapped), session(RunStats::default())]).unwrap_err();
+        assert!(err.contains("`full_direct` overflows"), "{err}");
+        // Each session reconciles, but their totals overflow.
+        let huge = RunStats {
+            full_evaluations: usize::MAX,
+            full_peeks: usize::MAX,
+            ..RunStats::default()
+        };
+        assert!(huge.reconciles());
+        let err = summarize(&[session(huge), session(huge)]).unwrap_err();
+        assert!(err.contains("`full_evaluations` overflows"), "{err}");
+        // The full and delta ledgers fit apart but not together.
+        let delta = RunStats {
+            delta_evaluations: 1,
+            delta_exact: 1,
+            ..RunStats::default()
+        };
+        let err = summarize(&[session(huge), session(delta)]).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        // Event payload sums are checked too.
+        let nodes = TraceEvent::ExactSummary {
+            nodes: usize::MAX,
+            leaves: 0,
+        };
+        let err = summarize(&[nodes.clone(), nodes, session(RunStats::default())]).unwrap_err();
+        assert!(err.contains("`nodes` overflows"), "{err}");
     }
 
     #[test]

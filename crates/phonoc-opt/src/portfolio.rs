@@ -604,7 +604,9 @@ pub fn run_portfolio_seeded_traced(
             let Some(result) = result else { continue };
             ledger.record(round, lane, result.evaluations);
             round_used += result.evaluations;
-            stats.absorb(&result.stats);
+            stats
+                .absorb(&result.stats)
+                .expect("lane counters fit in usize");
             if sink.enabled() {
                 sink.record(TraceEvent::LaneRound {
                     round,

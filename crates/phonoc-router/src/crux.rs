@@ -7,8 +7,7 @@
 //! crossbar). The original mask-level figure is not reproduced in the
 //! PhoNoCMap paper, so this module *reconstructs* a Crux-class netlist
 //! with the same port capabilities, the same 12-ring budget, and the same
-//! qualitative loss/crosstalk behaviour. See DESIGN.md §5 for the
-//! substitution rationale and the calibration against the paper's
+//! qualitative loss/crosstalk behaviour, calibrated against the paper's
 //! observable results (straight passes ≈ −0.17 dB, turns/injection/
 //! ejection dominated by one ON resonance, best-case SNR limited by
 //! waveguide-crossing crosstalk at ≈ −40 dB).

@@ -5,11 +5,11 @@ against the committed baselines.
 Usage:
     python3 scripts/bench_gate.py [BENCH_sweep_smoke.json] [BENCH_evaluator.json]
         [--baseline BENCH_sweep.json] [--warmstart BENCH_warmstart.json]
-        [--parallel BENCH_parallel.json] [--gaps] [--strict] [--strict-quality]
+        [--gaps] [--strict] [--strict-quality]
 
 Checks (all *advisory* — the script always exits 0 — unless --strict
 makes any finding fatal, --strict-quality makes the quality findings
-(checks 3, 5, 6 and 7 — deterministic data, not timing) fatal, or an
+(checks 3, 5, 6, 7 and 8 — deterministic data, not timing) fatal, or an
 input file is malformed):
 
 1. Hybrid regression: per scenario, the hybrid's per-cursor route must
@@ -66,16 +66,7 @@ input file is malformed):
    check 4, which compares every (cell, algo) pair including the
    suffixed specs; their scores live on a different scale from the snr
    rows, so checks 3 and 5 compare only rows sharing an objective.
-8. Parallel dispatch (--parallel BENCH_parallel.json): the persistent
-   worker pool must not cost more than the retained scope-spawn
-   reference it replaced. Per measured cell, pool_ns above
-   spawn_ns * PARALLEL_CELL_SLACK is an advisory (individual cells on
-   shared runners are noisy); the *median* pool/spawn ratio exceeding
-   1.0, or any (cost, workers) series whose pool path reaches
-   sequential parity at a larger batch than the spawn path, is a
-   quality finding — fatal under --strict-quality, since the whole
-   point of the pool is cheaper dispatch at every batch size.
-9. Optimality gaps (--gaps, schema phonocmap-bench-sweep/7+): the exact
+8. Optimality gaps (--gaps, schema phonocmap-bench-sweep/7+): the exact
    lane's certificate columns. Structurally, every optimizer row must
    carry a finite `lower_bound` (score-space upper bound: no mapping of
    the instance scores above it) and a `gap_db = lower_bound -
@@ -104,7 +95,6 @@ PORTFOLIO_TOLERANCE_DB = 0.05
 PORTFOLIO_WIN_SHARE = 0.80
 WARMSTART_PARITY_RATIO = 0.50
 WARMSTART_MESH_FLOOR = 12
-PARALLEL_CELL_SLACK = 1.05
 GAP_EPSILON_DB = 1e-9
 GAP_WIDEN_DB = 0.05
 
@@ -430,59 +420,6 @@ def check_warmstart(report):
     return findings, advisories
 
 
-def check_parallel(report):
-    """Returns (quality_findings, advisory_findings) for a parallel
-    dispatch report.
-
-    Per-cell overruns are advisories (timing noise); the median ratio
-    and the crossover ordering are the pool's core claim — quality
-    findings, fatal under --strict-quality.
-    """
-    findings = []
-    advisories = []
-    cells = report.get("cells", [])
-    ratios = []
-    for c in cells:
-        ratio = c["pool_ns"] / max(c["spawn_ns"], 1)
-        ratios.append(ratio)
-        if ratio > PARALLEL_CELL_SLACK:
-            advisories.append(
-                f"{c['cost']}@{c['workers']}w/{c['batch']}: pool {c['pool_ns']:.0f} ns "
-                f"is {ratio:.2f}x the scope-spawn reference "
-                f"{c['spawn_ns']:.0f} ns (slack {PARALLEL_CELL_SLACK}x)"
-            )
-    if ratios:
-        values = sorted(ratios)
-        mid = len(values) // 2
-        median = (
-            values[mid]
-            if len(values) % 2 == 1
-            else (values[mid - 1] + values[mid]) / 2.0
-        )
-        print(
-            f"bench_gate: parallel dispatch — median pool/spawn ratio "
-            f"{median:.3f} over {len(ratios)} cells (required <= 1.0)"
-        )
-        if median > 1.0:
-            findings.append(
-                f"median pool/spawn dispatch ratio {median:.3f} over "
-                f"{len(ratios)} cells exceeds 1.0 — the persistent pool "
-                f"costs more than spawning fresh threads"
-            )
-    else:
-        findings.append("parallel report has no cells")
-    for x in report.get("crossovers", []):
-        spawn_batch = x.get("spawn_batch")
-        pool_batch = x.get("pool_batch")
-        if spawn_batch is not None and (pool_batch is None or pool_batch > spawn_batch):
-            findings.append(
-                f"{x['cost']}@{x['workers']}w: pool reaches sequential parity at "
-                f"batch {pool_batch} but the spawn path already did at "
-                f"{spawn_batch} — pool crossover must come first"
-            )
-    return findings, advisories
-
-
 def median(values):
     values = sorted(values)
     mid = len(values) // 2
@@ -586,7 +523,6 @@ def main(argv):
     gaps = False
     baseline_path = None
     warmstart_path = None
-    parallel_path = None
     i = 1
     while i < len(argv):
         arg = argv[i]
@@ -608,19 +544,13 @@ def main(argv):
                 return 2
             warmstart_path = argv[i + 1]
             i += 1
-        elif arg == "--parallel":
-            if i + 1 >= len(argv):
-                print("bench_gate: --parallel needs a path", file=sys.stderr)
-                return 2
-            parallel_path = argv[i + 1]
-            i += 1
         elif arg.startswith("--"):
             print(f"bench_gate: unknown flag {arg}", file=sys.stderr)
             return 2
         else:
             args.append(arg)
         i += 1
-    if not args and not warmstart_path and not parallel_path:
+    if not args and not warmstart_path:
         print(__doc__)
         return 2
     advisories = []
@@ -651,10 +581,6 @@ def main(argv):
         warm_quality, warm_advisories = check_warmstart(load(warmstart_path))
         quality_advisories += warm_quality
         advisories += warm_quality + warm_advisories
-    if parallel_path:
-        par_quality, par_advisories = check_parallel(load(parallel_path))
-        quality_advisories += par_quality
-        advisories += par_quality + par_advisories
     if advisories:
         print(f"bench_gate: {len(advisories)} advisory finding(s):")
         for a in advisories:
@@ -664,7 +590,7 @@ def main(argv):
         if strict_quality and quality_advisories:
             print(
                 "bench_gate: quality claim (neighborhood/portfolio/power/"
-                "gaps/warm-start/parallel) violated — fatal"
+                "gaps/warm-start) violated — fatal"
             )
             return 1
         print("bench_gate: advisory mode — not failing the build")

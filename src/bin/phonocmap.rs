@@ -13,7 +13,6 @@
 //! phonocmap portfolio --app VOPD [--spec "r-pbla@sampled+sa,rounds=8"]
 //! phonocmap sweep [--smoke] [--neighborhood P] [--out BENCH_sweep.json]
 //! phonocmap replay [--smoke] [--budget N] [--out BENCH_warmstart.json]
-//! phonocmap parallel-bench [--smoke] [--out BENCH_parallel.json]
 //! phonocmap trace run.trace.jsonl              # analyze a recorded trace
 //! ```
 //!
@@ -54,7 +53,6 @@ fn main() -> ExitCode {
         "portfolio" => cmd_portfolio(rest),
         "sweep" => bench::sweep::run_sweep_cli(rest),
         "replay" => bench::replay::run_replay_cli(rest),
-        "parallel-bench" => bench::parallel::run_parallel_cli(rest),
         "trace" => cmd_trace(rest),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
@@ -115,9 +113,6 @@ commands:
   replay [--smoke] [--out PATH]         warm-start request streams through a
         [--budget N]                    persistent cache (cold / exact hit /
                                         perturbed / phase change) as JSON
-  parallel-bench [--smoke] [--out PATH] dispatch-overhead microbench: the
-        [--samples N]                   persistent pool vs scope-spawn across
-                                        batch size x item cost x workers
   trace <file>                          analyze a phonocmap-trace/1 JSONL file
                                         (route mix, lane budget flow, cache
                                         hits) and verify its accounting

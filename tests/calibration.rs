@@ -1,7 +1,7 @@
 //! Calibration tests: the observable *shapes* of the paper's evaluation
-//! must hold in this reproduction (DESIGN.md §4). These are the
-//! assertions that keep the model honest — if a refactor breaks one of
-//! these, the reproduction no longer tells the paper's story.
+//! must hold in this reproduction. These are the assertions that keep
+//! the model honest — if a refactor breaks one of these, the
+//! reproduction no longer tells the paper's story.
 
 use phonocmap::prelude::*;
 use rand::rngs::StdRng;
@@ -22,8 +22,8 @@ fn mesh_problem(app: &str, objective: Objective) -> MappingProblem {
 }
 
 /// The hand-constructed grid embedding of VOPD: every one of its 20
-/// communications is tile-adjacent (see `phonoc-apps::benchmarks::vopd`
-/// and DESIGN.md §5). Task order follows the VOPD builder.
+/// communications is tile-adjacent (see `phonoc-apps::benchmarks::vopd`).
+/// Task order follows the VOPD builder.
 fn vopd_embedding() -> Mapping {
     let tiles = [
         0,  // demux  (0,0)

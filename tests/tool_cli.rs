@@ -218,7 +218,7 @@ fn bad_flags_fail_with_messages() {
         ),
         (vec!["sweep", "--smoke", "--fast"], "unknown flag `--fast`"),
         (vec!["replay", "--smoke", "--fast"], "unknown flag `--fast`"),
-        (vec!["parallel-bench", "--fast"], "unknown flag `--fast`"),
+        (vec!["parallel-bench"], "unknown command `parallel-bench`"),
         // Retired portfolio options name the accepted form.
         (
             vec!["portfolio", "--app", "PIP", "--spec", "rs+sa,exchange=ring"],
@@ -304,10 +304,6 @@ fn zero_counts_fail_before_any_work() {
         (vec!["sweep", "--smoke", "--budget", "0"], "--budget"),
         (vec!["sweep", "--smoke", "--samples", "0"], "--samples"),
         (vec!["sweep", "--smoke", "--moves", "0"], "--moves"),
-        (
-            vec!["parallel-bench", "--smoke", "--samples", "0"],
-            "--samples",
-        ),
     ] {
         let mut args = args;
         args.extend(["--out", out_path]);
@@ -321,6 +317,67 @@ fn zero_counts_fail_before_any_work() {
         );
         assert!(out.stdout.is_empty(), "{args:?} started work");
     }
+}
+
+/// A trace whose `session_end` counters only reconcile when their sum
+/// wraps must fail with one `error:` line, not reconcile or panic.
+#[test]
+fn overflowing_trace_counters_fail_with_one_error_line() {
+    let session_end = |full_peeks: &str, full_direct: &str| {
+        let mut line = String::from(
+            "{\"ev\":\"session_end\",\"spent\":0,\"budget\":1,\"score_bits\":0,\"score\":0",
+        );
+        for key in [
+            "full_evaluations",
+            "delta_evaluations",
+            "full_peeks",
+            "full_direct",
+            "delta_exact",
+            "loss_fast_path",
+            "bound_rejected",
+            "bound_verified",
+            "bound_charges",
+            "improvements",
+            "widenings",
+            "dry_scans",
+            "narrowings",
+            "warm_exact_hits",
+            "warm_near_hits",
+            "warm_cold",
+            "exact_nodes",
+            "exact_leaves",
+            "rounds",
+        ] {
+            let value = match key {
+                "full_peeks" => full_peeks,
+                "full_direct" => full_direct,
+                _ => "0",
+            };
+            line.push_str(&format!(",\"{key}\":{value}"));
+        }
+        line + "}\n"
+    };
+    let trace = format!(
+        "{{\"schema\":\"phonocmap-trace/1\",\"source\":\"optimize\",\"events\":2}}\n{}{}",
+        session_end("18446744073709551615", "1"),
+        session_end("0", "0"),
+    );
+    let dir = std::env::temp_dir().join("phonocmap_cli_overflow_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("overflow.trace.jsonl");
+    std::fs::write(&path, trace).unwrap();
+    let out = phonocmap(&["trace", path.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "one error line: {err}");
+    assert!(
+        err.starts_with("error:") && err.contains("`full_direct` overflows"),
+        "{err}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("reconciliation: OK"),
+        "an overflowing trace must not reconcile"
+    );
 }
 
 #[test]
