@@ -34,12 +34,20 @@ fn optimizer_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Move-stream generation: building a [`Neighborhood`] plus one
-/// quota-32 pass against a seated random cursor, on the 8×8 and 16×16
-/// `mpeg-like` cells (density 200, seed 1). `locality_start` passes at
-/// the start radius, `locality_widened` after widening all the way
-/// (where every admitted pair qualifies); `locality_new` times the
-/// construction alone.
+/// Move-stream generation against a seated random cursor, on the 8×8
+/// and 16×16 `mpeg-like` cells (density 200, seed 1).
+///
+/// * `sampled`, `locality_start` and `locality_widened` time building
+///   a [`Neighborhood`] plus one quota-32 pass (at the start radius, or
+///   after widening all the way, where every admitted pair qualifies);
+///   `locality_new` times the construction alone.
+/// * `new_sampled` and `new_locality` time construction per policy.
+/// * `locality_pass_r{2,4,8,max}_q{3,32,187}` and `sampled_pass_q3` time
+///   one pass of a stream built (and widened to that radius) outside
+///   the timed closure: the per-pass cost of a session's later passes.
+///   Quota 3 is what a short portfolio lane round draws; 32 is the
+///   `MIN_SCAN` floor; 187 is `scan_quota(1500, …)`, a fresh descent's
+///   quota at the sweep's budget.
 fn neighborhood_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighborhood_pass");
     for mesh in [8, 16] {
@@ -75,6 +83,31 @@ fn neighborhood_pass(c: &mut Criterion) {
                 black_box(n.pass(&ctx, 32).len())
             });
         });
+        for (name, policy) in [
+            ("sampled", NeighborhoodPolicy::Sampled),
+            ("locality", NeighborhoodPolicy::Locality),
+        ] {
+            group.bench_function(&format!("new_{name}_{cell}"), |b| {
+                b.iter(|| Neighborhood::with_policy(&ctx, policy, 7));
+            });
+        }
+        let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Sampled, 7);
+        n.pass(&ctx, 3);
+        group.bench_function(&format!("sampled_pass_q3_{cell}"), |b| {
+            b.iter(|| black_box(n.pass(&ctx, 3).len()));
+        });
+        let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 7);
+        for radius in ["r2", "r4", "r8", "rmax"] {
+            if radius == "rmax" {
+                while n.widen(&mut ctx) {}
+            }
+            for quota in [3, 32, 96, 187] {
+                group.bench_function(&format!("locality_pass_{radius}_q{quota}_{cell}"), |b| {
+                    b.iter(|| black_box(n.pass(&ctx, quota).len()));
+                });
+            }
+            n.widen(&mut ctx);
+        }
     }
     group.finish();
 }

@@ -22,16 +22,16 @@
 //!   within a Manhattan radius of each other **under the current
 //!   cursor mapping** (`Move::Swap(a, b)` exchanges the tiles
 //!   `perm[a]` and `perm[b]`, so each displaced task moves at most the
-//!   radius). The within-radius subset is recomputed against the live
-//!   mapping on every pass — it changes with every committed move — by
-//!   a branch-free filter over the grid coordinates of the tiles each
-//!   position holds (per-tile coordinates are gathered once at
-//!   construction, in O(tiles)); fully widened, it is simply every
-//!   admitted pair. The radius widens adaptively (doubling) when a
-//!   scan goes dry and narrows back on every committed improvement.
-//!   Nearby swaps perturb fewer paths, so their deltas are cheaper —
-//!   the same budget buys more probes — and grid embeddings improve
-//!   mostly through local repairs.
+//!   radius). The within-radius pool is defined against the live
+//!   mapping on every pass — it changes with every committed move —
+//!   through the grid coordinates of the tiles each position holds
+//!   (per-tile coordinates are gathered once at construction, in
+//!   O(tiles)); fully widened, it is simply every admitted pair. The
+//!   radius widens adaptively (doubling) when a scan goes dry and
+//!   narrows back on every committed improvement. Nearby swaps perturb
+//!   fewer paths, so their deltas are cheaper — the same budget buys
+//!   more probes — and grid embeddings improve mostly through local
+//!   repairs.
 //! * [`NeighborhoodPolicy::Auto`] (the default) resolves to
 //!   `Exhaustive` while the admitted list fits
 //!   [`AUTO_EXHAUSTIVE_MAX_PAIRS`] (8×8-class meshes and below) and to
@@ -53,6 +53,19 @@
 //! and partial passes differ from it only by their subset, never by
 //! scan order.
 //!
+//! A stream costs what it draws. Construction builds no move list —
+//! moves live in the canonical index space of [`admitted_moves`], one
+//! offset per admitted row — so it is O(tiles). The first pass that
+//! needs every pair builds them (`Exhaustive` as moves, `Sampled` and a
+//! fully widened `Locality` stream as packed pairs). A short locality
+//! pass below full radius never builds its pool: a branch-free per-row
+//! count sizes it, the shuffle draws ranks in it, and only the rows
+//! holding a drawn rank are scanned. The pool is built whole only when
+//! the draws could read every row anyway (see [`Neighborhood::pass`]).
+//! Every path makes the same RNG calls and emits the same moves as a
+//! partial Fisher–Yates over the materialized pool, which the property
+//! tests replay.
+//!
 //! [`scan_quota`] derives the per-pass scan size from the remaining
 //! budget, so steepest descent becomes *best-of-scanned*: rather than
 //! spending the whole budget on one pass, a descent gets
@@ -65,9 +78,12 @@ use rand::{Rng, SeedableRng};
 
 /// The admitted move list: every position pair `(a, b)` with `a < b`
 /// where at least one side hosts a task (swapping two free tiles is a
-/// no-op for the objective and is excluded). This canonical order is
-/// the [`NeighborhoodPolicy::Exhaustive`] stream and the oracle the
-/// property tests compare the other streams against.
+/// no-op for the objective and is excluded), in canonical order — row
+/// `a` against every later position `b`. Streams do not hold this list:
+/// they work in its index space and build only the moves a pass emits
+/// (an [`NeighborhoodPolicy::Exhaustive`] pass emits all of them, in
+/// this order). The list is the oracle the property tests compare
+/// every stream against.
 #[must_use]
 pub fn admitted_moves(tasks: usize, tiles: usize) -> Vec<Move> {
     let mut moves = Vec::new();
@@ -125,31 +141,51 @@ pub fn scan_quota(remaining: usize, admitted: usize) -> usize {
 /// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Neighborhood {
-    /// The full admitted list in canonical order.
-    admitted: Vec<Move>,
+    /// The canonical index space of [`admitted_moves`]: row `a`
+    /// (position `a` against every later position) holds the indices
+    /// `row_start[a]..row_start[a + 1]`, so index `i` of row `a` is
+    /// `Move::Swap(a, a + 1 + i - row_start[a])`. One entry per row
+    /// plus the admitted count.
+    row_start: Vec<u32>,
+    /// Tile count (the positions a row pairs against).
+    tiles: usize,
     /// The resolved policy — never [`NeighborhoodPolicy::Auto`].
     kind: NeighborhoodPolicy,
     /// The stream's private RNG (seeded once at construction).
     rng: StdRng,
-    /// Sampling pool: indices into `admitted` the next pass draws from,
-    /// ascending when rebuilt (all of them for `Sampled`; rebuilt per
-    /// pass against the cursor mapping for `Locality`; unused for
-    /// `Exhaustive`).
+    /// Every admitted pair (see [`pair`]) in canonical order, built by
+    /// the first pass that needs it. `Sampled` shuffles it in place, a
+    /// pool persistent across passes; `Locality` draws from it when
+    /// fully widened and restores its order after each pass.
+    pairs: Vec<u32>,
+    /// `Locality`: the ranks `0..len` in order, grown to the largest
+    /// within-radius pool a counted pass has sized. Counted passes draw
+    /// from it and restore its order.
+    ranks: Vec<u32>,
+    /// `Locality` scratch: a pass's drawn ranks, its drawn pairs, or
+    /// (when the quota reaches half the rows) every within-radius pair.
     pool: Vec<u32>,
+    /// `Locality` scratch: a pass's swaps, undone after its draws.
+    swaps: Vec<(u32, u32)>,
+    /// `Locality` scratch: one row's within-radius marks.
+    mask: Vec<u8>,
     /// Grid coordinates of each tile (`Locality` only).
-    tile_xy: Vec<(i32, i32)>,
-    /// Per-pass scratch: the coordinates of the tile each permutation
-    /// position holds under the mapping being filtered (`Locality`
-    /// only).
-    slot_xy: Vec<(i32, i32)>,
-    /// Positions that head admitted rows (`min(tasks, tiles)`).
-    rows: usize,
+    tile_xy: Vec<(u16, u16)>,
+    /// `Locality` scratch: the coordinates of the tile each permutation
+    /// position holds under the mapping being filtered.
+    at_x: Vec<u16>,
+    at_y: Vec<u16>,
+    /// `Locality` scratch: within-radius pairs in the rows before each
+    /// row (one entry per row plus the total), the rank-space twin of
+    /// `row_start`.
+    rank_start: Vec<u32>,
     /// Current `Locality` radius.
     radius: usize,
     /// Largest Manhattan distance any tile pair spans (widening stops
     /// here).
     max_dist: usize,
-    /// Output buffer for sampled passes.
+    /// Output buffer of every pass (for `Exhaustive`, the admitted
+    /// list, written by the first pass).
     buf: Vec<Move>,
 }
 
@@ -168,7 +204,16 @@ impl Neighborhood {
     }
 
     /// Builds the stream under an explicit policy and seed (the form
-    /// the property tests drive directly).
+    /// the property tests drive directly). Costs O(tiles): no move list
+    /// is built.
+    ///
+    /// # Panics
+    ///
+    /// If the problem has more than 65 536 tiles: streams store
+    /// positions, grid coordinates and distances in 16 bits (every
+    /// topology fills its `width × height` grid, so the widest distance
+    /// `width + height − 2` fits whenever the positions do). No
+    /// problem that large fits in memory.
     #[must_use]
     pub fn with_policy(
         ctx: &OptContext<'_>,
@@ -176,10 +221,11 @@ impl Neighborhood {
         seed: u64,
     ) -> Neighborhood {
         let tiles = ctx.tile_count();
-        let admitted = admitted_moves(ctx.task_count(), tiles);
+        assert!(tiles <= 1 << 16, "move streams hold positions in 16 bits");
+        let row_start = row_starts(ctx.task_count().min(tiles), tiles);
         let kind = match policy {
             NeighborhoodPolicy::Auto => {
-                if admitted.len() <= AUTO_EXHAUSTIVE_MAX_PAIRS {
+                if row_start[row_start.len() - 1] as usize <= AUTO_EXHAUSTIVE_MAX_PAIRS {
                     NeighborhoodPolicy::Exhaustive
                 } else {
                     NeighborhoodPolicy::Sampled
@@ -193,35 +239,36 @@ impl Neighborhood {
         // static. Wrap-around links are ignored: the distance is the
         // layout's.
         let topo = ctx.problem().topology();
-        let tile_xy: Vec<(i32, i32)> = if kind == NeighborhoodPolicy::Locality {
+        let tile_xy = if kind == NeighborhoodPolicy::Locality {
             topo.tiles()
                 .map(|t| {
                     let c = topo.coord(t);
-                    (c.x as i32, c.y as i32)
+                    (c.x as u16, c.y as u16)
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        // Every topology lays its tiles out on the full width × height
-        // grid, so opposite corners span the widest pair.
-        let max_dist = topo.width() + topo.height() - 2;
-        let mut nbhd = Neighborhood {
-            admitted,
+        Neighborhood {
+            row_start,
+            tiles,
             kind,
             rng: StdRng::seed_from_u64(seed),
+            pairs: Vec::new(),
+            ranks: Vec::new(),
             pool: Vec::new(),
+            swaps: Vec::new(),
+            mask: Vec::new(),
             tile_xy,
-            slot_xy: Vec::new(),
-            rows: ctx.task_count().min(tiles),
+            at_x: Vec::new(),
+            at_y: Vec::new(),
+            rank_start: Vec::new(),
             radius: LOCALITY_START_RADIUS,
-            max_dist,
+            // Every topology lays its tiles out on the full width ×
+            // height grid, so opposite corners span the widest pair.
+            max_dist: topo.width() + topo.height() - 2,
             buf: Vec::new(),
-        };
-        if nbhd.kind == NeighborhoodPolicy::Sampled {
-            nbhd.pool.extend(0..nbhd.admitted.len() as u32);
         }
-        nbhd
     }
 
     /// The policy the stream resolved to (never
@@ -234,7 +281,12 @@ impl Neighborhood {
     /// Size of the full admitted neighbourhood.
     #[must_use]
     pub fn admitted_len(&self) -> usize {
-        self.admitted.len()
+        self.row_start[self.rows()] as usize
+    }
+
+    /// Positions that head admitted rows (`min(tasks, tiles)`).
+    fn rows(&self) -> usize {
+        self.row_start.len() - 1
     }
 
     /// The current `Locality` radius, if the stream is
@@ -249,12 +301,14 @@ impl Neighborhood {
     /// truncation inside the peek scan keeps the original semantics).
     /// `Sampled` returns up to `quota` distinct admitted moves drawn
     /// uniformly without replacement, fresh every pass. `Locality`
-    /// first rebuilds its within-radius pool against the **current
-    /// cursor mapping** — a swap qualifies when the two tiles it
-    /// exchanges (`perm[a]`, `perm[b]`) lie within the radius; the pool
-    /// is those admitted indices in ascending order, and fully widened
-    /// it is all of them — then samples up to `quota` of it. Sampled
-    /// subsets are emitted in canonical admitted order (see the [module
+    /// draws up to `quota` moves the same way from its within-radius
+    /// pool under the **current cursor mapping**: the swaps whose two
+    /// exchanged tiles (`perm[a]`, `perm[b]`) lie within the radius,
+    /// in canonical order (fully widened, every admitted pair). While
+    /// `2·quota` stays below the admitted row count, the pass counts
+    /// and ranks instead of building that pool; from there on every row
+    /// may be read anyway, and the pool is built whole. Sampled subsets
+    /// are emitted in canonical admitted order (see the [module
     /// docs](self) on plateau tie-breaking).
     ///
     /// # Panics
@@ -264,28 +318,27 @@ impl Neighborhood {
     /// to the mapping being descended from).
     pub fn pass(&mut self, ctx: &OptContext<'_>, quota: usize) -> &[Move] {
         match self.kind {
-            NeighborhoodPolicy::Exhaustive | NeighborhoodPolicy::Auto => return &self.admitted,
-            NeighborhoodPolicy::Sampled => {}
+            NeighborhoodPolicy::Exhaustive | NeighborhoodPolicy::Auto => {
+                if self.buf.is_empty() {
+                    self.buf = admitted_moves(self.rows(), self.tiles);
+                }
+            }
+            NeighborhoodPolicy::Sampled => {
+                if self.pairs.is_empty() {
+                    all_pairs(self.rows(), self.tiles, &mut self.pairs);
+                }
+                let k = quota.min(self.pairs.len());
+                shuffle_prefix(&mut self.rng, &mut self.pairs, k);
+                self.buf.clear();
+                self.buf.extend(self.pairs[..k].iter().map(|&p| unpair(p)));
+            }
             NeighborhoodPolicy::Locality => {
                 let mapping = ctx
                     .current_mapping()
                     .expect("locality pass without a cursor");
-                self.rebuild_locality_pool(mapping);
+                self.locality_draw(mapping, quota);
             }
         }
-        let k = quota.min(self.pool.len());
-        // Partial Fisher–Yates over the pool: the first `k` slots
-        // become a uniform k-subset (any starting arrangement of the
-        // pool yields a uniform subset, so the sort below does not
-        // bias the next pass).
-        for i in 0..k {
-            let j = self.rng.gen_range(i..self.pool.len());
-            self.pool.swap(i, j);
-        }
-        self.pool[..k].sort_unstable();
-        self.buf.clear();
-        self.buf
-            .extend(self.pool[..k].iter().map(|&i| self.admitted[i as usize]));
         &self.buf
     }
 
@@ -298,11 +351,12 @@ impl Neighborhood {
     /// (task-bearing) pairs. Returns `None` only when the neighbourhood
     /// is empty.
     pub fn draw(&mut self) -> Option<Move> {
-        if self.admitted.is_empty() {
+        let admitted = self.admitted_len();
+        if admitted == 0 {
             return None;
         }
-        let i = self.rng.gen_range(0..self.admitted.len());
-        Some(self.admitted[i])
+        let i = self.rng.gen_range(0..admitted) as u32;
+        Some(swap_at(&self.row_start, i))
     }
 
     /// One policy-respecting admitted move for a **population
@@ -312,60 +366,117 @@ impl Neighborhood {
     /// [`NeighborhoodPolicy::Locality`] the move is drawn uniformly
     /// from the swaps whose two exchanged tiles lie within the current
     /// radius **under `mapping`** (population strategies have no
-    /// cursor, so the caller supplies the individual being mutated),
-    /// falling back to a uniform admitted draw when no pair is that
-    /// close. Under every other policy the admitted neighbourhood *is*
-    /// the policy's move set for a single draw, so this is a uniform
-    /// admitted draw — still an upgrade over `Mapping::random_swap`,
-    /// which wastes mutations on objective-invisible free–free swaps.
-    /// Returns `None` only when the neighbourhood is empty.
+    /// cursor, so the caller supplies the individual being mutated) —
+    /// a one-move pass — falling back to a uniform admitted draw when
+    /// no pair is that close. Under every other policy the admitted
+    /// neighbourhood *is* the policy's move set for a single draw, so
+    /// this is a uniform admitted draw — still an upgrade over
+    /// `Mapping::random_swap`, which wastes mutations on
+    /// objective-invisible free–free swaps. Returns `None` only when
+    /// the neighbourhood is empty.
     pub fn draw_for(&mut self, mapping: &Mapping) -> Option<Move> {
         if self.kind != NeighborhoodPolicy::Locality {
             return self.draw();
         }
-        self.rebuild_locality_pool(mapping);
-        if self.pool.is_empty() {
-            return self.draw();
+        self.locality_draw(mapping, 1);
+        match self.buf.first() {
+            Some(&mv) => Some(mv),
+            None => self.draw(),
         }
-        let i = self.rng.gen_range(0..self.pool.len());
-        Some(self.admitted[self.pool[i] as usize])
     }
 
-    /// Rebuilds the within-radius admission pool against `mapping` —
-    /// the one definition of "within the locality radius" shared by
-    /// scan passes ([`Neighborhood::pass`], against the cursor) and
-    /// single draws ([`Neighborhood::draw_for`], against the mutated
-    /// individual): a swap qualifies when the two tiles it exchanges
-    /// (`perm[a]`, `perm[b]`) lie within the current radius. The pool
-    /// comes out as those admitted indices in ascending order.
-    fn rebuild_locality_pool(&mut self, mapping: &Mapping) {
-        let admitted = self.admitted.len();
+    /// Writes to `buf` up to `quota` moves drawn from the within-radius
+    /// pool under `mapping` — the one definition of "within the
+    /// locality radius" shared by scan passes ([`Neighborhood::pass`],
+    /// against the cursor) and single draws
+    /// ([`Neighborhood::draw_for`], against the mutated individual): a
+    /// swap qualifies when the two tiles it exchanges (`perm[a]`,
+    /// `perm[b]`) lie within the current radius. The draws are a
+    /// partial Fisher–Yates over the pool in canonical order, emitted
+    /// sorted back into that order.
+    ///
+    /// Below full radius a short pass never builds the pool:
+    /// [`count_rows`] sizes it and places each row's ranks, the shuffle
+    /// draws ranks over a rank list it then restores, and one forward
+    /// scan resolves them. Each draw reads at most two pool slots, so
+    /// once `2·quota` reaches the row count every row may be read
+    /// anyway: the pool is then built whole, its size falling out of
+    /// the fill, and nothing is counted. (On the `neighborhood_pass`
+    /// bench, counting and ranking at such quotas is up to twice as slow
+    /// as the fill at 8×8 and no faster at 16×16; filling at quota 3 is
+    /// 2–6× slower than counting.) Fully widened, every admitted pair
+    /// qualifies whatever the mapping, so the draws run over the
+    /// stream's canonical pair list, whose order each pass restores.
+    fn locality_draw(&mut self, mapping: &Mapping, quota: usize) {
+        let rows = self.rows();
+        self.buf.clear();
         if self.radius >= self.max_dist {
-            // Fully widened: every admitted pair qualifies.
-            self.pool.clear();
-            self.pool.extend(0..admitted as u32);
+            if self.pairs.is_empty() {
+                all_pairs(rows, self.tiles, &mut self.pairs);
+            }
+            let k = quota.min(self.pairs.len());
+            draw_restored(
+                &mut self.rng,
+                &mut self.pairs,
+                k,
+                &mut self.swaps,
+                &mut self.pool,
+            );
+            self.buf.extend(self.pool.iter().map(|&p| unpair(p)));
             return;
         }
-        self.slot_xy.clear();
-        self.slot_xy
-            .extend(mapping.permutation().iter().map(|t| self.tile_xy[t.0]));
-        // Walk the admitted list row by row (`a` against every later
-        // position `b`, its canonical order): every index is written,
-        // and the fill cursor advances only past the qualifying ones,
-        // so the filter has no data-dependent branch. Every slot is
-        // written before it is read, so only the length needs setting.
-        self.pool.resize(admitted, 0);
-        let (slots, pool) = (&self.slot_xy[..], &mut self.pool[..]);
-        let radius = self.radius as i32;
-        let (mut fill, mut idx) = (0, 0u32);
-        for (a, &(xa, ya)) in slots[..self.rows].iter().enumerate() {
-            for &(xb, yb) in &slots[a + 1..] {
-                pool[fill] = idx;
-                fill += usize::from((xa - xb).abs() + (ya - yb).abs() <= radius);
-                idx += 1;
+        let (perm, tile_xy) = (mapping.permutation(), &self.tile_xy);
+        self.at_x.clear();
+        self.at_x.extend(perm.iter().map(|t| tile_xy[t.0].0));
+        self.at_y.clear();
+        self.at_y.extend(perm.iter().map(|t| tile_xy[t.0].1));
+        let (xs, ys, radius) = (&self.at_x[..], &self.at_y[..], self.radius as u16);
+        if quota.saturating_mul(2) >= rows {
+            self.mask.resize(self.tiles, 0);
+            self.pool.resize(self.admitted_len(), 0);
+            let mut fill = 0;
+            for a in 0..rows {
+                let out = &mut self.pool[fill..];
+                fill += filter_row(xs, ys, a, radius, &mut self.mask, out);
             }
+            self.pool.truncate(fill);
+            let k = quota.min(fill);
+            shuffle_prefix(&mut self.rng, &mut self.pool, k);
+            self.buf.extend(self.pool[..k].iter().map(|&p| unpair(p)));
+            return;
         }
-        self.pool.truncate(fill);
+        let starts = &mut self.rank_start;
+        count_rows(xs, ys, rows, radius, starts);
+        let n = starts[rows] as usize;
+        if self.ranks.len() < n {
+            let len = self.ranks.len() as u32;
+            self.ranks.extend(len..n as u32);
+        }
+        draw_restored(
+            &mut self.rng,
+            &mut self.ranks[..n],
+            quota.min(n),
+            &mut self.swaps,
+            &mut self.pool,
+        );
+        // Ranks come out sorted, so one forward scan resolves them: it
+        // walks the rows holding them in order and, within a row, the
+        // partners up to the last one drawn, counting the within-radius
+        // ones until the count passes the rank's offset in its row.
+        let (mut a, mut b, mut seen) = (0, 1, 0);
+        for &r in &self.pool {
+            if starts[a + 1] <= r {
+                a += starts[a + 1..].partition_point(|&s| s <= r);
+                (b, seen) = (a + 1, 0);
+            }
+            let offset = r - starts[a];
+            let (xa, ya) = (xs[a], ys[a]);
+            while seen <= offset {
+                seen += u32::from(xs[b].abs_diff(xa) + ys[b].abs_diff(ya) <= radius);
+                b += 1;
+            }
+            self.buf.push(Move::Swap(a, b - 1));
+        }
     }
 
     /// Reacts to a dry scan (no improving move found) and records it on
@@ -405,6 +516,157 @@ impl Neighborhood {
     }
 }
 
+/// The canonical index space of `rows` admitted rows over `tiles`
+/// positions (see [`Neighborhood`]'s `row_start`): row `a` pairs
+/// position `a` with the `tiles − 1 − a` later ones, so it starts at
+/// `a·tiles − a(a+1)/2`.
+fn row_starts(rows: usize, tiles: usize) -> Vec<u32> {
+    (0..=rows)
+        .map(|a| (a * tiles - a * (a + 1) / 2) as u32)
+        .collect()
+}
+
+/// The move at admitted index `i`: row `a` is the last whose offset is
+/// at most `i`.
+fn swap_at(row_start: &[u32], i: u32) -> Move {
+    let a = row_start.partition_point(|&s| s <= i) - 1;
+    Move::Swap(a, a + 1 + (i - row_start[a]) as usize)
+}
+
+/// Admitted pair `(a, b)` packed into one word, `a` high: packed pairs
+/// sort in canonical order. Positions fit in 16 bits (checked at
+/// construction).
+fn pair(a: usize, b: usize) -> u32 {
+    (a << 16 | b) as u32
+}
+
+/// The move a [`pair`] packs.
+fn unpair(p: u32) -> Move {
+    Move::Swap((p >> 16) as usize, (p & 0xFFFF) as usize)
+}
+
+/// Appends every admitted pair of `rows` rows over `tiles` positions,
+/// in canonical order.
+fn all_pairs(rows: usize, tiles: usize, out: &mut Vec<u32>) {
+    for a in 0..rows {
+        out.extend((a + 1..tiles).map(|b| pair(a, b)));
+    }
+}
+
+/// Partial Fisher–Yates of `k` draws over `pool`: the first `k` slots
+/// become a uniform k-subset, sorted ascending (any starting
+/// arrangement of the pool yields a uniform subset, so the sort does
+/// not bias a persistent pool's next pass).
+fn shuffle_prefix(rng: &mut StdRng, pool: &mut [u32], k: usize) {
+    for i in 0..k {
+        let j = rng.gen_range(i..pool.len());
+        pool.swap(i, j);
+    }
+    pool[..k].sort_unstable();
+}
+
+/// [`shuffle_prefix`] over `list` that leaves `list` as it found it:
+/// the drawn k-subset goes to `out`, sorted ascending, and the swaps
+/// (recorded in `swaps`) are undone in reverse. Costs O(k) whatever the
+/// list's length.
+fn draw_restored(
+    rng: &mut StdRng,
+    list: &mut [u32],
+    k: usize,
+    swaps: &mut Vec<(u32, u32)>,
+    out: &mut Vec<u32>,
+) {
+    swaps.clear();
+    for i in 0..k {
+        let j = rng.gen_range(i..list.len());
+        list.swap(i, j);
+        swaps.push((i as u32, j as u32));
+    }
+    out.clear();
+    out.extend_from_slice(&list[..k]);
+    for &(i, j) in swaps.iter().rev() {
+        list.swap(i as usize, j as usize);
+    }
+    out.sort_unstable();
+}
+
+/// Sets `starts` to the running within-radius pair counts of `rows`
+/// rows (one entry per row plus the total): row `a` counts the
+/// positions after `a` whose tile (coordinates `xs`/`ys`) lies within
+/// `radius` of position `a`'s. Rows go four at a time, so one pass over
+/// their shared partners serves all four (pairs inside a block are
+/// counted apart). Branch-free over 16-bit lanes, so it vectorizes; a
+/// row has fewer than 2¹⁶ partners, so no count wraps.
+fn count_rows(xs: &[u16], ys: &[u16], rows: usize, radius: u16, starts: &mut Vec<u32>) {
+    let within =
+        |a: usize, b: usize| u16::from(xs[a].abs_diff(xs[b]) + ys[a].abs_diff(ys[b]) <= radius);
+    starts.clear();
+    starts.push(0);
+    let mut total = 0;
+    for a in (0..rows).step_by(4) {
+        let block = (rows - a).min(4);
+        let mut counts = [0u16; 4];
+        for (l, count) in counts[..block].iter_mut().enumerate() {
+            for m in l + 1..block {
+                *count += within(a + l, a + m);
+            }
+        }
+        let (tx, ty) = (&xs[a + block..], &ys[a + block..]);
+        if block == 4 {
+            let (x0, x1, x2, x3) = (xs[a], xs[a + 1], xs[a + 2], xs[a + 3]);
+            let (y0, y1, y2, y3) = (ys[a], ys[a + 1], ys[a + 2], ys[a + 3]);
+            let [mut c0, mut c1, mut c2, mut c3] = counts;
+            for (&x, &y) in tx.iter().zip(ty) {
+                c0 += u16::from(x.abs_diff(x0) + y.abs_diff(y0) <= radius);
+                c1 += u16::from(x.abs_diff(x1) + y.abs_diff(y1) <= radius);
+                c2 += u16::from(x.abs_diff(x2) + y.abs_diff(y2) <= radius);
+                c3 += u16::from(x.abs_diff(x3) + y.abs_diff(y3) <= radius);
+            }
+            counts = [c0, c1, c2, c3];
+        } else {
+            for (l, count) in counts[..block].iter_mut().enumerate() {
+                let (xa, ya) = (xs[a + l], ys[a + l]);
+                for (&x, &y) in tx.iter().zip(ty) {
+                    *count += u16::from(x.abs_diff(xa) + y.abs_diff(ya) <= radius);
+                }
+            }
+        }
+        for &count in &counts[..block] {
+            total += u32::from(count);
+            starts.push(total);
+        }
+    }
+}
+
+/// Writes row `a`'s within-radius pairs (see [`pair`]), ascending, to
+/// the front of `out`, and returns how many. A vectorizable pass marks
+/// the partners in `mask`; the compaction then writes every candidate
+/// and advances the fill cursor only past the marked ones, so neither
+/// has a data-dependent branch. `mask` and `out` must hold the whole
+/// row. (One loop that tests and writes each pair, with no mask, runs
+/// about half as fast on the `neighborhood_pass` bench; marking into
+/// `out` and compacting in place, about 1.3× slower.)
+fn filter_row(
+    xs: &[u16],
+    ys: &[u16],
+    a: usize,
+    radius: u16,
+    mask: &mut [u8],
+    out: &mut [u32],
+) -> usize {
+    let (xa, ya) = (xs[a], ys[a]);
+    let mask = &mut mask[a + 1..xs.len()];
+    for ((m, &x), &y) in mask.iter_mut().zip(&xs[a + 1..]).zip(&ys[a + 1..]) {
+        *m = u8::from(x.abs_diff(xa) + y.abs_diff(ya) <= radius);
+    }
+    let mut fill = 0;
+    for (b, &m) in (a + 1..).zip(&*mask) {
+        out[fill] = pair(a, b);
+        fill += usize::from(m);
+    }
+    fill
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +681,102 @@ mod tests {
             .all(|&Move::Swap(a, b)| a < 3 && a < b && b < 5));
         // 3 task rows against all later positions: 4 + 3 + 2.
         assert_eq!(moves.len(), 9);
+    }
+
+    #[test]
+    fn index_space_decodes_to_the_admitted_list() {
+        // Fewer tasks than tiles, full grids (past 64 and 255 tiles)
+        // and more tasks than tiles (clamped to the tile count): every
+        // index decodes to the oracle's move at that index, and the
+        // packed pairs unpack to the oracle in order.
+        for (tasks, tiles) in [
+            (3, 5),
+            (8, 36),
+            (9, 9),
+            (64, 64),
+            (144, 144),
+            (256, 256),
+            (12, 7),
+        ] {
+            let oracle = admitted_moves(tasks, tiles);
+            let row_start = row_starts(tasks.min(tiles), tiles);
+            assert_eq!(row_start[row_start.len() - 1] as usize, oracle.len());
+            for (i, &mv) in oracle.iter().enumerate() {
+                assert_eq!(
+                    swap_at(&row_start, i as u32),
+                    mv,
+                    "{tasks} on {tiles}: index {i}"
+                );
+            }
+            let mut pairs = Vec::new();
+            all_pairs(tasks.min(tiles), tiles, &mut pairs);
+            let moves: Vec<Move> = pairs.iter().map(|&p| unpair(p)).collect();
+            assert_eq!(moves, oracle, "{tasks} tasks on {tiles} tiles");
+            assert!(
+                pairs.windows(2).all(|w| w[0] < w[1]),
+                "pairs sort canonically"
+            );
+        }
+        // A 9-ring's streams: the exhaustive pass is the oracle, and a
+        // sampled pass covering every pair unpacks to it too.
+        let p = phonoc_core::MappingProblem::new(
+            phonoc_apps::synthetic::pipeline(7),
+            phonoc_topo::Topology::ring(9, phonoc_phys::Length::from_mm(2.5)),
+            phonoc_router::crux::crux_router(),
+            Box::new(phonoc_route::RingRouting),
+            phonoc_phys::PhysicalParameters::default(),
+            phonoc_core::Objective::MaximizeWorstCaseSnr,
+        )
+        .unwrap();
+        let ctx = OptContext::new(&p, 10, 0);
+        let oracle = admitted_moves(7, 9);
+        let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Exhaustive, 1);
+        assert_eq!(n.pass(&ctx, 1), &oracle[..]);
+        assert_eq!(n.admitted_len(), oracle.len());
+        let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Sampled, 1);
+        assert_eq!(n.pass(&ctx, usize::MAX), &oracle[..]);
+    }
+
+    #[test]
+    fn restored_draws_replay_the_shuffle_and_keep_the_list() {
+        // Quotas up to the whole list, so later draws often land on
+        // slots an earlier swap already moved; the list drawn from must
+        // come back in order for the next pass.
+        for n in [1usize, 2, 7, 50, 300] {
+            for k in [1, 3, n / 2, n - 1, n].into_iter().filter(|&k| k <= n) {
+                for seed in 0..40 {
+                    let (mut dense_rng, mut rng) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let mut dense: Vec<u32> = (0..n as u32).collect();
+                    shuffle_prefix(&mut dense_rng, &mut dense, k);
+                    let mut list: Vec<u32> = (0..n as u32).collect();
+                    let (mut swaps, mut out) = (Vec::new(), Vec::new());
+                    draw_restored(&mut rng, &mut list, k, &mut swaps, &mut out);
+                    assert_eq!(out, dense[..k], "n {n} k {k} seed {seed}");
+                    assert!(list.iter().copied().eq(0..n as u32), "list restored");
+                    let next = |rng: &mut StdRng| rng.gen_range(0..=u64::MAX);
+                    assert_eq!(next(&mut rng), next(&mut dense_rng), "same draws");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draw_decodes_every_index_in_its_row() {
+        // `draw` finds an index's row by searching the offsets; every
+        // drawn move must be admitted, and on a small space every
+        // admitted move must turn up.
+        let p = tiny_problem();
+        let ctx = OptContext::new(&p, 10, 0);
+        let admitted = admitted_moves(p.task_count(), p.tile_count());
+        let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Sampled, 5);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..4_000 {
+            let mv = n.draw().unwrap();
+            assert!(admitted.contains(&mv), "{mv:?}");
+            seen.insert(mv);
+        }
+        assert_eq!(seen.len(), admitted.len());
     }
 
     #[test]

@@ -312,26 +312,33 @@ fn oracle_pass(rng: &mut StdRng, pool: &[usize], admitted: &[Move], quota: usize
     pool[..k].iter().map(|&i| admitted[i]).collect()
 }
 
+/// A fully occupied `mesh × mesh` mpeg-like cell.
+fn full_mesh(mesh: usize) -> MappingProblem {
+    problem_on(
+        phonoc_apps::scenario::ScenarioSpec {
+            family: phonoc_apps::scenario::ScenarioFamily::MpegLike,
+            mesh,
+            density_pct: 100,
+            seed: 1,
+        }
+        .build(),
+        Topology::mesh(mesh, mesh, Length::from_mm(2.5)),
+        Box::new(XyRouting),
+    )
+}
+
 #[test]
 fn locality_passes_replay_the_filtered_pool_oracle() {
-    // Full occupancy on 8×8, a sparse mesh, a non-square mesh, a torus
-    // (the distance ignores wrap links) and a ring (an n×1 grid).
+    // Full occupancy on 8×8, 12×12 and 16×16 (more positions than one
+    // 64-bit word holds, and rows of up to 255 partners), a sparse
+    // mesh, a non-square mesh, a torus (the distance ignores wrap
+    // links) and a ring (an n×1 grid). Fewer mappings on the large
+    // meshes keep the oracle's O(pairs) replays cheap.
     let cases = [
-        (
-            "mesh 8x8",
-            problem_on(
-                phonoc_apps::scenario::ScenarioSpec {
-                    family: phonoc_apps::scenario::ScenarioFamily::MpegLike,
-                    mesh: 8,
-                    density_pct: 100,
-                    seed: 1,
-                }
-                .build(),
-                Topology::mesh(8, 8, Length::from_mm(2.5)),
-                Box::new(XyRouting),
-            ),
-        ),
-        ("sparse mesh 6x6", sparse_problem()),
+        ("mesh 8x8", full_mesh(8), 16),
+        ("mesh 12x12", full_mesh(12), 3),
+        ("mesh 16x16", full_mesh(16), 2),
+        ("sparse mesh 6x6", sparse_problem(), 16),
         (
             "mesh 5x3",
             problem_on(
@@ -339,6 +346,7 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
                 Topology::mesh(5, 3, Length::from_mm(2.5)),
                 Box::new(XyRouting),
             ),
+            16,
         ),
         (
             "torus 4x4",
@@ -347,6 +355,7 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
                 Topology::torus(4, 4, Length::from_mm(2.5)),
                 Box::new(XyRouting),
             ),
+            16,
         ),
         (
             "ring 9",
@@ -355,12 +364,13 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
                 Topology::ring(9, Length::from_mm(2.5)),
                 Box::new(RingRouting),
             ),
+            16,
         ),
     ];
-    for (name, p) in &cases {
+    for (name, p, mappings) in &cases {
         let (tasks, tiles) = (p.task_count(), p.tile_count());
         let admitted = admitted_moves(tasks, tiles);
-        for m in 0..16u64 {
+        for m in 0..*mappings {
             let mut ctx = ctx_with_cursor(p, 100 + m);
             let perm = ctx
                 .current_mapping()
@@ -392,8 +402,18 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
                     "{name} r={radius}: full pass"
                 );
                 // A partial pass replays the draws over the pool in its
-                // canonical order, which pins that order.
-                for quota in [1, pool.len() / 3, pool.len().saturating_sub(1)] {
+                // canonical order, which pins that order: short quotas
+                // (the portfolio's lane rounds draw ~3), the MIN_SCAN
+                // floor, large ones and one at or past the pool size.
+                for quota in [
+                    1,
+                    3,
+                    32,
+                    pool.len() / 3,
+                    pool.len().saturating_sub(1),
+                    pool.len(),
+                    pool.len() + 1,
+                ] {
                     let want = oracle_pass(&mut rng, &pool, &admitted, quota);
                     assert_eq!(
                         n.pass(&ctx, quota),
