@@ -13,7 +13,8 @@ use phonoc_core::{
     DeltaScratch, DseConfig, EvalScratch, Mapping, MappingProblem, Objective, OptContext,
     PeekStrategy,
 };
-use phonoc_phys::PhysicalParameters;
+use phonoc_opt::Rpbla;
+use phonoc_phys::{Db, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
 use phonoc_topo::{Topology, TopologyKind};
@@ -381,6 +382,63 @@ fn loss_seat_vs_full_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// The bounded full pass ([`phonoc_core::Evaluator::evaluate_bounded`])
+/// against the exact one on the two candidate sets that reach it:
+///
+///  * `random_*` — uniform random placements at random search's
+///    threshold, the best worst-case SNR of 256 earlier draws;
+///  * `neighbours_*` — one-swap neighbours of an R-PBLA optimum at the
+///    optimum's own worst-case SNR, the threshold of an improving scan
+///    around a converged cursor.
+///
+/// `*_exact` runs `evaluate_into` on the same mappings.
+fn full_pass_bounded(c: &mut Criterion) {
+    let mut group = c.benchmark_group("full_pass_bounded");
+    for (name, app) in [("vopd_4x4", "VOPD"), ("dvopd_6x6", "DVOPD")] {
+        let problem = paper_problem(app, TopologyKind::Mesh, Objective::MaximizeWorstCaseSnr);
+        let evaluator = problem.evaluator();
+        let (tasks, tiles) = (problem.task_count(), problem.tile_count());
+        let mut rng = StdRng::seed_from_u64(11);
+        let worst_snr = |m: &Mapping| evaluator.evaluate(m).worst_case_snr.0;
+        let incumbent = (0..256)
+            .map(|_| worst_snr(&Mapping::random(tasks, tiles, &mut rng)))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let random: Vec<Mapping> = (0..64)
+            .map(|_| Mapping::random(tasks, tiles, &mut rng))
+            .collect();
+        let optimum =
+            phonoc_core::run_dse(&problem, &Rpbla, &DseConfig::new(4_000, 1)).best_mapping;
+        let cursor = worst_snr(&optimum);
+        let neighbours: Vec<Mapping> = (0..64)
+            .map(|_| optimum.with_move(optimum.random_swap_move(&mut rng)))
+            .collect();
+        for (set, mappings, threshold) in [
+            ("random", &random, Db(incumbent)),
+            ("neighbours", &neighbours, Db(cursor)),
+        ] {
+            group.bench_function(&format!("{name}_{set}_exact"), |b| {
+                let mut scratch = EvalScratch::default();
+                let mut i = 0usize;
+                b.iter(|| {
+                    let m = &mappings[i % mappings.len()];
+                    i += 1;
+                    black_box(evaluator.evaluate_into(m, None, &mut scratch))
+                });
+            });
+            group.bench_function(&format!("{name}_{set}_bounded"), |b| {
+                let mut scratch = EvalScratch::default();
+                let mut i = 0usize;
+                b.iter(|| {
+                    let m = &mappings[i % mappings.len()];
+                    i += 1;
+                    black_box(evaluator.evaluate_bounded(m, threshold, &mut scratch))
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     evaluator_throughput,
@@ -389,6 +447,7 @@ criterion_group!(
     full_alloc_vs_scratch,
     snr_peek_bound_vs_exact,
     snr_commit,
-    loss_seat_vs_full_state
+    loss_seat_vs_full_state,
+    full_pass_bounded
 );
 criterion_main!(benches);

@@ -60,9 +60,13 @@
 //!   that cannot beat the cursor come back
 //!   [`PeekRoute::BoundedRejected`] with their admissible upper bound as
 //!   the score (cheap), candidates that might improve are scored
-//!   exactly and come back [`PeekRoute::BoundedVerified`]. Greedy
-//!   selection over an improving scan is identical to one over exact
-//!   peeks (property-tested).
+//!   exactly and come back [`PeekRoute::BoundedVerified`]. An SNR
+//!   peek the cursor routes to the full pass stays [`PeekRoute::Full`]
+//!   and is billed as one, but its pass stops once the move proves it
+//!   cannot beat the cursor ([`crate::Evaluator::evaluate_bounded`]);
+//!   such a peek carries the threshold's score as its bound and is not
+//!   [`MoveEval::is_exact`]. Greedy selection over an improving scan is
+//!   identical to one over exact peeks (property-tested).
 //!
 //! Every route is bit-identical for every objective in its family
 //! (`tests/hybrid_properties.rs` pins all four objectives under all
@@ -72,7 +76,7 @@
 //! depending only on the [`Objective`] the context carries.
 //!
 //! Only exact peeks can be committed; [`OptContext::apply_scored_move`]
-//! rejects a bound-rejected one.
+//! rejects a bound.
 //!
 //! # One entry point
 //!
@@ -109,7 +113,7 @@
 //!
 //! All four peek entry points score through one per-move scorer and
 //! book through one routine: the sequential peeks on the context's own
-//! scratches, the batch scans on each worker's sticky scratch pair. A
+//! scratch, the batch scans on each worker's sticky one. A
 //! sequential peek is therefore indistinguishable from a one-element
 //! batch — same [`MoveEval`], ledger, counters and trace events
 //! (property-tested in `tests/hybrid_properties.rs`).
@@ -323,13 +327,17 @@ impl fmt::Display for NeighborhoodPolicy {
 /// It carries the [`PeekRoute`] the scorer took, decided once per peek:
 /// the ledger, the route counters in [`RunStats`] and the
 /// [`TraceEvent::PeekRouted`] event all read that one tag. A
-/// [`PeekRoute::BoundedRejected`] peek carries only its admissible upper
-/// bound (the exact score was never derived) and cannot be committed.
+/// [`PeekRoute::BoundedRejected`] peek, and a [`PeekRoute::Full`] peek
+/// of an improving scan whose full pass stopped early, carry only an
+/// admissible upper bound (the exact score was never derived) and
+/// cannot be committed ([`MoveEval::is_exact`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoveEval {
     mv: Move,
     score: f64,
     route: PeekRoute,
+    /// Whether `score` is the exact score rather than a bound.
+    exact: bool,
 }
 
 impl MoveEval {
@@ -339,21 +347,26 @@ impl MoveEval {
         self.mv
     }
 
-    /// The objective score (higher = better). For exact routes this is
+    /// The objective score (higher = better). For an exact peek this is
     /// bit-identical to a full evaluation of the moved mapping; for a
-    /// bound-rejected peek it is the admissible *upper bound* —
-    /// comparisons against an incumbent the bound was tested at remain
-    /// sound, since the true score is no larger.
+    /// bound — a bound-rejected peek, or a full-routed improving peek
+    /// whose pass stopped once the move could not beat the cursor — it
+    /// is the admissible *upper bound*: comparisons against an
+    /// incumbent the bound was tested at remain sound, since the true
+    /// score is no larger.
     #[must_use]
     pub fn score(&self) -> f64 {
         self.score
     }
 
-    /// Whether an exact score was computed (committable): every route
-    /// but [`PeekRoute::BoundedRejected`].
+    /// Whether an exact score was computed (committable): every peek
+    /// but a [`PeekRoute::BoundedRejected`] one and a
+    /// [`PeekRoute::Full`] one of an improving scan that proved the move
+    /// cannot beat the cursor. Optimizers tell bounds from scores by
+    /// this, never by the route.
     #[must_use]
     pub fn is_exact(&self) -> bool {
-        self.route != PeekRoute::BoundedRejected
+        self.exact
     }
 
     /// The route the scorer took for this peek.
@@ -442,7 +455,11 @@ impl Cursor {
             PeekStrategy::Full => true,
         };
         if full {
-            Scoring::Full
+            Scoring::Full(if improving {
+                objective.threshold_for_score(self.score)
+            } else {
+                Db(f64::NEG_INFINITY)
+            })
         } else if improving {
             Scoring::SnrBounded(objective.threshold_for_score(self.score))
         } else {
@@ -455,8 +472,10 @@ impl Cursor {
 /// threshold rides along for the bound-then-verify variants).
 #[derive(Debug, Clone, Copy)]
 enum Scoring {
-    /// Full scratch re-evaluation of the moved mapping.
-    Full,
+    /// Full scratch re-evaluation of the moved mapping, stopped once it
+    /// proves the worst-case SNR `≤` the threshold (`-∞`, which never
+    /// stops, for exact peeks).
+    Full(Db),
     /// Exact SNR delta.
     Snr,
     /// Bound-then-verify SNR peek against the threshold.
@@ -467,10 +486,30 @@ enum Scoring {
     LossBounded(Db),
 }
 
+/// The buffers one peek scores on. The sequential peeks use the
+/// context's own; the batch scans each worker's sticky set.
+struct PeekScratch {
+    full: EvalScratch,
+    /// The moved mapping a full-routed peek scores, rewritten in place
+    /// per peek.
+    moved: Mapping,
+    delta: DeltaScratch,
+}
+
+impl Default for PeekScratch {
+    fn default() -> PeekScratch {
+        PeekScratch {
+            full: EvalScratch::default(),
+            moved: Mapping::identity(0, 0),
+            delta: DeltaScratch::default(),
+        }
+    }
+}
+
 /// The one per-move scorer behind all four peek entry points: what a
 /// peek reads (never writes) about the cursor, plus how to score. The
-/// sequential peeks run it on the context's own scratches, the batch
-/// scans on each worker's sticky pair.
+/// sequential peeks run it on the context's own scratch, the batch
+/// scans on each worker's sticky one.
 struct Scorer<'a> {
     evaluator: &'a Evaluator,
     objective: Objective,
@@ -485,59 +524,70 @@ impl Scorer<'_> {
     /// Scores `mv`, returning the evaluation — tagged with the route
     /// taken — and the evaluator work it cost in budget units (before
     /// the one-unit floor).
-    fn score(
-        &self,
-        mv: Move,
-        full: &mut EvalScratch,
-        delta: &mut DeltaScratch,
-    ) -> (MoveEval, usize) {
+    fn score(&self, mv: Move, scratch: &mut PeekScratch) -> (MoveEval, usize) {
         let (evaluator, objective) = (self.evaluator, self.objective);
         let (state, mapping) = (self.state, self.mapping);
-        let (score, route, cost) = match self.scoring {
-            Scoring::Full => {
-                let summary = evaluator.evaluate_into(&mapping.with_move(mv), None, full);
-                let score =
-                    objective.score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
-                (score, PeekRoute::Full, self.unit)
+        let delta = &mut scratch.delta;
+        let (score, route, cost, exact) = match self.scoring {
+            Scoring::Full(threshold) => {
+                let moved = &mut scratch.moved;
+                moved.clone_from(mapping);
+                moved.apply_move(mv);
+                match evaluator.evaluate_bounded(moved, threshold, &mut scratch.full) {
+                    Some(s) => {
+                        let score = objective.score_worst_cases(s.worst_case_il, s.worst_case_snr);
+                        (score, PeekRoute::Full, self.unit, true)
+                    }
+                    None => {
+                        let bound = objective.score_worst_snr(threshold);
+                        (bound, PeekRoute::Full, self.unit, false)
+                    }
+                }
             }
             Scoring::Snr => {
                 let d = evaluator.evaluate_delta_with(state, mapping, mv, delta);
                 let score = objective.score_worst_snr(d.new_worst_snr);
-                (score, PeekRoute::Delta, d.affected_edges)
+                (score, PeekRoute::Delta, d.affected_edges, true)
             }
             Scoring::SnrBounded(threshold) => {
                 match evaluator.evaluate_delta_bounded(state, mapping, mv, delta, threshold) {
                     BoundedDelta::Rejected { bound, cost } => {
                         let bound = objective.score_worst_snr(bound);
-                        (bound, PeekRoute::BoundedRejected, cost)
+                        (bound, PeekRoute::BoundedRejected, cost, false)
                     }
                     BoundedDelta::Exact(d) => {
                         let score = objective.score_worst_snr(d.new_worst_snr);
-                        (score, PeekRoute::BoundedVerified, d.affected_edges)
+                        (score, PeekRoute::BoundedVerified, d.affected_edges, true)
                     }
                 }
             }
             Scoring::Loss => {
                 let (il, moved) = evaluator.evaluate_delta_loss(state, mapping, mv, delta);
-                (objective.score_worst_il(il), PeekRoute::Loss, moved)
+                (objective.score_worst_il(il), PeekRoute::Loss, moved, true)
             }
             Scoring::LossBounded(threshold) => {
                 match evaluator.evaluate_delta_loss_bounded(state, mapping, mv, delta, threshold) {
                     BoundedLossDelta::Rejected { bound, cost } => {
                         let bound = objective.score_worst_il(bound);
-                        (bound, PeekRoute::BoundedRejected, cost)
+                        (bound, PeekRoute::BoundedRejected, cost, false)
                     }
                     BoundedLossDelta::Exact {
                         new_worst_il,
                         moved_edges,
                     } => {
                         let score = objective.score_worst_il(new_worst_il);
-                        (score, PeekRoute::BoundedVerified, moved_edges)
+                        (score, PeekRoute::BoundedVerified, moved_edges, true)
                     }
                 }
             }
         };
-        (MoveEval { mv, score, route }, cost)
+        let ev = MoveEval {
+            mv,
+            score,
+            route,
+            exact,
+        };
+        (ev, cost)
     }
 }
 
@@ -575,13 +625,11 @@ pub struct OptContext<'p> {
     /// Where trace events go — [`NullSink`] (disabled) unless a
     /// recorder was installed with [`OptContext::set_trace_sink`].
     sink: Box<dyn TraceSink>,
-    /// Reused buffers for full evaluations: after warm-up,
-    /// [`OptContext::evaluate`] performs no heap allocation.
-    full_scratch: EvalScratch,
-    /// Reused buffers for the sequential delta peeks and commits; they
-    /// outlive cursors, so the next [`OptContext::set_current`] starts
-    /// warm.
-    delta_scratch: DeltaScratch,
+    /// Reused buffers for full evaluations, the sequential peeks and
+    /// commits: after warm-up, [`OptContext::evaluate`] and the peeks
+    /// perform no heap allocation. They outlive cursors, so the next
+    /// [`OptContext::set_current`] starts warm.
+    scratch: PeekScratch,
 }
 
 impl fmt::Debug for OptContext<'_> {
@@ -615,8 +663,7 @@ impl<'p> OptContext<'p> {
             seed_start: None,
             stats: RunStats::default(),
             sink: Box::new(NullSink),
-            full_scratch: EvalScratch::default(),
-            delta_scratch: DeltaScratch::default(),
+            scratch: PeekScratch::default(),
         }
     }
 
@@ -883,7 +930,7 @@ impl<'p> OptContext<'p> {
         let summary = self
             .problem
             .evaluator()
-            .evaluate_into(mapping, None, &mut self.full_scratch);
+            .evaluate_into(mapping, None, &mut self.scratch.full);
         let score = self
             .objective
             .score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
@@ -899,22 +946,58 @@ impl<'p> OptContext<'p> {
     /// outcome is identical to a sequential [`OptContext::evaluate`]
     /// loop.
     pub fn evaluate_batch(&mut self, mappings: &[Mapping]) -> Vec<f64> {
+        self.score_batch(mappings, Db(f64::NEG_INFINITY))
+            .into_iter()
+            .map(|score| score.expect("a -∞ threshold never rejects"))
+            .collect()
+    }
+
+    /// Like [`OptContext::evaluate_batch`], but only scores exactly the
+    /// mappings that can beat the incumbent held at the call: under an
+    /// SNR-based objective each full pass stops once it proves the
+    /// mapping's worst-case SNR no better than the incumbent's
+    /// ([`Evaluator::evaluate_bounded`]), and that mapping comes back
+    /// `None`. Every evaluated mapping is billed and counted as one
+    /// full evaluation either way, and the incumbent ends where the
+    /// exact batch would leave it, since a rejected mapping could not
+    /// have entered it. Without an incumbent, or under a loss-based
+    /// objective, every mapping is scored exactly. Random search's
+    /// entry point: it keeps nothing but the best.
+    pub fn evaluate_batch_improving(&mut self, mappings: &[Mapping]) -> Vec<Option<f64>> {
+        let threshold = match &self.best {
+            Some((_, score)) if !self.objective.is_loss_based() => {
+                self.objective.threshold_for_score(*score)
+            }
+            _ => Db(f64::NEG_INFINITY),
+        };
+        self.score_batch(mappings, threshold)
+    }
+
+    /// The batch both entry points share: the admitted prefix through
+    /// the bounded full pass at `threshold` in one order-preserving
+    /// parallel pass, then billing and incumbent tracking in input
+    /// order.
+    fn score_batch(&mut self, mappings: &[Mapping], threshold: Db) -> Vec<Option<f64>> {
         let admit = self.remaining().min(mappings.len());
         if admit == 0 {
             return Vec::new();
         }
-        let summaries = self
-            .problem
-            .evaluator()
-            .evaluate_summaries_batch(&mappings[..admit]);
+        let evaluator = self.problem.evaluator();
+        let summaries =
+            parallel::parallel_map_with(&mappings[..admit], EvalScratch::default, |scratch, m| {
+                evaluator.evaluate_bounded(m, threshold, scratch)
+            });
         let objective = self.objective;
         let mut scores = Vec::with_capacity(admit);
-        for (mapping, s) in mappings.iter().zip(summaries) {
+        for (mapping, summary) in mappings.iter().zip(summaries) {
             self.charge(self.unit);
             self.stats.full_evaluations += 1;
             self.stats.full_direct += 1;
-            let score = objective.score_worst_cases(s.worst_case_il, s.worst_case_snr);
-            self.record(mapping, score);
+            let score =
+                summary.map(|s| objective.score_worst_cases(s.worst_case_il, s.worst_case_snr));
+            if let Some(score) = score {
+                self.record(mapping, score);
+            }
             scores.push(score);
         }
         scores
@@ -1062,11 +1145,14 @@ impl<'p> OptContext<'p> {
     /// beat the cursor are scored exactly, bit-identical to
     /// [`OptContext::peek_move`]. Under the plain loss objective the
     /// fast path is already cheap and exact, so this is identical to
-    /// `peek_move`. When the cursor's route is the full pass, every
-    /// move comes back exact on [`PeekRoute::Full`], improving or
-    /// not — which never changes what a greedy scan selects, since
-    /// exact scores and bounds order identically around the cursor
-    /// threshold.
+    /// `peek_move`. When an SNR cursor's route is the full pass, every
+    /// move comes back on [`PeekRoute::Full`], billed `edge_count`
+    /// units, and the pass stops once it proves the move cannot beat
+    /// the cursor ([`crate::Evaluator::evaluate_bounded`] at the same
+    /// threshold); such a peek carries the threshold's score as its
+    /// bound and is not [`MoveEval::is_exact`]. None of this changes
+    /// what a greedy scan selects, since exact scores and bounds order
+    /// identically around the cursor threshold.
     ///
     /// Greedy strategies (steepest or first improvement against the
     /// cursor) select exactly the same moves as with exact peeks.
@@ -1094,11 +1180,11 @@ impl<'p> OptContext<'p> {
 
     /// Batch variant of [`OptContext::peek_move_improving`]: every move
     /// is tested against the cursor score at the time of the call.
-    /// Improving moves come back exact, non-improving ones
-    /// [`PeekRoute::BoundedRejected`] — unless the cursor's route is the
-    /// full pass, which always yields exact [`PeekRoute::Full`] peeks.
-    /// Either way the selection a greedy step makes over the result is
-    /// identical to one over [`OptContext::peek_moves`].
+    /// Improving moves come back exact, non-improving ones as bounds:
+    /// [`PeekRoute::BoundedRejected`], or [`PeekRoute::Full`] when the
+    /// cursor's route is the full pass. Either way the selection a
+    /// greedy step makes over the result is identical to one over
+    /// [`OptContext::peek_moves`].
     ///
     /// # Panics
     ///
@@ -1108,7 +1194,7 @@ impl<'p> OptContext<'p> {
     }
 
     /// The sequential peeks: the shared scorer on the context's own
-    /// scratches (no pool dispatch, no result vector), then the shared
+    /// scratch (no pool dispatch, no result vector), then the shared
     /// booking.
     fn peek_one(&mut self, mv: Move, improving: bool) -> Option<MoveEval> {
         if self.exhausted() {
@@ -1125,13 +1211,13 @@ impl<'p> OptContext<'p> {
                 improving,
                 self.unit,
             );
-        let (ev, cost) = scorer.score(mv, &mut self.full_scratch, &mut self.delta_scratch);
+        let (ev, cost) = scorer.score(mv, &mut self.scratch);
         Some(self.book_peek(ev, cost))
     }
 
     /// The batch scans: the shared scorer over `moves` in one
     /// order-preserving parallel pass (each worker's sticky scratch slot
-    /// holds a full/delta scratch pair, built once per worker lifetime),
+    /// holds a peek scratch, built once per worker lifetime),
     /// then the shared booking in input order until the budget runs
     /// out.
     fn peek_batch(&mut self, moves: &[Move], improving: bool) -> Vec<MoveEval> {
@@ -1149,11 +1235,9 @@ impl<'p> OptContext<'p> {
                 improving,
                 self.unit,
             );
-        let scored = parallel::parallel_map_with(
-            moves,
-            || (EvalScratch::default(), DeltaScratch::default()),
-            |(full, delta), &mv| scorer.score(mv, full, delta),
-        );
+        let scored = parallel::parallel_map_with(moves, PeekScratch::default, |scratch, &mv| {
+            scorer.score(mv, scratch)
+        });
         let mut out = Vec::with_capacity(scored.len());
         for (ev, cost) in scored {
             if self.exhausted() {
@@ -1227,9 +1311,9 @@ impl<'p> OptContext<'p> {
         let evaluator = self.problem.evaluator();
         let (state, mapping) = (&mut cursor.state, &mut cursor.mapping);
         if self.objective.is_loss_based() {
-            evaluator.apply_loss_move(state, mapping, ev.mv(), &mut self.delta_scratch);
+            evaluator.apply_loss_move(state, mapping, ev.mv(), &mut self.scratch.delta);
         } else {
-            evaluator.apply_move(state, mapping, ev.mv(), &mut self.delta_scratch);
+            evaluator.apply_move(state, mapping, ev.mv(), &mut self.scratch.delta);
         }
         let score = Cursor::state_score(self.objective, &cursor.state);
         debug_assert_eq!(

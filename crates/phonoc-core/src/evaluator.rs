@@ -62,6 +62,36 @@
 //! Table II. Communications sharing only a destination still count,
 //! since different sources can transmit concurrently.
 //!
+//! # Bounded full evaluation
+//!
+//! Random search keeps a mapping only if it beats the incumbent, and
+//! an improving peek only needs the exact score of a move that beats
+//! the cursor. [`Evaluator::evaluate_bounded`] runs the same pass with
+//! a worst-SNR threshold `t` and gives up as soon as the mapping
+//! provably cannot beat it:
+//!
+//! * once per threshold it derives the largest gain/noise ratio `r` whose
+//!   clamped SNR `(10·log10(r)).min(ceiling)` is `≤ t`, checking
+//!   candidates directly instead of trusting the `10^(t/10)` round
+//!   trip (the way [`Objective::threshold_for_score`] derives its
+//!   threshold);
+//! * after each victim update the accumulation tests that edge's
+//!   `gain / noise ≤ r` and stops on the first hit.
+//!
+//! The stop is sound because an edge's partial noise is a prefix of
+//! the very left-to-right sum the full pass completes, and every term
+//! is non-negative: FP addition is monotone, so the final noise is
+//! `≥` the partial one, the final ratio `≤ r`, and (`log10` being
+//! monotone) the worst-case SNR `≤ t`. A mapping that is never stopped
+//! ran the unchanged pass, so its result is bit-identical to
+//! [`Evaluator::evaluate_into`]. Because `r` is the *largest* such
+//! ratio, the test fires exactly when the worst-case SNR is `≤ t`
+//! (once the worst edge's last update lands), for every mapping with
+//! at least one noisy edge. `evaluate_into` and the cursor seat run
+//! the kernel at `t = -∞`, where inlining folds the test away.
+//!
+//! [`Objective::threshold_for_score`]: crate::Objective::threshold_for_score
+//!
 //! # Reuse across problems: incremental mutation
 //!
 //! The precomputed tables split along what they depend on. The
@@ -175,6 +205,10 @@ pub struct EvalScratch {
     /// The evaluator's SNR ceiling, latched per call so per-edge SNRs
     /// can be derived lazily.
     ceiling: f64,
+    /// `(threshold, ceiling, ratio cutoff)` of the last bounded pass: a
+    /// scan tests all its candidates against one threshold, so the
+    /// cutoff is derived once per scan, not once per pass.
+    cutoff: Option<(f64, f64, f64)>,
     worst_il: f64,
     worst_snr: f64,
     /// Edge count of the last evaluation.
@@ -713,22 +747,99 @@ impl Evaluator {
         active: Option<&[bool]>,
         scratch: &mut EvalScratch,
     ) -> EvalSummary {
-        self.full_pass(mapping, active, scratch, |_, _| {})
+        match self.full_pass(mapping, active, scratch, f64::NEG_INFINITY, |_, _| {}) {
+            Some(summary) => summary,
+            None => unreachable!("a -∞ threshold never rejects"),
+        }
     }
 
-    /// The one full pass, behind [`Evaluator::evaluate_into`] and the
-    /// SNR cursor seat ([`Evaluator::init_state`]): fills `scratch` and
-    /// hands each accumulation it computes to `on_acc(victim, acc)`
-    /// (the victims it skips accumulate an exact `+0.0`). Inlined, so
-    /// `evaluate_into`'s no-op callback compiles away.
+    /// The bounded full evaluation: [`Evaluator::evaluate_into`] (all
+    /// communications active) that stops as soon as the mapping's
+    /// worst-case SNR is proven `≤ threshold`, returning `None`. Search
+    /// scans that only keep a mapping if it beats a known score — the
+    /// incumbent of random search, the cursor of an improving peek —
+    /// skip the rest of the pass on every candidate that cannot win.
+    ///
+    /// A mapping that is not rejected gets the result `evaluate_into`
+    /// gives it, bit for bit, and `scratch` holds its full pass; after a
+    /// rejection `scratch` holds a partial pass. At `threshold = -∞` it
+    /// never rejects (see the [module docs](self#bounded-full-evaluation)
+    /// for why a rejection is sound).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
+    pub fn evaluate_bounded(
+        &self,
+        mapping: &Mapping,
+        threshold: Db,
+        scratch: &mut EvalScratch,
+    ) -> Option<EvalSummary> {
+        if threshold.0 == f64::NEG_INFINITY {
+            return Some(self.evaluate_into(mapping, None, scratch));
+        }
+        let summary = self.full_pass(mapping, None, scratch, threshold.0, |_, _| {});
+        debug_assert!(
+            summary.is_some()
+                || self.evaluate_into(mapping, None, scratch).worst_case_snr <= threshold,
+            "bounded full pass rejected a mapping whose worst-case SNR beats {threshold}"
+        );
+        summary
+    }
+
+    /// The largest gain/noise ratio `r` whose clamped SNR
+    /// `(10·log10(r)).min(ceiling)` is `≤ threshold`, found by checking
+    /// candidates directly rather than trusting the `10^(t/10)` round
+    /// trip (`+∞` once the threshold reaches the ceiling, where every
+    /// SNR qualifies). `threshold` must be finite or `+∞`. The
+    /// derivation (a `powf` and a few `log10`s, ~170 ns on the 2-core
+    /// dev host) is a sizeable share of a small grid's pass, so the
+    /// last result is kept on `scratch`.
+    fn ratio_cutoff(&self, threshold: f64, scratch: &mut EvalScratch) -> f64 {
+        let ceiling = self.snr_ceiling.0;
+        if let Some((t, c, r)) = scratch.cutoff {
+            if t == threshold && c == ceiling {
+                return r;
+            }
+        }
+        let snr = |r: f64| (10.0 * r.log10()).min(ceiling);
+        let mut r = f64::INFINITY;
+        if threshold < ceiling {
+            r = 10f64.powf(threshold / 10.0);
+            while snr(r.next_up()) <= threshold {
+                r = r.next_up();
+            }
+            while snr(r) > threshold {
+                r = r.next_down();
+            }
+        }
+        scratch.cutoff = Some((threshold, ceiling, r));
+        r
+    }
+
+    /// The one full pass, behind [`Evaluator::evaluate_into`],
+    /// [`Evaluator::evaluate_bounded`] and the SNR cursor seat
+    /// ([`Evaluator::init_state`]): fills `scratch` and hands each
+    /// accumulation it computes to `on_acc(victim, acc)` (the victims
+    /// it skips accumulate an exact `+0.0`). Returns `None` as soon as
+    /// one edge proves the worst-case SNR `≤ threshold`; at `-∞` (or
+    /// NaN) it never does. Inlined, so `evaluate_into`'s no-op callback
+    /// and `-∞` threshold compile away.
     #[inline(always)]
     fn full_pass(
         &self,
         mapping: &Mapping,
         active: Option<&[bool]>,
         scratch: &mut EvalScratch,
+        threshold: f64,
         mut on_acc: impl FnMut(&delta::Occ, f64),
-    ) -> EvalSummary {
+    ) -> Option<EvalSummary> {
+        let bounded = threshold > f64::NEG_INFINITY;
+        let cutoff = if bounded {
+            self.ratio_cutoff(threshold, scratch)
+        } else {
+            f64::NAN
+        };
         assert_eq!(
             mapping.tile_count(),
             self.tile_count,
@@ -809,6 +920,7 @@ impl Evaluator {
             occ,
             occ_suffix,
             noise,
+            gain,
             tile_offset,
             tile_pairs,
             ..
@@ -830,8 +942,14 @@ impl Evaluator {
                 }
                 let acc =
                     self.aggressor_sum_packed(victim.edge, victim.pair, victim.src, hops_here);
-                noise[victim.edge as usize] += acc * occ_suffix[lo + local];
+                let e = victim.edge as usize;
+                noise[e] += acc * occ_suffix[lo + local];
                 on_acc(victim, acc);
+                // The partial noise only grows from here, so a ratio
+                // already at the cutoff bounds the final one.
+                if bounded && gain[e] / noise[e] <= cutoff {
+                    return None;
+                }
             }
         }
 
@@ -880,10 +998,10 @@ impl Evaluator {
                 ),
             "ratio-domain worst-SNR selection diverged from the per-edge scan"
         );
-        EvalSummary {
+        Some(EvalSummary {
             worst_case_il: Db(worst_il),
             worst_case_snr: Db(worst_snr),
-        }
+        })
     }
 
     /// The insertion loss of the (unmapped) tile-pair path `s → d`, if

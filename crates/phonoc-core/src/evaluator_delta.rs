@@ -499,7 +499,11 @@ impl Evaluator {
         // Accumulations the pass skips are an exact `+0.0`.
         let mut acc = vec![0.0f64; total_hops];
         let mut scratch = EvalScratch::default();
-        let summary = self.full_pass(mapping, None, &mut scratch, |o, a| acc[flat(o)] = a);
+        let summary = self
+            .full_pass(mapping, None, &mut scratch, f64::NEG_INFINITY, |o, a| {
+                acc[flat(o)] = a;
+            })
+            .expect("a -∞ threshold never rejects");
         // A fresh scratch is sized exactly to this problem, so its
         // per-edge buffers move into the state as they are.
         let EvalScratch {

@@ -87,12 +87,28 @@ impl Move {
 }
 
 /// An injective assignment of tasks to tiles (paper conditions 5 and 6).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Mapping {
     /// Permutation of all tiles; the first `task_count` entries are the
     /// mapped tiles, the rest are free.
     perm: Vec<TileId>,
     task_count: usize,
+}
+
+/// `clone_from` reuses the destination's buffer, so scans that score
+/// many moved copies of one mapping allocate nothing per copy.
+impl Clone for Mapping {
+    fn clone(&self) -> Mapping {
+        Mapping {
+            perm: self.perm.clone(),
+            task_count: self.task_count,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Mapping) {
+        self.perm.clone_from(&source.perm);
+        self.task_count = source.task_count;
+    }
 }
 
 impl Mapping {
@@ -146,9 +162,20 @@ impl Mapping {
             task_count <= tile_count,
             "cannot map {task_count} tasks onto {tile_count} tiles"
         );
-        let mut perm: Vec<TileId> = (0..tile_count).map(TileId).collect();
-        perm.shuffle(rng);
-        Mapping { perm, task_count }
+        let mut m = Mapping::identity(task_count, tile_count);
+        m.reshuffle(rng);
+        m
+    }
+
+    /// Redraws this mapping in place as a uniformly random one of the
+    /// same shape, with exactly the RNG calls [`Mapping::random`]
+    /// makes: the same generator state yields the same mapping either
+    /// way, without allocating.
+    pub fn reshuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        for (i, t) in self.perm.iter_mut().enumerate() {
+            *t = TileId(i);
+        }
+        self.perm.shuffle(rng);
     }
 
     /// The identity mapping: task `i` on tile `i`.

@@ -5,15 +5,19 @@
 //!   bit-identical to the allocating wrappers and the independent
 //!   reference pass on random mappings and random activity masks —
 //!   mesh, torus (wrap links), ring (ring routing) and an edgeless CG;
+//! * the bounded full pass ([`Evaluator::evaluate_bounded`]) rejects a
+//!   mapping exactly when its worst-case SNR is no better than the
+//!   threshold, and otherwise bit-matches [`Evaluator::evaluate_into`];
 //! * bound-then-verify SNR peeks ([`Evaluator::evaluate_delta_bounded`])
 //!   are admissible — a rejection's bound really bounds the exact score
-//!   — and never change which move a greedy R-PBLA step selects
-//!   compared to exact peeks (PIP + VOPD, both objectives).
+//!   — and, like full-routed improving peeks, never change which move a
+//!   greedy R-PBLA step selects compared to exact peeks (PIP + VOPD,
+//!   both objectives).
 
 use phonoc_apps::{CgBuilder, CommunicationGraph};
 use phonoc_core::{
     BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, Evaluator, Mapping, MappingProblem,
-    Move, MoveEval, Objective, OptContext, PeekRoute,
+    Move, MoveEval, Objective, OptContext, PeekRoute, PeekStrategy,
 };
 use phonoc_phys::{Db, Length, PhysicalParameters};
 use phonoc_route::{RingRouting, RoutingAlgorithm, XyRouting};
@@ -163,6 +167,99 @@ fn evaluate_into_bit_matches_wrappers_on_random_mappings_and_masks() {
     }
 }
 
+/// One ulp up (`+1`) or down (`-1`) from a finite `x`.
+fn ulp_step(x: f64, dir: i8) -> f64 {
+    if dir > 0 {
+        x.next_up()
+    } else {
+        x.next_down()
+    }
+}
+
+#[test]
+fn bounded_full_pass_rejects_exactly_the_mappings_that_cannot_beat_the_threshold() {
+    let objectives = [
+        Objective::MaximizeWorstCaseSnr,
+        Objective::by_name("margin").unwrap(),
+        Objective::by_name("margin-pam4").unwrap(),
+    ];
+    let mut scratch = EvalScratch::default();
+    let mut exact_scratch = EvalScratch::default();
+    let (mut rejected, mut rejected_at_score) = (0usize, 0usize);
+    // One problem per cell (mesh, torus, ring): the pass does not
+    // depend on the objective, the thresholds below do.
+    for p in instances()
+        .into_iter()
+        .filter(|p| p.objective() == Objective::MaximizeWorstCaseSnr)
+    {
+        let ev = p.evaluator();
+        let ceiling = ev.snr_ceiling();
+        let mut rng = StdRng::seed_from_u64(0xB0F1);
+        for round in 0..40 {
+            let mapping = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
+            let exact = ev.evaluate_into(&mapping, None, &mut exact_scratch);
+            let exact_metrics = exact_scratch.to_metrics();
+            let worst = exact.worst_case_snr;
+            for objective in objectives {
+                // Thresholds an engine derives from a score (the exact
+                // score itself, one ulp either side, the ceiling's
+                // score, random scores nearby), plus raw extremes.
+                let score = objective.score_worst_snr(worst);
+                let mut scores = vec![
+                    score,
+                    ulp_step(score, 1),
+                    ulp_step(score, -1),
+                    objective.score_worst_snr(ceiling),
+                ];
+                scores.extend((0..4).map(|_| score + rng.gen_range(-10.0..10.0)));
+                let thresholds = scores
+                    .iter()
+                    .map(|&s| (Some(s), objective.threshold_for_score(s)))
+                    .chain([
+                        (None, Db(f64::NEG_INFINITY)),
+                        (None, ceiling),
+                        (None, worst),
+                        (None, Db(ulp_step(worst.0, 1))),
+                        (None, Db(ulp_step(worst.0, -1))),
+                    ]);
+                for (from_score, t) in thresholds {
+                    let label = format!("{p:?} round {round} {objective} at {t:?}");
+                    match ev.evaluate_bounded(&mapping, t, &mut scratch) {
+                        None => {
+                            rejected += 1;
+                            assert!(worst <= t, "{label}: rejected a mapping at {worst:?}");
+                            if let Some(s) = from_score {
+                                assert!(objective.score_worst_snr(worst) <= s, "{label}");
+                                rejected_at_score += usize::from(s == score);
+                            }
+                        }
+                        Some(summary) => {
+                            assert_eq!(
+                                summary.worst_case_il.0.to_bits(),
+                                exact.worst_case_il.0.to_bits()
+                            );
+                            assert_eq!(summary.worst_case_snr.0.to_bits(), worst.0.to_bits());
+                            assert_eq!(scratch.to_metrics(), exact_metrics, "{label}");
+                            // A noisy worst edge always trips the
+                            // cutoff once its last update lands.
+                            assert!(
+                                !(worst <= t && worst < ceiling),
+                                "{label}: kept a mapping at {worst:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Non-vacuity: rejections happen, including at the exact score (the
+    // boundary where `<=` must fire).
+    assert!(
+        rejected > 0 && rejected_at_score > 0,
+        "{rejected} / {rejected_at_score}"
+    );
+}
+
 #[test]
 fn bounded_delta_is_admissible_and_exact_when_it_completes() {
     for p in instances() {
@@ -290,71 +387,83 @@ fn best_of(evals: &[MoveEval]) -> Option<&MoveEval> {
 
 #[test]
 fn bounded_peeks_never_change_greedy_rpbla_selection() {
+    // Full-routed improving peeks stop their pass once a move cannot
+    // beat the cursor: pinning the full route checks those bounds too.
+    let mut full_bounds = 0usize;
     for p in instances() {
-        let moves = admitted_moves(p.task_count(), p.tile_count());
-        // Two cursors on the same problem; budgets large enough that no
-        // scan is ever truncated.
-        let mut exact_ctx = OptContext::new(&p, 10_000_000, 0);
-        let mut bounded_ctx = OptContext::new(&p, 10_000_000, 0);
-        let mut rng = StdRng::seed_from_u64(0x9B1A);
-        for round in 0..8 {
-            let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
-            exact_ctx.set_current(start.clone()).unwrap();
-            bounded_ctx.set_current(start).unwrap();
+        for strategy in [PeekStrategy::Hybrid, PeekStrategy::Full] {
+            let moves = admitted_moves(p.task_count(), p.tile_count());
+            // Two cursors on the same problem; budgets large enough that no
+            // scan is ever truncated.
+            let mut exact_ctx = OptContext::new(&p, 10_000_000, 0);
+            let mut bounded_ctx = OptContext::new(&p, 10_000_000, 0);
+            exact_ctx.set_peek_strategy(strategy);
+            bounded_ctx.set_peek_strategy(strategy);
+            let mut rng = StdRng::seed_from_u64(0x9B1A);
+            for round in 0..8 {
+                let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
+                exact_ctx.set_current(start.clone()).unwrap();
+                bounded_ctx.set_current(start).unwrap();
 
-            // Full greedy descent: at every step both scans must agree
-            // on whether an improving move exists and, if so, select the
-            // same move with the same exact score.
-            for step in 0.. {
-                let current = exact_ctx.current_score().unwrap();
-                assert_eq!(bounded_ctx.current_score().unwrap(), current);
-                let exact_scan = exact_ctx.peek_moves(&moves);
-                let bounded_scan = bounded_ctx.peek_moves_improving(&moves);
-                assert_eq!(exact_scan.len(), bounded_scan.len());
+                // Full greedy descent: at every step both scans must agree
+                // on whether an improving move exists and, if so, select the
+                // same move with the same exact score.
+                for step in 0.. {
+                    let current = exact_ctx.current_score().unwrap();
+                    assert_eq!(bounded_ctx.current_score().unwrap(), current);
+                    let exact_scan = exact_ctx.peek_moves(&moves);
+                    let bounded_scan = bounded_ctx.peek_moves_improving(&moves);
+                    assert_eq!(exact_scan.len(), bounded_scan.len());
 
-                // Every exact entry of the improving scan must agree
-                // with the exact scan; every bounded entry must bound it.
-                for (e, b) in exact_scan.iter().zip(&bounded_scan) {
-                    assert_eq!(e.mv(), b.mv());
-                    if b.route() == PeekRoute::BoundedRejected {
-                        let bound = b.score();
+                    // Every exact entry of the improving scan must agree
+                    // with the exact scan; every bounded entry must bound it.
+                    for (e, b) in exact_scan.iter().zip(&bounded_scan) {
+                        assert_eq!(e.mv(), b.mv());
+                        if !b.is_exact() {
+                            full_bounds += usize::from(b.route() == PeekRoute::Full);
+                            let bound = b.score();
+                            assert!(
+                                e.score() <= bound && bound <= current,
+                                "{p:?} round {round}: bound {bound} vs exact {} at {current}",
+                                e.score()
+                            );
+                        } else {
+                            assert_eq!(e.score(), b.score(), "{p:?} round {round}");
+                        }
+                    }
+
+                    let exact_best = best_of(&exact_scan).expect("nonempty scan");
+                    let bounded_best = best_of(&bounded_scan).expect("nonempty scan");
+                    if exact_best.score() > current {
                         assert!(
-                            e.score() <= bound && bound <= current,
-                            "{p:?} round {round}: bound {bound} vs exact {} at {current}",
-                            e.score()
+                            bounded_best.is_exact(),
+                            "{p:?} round {round} step {step}: improving move came back bounded"
+                        );
+                        assert_eq!(exact_best.mv(), bounded_best.mv());
+                        assert_eq!(exact_best.score(), bounded_best.score());
+                        let committed = *bounded_best;
+                        bounded_ctx.apply_scored_move(&committed);
+                        let committed_exact = *exact_best;
+                        exact_ctx.apply_scored_move(&committed_exact);
+                        assert_eq!(
+                            exact_ctx.current_mapping().unwrap(),
+                            bounded_ctx.current_mapping().unwrap()
                         );
                     } else {
-                        assert_eq!(e.score(), b.score(), "{p:?} round {round}");
+                        // Local optimum under both scans: no improving entry
+                        // may exist in either.
+                        assert!(
+                            bounded_best.score() <= current,
+                            "{p:?} round {round}: bounded scan invented an improvement"
+                        );
+                        break;
                     }
-                }
-
-                let exact_best = best_of(&exact_scan).expect("nonempty scan");
-                let bounded_best = best_of(&bounded_scan).expect("nonempty scan");
-                if exact_best.score() > current {
-                    assert!(
-                        bounded_best.is_exact(),
-                        "{p:?} round {round} step {step}: improving move came back bounded"
-                    );
-                    assert_eq!(exact_best.mv(), bounded_best.mv());
-                    assert_eq!(exact_best.score(), bounded_best.score());
-                    let committed = *bounded_best;
-                    bounded_ctx.apply_scored_move(&committed);
-                    let committed_exact = *exact_best;
-                    exact_ctx.apply_scored_move(&committed_exact);
-                    assert_eq!(
-                        exact_ctx.current_mapping().unwrap(),
-                        bounded_ctx.current_mapping().unwrap()
-                    );
-                } else {
-                    // Local optimum under both scans: no improving entry
-                    // may exist in either.
-                    assert!(
-                        bounded_best.score() <= current,
-                        "{p:?} round {round}: bounded scan invented an improvement"
-                    );
-                    break;
                 }
             }
         }
     }
+    assert!(
+        full_bounds > 0,
+        "no full-routed improving peek stopped early"
+    );
 }

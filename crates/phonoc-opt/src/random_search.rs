@@ -4,10 +4,22 @@
 //! With the engine's budget semantics this is simply: draw uniformly
 //! random valid mappings until the evaluation budget runs out; the
 //! incumbent tracking in [`OptContext`] keeps the best. Draws are scored
-//! in chunks through [`OptContext::evaluate_batch`], which fans the
-//! independent evaluations across CPU cores; chunks are drawn
+//! in chunks through [`OptContext::evaluate_batch_improving`], which
+//! fans the independent evaluations across CPU cores; chunks are drawn
 //! sequentially from the seeded RNG, so the stream — and therefore the
 //! result — is identical to the one-at-a-time loop.
+//!
+//! RS keeps nothing but the best draw, so it only needs an exact score
+//! for a draw that beats the incumbent. Under an SNR-based objective
+//! each chunk is scored against the incumbent held at its start: a
+//! draw's full pass stops as soon as one communication proves the
+//! draw's worst-case SNR no better (see the bounded full evaluation in
+//! `phonoc_core::evaluator`). A stopped draw is billed and counted as
+//! the full evaluation it stands for, so the ledger, the `RunStats`,
+//! the history and the result are those of exact scoring, bit for bit.
+//! The chunk's mappings are redrawn in place
+//! ([`Mapping::reshuffle`], the same RNG calls as
+//! [`Mapping::random`]), so a draw allocates nothing.
 //!
 //! RS is **deliberately policy-free and start-free**: it proposes whole
 //! uniform mappings rather than moves, so there is no swap
@@ -35,10 +47,13 @@ impl MappingOptimizer for RandomSearch {
     }
 
     fn optimize(&self, ctx: &mut OptContext<'_>) {
+        let mut batch = vec![Mapping::identity(ctx.task_count(), ctx.tile_count()); CHUNK];
         while !ctx.exhausted() {
             let n = ctx.remaining().min(CHUNK);
-            let batch: Vec<Mapping> = (0..n).map(|_| ctx.random_mapping()).collect();
-            if ctx.evaluate_batch(&batch).len() < batch.len() {
+            for m in &mut batch[..n] {
+                m.reshuffle(ctx.rng());
+            }
+            if ctx.evaluate_batch_improving(&batch[..n]).len() < n {
                 break;
             }
         }
