@@ -19,10 +19,10 @@ fn optimizer_overhead(c: &mut Criterion) {
     let budget = 2_000;
     let optimizers: Vec<Box<dyn MappingOptimizer>> = vec![
         Box::new(RandomSearch),
-        Box::new(GeneticAlgorithm::default()),
+        Box::new(GeneticAlgorithm),
         Box::new(Rpbla),
-        Box::new(SimulatedAnnealing::default()),
-        Box::new(TabuSearch::default()),
+        Box::new(SimulatedAnnealing),
+        Box::new(TabuSearch),
     ];
     let mut group = c.benchmark_group("optimize_vopd_2k_evals");
     group.sample_size(10);

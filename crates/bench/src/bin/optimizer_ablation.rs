@@ -23,11 +23,11 @@ fn main() {
 
     let optimizers: Vec<Box<dyn MappingOptimizer>> = vec![
         Box::new(RandomSearch),
-        Box::new(GeneticAlgorithm::default()),
+        Box::new(GeneticAlgorithm),
         Box::new(Rpbla),
-        Box::new(SimulatedAnnealing::default()),
-        Box::new(TabuSearch::default()),
-        Box::new(IteratedLocalSearch::default()),
+        Box::new(SimulatedAnnealing),
+        Box::new(TabuSearch),
+        Box::new(IteratedLocalSearch),
     ];
 
     println!("Optimizer ablation: worst-case SNR objective, mesh, {budget} evaluations\n");

@@ -31,7 +31,7 @@ struct Cell {
 fn optimizers() -> Vec<(&'static str, Box<dyn MappingOptimizer + Sync>)> {
     vec![
         ("RS", Box::new(RandomSearch)),
-        ("GA", Box::new(GeneticAlgorithm::default())),
+        ("GA", Box::new(GeneticAlgorithm)),
         ("R-PBLA", Box::new(Rpbla)),
     ]
 }

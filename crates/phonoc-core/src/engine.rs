@@ -31,42 +31,45 @@
 //! its score, and the [`PeekRoute`] that produced it. The scorer
 //! decides the route once per peek; the budget ledger, the
 //! [`RunStats`] route counters, the trace and the text reports all
-//! read that one tag:
+//! read that one tag. Each cursor scores through one of three
+//! evaluator routes, and every route takes one threshold: `-∞` for the
+//! exact peeks ([`OptContext::peek_move`] / [`OptContext::peek_moves`]),
+//! and the threshold [`Objective::threshold_for_score`] derives from
+//! the cursor score for the improving-only peeks
+//! ([`OptContext::peek_move_improving`] /
+//! [`OptContext::peek_moves_improving`]). One rule serves both
+//! families: an improving peek is bound-then-verify, so a move that
+//! cannot beat the cursor comes back [`PeekRoute::BoundedRejected`]
+//! with its admissible upper bound as the score (cheap), and a move
+//! that might is scored exactly and comes back
+//! [`PeekRoute::BoundedVerified`].
 //!
 //! * loss-based family (worst-case loss, and the modulation-aware
 //!   laser-power objective, which is the same worst-link figure shifted
-//!   by a constant margin) — [`PeekRoute::Loss`], the crosstalk-free
-//!   fast path (`evaluate_delta_loss`), one to two orders of magnitude
-//!   cheaper than an SNR delta; improving-only scans additionally ride
-//!   the bound-then-verify loss peek (`evaluate_delta_loss_bounded`)
-//!   against the threshold [`Objective::threshold_for_score`]
-//!   derives from the cursor score. Insertion loss (paper Eq. 3)
-//!   depends only on each communication's own path, so loss-family
-//!   cursors carry **no crosstalk state**: [`OptContext::set_current`]
-//!   seats them with only per-edge paths and losses (`O(edges)`, no
-//!   occupancy lists, accumulations or noise), and
-//!   [`OptContext::apply_scored_move`] patches just the moved edges —
-//!   the same scores bit for bit (pinned by
+//!   by a constant margin) — the crosstalk-free loss delta, one to two
+//!   orders of magnitude cheaper than an SNR delta: exact peeks take
+//!   [`PeekRoute::Loss`] (`evaluate_delta_loss`), improving ones the
+//!   bound-then-verify loss peek (`evaluate_delta_loss_bounded`).
+//!   Insertion loss (paper Eq. 3) depends only on each communication's
+//!   own path, so loss-family cursors carry **no crosstalk state**:
+//!   [`OptContext::set_current`] seats them with only per-edge paths
+//!   and losses (`O(edges)`, no occupancy lists, accumulations or
+//!   noise), and [`OptContext::apply_scored_move`] patches just the
+//!   moved edges — the same scores bit for bit (pinned by
 //!   `crates/phonoc-opt/tests/loss_family_golden.rs`), at a fraction of
 //!   the seat and commit cost;
-//! * SNR-based family (worst-case SNR, SNR margin), exact
-//!   ([`OptContext::peek_move`] / [`OptContext::peek_moves`]) —
-//!   [`PeekRoute::Delta`], the bit-exact incremental delta, or
-//!   [`PeekRoute::Full`] when the active [`PeekStrategy`] routed the
-//!   move to a full scratch re-evaluation;
-//! * either family, improving-only
-//!   ([`OptContext::peek_move_improving`] /
-//!   [`OptContext::peek_moves_improving`]) — bound-then-verify: moves
-//!   that cannot beat the cursor come back
-//!   [`PeekRoute::BoundedRejected`] with their admissible upper bound as
-//!   the score (cheap), candidates that might improve are scored
-//!   exactly and come back [`PeekRoute::BoundedVerified`]. An SNR
-//!   peek the cursor routes to the full pass stays [`PeekRoute::Full`]
-//!   and is billed as one, but its pass stops once the move proves it
-//!   cannot beat the cursor ([`crate::Evaluator::evaluate_bounded`]);
-//!   such a peek carries the threshold's score as its bound and is not
-//!   [`MoveEval::is_exact`]. Greedy selection over an improving scan is
-//!   identical to one over exact peeks (property-tested).
+//! * SNR-based family (worst-case SNR, SNR margin) — the SNR delta:
+//!   exact peeks take [`PeekRoute::Delta`], the bit-exact incremental
+//!   delta, improving ones the bound-then-verify SNR peek;
+//! * SNR-based family on a cursor the active [`PeekStrategy`] routes to
+//!   the full pass — [`PeekRoute::Full`], a full scratch re-evaluation,
+//!   billed as one. In an improving scan the pass stops once the move
+//!   proves it cannot beat the cursor
+//!   ([`crate::Evaluator::evaluate_bounded`]); such a peek carries the
+//!   threshold's score as its bound and is not [`MoveEval::is_exact`].
+//!
+//! Greedy selection over an improving scan is identical to one over
+//! exact peeks (property-tested).
 //!
 //! Every route is bit-identical for every objective in its family
 //! (`tests/hybrid_properties.rs` pins all four objectives under all
@@ -198,7 +201,7 @@ use rand::SeedableRng;
 use std::fmt;
 
 /// How SNR-objective peeks score a candidate move (loss-objective peeks
-/// always ride the crosstalk-free fast path, which no alternative
+/// always take the crosstalk-free loss delta, which no alternative
 /// approaches). See the [module docs](self) for the measured rationale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeekStrategy {
@@ -436,18 +439,18 @@ impl Cursor {
         }
     }
 
-    /// How every peek against this cursor is scored, from the objective
-    /// family, the pinned strategy and whether the scan only needs
-    /// improving moves exactly. Loss-based objectives always ride their
-    /// fast path; the plain loss objective's fast path is already exact
-    /// and cheap, so it has no bounded variant.
+    /// How every peek against this cursor is scored: the evaluator
+    /// route of the objective family (the SNR family's under the pinned
+    /// strategy), at the cursor threshold in improving scans and at
+    /// `-∞` otherwise.
     fn scoring(&self, objective: Objective, strategy: PeekStrategy, improving: bool) -> Scoring {
+        let threshold = if improving {
+            objective.threshold_for_score(self.score)
+        } else {
+            Db(f64::NEG_INFINITY)
+        };
         if objective.is_loss_based() {
-            return if improving && !matches!(objective, Objective::MinimizeWorstCaseLoss) {
-                Scoring::LossBounded(objective.threshold_for_score(self.score))
-            } else {
-                Scoring::Loss
-            };
+            return Scoring::Loss(threshold);
         }
         let full = match strategy {
             PeekStrategy::Hybrid => self.full_route,
@@ -455,35 +458,38 @@ impl Cursor {
             PeekStrategy::Full => true,
         };
         if full {
-            Scoring::Full(if improving {
-                objective.threshold_for_score(self.score)
-            } else {
-                Db(f64::NEG_INFINITY)
-            })
-        } else if improving {
-            Scoring::SnrBounded(objective.threshold_for_score(self.score))
+            Scoring::Full(threshold)
         } else {
-            Scoring::Snr
+            Scoring::Snr(threshold)
         }
     }
 }
 
-/// The evaluation path every peek against one cursor takes (the cursor
-/// threshold rides along for the bound-then-verify variants).
+/// The evaluator route every peek against one cursor takes, with the
+/// threshold a move must beat: the cursor's in improving scans, `-∞`
+/// (nothing is rejected) for exact peeks.
 #[derive(Debug, Clone, Copy)]
 enum Scoring {
     /// Full scratch re-evaluation of the moved mapping, stopped once it
-    /// proves the worst-case SNR `≤` the threshold (`-∞`, which never
-    /// stops, for exact peeks).
+    /// proves the worst-case SNR `≤` the threshold.
     Full(Db),
-    /// Exact SNR delta.
-    Snr,
-    /// Bound-then-verify SNR peek against the threshold.
-    SnrBounded(Db),
-    /// Crosstalk-free loss fast path.
-    Loss,
-    /// Bound-then-verify loss peek against the threshold.
-    LossBounded(Db),
+    /// SNR delta: exact at `-∞`, bound-then-verify otherwise.
+    Snr(Db),
+    /// Crosstalk-free loss delta: exact at `-∞`, bound-then-verify
+    /// otherwise.
+    Loss(Db),
+}
+
+/// What a billed action is counted as in the ledger.
+#[derive(Debug, Clone, Copy)]
+enum Billed {
+    /// A full evaluation outside the peeks (`evaluate`, the batches,
+    /// `set_current`).
+    Direct,
+    /// A peek, on its route.
+    Peek(PeekRoute),
+    /// A certificate search's admissible-bound work (`charge_bound`).
+    Bound,
 }
 
 /// The buffers one peek scores on. The sequential peeks use the
@@ -528,58 +534,55 @@ impl Scorer<'_> {
         let (evaluator, objective) = (self.evaluator, self.objective);
         let (state, mapping) = (self.state, self.mapping);
         let delta = &mut scratch.delta;
-        let (score, route, cost, exact) = match self.scoring {
+        // The worst-case figure the route scores (SNR, or loss for the
+        // loss route), its cost, and whether it is exact or a bound.
+        let (worst, cost, exact) = match self.scoring {
             Scoring::Full(threshold) => {
                 let moved = &mut scratch.moved;
                 moved.clone_from(mapping);
                 moved.apply_move(mv);
                 match evaluator.evaluate_bounded(moved, threshold, &mut scratch.full) {
-                    Some(s) => {
-                        let score = objective.score_worst_cases(s.worst_case_il, s.worst_case_snr);
-                        (score, PeekRoute::Full, self.unit, true)
-                    }
-                    None => {
-                        let bound = objective.score_worst_snr(threshold);
-                        (bound, PeekRoute::Full, self.unit, false)
-                    }
+                    Some(s) => (s.worst_case_snr, self.unit, true),
+                    None => (threshold, self.unit, false),
                 }
             }
-            Scoring::Snr => {
+            // Exact peeks keep the kernel specialised for `-∞`.
+            Scoring::Snr(Db(f64::NEG_INFINITY)) => {
                 let d = evaluator.evaluate_delta_with(state, mapping, mv, delta);
-                let score = objective.score_worst_snr(d.new_worst_snr);
-                (score, PeekRoute::Delta, d.affected_edges, true)
+                (d.new_worst_snr, d.affected_edges, true)
             }
-            Scoring::SnrBounded(threshold) => {
+            Scoring::Snr(threshold) => {
                 match evaluator.evaluate_delta_bounded(state, mapping, mv, delta, threshold) {
-                    BoundedDelta::Rejected { bound, cost } => {
-                        let bound = objective.score_worst_snr(bound);
-                        (bound, PeekRoute::BoundedRejected, cost, false)
-                    }
-                    BoundedDelta::Exact(d) => {
-                        let score = objective.score_worst_snr(d.new_worst_snr);
-                        (score, PeekRoute::BoundedVerified, d.affected_edges, true)
-                    }
+                    BoundedDelta::Rejected { bound, cost } => (bound, cost, false),
+                    BoundedDelta::Exact(d) => (d.new_worst_snr, d.affected_edges, true),
                 }
             }
-            Scoring::Loss => {
+            Scoring::Loss(Db(f64::NEG_INFINITY)) => {
                 let (il, moved) = evaluator.evaluate_delta_loss(state, mapping, mv, delta);
-                (objective.score_worst_il(il), PeekRoute::Loss, moved, true)
+                (il, moved, true)
             }
-            Scoring::LossBounded(threshold) => {
+            Scoring::Loss(threshold) => {
                 match evaluator.evaluate_delta_loss_bounded(state, mapping, mv, delta, threshold) {
-                    BoundedLossDelta::Rejected { bound, cost } => {
-                        let bound = objective.score_worst_il(bound);
-                        (bound, PeekRoute::BoundedRejected, cost, false)
-                    }
+                    BoundedLossDelta::Rejected { bound, cost } => (bound, cost, false),
                     BoundedLossDelta::Exact {
                         new_worst_il,
                         moved_edges,
-                    } => {
-                        let score = objective.score_worst_il(new_worst_il);
-                        (score, PeekRoute::BoundedVerified, moved_edges, true)
-                    }
+                    } => (new_worst_il, moved_edges, true),
                 }
             }
+        };
+        let score = match self.scoring {
+            Scoring::Loss(_) => objective.score_worst_il(worst),
+            Scoring::Full(_) | Scoring::Snr(_) => objective.score_worst_snr(worst),
+        };
+        // The one place a peek's route is derived: the full pass keeps
+        // its own, a thresholded delta is a bound-then-verify peek.
+        let route = match self.scoring {
+            Scoring::Full(_) => PeekRoute::Full,
+            Scoring::Snr(Db(f64::NEG_INFINITY)) => PeekRoute::Delta,
+            Scoring::Loss(Db(f64::NEG_INFINITY)) => PeekRoute::Loss,
+            _ if exact => PeekRoute::BoundedVerified,
+            _ => PeekRoute::BoundedRejected,
         };
         let ev = MoveEval {
             mv,
@@ -784,10 +787,24 @@ impl<'p> OptContext<'p> {
         self.used_units >= self.budget_units
     }
 
-    /// Charges `cost` units; the action was admitted before starting, so
-    /// the spend saturates at the budget.
-    fn charge(&mut self, cost: u64) {
-        self.used_units = self.used_units.saturating_add(cost).min(self.budget_units);
+    /// Books one billed action — the one routine that writes the
+    /// ledger: charges `units` (the action was admitted before it
+    /// started, so the spend saturates at the budget), counts it as a
+    /// full or an incremental evaluation, and bumps the one counter
+    /// that partitions those two ([`RunStats::reconciles`]).
+    fn book(&mut self, units: u64, action: Billed) {
+        self.used_units = self.used_units.saturating_add(units).min(self.budget_units);
+        let stats = &mut self.stats;
+        *match action {
+            Billed::Direct => &mut stats.full_direct,
+            Billed::Peek(route) => stats.route_counter(route),
+            Billed::Bound => &mut stats.bound_charges,
+        } += 1;
+        if matches!(action, Billed::Direct | Billed::Peek(PeekRoute::Full)) {
+            stats.full_evaluations += 1;
+        } else {
+            stats.delta_evaluations += 1;
+        }
     }
 
     /// Admits and charges `cost` edge-units of admissible-bound work —
@@ -808,9 +825,7 @@ impl<'p> OptContext<'p> {
         if self.exhausted() {
             return false;
         }
-        self.charge(cost.max(1));
-        self.stats.delta_evaluations += 1;
-        self.stats.bound_charges += 1;
+        self.book(cost.max(1), Billed::Bound);
         true
     }
 
@@ -924,9 +939,7 @@ impl<'p> OptContext<'p> {
         if self.exhausted() {
             return None;
         }
-        self.charge(self.unit);
-        self.stats.full_evaluations += 1;
-        self.stats.full_direct += 1;
+        self.book(self.unit, Billed::Direct);
         let summary = self
             .problem
             .evaluator()
@@ -990,9 +1003,7 @@ impl<'p> OptContext<'p> {
         let objective = self.objective;
         let mut scores = Vec::with_capacity(admit);
         for (mapping, summary) in mappings.iter().zip(summaries) {
-            self.charge(self.unit);
-            self.stats.full_evaluations += 1;
-            self.stats.full_direct += 1;
+            self.book(self.unit, Billed::Direct);
             let score =
                 summary.map(|s| objective.score_worst_cases(s.worst_case_il, s.worst_case_snr));
             if let Some(score) = score {
@@ -1078,9 +1089,7 @@ impl<'p> OptContext<'p> {
         if self.exhausted() {
             return None;
         }
-        self.charge(self.unit);
-        self.stats.full_evaluations += 1;
-        self.stats.full_direct += 1;
+        self.book(self.unit, Billed::Direct);
         // Loss-family peeks read only paths and insertion losses, so
         // their cursors skip the crosstalk caches (still billed as the
         // full evaluation the seat replaces).
@@ -1113,7 +1122,7 @@ impl<'p> OptContext<'p> {
     /// [`Objective::is_loss_based`]):
     ///
     /// * loss-based objectives (worst-case loss, laser power) — the
-    ///   crosstalk-free fast path
+    ///   crosstalk-free loss delta
     ///   ([`crate::Evaluator::evaluate_delta_loss`]), charged
     ///   `max(1, moved_edges)` units, on [`PeekRoute::Loss`];
     /// * SNR-based objectives (worst-case SNR, SNR margin) — the
@@ -1137,20 +1146,18 @@ impl<'p> OptContext<'p> {
     /// run through the objective family's bound-then-verify peek
     /// ([`crate::Evaluator::evaluate_delta_bounded`] for SNR-based
     /// objectives, [`crate::Evaluator::evaluate_delta_loss_bounded`]
-    /// for the laser-power objective) with the admissible rejection
+    /// for loss-based ones) with the admissible rejection
     /// threshold the objective derives from the cursor score
     /// ([`Objective::threshold_for_score`]), and non-improving moves
     /// come back [`PeekRoute::BoundedRejected`] at a fraction of the exact
     /// cost (charged by the work actually performed). Moves that can
     /// beat the cursor are scored exactly, bit-identical to
-    /// [`OptContext::peek_move`]. Under the plain loss objective the
-    /// fast path is already cheap and exact, so this is identical to
-    /// `peek_move`. When an SNR cursor's route is the full pass, every
-    /// move comes back on [`PeekRoute::Full`], billed `edge_count`
-    /// units, and the pass stops once it proves the move cannot beat
-    /// the cursor ([`crate::Evaluator::evaluate_bounded`] at the same
-    /// threshold); such a peek carries the threshold's score as its
-    /// bound and is not [`MoveEval::is_exact`]. None of this changes
+    /// [`OptContext::peek_move`]. When an SNR cursor's route is the
+    /// full pass, every move comes back on [`PeekRoute::Full`], billed
+    /// `edge_count` units, and the pass stops once it proves the move
+    /// cannot beat the cursor ([`crate::Evaluator::evaluate_bounded`]
+    /// at the same threshold); such a peek carries the threshold's
+    /// score as its bound and is not [`MoveEval::is_exact`]. None of this changes
     /// what a greedy scan selects, since exact scores and bounds order
     /// identically around the cursor threshold.
     ///
@@ -1248,22 +1255,15 @@ impl<'p> OptContext<'p> {
         out
     }
 
-    /// Books one scored peek — the one routine every peek entry point
-    /// charges through: bills `max(1, cost)` units, counts a full-routed
-    /// peek as a full evaluation and everything else as a delta
-    /// evaluation, bumps the counter of the peek's [`PeekRoute`], emits
-    /// the [`TraceEvent::PeekRouted`] event and tracks the incumbent.
-    /// Counters and events happen here, in input order, never inside a
-    /// parallel scan — that is what keeps the stream deterministic.
+    /// Books one scored peek — the routine every peek entry point
+    /// charges through: bills `max(1, cost)` units on the peek's
+    /// [`PeekRoute`], emits the [`TraceEvent::PeekRouted`] event and
+    /// tracks the incumbent. Counters and events happen here, in input
+    /// order, never inside a parallel scan — that is what keeps the
+    /// stream deterministic.
     fn book_peek(&mut self, ev: MoveEval, cost: usize) -> MoveEval {
         let charged = cost.max(1);
-        self.charge(charged as u64);
-        if ev.route == PeekRoute::Full {
-            self.stats.full_evaluations += 1;
-        } else {
-            self.stats.delta_evaluations += 1;
-        }
-        *self.stats.route_counter(ev.route) += 1;
+        self.book(charged as u64, Billed::Peek(ev.route));
         self.emit(|| TraceEvent::PeekRouted {
             route: ev.route,
             cost: charged,

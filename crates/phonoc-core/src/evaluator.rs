@@ -32,16 +32,13 @@
 //! SNRs are derived lazily from the cached noise/gain when
 //! [`EvalScratch::to_metrics`] materializes full [`NetworkMetrics`].
 //!
-//! Three wrappers sit on top, all **bit-identical** to each other and
+//! Two wrappers sit on top, both **bit-identical** to each other and
 //! to the retained reference pass ([`Evaluator::evaluate_reference`],
 //! the original allocating implementation, kept as the property-test
 //! oracle and bench baseline):
 //!
 //! * [`Evaluator::evaluate`] / [`Evaluator::evaluate_subset`] — thin
 //!   allocating wrappers (fresh scratch + materialized metrics);
-//! * [`Evaluator::evaluate_summaries_batch`] — a deterministic
-//!   parallel batch on sticky per-worker scratch slots (built once per
-//!   worker lifetime, see [`crate::parallel`]);
 //! * the SNR cursor seat ([`Evaluator::init_state`]), which runs this
 //!   very pass and keeps its occupancies and accumulations, laid out
 //!   per edge and per tile, as the caches the incremental move path

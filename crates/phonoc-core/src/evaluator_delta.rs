@@ -80,9 +80,8 @@
 //! (`crates/phonoc-core/tests/`, `tests/properties.rs`) pin the equality
 //! on random mappings and moves.
 
-use super::{EvalScratch, EvalSummary, Evaluator, HopInfo, NetworkMetrics, PathInfo};
+use super::{EvalScratch, Evaluator, HopInfo, NetworkMetrics, PathInfo};
 use crate::mapping::{Mapping, Move};
-use crate::parallel;
 use phonoc_phys::Db;
 
 /// One occupancy of a router: edge `edge`'s hop `hop` traverses it with
@@ -698,16 +697,18 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> (Db, usize) {
-        if !self.loss_mark_moved(state, mapping, mv, scratch) {
+        if !self.mark_moved(state, mapping, mv, scratch) {
             return (Db(state.worst_il), 0);
         }
         (Db(self.loss_worst_il(state, scratch)), scratch.moved.len())
     }
 
-    /// The shared first pass of both loss peeks: marks the edges `mv`
-    /// moves and records their new paths in `scratch`. Returns `false`
-    /// for a neutral move (nothing moves; the old worst case stands).
-    fn loss_mark_moved(
+    /// The shared first pass of every delta (both loss peeks and the SNR
+    /// kernel): starts a scratch epoch, marks the edges `mv` moves and
+    /// records their new paths in `scratch`. Returns `false` for a
+    /// neutral move (free↔free or identity: nothing moves, the old
+    /// worst cases stand).
+    fn mark_moved(
         &self,
         state: &EvalState,
         mapping: &Mapping,
@@ -765,8 +766,8 @@ impl Evaluator {
     /// Bound-then-verify loss peek: scores `mv` only as far as needed to
     /// decide whether its new worst-case insertion loss can exceed
     /// `threshold` — the loss-family analogue of
-    /// [`Evaluator::evaluate_delta_bounded`], used by the laser-power
-    /// objective's improving-only scans.
+    /// [`Evaluator::evaluate_delta_bounded`], used by the loss-based
+    /// objectives' improving-only scans.
     ///
     /// Insertion loss is per-edge (no coupling), so the new worst case
     /// is `min(min over moved edges of their new IL, min over unmoved
@@ -800,7 +801,7 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedLossDelta {
-        if !self.loss_mark_moved(state, mapping, mv, scratch) {
+        if !self.mark_moved(state, mapping, mv, scratch) {
             // Neutral move: the exact value is free.
             return BoundedLossDelta::Exact {
                 new_worst_il: Db(state.worst_il),
@@ -1073,19 +1074,6 @@ impl Evaluator {
         }
     }
 
-    /// Evaluates many independent mappings in parallel, worst cases only
-    /// — the form search loops consume (population strategies, random
-    /// sweeps). Results are in input order and identical to calling
-    /// [`Evaluator::evaluate_into`] per mapping, with **zero**
-    /// per-mapping allocation (each worker reuses the [`EvalScratch`]
-    /// in its sticky slot across chunks and across batch calls).
-    #[must_use]
-    pub fn evaluate_summaries_batch(&self, mappings: &[Mapping]) -> Vec<EvalSummary> {
-        parallel::parallel_map_with(mappings, EvalScratch::default, |scratch, m| {
-            self.evaluate_into(m, None, scratch)
-        })
-    }
-
     /// Commits `mv`: updates `mapping`, and patches `state`'s caches so
     /// they are bit-identical to a fresh [`Evaluator::init_state`] of
     /// the moved mapping (debug-asserted). Returns the delta that was
@@ -1195,7 +1183,7 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) {
-        if self.loss_mark_moved(state, mapping, mv, scratch) {
+        if self.mark_moved(state, mapping, mv, scratch) {
             state.worst_il = self.loss_worst_il(state, scratch);
             for &e in &scratch.moved {
                 let p = scratch.new_path[e];
@@ -1239,12 +1227,12 @@ impl Evaluator {
             && self.evaluate(mapping) == state.to_metrics()
     }
 
-    /// Phase 1 of a delta: starts a scratch epoch and collects the
-    /// moved edges — new path index + bitwise-shared head length (XY
-    /// routes with an unmoved source often keep their leading hops
-    /// — identical tile, pair and prefix — which then need no
-    /// patching at all). Returns `false` for neutral moves (free↔free
-    /// or identity), where nothing changes.
+    /// Phase 1 of an SNR delta: the shared marking pass, then each
+    /// moved edge becomes affected (moved edges first, in `moved`
+    /// order) and records its bitwise-shared head length (XY routes
+    /// with an unmoved source often keep their leading hops — identical
+    /// tile, pair and prefix — which then need no patching at all).
+    /// Returns `false` for neutral moves, where nothing changes.
     fn delta_collect_moved(
         &self,
         state: &EvalState,
@@ -1252,56 +1240,22 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> bool {
-        let edges = self.edge_endpoints.len();
-        let tasks = mapping.task_count();
-        scratch.begin(edges, self.tile_count, state.acc.len());
-
-        let (a, b) = mv.positions(mapping);
-        if a == b || a >= tasks || edges == 0 {
+        if !self.mark_moved(state, mapping, mv, scratch) {
             return false;
         }
-
-        // Tasks that change tiles, and the tile each task sits on after
-        // the move.
-        let perm = mapping.permutation();
-        let task_a = a; // a < tasks checked above
-        let task_b = if b < tasks { Some(b) } else { None };
-        let new_tile = |task: usize| -> usize {
-            if task == task_a {
-                perm[b].0
-            } else if Some(task) == task_b {
-                perm[a].0
-            } else {
-                perm[task].0
-            }
-        };
-
-        for &t in [Some(task_a), task_b].iter().flatten() {
-            for &e in &self.task_edges[t] {
-                if scratch.moved_mark[e] != scratch.epoch {
-                    scratch.moved_mark[e] = scratch.epoch;
-                    scratch.moved.push(e);
-                    scratch.mark_affected(e);
-                    let (s, d) = self.edge_endpoints[e];
-                    let new_idx = new_tile(s) * self.tile_count + new_tile(d);
-                    scratch.new_path[e] = new_idx;
-                    let old_hops = &self.path(state.path_of_edge[e]).hops;
-                    let new_hops = &self.path(new_idx).hops;
-                    let mut head = 0usize;
-                    let max = old_hops.len().min(new_hops.len());
-                    while head < max {
-                        let (o, n) = (&old_hops[head], &new_hops[head]);
-                        if o.tile != n.tile
-                            || o.pair != n.pair
-                            || o.prefix.to_bits() != n.prefix.to_bits()
-                        {
-                            break;
-                        }
-                        head += 1;
-                    }
-                    scratch.head_len[e] = head as u32;
-                }
-            }
+        for i in 0..scratch.moved.len() {
+            let e = scratch.moved[i];
+            scratch.mark_affected(e);
+            let old_hops = &self.path(state.path_of_edge[e]).hops;
+            let new_hops = &self.path(scratch.new_path[e]).hops;
+            let head = old_hops
+                .iter()
+                .zip(new_hops)
+                .take_while(|(o, n)| {
+                    o.tile == n.tile && o.pair == n.pair && o.prefix.to_bits() == n.prefix.to_bits()
+                })
+                .count();
+            scratch.head_len[e] = head as u32;
         }
         true
     }

@@ -15,9 +15,8 @@
 //!   interaction matrices. Every scorer is **bit-identical** to every
 //!   other: the full pass [`Evaluator::evaluate_into`]
 //!   (allocation-free on a reused [`evaluator::EvalScratch`]) with the
-//!   thin allocating wrapper [`Evaluator::evaluate`] and the parallel
-//!   batch [`Evaluator::evaluate_summaries_batch`] (deterministic,
-//!   input-ordered results); and the incremental side over an
+//!   thin allocating wrapper [`Evaluator::evaluate`]; and the
+//!   incremental side over an
 //!   [`evaluator::EvalState`], where one SNR delta kernel serves the
 //!   exact peek [`Evaluator::evaluate_delta`], the bound-then-verify
 //!   peek [`Evaluator::evaluate_delta_bounded`] and the commit

@@ -77,7 +77,8 @@ pub enum PeekRoute {
     Full,
     /// Exact incremental SNR delta.
     Delta,
-    /// Crosstalk-free loss fast path (loss-family objectives).
+    /// Exact crosstalk-free loss delta (loss-family objectives, exact
+    /// peeks).
     Loss,
     /// Bound-then-verify peek rejected the move on its admissible
     /// bound — no exact score was computed.
@@ -185,7 +186,7 @@ pub struct RunStats {
     pub full_direct: usize,
     /// Exact SNR delta peeks (non-improving scans).
     pub delta_exact: usize,
-    /// Crosstalk-free loss fast-path peeks.
+    /// Exact crosstalk-free loss-delta peeks (non-improving scans).
     pub loss_fast_path: usize,
     /// Bound-then-verify peeks rejected on their admissible bound.
     pub bound_rejected: usize,

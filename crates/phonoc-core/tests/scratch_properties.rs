@@ -77,7 +77,7 @@ fn instances() -> Vec<MappingProblem> {
         Objective::MinimizeWorstCaseLoss,
         Objective::MaximizeWorstCaseSnr,
         // One objective from each cross-layer power family: the loss
-        // fast path (power) and the SNR machinery (margin) both run
+        // delta (power) and the SNR machinery (margin) both run
         // through every bounded/greedy invariant below.
         Objective::MinimizeLaserPower {
             modulation: phonoc_phys::Modulation::Ook,
@@ -389,7 +389,10 @@ fn best_of(evals: &[MoveEval]) -> Option<&MoveEval> {
 fn bounded_peeks_never_change_greedy_rpbla_selection() {
     // Full-routed improving peeks stop their pass once a move cannot
     // beat the cursor: pinning the full route checks those bounds too.
+    // The plain loss objective takes the bound-then-verify loss peek
+    // like every loss-family objective, so its rejections are counted.
     let mut full_bounds = 0usize;
+    let mut loss_rejections = 0usize;
     for p in instances() {
         for strategy in [PeekStrategy::Hybrid, PeekStrategy::Full] {
             let moves = admitted_moves(p.task_count(), p.tile_count());
@@ -421,6 +424,10 @@ fn bounded_peeks_never_change_greedy_rpbla_selection() {
                         assert_eq!(e.mv(), b.mv());
                         if !b.is_exact() {
                             full_bounds += usize::from(b.route() == PeekRoute::Full);
+                            loss_rejections += usize::from(
+                                p.objective() == Objective::MinimizeWorstCaseLoss
+                                    && b.route() == PeekRoute::BoundedRejected,
+                            );
                             let bound = b.score();
                             assert!(
                                 e.score() <= bound && bound <= current,
@@ -465,5 +472,9 @@ fn bounded_peeks_never_change_greedy_rpbla_selection() {
     assert!(
         full_bounds > 0,
         "no full-routed improving peek stopped early"
+    );
+    assert!(
+        loss_rejections > 0,
+        "no improving peek under the loss objective was bound-rejected"
     );
 }

@@ -77,6 +77,16 @@ fn plain_maps_are_worker_count_invariant() {
     }
 }
 
+/// The worst-case bits of every mapping, through the engine's batch
+/// path: `evaluate_into` on each worker's sticky scratch.
+fn batch_bits(p: &MappingProblem, mappings: &[Mapping]) -> Vec<(u64, u64)> {
+    let evaluator = p.evaluator();
+    parallel_map_with(mappings, EvalScratch::default, |scratch, m| {
+        let s = evaluator.evaluate_into(m, None, scratch);
+        (s.worst_case_snr.0.to_bits(), s.worst_case_il.0.to_bits())
+    })
+}
+
 #[test]
 fn batch_evaluation_is_worker_count_invariant() {
     let _pin = pin();
@@ -86,17 +96,33 @@ fn batch_evaluation_is_worker_count_invariant() {
     let mappings: Vec<Mapping> = (0..96)
         .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
         .collect();
+    // The engine's batch entry point, scores bit for bit.
+    let scores = |improving: bool| -> Vec<Option<u64>> {
+        let mut ctx = OptContext::new(&p, 1_000, 1);
+        if improving {
+            ctx.evaluate_batch_improving(&mappings)
+        } else {
+            ctx.evaluate_batch(&mappings)
+                .into_iter()
+                .map(Some)
+                .collect()
+        }
+        .into_iter()
+        .map(|s| s.map(f64::to_bits))
+        .collect()
+    };
     set_worker_override(Some(1));
-    let reference = p.evaluator().evaluate_summaries_batch(&mappings);
+    let reference = batch_bits(&p, &mappings);
+    let score_reference = [scores(false), scores(true)];
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
-        let batch = p.evaluator().evaluate_summaries_batch(&mappings);
-        assert_eq!(batch.len(), reference.len());
-        for (a, b) in batch.iter().zip(&reference) {
-            // Bit-exact, not approximately equal.
-            assert_eq!(a.worst_case_snr.0.to_bits(), b.worst_case_snr.0.to_bits());
-            assert_eq!(a.worst_case_il.0.to_bits(), b.worst_case_il.0.to_bits());
-        }
+        // Bit-exact, not approximately equal.
+        assert_eq!(batch_bits(&p, &mappings), reference, "@ {workers} workers");
+        assert_eq!(
+            [scores(false), scores(true)],
+            score_reference,
+            "OptContext batches @ {workers} workers"
+        );
     }
 }
 
@@ -184,24 +210,16 @@ fn mid_run_worker_resizes_between_batches_do_not_change_results() {
         })
         .collect();
     set_worker_override(Some(1));
-    let reference: Vec<Vec<_>> = batches
-        .iter()
-        .map(|b| p.evaluator().evaluate_summaries_batch(b))
-        .collect();
+    let reference: Vec<Vec<_>> = batches.iter().map(|b| batch_bits(&p, b)).collect();
     // Resize up, down, up again — between batches, never within one.
     for schedule in [[1, 4, 2, 8], [8, 1, 4, 2], [2, 2, 8, 1]] {
         for (i, (batch, workers)) in batches.iter().zip(schedule).enumerate() {
             set_worker_override(Some(workers));
-            let got = p.evaluator().evaluate_summaries_batch(batch);
-            assert_eq!(got.len(), reference[i].len());
-            for (a, b) in got.iter().zip(&reference[i]) {
-                assert_eq!(
-                    a.worst_case_snr.0.to_bits(),
-                    b.worst_case_snr.0.to_bits(),
-                    "batch {i} @ {workers} workers"
-                );
-                assert_eq!(a.worst_case_il.0.to_bits(), b.worst_case_il.0.to_bits());
-            }
+            assert_eq!(
+                batch_bits(&p, batch),
+                reference[i],
+                "batch {i} @ {workers} workers"
+            );
         }
     }
 }
@@ -224,21 +242,17 @@ fn sticky_scratches_are_buffers_not_accumulators() {
         .map(|_| Mapping::random(large.task_count(), large.tile_count(), &mut rng))
         .collect();
     set_worker_override(Some(1));
-    let fresh = small.evaluator().evaluate_summaries_batch(&small_batch);
+    let fresh = batch_bits(&small, &small_batch);
     for workers in [2, 4, 8] {
         set_worker_override(Some(workers));
         // Pollute every worker's sticky slot with the larger problem's
         // scratch geometry, then re-run the small batch on the same
         // (now stale-shaped) slots.
-        let _ = large.evaluator().evaluate_summaries_batch(&large_batch);
-        let reused = small.evaluator().evaluate_summaries_batch(&small_batch);
-        for (a, b) in reused.iter().zip(&fresh) {
-            assert_eq!(
-                a.worst_case_snr.0.to_bits(),
-                b.worst_case_snr.0.to_bits(),
-                "stale slot leaked @ {workers} workers"
-            );
-            assert_eq!(a.worst_case_il.0.to_bits(), b.worst_case_il.0.to_bits());
-        }
+        let _ = batch_bits(&large, &large_batch);
+        assert_eq!(
+            batch_bits(&small, &small_batch),
+            fresh,
+            "stale slot leaked @ {workers} workers"
+        );
     }
 }

@@ -23,27 +23,17 @@ use crate::neighborhood::Neighborhood;
 use phonoc_core::{MappingOptimizer, OptContext};
 use rand::Rng;
 
-/// Simulated-annealing mapper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimulatedAnnealing {
-    /// Geometric cooling factor per epoch (0 < alpha < 1).
-    pub cooling: f64,
-    /// Moves attempted per temperature epoch, as a multiple of the tile
-    /// count.
-    pub moves_per_epoch: usize,
-    /// Probe evaluations used to calibrate the initial temperature.
-    pub probe: usize,
-}
+/// Geometric cooling factor per epoch (0 < alpha < 1).
+const COOLING: f64 = 0.93;
+/// Moves attempted per temperature epoch, as a multiple of the tile
+/// count.
+const MOVES_PER_EPOCH: usize = 8;
+/// Probe evaluations used to calibrate the initial temperature.
+const PROBE: usize = 24;
 
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing {
-            cooling: 0.93,
-            moves_per_epoch: 8,
-            probe: 24,
-        }
-    }
-}
+/// Simulated-annealing mapper.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimulatedAnnealing;
 
 impl MappingOptimizer for SimulatedAnnealing {
     fn name(&self) -> &'static str {
@@ -62,7 +52,7 @@ impl MappingOptimizer for SimulatedAnnealing {
         };
         lo = lo.min(current_score);
         hi = hi.max(current_score);
-        for _ in 0..self.probe {
+        for _ in 0..PROBE {
             let m = ctx.random_mapping();
             let Some(s) = ctx.evaluate(&m) else { return };
             if s > current_score {
@@ -86,15 +76,15 @@ impl MappingOptimizer for SimulatedAnnealing {
         let mut best = current;
         let mut best_score = current_score;
 
-        let epoch = self.moves_per_epoch.max(1) * ctx.tile_count().max(2);
+        let epoch = MOVES_PER_EPOCH * ctx.tile_count().max(2);
         // Budget-aware schedule: make sure the walk actually freezes
         // before the evaluations run out, whatever the budget is. The
-        // configured `cooling` acts as an upper bound (slowest decay).
+        // fixed `COOLING` acts as an upper bound (slowest decay).
         // `remaining()` counts full-evaluation-equivalents; delta moves
         // cost less, so this is a conservative epoch estimate.
         let epochs_in_budget = (ctx.remaining() / epoch).max(1) as f64;
         let adaptive = (floor / spread).powf(1.0 / epochs_in_budget);
-        let cooling = adaptive.min(self.cooling).clamp(0.05, 0.999);
+        let cooling = adaptive.min(COOLING).clamp(0.05, 0.999);
         while !ctx.exhausted() {
             for _ in 0..epoch {
                 let Some(mv) = nbhd.draw() else {
@@ -141,12 +131,12 @@ mod tests {
     #[test]
     fn respects_budget_and_validity() {
         let p = tiny_problem();
-        let r = run_dse(&p, &SimulatedAnnealing::default(), &DseConfig::new(500, 17));
+        let r = run_dse(&p, &SimulatedAnnealing, &DseConfig::new(500, 17));
         assert_eq!(r.evaluations, 500);
         assert!(r.best_mapping.is_valid());
         let rd = run_dse(
             &p,
-            &SimulatedAnnealing::default(),
+            &SimulatedAnnealing,
             &DseConfig::new(500, 17).with_strategy(PeekStrategy::Delta),
         );
         assert!(
@@ -158,8 +148,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = tiny_problem();
-        let a = run_dse(&p, &SimulatedAnnealing::default(), &DseConfig::new(300, 8));
-        let b = run_dse(&p, &SimulatedAnnealing::default(), &DseConfig::new(300, 8));
+        let a = run_dse(&p, &SimulatedAnnealing, &DseConfig::new(300, 8));
+        let b = run_dse(&p, &SimulatedAnnealing, &DseConfig::new(300, 8));
         assert_eq!(a.best_mapping, b.best_mapping);
     }
 
@@ -167,7 +157,7 @@ mod tests {
     fn not_worse_than_random_search() {
         let p = tiny_problem();
         let rs = run_dse(&p, &RandomSearch, &DseConfig::new(800, 55));
-        let sa = run_dse(&p, &SimulatedAnnealing::default(), &DseConfig::new(800, 55));
+        let sa = run_dse(&p, &SimulatedAnnealing, &DseConfig::new(800, 55));
         assert!(
             sa.best_score >= rs.best_score - 0.5,
             "sa {} far below rs {}",

@@ -106,8 +106,8 @@ mod tests {
         // find the global optimum of this micro instance.
         for opt in [
             &Rpbla as &dyn phonoc_core::MappingOptimizer,
-            &GeneticAlgorithm::default(),
-            &SimulatedAnnealing::default(),
+            &GeneticAlgorithm,
+            &SimulatedAnnealing,
         ] {
             let r = run_dse(&p, opt, &DseConfig::new(space, 1234));
             assert!(

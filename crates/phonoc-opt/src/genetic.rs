@@ -8,8 +8,8 @@
 //! operators keep every individual valid by construction:
 //!
 //! * **selection** — size-`k` tournament;
-//! * **crossover** — PMX (partially mapped) or OX (order), both standard
-//!   for permutation encodings;
+//! * **crossover** — PMX (partially mapped), standard for permutation
+//!   encodings;
 //! * **mutation** — an admitted swap drawn from the engine-selected
 //!   [`Neighborhood`] stream ([`Neighborhood::draw_for`]), so the GA
 //!   respects the context's
@@ -18,7 +18,7 @@
 //!   apart (relative to the individual being mutated), and under every
 //!   policy mutations stop wasting draws on objective-invisible
 //!   free–free swaps;
-//! * **elitism** — the best `elite` individuals survive unchanged.
+//! * **elitism** — the best `ELITE` individuals survive unchanged.
 //!
 //! (Random search deliberately stays policy-free: it proposes whole
 //! uniform mappings, not moves, so there is no neighbourhood to
@@ -29,43 +29,19 @@ use phonoc_core::{Mapping, MappingOptimizer, OptContext};
 use phonoc_topo::TileId;
 use rand::Rng;
 
-/// Which permutation crossover to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Crossover {
-    /// Partially-mapped crossover (default).
-    #[default]
-    Pmx,
-    /// Order crossover.
-    Ox,
-}
-
-/// Tunable GA parameters. The defaults follow common practice for
+/// Population size. The parameters follow common practice for
 /// permutation problems of this size (tens of positions).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeneticAlgorithm {
-    /// Population size.
-    pub population: usize,
-    /// Individuals copied unchanged into the next generation.
-    pub elite: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Per-offspring probability of one extra mutation swap.
-    pub mutation_rate: f64,
-    /// Crossover operator.
-    pub crossover: Crossover,
-}
+const POPULATION: usize = 40;
+/// Individuals copied unchanged into the next generation.
+const ELITE: usize = 2;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Per-offspring probability of one extra mutation swap.
+const MUTATION_RATE: f64 = 0.35;
 
-impl Default for GeneticAlgorithm {
-    fn default() -> Self {
-        GeneticAlgorithm {
-            population: 40,
-            elite: 2,
-            tournament: 3,
-            mutation_rate: 0.35,
-            crossover: Crossover::Pmx,
-        }
-    }
-}
+/// The paper's GA baseline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GeneticAlgorithm;
 
 impl MappingOptimizer for GeneticAlgorithm {
     fn name(&self) -> &'static str {
@@ -73,8 +49,6 @@ impl MappingOptimizer for GeneticAlgorithm {
     }
 
     fn optimize(&self, ctx: &mut OptContext<'_>) {
-        let pop_size = self.population.max(2);
-        let elite = self.elite.min(pop_size - 1);
         // The policy-respecting mutation kernel (see the module docs).
         let mut nbhd = Neighborhood::new(ctx);
 
@@ -82,7 +56,7 @@ impl MappingOptimizer for GeneticAlgorithm {
         // individual is the context's initial mapping — a planted
         // elite incumbent under portfolio exchange, a plain random
         // draw otherwise.
-        let initial: Vec<Mapping> = (0..pop_size)
+        let initial: Vec<Mapping> = (0..POPULATION)
             .map(|i| {
                 if i == 0 {
                     ctx.initial_mapping()
@@ -100,20 +74,17 @@ impl MappingOptimizer for GeneticAlgorithm {
         while !ctx.exhausted() {
             // Sort descending by fitness (higher score = better).
             pop.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let survivors = elite.min(pop.len());
+            let survivors = ELITE.min(pop.len());
             let mut next: Vec<(Mapping, f64)> = pop[..survivors].to_vec();
             // Breed the whole generation first (evaluation consumes no
             // randomness, so the RNG stream matches a breed-then-score
             // interleaving), then score it as one parallel batch.
-            let mut offspring: Vec<Mapping> = Vec::with_capacity(pop_size - next.len());
-            while next.len() + offspring.len() < pop_size {
-                let a = tournament(&pop, self.tournament, ctx);
-                let b = tournament(&pop, self.tournament, ctx);
-                let mut child = match self.crossover {
-                    Crossover::Pmx => pmx(&pop[a].0, &pop[b].0, ctx.rng()),
-                    Crossover::Ox => ox(&pop[a].0, &pop[b].0, ctx.rng()),
-                };
-                if ctx.rng().gen_bool(self.mutation_rate.clamp(0.0, 1.0)) {
+            let mut offspring: Vec<Mapping> = Vec::with_capacity(POPULATION - next.len());
+            while next.len() + offspring.len() < POPULATION {
+                let a = tournament(&pop, TOURNAMENT, ctx);
+                let b = tournament(&pop, TOURNAMENT, ctx);
+                let mut child = pmx(&pop[a].0, &pop[b].0, ctx.rng());
+                if ctx.rng().gen_bool(MUTATION_RATE) {
                     if let Some(mv) = nbhd.draw_for(&child) {
                         child.apply_move(mv);
                     }
@@ -207,39 +178,6 @@ pub(crate) fn pmx<R: Rng + ?Sized>(a: &Mapping, b: &Mapping, rng: &mut R) -> Map
     mapping_from_perm(perm, a.task_count())
 }
 
-/// Order crossover over the full tile permutation.
-pub(crate) fn ox<R: Rng + ?Sized>(a: &Mapping, b: &Mapping, rng: &mut R) -> Mapping {
-    let pa = a.permutation();
-    let pb = b.permutation();
-    let n = pa.len();
-    if n < 2 {
-        return a.clone();
-    }
-    let (lo, hi) = random_window(n, rng);
-    let mut child: Vec<Option<TileId>> = vec![None; n];
-    let mut used = vec![false; n];
-    for i in lo..=hi {
-        child[i] = Some(pa[i]);
-        used[pa[i].0] = true;
-    }
-    // Fill remaining positions with B's genes in B's cyclic order
-    // starting after the window.
-    let mut fill = (hi + 1) % n;
-    for k in 0..n {
-        let gene = pb[(hi + 1 + k) % n];
-        if used[gene.0] {
-            continue;
-        }
-        while child[fill].is_some() {
-            fill = (fill + 1) % n;
-        }
-        child[fill] = Some(gene);
-        used[gene.0] = true;
-    }
-    let perm: Vec<TileId> = child.into_iter().map(|s| s.expect("filled")).collect();
-    mapping_from_perm(perm, a.task_count())
-}
-
 fn random_window<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, usize) {
     let i = rng.gen_range(0..n);
     let j = rng.gen_range(0..n);
@@ -267,7 +205,7 @@ mod tests {
     #[test]
     fn ga_respects_budget_and_validity() {
         let p = tiny_problem();
-        let r = run_dse(&p, &GeneticAlgorithm::default(), &DseConfig::new(500, 3));
+        let r = run_dse(&p, &GeneticAlgorithm, &DseConfig::new(500, 3));
         assert_eq!(r.evaluations, 500);
         assert!(r.best_mapping.is_valid());
     }
@@ -275,8 +213,8 @@ mod tests {
     #[test]
     fn ga_is_deterministic_per_seed() {
         let p = tiny_problem();
-        let a = run_dse(&p, &GeneticAlgorithm::default(), &DseConfig::new(300, 11));
-        let b = run_dse(&p, &GeneticAlgorithm::default(), &DseConfig::new(300, 11));
+        let a = run_dse(&p, &GeneticAlgorithm, &DseConfig::new(300, 11));
+        let b = run_dse(&p, &GeneticAlgorithm, &DseConfig::new(300, 11));
         assert_eq!(a.best_mapping, b.best_mapping);
     }
 
@@ -288,12 +226,12 @@ mod tests {
         for policy in phonoc_core::NeighborhoodPolicy::ALL {
             let a = phonoc_core::run_dse(
                 &p,
-                &GeneticAlgorithm::default(),
+                &GeneticAlgorithm,
                 &DseConfig::new(200, 6).with_policy(policy),
             );
             let b = phonoc_core::run_dse(
                 &p,
-                &GeneticAlgorithm::default(),
+                &GeneticAlgorithm,
                 &DseConfig::new(200, 6).with_policy(policy),
             );
             assert_eq!(a.evaluations, 200, "{policy}");
@@ -302,31 +240,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ox_variant_works_too() {
-        let p = tiny_problem();
-        let ga = GeneticAlgorithm {
-            crossover: Crossover::Ox,
-            ..GeneticAlgorithm::default()
-        };
-        let r = run_dse(&p, &ga, &DseConfig::new(300, 4));
-        assert!(r.best_mapping.is_valid());
-    }
-
-    #[test]
-    fn tiny_population_is_clamped() {
-        let p = tiny_problem();
-        let ga = GeneticAlgorithm {
-            population: 1,
-            elite: 5,
-            ..GeneticAlgorithm::default()
-        };
-        let r = run_dse(&p, &ga, &DseConfig::new(50, 1));
-        assert_eq!(r.evaluations, 50);
-    }
-
     proptest! {
-        /// PMX and OX must always produce valid permutations.
+        /// PMX must always produce valid permutations.
         #[test]
         fn crossovers_preserve_validity(
             seed in 0u64..1000,
@@ -337,12 +252,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let a = Mapping::random(tasks, tiles, &mut rng);
             let b = Mapping::random(tasks, tiles, &mut rng);
-            let c1 = pmx(&a, &b, &mut rng);
-            let c2 = ox(&a, &b, &mut rng);
-            prop_assert!(c1.is_valid());
-            prop_assert!(c2.is_valid());
-            prop_assert_eq!(c1.task_count(), tasks);
-            prop_assert_eq!(c2.task_count(), tasks);
+            let child = pmx(&a, &b, &mut rng);
+            prop_assert!(child.is_valid());
+            prop_assert_eq!(child.task_count(), tasks);
         }
     }
 }

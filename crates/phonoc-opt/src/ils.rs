@@ -13,7 +13,7 @@
 //! with R-PBLA and tabu): each pass's candidates are visited from a
 //! random offset and delta-scored with
 //! [`OptContext::peek_move_improving`] — the objective-aware peek that
-//! rejects non-improving SNR moves via a cheap admissible bound and
+//! rejects non-improving moves via a cheap admissible bound and
 //! scores the rest exactly — and the first improving one committed with
 //! [`OptContext::apply_scored_move`]. A dry pass widens a locality
 //! stream before the round is declared a local optimum.
@@ -22,18 +22,12 @@ use crate::neighborhood::{scan_quota, Neighborhood};
 use phonoc_core::{MappingOptimizer, OptContext};
 use rand::Rng;
 
-/// Iterated local search with first-improvement descent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IteratedLocalSearch {
-    /// Number of random swaps in each perturbation kick.
-    pub kick_strength: usize,
-}
+/// Number of random swaps in each perturbation kick.
+const KICK_STRENGTH: usize = 3;
 
-impl Default for IteratedLocalSearch {
-    fn default() -> Self {
-        IteratedLocalSearch { kick_strength: 3 }
-    }
-}
+/// Iterated local search with first-improvement descent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IteratedLocalSearch;
 
 impl MappingOptimizer for IteratedLocalSearch {
     fn name(&self) -> &'static str {
@@ -56,7 +50,7 @@ impl MappingOptimizer for IteratedLocalSearch {
             // Kick: perturb the incumbent, then make it the cursor (one
             // full evaluation, as before the move API).
             let mut kicked = best.clone();
-            for _ in 0..self.kick_strength.max(1) {
+            for _ in 0..KICK_STRENGTH {
                 kicked.random_swap(ctx.rng());
             }
             let Some(mut current_score) = ctx.set_current(kicked) else {
@@ -111,12 +105,12 @@ mod tests {
     #[test]
     fn respects_budget_and_validity() {
         let p = tiny_problem();
-        let r = run_dse(&p, &IteratedLocalSearch::default(), &DseConfig::new(600, 4));
+        let r = run_dse(&p, &IteratedLocalSearch, &DseConfig::new(600, 4));
         assert_eq!(r.evaluations, 600);
         assert!(r.best_mapping.is_valid());
         let rd = run_dse(
             &p,
-            &IteratedLocalSearch::default(),
+            &IteratedLocalSearch,
             &DseConfig::new(600, 4).with_strategy(PeekStrategy::Delta),
         );
         assert!(
@@ -128,16 +122,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = tiny_problem();
-        let a = run_dse(
-            &p,
-            &IteratedLocalSearch::default(),
-            &DseConfig::new(400, 21),
-        );
-        let b = run_dse(
-            &p,
-            &IteratedLocalSearch::default(),
-            &DseConfig::new(400, 21),
-        );
+        let a = run_dse(&p, &IteratedLocalSearch, &DseConfig::new(400, 21));
+        let b = run_dse(&p, &IteratedLocalSearch, &DseConfig::new(400, 21));
         assert_eq!(a.best_mapping, b.best_mapping);
     }
 
@@ -145,20 +131,12 @@ mod tests {
     fn not_worse_than_random_search() {
         let p = tiny_problem();
         let rs = run_dse(&p, &RandomSearch, &DseConfig::new(900, 8));
-        let ils = run_dse(&p, &IteratedLocalSearch::default(), &DseConfig::new(900, 8));
+        let ils = run_dse(&p, &IteratedLocalSearch, &DseConfig::new(900, 8));
         assert!(
             ils.best_score >= rs.best_score - 0.5,
             "ils {} far below rs {}",
             ils.best_score,
             rs.best_score
         );
-    }
-
-    #[test]
-    fn strong_kicks_still_work() {
-        let p = tiny_problem();
-        let ils = IteratedLocalSearch { kick_strength: 10 };
-        let r = run_dse(&p, &ils, &DseConfig::new(300, 2));
-        assert!(r.best_mapping.is_valid());
     }
 }

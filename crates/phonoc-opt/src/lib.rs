@@ -16,12 +16,12 @@
 //! point once, the peek family scores candidate
 //! [`Move`](phonoc_core::Move)s *incrementally*, and `apply_scored_move`
 //! commits the chosen one. Peeks are objective-aware, and each
-//! `MoveEval` names the `PeekRoute` it took: IL runs ride the crosstalk-free
-//! loss fast path, SNR runs the exact delta — or, for greedy steps
-//! ([`Rpbla`], [`IteratedLocalSearch`] via `peek_move_improving` /
-//! `peek_moves_improving`), the bound-then-verify peek that rejects
-//! non-improving swaps at a fraction of the exact cost without ever
-//! changing the selected move. [`SimulatedAnnealing`] and
+//! `MoveEval` names the `PeekRoute` it took: IL runs ride the
+//! crosstalk-free loss delta, SNR runs the exact SNR delta — or, for
+//! greedy steps ([`Rpbla`], [`IteratedLocalSearch`] via
+//! `peek_move_improving` / `peek_moves_improving`), the family's
+//! bound-then-verify peek, which rejects non-improving swaps at a
+//! fraction of the exact cost without ever changing the selected move. [`SimulatedAnnealing`] and
 //! [`TabuSearch`] need exact scores for worsening moves too and stay on
 //! exact peeks. All variants are bit-identical to a full evaluation
 //! where a score is produced, charged only for the work the evaluator
@@ -181,7 +181,7 @@ pub use annealing::SimulatedAnnealing;
 pub use exact::{prove, prove_traced, root_bound};
 pub use exact::{Certificate, ExactSearch};
 pub use exhaustive::Exhaustive;
-pub use genetic::{Crossover, GeneticAlgorithm};
+pub use genetic::GeneticAlgorithm;
 pub use ils::IteratedLocalSearch;
 pub use neighborhood::{admitted_moves, scan_quota, Neighborhood};
 pub use portfolio::{

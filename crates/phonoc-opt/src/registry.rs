@@ -53,11 +53,11 @@ use std::fmt::Write as _;
 pub fn optimizer(name: &str) -> Option<Box<dyn MappingOptimizer>> {
     match name.to_lowercase().as_str() {
         "rs" | "random" => Some(Box::new(RandomSearch)),
-        "ga" | "genetic" => Some(Box::new(GeneticAlgorithm::default())),
+        "ga" | "genetic" => Some(Box::new(GeneticAlgorithm)),
         "r-pbla" | "rpbla" => Some(Box::new(Rpbla)),
-        "sa" | "annealing" => Some(Box::new(SimulatedAnnealing::default())),
-        "ils" => Some(Box::new(IteratedLocalSearch::default())),
-        "tabu" => Some(Box::new(TabuSearch::default())),
+        "sa" | "annealing" => Some(Box::new(SimulatedAnnealing)),
+        "ils" => Some(Box::new(IteratedLocalSearch)),
+        "tabu" => Some(Box::new(TabuSearch)),
         "exhaustive" => Some(Box::new(Exhaustive)),
         "exact" => Some(Box::new(ExactSearch)),
         _ => None,

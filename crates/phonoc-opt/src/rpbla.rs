@@ -30,10 +30,10 @@
 //! * The scan runs on the **incremental move API**
 //!   ([`OptContext::peek_moves_improving`]): each candidate swap is
 //!   delta-scored in parallel against the current solution and charged
-//!   only for the work it triggers. The scan is objective-aware — IL
-//!   runs ride the crosstalk-free loss fast path, SNR runs the
-//!   bound-then-verify peek that rejects non-improving swaps cheaply
-//!   while scoring potential improvements exactly — so one descent
+//!   only for the work it triggers. Both objective families take their
+//!   bound-then-verify peek (the crosstalk-free loss delta for IL runs,
+//!   the SNR delta for SNR runs), which rejects non-improving swaps
+//!   cheaply while scoring potential improvements exactly — so one descent
 //!   step costs a small fraction of the `O(n²)` full evaluations the
 //!   naive scan would pay. Budget accounting stays fair — cheaper
 //!   moves simply buy more of them. Bounded peeks never change which

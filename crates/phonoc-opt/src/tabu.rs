@@ -19,19 +19,13 @@ use crate::neighborhood::{scan_quota, Neighborhood};
 use phonoc_core::{MappingOptimizer, Move, MoveEval, OptContext};
 use std::collections::HashMap;
 
-/// Tabu-search mapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TabuSearch {
-    /// Iterations a reversed move stays forbidden, as a multiple of the
-    /// tile count (a common tenure heuristic).
-    pub tenure_factor: usize,
-}
+/// Iterations a reversed move stays forbidden, as a multiple of the
+/// tile count (a common tenure heuristic).
+const TENURE_FACTOR: usize = 1;
 
-impl Default for TabuSearch {
-    fn default() -> Self {
-        TabuSearch { tenure_factor: 1 }
-    }
-}
+/// Tabu-search mapper.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TabuSearch;
 
 impl MappingOptimizer for TabuSearch {
     fn name(&self) -> &'static str {
@@ -40,7 +34,7 @@ impl MappingOptimizer for TabuSearch {
 
     fn optimize(&self, ctx: &mut OptContext<'_>) {
         let tiles = ctx.tile_count();
-        let tenure = (self.tenure_factor * tiles).max(2);
+        let tenure = (TENURE_FACTOR * tiles).max(2);
         let mut nbhd = Neighborhood::new(ctx);
 
         // Seeded elite incumbent (portfolio rounds) or random start.
@@ -114,12 +108,12 @@ mod tests {
     #[test]
     fn respects_budget_and_validity() {
         let p = tiny_problem();
-        let r = run_dse(&p, &TabuSearch::default(), &DseConfig::new(400, 13));
+        let r = run_dse(&p, &TabuSearch, &DseConfig::new(400, 13));
         assert_eq!(r.evaluations, 400);
         assert!(r.best_mapping.is_valid());
         let rd = run_dse(
             &p,
-            &TabuSearch::default(),
+            &TabuSearch,
             &DseConfig::new(400, 13).with_strategy(PeekStrategy::Delta),
         );
         assert!(
@@ -132,16 +126,8 @@ mod tests {
     fn deterministic_per_seed() {
         let p = tiny_problem();
         for policy in NeighborhoodPolicy::ALL {
-            let a = run_dse(
-                &p,
-                &TabuSearch::default(),
-                &DseConfig::new(250, 5).with_policy(policy),
-            );
-            let b = run_dse(
-                &p,
-                &TabuSearch::default(),
-                &DseConfig::new(250, 5).with_policy(policy),
-            );
+            let a = run_dse(&p, &TabuSearch, &DseConfig::new(250, 5).with_policy(policy));
+            let b = run_dse(&p, &TabuSearch, &DseConfig::new(250, 5).with_policy(policy));
             assert_eq!(a.best_mapping, b.best_mapping, "{policy}");
             assert_eq!(a.evaluations, 250, "{policy}");
         }

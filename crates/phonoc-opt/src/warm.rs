@@ -45,9 +45,7 @@
 //! Equality is exact structural equality (`derive(PartialEq, Eq,
 //! Hash)` over integer bit patterns — no floating-point comparison),
 //! so keys collide **only** for canonically-equal requests
-//! (property-tested in `tests/warm_properties.rs`). The reported
-//! [`RequestKey::content_hash`] is an FNV-1a digest used for logging
-//! and JSON provenance, never for equality.
+//! (property-tested in `tests/warm_properties.rs`).
 //!
 //! # Telemetry
 //!
@@ -59,9 +57,10 @@
 //! round-granularity events into the same sink via
 //! [`crate::run_portfolio_seeded_traced`]. The returned result's
 //! [`RunStats`](phonoc_core::RunStats) additionally records how *this*
-//! request was satisfied in its `warm_*` counters (the stored cache
-//! entry keeps the pure run counters, so replays of an exact hit stay
-//! bit-identical to the original run). Tracing never changes cache
+//! request was satisfied in its `warm_*` counters — the one record of
+//! hits, near hits and cold runs (the stored cache entry keeps the
+//! pure run counters, so replays of an exact hit stay bit-identical to
+//! the original run). Tracing never changes cache
 //! keys, hit classification or results — the sink observes the
 //! decisions the untraced path already makes.
 
@@ -197,29 +196,6 @@ impl RequestKey {
     pub fn family(&self) -> &FamilyKey {
         &self.family
     }
-
-    /// FNV-1a digest of the key, for logs and JSON provenance. Never
-    /// used for cache equality (that is exact structural equality), so
-    /// a collision here can at worst confuse a log line.
-    #[must_use]
-    pub fn content_hash(&self) -> u64 {
-        use std::hash::{Hash as _, Hasher};
-        struct Fnv(u64);
-        impl Hasher for Fnv {
-            fn finish(&self) -> u64 {
-                self.0
-            }
-            fn write(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 ^= u64::from(b);
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-        }
-        let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-        self.hash(&mut h);
-        h.finish()
-    }
 }
 
 /// How a [`WarmCache::solve`] request was satisfied.
@@ -269,9 +245,6 @@ pub struct WarmCache {
     entries: Vec<Entry>,
     by_key: HashMap<RequestKey, usize>,
     by_family: HashMap<FamilyKey, Vec<usize>>,
-    exact_hits: usize,
-    near_hits: usize,
-    cold_runs: usize,
 }
 
 impl WarmCache {
@@ -291,12 +264,6 @@ impl WarmCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// `(exact hits, near hits, cold runs)` over the cache's lifetime.
-    #[must_use]
-    pub fn stats(&self) -> (usize, usize, usize) {
-        (self.exact_hits, self.near_hits, self.cold_runs)
     }
 
     /// The stored elite a near-hit of `key` would be seeded with:
@@ -357,7 +324,6 @@ impl WarmCache {
     ) -> WarmSolve {
         let key = RequestKey::of(problem, spec, budget, seed);
         if let Some(&i) = self.by_key.get(&key) {
-            self.exact_hits += 1;
             if sink.enabled() {
                 sink.record(TraceEvent::WarmLookup {
                     outcome: WarmOutcome::ExactHit,
@@ -377,7 +343,6 @@ impl WarmCache {
             .map(|(m, s, overlap)| (m.clone(), s, overlap));
         let (mut result, source) = match donor {
             Some((mapping, donor_score, shared_edges)) => {
-                self.near_hits += 1;
                 if sink.enabled() {
                     sink.record(TraceEvent::WarmLookup {
                         outcome: WarmOutcome::NearHit,
@@ -395,7 +360,6 @@ impl WarmCache {
                 )
             }
             None => {
-                self.cold_runs += 1;
                 if sink.enabled() {
                     sink.record(TraceEvent::WarmLookup {
                         outcome: WarmOutcome::Cold,
@@ -473,7 +437,10 @@ mod tests {
         assert_eq!(hit.evaluations_spent, 0);
         assert_eq!(hit.result.best_score, cold.result.best_score);
         assert_eq!(hit.result.best_mapping, cold.result.best_mapping);
-        assert_eq!(cache.stats(), (1, 0, 1));
+        // Each returned result records how its request was satisfied.
+        assert_eq!(cold.result.stats.warm_cold, 1);
+        assert_eq!(hit.result.stats.warm_exact_hits, 1);
+        assert_eq!(hit.result.stats.warm_cold, 0);
         assert_eq!(cache.len(), 1);
     }
 
@@ -546,7 +513,6 @@ mod tests {
         let a = RequestKey::of(&mk(forward), &spec(), 60, 7);
         let b = RequestKey::of(&mk(reversed), &spec(), 60, 7);
         assert_eq!(a, b);
-        assert_eq!(a.content_hash(), b.content_hash());
     }
 
     #[test]

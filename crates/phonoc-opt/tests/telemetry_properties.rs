@@ -88,11 +88,8 @@ fn portfolio_fingerprint(r: &PortfolioResult) -> (u64, Vec<u64>, Vec<usize>, usi
 #[test]
 fn optimizers_are_sink_invisible() {
     let problem = scenario_problem(3);
-    let optimizers: [&dyn phonoc_core::MappingOptimizer; 3] = [
-        &Rpbla,
-        &IteratedLocalSearch::default(),
-        &TabuSearch::default(),
-    ];
+    let optimizers: [&dyn phonoc_core::MappingOptimizer; 3] =
+        [&Rpbla, &IteratedLocalSearch, &TabuSearch];
     for optimizer in optimizers {
         let config = DseConfig::new(500, 11);
         let untraced = run_dse(&problem, optimizer, &config);

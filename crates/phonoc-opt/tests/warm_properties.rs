@@ -157,6 +157,15 @@ fn cache_streams_are_worker_count_invariant() {
         assert_eq!(b.source, WarmSource::ExactHit);
         assert_eq!(b.evaluations_spent, 0);
         assert!(matches!(c.source, WarmSource::NearHit { .. }));
+        // The returned counters record how each request was satisfied.
+        let warm = |r: &PortfolioResult| {
+            let s = r.stats;
+            (s.warm_exact_hits, s.warm_near_hits, s.warm_cold)
+        };
+        assert_eq!(
+            [warm(&a.result), warm(&b.result), warm(&c.result)],
+            [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+        );
         (
             fingerprint(&a.result),
             fingerprint(&b.result),
@@ -203,7 +212,6 @@ fn keys_are_invariant_under_edge_reordering() {
             }
             let shuffled = RequestKey::of(&build(&edges), &spec(), 50, 1);
             assert_eq!(key, shuffled, "case {case}: reorder changed the key");
-            assert_eq!(key.content_hash(), shuffled.content_hash());
         }
     }
 }

@@ -85,17 +85,51 @@ fn peek_names() -> String {
     PeekStrategy::ALL.map(|p| p.name()).join("|")
 }
 
+/// How a `--topology` choice lays out an application of `tasks` tasks
+/// on a 2.5 mm pitch, with the routing its problems use.
+type TopologyBuilder = fn(tasks: usize) -> (Topology, Box<dyn RoutingAlgorithm>);
+
+/// The `--topology` choices: the one table the help, `list` and
+/// [`build_problem`] read.
+const TOPOLOGIES: [(&str, TopologyBuilder); 3] = [
+    ("mesh", |tasks| {
+        let (w, h) = fit_grid(tasks);
+        let mesh = Topology::mesh(w, h, Length::from_mm(2.5));
+        (mesh, Box::new(XyRouting))
+    }),
+    ("torus", |tasks| {
+        let (w, h) = fit_grid(tasks);
+        let torus = Topology::torus(w.max(3), h.max(3), Length::from_mm(2.5));
+        (torus, Box::new(XyRouting))
+    }),
+    ("ring", |tasks| {
+        let ring = Topology::ring(tasks.max(3), Length::from_mm(2.5));
+        (ring, Box::new(RingRouting))
+    }),
+];
+
+/// `a|b|c` over every `--topology` name.
+fn topology_names() -> String {
+    TOPOLOGIES.map(|(name, _)| name).join("|")
+}
+
+/// `a|b|c` over every router name in the registry.
+fn router_names() -> String {
+    RouterRegistry::with_builtins().names().join("|")
+}
+
 /// `a|b|c` over every built-in optimizer name in the registry.
 fn optimizer_names() -> String {
     phonocmap::opt::builtin_names().join("|")
 }
 
-/// The top-level help. The optimizer list comes from the registry and
-/// the `@policy`, `/peek`, `!objective` and `--objective` name lists
-/// from the enums' `ALL`, so every advertised name parses.
+/// The top-level help. The optimizer and router lists come from the
+/// registries, the `--topology` list from [`TOPOLOGIES`], and the
+/// `@policy`, `/peek`, `!objective` and `--objective` name lists from
+/// the enums' `ALL`, so every advertised name parses.
 fn usage() -> String {
     let (objectives, policies, peeks) = (objective_names(), policy_names(), peek_names());
-    let optimizers = optimizer_names();
+    let (optimizers, topologies, routers) = (optimizer_names(), topology_names(), router_names());
     format!(
         "phonocmap — application mapping for photonic NoCs
 commands:
@@ -117,8 +151,8 @@ commands:
                                         (route mix, lane budget flow, cache
                                         hits) and verify its accounting
 options (analyze/optimize/portfolio):
-  --topology mesh|torus|ring   (default mesh)
-  --router   crux|crossbar|xy-crossbar   (default crux)
+  --topology {topologies}   (default mesh)
+  --router   {routers}   (default crux)
   --objective {objectives}   (default snr)
   --algo NAME[@policy][/peek][!objective]  (default r-pbla; optimize only)
              NAME: {optimizers} or portfolio:...
@@ -184,7 +218,19 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
     for name in phonocmap::opt::builtin_names() {
         println!("  {name}");
     }
-    println!("routing algorithms:\n  xy (mesh/torus)\n  yx (mesh/torus)\n  ring (rings)");
+    // Each routing with the topologies that use it, in table order.
+    let mut routings: Vec<(&str, Vec<&str>)> = Vec::new();
+    for (topology, build) in TOPOLOGIES {
+        let routing = build(1).1.name();
+        match routings.iter_mut().find(|(name, _)| *name == routing) {
+            Some((_, topologies)) => topologies.push(topology),
+            None => routings.push((routing, vec![topology])),
+        }
+    }
+    println!("routing algorithms:");
+    for (routing, topologies) in routings {
+        println!("  {routing} ({})", topologies.join("/"));
+    }
     Ok(())
 }
 
@@ -241,7 +287,7 @@ fn build_problem(args: &CliArgs) -> Result<Setup, String> {
     if cg.task_count() == 0 {
         return Err(format!("application `{}` has no tasks to map", cg.name()));
     }
-    let topology_kind = args.value("--topology").unwrap_or_else(|| "mesh".into());
+    let topology_name = args.value("--topology").unwrap_or_else(|| "mesh".into());
     let router_name = args.value("--router").unwrap_or_else(|| "crux".into());
     let objective = match args.value("--objective").as_deref() {
         None => Objective::MaximizeWorstCaseSnr,
@@ -254,23 +300,14 @@ fn build_problem(args: &CliArgs) -> Result<Setup, String> {
         .transpose()?
         .unwrap_or(42);
 
-    let pitch = Length::from_mm(2.5);
-    let (w, h) = fit_grid(cg.task_count());
-    let (topology, routing): (Topology, Box<dyn RoutingAlgorithm>) = match topology_kind.as_str() {
-        "mesh" => (Topology::mesh(w, h, pitch), Box::new(XyRouting)),
-        "torus" => (
-            Topology::torus(w.max(3), h.max(3), pitch),
-            Box::new(XyRouting),
-        ),
-        "ring" => (
-            Topology::ring(cg.task_count().max(3), pitch),
-            Box::new(RingRouting),
-        ),
-        other => return Err(format!("unknown topology `{other}` (mesh|torus|ring)")),
-    };
+    let (_, build) = TOPOLOGIES
+        .into_iter()
+        .find(|(name, _)| *name == topology_name)
+        .ok_or_else(|| format!("unknown topology `{topology_name}` ({})", topology_names()))?;
+    let (topology, routing) = build(cg.task_count());
     let router = RouterRegistry::with_builtins()
         .get(&router_name)
-        .ok_or_else(|| format!("unknown router `{router_name}`"))?;
+        .ok_or_else(|| format!("unknown router `{router_name}` ({})", router_names()))?;
     let problem = MappingProblem::new(
         cg,
         topology,

@@ -47,10 +47,10 @@ fn all_benchmarks_assemble_on_mesh_and_torus() {
 fn every_optimizer_runs_every_small_benchmark() {
     let optimizers: Vec<Box<dyn MappingOptimizer>> = vec![
         Box::new(RandomSearch),
-        Box::new(GeneticAlgorithm::default()),
+        Box::new(GeneticAlgorithm),
         Box::new(Rpbla),
-        Box::new(SimulatedAnnealing::default()),
-        Box::new(TabuSearch::default()),
+        Box::new(SimulatedAnnealing),
+        Box::new(TabuSearch),
     ];
     for app in ["PIP", "MPEG-4"] {
         let p = problem_for(app, false, Objective::MaximizeWorstCaseSnr);
@@ -103,16 +103,8 @@ fn optimization_never_loses_to_a_random_baseline() {
 fn seeded_runs_are_fully_reproducible_across_the_stack() {
     let p1 = problem_for("Wavelet", true, Objective::MaximizeWorstCaseSnr);
     let p2 = problem_for("Wavelet", true, Objective::MaximizeWorstCaseSnr);
-    let a = run_dse(
-        &p1,
-        &GeneticAlgorithm::default(),
-        &DseConfig::new(1_500, 1234),
-    );
-    let b = run_dse(
-        &p2,
-        &GeneticAlgorithm::default(),
-        &DseConfig::new(1_500, 1234),
-    );
+    let a = run_dse(&p1, &GeneticAlgorithm, &DseConfig::new(1_500, 1234));
+    let b = run_dse(&p2, &GeneticAlgorithm, &DseConfig::new(1_500, 1234));
     assert_eq!(a.best_mapping, b.best_mapping);
     assert_eq!(a.history, b.history);
 }

@@ -421,11 +421,20 @@ fn every_name_the_help_advertises_parses() {
     let peeks = help_list(&help, "/peek");
     let objectives = help_list(&help, "!objective");
     let objective_flags = help_list(&help, "--objective");
-    let rounds = [&policies, &peeks, &objectives, &objective_flags]
-        .iter()
-        .map(|names| names.len())
-        .max()
-        .unwrap();
+    let topologies = help_list(&help, "--topology");
+    let routers = help_list(&help, "--router");
+    let rounds = [
+        &policies,
+        &peeks,
+        &objectives,
+        &objective_flags,
+        &topologies,
+        &routers,
+    ]
+    .iter()
+    .map(|names| names.len())
+    .max()
+    .unwrap();
     // Cycle every list until each name has appeared at least once.
     for i in 0..rounds {
         let pick = |names: &[String]| names[i % names.len()].clone();
@@ -435,7 +444,8 @@ fn every_name_the_help_advertises_parses() {
             pick(&peeks),
             pick(&objectives)
         );
-        let objective = pick(&objective_flags);
+        let (objective, topology, router) =
+            (pick(&objective_flags), pick(&topologies), pick(&routers));
         let out = phonocmap(&[
             "optimize",
             "--app",
@@ -446,10 +456,14 @@ fn every_name_the_help_advertises_parses() {
             &algo,
             "--objective",
             &objective,
+            "--topology",
+            &topology,
+            "--router",
+            &router,
         ]);
         assert!(
             out.status.success(),
-            "{algo} --objective {objective}: {}",
+            "{algo} --objective {objective} --topology {topology} --router {router}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
