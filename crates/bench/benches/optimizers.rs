@@ -32,6 +32,24 @@ fn optimizer_overhead(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The paper's three strategies on its largest cell (DVOPD, 6×6
+    // mesh) at a Table II-sized budget, where GA offspring that repeat
+    // a parent are scored from it rather than recomputed.
+    let problem = paper_problem("DVOPD", TopologyKind::Mesh, Objective::MaximizeWorstCaseSnr);
+    let paper: [Box<dyn MappingOptimizer>; 3] = [
+        Box::new(GeneticAlgorithm),
+        Box::new(RandomSearch),
+        Box::new(Rpbla),
+    ];
+    let mut group = c.benchmark_group("optimize_dvopd_4k_evals");
+    group.sample_size(10);
+    for opt in &paper {
+        group.bench_function(opt.name(), |b| {
+            b.iter(|| run_dse(&problem, opt.as_ref(), &DseConfig::new(4_000, 42)));
+        });
+    }
+    group.finish();
 }
 
 /// Move-stream generation against a seated random cursor, on the 8×8

@@ -185,7 +185,10 @@
 //! to evaluate a starting point, the peek family to score candidate moves
 //! incrementally, and [`OptContext::apply_scored_move`] to commit one —
 //! while population strategies batch-score whole generations with
-//! [`OptContext::evaluate_batch`].
+//! [`OptContext::evaluate_batch`], or with
+//! [`OptContext::evaluate_batch_known`] when some members repeat a
+//! placement whose score they already hold (billed alike, computed
+//! once).
 
 use crate::error::CoreError;
 use crate::evaluator::{
@@ -594,6 +597,26 @@ impl Scorer<'_> {
     }
 }
 
+/// The score of one direct (non-peek) evaluation of `mapping` under
+/// `objective`, `None` once the pass proves the worst-case SNR `≤
+/// threshold`. A loss-family score reads only the worst-case insertion
+/// loss, so it takes the path-table fold ([`Evaluator::worst_case_il`])
+/// instead of a crosstalk pass and never rejects; an SNR-family one
+/// runs the bounded full pass on `scratch`.
+fn score_direct(
+    evaluator: &Evaluator,
+    objective: Objective,
+    mapping: &Mapping,
+    threshold: Db,
+    scratch: &mut EvalScratch,
+) -> Option<f64> {
+    if objective.is_loss_based() {
+        return Some(objective.score_worst_il(evaluator.worst_case_il(mapping)));
+    }
+    let summary = evaluator.evaluate_bounded(mapping, threshold, scratch)?;
+    Some(objective.score_worst_snr(summary.worst_case_snr))
+}
+
 /// The search-side view of a problem: evaluation with budget
 /// enforcement, incumbent tracking and a seeded RNG.
 pub struct OptContext<'p> {
@@ -934,32 +957,64 @@ impl<'p> OptContext<'p> {
     /// consuming one full evaluation. Returns `None` — without
     /// evaluating — once the budget is exhausted; optimizers should then
     /// return. Runs on the context's reused [`EvalScratch`], so the
-    /// evaluation itself allocates nothing.
+    /// evaluation itself allocates nothing; a loss-family objective
+    /// reads only the path table ([`Evaluator::worst_case_il`]).
     pub fn evaluate(&mut self, mapping: &Mapping) -> Option<f64> {
         if self.exhausted() {
             return None;
         }
         self.book(self.unit, Billed::Direct);
-        let summary = self
-            .problem
-            .evaluator()
-            .evaluate_into(mapping, None, &mut self.scratch.full);
-        let score = self
-            .objective
-            .score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
+        let score = self.direct_score(mapping);
         self.record(mapping, score);
         Some(score)
     }
 
+    /// The exact score of one direct evaluation, on the context's own
+    /// scratch.
+    fn direct_score(&mut self, mapping: &Mapping) -> f64 {
+        let (evaluator, objective) = (self.problem.evaluator(), self.objective);
+        let exact = Db(f64::NEG_INFINITY);
+        score_direct(evaluator, objective, mapping, exact, &mut self.scratch.full)
+            .expect("a -∞ threshold never rejects")
+    }
+
     /// Scores a batch of mappings (in parallel across CPU cores), each
-    /// consuming one full evaluation. Only as many mappings as the
+    /// billed as one full evaluation. Only as many mappings as the
     /// remaining budget admits are evaluated: the returned vector holds
     /// scores for the evaluated *prefix* and may be shorter than the
     /// input. Incumbent tracking visits results in input order, so the
     /// outcome is identical to a sequential [`OptContext::evaluate`]
     /// loop.
     pub fn evaluate_batch(&mut self, mappings: &[Mapping]) -> Vec<f64> {
-        self.score_batch(mappings, Db(f64::NEG_INFINITY))
+        self.evaluate_batch_known(mappings, &[])
+    }
+
+    /// [`OptContext::evaluate_batch`] for a caller that already knows
+    /// some of the scores: `known[i]`, when `Some`, is the score of a
+    /// mapping with the same task placement as `mappings[i]` (a GA child
+    /// that repeats a parent). Only the admitted mappings whose score is
+    /// not known run the full pass; every admitted mapping is still
+    /// billed as one full evaluation and visited by incumbent tracking
+    /// in input order, so scores, budget truncation, the ledger,
+    /// [`RunStats`], the history and the trace are exactly those of
+    /// `evaluate_batch`. An empty `known` knows nothing. Debug builds
+    /// check every known score bit for bit against a fresh evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `known` is neither empty nor as long as `mappings`.
+    pub fn evaluate_batch_known(
+        &mut self,
+        mappings: &[Mapping],
+        known: &[Option<f64>],
+    ) -> Vec<f64> {
+        assert!(
+            known.is_empty() || known.len() == mappings.len(),
+            "known scores must cover the batch ({} for {} mappings)",
+            known.len(),
+            mappings.len()
+        );
+        self.score_batch(mappings, known, Db(f64::NEG_INFINITY))
             .into_iter()
             .map(|score| score.expect("a -∞ threshold never rejects"))
             .collect()
@@ -983,29 +1038,49 @@ impl<'p> OptContext<'p> {
             }
             _ => Db(f64::NEG_INFINITY),
         };
-        self.score_batch(mappings, threshold)
+        self.score_batch(mappings, &[], threshold)
     }
 
-    /// The batch both entry points share: the admitted prefix through
-    /// the bounded full pass at `threshold` in one order-preserving
-    /// parallel pass, then billing and incumbent tracking in input
-    /// order.
-    fn score_batch(&mut self, mappings: &[Mapping], threshold: Db) -> Vec<Option<f64>> {
+    /// The batch every entry point shares: the admitted mappings whose
+    /// score is not `known` (an empty `known` knows none) through the
+    /// bounded full pass at `threshold` in one order-preserving parallel
+    /// pass, then billing and incumbent tracking for every admitted
+    /// mapping in input order.
+    fn score_batch(
+        &mut self,
+        mappings: &[Mapping],
+        known: &[Option<f64>],
+        threshold: Db,
+    ) -> Vec<Option<f64>> {
         let admit = self.remaining().min(mappings.len());
         if admit == 0 {
             return Vec::new();
         }
-        let evaluator = self.problem.evaluator();
-        let summaries =
-            parallel::parallel_map_with(&mappings[..admit], EvalScratch::default, |scratch, m| {
-                evaluator.evaluate_bounded(m, threshold, scratch)
-            });
-        let objective = self.objective;
+        let known_at = |i: usize| known.get(i).copied().flatten();
+        let (evaluator, objective) = (self.problem.evaluator(), self.objective);
+        let fresh: Vec<&Mapping> = (0..admit)
+            .filter(|&i| known_at(i).is_none())
+            .map(|i| &mappings[i])
+            .collect();
+        let mut computed =
+            parallel::parallel_map_with(&fresh, EvalScratch::default, |scratch, m| {
+                score_direct(evaluator, objective, m, threshold, scratch)
+            })
+            .into_iter();
         let mut scores = Vec::with_capacity(admit);
-        for (mapping, summary) in mappings.iter().zip(summaries) {
+        for (i, mapping) in mappings[..admit].iter().enumerate() {
             self.book(self.unit, Billed::Direct);
-            let score =
-                summary.map(|s| objective.score_worst_cases(s.worst_case_il, s.worst_case_snr));
+            let score = match known_at(i) {
+                Some(score) => {
+                    debug_assert_eq!(
+                        score.to_bits(),
+                        self.direct_score(mapping).to_bits(),
+                        "known score of batch entry {i} differs from its evaluation"
+                    );
+                    Some(score)
+                }
+                None => computed.next().expect("one pass per unknown entry"),
+            };
             if let Some(score) = score {
                 self.record(mapping, score);
             }
@@ -1770,6 +1845,86 @@ mod tests {
         assert_eq!(scores.len(), 5);
         assert!(ctx.exhausted());
         assert!(ctx.evaluate_batch(&mappings).is_empty());
+    }
+
+    /// Scores, ledger, stats, history and trace of one batch call on a
+    /// fresh traced context: the known-score batch when `known` is
+    /// `Some`, the plain batch otherwise.
+    #[allow(clippy::type_complexity)]
+    fn traced_batch(
+        p: &MappingProblem,
+        objective: Objective,
+        budget: usize,
+        mappings: &[Mapping],
+        known: Option<&[Option<f64>]>,
+    ) -> (
+        Vec<u64>,
+        usize,
+        RunStats,
+        Vec<(usize, f64)>,
+        Vec<TraceEvent>,
+    ) {
+        let mut ctx = OptContext::new(p, budget, 3);
+        ctx.set_objective(objective).unwrap();
+        ctx.set_trace_sink(Box::new(RunTrace::new()));
+        let scores = match known {
+            Some(known) => ctx.evaluate_batch_known(mappings, known),
+            None => ctx.evaluate_batch(mappings),
+        };
+        let bits = scores.into_iter().map(f64::to_bits).collect();
+        let history = ctx.history().to_vec();
+        (bits, ctx.used(), ctx.stats(), history, ctx.drain_trace())
+    }
+
+    #[test]
+    fn known_scores_change_nothing_but_the_work() {
+        let p = tiny_problem();
+        let mut rng = StdRng::seed_from_u64(8);
+        // Repeats make some entries copies of earlier ones, as GA
+        // children repeat their parents.
+        let mut mappings: Vec<Mapping> = (0..9)
+            .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
+            .collect();
+        mappings.extend_from_within(2..7);
+        for objective in [
+            Objective::MaximizeWorstCaseSnr,
+            Objective::MinimizeWorstCaseLoss,
+        ] {
+            let fresh: Vec<f64> = mappings
+                .iter()
+                .map(|m| objective.score(&p.evaluator().evaluate(m)))
+                .collect();
+            let patterns: [Vec<Option<f64>>; 3] = [
+                fresh.iter().map(|&s| Some(s)).collect(),
+                fresh
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| (i % 3 != 1).then_some(s))
+                    .collect(),
+                vec![None; mappings.len()],
+            ];
+            // 20 admits the whole batch; 8 truncates it to a prefix that
+            // holds known entries, and so does 1.
+            for budget in [20, 8, 1] {
+                let plain = traced_batch(&p, objective, budget, &mappings, None);
+                assert_eq!(plain.0.len(), mappings.len().min(budget));
+                for known in &patterns {
+                    let with = traced_batch(&p, objective, budget, &mappings, Some(known));
+                    assert_eq!(with, plain, "{objective:?} budget {budget} known {known:?}");
+                }
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "known score of batch entry 1")]
+    fn a_wrong_known_score_fails_the_debug_cross_check() {
+        let p = tiny_problem();
+        let mut ctx = OptContext::new(&p, 10, 0);
+        let mappings: Vec<Mapping> = (0..3).map(|_| ctx.random_mapping()).collect();
+        let real = p.evaluate(&mappings[1]).1;
+        ctx.evaluate_batch_known(&mappings, &[None, Some(real.next_up()), None]);
     }
 
     #[test]

@@ -472,6 +472,13 @@ impl DeltaScratch {
     }
 }
 
+/// The worst (most negative) of per-edge insertion losses, folded from
+/// `0.0` in the given order — the one loss min-scan of the seat and of
+/// [`Evaluator::worst_case_il`].
+fn worst_of_losses(losses: impl Iterator<Item = f64>) -> f64 {
+    losses.fold(0.0f64, f64::min)
+}
+
 impl Evaluator {
     /// The SNR cursor seat: one full pass ([`Evaluator::evaluate_into`]'s
     /// own kernel), whose occupancies, suffixes, accumulations, noise,
@@ -485,7 +492,7 @@ impl Evaluator {
     /// [`Evaluator::evaluate`] does).
     #[must_use]
     pub fn init_state(&self, mapping: &Mapping) -> EvalState {
-        let path_of_edge = self.path_of_edge(mapping);
+        let path_of_edge: Vec<usize> = self.edge_paths(mapping).collect();
         let mut hop_offset = Vec::with_capacity(path_of_edge.len() + 1);
         let mut total_hops = 0usize;
         for &p in &path_of_edge {
@@ -544,15 +551,14 @@ impl Evaluator {
     /// The loss-only cursor seat: per-edge paths and insertion losses
     /// plus the worst case, in `O(edges)` — no occupancy lists,
     /// accumulations or noise (see [`EvalState`]). `worst_il` is
-    /// bit-identical to [`Evaluator::init_state`]'s (the same min-scan
-    /// in edge order).
+    /// [`Evaluator::worst_case_il`]'s fold.
     pub(crate) fn init_loss_state(&self, mapping: &Mapping) -> EvalState {
-        let path_of_edge = self.path_of_edge(mapping);
+        let path_of_edge: Vec<usize> = self.edge_paths(mapping).collect();
         let il: Vec<f64> = path_of_edge
             .iter()
             .map(|&p| self.path(p).total_db)
             .collect();
-        let worst_il = il.iter().fold(0.0f64, |worst, &l| worst.min(l));
+        let worst_il = worst_of_losses(il.iter().copied());
         EvalState {
             path_of_edge,
             hop_offset: Vec::new(),
@@ -567,9 +573,27 @@ impl Evaluator {
         }
     }
 
-    /// Per edge: the index of its path under `mapping` (`src_tile ×
-    /// tiles + dst_tile`) — the first step of both state seats.
-    fn path_of_edge(&self, mapping: &Mapping) -> Vec<usize> {
+    /// The worst-case insertion loss of `mapping` (paper Eq. 3) from
+    /// the path table alone, in `O(edges)` with no crosstalk pass — all
+    /// a loss-family objective scores. One fold from `0.0` over the
+    /// edges' path losses in edge order, the min-scan the full pass and
+    /// the loss seat run, so the result is bit-identical to
+    /// [`Evaluator::evaluate_into`]'s `worst_case_il`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
+    #[must_use]
+    pub fn worst_case_il(&self, mapping: &Mapping) -> Db {
+        Db(worst_of_losses(
+            self.edge_paths(mapping).map(|p| self.path(p).total_db),
+        ))
+    }
+
+    /// Per edge, in edge order: the index of its path under `mapping`
+    /// (`src_tile × tiles + dst_tile`) — the first step of both state
+    /// seats and of [`Evaluator::worst_case_il`].
+    fn edge_paths<'a>(&'a self, mapping: &'a Mapping) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(
             mapping.tile_count(),
             self.tile_count,
@@ -578,7 +602,6 @@ impl Evaluator {
         self.edge_endpoints
             .iter()
             .map(|&(s, d)| mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0)
-            .collect()
     }
 
     pub(super) fn path(&self, idx: usize) -> &PathInfo {

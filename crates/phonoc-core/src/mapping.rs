@@ -124,6 +124,27 @@ impl Mapping {
         assignment: Vec<TileId>,
         tile_count: usize,
     ) -> Result<Mapping, CoreError> {
+        let mut mapping = Mapping::identity(0, tile_count);
+        mapping.reassign(&assignment)?;
+        Ok(mapping)
+    }
+
+    /// Rewrites this mapping in place into the one
+    /// [`Mapping::from_assignment`] builds from `assignment` on the same
+    /// tiles: task `i` on `assignment[i]`, the free tiles after them in
+    /// ascending order. Reuses the permutation buffer, so a caller that
+    /// rebuilds one mapping many times (GA offspring) allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Mapping::from_assignment`]. The mapping stays
+    /// valid: unchanged after [`CoreError::TooManyTasks`], the identity
+    /// permutation with no tasks after [`CoreError::InvalidMapping`].
+    pub fn reassign(&mut self, assignment: &[TileId]) -> Result<(), CoreError> {
+        /// Marks a tile some task occupies while the buffer serves as a
+        /// per-tile table.
+        const TAKEN: TileId = TileId(usize::MAX);
+        let tile_count = self.perm.len();
         let task_count = assignment.len();
         if task_count > tile_count {
             return Err(CoreError::TooManyTasks {
@@ -131,23 +152,33 @@ impl Mapping {
                 tiles: tile_count,
             });
         }
-        let mut used = vec![false; tile_count];
-        for &t in &assignment {
-            if t.0 >= tile_count {
-                return Err(CoreError::InvalidMapping(format!(
-                    "tile {t} out of range (tile count {tile_count})"
-                )));
-            }
-            if used[t.0] {
-                return Err(CoreError::InvalidMapping(format!(
-                    "tile {t} hosts two tasks (condition 6)"
-                )));
-            }
-            used[t.0] = true;
+        self.perm.fill(TileId(0));
+        for &t in assignment {
+            let error = if t.0 >= tile_count {
+                format!("tile {t} out of range (tile count {tile_count})")
+            } else if self.perm[t.0] == TAKEN {
+                format!("tile {t} hosts two tasks (condition 6)")
+            } else {
+                self.perm[t.0] = TAKEN;
+                continue;
+            };
+            *self = Mapping::identity(0, tile_count);
+            return Err(CoreError::InvalidMapping(error));
         }
-        let mut perm = assignment;
-        perm.extend((0..tile_count).filter(|&i| !used[i]).map(TileId));
-        Ok(Mapping { perm, task_count })
+        // Free tiles fill the tail from the top down: the slot written
+        // for tile `t` is never below `t`, so every table entry is read
+        // before it is overwritten.
+        let mut slot = tile_count;
+        for t in (0..tile_count).rev() {
+            if self.perm[t] != TAKEN {
+                slot -= 1;
+                self.perm[slot] = TileId(t);
+            }
+        }
+        debug_assert_eq!(slot, task_count);
+        self.perm[..task_count].copy_from_slice(assignment);
+        self.task_count = task_count;
+        Ok(())
     }
 
     /// A uniformly random valid mapping of `task_count` tasks onto
@@ -302,6 +333,32 @@ mod tests {
         // Free tail contains exactly the unused tiles.
         let tail: Vec<usize> = m.permutation()[2..].iter().map(|t| t.0).collect();
         assert_eq!(tail, vec![1, 3]);
+    }
+
+    #[test]
+    fn reassign_rebuilds_what_from_assignment_builds() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut reused = Mapping::random(3, 9, &mut rng);
+        for tasks in [0, 1, 4, 8, 9] {
+            for _ in 0..20 {
+                let source = Mapping::random(tasks, 9, &mut rng);
+                let assignment = source.assignment().to_vec();
+                reused.reassign(&assignment).unwrap();
+                assert_eq!(reused, Mapping::from_assignment(assignment, 9).unwrap());
+            }
+        }
+        // A rejected assignment leaves a valid, task-free mapping.
+        let err = reused.reassign(&[TileId(4), TileId(4)]).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidMapping(_)));
+        assert_eq!(reused, Mapping::identity(0, 9));
+        assert!(reused.reassign(&[TileId(9)]).is_err());
+        assert!(reused.is_valid());
+        // Too many tasks leaves it untouched.
+        let before = Mapping::from_assignment(vec![TileId(3)], 9).unwrap();
+        reused.clone_from(&before);
+        let err = reused.reassign(&[TileId(0); 10]).unwrap_err();
+        assert!(matches!(err, CoreError::TooManyTasks { .. }));
+        assert_eq!(reused, before);
     }
 
     #[test]

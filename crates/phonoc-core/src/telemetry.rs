@@ -170,9 +170,13 @@ impl WarmOutcome {
 /// deterministic per `(problem, config, seed)` at any worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Full evaluations performed, each charged `edge_count` units —
-    /// the session's one count of them, bumped where each is billed
-    /// (`== full_peeks + full_direct`).
+    /// Full evaluations billed, each charged `edge_count` units — the
+    /// session's one count of them, bumped where each is billed
+    /// (`== full_peeks + full_direct`). A billed evaluation is not
+    /// always a recomputed one: a GA child that repeats a parent's
+    /// placement is billed but scored from the parent
+    /// ([`crate::OptContext::evaluate_batch_known`]), and a loss-family
+    /// direct evaluation reads only the path table.
     pub full_evaluations: usize,
     /// Incremental evaluations performed, each charged by the work it
     /// did — the session's one count of them (the sum of
@@ -181,8 +185,9 @@ pub struct RunStats {
     pub delta_evaluations: usize,
     /// Peeks the strategy routed to a full scratch re-evaluation.
     pub full_peeks: usize,
-    /// Non-peek full evaluations (`evaluate`, `evaluate_batch`,
-    /// `set_current`).
+    /// Non-peek full evaluations billed (`evaluate`, the
+    /// `evaluate_batch*` family, `set_current`), known-score batch
+    /// entries included.
     pub full_direct: usize,
     /// Exact SNR delta peeks (non-improving scans).
     pub delta_exact: usize,

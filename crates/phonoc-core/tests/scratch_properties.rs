@@ -1,7 +1,8 @@
 //! Property tests for the allocation-free evaluation pipeline:
 //!
-//! * [`Evaluator::evaluate_into`] on a **reused** scratch, and the SNR
-//!   cursor seat ([`Evaluator::init_state`]) built on its pass, are
+//! * [`Evaluator::evaluate_into`] on a **reused** scratch, the SNR
+//!   cursor seat ([`Evaluator::init_state`]) built on its pass, and the
+//!   path-table loss fold ([`Evaluator::worst_case_il`]) are
 //!   bit-identical to the allocating wrappers and the independent
 //!   reference pass on random mappings and random activity masks —
 //!   mesh, torus (wrap links), ring (ring routing) and an edgeless CG;
@@ -138,6 +139,12 @@ fn evaluate_into_bit_matches_wrappers_on_random_mappings_and_masks() {
             assert_eq!(scratch.to_metrics(), reference, "{p:?} round {round}");
             assert_eq!(summary.worst_case_il, reference.worst_case_il);
             assert_eq!(summary.worst_case_snr, reference.worst_case_snr);
+            // The path-table loss fold loss-family evaluations score.
+            assert_eq!(
+                ev.worst_case_il(&mapping).0.to_bits(),
+                summary.worst_case_il.0.to_bits(),
+                "{p:?} round {round}"
+            );
             assert_eq!(ev.evaluate(&mapping), reference, "{p:?} round {round}");
             let state = ev.init_state(&mapping);
             assert_eq!(state.to_metrics(), reference, "{p:?} round {round} (state)");

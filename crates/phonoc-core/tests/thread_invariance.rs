@@ -16,7 +16,7 @@
 use phonoc_core::parallel::{
     parallel_map, parallel_map_tasks, parallel_map_with, set_worker_override,
 };
-use phonoc_core::{EvalScratch, Mapping, MappingProblem, Move, Objective, OptContext};
+use phonoc_core::{EvalScratch, Mapping, MappingProblem, Move, Objective, OptContext, RunStats};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
@@ -96,30 +96,51 @@ fn batch_evaluation_is_worker_count_invariant() {
     let mappings: Vec<Mapping> = (0..96)
         .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
         .collect();
-    // The engine's batch entry point, scores bit for bit.
-    let scores = |improving: bool| -> Vec<Option<u64>> {
+    // The known-score batch is told every third score (the sequential
+    // evaluation's), so its full passes fork over the other entries.
+    let known: Vec<Option<f64>> = mappings
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (i % 3 == 0).then(|| p.evaluate(m).1))
+        .collect();
+    // The engine's batch entry points, scores bit for bit, with the
+    // ledger and stats the known-score batch must share with the plain
+    // one.
+    #[derive(Clone, Copy)]
+    enum Batch {
+        Plain,
+        Improving,
+        Known,
+    }
+    let scores = |batch: Batch| -> (Vec<Option<u64>>, usize, RunStats) {
         let mut ctx = OptContext::new(&p, 1_000, 1);
-        if improving {
-            ctx.evaluate_batch_improving(&mappings)
-        } else {
-            ctx.evaluate_batch(&mappings)
+        let scores = match batch {
+            Batch::Plain => ctx
+                .evaluate_batch(&mappings)
                 .into_iter()
                 .map(Some)
-                .collect()
-        }
-        .into_iter()
-        .map(|s| s.map(f64::to_bits))
-        .collect()
+                .collect(),
+            Batch::Improving => ctx.evaluate_batch_improving(&mappings),
+            Batch::Known => ctx
+                .evaluate_batch_known(&mappings, &known)
+                .into_iter()
+                .map(Some)
+                .collect(),
+        };
+        let bits = scores.into_iter().map(|s| s.map(f64::to_bits)).collect();
+        (bits, ctx.used(), ctx.stats())
     };
+    let all = || [Batch::Plain, Batch::Improving, Batch::Known].map(scores);
     set_worker_override(Some(1));
     let reference = batch_bits(&p, &mappings);
-    let score_reference = [scores(false), scores(true)];
+    let score_reference = all();
+    assert_eq!(score_reference[2], score_reference[0], "known vs plain");
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
         // Bit-exact, not approximately equal.
         assert_eq!(batch_bits(&p, &mappings), reference, "@ {workers} workers");
         assert_eq!(
-            [scores(false), scores(true)],
+            all(),
             score_reference,
             "OptContext batches @ {workers} workers"
         );
