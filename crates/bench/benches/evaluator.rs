@@ -389,7 +389,12 @@ fn loss_seat_vs_full_state(c: &mut Criterion) {
 ///    threshold, the best worst-case SNR of 256 earlier draws;
 ///  * `neighbours_*` — one-swap neighbours of an R-PBLA optimum at the
 ///    optimum's own worst-case SNR, the threshold of an improving scan
-///    around a converged cursor.
+///    around a converged cursor;
+///  * `rs_draws_*` — random search itself: 1024 uniform draws scored in
+///    order on one reused scratch, each against the best worst-case SNR
+///    of the draws before it (`-∞` for the first), so the scratch's
+///    list of recent stopping edges warms up as in a run. One
+///    iteration scores all 1024.
 ///
 /// `*_exact` runs `evaluate_into` on the same mappings.
 fn full_pass_bounded(c: &mut Criterion) {
@@ -435,6 +440,35 @@ fn full_pass_bounded(c: &mut Criterion) {
                 });
             });
         }
+        let draws: Vec<Mapping> = (0..1024)
+            .map(|_| Mapping::random(tasks, tiles, &mut rng))
+            .collect();
+        group.bench_function(&format!("{name}_rs_draws_exact"), |b| {
+            let mut scratch = EvalScratch::default();
+            b.iter(|| {
+                let mut incumbent = f64::NEG_INFINITY;
+                for m in &draws {
+                    let snr = evaluator
+                        .evaluate_into(m, None, &mut scratch)
+                        .worst_case_snr
+                        .0;
+                    incumbent = incumbent.max(snr);
+                }
+                black_box(incumbent)
+            });
+        });
+        group.bench_function(&format!("{name}_rs_draws_bounded"), |b| {
+            let mut scratch = EvalScratch::default();
+            b.iter(|| {
+                let mut incumbent = f64::NEG_INFINITY;
+                for m in &draws {
+                    if let Some(s) = evaluator.evaluate_bounded(m, Db(incumbent), &mut scratch) {
+                        incumbent = incumbent.max(s.worst_case_snr.0);
+                    }
+                }
+                black_box(incumbent)
+            });
+        });
     }
     group.finish();
 }

@@ -1044,8 +1044,9 @@ impl<'p> OptContext<'p> {
     /// The batch every entry point shares: the admitted mappings whose
     /// score is not `known` (an empty `known` knows none) through the
     /// bounded full pass at `threshold` in one order-preserving parallel
-    /// pass, then billing and incumbent tracking for every admitted
-    /// mapping in input order.
+    /// pass (inline for a loss-family objective, whose scores are
+    /// path-table folds), then billing and incumbent tracking for every
+    /// admitted mapping in input order.
     fn score_batch(
         &mut self,
         mappings: &[Mapping],
@@ -1062,11 +1063,20 @@ impl<'p> OptContext<'p> {
             .filter(|&i| known_at(i).is_none())
             .map(|i| &mappings[i])
             .collect();
-        let mut computed =
+        let computed = if objective.is_loss_based() {
+            // A loss score is a path-table fold of well under a
+            // microsecond: forking it costs more than it saves.
+            let scratch = &mut self.scratch.full;
+            fresh
+                .iter()
+                .map(|m| score_direct(evaluator, objective, m, threshold, scratch))
+                .collect()
+        } else {
             parallel::parallel_map_with(&fresh, EvalScratch::default, |scratch, m| {
                 score_direct(evaluator, objective, m, threshold, scratch)
             })
-            .into_iter();
+        };
+        let mut computed = computed.into_iter();
         let mut scores = Vec::with_capacity(admit);
         for (i, mapping) in mappings[..admit].iter().enumerate() {
             self.book(self.unit, Billed::Direct);

@@ -87,6 +87,36 @@
 //! at least one noisy edge. `evaluate_into` and the cursor seat run
 //! the kernel at `t = -∞`, where inlining folds the test away.
 //!
+//! ## Victim first
+//!
+//! One victim at or below the threshold is enough to reject, and the
+//! victim that stopped the last pass is the likeliest to stop the next
+//! one (random search's draws share a threshold, an improving scan's
+//! neighbours share most paths). So before it builds any occupancy
+//! list, a bounded pass (all edges active) resolves every edge's path
+//! and recomputes the *final* noise of the edges that stopped recent
+//! passes on the same scratch (at most 4, most recent first) straight
+//! from per-path tile bitmasks: the aggressors, in edge order, add
+//! `prefix · K` into the victim hop's accumulation at every tile they
+//! share with it, each path's hop at a tile found by the tile's rank
+//! in its mask (`popcount` below it) through the path's tile order;
+//! the victim's hops are then summed in tile order. Every sum runs in
+//! the sweep's order minus its exact `+0.0` terms (non-sharing,
+//! same-source and zero-coupling entries), so the probed noise *is* the
+//! sweep's final `noise[v]`, bit for bit. The pass returns `None` at the
+//! first probed victim with `noise > 0` and `gain / noise ≤ r`. The
+//! sweep would have stopped too: that victim's last non-zero update
+//! lands at its final noise, which trips the cutoff. Otherwise the
+//! unchanged counting sort and sweep run on the resolved paths, and the
+//! edge the sweep stops at moves to the front of the list.
+//!
+//! The list therefore decides only how early a rejection comes, never
+//! whether it comes: `evaluate_bounded` stays a pure function of
+//! (mapping, threshold), as the sticky scratch slots of
+//! [`crate::parallel`] require. Ranks name one hop per path and tile
+//! only if no path visits a tile twice; the evaluator checks that once,
+//! when it builds the masks, and never probes a table that does.
+//!
 //! [`Objective::threshold_for_score`]: crate::Objective::threshold_for_score
 //!
 //! # Reuse across problems: incremental mutation
@@ -206,6 +236,18 @@ pub struct EvalScratch {
     /// scan tests all its candidates against one threshold, so the
     /// cutoff is derived once per scan, not once per pass.
     cutoff: Option<(f64, f64, f64)>,
+    /// The edges that stopped recent bounded passes on this scratch,
+    /// most recent first: the victims the next bounded pass probes
+    /// before it builds any occupancy list. Only an edge's index is
+    /// kept, so a scratch moving between problems probes whatever edge
+    /// now has that index (an exact probe either way; indices past the
+    /// edge count are skipped).
+    stoppers: Stoppers,
+    /// The victim-first probe's buffers.
+    probe: ProbeBuffers,
+    /// Bounded passes this scratch ended at a probe (test hook).
+    #[cfg(test)]
+    probe_rejections: usize,
     worst_il: f64,
     worst_snr: f64,
     /// Edge count of the last evaluation.
@@ -275,6 +317,44 @@ impl EvalScratch {
     }
 }
 
+/// How many recent stopping edges a scratch keeps (see
+/// [`EvalScratch::stoppers`]).
+const STOPPERS: usize = 4;
+
+/// A most-recent-first list of at most [`STOPPERS`] edge indices.
+#[derive(Debug, Default, Clone, Copy)]
+struct Stoppers {
+    edges: [u32; STOPPERS],
+    len: usize,
+}
+
+impl Stoppers {
+    /// Moves `edge` to the front, dropping the oldest entry when a new
+    /// edge arrives at a full list.
+    fn touch(&mut self, edge: u32) {
+        let pos = match self.edges[..self.len].iter().position(|&e| e == edge) {
+            Some(pos) => pos,
+            None => {
+                self.len = (self.len + 1).min(STOPPERS);
+                self.len - 1
+            }
+        };
+        self.edges[..=pos].rotate_right(1);
+        self.edges[0] = edge;
+    }
+}
+
+/// Reused buffers of one victim-first probe ([`Evaluator::probe_noise`]).
+#[derive(Debug, Default, Clone)]
+struct ProbeBuffers {
+    /// The path indices of the victim's aggressors, in edge order; only
+    /// a prefix is live.
+    aggressors: Vec<usize>,
+    /// Per hop of the victim, in its path's `tile_order`: the aggressor
+    /// accumulation at that hop's router.
+    acc: Vec<f64>,
+}
+
 /// One hop of a precomputed path, with everything the noise accumulation
 /// needs.
 #[derive(Debug, Clone, Copy)]
@@ -319,6 +399,15 @@ pub struct Evaluator {
     tile_count: usize,
     /// `paths[s * tile_count + d]`.
     paths: Vec<Option<PathInfo>>,
+    /// Per path, the tiles it visits as a bitmask: `mask_words =
+    /// ⌈tiles/64⌉` words at `tile_masks[idx * mask_words..]` (zero for
+    /// `s == d`). The bounded pass's victim-first probe reads a path's
+    /// hop at a tile by the tile's rank in this mask.
+    tile_masks: Vec<u64>,
+    mask_words: usize,
+    /// Whether some path visits a tile twice. The probe reads one hop
+    /// per path and tile, so it is off for such a table.
+    paths_revisit: bool,
     /// 25×25 linear interaction gains.
     interaction: [[f64; 25]; 25],
     /// Bit `a` of `row_mask[v]` set iff `interaction[v][a] > 0`: the
@@ -399,6 +488,9 @@ impl Evaluator {
         let prop_db_per_cm = params.propagation_loss_per_cm.0;
         let crossing_db = params.crossing_loss.0;
         let mut paths: Vec<Option<PathInfo>> = vec![None; tiles * tiles];
+        let mask_words = tiles.div_ceil(64);
+        let mut tile_masks = vec![0u64; tiles * tiles * mask_words];
+        let mut paths_revisit = false;
         for s in topology.tiles() {
             for d in topology.tiles() {
                 if s == d {
@@ -447,7 +539,14 @@ impl Evaluator {
                 }
                 let mut tile_order: Vec<u32> = (0..h as u32).collect();
                 tile_order.sort_by_key(|&i| (hops[i as usize].tile, i));
-                paths[s.0 * tiles + d.0] = Some(PathInfo {
+                let idx = s.0 * tiles + d.0;
+                let mask = &mut tile_masks[idx * mask_words..(idx + 1) * mask_words];
+                for hop in &hops {
+                    let (word, bit) = (hop.tile / 64, 1u64 << (hop.tile % 64));
+                    paths_revisit |= mask[word] & bit != 0;
+                    mask[word] |= bit;
+                }
+                paths[idx] = Some(PathInfo {
                     hops,
                     tile_order,
                     total_gain,
@@ -470,6 +569,9 @@ impl Evaluator {
             task_edges,
             tile_count: tiles,
             paths,
+            tile_masks,
+            mask_words,
+            paths_revisit,
             interaction,
             row_mask,
             snr_ceiling: params.snr_ceiling,
@@ -856,10 +958,7 @@ impl Evaluator {
         scratch.ceiling = self.snr_ceiling.0;
 
         // Resolve each CG edge to its precomputed path; latch activity
-        // and the path's IL/gain, and count its hops per tile for the
-        // counting sort — one pass over the path table.
-        scratch.tile_offset[..=tiles].fill(0);
-        let mut total = 0usize;
+        // and the path's IL/gain.
         for (e, &(s, d)) in self.edge_endpoints.iter().enumerate() {
             let st = mapping.tile_of_task(s).0;
             let dt = mapping.tile_of_task(d).0;
@@ -868,13 +967,42 @@ impl Evaluator {
             scratch.edge_path[e] = idx;
             scratch.il[e] = path.total_db;
             scratch.gain[e] = path.total_gain;
-            let live = active.is_none_or(|a| a[e]);
-            scratch.edge_active[e] = live;
-            if live {
-                for hop in &path.hops {
+            scratch.edge_active[e] = active.is_none_or(|a| a[e]);
+        }
+
+        // Victim first: the edges that stopped recent passes, their
+        // final noise recomputed from the path masks before any list is
+        // built. A probe that rejects names a victim the sweep would
+        // also stop at (see the module docs).
+        if bounded && active.is_none() && !self.paths_revisit {
+            let stoppers = scratch.stoppers;
+            for &v in &stoppers.edges[..stoppers.len] {
+                let v = v as usize;
+                if v >= edges {
+                    continue;
+                }
+                let noise = self.probe_noise(&scratch.edge_path[..edges], v, &mut scratch.probe);
+                if noise > 0.0 && scratch.gain[v] / noise <= cutoff {
+                    scratch.stoppers.touch(v as u32);
+                    #[cfg(test)]
+                    {
+                        scratch.probe_rejections += 1;
+                    }
+                    return None;
+                }
+            }
+        }
+
+        // Count each active edge's hops per tile for the counting sort.
+        scratch.tile_offset[..=tiles].fill(0);
+        let mut total = 0usize;
+        for e in 0..edges {
+            if scratch.edge_active[e] {
+                let hops = &self.path(scratch.edge_path[e]).hops;
+                for hop in hops {
                     scratch.tile_offset[hop.tile + 1] += 1;
                 }
-                total += path.hops.len();
+                total += hops.len();
             }
         }
 
@@ -920,6 +1048,7 @@ impl Evaluator {
             gain,
             tile_offset,
             tile_pairs,
+            stoppers,
             ..
         } = scratch;
         for t in 0..tiles {
@@ -945,6 +1074,7 @@ impl Evaluator {
                 // The partial noise only grows from here, so a ratio
                 // already at the cutoff bounds the final one.
                 if bounded && gain[e] / noise[e] <= cutoff {
+                    stoppers.touch(victim.edge);
                     return None;
                 }
             }
@@ -1001,6 +1131,65 @@ impl Evaluator {
         })
     }
 
+    /// The final crosstalk noise of victim edge `v` under the resolved
+    /// paths `edge_path` (all edges active), from the path tile masks
+    /// and no occupancy list (the victim-first probe; see the [module
+    /// docs](self#victim-first)). The aggressors, in edge order, add
+    /// `prefix · K` into the victim hop's accumulation at each tile they
+    /// share with it; the victim's hops are then summed in `tile_order`.
+    /// A path's hop at a tile is the tile's rank in its mask through
+    /// `tile_order`, so the table must not revisit a tile. The sweep
+    /// adds `prefix · K · 1.0` for these entries and an exact `+0.0` for
+    /// every other one, in the same orders, so the result is the
+    /// sweep's `noise[v]`, bit for bit.
+    fn probe_noise(&self, edge_path: &[usize], v: usize, buf: &mut ProbeBuffers) -> f64 {
+        let words = self.mask_words;
+        let mask = |p: usize| &self.tile_masks[p * words..(p + 1) * words];
+        let (victim, v_mask) = (self.path(edge_path[v]), mask(edge_path[v]));
+        let v_src = self.edge_endpoints[v].0;
+        // The aggressors' paths, in edge order: every other-source edge
+        // that shares a tile with the victim. Which edges do is data, so
+        // they are gathered without a branch per edge (a mispredicted
+        // branch per edge doubled the probe's cost).
+        let cand = &mut buf.aggressors;
+        cand.resize(edge_path.len(), 0);
+        let mut n = 0;
+        for (a, &ap) in edge_path.iter().enumerate() {
+            let shared = mask(ap)
+                .iter()
+                .zip(v_mask)
+                .fold(0, |o, (&x, &y)| o | (x & y));
+            cand[n] = ap;
+            n += usize::from((shared != 0) & (a != v) & (self.edge_endpoints[a].0 != v_src));
+        }
+        let acc = &mut buf.acc;
+        acc.clear();
+        acc.resize(victim.hops.len(), 0.0);
+        for &ap in &cand[..n] {
+            let aggressor = self.path(ap);
+            let (mut v_rank, mut a_rank) = (0, 0);
+            for (&vw, &aw) in v_mask.iter().zip(mask(ap)) {
+                let mut shared = vw & aw;
+                while shared != 0 {
+                    let below = (shared & shared.wrapping_neg()) - 1;
+                    let vi = v_rank + (vw & below).count_ones() as usize;
+                    let ai = a_rank + (aw & below).count_ones() as usize;
+                    let vh = &victim.hops[victim.tile_order[vi] as usize];
+                    let ah = &aggressor.hops[aggressor.tile_order[ai] as usize];
+                    acc[vi] += ah.prefix * self.interaction[vh.pair][ah.pair];
+                    shared &= shared - 1;
+                }
+                v_rank += vw.count_ones() as usize;
+                a_rank += aw.count_ones() as usize;
+            }
+        }
+        let mut noise = 0.0f64;
+        for (&h, &a) in victim.tile_order.iter().zip(acc.iter()) {
+            noise += a * victim.hops[h as usize].suffix;
+        }
+        noise
+    }
+
     /// The insertion loss of the (unmapped) tile-pair path `s → d`, if
     /// distinct. Exposed for analysis and tests.
     #[must_use]
@@ -1039,7 +1228,7 @@ mod tests {
     use super::*;
     use phonoc_apps::CgBuilder;
     use phonoc_phys::Length;
-    use phonoc_route::XyRouting;
+    use phonoc_route::{RoutingAlgorithm, XyRouting};
     use phonoc_router::crux::crux_router;
     use phonoc_topo::TileId;
 
@@ -1388,6 +1577,221 @@ mod tests {
             );
             assert_eq!(pe.insertion_loss, fe.insertion_loss);
         }
+    }
+
+    /// XY routing to even tiles, YX to odd ones: two streams of one
+    /// source can then meet again past their shared head, on different
+    /// input ports, so the same-source exclusion has coupling to drop
+    /// (under one dimension order they only share the head, where the
+    /// common input port already zeroes the coupling).
+    #[derive(Debug)]
+    struct MixedRouting;
+
+    impl RoutingAlgorithm for MixedRouting {
+        fn name(&self) -> &'static str {
+            "mixed"
+        }
+
+        fn route(
+            &self,
+            topo: &Topology,
+            src: TileId,
+            dst: TileId,
+        ) -> Result<phonoc_route::NetworkPath, phonoc_route::RoutingError> {
+            if dst.0 % 2 == 0 {
+                XyRouting.route(topo, src, dst)
+            } else {
+                phonoc_route::YxRouting.route(topo, src, dst)
+            }
+        }
+    }
+
+    /// Evaluators on mesh, torus, ring, a two-word mask (72 tiles) and
+    /// mixed-order routes through the full crossbar.
+    fn probe_instances() -> Vec<(Evaluator, usize)> {
+        use phonoc_apps::benchmarks::{dvopd, pip, vopd};
+        use phonoc_route::RingRouting;
+        use phonoc_router::crossbar::crossbar_router;
+        let p = PhysicalParameters::default();
+        let build = |cg: &CommunicationGraph,
+                     topo: Topology,
+                     router: RouterModel,
+                     routing: &dyn RoutingAlgorithm| {
+            let tasks = cg.task_count();
+            (
+                Evaluator::new(cg, &topo, &router, routing, &p).unwrap(),
+                tasks,
+            )
+        };
+        let mesh = |w, h| Topology::mesh(w, h, pitch());
+        vec![
+            build(&vopd(), mesh(4, 4), crux_router(), &XyRouting),
+            build(&dvopd(), mesh(6, 6), crux_router(), &XyRouting),
+            build(
+                &vopd(),
+                Topology::torus(4, 4, pitch()),
+                crux_router(),
+                &XyRouting,
+            ),
+            build(
+                &dvopd(),
+                Topology::torus(6, 6, pitch()),
+                crux_router(),
+                &XyRouting,
+            ),
+            build(
+                &pip(),
+                Topology::ring(9, pitch()),
+                crux_router(),
+                &RingRouting,
+            ),
+            build(&dvopd(), mesh(9, 8), crux_router(), &XyRouting),
+            build(&vopd(), mesh(4, 4), crossbar_router(), &MixedRouting),
+            build(&dvopd(), mesh(6, 6), crossbar_router(), &MixedRouting),
+        ]
+    }
+
+    #[test]
+    fn probed_noise_is_the_sweeps_noise_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut scratch = EvalScratch::default();
+        let mut buf = ProbeBuffers::default();
+        for (ev, tasks) in probe_instances() {
+            assert!(!ev.paths_revisit, "no routing here revisits a tile");
+            let edges = ev.edge_count();
+            let mut rng = StdRng::seed_from_u64(0x9B0E);
+            let mut noisy = 0;
+            for _ in 0..50 {
+                let m = Mapping::random(tasks, ev.tile_count, &mut rng);
+                ev.evaluate_into(&m, None, &mut scratch);
+                for v in 0..edges {
+                    let probed = ev.probe_noise(&scratch.edge_path[..edges], v, &mut buf);
+                    assert_eq!(
+                        probed.to_bits(),
+                        scratch.noise[v].to_bits(),
+                        "victim {v} of {m:?} on {} tiles",
+                        ev.tile_count
+                    );
+                    noisy += usize::from(probed > 0.0);
+                }
+            }
+            assert!(
+                noisy > 0,
+                "no victim collected noise on {} tiles",
+                ev.tile_count
+            );
+        }
+    }
+
+    #[test]
+    fn probes_reject_random_search_draws() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (ev, tasks) in probe_instances() {
+            let mut rng = StdRng::seed_from_u64(0xD4A7);
+            let (mut scratch, mut exact) = (EvalScratch::default(), EvalScratch::default());
+            let mut incumbent = f64::NEG_INFINITY;
+            for _ in 0..300 {
+                let m = Mapping::random(tasks, ev.tile_count, &mut rng);
+                let worst = ev.evaluate_into(&m, None, &mut exact).worst_case_snr.0;
+                match ev.evaluate_bounded(&m, Db(incumbent), &mut scratch) {
+                    Some(summary) => {
+                        assert_eq!(summary.worst_case_snr.0.to_bits(), worst.to_bits());
+                        incumbent = incumbent.max(worst);
+                    }
+                    None => assert!(worst <= incumbent),
+                }
+            }
+            assert!(
+                scratch.probe_rejections > 0,
+                "no probe rejected a draw on {} tiles",
+                ev.tile_count
+            );
+        }
+    }
+
+    /// XY routing, except that `0 → 2` on a 3×3 mesh first circles the
+    /// lower-left block and so crosses tiles 0 and 1 twice.
+    #[derive(Debug)]
+    struct LoopingRouting;
+
+    impl RoutingAlgorithm for LoopingRouting {
+        fn name(&self) -> &'static str {
+            "looping"
+        }
+
+        fn route(
+            &self,
+            topo: &Topology,
+            src: TileId,
+            dst: TileId,
+        ) -> Result<phonoc_route::NetworkPath, phonoc_route::RoutingError> {
+            use phonoc_router::Port::{East, Local, North, South, West};
+            if (src, dst) != (TileId(0), TileId(2)) {
+                return XyRouting.route(topo, src, dst);
+            }
+            let (mut hops, mut links) = (Vec::new(), Vec::new());
+            let (mut tile, mut input) = (src, Local);
+            for output in [East, North, West, South, East, East] {
+                let link = topo.link_from(tile, output).expect("3×3 mesh link");
+                hops.push(phonoc_route::Hop {
+                    tile,
+                    input,
+                    output,
+                });
+                links.push(phonoc_route::LinkSegment {
+                    length: link.length,
+                    crossings: link.crossings,
+                });
+                (tile, input) = (link.to, link.to_port);
+            }
+            hops.push(phonoc_route::Hop {
+                tile,
+                input,
+                output: Local,
+            });
+            Ok(phonoc_route::NetworkPath {
+                src,
+                dst,
+                hops,
+                links,
+            })
+        }
+    }
+
+    #[test]
+    fn a_table_that_revisits_a_tile_is_never_probed() {
+        use phonoc_router::crossbar::crossbar_router;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let cg = phonoc_apps::benchmarks::pip();
+        let topo = Topology::mesh(3, 3, pitch());
+        let p = PhysicalParameters::default();
+        let ev = Evaluator::new(&cg, &topo, &crossbar_router(), &LoopingRouting, &p).unwrap();
+        assert!(ev.paths_revisit);
+        let mut rng = StdRng::seed_from_u64(0x100B);
+        let (mut scratch, mut exact) = (EvalScratch::default(), EvalScratch::default());
+        let mut rejected = 0;
+        for _ in 0..200 {
+            let m = Mapping::random(cg.task_count(), 9, &mut rng);
+            let worst = ev.evaluate_into(&m, None, &mut exact).worst_case_snr;
+            // Every draw against its own score: all noisy ones reject.
+            rejected += usize::from(ev.evaluate_bounded(&m, worst, &mut scratch).is_none());
+        }
+        assert!(rejected > 0);
+        assert_eq!(scratch.probe_rejections, 0);
+    }
+
+    #[test]
+    fn stoppers_keep_the_most_recent_first() {
+        let mut list = Stoppers::default();
+        for e in [3, 5, 3, 7, 9, 11] {
+            list.touch(e);
+        }
+        assert_eq!(list.edges[..list.len], [11, 9, 7, 3]);
+        list.touch(7);
+        assert_eq!(list.edges[..list.len], [7, 11, 9, 3]);
     }
 
     #[test]

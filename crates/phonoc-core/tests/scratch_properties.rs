@@ -9,6 +9,8 @@
 //! * the bounded full pass ([`Evaluator::evaluate_bounded`]) rejects a
 //!   mapping exactly when its worst-case SNR is no better than the
 //!   threshold, and otherwise bit-matches [`Evaluator::evaluate_into`];
+//!   its answer is the same on a fresh scratch, one warmed on the same
+//!   problem and one holding a larger problem's stopping edges;
 //! * bound-then-verify SNR peeks ([`Evaluator::evaluate_delta_bounded`])
 //!   are admissible — a rejection's bound really bounds the exact score
 //!   — and, like full-routed improving peeks, never change which move a
@@ -265,6 +267,81 @@ fn bounded_full_pass_rejects_exactly_the_mappings_that_cannot_beat_the_threshold
         rejected > 0 && rejected_at_score > 0,
         "{rejected} / {rejected_at_score}"
     );
+}
+
+/// Random search on `p` for `draws` draws against the running
+/// incumbent, on `scratch`: leaves the edges that stopped its bounded
+/// passes on the scratch, as a real run would.
+fn warm_up(p: &MappingProblem, scratch: &mut EvalScratch, draws: usize, rng: &mut StdRng) {
+    let ev = p.evaluator();
+    let mut incumbent = Db(f64::NEG_INFINITY);
+    for _ in 0..draws {
+        let m = Mapping::random(p.task_count(), p.tile_count(), rng);
+        if let Some(s) = ev.evaluate_bounded(&m, incumbent, scratch) {
+            incumbent = Db(incumbent.0.max(s.worst_case_snr.0));
+        }
+    }
+}
+
+#[test]
+fn bounded_full_pass_does_not_depend_on_what_the_scratch_saw() {
+    // The victim-first probe tests the edges that stopped earlier passes
+    // on the same scratch. Which edges those are may change how early a
+    // pass stops, never its answer: a fresh scratch, one warmed on the
+    // same problem and one holding stoppers from a larger problem (edge
+    // indices past this problem's count among them) must agree.
+    let larger = problem_on(
+        phonoc_apps::benchmarks::dvopd(),
+        Topology::mesh(6, 6, Length::from_mm(2.5)),
+        Box::new(XyRouting),
+        Objective::MaximizeWorstCaseSnr,
+    );
+    let (mut rejected, mut kept) = (0usize, 0usize);
+    for p in instances()
+        .into_iter()
+        .filter(|p| p.objective() == Objective::MaximizeWorstCaseSnr)
+    {
+        let ev = p.evaluator();
+        let mut rng = StdRng::seed_from_u64(0x57A1E);
+        let (mut warm, mut stale) = (EvalScratch::default(), EvalScratch::default());
+        warm_up(&p, &mut warm, 200, &mut rng);
+        warm_up(&larger, &mut stale, 200, &mut rng);
+        let mut exact = EvalScratch::default();
+        let mut current = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
+        for round in 0..120 {
+            // Random draws and one-swap neighbours, the two candidate
+            // streams that reach the bounded pass.
+            let m = if round % 2 == 0 {
+                Mapping::random(p.task_count(), p.tile_count(), &mut rng)
+            } else {
+                current.with_move(current.random_swap_move(&mut rng))
+            };
+            let worst = ev.evaluate_into(&m, None, &mut exact).worst_case_snr;
+            let threshold = Db(worst.0 + rng.gen_range(-3.0..3.0));
+            let mut fresh = EvalScratch::default();
+            let label = format!("{p:?} round {round} at {threshold:?}");
+            let want = ev.evaluate_bounded(&m, threshold, &mut fresh);
+            for scratch in [&mut warm, &mut stale] {
+                let got = ev.evaluate_bounded(&m, threshold, scratch);
+                assert_eq!(got.is_some(), want.is_some(), "{label}");
+                if let (Some(got), Some(want)) = (got, want) {
+                    assert_eq!(
+                        got.worst_case_il.0.to_bits(),
+                        want.worst_case_il.0.to_bits()
+                    );
+                    assert_eq!(
+                        got.worst_case_snr.0.to_bits(),
+                        want.worst_case_snr.0.to_bits()
+                    );
+                    assert_eq!(scratch.to_metrics(), fresh.to_metrics(), "{label}");
+                }
+            }
+            rejected += usize::from(want.is_none());
+            kept += usize::from(want.is_some());
+            current = m;
+        }
+    }
+    assert!(rejected > 0 && kept > 0, "{rejected} rejected, {kept} kept");
 }
 
 #[test]

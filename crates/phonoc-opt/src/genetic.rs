@@ -22,12 +22,14 @@
 //!
 //! Each generation is bred into reused buffers (no allocation once the
 //! first one is built) and scored as one batch. A child whose task
-//! placement repeats one of its two parents' — as PMX of two equal
-//! parents does in a converged population — is scored from that parent
-//! ([`OptContext::evaluate_batch_known`]): it is still billed as a full
-//! evaluation, so the search, its ledger and its trace are those of
-//! recomputing it, but no pass runs. At budget 4000, seed 1, that is
-//! 44–60% of the offspring on the 16 Table II cells (54% overall).
+//! placement repeats a member of the current population's — as PMX of
+//! two equal parents does in a converged population — is scored from
+//! that member ([`OptContext::evaluate_batch_known`]): it is still
+//! billed as a full evaluation, so the search, its ledger and its trace
+//! are those of recomputing it, but no pass runs. A per-member
+//! placement hash keeps the lookup cheaper than the passes it saves.
+//! Children that repeat only an earlier sibling of the same generation
+//! are still recomputed.
 //!
 //! (Random search deliberately stays policy-free: it proposes whole
 //! uniform mappings, not moves, so there is no neighbourhood to
@@ -108,10 +110,13 @@ impl MappingOptimizer for GeneticAlgorithm {
 struct Breeder {
     /// The offspring slots, `POPULATION - ELITE` of them.
     children: Vec<Mapping>,
-    /// Per child: its parent's score when the child repeats that
-    /// parent's task placement (scored from the parent, not
+    /// Per child: the score of a population member whose task
+    /// placement the child repeats (scored from that member, not
     /// recomputed), `None` for a new placement.
     known: Vec<Option<f64>>,
+    /// Per population member: [`placement_hash`] of its task placement,
+    /// compared before the placements themselves.
+    pop_hash: Vec<u64>,
     pmx: Pmx,
 }
 
@@ -121,6 +126,7 @@ impl Breeder {
         Breeder {
             children: pop[ELITE..].iter().map(|(m, _)| m.clone()).collect(),
             known: Vec::with_capacity(POPULATION),
+            pop_hash: Vec::with_capacity(POPULATION),
             pmx: Pmx::default(),
         }
     }
@@ -131,6 +137,9 @@ impl Breeder {
     /// makes them (evaluation consumes no randomness).
     fn breed(&mut self, pop: &[(Mapping, f64)], ctx: &mut OptContext<'_>, nbhd: &mut Neighborhood) {
         self.known.clear();
+        self.pop_hash.clear();
+        self.pop_hash
+            .extend(pop.iter().map(|(m, _)| placement_hash(m)));
         for child in &mut self.children {
             let a = &pop[tournament(pop, TOURNAMENT, ctx)];
             let b = &pop[tournament(pop, TOURNAMENT, ctx)];
@@ -141,14 +150,30 @@ impl Breeder {
                 }
             }
             debug_assert!(child.is_valid());
-            // Only the free-tile tail may differ from a parent, and no
-            // score reads it.
-            let parent = [a, b]
-                .into_iter()
-                .find(|(m, _)| m.assignment() == child.assignment());
-            self.known.push(parent.map(|&(_, score)| score));
+            self.known.push(known_score(pop, &self.pop_hash, child));
         }
     }
+}
+
+/// The score of the first member of `pop` (whose placement hashes
+/// `pop_hash` holds) with `child`'s task placement, if any. Only the
+/// free-tile tail may differ from that member, and no score reads it.
+fn known_score(pop: &[(Mapping, f64)], pop_hash: &[u64], child: &Mapping) -> Option<f64> {
+    let hash = placement_hash(child);
+    pop.iter()
+        .zip(pop_hash)
+        .find(|&((m, _), &h)| h == hash && m.assignment() == child.assignment())
+        .map(|((_, score), _)| *score)
+}
+
+/// An FNV-1a-style hash over `m`'s task placement (one step per task's
+/// tile): equal placements hash equal, so one integer compare per
+/// population member rules most members out before any slice
+/// comparison.
+fn placement_hash(m: &Mapping) -> u64 {
+    m.assignment().iter().fold(0xcbf2_9ce4_8422_2325, |h, t| {
+        (h ^ t.0 as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Tournament selection: index of the best of `k` random individuals.
@@ -321,6 +346,39 @@ mod tests {
         let scores = ctx.evaluate_batch_known(&breeder.children, &breeder.known);
         assert_eq!(scores.len(), breeder.children.len());
         assert_eq!(ctx.stats().full_evaluations, 1 + breeder.children.len());
+    }
+
+    #[test]
+    fn any_member_with_the_childs_placement_lends_its_score() {
+        // Children are looked up in the whole population, not only
+        // among their parents; a free-tile tail that differs does not
+        // hide a repeat, and a new placement stays unknown.
+        let p = phonoc_core::MappingProblem::new(
+            phonoc_apps::benchmarks::pip(),
+            phonoc_topo::Topology::mesh(4, 4, phonoc_phys::Length::from_mm(2.5)),
+            phonoc_router::crux::crux_router(),
+            Box::new(phonoc_route::XyRouting),
+            phonoc_phys::PhysicalParameters::default(),
+            phonoc_core::Objective::MaximizeWorstCaseSnr,
+        )
+        .unwrap();
+        let mut ctx = OptContext::new(&p, 1_000, 9);
+        let pop: Vec<(Mapping, f64)> = (0..POPULATION)
+            .map(|i| (ctx.random_mapping(), i as f64))
+            .collect();
+        let hashes: Vec<u64> = pop.iter().map(|(m, _)| placement_hash(m)).collect();
+        let member = &pop[17].0;
+        assert_eq!(known_score(&pop, &hashes, member), Some(17.0));
+        let tasks = member.task_count();
+        let retailed = member.with_move(phonoc_core::Move::Swap(tasks, tasks + 1));
+        assert_eq!(retailed.assignment(), member.assignment());
+        assert_ne!(retailed, *member);
+        assert_eq!(known_score(&pop, &hashes, &retailed), Some(17.0));
+        let fresh = (0..)
+            .map(|_| ctx.random_mapping())
+            .find(|m| pop.iter().all(|(p, _)| p.assignment() != m.assignment()))
+            .unwrap();
+        assert_eq!(known_score(&pop, &hashes, &fresh), None);
     }
 
     /// The PMX this module shipped before it bred into reused buffers:
