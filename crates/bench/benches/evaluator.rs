@@ -315,7 +315,7 @@ fn snr_peek_bound_vs_exact(c: &mut Criterion) {
     group.finish();
 }
 
-/// Loss-only cursor state vs. the full crosstalk state on an 8×8
+/// Loss cursor state vs. the full crosstalk state on an 8×8
 /// scenario cell (one of the power/loss request stream's): the same
 /// mapping seated and the same swap committed by a context under the
 /// SNR objective (which builds and patches the full per-hop crosstalk

@@ -51,11 +51,12 @@
 //!   [`PeekRoute::Loss`] (`evaluate_delta_loss`), improving ones the
 //!   bound-then-verify loss peek (`evaluate_delta_loss_bounded`).
 //!   Insertion loss (paper Eq. 3) depends only on each communication's
-//!   own path, so loss-family cursors carry **no crosstalk state**:
-//!   [`OptContext::set_current`] seats them with only per-edge paths
-//!   and losses (`O(edges)`, no occupancy lists, accumulations or
-//!   noise), and [`OptContext::apply_scored_move`] patches just the
-//!   moved edges — the same scores bit for bit (pinned by
+//!   own path, so a loss-family cursor is its own variant, chosen once
+//!   by [`OptContext::set_current`]: a `LossState` of per-edge paths
+//!   and losses and their worst case (`O(edges)`; every [`EvalState`]
+//!   embeds one), which [`OptContext::apply_scored_move`] patches
+//!   through the loss commit an SNR commit also runs — the same scores
+//!   bit for bit (pinned by
 //!   `crates/phonoc-opt/tests/loss_family_golden.rs`), at a fraction of
 //!   the seat and commit cost;
 //! * SNR-based family (worst-case SNR, SNR margin) — the SNR delta:
@@ -192,7 +193,7 @@
 
 use crate::error::CoreError;
 use crate::evaluator::{
-    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, EvalState, Evaluator,
+    BoundedDelta, BoundedLossDelta, DeltaScratch, EvalScratch, EvalState, Evaluator, LossState,
 };
 use crate::mapping::{Mapping, Move};
 use crate::parallel;
@@ -383,46 +384,38 @@ impl MoveEval {
 }
 
 /// The cursor: the mapping a move-based strategy currently stands on,
-/// with its incremental evaluation state and its hybrid peek route.
+/// its score, and the incremental state its objective family reads.
 struct Cursor {
     mapping: Mapping,
-    state: EvalState,
     score: f64,
-    /// Whether [`PeekStrategy::Hybrid`] sends SNR peeks against this
-    /// cursor to the full pass — decided when the cursor is seated and
-    /// after every commit, never per move.
-    full_route: bool,
+    state: CursorState,
+}
+
+/// A cursor's incremental state, one variant per objective family,
+/// chosen once when the cursor is seated ([`OptContext::set_current`]):
+/// scoring, peeks and commits follow the variant.
+enum CursorState {
+    /// Loss family: each edge's path and insertion loss, no crosstalk.
+    Loss(LossState),
+    /// SNR family: the crosstalk state, and whether
+    /// [`PeekStrategy::Hybrid`] sends peeks against it to the full pass
+    /// — decided when the cursor is seated and after every commit,
+    /// never per move.
+    Snr { state: EvalState, full_route: bool },
+}
+
+impl CursorState {
+    /// The cursor's objective score: the worst-case loss of a loss
+    /// state, the worst-case SNR of an SNR one.
+    fn score(&self, objective: Objective) -> f64 {
+        match self {
+            CursorState::Loss(state) => objective.score_worst_il(state.worst_case_il()),
+            CursorState::Snr { state, .. } => objective.score_worst_snr(state.worst_case_snr()),
+        }
+    }
 }
 
 impl Cursor {
-    fn new(mapping: Mapping, state: EvalState, score: f64) -> Cursor {
-        let full_route = Cursor::route(&state);
-        Cursor {
-            mapping,
-            state,
-            score,
-            full_route,
-        }
-    }
-
-    /// The hybrid SNR-peek route for `state`. Loss-only states carry no
-    /// occupancy data and their peeks never consult a route, so the
-    /// decision is skipped.
-    fn route(state: &EvalState) -> bool {
-        !state.is_loss_only() && state.prefers_full_peeks()
-    }
-
-    /// The cursor's objective score from its state: the loss family
-    /// scores the worst-case loss of a loss-only state, the SNR family
-    /// the worst-case SNR.
-    fn state_score(objective: Objective, state: &EvalState) -> f64 {
-        if objective.is_loss_based() {
-            objective.score_worst_il(state.worst_case_il())
-        } else {
-            objective.score_worst_snr(state.worst_case_snr())
-        }
-    }
-
     /// The scorer every peek against this cursor runs through.
     fn scorer<'a>(
         &'a self,
@@ -436,51 +429,57 @@ impl Cursor {
             evaluator,
             objective,
             mapping: &self.mapping,
-            state: &self.state,
             scoring: self.scoring(objective, strategy, improving),
             unit: unit as usize,
         }
     }
 
     /// How every peek against this cursor is scored: the evaluator
-    /// route of the objective family (the SNR family's under the pinned
-    /// strategy), at the cursor threshold in improving scans and at
-    /// `-∞` otherwise.
-    fn scoring(&self, objective: Objective, strategy: PeekStrategy, improving: bool) -> Scoring {
+    /// route of its state (an SNR state's under the pinned strategy),
+    /// at the cursor threshold in improving scans and at `-∞`
+    /// otherwise.
+    fn scoring(
+        &self,
+        objective: Objective,
+        strategy: PeekStrategy,
+        improving: bool,
+    ) -> Scoring<'_> {
         let threshold = if improving {
             objective.threshold_for_score(self.score)
         } else {
             Db(f64::NEG_INFINITY)
         };
-        if objective.is_loss_based() {
-            return Scoring::Loss(threshold);
-        }
-        let full = match strategy {
-            PeekStrategy::Hybrid => self.full_route,
-            PeekStrategy::Delta => false,
-            PeekStrategy::Full => true,
-        };
-        if full {
-            Scoring::Full(threshold)
-        } else {
-            Scoring::Snr(threshold)
+        match &self.state {
+            CursorState::Loss(state) => Scoring::Loss(state, threshold),
+            CursorState::Snr { state, full_route } => {
+                let full = match strategy {
+                    PeekStrategy::Hybrid => *full_route,
+                    PeekStrategy::Delta => false,
+                    PeekStrategy::Full => true,
+                };
+                if full {
+                    Scoring::Full(threshold)
+                } else {
+                    Scoring::Snr(state, threshold)
+                }
+            }
         }
     }
 }
 
 /// The evaluator route every peek against one cursor takes, with the
-/// threshold a move must beat: the cursor's in improving scans, `-∞`
-/// (nothing is rejected) for exact peeks.
+/// state it reads and the threshold a move must beat: the cursor's in
+/// improving scans, `-∞` (nothing is rejected) for exact peeks.
 #[derive(Debug, Clone, Copy)]
-enum Scoring {
+enum Scoring<'a> {
     /// Full scratch re-evaluation of the moved mapping, stopped once it
     /// proves the worst-case SNR `≤` the threshold.
     Full(Db),
     /// SNR delta: exact at `-∞`, bound-then-verify otherwise.
-    Snr(Db),
+    Snr(&'a EvalState, Db),
     /// Crosstalk-free loss delta: exact at `-∞`, bound-then-verify
     /// otherwise.
-    Loss(Db),
+    Loss(&'a LossState, Db),
 }
 
 /// What a billed action is counted as in the ledger.
@@ -523,8 +522,7 @@ struct Scorer<'a> {
     evaluator: &'a Evaluator,
     objective: Objective,
     mapping: &'a Mapping,
-    state: &'a EvalState,
-    scoring: Scoring,
+    scoring: Scoring<'a>,
     /// Budget units of a full pass (its honest cost).
     unit: usize,
 }
@@ -534,8 +532,7 @@ impl Scorer<'_> {
     /// taken — and the evaluator work it cost in budget units (before
     /// the one-unit floor).
     fn score(&self, mv: Move, scratch: &mut PeekScratch) -> (MoveEval, usize) {
-        let (evaluator, objective) = (self.evaluator, self.objective);
-        let (state, mapping) = (self.state, self.mapping);
+        let (evaluator, objective, mapping) = (self.evaluator, self.objective, self.mapping);
         let delta = &mut scratch.delta;
         // The worst-case figure the route scores (SNR, or loss for the
         // loss route), its cost, and whether it is exact or a bound.
@@ -550,22 +547,22 @@ impl Scorer<'_> {
                 }
             }
             // Exact peeks keep the kernel specialised for `-∞`.
-            Scoring::Snr(Db(f64::NEG_INFINITY)) => {
+            Scoring::Snr(state, Db(f64::NEG_INFINITY)) => {
                 let d = evaluator.evaluate_delta_with(state, mapping, mv, delta);
                 (d.new_worst_snr, d.affected_edges, true)
             }
-            Scoring::Snr(threshold) => {
+            Scoring::Snr(state, threshold) => {
                 match evaluator.evaluate_delta_bounded(state, mapping, mv, delta, threshold) {
                     BoundedDelta::Rejected { bound, cost } => (bound, cost, false),
                     BoundedDelta::Exact(d) => (d.new_worst_snr, d.affected_edges, true),
                 }
             }
-            Scoring::Loss(Db(f64::NEG_INFINITY)) => {
-                let (il, moved) = evaluator.evaluate_delta_loss(state, mapping, mv, delta);
+            Scoring::Loss(state, Db(f64::NEG_INFINITY)) => {
+                let (il, moved) = evaluator.loss_delta(state, mapping, mv, delta);
                 (il, moved, true)
             }
-            Scoring::Loss(threshold) => {
-                match evaluator.evaluate_delta_loss_bounded(state, mapping, mv, delta, threshold) {
+            Scoring::Loss(state, threshold) => {
+                match evaluator.loss_delta_bounded(state, mapping, mv, delta, threshold) {
                     BoundedLossDelta::Rejected { bound, cost } => (bound, cost, false),
                     BoundedLossDelta::Exact {
                         new_worst_il,
@@ -575,15 +572,15 @@ impl Scorer<'_> {
             }
         };
         let score = match self.scoring {
-            Scoring::Loss(_) => objective.score_worst_il(worst),
-            Scoring::Full(_) | Scoring::Snr(_) => objective.score_worst_snr(worst),
+            Scoring::Loss(..) => objective.score_worst_il(worst),
+            Scoring::Full(_) | Scoring::Snr(..) => objective.score_worst_snr(worst),
         };
         // The one place a peek's route is derived: the full pass keeps
         // its own, a thresholded delta is a bound-then-verify peek.
         let route = match self.scoring {
             Scoring::Full(_) => PeekRoute::Full,
-            Scoring::Snr(Db(f64::NEG_INFINITY)) => PeekRoute::Delta,
-            Scoring::Loss(Db(f64::NEG_INFINITY)) => PeekRoute::Loss,
+            Scoring::Snr(_, Db(f64::NEG_INFINITY)) => PeekRoute::Delta,
+            Scoring::Loss(_, Db(f64::NEG_INFINITY)) => PeekRoute::Loss,
             _ if exact => PeekRoute::BoundedVerified,
             _ => PeekRoute::BoundedRejected,
         };
@@ -1167,26 +1164,33 @@ impl<'p> OptContext<'p> {
     /// [`OptContext::peek_move`] / [`OptContext::apply_scored_move`]
     /// calls, and returns its score. Consumes one full evaluation;
     /// `None` once the budget is exhausted. Loss-based objectives seat
-    /// a loss-only state (paths and insertion losses; see the [module
-    /// docs](self#objective-aware-peeks-tagged-by-route)), SNR-based ones the full
-    /// crosstalk state.
+    /// a loss cursor (paths and insertion losses; see the [module
+    /// docs](self#objective-aware-peeks-tagged-by-route)), SNR-based
+    /// ones the full crosstalk state.
     pub fn set_current(&mut self, mapping: Mapping) -> Option<f64> {
         if self.exhausted() {
             return None;
         }
         self.book(self.unit, Billed::Direct);
-        // Loss-family peeks read only paths and insertion losses, so
-        // their cursors skip the crosstalk caches (still billed as the
-        // full evaluation the seat replaces).
+        // The one place a cursor's family is decided. Loss-family peeks
+        // read only paths and insertion losses, so their cursors skip
+        // the crosstalk caches (still billed as the full evaluation the
+        // seat replaces).
         let evaluator = self.problem.evaluator();
         let state = if self.objective.is_loss_based() {
-            evaluator.init_loss_state(&mapping)
+            CursorState::Loss(evaluator.init_loss_state(&mapping))
         } else {
-            evaluator.init_state(&mapping)
+            let state = evaluator.init_state(&mapping);
+            let full_route = state.prefers_full_peeks();
+            CursorState::Snr { state, full_route }
         };
-        let score = Cursor::state_score(self.objective, &state);
+        let score = state.score(self.objective);
         self.record(&mapping, score);
-        self.cursor = Some(Cursor::new(mapping, state, score));
+        self.cursor = Some(Cursor {
+            mapping,
+            score,
+            state,
+        });
         Some(score)
     }
 
@@ -1393,24 +1397,26 @@ impl<'p> OptContext<'p> {
             .cursor
             .as_mut()
             .expect("apply_scored_move without set_current");
-        let evaluator = self.problem.evaluator();
-        let (state, mapping) = (&mut cursor.state, &mut cursor.mapping);
-        if self.objective.is_loss_based() {
-            evaluator.apply_loss_move(state, mapping, ev.mv(), &mut self.scratch.delta);
-        } else {
-            evaluator.apply_move(state, mapping, ev.mv(), &mut self.scratch.delta);
+        let (evaluator, mapping) = (self.problem.evaluator(), &mut cursor.mapping);
+        let delta = &mut self.scratch.delta;
+        match &mut cursor.state {
+            CursorState::Loss(state) => evaluator.apply_loss_move(state, mapping, ev.mv(), delta),
+            CursorState::Snr { state, full_route } => {
+                evaluator.apply_move(state, mapping, ev.mv(), delta);
+                // Re-decide the route on the committed state: descents
+                // change path lengths and occupancy, and the route
+                // should track the placement the peeks actually score
+                // (one `O(tiles)` pass).
+                *full_route = state.prefers_full_peeks();
+            }
         }
-        let score = Cursor::state_score(self.objective, &cursor.state);
+        let score = cursor.state.score(self.objective);
         debug_assert_eq!(
             score,
             ev.score(),
             "committed move score diverged from its peek"
         );
         cursor.score = score;
-        // Re-decide the route on the committed state: descents change
-        // path lengths and occupancy, and the route should track the
-        // placement the peeks actually score (one `O(tiles)` pass).
-        cursor.full_route = Cursor::route(&cursor.state);
         let mapping = cursor.mapping.clone();
         self.record(&mapping, score);
     }

@@ -115,7 +115,9 @@
 //! (mapping, threshold), as the sticky scratch slots of
 //! [`crate::parallel`] require. Ranks name one hop per path and tile
 //! only if no path visits a tile twice; the evaluator checks that once,
-//! when it builds the masks, and never probes a table that does.
+//! when the first bounded pass builds the masks, and never probes a
+//! table that does. Evaluators that never run a bounded pass (the loss
+//! objectives score from the path table alone) never build them.
 //!
 //! [`Objective::threshold_for_score`]: crate::Objective::threshold_for_score
 //!
@@ -130,20 +132,20 @@
 //! change adding or dropping a communication — therefore patch the
 //! cheap edge caches in place and keep the expensive tables:
 //!
-//! * [`Evaluator::update_edges`] — batch re-weight; no evaluator cache
-//!   reads weights, so this validates and returns.
 //! * [`Evaluator::add_edge`] — O(1) append to the edge caches.
 //! * [`Evaluator::remove_edge`] — O(E) positional removal + adjacency
 //!   rebuild.
 //!
-//! All three leave the evaluator byte-for-byte identical to a
-//! from-scratch build over the mutated CG (pinned by
-//! `tests/mutation_properties.rs` on random mutation batches).
-//! Mutations invalidate outstanding [`EvalState`]s — re-initialize via
-//! [`Evaluator::init_state`] (a search session does this by building a
-//! fresh [`OptContext`](crate::OptContext) over the mutated problem,
-//! whose first `set_current` seats a new state). The safe entry points
-//! live on [`MappingProblem`](crate::MappingProblem)
+//! A re-weight needs no evaluator call at all: the worst-case objectives
+//! never weight by bandwidth (see the module docs of `phonoc_apps::cg`),
+//! so no evaluator cache reads a weight. Both mutations leave the
+//! evaluator byte-for-byte identical to a from-scratch build over the
+//! mutated CG (pinned by `tests/mutation_properties.rs` on random
+//! mutation batches). Mutations invalidate outstanding [`EvalState`]s
+//! — re-initialize via [`Evaluator::init_state`] (a search session does
+//! this by building a fresh [`OptContext`](crate::OptContext) over the
+//! mutated problem, whose first `set_current` seats a new state). The
+//! safe entry points live on [`MappingProblem`](crate::MappingProblem)
 //! (`update_edge_bandwidths` / `add_edge` / `remove_edge`), which keep
 //! the CG and these caches in lock-step.
 
@@ -154,12 +156,14 @@ use crate::mapping::Mapping;
 pub mod bound;
 #[path = "evaluator_delta.rs"]
 mod delta;
+pub(crate) use delta::LossState;
 pub use delta::{BoundedDelta, BoundedLossDelta, DeltaScratch, EvalState, ScoreDelta};
 use phonoc_apps::CommunicationGraph;
 use phonoc_phys::{Db, LinearGain, PhysicalParameters};
 use phonoc_route::RoutingAlgorithm;
 use phonoc_router::{PortPair, RouterModel};
 use phonoc_topo::Topology;
+use std::sync::OnceLock;
 
 /// Per-communication evaluation result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -399,15 +403,13 @@ pub struct Evaluator {
     tile_count: usize,
     /// `paths[s * tile_count + d]`.
     paths: Vec<Option<PathInfo>>,
-    /// Per path, the tiles it visits as a bitmask: `mask_words =
-    /// ⌈tiles/64⌉` words at `tile_masks[idx * mask_words..]` (zero for
-    /// `s == d`). The bounded pass's victim-first probe reads a path's
-    /// hop at a tile by the tile's rank in this mask.
-    tile_masks: Vec<u64>,
-    mask_words: usize,
-    /// Whether some path visits a tile twice. The probe reads one hop
-    /// per path and tile, so it is off for such a table.
-    paths_revisit: bool,
+    /// The victim-first probe's table, built by the first bounded pass:
+    /// per path, the tiles it visits as a bitmask of `⌈tiles/64⌉` words
+    /// at `idx * words..` (zero for `s == d`). The probe reads a path's
+    /// hop at a tile by the tile's rank in its mask, so the table is
+    /// `None` when some path visits a tile twice, and such a table is
+    /// never probed.
+    tile_masks: OnceLock<Option<Vec<u64>>>,
     /// 25×25 linear interaction gains.
     interaction: [[f64; 25]; 25],
     /// Bit `a` of `row_mask[v]` set iff `interaction[v][a] > 0`: the
@@ -488,9 +490,6 @@ impl Evaluator {
         let prop_db_per_cm = params.propagation_loss_per_cm.0;
         let crossing_db = params.crossing_loss.0;
         let mut paths: Vec<Option<PathInfo>> = vec![None; tiles * tiles];
-        let mask_words = tiles.div_ceil(64);
-        let mut tile_masks = vec![0u64; tiles * tiles * mask_words];
-        let mut paths_revisit = false;
         for s in topology.tiles() {
             for d in topology.tiles() {
                 if s == d {
@@ -539,14 +538,7 @@ impl Evaluator {
                 }
                 let mut tile_order: Vec<u32> = (0..h as u32).collect();
                 tile_order.sort_by_key(|&i| (hops[i as usize].tile, i));
-                let idx = s.0 * tiles + d.0;
-                let mask = &mut tile_masks[idx * mask_words..(idx + 1) * mask_words];
-                for hop in &hops {
-                    let (word, bit) = (hop.tile / 64, 1u64 << (hop.tile % 64));
-                    paths_revisit |= mask[word] & bit != 0;
-                    mask[word] |= bit;
-                }
-                paths[idx] = Some(PathInfo {
+                paths[s.0 * tiles + d.0] = Some(PathInfo {
                     hops,
                     tile_order,
                     total_gain,
@@ -569,9 +561,7 @@ impl Evaluator {
             task_edges,
             tile_count: tiles,
             paths,
-            tile_masks,
-            mask_words,
-            paths_revisit,
+            tile_masks: OnceLock::new(),
             interaction,
             row_mask,
             snr_ceiling: params.snr_ceiling,
@@ -582,37 +572,6 @@ impl Evaluator {
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.edge_endpoints.len()
-    }
-
-    /// Applies a batch of edge *re-weights* `(src, dst, new_weight)`
-    /// incrementally. The worst-case IL/SNR objectives never weight by
-    /// bandwidth (see the module docs of `phonoc_apps::cg`), so no
-    /// evaluator cache depends on the weights: this validates that every
-    /// referenced edge exists and every weight is finite and positive,
-    /// and the per-(edge, hop) caches stay byte-for-byte what a
-    /// from-scratch build over the re-weighted CG would produce
-    /// (property-tested in `tests/mutation_properties.rs`). Keeping the
-    /// call on the evaluator keeps the mutation contract in one place
-    /// for when a bandwidth-aware objective lands.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Mutation`] if an edge is missing or a weight is
-    /// non-positive/non-finite; the batch is all-or-nothing.
-    pub fn update_edges(&self, updates: &[(usize, usize, f64)]) -> Result<(), CoreError> {
-        for &(src, dst, w) in updates {
-            if !self.edge_endpoints.contains(&(src, dst)) {
-                return Err(CoreError::Mutation(format!(
-                    "no edge c{src} -> c{dst} to re-weight"
-                )));
-            }
-            if !(w.is_finite() && w > 0.0) {
-                return Err(CoreError::Mutation(format!(
-                    "edge c{src} -> c{dst} given invalid weight {w}"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Extends the per-edge caches for a new CG edge `src → dst`
@@ -974,14 +933,16 @@ impl Evaluator {
         // final noise recomputed from the path masks before any list is
         // built. A probe that rejects names a victim the sweep would
         // also stop at (see the module docs).
-        if bounded && active.is_none() && !self.paths_revisit {
+        let masks = (bounded && active.is_none()).then(|| self.tile_masks());
+        if let Some(masks) = masks.flatten() {
             let stoppers = scratch.stoppers;
             for &v in &stoppers.edges[..stoppers.len] {
                 let v = v as usize;
                 if v >= edges {
                     continue;
                 }
-                let noise = self.probe_noise(&scratch.edge_path[..edges], v, &mut scratch.probe);
+                let edge_path = &scratch.edge_path[..edges];
+                let noise = self.probe_noise(masks, edge_path, v, &mut scratch.probe);
                 if noise > 0.0 && scratch.gain[v] / noise <= cutoff {
                     scratch.stoppers.touch(v as u32);
                     #[cfg(test)]
@@ -1131,20 +1092,48 @@ impl Evaluator {
         })
     }
 
+    /// The victim-first probe's table (see the field of this name),
+    /// built on the first call; `None` if some path revisits a tile.
+    fn tile_masks(&self) -> Option<&[u64]> {
+        let build = || {
+            let (tiles, words) = (self.tile_count, self.tile_count.div_ceil(64));
+            let mut masks = vec![0u64; tiles * tiles * words];
+            for (idx, path) in self.paths.iter().enumerate() {
+                let mask = &mut masks[idx * words..(idx + 1) * words];
+                for hop in path.iter().flat_map(|p| &p.hops) {
+                    let (word, bit) = (hop.tile / 64, 1u64 << (hop.tile % 64));
+                    if mask[word] & bit != 0 {
+                        return None;
+                    }
+                    mask[word] |= bit;
+                }
+            }
+            Some(masks)
+        };
+        self.tile_masks.get_or_init(build).as_deref()
+    }
+
     /// The final crosstalk noise of victim edge `v` under the resolved
     /// paths `edge_path` (all edges active), from the path tile masks
-    /// and no occupancy list (the victim-first probe; see the [module
-    /// docs](self#victim-first)). The aggressors, in edge order, add
-    /// `prefix · K` into the victim hop's accumulation at each tile they
-    /// share with it; the victim's hops are then summed in `tile_order`.
+    /// `masks` and no occupancy list (the victim-first probe; see the
+    /// [module docs](self#victim-first)). The aggressors, in edge order,
+    /// add `prefix · K` into the victim hop's accumulation at each tile
+    /// they share with it; the victim's hops are then summed in
+    /// `tile_order`.
     /// A path's hop at a tile is the tile's rank in its mask through
     /// `tile_order`, so the table must not revisit a tile. The sweep
     /// adds `prefix · K · 1.0` for these entries and an exact `+0.0` for
     /// every other one, in the same orders, so the result is the
     /// sweep's `noise[v]`, bit for bit.
-    fn probe_noise(&self, edge_path: &[usize], v: usize, buf: &mut ProbeBuffers) -> f64 {
-        let words = self.mask_words;
-        let mask = |p: usize| &self.tile_masks[p * words..(p + 1) * words];
+    fn probe_noise(
+        &self,
+        masks: &[u64],
+        edge_path: &[usize],
+        v: usize,
+        buf: &mut ProbeBuffers,
+    ) -> f64 {
+        let words = self.tile_count.div_ceil(64);
+        let mask = |p: usize| &masks[p * words..(p + 1) * words];
         let (victim, v_mask) = (self.path(edge_path[v]), mask(edge_path[v]));
         let v_src = self.edge_endpoints[v].0;
         // The aggressors' paths, in edge order: every other-source edge
@@ -1598,7 +1587,7 @@ mod tests {
             src: TileId,
             dst: TileId,
         ) -> Result<phonoc_route::NetworkPath, phonoc_route::RoutingError> {
-            if dst.0 % 2 == 0 {
+            if dst.0.is_multiple_of(2) {
                 XyRouting.route(topo, src, dst)
             } else {
                 phonoc_route::YxRouting.route(topo, src, dst)
@@ -1658,7 +1647,7 @@ mod tests {
         let mut scratch = EvalScratch::default();
         let mut buf = ProbeBuffers::default();
         for (ev, tasks) in probe_instances() {
-            assert!(!ev.paths_revisit, "no routing here revisits a tile");
+            let masks = ev.tile_masks().expect("no routing here revisits a tile");
             let edges = ev.edge_count();
             let mut rng = StdRng::seed_from_u64(0x9B0E);
             let mut noisy = 0;
@@ -1666,7 +1655,7 @@ mod tests {
                 let m = Mapping::random(tasks, ev.tile_count, &mut rng);
                 ev.evaluate_into(&m, None, &mut scratch);
                 for v in 0..edges {
-                    let probed = ev.probe_noise(&scratch.edge_path[..edges], v, &mut buf);
+                    let probed = ev.probe_noise(masks, &scratch.edge_path[..edges], v, &mut buf);
                     assert_eq!(
                         probed.to_bits(),
                         scratch.noise[v].to_bits(),
@@ -1769,7 +1758,10 @@ mod tests {
         let topo = Topology::mesh(3, 3, pitch());
         let p = PhysicalParameters::default();
         let ev = Evaluator::new(&cg, &topo, &crossbar_router(), &LoopingRouting, &p).unwrap();
-        assert!(ev.paths_revisit);
+        assert!(
+            ev.tile_masks.get().is_none(),
+            "built before any bounded pass"
+        );
         let mut rng = StdRng::seed_from_u64(0x100B);
         let (mut scratch, mut exact) = (EvalScratch::default(), EvalScratch::default());
         let mut rejected = 0;
@@ -1780,6 +1772,7 @@ mod tests {
             rejected += usize::from(ev.evaluate_bounded(&m, worst, &mut scratch).is_none());
         }
         assert!(rejected > 0);
+        assert_eq!(ev.tile_masks.get(), Some(&None));
         assert_eq!(scratch.probe_rejections, 0);
     }
 

@@ -41,9 +41,10 @@
 //!    verify the result against the canonical per-edge scan.
 //!
 //! The commit then writes back what the kernel left in the scratch:
-//! the patched lists, the dirty accumulations, the moved edges'
-//! accumulations along their new paths, and the affected noise and
-//! SNR.
+//! the moved edges' paths and losses (the commit a loss cursor runs,
+//! with the kernel's worst-loss scan), the patched lists, the dirty
+//! accumulations, the moved edges' accumulations along their new paths,
+//! and the affected noise and SNR.
 //!
 //! # Exactness
 //!
@@ -103,7 +104,27 @@ pub(super) struct Occ {
     pub(super) prefix: f64,
 }
 
-/// Mapping-dependent caches enabling incremental re-evaluation.
+/// Per-edge paths and insertion losses of one mapping and their worst
+/// case: all a loss-based objective scores (paper Eq. 3 reads only each
+/// edge's own path). A loss-family cursor holds just this; every
+/// [`EvalState`] embeds one, patched through the same commit.
+#[derive(Debug, Clone)]
+pub(crate) struct LossState {
+    /// Per edge: index of its current path (`src_tile * tiles + dst`).
+    path_of_edge: Vec<usize>,
+    /// Per edge: insertion loss in dB (the path's `total_db`).
+    il: Vec<f64>,
+    worst_il: f64,
+}
+
+impl LossState {
+    /// Worst-case insertion loss (paper Eq. 3) of the cached mapping.
+    pub(crate) fn worst_case_il(&self) -> Db {
+        Db(self.worst_il)
+    }
+}
+
+/// Mapping-dependent caches enabling incremental SNR re-evaluation.
 ///
 /// Build one with [`Evaluator::init_state`] (a full pass, kept), then
 /// score candidate moves with [`Evaluator::evaluate_delta`] and commit
@@ -111,18 +132,14 @@ pub(super) struct Occ {
 /// evaluator and mapping it was built from; the commit path keeps all
 /// three in sync.
 ///
-/// Inside the crate a state can also be **loss-only**: the engine seats
-/// and commits cursors of the loss-based objective family with
-/// `init_loss_state` / `apply_loss_move`, which fill just
-/// `path_of_edge`, `il` and `worst_il` — insertion loss (paper Eq. 3)
-/// depends only on each edge's own path, so the loss peeks read
-/// nothing else. The crosstalk caches (`hop_offset`, `acc`, `suffix`,
-/// `noise`, `snr`, `tile_hops`) stay empty, and every SNR-side entry
-/// point asserts they are present rather than read them.
+/// It holds each edge's path and insertion loss (what the loss peeks
+/// read) and the crosstalk caches the SNR deltas read: per-hop
+/// accumulations and suffixes, per-edge noise and SNR, and per-tile
+/// occupancy lists.
 #[derive(Debug, Clone)]
 pub struct EvalState {
-    /// Per edge: index of its current path (`src_tile * tiles + dst`).
-    path_of_edge: Vec<usize>,
+    /// Per edge: path and insertion loss; the worst-case loss.
+    loss: LossState,
     /// Flat index base per edge: hop `(e, h)` lives at
     /// `hop_offset[e] + h`; `hop_offset[edge_count]` is the total.
     hop_offset: Vec<usize>,
@@ -135,13 +152,10 @@ pub struct EvalState {
     /// Per edge: accumulated linear crosstalk noise power
     /// (`Σ acc·suffix` in ascending tile order).
     noise: Vec<f64>,
-    /// Per edge: insertion loss in dB (the path's `total_db`).
-    il: Vec<f64>,
     /// Per edge: SNR in dB (derived from `noise`, clamped to ceiling).
     snr: Vec<f64>,
     /// Per tile: occupancies ascending by `(edge, hop)`.
     tile_hops: Vec<Vec<Occ>>,
-    worst_il: f64,
     worst_snr: f64,
 }
 
@@ -149,36 +163,19 @@ impl EvalState {
     /// Worst-case insertion loss (paper Eq. 3) of the cached mapping.
     #[must_use]
     pub fn worst_case_il(&self) -> Db {
-        Db(self.worst_il)
+        self.loss.worst_case_il()
     }
 
     /// Worst-case SNR (paper Eq. 4) of the cached mapping.
     #[must_use]
     pub fn worst_case_snr(&self) -> Db {
-        self.assert_crosstalk("worst_case_snr");
         Db(self.worst_snr)
     }
 
     /// Number of edges whose metrics are cached.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.il.len()
-    }
-
-    /// Whether this state was seated by `init_loss_state`: it carries
-    /// each edge's path and insertion loss but no crosstalk caches.
-    pub(crate) fn is_loss_only(&self) -> bool {
-        // A crosstalk-bearing state always holds `edges + 1` offsets.
-        self.hop_offset.is_empty()
-    }
-
-    /// The guard of every SNR-side entry point: a loss-only state has
-    /// no crosstalk caches, so no SNR figure may be derived from it.
-    fn assert_crosstalk(&self, entry: &str) {
-        assert!(
-            !self.is_loss_only(),
-            "{entry} needs crosstalk caches, but the state is loss-only"
-        );
+        self.loss.il.len()
     }
 
     /// Total router occupancies of the cached mapping (the sum of all
@@ -191,16 +188,15 @@ impl EvalState {
     /// Materializes full [`NetworkMetrics`] from the cached state.
     #[must_use]
     pub fn to_metrics(&self) -> NetworkMetrics {
-        self.assert_crosstalk("to_metrics");
         NetworkMetrics {
             edges: (0..self.noise.len())
                 .map(|e| super::EdgeMetrics {
                     edge: e,
-                    insertion_loss: Db(self.il[e]),
+                    insertion_loss: Db(self.loss.il[e]),
                     snr: Db(self.snr[e]),
                 })
                 .collect(),
-            worst_case_il: Db(self.worst_il),
+            worst_case_il: self.worst_case_il(),
             worst_case_snr: Db(self.worst_snr),
         }
     }
@@ -535,41 +531,35 @@ impl Evaluator {
             .map(|(&g, &n)| self.snr_of(g, n))
             .collect();
         EvalState {
-            path_of_edge,
+            loss: LossState {
+                path_of_edge,
+                il,
+                worst_il: summary.worst_case_il.0,
+            },
             hop_offset,
             acc,
             suffix,
             noise,
-            il,
             snr,
             tile_hops,
-            worst_il: summary.worst_case_il.0,
             worst_snr: summary.worst_case_snr.0,
         }
     }
 
-    /// The loss-only cursor seat: per-edge paths and insertion losses
-    /// plus the worst case, in `O(edges)` — no occupancy lists,
-    /// accumulations or noise (see [`EvalState`]). `worst_il` is
+    /// The loss cursor seat: per-edge paths and insertion losses plus
+    /// the worst case, in `O(edges)` (see [`LossState`]). `worst_il` is
     /// [`Evaluator::worst_case_il`]'s fold.
-    pub(crate) fn init_loss_state(&self, mapping: &Mapping) -> EvalState {
+    pub(crate) fn init_loss_state(&self, mapping: &Mapping) -> LossState {
         let path_of_edge: Vec<usize> = self.edge_paths(mapping).collect();
         let il: Vec<f64> = path_of_edge
             .iter()
             .map(|&p| self.path(p).total_db)
             .collect();
         let worst_il = worst_of_losses(il.iter().copied());
-        EvalState {
+        LossState {
             path_of_edge,
-            hop_offset: Vec::new(),
-            acc: Vec::new(),
-            suffix: Vec::new(),
-            noise: Vec::new(),
             il,
-            snr: Vec::new(),
-            tile_hops: Vec::new(),
             worst_il,
-            worst_snr: f64::NAN,
         }
     }
 
@@ -695,7 +685,6 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
-        state.assert_crosstalk("evaluate_delta_with");
         self.exact_snr_delta(state, mapping, mv, scratch)
     }
 
@@ -720,27 +709,39 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> (Db, usize) {
-        if !self.mark_moved(state, mapping, mv, scratch) {
-            return (Db(state.worst_il), 0);
+        self.loss_delta(&state.loss, mapping, mv, scratch)
+    }
+
+    /// [`Evaluator::evaluate_delta_loss`] on a loss state.
+    pub(crate) fn loss_delta(
+        &self,
+        state: &LossState,
+        mapping: &Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+    ) -> (Db, usize) {
+        if !self.mark_moved(mapping, mv, scratch, 0) {
+            return (state.worst_case_il(), 0);
         }
         (Db(self.loss_worst_il(state, scratch)), scratch.moved.len())
     }
 
     /// The shared first pass of every delta (both loss peeks and the SNR
-    /// kernel): starts a scratch epoch, marks the edges `mv` moves and
+    /// kernel): starts a scratch epoch sized for `flat_hops` per-hop
+    /// marks (none for a loss delta), marks the edges `mv` moves and
     /// records their new paths in `scratch`. Returns `false` for a
     /// neutral move (free↔free or identity: nothing moves, the old
     /// worst cases stand).
     fn mark_moved(
         &self,
-        state: &EvalState,
         mapping: &Mapping,
         mv: Move,
         scratch: &mut DeltaScratch,
+        flat_hops: usize,
     ) -> bool {
         let edges = self.edge_endpoints.len();
         let tasks = mapping.task_count();
-        scratch.begin(edges, self.tile_count, state.acc.len());
+        scratch.begin(edges, self.tile_count, flat_hops);
 
         let (a, b) = mv.positions(mapping);
         if a == b || a >= tasks || edges == 0 {
@@ -773,7 +774,7 @@ impl Evaluator {
     /// The exact new worst-case insertion loss after the move marked in
     /// `scratch`: the minimum over every edge, moved edges on their new
     /// paths — the one scan both loss peeks verify with.
-    fn loss_worst_il(&self, state: &EvalState, scratch: &DeltaScratch) -> f64 {
+    fn loss_worst_il(&self, state: &LossState, scratch: &DeltaScratch) -> f64 {
         let mut worst_il = 0.0f64;
         for e in 0..self.edge_endpoints.len() {
             let il = if scratch.is_moved(e) {
@@ -824,10 +825,22 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedLossDelta {
-        if !self.mark_moved(state, mapping, mv, scratch) {
+        self.loss_delta_bounded(&state.loss, mapping, mv, scratch, threshold)
+    }
+
+    /// [`Evaluator::evaluate_delta_loss_bounded`] on a loss state.
+    pub(crate) fn loss_delta_bounded(
+        &self,
+        state: &LossState,
+        mapping: &Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+        threshold: Db,
+    ) -> BoundedLossDelta {
+        if !self.mark_moved(mapping, mv, scratch, 0) {
             // Neutral move: the exact value is free.
             return BoundedLossDelta::Exact {
-                new_worst_il: Db(state.worst_il),
+                new_worst_il: state.worst_case_il(),
                 moved_edges: 0,
             };
         }
@@ -895,7 +908,6 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedDelta {
-        state.assert_crosstalk("evaluate_delta_bounded");
         self.snr_delta(state, mapping, mv, scratch, threshold.0)
     }
 
@@ -940,7 +952,7 @@ impl Evaluator {
         };
         if !self.delta_collect_moved(state, mapping, mv, scratch) {
             // Neutral move (free↔free or identity): nothing changes.
-            return BoundedDelta::Exact(delta(state.worst_il, state.worst_snr, 0));
+            return BoundedDelta::Exact(delta(state.loss.worst_il, state.worst_snr, 0));
         }
         self.delta_patch_and_mark(state, scratch);
 
@@ -1086,7 +1098,7 @@ impl Evaluator {
             }
             (noise, path.total_gain)
         } else {
-            let path = self.path(state.path_of_edge[v]);
+            let path = self.path(state.loss.path_of_edge[v]);
             let mut noise = 0.0f64;
             for &h in &path.tile_order {
                 let flat = base + h as usize;
@@ -1112,8 +1124,10 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
-        state.assert_crosstalk("apply_move");
         let delta = self.exact_snr_delta(state, mapping, mv, scratch);
+        // The moved edges' paths and losses: the loss cursor's commit,
+        // with the worst case the kernel's scan already found.
+        self.commit_loss(&mut state.loss, scratch, delta.new_worst_il.0);
 
         if !scratch.moved.is_empty() {
             // Patched tile occupancies.
@@ -1123,19 +1137,14 @@ impl Evaluator {
             }
             // Path lengths may change, so the flat per-hop stores are
             // rebuilt (edge count is tiny). The assembly reads the *old*
-            // layout, so `path_of_edge`/`hop_offset` are replaced after.
+            // layout, so `hop_offset` is replaced after.
             let edges = state.noise.len();
             let mut new_offset = std::mem::take(&mut scratch.spare_offset);
             new_offset.clear();
             let mut total = 0usize;
             for e in 0..edges {
                 new_offset.push(total);
-                let p = if scratch.is_moved(e) {
-                    scratch.new_path[e]
-                } else {
-                    state.path_of_edge[e]
-                };
-                total += self.path(p).hops.len();
+                total += self.path(state.loss.path_of_edge[e]).hops.len();
             }
             new_offset.push(total);
             let mut new_acc = std::mem::take(&mut scratch.spare_acc);
@@ -1162,16 +1171,13 @@ impl Evaluator {
             debug_assert_eq!(scratch.affected[..scratch.moved.len()], scratch.moved[..]);
             let mut run = 0;
             for &e in &scratch.moved {
-                let (p, dst) = (scratch.new_path[e], new_offset[e]);
-                let path = self.path(p);
+                let (path, dst) = (self.path(scratch.new_path[e]), new_offset[e]);
                 let n = path.hops.len();
                 new_acc[dst..dst + n].copy_from_slice(&scratch.moved_acc[run..run + n]);
                 run += n;
                 for (h, hop) in path.hops.iter().enumerate() {
                     new_suffix[dst + h] = hop.suffix;
                 }
-                state.path_of_edge[e] = p;
-                state.il[e] = path.total_db;
             }
             scratch.spare_offset = std::mem::replace(&mut state.hop_offset, new_offset);
             scratch.spare_acc = std::mem::replace(&mut state.acc, new_acc);
@@ -1180,10 +1186,9 @@ impl Evaluator {
             for &v in &scratch.affected {
                 let noise = scratch.new_noise[v];
                 state.noise[v] = noise;
-                state.snr[v] = self.snr_of(self.path(state.path_of_edge[v]).total_gain, noise);
+                state.snr[v] = self.snr_of(self.path(state.loss.path_of_edge[v]).total_gain, noise);
             }
         }
-        state.worst_il = delta.new_worst_il.0;
         state.worst_snr = delta.new_worst_snr.0;
         mapping.apply_move(mv);
 
@@ -1194,40 +1199,47 @@ impl Evaluator {
         delta
     }
 
-    /// The loss-only commit: patches the moved edges' paths and
-    /// insertion losses and the worst case (the same marking pass and
-    /// min-scan the loss peeks score with), then applies `mv` to
-    /// `mapping`. Debug builds check the result against a fresh
-    /// [`Evaluator::init_loss_state`] and a full evaluation.
+    /// The loss commit: the same marking pass and min-scan the loss
+    /// peeks score with, then [`Evaluator::commit_loss`], then `mv`
+    /// applied to `mapping`. Debug builds check the result against a
+    /// fresh [`Evaluator::init_loss_state`] and a full evaluation.
     pub(crate) fn apply_loss_move(
         &self,
-        state: &mut EvalState,
+        state: &mut LossState,
         mapping: &mut Mapping,
         mv: Move,
         scratch: &mut DeltaScratch,
     ) {
-        if self.mark_moved(state, mapping, mv, scratch) {
-            state.worst_il = self.loss_worst_il(state, scratch);
-            for &e in &scratch.moved {
-                let p = scratch.new_path[e];
-                state.path_of_edge[e] = p;
-                state.il[e] = self.path(p).total_db;
-            }
+        if self.mark_moved(mapping, mv, scratch, 0) {
+            let worst_il = self.loss_worst_il(state, scratch);
+            self.commit_loss(state, scratch, worst_il);
         }
         mapping.apply_move(mv);
         debug_assert!(
             self.loss_state_matches_full_eval(state, mapping),
-            "loss-only state diverged from full evaluation after {mv:?}"
+            "loss state diverged from full evaluation after {mv:?}"
         );
     }
 
+    /// Writes the move marked in `scratch` into `state`: each moved
+    /// edge's new path and insertion loss, and `worst_il`, the new worst
+    /// case its caller's scan found (the one commit of both cursor
+    /// families).
+    fn commit_loss(&self, state: &mut LossState, scratch: &DeltaScratch, worst_il: f64) {
+        for &e in &scratch.moved {
+            let p = scratch.new_path[e];
+            state.path_of_edge[e] = p;
+            state.il[e] = self.path(p).total_db;
+        }
+        state.worst_il = worst_il;
+    }
+
     /// Debug-only invariant of [`Evaluator::apply_loss_move`]: `state`
-    /// equals a fresh loss-only seat of `mapping`, and its worst case is
+    /// equals a fresh loss seat of `mapping`, and its worst case is
     /// bit-identical to a full evaluation's.
-    fn loss_state_matches_full_eval(&self, state: &EvalState, mapping: &Mapping) -> bool {
+    fn loss_state_matches_full_eval(&self, state: &LossState, mapping: &Mapping) -> bool {
         let fresh = self.init_loss_state(mapping);
-        state.is_loss_only()
-            && state.path_of_edge == fresh.path_of_edge
+        state.path_of_edge == fresh.path_of_edge
             && state.il == fresh.il
             && state.worst_il.to_bits() == fresh.worst_il.to_bits()
             && state.worst_il.to_bits() == self.evaluate(mapping).worst_case_il.0.to_bits()
@@ -1237,15 +1249,15 @@ impl Evaluator {
     /// evaluation of `mapping`.
     fn state_matches_full_eval(&self, state: &EvalState, mapping: &Mapping) -> bool {
         let fresh = self.init_state(mapping);
-        state.path_of_edge == fresh.path_of_edge
+        state.loss.path_of_edge == fresh.loss.path_of_edge
             && state.hop_offset == fresh.hop_offset
             && state.acc == fresh.acc
             && state.suffix == fresh.suffix
             && state.noise == fresh.noise
-            && state.il == fresh.il
+            && state.loss.il == fresh.loss.il
             && state.snr == fresh.snr
             && state.tile_hops == fresh.tile_hops
-            && state.worst_il == fresh.worst_il
+            && state.loss.worst_il == fresh.loss.worst_il
             && state.worst_snr == fresh.worst_snr
             && self.evaluate(mapping) == state.to_metrics()
     }
@@ -1263,13 +1275,13 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> bool {
-        if !self.mark_moved(state, mapping, mv, scratch) {
+        if !self.mark_moved(mapping, mv, scratch, state.acc.len()) {
             return false;
         }
         for i in 0..scratch.moved.len() {
             let e = scratch.moved[i];
             scratch.mark_affected(e);
-            let old_hops = &self.path(state.path_of_edge[e]).hops;
+            let old_hops = &self.path(state.loss.path_of_edge[e]).hops;
             let new_hops = &self.path(scratch.new_path[e]).hops;
             let head = old_hops
                 .iter()
@@ -1295,7 +1307,7 @@ impl Evaluator {
             let e = scratch.moved[i];
             let src = self.edge_endpoints[e].0;
             let head = scratch.head_len[e] as usize;
-            for hop in &self.path(state.path_of_edge[e]).hops[head..] {
+            for hop in &self.path(state.loss.path_of_edge[e]).hops[head..] {
                 self.touch_tile(state, scratch, hop.tile);
                 let slot = scratch.slot_of(hop.tile);
                 scratch.changed_occs[slot].push((e as u32, hop.pair as u16));
@@ -1366,7 +1378,7 @@ impl Evaluator {
             let il = if scratch.is_moved(e) {
                 self.path(scratch.new_path[e]).total_db
             } else {
-                state.il[e]
+                state.loss.il[e]
             };
             worst_il = worst_il.min(il);
             if !scratch.is_affected(e) {
@@ -1387,7 +1399,7 @@ impl Evaluator {
                 let gain = if scratch.is_moved(e) {
                     self.path(scratch.new_path[e]).total_gain
                 } else {
-                    self.path(state.path_of_edge[e]).total_gain
+                    self.path(state.loss.path_of_edge[e]).total_gain
                 };
                 self.snr_of(gain, scratch.new_noise[e])
             } else {
@@ -1438,7 +1450,6 @@ mod tests {
     use phonoc_topo::Topology;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// VOPD on a 5×5 mesh: nine free tiles, so the random swaps include
     /// task-to-free-tile moves and neutral free-to-free ones.
@@ -1454,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn loss_only_commits_track_the_full_state_on_every_loss_field() {
+    fn loss_commits_track_the_full_state_on_every_loss_field() {
         let ev = vopd();
         let mut rng = StdRng::seed_from_u64(3);
         let mut full_map = Mapping::random(16, 25, &mut rng);
@@ -1463,10 +1474,8 @@ mod tests {
         let mut loss = ev.init_loss_state(&loss_map);
         let mut scratch = DeltaScratch::default();
         for _ in 0..80 {
-            assert!(loss.is_loss_only() && !full.is_loss_only());
-            assert_eq!(loss.edge_count(), full.edge_count());
-            assert_eq!(loss.path_of_edge, full.path_of_edge);
-            assert_eq!(loss.il, full.il);
+            assert_eq!(loss.path_of_edge, full.loss.path_of_edge);
+            assert_eq!(loss.il, full.loss.il);
             assert_eq!(
                 loss.worst_case_il().0.to_bits(),
                 full.worst_case_il().0.to_bits()
@@ -1476,37 +1485,5 @@ mod tests {
             ev.apply_loss_move(&mut loss, &mut loss_map, mv, &mut scratch);
             assert_eq!(loss_map, full_map);
         }
-    }
-
-    /// Runs `call` and checks it panics with the loss-only guard.
-    fn assert_rejected(entry: &str, call: impl FnOnce()) {
-        let err = catch_unwind(AssertUnwindSafe(call)).expect_err(entry);
-        let msg = err.downcast_ref::<String>().expect("formatted panic");
-        assert!(msg.contains("loss-only"), "{entry}: {msg}");
-    }
-
-    #[test]
-    fn snr_entry_points_reject_loss_only_states() {
-        let ev = vopd();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut mapping = Mapping::random(16, 25, &mut rng);
-        let mut state = ev.init_loss_state(&mapping);
-        let mv = mapping.random_swap_move(&mut rng);
-        let mut scratch = DeltaScratch::default();
-        assert_rejected("evaluate_delta_with", || {
-            let _ = ev.evaluate_delta_with(&state, &mapping, mv, &mut scratch);
-        });
-        assert_rejected("evaluate_delta_bounded", || {
-            let _ = ev.evaluate_delta_bounded(&state, &mapping, mv, &mut scratch, Db(0.0));
-        });
-        assert_rejected("to_metrics", || {
-            let _ = state.to_metrics();
-        });
-        assert_rejected("worst_case_snr", || {
-            let _ = state.worst_case_snr();
-        });
-        assert_rejected("apply_move", || {
-            ev.apply_move(&mut state, &mut mapping, mv, &mut scratch);
-        });
     }
 }

@@ -371,9 +371,8 @@ impl MappingProblem {
     }
 
     /// Re-weights existing CG edges in place (a traffic phase
-    /// transition), keeping the CG and the evaluator's edge caches in
-    /// lock-step. The architecture tables (paths, interaction matrix)
-    /// are untouched — see the [`Evaluator`] module docs on incremental
+    /// transition). No evaluator table reads a weight, so only the CG
+    /// changes — see the [`Evaluator`] module docs on incremental
     /// mutation.
     ///
     /// # Errors
@@ -384,9 +383,6 @@ impl MappingProblem {
         &mut self,
         updates: &[(phonoc_apps::TaskId, phonoc_apps::TaskId, f64)],
     ) -> Result<(), CoreError> {
-        let eval_updates: Vec<(usize, usize, f64)> =
-            updates.iter().map(|&(s, d, w)| (s.0, d.0, w)).collect();
-        self.evaluator.update_edges(&eval_updates)?;
         self.cg
             .update_bandwidths(updates)
             .map_err(|e| CoreError::Mutation(e.to_string()))

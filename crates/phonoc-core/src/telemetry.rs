@@ -1266,6 +1266,25 @@ mod tests {
         assert_eq!(parsed, events);
     }
 
+    /// The writer's bytes, pinned verbatim: a change made alike to the
+    /// writer and the reader passes the round trip, not this.
+    #[test]
+    fn rendered_trace_bytes_are_pinned() {
+        let expected = r#"{"schema":"phonocmap-trace/1","source":"unit-test","events":10}
+{"ev":"peek","route":"delta","cost":3}
+{"ev":"improved","spent":2,"score_bits":4626744929681408000,"score":21.5}
+{"ev":"widen","radius":3}
+{"ev":"dry_scan","radius":3}
+{"ev":"narrow","radius":2}
+{"ev":"lane_round","round":0,"lane":1,"allotted":50,"used":48,"score_bits":4626111610983809024,"score":19.25,"seeded":1}
+{"ev":"warm_lookup","outcome":"near","shared_edges":6}
+{"ev":"exact_summary","nodes":12,"leaves":4}
+{"ev":"exact_cuts","depth":2,"cuts":5}
+{"ev":"session_end","spent":60,"budget":64,"score_bits":4626744929681408000,"score":21.5,"full_evaluations":7,"delta_evaluations":25,"full_peeks":4,"full_direct":3,"delta_exact":10,"loss_fast_path":2,"bound_rejected":8,"bound_verified":4,"bound_charges":1,"improvements":5,"widenings":2,"dry_scans":3,"narrowings":1,"warm_exact_hits":1,"warm_near_hits":1,"warm_cold":1,"exact_nodes":12,"exact_leaves":4,"rounds":2}
+"#;
+        assert_eq!(render_trace("unit-test", &sample_events()), expected);
+    }
+
     #[test]
     fn json_strings_escape_quotes_backslashes_and_control_characters() {
         let mut out = String::new();

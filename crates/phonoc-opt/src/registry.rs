@@ -46,22 +46,33 @@ use crate::tabu::TabuSearch;
 use phonoc_core::{MappingOptimizer, NeighborhoodPolicy, Objective, PeekStrategy};
 use std::fmt::Write as _;
 
-/// Instantiates a built-in optimizer by name: `"rs"`, `"ga"`,
-/// `"r-pbla"` (or `"rpbla"`), `"sa"`, `"tabu"`, `"exhaustive"`,
-/// `"exact"`.
+/// Builds one registry optimizer.
+type Build = fn() -> Box<dyn MappingOptimizer>;
+
+/// The built-in optimizers as `(name, aliases, constructor)`, in the
+/// order help texts list them: the one table [`optimizer`] resolves and
+/// [`builtin_names`] lists.
+const BUILTINS: [(&str, &[&str], Build); 8] = [
+    ("rs", &["random"], || Box::new(RandomSearch)),
+    ("ga", &["genetic"], || Box::new(GeneticAlgorithm)),
+    ("r-pbla", &["rpbla"], || Box::new(Rpbla)),
+    ("sa", &["annealing"], || Box::new(SimulatedAnnealing)),
+    ("tabu", &[], || Box::new(TabuSearch)),
+    ("ils", &[], || Box::new(IteratedLocalSearch)),
+    ("exhaustive", &[], || Box::new(Exhaustive)),
+    ("exact", &[], || Box::new(ExactSearch)),
+];
+
+/// Instantiates a built-in optimizer by name ([`builtin_names`]) or
+/// alias (`"random"`, `"genetic"`, `"rpbla"`, `"annealing"`),
+/// case-insensitively.
 #[must_use]
 pub fn optimizer(name: &str) -> Option<Box<dyn MappingOptimizer>> {
-    match name.to_lowercase().as_str() {
-        "rs" | "random" => Some(Box::new(RandomSearch)),
-        "ga" | "genetic" => Some(Box::new(GeneticAlgorithm)),
-        "r-pbla" | "rpbla" => Some(Box::new(Rpbla)),
-        "sa" | "annealing" => Some(Box::new(SimulatedAnnealing)),
-        "ils" => Some(Box::new(IteratedLocalSearch)),
-        "tabu" => Some(Box::new(TabuSearch)),
-        "exhaustive" => Some(Box::new(Exhaustive)),
-        "exact" => Some(Box::new(ExactSearch)),
-        _ => None,
-    }
+    let name = name.to_lowercase();
+    BUILTINS
+        .iter()
+        .find(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name.as_str()))
+        .map(|(_, _, build)| build())
 }
 
 /// One fully-parsed single-optimizer spec under the unified grammar
@@ -182,16 +193,16 @@ pub fn search_spec(spec: &str) -> Result<SearchSpec, String> {
 /// Names of all built-in optimizers.
 #[must_use]
 pub fn builtin_names() -> &'static [&'static str] {
-    &[
-        "rs",
-        "ga",
-        "r-pbla",
-        "sa",
-        "tabu",
-        "ils",
-        "exhaustive",
-        "exact",
-    ]
+    const NAMES: [&str; BUILTINS.len()] = {
+        let mut names = [""; BUILTINS.len()];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = BUILTINS[i].0;
+            i += 1;
+        }
+        names
+    };
+    &NAMES
 }
 
 #[cfg(test)]

@@ -270,8 +270,6 @@ pub struct RouterModel {
     elements: Vec<Element>,
     segment_names: Vec<String>,
     traversals: HashMap<PortPair, Traversal>,
-    port_inputs: HashMap<Port, SegmentId>,
-    port_outputs: HashMap<Port, Vec<SegmentId>>,
     /// For each consumed segment, the segment the light continues on when
     /// the consuming element is passive (crossing pass, PSE OFF-through).
     /// Used to propagate leaked noise forward to wherever it exits.
@@ -499,22 +497,6 @@ fn step_leaks(
             vec![(*through, xfer.crossing_leak_gain())]
         }
         (conn, mode) => unreachable!("invalid mode {mode} for element {conn:?}"),
-    }
-}
-
-/// Boundary accessors for reporting and layout tooling.
-impl RouterModel {
-    /// Boundary segment a signal enters on at `port`, if bound.
-    #[must_use]
-    pub fn input_segment(&self, port: Port) -> Option<SegmentId> {
-        self.port_inputs.get(&port).copied()
-    }
-
-    /// Boundary segments a signal may leave on at `port` (several for
-    /// multi-detector Local ports), empty if unbound.
-    #[must_use]
-    pub fn output_segments(&self, port: Port) -> &[SegmentId] {
-        self.port_outputs.get(&port).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -746,8 +728,6 @@ impl NetlistBuilder {
             elements: self.elements.clone(),
             segment_names: self.segment_names.clone(),
             traversals,
-            port_inputs: self.port_inputs.clone(),
-            port_outputs: self.port_outputs.clone(),
             passive_next,
         })
     }
