@@ -13,11 +13,11 @@
 //! * `bounded` — the bound-then-verify peek with the threshold at the
 //!   incumbent (the improving-scan workload).
 //!
-//! The hybrid strategy takes one route per cursor
-//! ([`phonoc_core::EvalState::prefers_full_peeks`]), so its cost on the
-//! placement is the chosen route's: `full` for both workloads when the
-//! placement routes full, `delta` (exact peeks) or `bounded` (improving
-//! scans) otherwise. Every route computes bit-identical exact scores,
+//! The hybrid strategy takes one route per cursor, a function of its
+//! placement ([`phonoc_core::Evaluator::prefers_full_peeks`]), so its
+//! cost on the placement is the chosen route's: `full` for both
+//! workloads when the placement routes full, `delta` (exact peeks) or
+//! `bounded` (improving scans) otherwise. Every route computes bit-identical exact scores,
 //! so the sweep is purely a *cost* comparison; the per-scenario
 //! `winner` records which single route was fastest and
 //! `hybrid_over_best` how close the per-cursor choice came. Each
@@ -459,7 +459,7 @@ fn time_strategies(
         full_ns,
         delta_ns,
         bounded_ns,
-        routes_full: state.prefers_full_peeks(),
+        routes_full: evaluator.prefers_full_peeks(&mapping),
     }
 }
 

@@ -80,7 +80,7 @@
 //! depending only on the [`Objective`] the context carries.
 //!
 //! Only exact peeks can be committed; [`OptContext::apply_scored_move`]
-//! rejects a bound.
+//! rejects a bound, whether bound-rejected or a stopped full pass.
 //!
 //! # One entry point
 //!
@@ -106,14 +106,20 @@
 //! * [`PeekStrategy::Hybrid`] (the default) decides the route when the
 //!   cursor is seated ([`OptContext::set_current`]) and after every
 //!   commit ([`OptContext::apply_scored_move`]), from the cursor's
-//!   [`EvalState`] alone ([`EvalState::prefers_full_peeks`]: mean path
-//!   length and occupancy concentration). Every peek against that
-//!   cursor is then a full scratch re-evaluation ([`PeekRoute::Full`]) or
-//!   the delta side — the exact delta, or the bound-then-verify peek in
-//!   `_improving` scans;
+//!   mapping alone ([`Evaluator::prefers_full_peeks`]: mean path length
+//!   and occupancy concentration, both read off the path table). Every
+//!   peek against that cursor is then a full scratch re-evaluation
+//!   ([`PeekRoute::Full`]) or the delta side — the exact delta, or the
+//!   bound-then-verify peek in `_improving` scans;
 //! * [`PeekStrategy::Delta`] / [`PeekStrategy::Full`] pin one side —
 //!   for benchmarking the route itself and for tests that exercise one
 //!   path's accounting.
+//!
+//! A cursor holds only what its route reads: the crosstalk
+//! [`EvalState`] on the delta side, nothing but its mapping and score on
+//! the full pass (a commit just moves the mapping). A cursor flipping to
+//! the delta side seats its state, unbilled like the commit or
+//! [`OptContext::set_peek_strategy`] call that flipped it.
 //!
 //! All four peek entry points score through one per-move scorer and
 //! book through one routine: the sequential peeks on the context's own
@@ -209,8 +215,8 @@ use std::fmt;
 /// approaches). See the [module docs](self) for the measured rationale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeekStrategy {
-    /// One route per cursor, decided from its state when it is seated
-    /// and after every commit ([`EvalState::prefers_full_peeks`]) —
+    /// One route per cursor, decided from its mapping when it is seated
+    /// and after every commit ([`Evaluator::prefers_full_peeks`]) —
     /// every peek against that cursor takes it (default).
     #[default]
     Hybrid,
@@ -384,66 +390,68 @@ impl MoveEval {
 }
 
 /// The cursor: the mapping a move-based strategy currently stands on,
-/// its score, and the incremental state its objective family reads.
+/// its score, and the state its peek route reads.
 struct Cursor {
     mapping: Mapping,
     score: f64,
     state: CursorState,
 }
 
-/// A cursor's incremental state, one variant per objective family,
-/// chosen once when the cursor is seated ([`OptContext::set_current`]):
-/// scoring, peeks and commits follow the variant.
+/// A cursor's peek route and the incremental state that route reads:
+/// the variant *is* the route. `Cursor::reroute` picks it when the
+/// cursor is seated, after every commit and when the strategy changes —
+/// never per move.
 enum CursorState {
     /// Loss family: each edge's path and insertion loss, no crosstalk.
     Loss(LossState),
-    /// SNR family: the crosstalk state, and whether
-    /// [`PeekStrategy::Hybrid`] sends peeks against it to the full pass
-    /// — decided when the cursor is seated and after every commit,
-    /// never per move.
-    Snr { state: EvalState, full_route: bool },
-}
-
-impl CursorState {
-    /// The cursor's objective score: the worst-case loss of a loss
-    /// state, the worst-case SNR of an SNR one.
-    fn score(&self, objective: Objective) -> f64 {
-        match self {
-            CursorState::Loss(state) => objective.score_worst_il(state.worst_case_il()),
-            CursorState::Snr { state, .. } => objective.score_worst_snr(state.worst_case_snr()),
-        }
-    }
+    /// SNR family on the delta side: the crosstalk state the exact and
+    /// bound-then-verify SNR peeks read.
+    Snr(EvalState),
+    /// SNR family on the full pass: every peek re-evaluates the moved
+    /// mapping from scratch, so the cursor keeps no state.
+    Full,
 }
 
 impl Cursor {
+    /// The one step that picks an SNR cursor's variant, from `strategy`
+    /// and (under [`PeekStrategy::Hybrid`]) the rule on its mapping: run
+    /// when the cursor is seated, after every commit and when the
+    /// strategy changes. A loss cursor has one route.
+    fn reroute(&mut self, evaluator: &Evaluator, strategy: PeekStrategy) {
+        if matches!(self.state, CursorState::Loss(_)) {
+            return;
+        }
+        let full = match strategy {
+            PeekStrategy::Hybrid => evaluator.prefers_full_peeks(&self.mapping),
+            PeekStrategy::Delta => false,
+            PeekStrategy::Full => true,
+        };
+        if full {
+            self.state = CursorState::Full;
+        } else if matches!(self.state, CursorState::Full) {
+            self.state = CursorState::Snr(evaluator.init_state(&self.mapping));
+        }
+    }
+
     /// The scorer every peek against this cursor runs through.
     fn scorer<'a>(
         &'a self,
         evaluator: &'a Evaluator,
         objective: Objective,
-        strategy: PeekStrategy,
         improving: bool,
-        unit: u64,
     ) -> Scorer<'a> {
         Scorer {
             evaluator,
             objective,
             mapping: &self.mapping,
-            scoring: self.scoring(objective, strategy, improving),
-            unit: unit as usize,
+            scoring: self.scoring(objective, improving),
+            unit: evaluator.edge_count().max(1),
         }
     }
 
-    /// How every peek against this cursor is scored: the evaluator
-    /// route of its state (an SNR state's under the pinned strategy),
-    /// at the cursor threshold in improving scans and at `-∞`
-    /// otherwise.
-    fn scoring(
-        &self,
-        objective: Objective,
-        strategy: PeekStrategy,
-        improving: bool,
-    ) -> Scoring<'_> {
+    /// How every peek against this cursor is scored: its route, at the
+    /// cursor threshold in improving scans and at `-∞` otherwise.
+    fn scoring(&self, objective: Objective, improving: bool) -> Scoring<'_> {
         let threshold = if improving {
             objective.threshold_for_score(self.score)
         } else {
@@ -451,18 +459,8 @@ impl Cursor {
         };
         match &self.state {
             CursorState::Loss(state) => Scoring::Loss(state, threshold),
-            CursorState::Snr { state, full_route } => {
-                let full = match strategy {
-                    PeekStrategy::Hybrid => *full_route,
-                    PeekStrategy::Delta => false,
-                    PeekStrategy::Full => true,
-                };
-                if full {
-                    Scoring::Full(threshold)
-                } else {
-                    Scoring::Snr(state, threshold)
-                }
-            }
+            CursorState::Snr(state) => Scoring::Snr(state, threshold),
+            CursorState::Full => Scoring::Full(threshold),
         }
     }
 }
@@ -760,9 +758,14 @@ impl<'p> OptContext<'p> {
     /// Pins (or restores) the SNR-peek routing strategy for subsequent
     /// peeks. Every strategy scores each peek bit-identically; what
     /// changes is what each peek costs (wall clock and honest budget
-    /// units), and so how far a budgeted run gets.
+    /// units), and so how far a budgeted run gets. A seated cursor takes
+    /// the new strategy's route at once (a cursor moving to the delta
+    /// side seats its state, unbilled).
     pub fn set_peek_strategy(&mut self, strategy: PeekStrategy) {
         self.strategy = strategy;
+        if let Some(cursor) = &mut self.cursor {
+            cursor.reroute(self.problem.evaluator(), strategy);
+        }
     }
 
     /// The problem under optimization.
@@ -1166,7 +1169,7 @@ impl<'p> OptContext<'p> {
     /// `None` once the budget is exhausted. Loss-based objectives seat
     /// a loss cursor (paths and insertion losses; see the [module
     /// docs](self#objective-aware-peeks-tagged-by-route)), SNR-based
-    /// ones the full crosstalk state.
+    /// ones what their route reads ([`PeekStrategy`]).
     pub fn set_current(&mut self, mapping: Mapping) -> Option<f64> {
         if self.exhausted() {
             return None;
@@ -1175,22 +1178,27 @@ impl<'p> OptContext<'p> {
         // The one place a cursor's family is decided. Loss-family peeks
         // read only paths and insertion losses, so their cursors skip
         // the crosstalk caches (still billed as the full evaluation the
-        // seat replaces).
+        // seat replaces); an SNR cursor then takes its route.
         let evaluator = self.problem.evaluator();
         let state = if self.objective.is_loss_based() {
             CursorState::Loss(evaluator.init_loss_state(&mapping))
         } else {
-            let state = evaluator.init_state(&mapping);
-            let full_route = state.prefers_full_peeks();
-            CursorState::Snr { state, full_route }
+            CursorState::Full
         };
-        let score = state.score(self.objective);
-        self.record(&mapping, score);
-        self.cursor = Some(Cursor {
+        let mut cursor = Cursor {
             mapping,
-            score,
+            score: f64::NAN,
             state,
-        });
+        };
+        cursor.reroute(evaluator, self.strategy);
+        cursor.score = match &cursor.state {
+            CursorState::Loss(state) => self.objective.score_worst_il(state.worst_case_il()),
+            CursorState::Snr(state) => self.objective.score_worst_snr(state.worst_case_snr()),
+            CursorState::Full => self.direct_score(&cursor.mapping),
+        };
+        self.record(&cursor.mapping, cursor.score);
+        let score = cursor.score;
+        self.cursor = Some(cursor);
         Some(score)
     }
 
@@ -1300,13 +1308,7 @@ impl<'p> OptContext<'p> {
             .cursor
             .as_ref()
             .expect("peek_move without set_current")
-            .scorer(
-                self.problem.evaluator(),
-                self.objective,
-                self.strategy,
-                improving,
-                self.unit,
-            );
+            .scorer(self.problem.evaluator(), self.objective, improving);
         let (ev, cost) = scorer.score(mv, &mut self.scratch);
         Some(self.book_peek(ev, cost))
     }
@@ -1324,13 +1326,7 @@ impl<'p> OptContext<'p> {
             .cursor
             .as_ref()
             .expect("peek_moves without set_current")
-            .scorer(
-                self.problem.evaluator(),
-                self.objective,
-                self.strategy,
-                improving,
-                self.unit,
-            );
+            .scorer(self.problem.evaluator(), self.objective, improving);
         let scored = parallel::parallel_map_with(moves, PeekScratch::default, |scratch, &mv| {
             scorer.score(mv, scratch)
         });
@@ -1376,22 +1372,28 @@ impl<'p> OptContext<'p> {
     }
 
     /// Commits a previously peeked move: the cursor's mapping and
-    /// incremental state advance to the moved solution. Free of charge —
-    /// the scoring work was already billed by the peek.
+    /// incremental state advance to the moved solution, and the cursor
+    /// re-decides its route there. Free of charge — the scoring work was
+    /// already billed by the peek.
     ///
     /// # Panics
     ///
-    /// Panics if no cursor is set, or if `ev` is a bound-rejected peek
-    /// ([`PeekRoute::BoundedRejected`] carries no exact score — re-peek
-    /// the move exactly if a strategy really wants to commit a
-    /// non-improving move). Debug builds additionally assert that the committed state
-    /// bit-matches a full re-evaluation and that the peeked score is
-    /// consistent with it.
+    /// Panics if no cursor is set, or if `ev` carries a bound rather
+    /// than an exact score ([`MoveEval::is_exact`]): a
+    /// [`PeekRoute::BoundedRejected`] peek, or a [`PeekRoute::Full`]
+    /// peek of an improving scan whose pass stopped once the move could
+    /// not beat the cursor. Re-peek the move exactly if a strategy
+    /// really wants to commit a non-improving move. Debug builds
+    /// additionally assert that the committed score bit-matches a fresh
+    /// evaluation of the moved mapping (and the state commits that
+    /// their state matches a fresh seat).
     pub fn apply_scored_move(&mut self, ev: &MoveEval) {
         assert!(
             ev.is_exact(),
-            "cannot commit a bound-rejected peek ({:?})",
-            ev.mv()
+            "cannot commit a peek that carries only a bound (bound-rejected, \
+             or a full pass stopped in an improving scan): {:?} on {:?}",
+            ev.mv(),
+            ev.route()
         );
         let cursor = self
             .cursor
@@ -1401,24 +1403,22 @@ impl<'p> OptContext<'p> {
         let delta = &mut self.scratch.delta;
         match &mut cursor.state {
             CursorState::Loss(state) => evaluator.apply_loss_move(state, mapping, ev.mv(), delta),
-            CursorState::Snr { state, full_route } => {
+            CursorState::Snr(state) => {
                 evaluator.apply_move(state, mapping, ev.mv(), delta);
-                // Re-decide the route on the committed state: descents
-                // change path lengths and occupancy, and the route
-                // should track the placement the peeks actually score
-                // (one `O(tiles)` pass).
-                *full_route = state.prefers_full_peeks();
             }
+            CursorState::Full => mapping.apply_move(ev.mv()),
         }
-        let score = cursor.state.score(self.objective);
-        debug_assert_eq!(
-            score,
-            ev.score(),
-            "committed move score diverged from its peek"
-        );
-        cursor.score = score;
+        // Descents change path lengths and occupancy, and the route
+        // should track the placement the peeks actually score.
+        cursor.reroute(evaluator, self.strategy);
+        cursor.score = ev.score();
         let mapping = cursor.mapping.clone();
-        self.record(&mapping, score);
+        debug_assert_eq!(
+            self.direct_score(&mapping).to_bits(),
+            ev.score().to_bits(),
+            "committed move score diverged from a fresh evaluation"
+        );
+        self.record(&mapping, ev.score());
     }
 
     /// The incumbent best, if any evaluation happened.
@@ -1964,6 +1964,22 @@ mod tests {
             &start.with_move(Move::Swap(1, 6))
         );
         assert_eq!(ctx.current_score(), Some(ev.score()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a full pass stopped in an improving scan")]
+    fn a_stopped_full_peek_cannot_be_committed() {
+        let p = tiny_problem();
+        let mut ctx = OptContext::new(&p, 10_000, 1);
+        ctx.set_peek_strategy(PeekStrategy::Full);
+        let m = ctx.random_mapping();
+        ctx.set_current(m).unwrap();
+        let stopped = (1..p.tile_count())
+            .filter_map(|b| ctx.peek_move_improving(Move::Swap(0, b)))
+            .find(|ev| !ev.is_exact())
+            .expect("some swap cannot beat a random start");
+        assert_eq!(stopped.route(), PeekRoute::Full);
+        ctx.apply_scored_move(&stopped);
     }
 
     #[test]

@@ -172,19 +172,6 @@ impl EvalState {
         Db(self.worst_snr)
     }
 
-    /// Number of edges whose metrics are cached.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.loss.il.len()
-    }
-
-    /// Total router occupancies of the cached mapping (the sum of all
-    /// path lengths) — the `Σ hops` term of the evaluation cost.
-    #[must_use]
-    pub fn hop_count(&self) -> usize {
-        self.acc.len()
-    }
-
     /// Materializes full [`NetworkMetrics`] from the cached state.
     #[must_use]
     pub fn to_metrics(&self) -> NetworkMetrics {
@@ -277,7 +264,8 @@ pub enum BoundedLossDelta {
 /// (`clustered-8x8-d200-s1`, `h̄` 6.66: delta 11% and bounded 2%
 /// slower), every 12×12 cell at `h̄ ≥ 8.70` with the delta side ahead
 /// (`clustered-12x12-d50-s1`, `h̄` 8.70: full 35% slower than the
-/// delta, 65% slower than the bounded peek).
+/// delta, 65% slower than the bounded peek). The three constants are
+/// the hybrid route rule, [`Evaluator::prefers_full_peeks`].
 const FULL_PASS_MAX_HOPS: f64 = 7.0;
 /// Occupancy concentration from which hub workloads go to the delta
 /// side early: the incumbent's worst edge sits on the hub, so moves that
@@ -294,27 +282,28 @@ const HUB_CONCENTRATION: f64 = 1.5;
 /// 1.91: full 39% slower than bounded).
 const HUB_MIN_HOPS: f64 = 4.5;
 
-impl EvalState {
-    /// Mean path length `h̄ = Σ hops / edges`: how many routers the
-    /// average communication traverses.
-    fn mean_path_hops(&self) -> f64 {
-        self.hop_count() as f64 / self.edge_count().max(1) as f64
-    }
-
-    /// Occupancy concentration `(Σk²/Σk) / (Σk/tiles)` over the routers'
-    /// occupancy counts `k`: the size-biased occupancy of the router a
-    /// random hop sits on, relative to the plain mean. ≈1 for evenly
-    /// spread traffic, ≫1 for hub workloads whose worst-case edge lives
-    /// on one hot router. One `O(tiles)` pass.
+impl Evaluator {
+    /// Occupancy concentration of `mapping`, `(Σk²/Σk) / (Σk/tiles)`
+    /// over the routers' occupancy counts `k` (the path hops on each
+    /// tile, read from the path table): the size-biased occupancy of the
+    /// router a random hop sits on, relative to the plain mean. ≈1 for
+    /// evenly spread traffic, ≫1 for hub workloads whose worst-case edge
+    /// lives on one hot router. `Σk²` is folded in tile order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
     #[must_use]
-    pub fn occupancy_concentration(&self) -> f64 {
-        let hops = self.hop_count() as f64;
-        let tiles = self.tile_hops.len().max(1) as f64;
-        let sum_sq: f64 = self
-            .tile_hops
-            .iter()
-            .map(|list| (list.len() as f64).powi(2))
-            .sum();
+    pub fn occupancy_concentration(&self, mapping: &Mapping) -> f64 {
+        let mut occupancy = vec![0usize; self.tile_count];
+        for p in self.edge_paths(mapping) {
+            for hop in &self.path(p).hops {
+                occupancy[hop.tile] += 1;
+            }
+        }
+        let hops = occupancy.iter().sum::<usize>() as f64;
+        let tiles = self.tile_count.max(1) as f64;
+        let sum_sq: f64 = occupancy.iter().map(|&k| (k as f64).powi(2)).sum();
         let mean_occ = hops / tiles;
         // Size-biased mean occupancy E_sb[k] = Σk²/Σk: the expected
         // list length at the router a uniformly random hop sits on.
@@ -326,23 +315,33 @@ impl EvalState {
         }
     }
 
-    /// The hybrid SNR-peek route of a cursor standing on this state:
+    /// The hybrid SNR-peek route of a cursor standing on `mapping`:
     /// `true` sends every peek to a full scratch re-evaluation, `false`
     /// to the delta side (the exact delta, or the bound-then-verify
     /// peek in improving scans). The engine decides it once per cursor —
     /// when the cursor is seated and after every commit — so no peek
-    /// pays for routing:
+    /// pays for routing. With the mean path length `h̄ = Σ hops / edges`,
     ///
-    /// `full ⇔ h̄ < 7.0 ∧ ¬(concentration ≥ 1.5 ∧ h̄ ≥ 4.5)`.
+    /// `full ⇔ h̄ < 7.0 ∧ ¬(concentration ≥ 1.5 ∧ h̄ ≥ 4.5)`
     ///
-    /// Every route scores each peek bit-identically, so the rule only
-    /// changes what a peek costs — which, at equal budget, changes how
-    /// far a run gets.
+    /// ([`Evaluator::occupancy_concentration`]), both read off the path
+    /// table. Every route scores each peek bit-identically, so the rule
+    /// only changes what a peek costs — which, at equal budget, changes
+    /// how far a run gets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
     #[must_use]
-    pub fn prefers_full_peeks(&self) -> bool {
-        let hops = self.mean_path_hops();
-        hops < FULL_PASS_MAX_HOPS
-            && !(hops >= HUB_MIN_HOPS && self.occupancy_concentration() >= HUB_CONCENTRATION)
+    pub fn prefers_full_peeks(&self, mapping: &Mapping) -> bool {
+        let hops: usize = self
+            .edge_paths(mapping)
+            .map(|p| self.path(p).hops.len())
+            .sum();
+        let mean_hops = hops as f64 / self.edge_count().max(1) as f64;
+        mean_hops < FULL_PASS_MAX_HOPS
+            && !(mean_hops >= HUB_MIN_HOPS
+                && self.occupancy_concentration(mapping) >= HUB_CONCENTRATION)
     }
 }
 

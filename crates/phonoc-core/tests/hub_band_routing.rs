@@ -3,12 +3,12 @@
 //! In the 6×6–8×8 hub band — occupancy concentration 1.5–2.2, the
 //! star/hotspot/MPEG-like shapes — the full-vs-bounded winner flips
 //! between seeds with ~10–15% margins, so the per-cursor route
-//! ([`EvalState::prefers_full_peeks`]) picks the average-best side and an
+//! ([`phonoc_core::Evaluator::prefers_full_peeks`]) picks the average-best side and an
 //! occasional single-seed cell may sit above the sweep's 1.20 headline.
 //! This test turns that prose into executable bounds: over every
 //! hub-band cell (both seeds)
 //!
-//! * the route is a pure function of the cursor state — recomputing it
+//! * the route is a pure function of the mapping — recomputing it
 //!   gives the same answer, a cursor reached through a commit routes
 //!   like one seated directly, and every peek of an engine scan takes
 //!   it (no per-move routing);
@@ -90,7 +90,7 @@ fn hub_band_cells() -> Vec<Cell> {
                 let moves: Vec<Move> = (0..MOVES)
                     .map(|_| mapping.random_swap_move(&mut rng))
                     .collect();
-                if HUB_BAND.contains(&state.occupancy_concentration()) {
+                if HUB_BAND.contains(&problem.evaluator().occupancy_concentration(&mapping)) {
                     cells.push(Cell {
                         spec,
                         problem,
@@ -106,7 +106,7 @@ fn hub_band_cells() -> Vec<Cell> {
 }
 
 #[test]
-fn hub_band_route_is_a_pure_function_of_the_cursor_state() {
+fn hub_band_route_is_a_pure_function_of_the_mapping() {
     let cells = hub_band_cells();
     assert!(
         cells.len() >= 4,
@@ -115,9 +115,17 @@ fn hub_band_route_is_a_pure_function_of_the_cursor_state() {
     );
     for cell in &cells {
         let id = cell.spec.id();
-        let route = cell.state.prefers_full_peeks();
-        let fresh = cell.problem.evaluator().init_state(&cell.mapping);
-        assert_eq!(route, fresh.prefers_full_peeks(), "{id}: route not pure");
+        let evaluator = cell.problem.evaluator();
+        let route = evaluator.prefers_full_peeks(&cell.mapping);
+        // The same placement reached through a swap and back.
+        let back = cell.moves[0];
+        let fresh = cell.mapping.with_move(back).with_move(back);
+        assert_eq!(fresh, cell.mapping, "{id}");
+        assert_eq!(
+            route,
+            evaluator.prefers_full_peeks(&fresh),
+            "{id}: route not pure"
+        );
 
         // A cursor seated on the mapping and one that reaches it through
         // a commit take the same route on every peek of a scan.
@@ -130,7 +138,6 @@ fn hub_band_route_is_a_pure_function_of_the_cursor_state() {
         let mut seated = OptContext::new(&cell.problem, 1_000_000, 0);
         seated.set_current(cell.mapping.clone()).expect("budget");
         let mut committed = OptContext::new(&cell.problem, 1_000_000, 0);
-        let back = cell.moves[0];
         committed
             .set_current(cell.mapping.with_move(back))
             .expect("budget");
@@ -143,7 +150,7 @@ fn hub_band_route_is_a_pure_function_of_the_cursor_state() {
         assert_eq!(via_commit, via_seat, "{id}: commit changed the route");
         println!(
             "{id}: concentration {:.3}, route {}",
-            cell.state.occupancy_concentration(),
+            evaluator.occupancy_concentration(&cell.mapping),
             if route { "full" } else { "bounded" }
         );
     }
@@ -215,7 +222,7 @@ fn hub_band_route_stays_within_the_generous_bound_across_seeds() {
     let mut fs = EvalScratch::default();
     let mut ds = DeltaScratch::default();
     for cell in &cells {
-        let route = cell.state.prefers_full_peeks();
+        let route = cell.problem.evaluator().prefers_full_peeks(&cell.mapping);
         let ratio = |[full, bounded]: [u64; 2]| {
             let chosen = if route { full } else { bounded };
             chosen as f64 / full.min(bounded).max(1) as f64

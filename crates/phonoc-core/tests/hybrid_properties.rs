@@ -18,7 +18,11 @@
 //!   `peek_move`/`peek_move_improving` is indistinguishable from the
 //!   one-element `peek_moves`/`peek_moves_improving` — same `MoveEval`,
 //!   ledger, `RunStats` and trace events — under every objective and
-//!   every strategy, up to and across budget exhaustion.
+//!   every strategy, up to and across budget exhaustion;
+//! * a hybrid cursor's route is the rule on its committed mapping after
+//!   every commit, across flips both ways, and a strategy change
+//!   reroutes a seated cursor exactly as seating it under the new
+//!   strategy would.
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{
@@ -528,6 +532,128 @@ fn sequential_peeks_equal_one_element_batches() {
                     seq.exhausted(),
                     "{label}: the loop never reached exhaustion"
                 );
+            }
+        }
+    }
+}
+
+/// Hub-band cells (6×6 and 8×8, both seeds), where random placements
+/// sit on both sides of the hybrid rule's thresholds.
+fn hub_band_instances() -> Vec<(ScenarioSpec, MappingProblem)> {
+    let mut out = Vec::new();
+    for family in [ScenarioFamily::Hotspot, ScenarioFamily::MpegLike] {
+        for mesh in [6usize, 8] {
+            for seed in [1u64, 2] {
+                let spec = ScenarioSpec {
+                    family,
+                    mesh,
+                    density_pct: 100,
+                    seed,
+                };
+                let problem = MappingProblem::new(
+                    spec.build(),
+                    Topology::mesh(mesh, mesh, Length::from_mm(2.5)),
+                    crux_router(),
+                    Box::new(XyRouting),
+                    PhysicalParameters::default(),
+                    Objective::MaximizeWorstCaseSnr,
+                )
+                .expect("scenario problems are valid");
+                out.push((spec, problem));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn hybrid_cursor_route_follows_the_rule_across_flips() {
+    let (mut to_delta, mut to_full) = (0usize, 0usize);
+    for (spec, p) in hub_band_instances() {
+        let id = spec.id();
+        let evaluator = p.evaluator();
+        let mut rng = StdRng::seed_from_u64(0xF11B);
+        let mut ctx = OptContext::new(&p, 10_000_000, 0);
+        ctx.set_current(Mapping::random(p.task_count(), p.tile_count(), &mut rng))
+            .expect("budget is huge");
+        let mut last_full = None;
+        // A random walk that commits every exact peek: the route must be
+        // the rule's on every committed mapping.
+        for step in 0..60 {
+            let cursor = ctx.current_mapping().expect("cursor").clone();
+            let mv = cursor.random_swap_move(&mut rng);
+            let ev = if step % 2 == 0 {
+                ctx.peek_move(mv).expect("budget is huge")
+            } else {
+                ctx.peek_move_improving(mv).expect("budget is huge")
+            };
+            let full = evaluator.prefers_full_peeks(&cursor);
+            assert_eq!(
+                ev.route() == PeekRoute::Full,
+                full,
+                "{id} step {step}: the peek took {:?} against the rule",
+                ev.route()
+            );
+            match (last_full, full) {
+                (Some(true), false) => to_delta += 1,
+                (Some(false), true) => to_full += 1,
+                _ => {}
+            }
+            last_full = Some(full);
+            if !ev.is_exact() {
+                continue;
+            }
+            let (_, fresh) = p.evaluate(&cursor.with_move(mv));
+            assert_eq!(
+                ev.score().to_bits(),
+                fresh.to_bits(),
+                "{id} step {step}: exact peek differs from a fresh evaluation"
+            );
+            ctx.apply_scored_move(&ev);
+            assert_eq!(ctx.current_score(), Some(fresh), "{id} step {step}");
+        }
+    }
+    println!("route flips: {to_delta} full->delta, {to_full} delta->full");
+    assert!(to_delta >= 1, "no walk flipped a cursor from full to delta");
+    assert!(to_full >= 1, "no walk flipped a cursor from delta to full");
+}
+
+#[test]
+fn a_strategy_change_reroutes_the_seated_cursor() {
+    for (spec, p) in scenario_instances() {
+        let mut rng = StdRng::seed_from_u64(0x5E7);
+        let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
+        let moves: Vec<Move> = (0..12).map(|_| start.random_swap_move(&mut rng)).collect();
+        for (from, to) in [
+            (PeekStrategy::Full, PeekStrategy::Delta),
+            (PeekStrategy::Delta, PeekStrategy::Full),
+        ] {
+            let label = format!("{} {from}->{to}", spec.id());
+            let mut switched = OptContext::new(&p, 10_000_000, 0);
+            switched.set_peek_strategy(from);
+            switched.set_current(start.clone()).expect("budget is huge");
+            switched.set_peek_strategy(to);
+            let mut seated = OptContext::new(&p, 10_000_000, 0);
+            seated.set_peek_strategy(to);
+            seated.set_current(start.clone()).expect("budget is huge");
+            for (i, &mv) in moves.iter().enumerate() {
+                let (a, b) = if i % 2 == 0 {
+                    (switched.peek_move(mv), seated.peek_move(mv))
+                } else {
+                    (
+                        switched.peek_move_improving(mv),
+                        seated.peek_move_improving(mv),
+                    )
+                };
+                let (a, b) = (a.expect("budget is huge"), b.expect("budget is huge"));
+                assert_eq!(a, b, "{label}: {mv:?}");
+                assert_eq!(a.score().to_bits(), b.score().to_bits(), "{label}: {mv:?}");
+                if i % 2 == 0 {
+                    assert!(a.is_exact(), "{label}: exact peek came back a bound");
+                    let (_, fresh) = p.evaluate(&start.with_move(mv));
+                    assert_eq!(a.score().to_bits(), fresh.to_bits(), "{label}: {mv:?}");
+                }
+                assert_eq!(books(&switched), books(&seated), "{label}: books");
             }
         }
     }
