@@ -14,7 +14,7 @@ pub mod sweep;
 
 use phonoc_core::{MappingProblem, Objective};
 use phonoc_phys::{Length, PhysicalParameters};
-use phonoc_route::XyRouting;
+use phonoc_route::{RingRouting, RoutingAlgorithm, XyRouting};
 use phonoc_router::{RouterModel, RouterRegistry};
 use phonoc_topo::{fit_grid, Topology, TopologyKind};
 
@@ -78,25 +78,31 @@ pub const PAPER_TABLE2_LOSS: [(&str, [f64; 3], [f64; 3]); 8] = [
     ("Wavelet", [-2.46, -2.15, -1.93], [-3.06, -2.31, -2.27]),
 ];
 
-/// Builds the topology hosting `tasks` tasks: the smallest near-square
-/// grid, as a mesh or torus. Tori reject 2-wide dimensions, so the
-/// harness widens those grids to 3 (only relevant for synthetic cases;
-/// every paper benchmark already fits 3×3 or larger).
+/// Lays out `tasks` tasks on a `kind` topology at the [`tile_pitch`],
+/// with the routing its problems use — the one rule behind the CLI's
+/// `--topology` and every experiment problem. Meshes and tori take the
+/// smallest near-square grid ([`fit_grid`]) and XY routing; tori reject
+/// dimensions below 3, so each is widened to at least 3 (only relevant
+/// for tiny applications: every paper benchmark fits 3×3 or larger).
+/// Rings take one tile per task (at least 3) and ring routing.
+///
+/// # Panics
+///
+/// Panics on [`TopologyKind::Custom`], which needs an explicit
+/// [`Topology`], not a kind.
 #[must_use]
-pub fn topology_for(tasks: usize, kind: TopologyKind) -> Topology {
-    let (mut w, mut h) = fit_grid(tasks);
+pub fn topology_for(tasks: usize, kind: TopologyKind) -> (Topology, Box<dyn RoutingAlgorithm>) {
+    let (w, h) = fit_grid(tasks);
     match kind {
-        TopologyKind::Mesh => Topology::mesh(w, h, tile_pitch()),
-        TopologyKind::Torus => {
-            if w == 2 {
-                w = 3;
-            }
-            if h == 2 {
-                h = 3;
-            }
-            Topology::torus(w, h, tile_pitch())
-        }
-        TopologyKind::Ring => Topology::ring(tasks.max(3), tile_pitch()),
+        TopologyKind::Mesh => (Topology::mesh(w, h, tile_pitch()), Box::new(XyRouting)),
+        TopologyKind::Torus => (
+            Topology::torus(w.max(3), h.max(3), tile_pitch()),
+            Box::new(XyRouting),
+        ),
+        TopologyKind::Ring => (
+            Topology::ring(tasks.max(3), tile_pitch()),
+            Box::new(RingRouting),
+        ),
         TopologyKind::Custom => {
             panic!("custom topologies need an explicit Topology, not a kind")
         }
@@ -104,7 +110,7 @@ pub fn topology_for(tasks: usize, kind: TopologyKind) -> Topology {
 }
 
 /// Assembles the standard experiment problem: `app` on its fitted
-/// mesh/torus of Crux routers, XY routing, Table I physics.
+/// topology of Crux routers ([`topology_for`]), Table I physics.
 ///
 /// # Panics
 ///
@@ -132,12 +138,12 @@ pub fn problem_with_router(
 ) -> MappingProblem {
     let cg = phonoc_apps::benchmarks::benchmark(app)
         .unwrap_or_else(|| panic!("unknown benchmark `{app}`"));
-    let topo = topology_for(cg.task_count(), kind);
+    let (topology, routing) = topology_for(cg.task_count(), kind);
     MappingProblem::new(
         cg,
-        topo,
+        topology,
         router,
-        Box::new(XyRouting),
+        routing,
         PhysicalParameters::default(),
         objective,
     )
@@ -507,6 +513,14 @@ mod tests {
                 assert!(p.task_count() <= p.tile_count(), "{app} on {kind}");
             }
         }
+    }
+
+    #[test]
+    fn ring_problems_pair_the_ring_with_ring_routing() {
+        let p = paper_problem("PIP", TopologyKind::Ring, Objective::MaximizeWorstCaseSnr);
+        assert_eq!(p.topology().kind(), TopologyKind::Ring);
+        assert_eq!(p.routing().name(), RingRouting.name());
+        assert_eq!(p.tile_count(), p.task_count());
     }
 
     #[test]

@@ -420,6 +420,10 @@ pub struct Evaluator {
     row_mask: [u32; 25],
     /// Ceiling reported when a path collects zero noise.
     snr_ceiling: Db,
+    /// The most hops any tile-pair path has: the row stride of an
+    /// [`EvalState`]'s per-(edge, hop) accumulation table. It depends
+    /// only on the path table, so CG mutations leave it unchanged.
+    max_hops: usize,
 }
 
 impl Evaluator {
@@ -547,6 +551,13 @@ impl Evaluator {
             }
         }
 
+        let max_hops = paths
+            .iter()
+            .flatten()
+            .map(|p| p.hops.len())
+            .max()
+            .unwrap_or(0);
+
         let edge_endpoints: Vec<(usize, usize)> =
             cg.edges().iter().map(|e| (e.src.0, e.dst.0)).collect();
         let mut task_edges: Vec<Vec<usize>> = vec![Vec::new(); cg.task_count()];
@@ -565,6 +576,7 @@ impl Evaluator {
             interaction,
             row_mask,
             snr_ceiling: params.snr_ceiling,
+            max_hops,
         })
     }
 

@@ -5,10 +5,14 @@
 //! incident to the moved task(s) change their network paths. Everything
 //! else can only change through *crosstalk*: a router on one of those
 //! old or new paths gains or loses an aggressor. [`EvalState`] caches
-//! per-edge noise/IL/SNR, the **per-(edge, hop) aggressor accumulation**
+//! per-edge IL and SNR, the **per-(edge, hop) aggressor accumulation**
 //! (`acc`) of every router visit, and per-router occupancy lists whose
 //! entries carry the aggressor data (port pair, prefix gain) inline so
-//! the hot loops never chase path pointers.
+//! the hot loops never chase path pointers. `acc` is one table at a
+//! fixed row stride, the evaluator's longest path: hop `h` of edge `e`
+//! sits at `e · max_hops + h`, and slots past the end of the edge's
+//! path hold `0.0`, so a path that grows or shrinks never moves another
+//! edge's slots.
 //!
 //! # One kernel
 //!
@@ -40,11 +44,12 @@
 //!    the early exit, at `-∞` a single `log10` at the end. Debug builds
 //!    verify the result against the canonical per-edge scan.
 //!
-//! The commit then writes back what the kernel left in the scratch:
-//! the moved edges' paths and losses (the commit a loss cursor runs,
-//! with the kernel's worst-loss scan), the patched lists, the dirty
-//! accumulations, the moved edges' accumulations along their new paths,
-//! and the affected noise and SNR.
+//! The commit then writes back, in place, what the kernel left in the
+//! scratch: the moved edges' paths and losses (the commit a loss cursor
+//! runs, with the kernel's worst-loss scan), the patched lists, each
+//! dirty accumulation into its slot, each moved edge's accumulations
+//! along its new path into its row (zeroing the slots past the new
+//! end), and the affected victims' SNRs. Nothing else is rewritten.
 //!
 //! # Exactness
 //!
@@ -61,19 +66,22 @@
 //!   makes inserting or removing non-coupled entries a no-op;
 //! * a victim's noise is `Σ acc·suffix` over its hops in ascending
 //!   tile order — precomputed per path as `PathInfo::tile_order` —
-//!   which is exactly the expression and order of the full pass's
-//!   tile-major loop;
+//!   with `acc` from the state's row and `suffix` read off the path's
+//!   own hop (`HopInfo::suffix`, the value the full pass reads), which
+//!   is exactly the expression and order of the full pass's tile-major
+//!   loop;
 //! * shared path heads are reused only when the old and new hops are
 //!   entrywise identical (tile, port pair, and bitwise prefix), which
 //!   holds by construction when the leading route segments coincide.
 //!
 //! The seat ([`Evaluator::init_state`]) *is* the full pass: it runs
 //! [`Evaluator::evaluate_into`]'s kernel and lays that pass's
-//! occupancies, suffixes, accumulations, noise, losses and worst cases
-//! out per edge and per tile, so no second copy of the pass has to keep
-//! its order. Victims the pass skips (tiles with fewer than two
-//! occupants, or no coupling partner among the pairs present) hold an
-//! exact `+0.0` accumulation, which is what summing them would give.
+//! occupancies, accumulations, losses, SNRs and worst cases out per
+//! edge and per tile, so no second copy of the pass has to keep its
+//! order. Victims the pass skips (tiles with fewer than two occupants,
+//! or no coupling partner among the pairs present) hold an exact `+0.0`
+//! accumulation, which is what summing them would give; so do the
+//! slots past the end of each path.
 //!
 //! The [`Evaluator::apply_move`] commit carries a debug assertion
 //! comparing the updated state against a fresh seat — that is, against
@@ -134,25 +142,18 @@ impl LossState {
 ///
 /// It holds each edge's path and insertion loss (what the loss peeks
 /// read) and the crosstalk caches the SNR deltas read: per-hop
-/// accumulations and suffixes, per-edge noise and SNR, and per-tile
-/// occupancy lists.
+/// accumulations, per-edge SNR, and per-tile occupancy lists.
 #[derive(Debug, Clone)]
 pub struct EvalState {
     /// Per edge: path and insertion loss; the worst-case loss.
     loss: LossState,
-    /// Flat index base per edge: hop `(e, h)` lives at
-    /// `hop_offset[e] + h`; `hop_offset[edge_count]` is the total.
-    hop_offset: Vec<usize>,
     /// Per (edge, hop): the ordered aggressor accumulation at that
-    /// router, flat-indexed by `hop_offset`.
+    /// router, at `edge * max_hops + hop` (the evaluator's longest path
+    /// is the row stride). Slots past the end of an edge's path hold
+    /// `0.0`.
     acc: Vec<f64>,
-    /// Per (edge, hop): the hop's suffix gain (exit → detector),
-    /// flat-indexed.
-    suffix: Vec<f64>,
-    /// Per edge: accumulated linear crosstalk noise power
-    /// (`Σ acc·suffix` in ascending tile order).
-    noise: Vec<f64>,
-    /// Per edge: SNR in dB (derived from `noise`, clamped to ceiling).
+    /// Per edge: SNR in dB (from the path gain and the noise
+    /// `Σ acc·suffix`, clamped to the ceiling).
     snr: Vec<f64>,
     /// Per tile: occupancies ascending by `(edge, hop)`.
     tile_hops: Vec<Vec<Occ>>,
@@ -176,7 +177,7 @@ impl EvalState {
     #[must_use]
     pub fn to_metrics(&self) -> NetworkMetrics {
         NetworkMetrics {
-            edges: (0..self.noise.len())
+            edges: (0..self.snr.len())
                 .map(|e| super::EdgeMetrics {
                     edge: e,
                     insertion_loss: Db(self.loss.il[e]),
@@ -365,18 +366,21 @@ pub struct DeltaScratch {
     head_len: Vec<u32>,
     /// The moved edges' accumulations along their new paths, one run
     /// per moved edge in `moved` order (the kernel re-sums moved
-    /// victims first, in that order); filled at `-∞` and read by the
-    /// commit.
+    /// victims first, in that order); filled at `-∞` and copied by the
+    /// commit into each moved edge's row.
     moved_acc: Vec<f64>,
     /// Victims whose noise changes; the moved edges come first, in
     /// `moved` order.
     affected: Vec<usize>,
     affected_mark: Vec<u32>,
+    /// Per edge (dense): the affected victim's new noise (valid where
+    /// affected); the commit derives its SNR from it.
     new_noise: Vec<f64>,
-    /// Per (edge, hop) flat index: the kernel's memo of updated
-    /// accumulations (valid for every dirty hop once the kernel has run
-    /// to completion). Flat indices refer to the *current* state
-    /// layout, so only kept hops use them.
+    /// Per (edge, hop), at the state's slot `edge * max_hops + hop`:
+    /// the kernel's memo of updated accumulations (valid for every
+    /// dirty hop once the kernel has run to completion). Only hops the
+    /// move keeps use it; the commit writes each dirty one into its
+    /// slot.
     acc_new: Vec<f64>,
     /// The hop is dirty this epoch: some changed occupancy couples
     /// into it.
@@ -394,13 +398,6 @@ pub struct DeltaScratch {
     patched_tiles: Vec<usize>,
     patched_lists: Vec<Vec<Occ>>,
     changed_occs: Vec<Vec<(u32, u16)>>,
-    /// Spare flat per-hop stores the SNR commit assembles the moved
-    /// state's offsets, accumulations and suffixes into, then swaps
-    /// with the state's — so commits reuse two sets of buffers instead
-    /// of allocating.
-    spare_offset: Vec<usize>,
-    spare_acc: Vec<f64>,
-    spare_suffix: Vec<f64>,
 }
 
 impl DeltaScratch {
@@ -476,9 +473,9 @@ fn worst_of_losses(losses: impl Iterator<Item = f64>) -> f64 {
 
 impl Evaluator {
     /// The SNR cursor seat: one full pass ([`Evaluator::evaluate_into`]'s
-    /// own kernel), whose occupancies, suffixes, accumulations, noise,
-    /// losses and worst cases are laid out per edge and per tile as the
-    /// caches incremental scoring needs. The resulting metrics are the
+    /// own kernel), whose occupancies, accumulations, losses, SNRs and
+    /// worst cases are laid out per edge and per tile as the caches
+    /// incremental scoring needs. The resulting metrics are the
     /// full pass's, so identical to [`Evaluator::evaluate`].
     ///
     /// # Panics
@@ -488,38 +485,25 @@ impl Evaluator {
     #[must_use]
     pub fn init_state(&self, mapping: &Mapping) -> EvalState {
         let path_of_edge: Vec<usize> = self.edge_paths(mapping).collect();
-        let mut hop_offset = Vec::with_capacity(path_of_edge.len() + 1);
-        let mut total_hops = 0usize;
-        for &p in &path_of_edge {
-            hop_offset.push(total_hops);
-            total_hops += self.path(p).hops.len();
-        }
-        hop_offset.push(total_hops);
-        let flat = |o: &Occ| hop_offset[o.edge as usize] + o.hop as usize;
-
-        // Accumulations the pass skips are an exact `+0.0`.
-        let mut acc = vec![0.0f64; total_hops];
+        // Accumulations the pass skips, and slots past a path's end, are
+        // an exact `+0.0`.
+        let mut acc = vec![0.0f64; path_of_edge.len() * self.max_hops];
         let mut scratch = EvalScratch::default();
         let summary = self
             .full_pass(mapping, None, &mut scratch, f64::NEG_INFINITY, |o, a| {
-                acc[flat(o)] = a;
+                acc[self.acc_slot(o.edge as usize, o.hop as usize)] = a;
             })
             .expect("a -∞ threshold never rejects");
         // A fresh scratch is sized exactly to this problem, so its
-        // per-edge buffers move into the state as they are.
+        // per-edge losses move into the state as they are.
         let EvalScratch {
             tile_offset,
             occ,
-            occ_suffix,
             noise,
             il,
             gain,
             ..
         } = scratch;
-        let mut suffix = vec![0.0f64; total_hops];
-        for (o, &s) in occ.iter().zip(&occ_suffix) {
-            suffix[flat(o)] = s;
-        }
         let tile_hops = tile_offset
             .windows(2)
             .map(|w| occ[w[0] as usize..w[1] as usize].to_vec())
@@ -535,10 +519,7 @@ impl Evaluator {
                 il,
                 worst_il: summary.worst_case_il.0,
             },
-            hop_offset,
             acc,
-            suffix,
-            noise,
             snr,
             tile_hops,
             worst_snr: summary.worst_case_snr.0,
@@ -591,6 +572,12 @@ impl Evaluator {
         self.edge_endpoints
             .iter()
             .map(|&(s, d)| mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0)
+    }
+
+    /// Where hop `hop` of edge `edge` sits in [`EvalState`]'s `acc` (and
+    /// the kernel's memo): row `edge`, at the fixed stride `max_hops`.
+    fn acc_slot(&self, edge: usize, hop: usize) -> usize {
+        edge * self.max_hops + hop
     }
 
     pub(super) fn path(&self, idx: usize) -> &PathInfo {
@@ -970,7 +957,7 @@ impl Evaluator {
             for i in 0..scratch.dirty_hops.len() {
                 let (v, vh, tile, pair) = scratch.dirty_hops[i];
                 let slot = scratch.slot_of(tile as usize);
-                scratch.acc_new[state.hop_offset[v as usize] + vh as usize] =
+                scratch.acc_new[self.acc_slot(v as usize, vh as usize)] =
                     self.aggressor_sum(v as usize, pair, &scratch.patched_lists[slot]);
             }
         }
@@ -1065,7 +1052,7 @@ impl Evaluator {
         v: usize,
         warm: bool,
     ) -> (f64, f64) {
-        let base = state.hop_offset[v];
+        let base = self.acc_slot(v, 0);
         if scratch.is_moved(v) {
             let head = scratch.head_len[v] as usize;
             let path = self.path(scratch.new_path[v]);
@@ -1079,7 +1066,7 @@ impl Evaluator {
                 let hop = &path.hops[h];
                 let acc = if h < head {
                     // Shared-head hops are entrywise identical to the
-                    // old path, so the cached flat layout still applies.
+                    // old path, so their cached slots still apply.
                     self.lazy_acc(state, scratch, base + h, v, hop, warm)
                 } else {
                     let slot = scratch.slot_of(hop.tile);
@@ -1100,9 +1087,9 @@ impl Evaluator {
             let path = self.path(state.loss.path_of_edge[v]);
             let mut noise = 0.0f64;
             for &h in &path.tile_order {
-                let flat = base + h as usize;
-                let acc = self.lazy_acc(state, scratch, flat, v, &path.hops[h as usize], warm);
-                noise += acc * state.suffix[flat];
+                let hop = &path.hops[h as usize];
+                let acc = self.lazy_acc(state, scratch, base + h as usize, v, hop, warm);
+                noise += acc * hop.suffix;
             }
             (noise, path.total_gain)
         }
@@ -1134,58 +1121,28 @@ impl Evaluator {
                 state.tile_hops[tile].clear();
                 state.tile_hops[tile].extend_from_slice(&scratch.patched_lists[slot]);
             }
-            // Path lengths may change, so the flat per-hop stores are
-            // rebuilt (edge count is tiny). The assembly reads the *old*
-            // layout, so `hop_offset` is replaced after.
-            let edges = state.noise.len();
-            let mut new_offset = std::mem::take(&mut scratch.spare_offset);
-            new_offset.clear();
-            let mut total = 0usize;
-            for e in 0..edges {
-                new_offset.push(total);
-                total += self.path(state.loss.path_of_edge[e]).hops.len();
+            // Dirty accumulations, from the kernel's memo (at `-∞` it
+            // holds every one).
+            for &(v, vh, _, _) in &scratch.dirty_hops {
+                let slot = self.acc_slot(v as usize, vh as usize);
+                state.acc[slot] = scratch.acc_new[slot];
             }
-            new_offset.push(total);
-            let mut new_acc = std::mem::take(&mut scratch.spare_acc);
-            let mut new_suffix = std::mem::take(&mut scratch.spare_suffix);
-            new_acc.clear();
-            new_acc.resize(total, 0.0);
-            new_suffix.clear();
-            new_suffix.resize(total, 0.0);
-            // Kept edges: cached accumulations, dirty ones from the
-            // kernel's memo.
-            for e in (0..edges).filter(|&e| !scratch.is_moved(e)) {
-                let (src, dst) = (state.hop_offset[e], new_offset[e]);
-                for h in 0..new_offset[e + 1] - dst {
-                    let flat = src + h;
-                    new_suffix[dst + h] = state.suffix[flat];
-                    new_acc[dst + h] = if scratch.acc_mark[flat] == scratch.epoch {
-                        scratch.acc_new[flat]
-                    } else {
-                        state.acc[flat]
-                    };
-                }
-            }
-            // Moved edges: the kernel's runs, in `moved` order.
+            // Moved edges: the kernel's runs, in `moved` order, each
+            // over its edge's whole row (a dirty shared-head hop gets
+            // the memo's value again).
             debug_assert_eq!(scratch.affected[..scratch.moved.len()], scratch.moved[..]);
             let mut run = 0;
             for &e in &scratch.moved {
-                let (path, dst) = (self.path(scratch.new_path[e]), new_offset[e]);
-                let n = path.hops.len();
-                new_acc[dst..dst + n].copy_from_slice(&scratch.moved_acc[run..run + n]);
+                let n = self.path(scratch.new_path[e]).hops.len();
+                let row = &mut state.acc[self.acc_slot(e, 0)..self.acc_slot(e + 1, 0)];
+                row[..n].copy_from_slice(&scratch.moved_acc[run..run + n]);
+                row[n..].fill(0.0);
                 run += n;
-                for (h, hop) in path.hops.iter().enumerate() {
-                    new_suffix[dst + h] = hop.suffix;
-                }
             }
-            scratch.spare_offset = std::mem::replace(&mut state.hop_offset, new_offset);
-            scratch.spare_acc = std::mem::replace(&mut state.acc, new_acc);
-            scratch.spare_suffix = std::mem::replace(&mut state.suffix, new_suffix);
             // Recomputed victims.
             for &v in &scratch.affected {
-                let noise = scratch.new_noise[v];
-                state.noise[v] = noise;
-                state.snr[v] = self.snr_of(self.path(state.loss.path_of_edge[v]).total_gain, noise);
+                let gain = self.path(state.loss.path_of_edge[v]).total_gain;
+                state.snr[v] = self.snr_of(gain, scratch.new_noise[v]);
             }
         }
         state.worst_snr = delta.new_worst_snr.0;
@@ -1244,15 +1201,12 @@ impl Evaluator {
             && state.worst_il.to_bits() == self.evaluate(mapping).worst_case_il.0.to_bits()
     }
 
-    /// Debug-only invariant: `state` is bit-identical to a fresh full
-    /// evaluation of `mapping`.
+    /// Debug-only invariant: `state` equals a fresh seat of `mapping`,
+    /// and so a full evaluation of it.
     fn state_matches_full_eval(&self, state: &EvalState, mapping: &Mapping) -> bool {
         let fresh = self.init_state(mapping);
         state.loss.path_of_edge == fresh.loss.path_of_edge
-            && state.hop_offset == fresh.hop_offset
             && state.acc == fresh.acc
-            && state.suffix == fresh.suffix
-            && state.noise == fresh.noise
             && state.loss.il == fresh.loss.il
             && state.snr == fresh.snr
             && state.tile_hops == fresh.tile_hops
@@ -1343,7 +1297,7 @@ impl Evaluator {
                 if !coupled {
                     continue;
                 }
-                let flat = state.hop_offset[v] + occ.hop as usize;
+                let flat = self.acc_slot(v, occ.hop as usize);
                 if scratch.acc_mark[flat] != scratch.epoch {
                     scratch.acc_mark[flat] = scratch.epoch;
                     scratch
@@ -1483,6 +1437,76 @@ mod tests {
             ev.apply_move(&mut full, &mut full_map, mv, &mut scratch);
             ev.apply_loss_move(&mut loss, &mut loss_map, mv, &mut scratch);
             assert_eq!(loss_map, full_map);
+        }
+    }
+
+    /// The first slot where `a` and `b` differ bit for bit (or the
+    /// shorter length, if only the lengths differ).
+    fn first_diff(a: &[f64], b: &[f64]) -> Option<usize> {
+        let slot = a
+            .iter()
+            .zip(b)
+            .position(|(x, y)| x.to_bits() != y.to_bits());
+        slot.or((a.len() != b.len()).then(|| a.len().min(b.len())))
+    }
+
+    /// The commit's in-place patch, checked in every build profile
+    /// (debug builds also run `apply_move`'s own cross-check): after
+    /// each of 200 random commits on DVOPD 6×6, mesh and torus, the
+    /// state equals a fresh seat bit for bit, including the zeroed
+    /// slots past a shortened path's new end.
+    #[test]
+    fn commits_leave_the_state_a_fresh_seat_would_build() {
+        for topology in [
+            Topology::mesh(6, 6, Length::from_mm(2.5)),
+            Topology::torus(6, 6, Length::from_mm(2.5)),
+        ] {
+            let ev = Evaluator::new(
+                &phonoc_apps::benchmarks::dvopd(),
+                &topology,
+                &crux_router(),
+                &XyRouting,
+                &PhysicalParameters::default(),
+            )
+            .unwrap();
+            let mut rng = StdRng::seed_from_u64(29);
+            let mut mapping = Mapping::random(32, 36, &mut rng);
+            let mut state = ev.init_state(&mapping);
+            let mut scratch = DeltaScratch::default();
+            let hops = |state: &EvalState| -> Vec<usize> {
+                let paths = &state.loss.path_of_edge;
+                paths.iter().map(|&p| ev.path(p).hops.len()).collect()
+            };
+            let mut shortened = 0;
+            for step in 0..200 {
+                let before = hops(&state);
+                let mv = mapping.random_swap_move(&mut rng);
+                ev.apply_move(&mut state, &mut mapping, mv, &mut scratch);
+                let after = hops(&state);
+                if before.iter().zip(&after).any(|(b, a)| a < b) {
+                    shortened += 1;
+                }
+                let fresh = ev.init_state(&mapping);
+                let at = format!("{} step {step} after {mv:?}", topology.kind());
+                assert_eq!(first_diff(&state.acc, &fresh.acc), None, "acc, {at}");
+                assert_eq!(first_diff(&state.snr, &fresh.snr), None, "snr, {at}");
+                assert_eq!(state.tile_hops, fresh.tile_hops, "tile lists, {at}");
+                assert_eq!(
+                    state.worst_case_il().0.to_bits(),
+                    fresh.worst_case_il().0.to_bits(),
+                    "worst loss, {at}"
+                );
+                assert_eq!(
+                    state.worst_case_snr().0.to_bits(),
+                    fresh.worst_case_snr().0.to_bits(),
+                    "worst SNR, {at}"
+                );
+            }
+            assert!(
+                shortened > 0,
+                "no commit shortened a path on {}",
+                topology.kind()
+            );
         }
     }
 }

@@ -3,7 +3,8 @@
 //! re-evaluation** — for random mappings, random moves (task–task and
 //! task–free swaps), on PIP and VOPD over 3×3 and 4×4
 //! meshes plus two long-path inputs (DVOPD on 6×6, an 8×8 hotspot
-//! scenario cell), under every objective family.
+//! scenario cell) and two tori (VOPD on 4×4, DVOPD on 6×6), under every
+//! objective family.
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{Evaluator, Mapping, MappingProblem, Move, Objective};
@@ -15,13 +16,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProblem {
+    problem_on(app, Topology::mesh(w, h, Length::from_mm(2.5)), objective)
+}
+
+fn problem_on(app: &str, topology: Topology, objective: Objective) -> MappingProblem {
     let cg = match app {
         "pip" => phonoc_apps::benchmarks::pip(),
         "vopd" => phonoc_apps::benchmarks::vopd(),
         "dvopd" => phonoc_apps::benchmarks::dvopd(),
         "hotspot" => ScenarioSpec {
             family: ScenarioFamily::Hotspot,
-            mesh: w,
+            mesh: topology.width(),
             density_pct: 100,
             seed: 1,
         }
@@ -30,7 +35,7 @@ fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProble
     };
     MappingProblem::new(
         cg,
-        Topology::mesh(w, h, Length::from_mm(2.5)),
+        topology,
         crux_router(),
         Box::new(XyRouting),
         PhysicalParameters::default(),
@@ -43,7 +48,8 @@ fn problem(app: &str, w: usize, h: usize, objective: Objective) -> MappingProble
 /// PIP (8 tasks) fits 3×3 and gains free tiles on 4×4; VOPD (16 tasks)
 /// saturates 4×4. DVOPD (32 tasks) on 6×6 keeps free tiles and the
 /// 8×8 hotspot cell saturates its mesh; both have long paths, so a
-/// move perturbs many victims and shared path heads.
+/// move perturbs many victims and shared path heads. The VOPD and DVOPD
+/// tori add wrap-around paths, whose lengths differ from the mesh's.
 fn instances() -> Vec<MappingProblem> {
     let mut out = Vec::new();
     for objective in [
@@ -61,6 +67,9 @@ fn instances() -> Vec<MappingProblem> {
         out.push(problem("vopd", 4, 4, objective));
         out.push(problem("dvopd", 6, 6, objective));
         out.push(problem("hotspot", 8, 8, objective));
+        let torus = |w, h| Topology::torus(w, h, Length::from_mm(2.5));
+        out.push(problem_on("vopd", torus(4, 4), objective));
+        out.push(problem_on("dvopd", torus(6, 6), objective));
     }
     out
 }

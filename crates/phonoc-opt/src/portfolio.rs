@@ -679,20 +679,14 @@ pub fn run_portfolio_seeded_traced(
 /// starves the dominant stream and ≥7:1 starves the upset lanes.
 pub const ELITE_WEIGHT: u64 = 3;
 
-/// The best incumbent across lanes; ties break to the lowest lane
-/// index (strict `>` while scanning in lane order).
+/// The best incumbent across lanes: the [`elite_lane`]'s.
 fn best_incumbent(incumbents: &[Option<(Mapping, f64)>]) -> Option<&(Mapping, f64)> {
-    let mut best: Option<&(Mapping, f64)> = None;
-    for entry in incumbents.iter().flatten() {
-        if best.is_none_or(|(_, s)| entry.1 > *s) {
-            best = Some(entry);
-        }
-    }
-    best
+    elite_lane(incumbents).and_then(|lane| incumbents[lane].as_ref())
 }
 
-/// The lane holding the global best (lowest index on ties) — the
-/// weight carrier of the performance-weighted allocation.
+/// The lane holding the global best (lowest index on ties: strict `>`
+/// while scanning in lane order) — the weight carrier of the
+/// performance-weighted allocation.
 fn elite_lane(incumbents: &[Option<(Mapping, f64)>]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (lane, entry) in incumbents.iter().enumerate() {

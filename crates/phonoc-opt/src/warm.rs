@@ -68,6 +68,7 @@ use crate::portfolio::{run_portfolio_seeded_traced, PortfolioResult, PortfolioSp
 use phonoc_core::{
     Mapping, MappingProblem, NullSink, Objective, TraceEvent, TraceSink, WarmOutcome,
 };
+use phonoc_phys::PhysicalParameters;
 use std::collections::HashMap;
 
 /// The architecture-and-physics half of a request's identity: what has
@@ -100,7 +101,24 @@ impl FamilyKey {
     pub fn of(problem: &MappingProblem) -> FamilyKey {
         let topo = problem.topology();
         let router = problem.router();
-        let p = problem.params();
+        // Exhaustive, so a parameter added later cannot fall out of the
+        // key (two requests with different physics would hit each
+        // other).
+        let PhysicalParameters {
+            crossing_loss,
+            propagation_loss_per_cm,
+            ppse_off_loss,
+            ppse_on_loss,
+            cpse_off_loss,
+            cpse_on_loss,
+            crossing_crosstalk,
+            pse_off_crosstalk,
+            pse_on_crosstalk,
+            laser_power,
+            detector_sensitivity,
+            nonlinearity_threshold,
+            snr_ceiling,
+        } = *problem.params();
         let mut pairs: Vec<usize> = router
             .supported_pairs()
             .iter()
@@ -133,19 +151,19 @@ impl FamilyKey {
             ),
             routing: problem.routing().name().to_owned(),
             params: vec![
-                p.crossing_loss.0.to_bits(),
-                p.propagation_loss_per_cm.0.to_bits(),
-                p.ppse_off_loss.0.to_bits(),
-                p.ppse_on_loss.0.to_bits(),
-                p.cpse_off_loss.0.to_bits(),
-                p.cpse_on_loss.0.to_bits(),
-                p.crossing_crosstalk.0.to_bits(),
-                p.pse_off_crosstalk.0.to_bits(),
-                p.pse_on_crosstalk.0.to_bits(),
-                p.laser_power.0.to_bits(),
-                p.detector_sensitivity.0.to_bits(),
-                p.nonlinearity_threshold.0.to_bits(),
-                p.snr_ceiling.0.to_bits(),
+                crossing_loss.0.to_bits(),
+                propagation_loss_per_cm.0.to_bits(),
+                ppse_off_loss.0.to_bits(),
+                ppse_on_loss.0.to_bits(),
+                cpse_off_loss.0.to_bits(),
+                cpse_on_loss.0.to_bits(),
+                crossing_crosstalk.0.to_bits(),
+                pse_off_crosstalk.0.to_bits(),
+                pse_on_crosstalk.0.to_bits(),
+                laser_power.0.to_bits(),
+                detector_sensitivity.0.to_bits(),
+                nonlinearity_threshold.0.to_bits(),
+                snr_ceiling.0.to_bits(),
             ],
             tasks: problem.task_count(),
             objective: problem.objective(),
@@ -323,13 +341,22 @@ impl WarmCache {
         sink: &mut dyn TraceSink,
     ) -> WarmSolve {
         let key = RequestKey::of(problem, spec, budget, seed);
-        if let Some(&i) = self.by_key.get(&key) {
-            if sink.enabled() {
-                sink.record(TraceEvent::WarmLookup {
-                    outcome: WarmOutcome::ExactHit,
-                    shared_edges: 0,
-                });
-            }
+        // Classify the request: an exact hit, else the best same-family
+        // donor (a near hit), else cold.
+        let hit = self.by_key.get(&key).copied();
+        let donor = hit.is_none().then(|| self.near_hit_donor(&key)).flatten();
+        let (outcome, shared_edges) = match (hit, donor) {
+            (Some(_), _) => (WarmOutcome::ExactHit, 0),
+            (None, Some((_, _, shared_edges))) => (WarmOutcome::NearHit, shared_edges),
+            (None, None) => (WarmOutcome::Cold, 0),
+        };
+        if sink.enabled() {
+            sink.record(TraceEvent::WarmLookup {
+                outcome,
+                shared_edges,
+            });
+        }
+        if let Some(i) = hit {
             let mut result = self.entries[i].result.clone();
             result.stats.warm_exact_hits += 1;
             return WarmSolve {
@@ -338,37 +365,14 @@ impl WarmCache {
                 evaluations_spent: 0,
             };
         }
-        let donor = self
-            .near_hit_donor(&key)
-            .map(|(m, s, overlap)| (m.clone(), s, overlap));
-        let (mut result, source) = match donor {
-            Some((mapping, donor_score, shared_edges)) => {
-                if sink.enabled() {
-                    sink.record(TraceEvent::WarmLookup {
-                        outcome: WarmOutcome::NearHit,
-                        shared_edges,
-                    });
-                }
-                let result =
-                    run_portfolio_seeded_traced(problem, spec, budget, seed, Some(&mapping), sink);
-                (
-                    result,
-                    WarmSource::NearHit {
-                        donor_score,
-                        shared_edges,
-                    },
-                )
-            }
-            None => {
-                if sink.enabled() {
-                    sink.record(TraceEvent::WarmLookup {
-                        outcome: WarmOutcome::Cold,
-                        shared_edges: 0,
-                    });
-                }
-                let result = run_portfolio_seeded_traced(problem, spec, budget, seed, None, sink);
-                (result, WarmSource::Cold)
-            }
+        let mut result =
+            run_portfolio_seeded_traced(problem, spec, budget, seed, donor.map(|d| d.0), sink);
+        let source = match donor {
+            Some((_, donor_score, shared_edges)) => WarmSource::NearHit {
+                donor_score,
+                shared_edges,
+            },
+            None => WarmSource::Cold,
         };
         let evaluations_spent = result.evaluations;
         // Store the pure run counters; classify the request only on the

@@ -85,32 +85,14 @@ fn peek_names() -> String {
     PeekStrategy::ALL.map(|p| p.name()).join("|")
 }
 
-/// How a `--topology` choice lays out an application of `tasks` tasks
-/// on a 2.5 mm pitch, with the routing its problems use.
-type TopologyBuilder = fn(tasks: usize) -> (Topology, Box<dyn RoutingAlgorithm>);
-
-/// The `--topology` choices: the one table the help, `list` and
-/// [`build_problem`] read.
-const TOPOLOGIES: [(&str, TopologyBuilder); 3] = [
-    ("mesh", |tasks| {
-        let (w, h) = fit_grid(tasks);
-        let mesh = Topology::mesh(w, h, Length::from_mm(2.5));
-        (mesh, Box::new(XyRouting))
-    }),
-    ("torus", |tasks| {
-        let (w, h) = fit_grid(tasks);
-        let torus = Topology::torus(w.max(3), h.max(3), Length::from_mm(2.5));
-        (torus, Box::new(XyRouting))
-    }),
-    ("ring", |tasks| {
-        let ring = Topology::ring(tasks.max(3), Length::from_mm(2.5));
-        (ring, Box::new(RingRouting))
-    }),
-];
+/// The `--topology` choices, each named by its kind's display name:
+/// the one table the help, `list` and [`build_problem`] read. Each kind
+/// lays an application out through [`bench::topology_for`].
+const TOPOLOGIES: [TopologyKind; 3] = [TopologyKind::Mesh, TopologyKind::Torus, TopologyKind::Ring];
 
 /// `a|b|c` over every `--topology` name.
 fn topology_names() -> String {
-    TOPOLOGIES.map(|(name, _)| name).join("|")
+    TOPOLOGIES.map(|kind| kind.to_string()).join("|")
 }
 
 /// `a|b|c` over every router name in the registry.
@@ -219,12 +201,12 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
         println!("  {name}");
     }
     // Each routing with the topologies that use it, in table order.
-    let mut routings: Vec<(&str, Vec<&str>)> = Vec::new();
-    for (topology, build) in TOPOLOGIES {
-        let routing = build(1).1.name();
+    let mut routings: Vec<(&str, Vec<String>)> = Vec::new();
+    for kind in TOPOLOGIES {
+        let routing = bench::topology_for(1, kind).1.name();
         match routings.iter_mut().find(|(name, _)| *name == routing) {
-            Some((_, topologies)) => topologies.push(topology),
-            None => routings.push((routing, vec![topology])),
+            Some((_, topologies)) => topologies.push(kind.to_string()),
+            None => routings.push((routing, vec![kind.to_string()])),
         }
     }
     println!("routing algorithms:");
@@ -300,11 +282,11 @@ fn build_problem(args: &CliArgs) -> Result<Setup, String> {
         .transpose()?
         .unwrap_or(42);
 
-    let (_, build) = TOPOLOGIES
+    let kind = TOPOLOGIES
         .into_iter()
-        .find(|(name, _)| *name == topology_name)
+        .find(|kind| kind.to_string() == topology_name)
         .ok_or_else(|| format!("unknown topology `{topology_name}` ({})", topology_names()))?;
-    let (topology, routing) = build(cg.task_count());
+    let (topology, routing) = bench::topology_for(cg.task_count(), kind);
     let router = RouterRegistry::with_builtins()
         .get(&router_name)
         .ok_or_else(|| format!("unknown router `{router_name}` ({})", router_names()))?;
