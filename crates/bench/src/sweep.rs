@@ -692,8 +692,10 @@ pub fn run_sweep_cli(args: &[String]) -> Result<(), String> {
         let _ = write!(command, " --budget {v}");
     }
     if let Some(v) = flag("--neighborhood") {
-        let policy = phonoc_core::NeighborhoodPolicy::by_name(&v)
-            .ok_or_else(|| format!("bad neighborhood `{v}` (auto|exhaustive|sampled|locality)"))?;
+        let policy = phonoc_core::NeighborhoodPolicy::by_name(&v).ok_or_else(|| {
+            let names = phonoc_core::NeighborhoodPolicy::ALL.map(|p| p.name());
+            format!("bad neighborhood `{v}` ({})", names.join("|"))
+        })?;
         cfg.optimizers = vec!["rs".into(), format!("r-pbla@{policy}")];
         let _ = write!(command, " --neighborhood {policy}");
     }

@@ -12,7 +12,9 @@
 //!   **suffix gains** (exit of hop *i* → detector),
 //! * the router's 25×25 **interaction matrix**
 //!   `K[victim pair][aggressor pair]` (total first-order crosstalk gain
-//!   coupled per shared router, from the netlist leak analysis).
+//!   coupled per shared router), read once from
+//!   `RouterModel::interaction_matrix`, which derives it from the
+//!   netlist's leaks in one walk.
 //!
 //! Evaluating a mapping then reduces to: look up one path per CG edge,
 //! bucket path hops by tile, and accumulate
@@ -478,14 +480,14 @@ impl Evaluator {
                 pair_gain[pair.index()] = loss.to_linear().0;
             }
         }
-        let mut interaction = [[0.0f64; 25]; 25];
+        let interaction = router
+            .interaction_matrix(params)
+            .map(|row| row.map(|g| g.0));
         let mut row_mask = [0u32; 25];
-        for v in PortPair::all() {
-            for a in PortPair::all() {
-                let g = router.interaction_gain(v, a, params).0;
-                interaction[v.index()][a.index()] = g;
+        for (mask, row) in row_mask.iter_mut().zip(&interaction) {
+            for (a, &g) in row.iter().enumerate() {
                 if g > 0.0 {
-                    row_mask[v.index()] |= 1 << a.index();
+                    *mask |= 1 << a;
                 }
             }
         }
@@ -1274,6 +1276,30 @@ mod tests {
         assert_eq!(metrics.edges.len(), 1);
         // Single communication: no aggressors, SNR at ceiling.
         assert_eq!(metrics.worst_case_snr, ev.snr_ceiling());
+    }
+
+    #[test]
+    fn interaction_table_is_the_routers_matrix_bit_for_bit() {
+        let params = PhysicalParameters::default();
+        let topo = Topology::mesh(2, 2, pitch());
+        for router in [
+            crux_router(),
+            phonoc_router::crossbar::crossbar_router(),
+            phonoc_router::crossbar::xy_crossbar_router(),
+        ] {
+            let ev = Evaluator::new(&two_task_cg(), &topo, &router, &XyRouting, &params).unwrap();
+            let matrix = router.interaction_matrix(&params);
+            for v in PortPair::all() {
+                for a in PortPair::all() {
+                    assert_eq!(
+                        ev.interaction(v, a).0.to_bits(),
+                        matrix[v.index()][a.index()].0.to_bits(),
+                        "{}: {v} <- {a}",
+                        router.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //!   exact bit equality, no epsilon.
 //! * **Family** ([`FamilyKey`]) — the architecture half: topology kind
 //!   and dimensions, every link (endpoints, ports, length bits,
-//!   crossings), router identity (name, ring/crossing counts,
-//!   supported pairs), routing name, all physical parameters (bit
-//!   patterns), task and tile counts, objective.
+//!   crossings), router identity (each supported pair's loss bits and
+//!   each nonzero coupling-matrix entry's bits under the problem's
+//!   parameters, not the router's name), routing name, all physical
+//!   parameters (bit patterns), task and tile counts, objective.
 //! * **Run parameters** — canonical portfolio spec string, budget,
 //!   seed.
 //!
@@ -69,6 +70,7 @@ use phonoc_core::{
     Mapping, MappingProblem, NullSink, Objective, TraceEvent, TraceSink, WarmOutcome,
 };
 use phonoc_phys::PhysicalParameters;
+use phonoc_router::PortPair;
 use std::collections::HashMap;
 
 /// The architecture-and-physics half of a request's identity: what has
@@ -85,9 +87,14 @@ pub struct FamilyKey {
     /// Every link: (from, to, from_port, to_port, length-bits,
     /// crossings).
     links: Vec<(usize, usize, usize, usize, u64, usize)>,
-    /// Router identity: name plus netlist summary (ring count, plain
-    /// crossing count, supported pair indices).
-    router: (String, usize, usize, Vec<usize>),
+    /// Router identity is what the evaluator reads from the router
+    /// under the problem's parameters, so two netlists that agree here
+    /// score every mapping alike, whatever their names. First each
+    /// supported pair's `(index, loss-bits)`.
+    router_losses: Vec<(usize, u64)>,
+    /// Then each nonzero coupling-matrix entry's
+    /// `(victim · 25 + aggressor, gain-bits)`.
+    router_couplings: Vec<(usize, u64)>,
     routing: String,
     /// Bit patterns of every physical parameter, in declaration order.
     params: Vec<u64>,
@@ -119,12 +126,22 @@ impl FamilyKey {
             nonlinearity_threshold,
             snr_ceiling,
         } = *problem.params();
-        let mut pairs: Vec<usize> = router
-            .supported_pairs()
-            .iter()
-            .map(|pp| pp.index())
+        let router_losses = PortPair::all()
+            .filter_map(|pair| {
+                let loss = router.traversal_loss(pair, problem.params())?;
+                Some((pair.index(), loss.0.to_bits()))
+            })
             .collect();
-        pairs.sort_unstable();
+        let evaluator = problem.evaluator();
+        let mut router_couplings = Vec::new();
+        for v in PortPair::all() {
+            for a in PortPair::all() {
+                let gain = evaluator.interaction(v, a).0;
+                if gain > 0.0 {
+                    router_couplings.push((v.index() * 25 + a.index(), gain.to_bits()));
+                }
+            }
+        }
         FamilyKey {
             topo_kind: topo.kind().to_string(),
             width: topo.width(),
@@ -143,12 +160,8 @@ impl FamilyKey {
                     )
                 })
                 .collect(),
-            router: (
-                router.name().to_owned(),
-                router.microring_count(),
-                router.plain_crossing_count(),
-                pairs,
-            ),
+            router_losses,
+            router_couplings,
             routing: problem.routing().name().to_owned(),
             params: vec![
                 crossing_loss.0.to_bits(),
@@ -424,6 +437,8 @@ mod tests {
     use super::*;
     use crate::test_support::tiny_problem;
     use phonoc_apps::TaskId;
+    use phonoc_router::netlist::{NetlistBuilder, PassMode};
+    use phonoc_router::{Port, RouterModel};
 
     fn spec() -> PortfolioSpec {
         PortfolioSpec::parse("r-pbla+sa,exchange=best,rounds=2").unwrap()
@@ -517,6 +532,78 @@ mod tests {
         let a = RequestKey::of(&mk(forward), &spec(), 60, 7);
         let b = RequestKey::of(&mk(reversed), &spec(), 60, 7);
         assert_eq!(a, b);
+    }
+
+    /// A 25-CPSE matrix router named `crossbar`, its rows (inputs) and
+    /// columns (outputs) laid out in `order`. Every order has the
+    /// built-in crossbar's name, ring and crossing counts and supported
+    /// pairs; only the wiring differs.
+    fn matrix_router(order: [Port; 5]) -> RouterModel {
+        let mut b = NetlistBuilder::new("crossbar");
+        let row = |i: usize, j: usize| format!("r{i}_{j}");
+        let col = |j: usize, i: usize| format!("c{j}_{i}");
+        for i in 0..5 {
+            for j in 0..5 {
+                let (ri, ro, ci, co) = (row(i, j), row(i, j + 1), col(j, i), col(j, i + 1));
+                b.cpse(&format!("x{i}{j}"), &ri, &ro, &ci, &co);
+            }
+        }
+        for (i, &port) in order.iter().enumerate() {
+            b.bind_input(port, &row(i, 0));
+            b.bind_output(port, &col(i, 5));
+        }
+        for (i, &input) in order.iter().enumerate() {
+            for (j, &output) in order.iter().enumerate().filter(|&(j, _)| j != i) {
+                let mut steps: Vec<(String, PassMode)> = (0..j)
+                    .map(|k| (format!("x{i}{k}"), PassMode::Off))
+                    .collect();
+                steps.push((format!("x{i}{j}"), PassMode::On));
+                steps.extend((i + 1..5).map(|r| (format!("x{r}{j}"), PassMode::Cross)));
+                let steps: Vec<(&str, PassMode)> =
+                    steps.iter().map(|(n, m)| (n.as_str(), *m)).collect();
+                b.route(input, output, &steps);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn routers_key_by_their_wiring_not_their_name() {
+        use phonoc_router::crossbar::{crossbar_router, xy_crossbar_router};
+        use phonoc_router::crux::crux_router;
+        let family = |router: RouterModel| {
+            let problem = MappingProblem::new(
+                phonoc_apps::synthetic::pipeline(3),
+                phonoc_topo::Topology::mesh(2, 2, phonoc_phys::Length::from_mm(2.5)),
+                router,
+                Box::new(phonoc_route::XyRouting),
+                PhysicalParameters::default(),
+                Objective::MaximizeWorstCaseSnr,
+            )
+            .unwrap();
+            FamilyKey::of(&problem)
+        };
+        use Port::{East, Local, North, South, West};
+        let (builtin, rewired) = (
+            matrix_router([Local, North, East, South, West]),
+            matrix_router([West, South, East, North, Local]),
+        );
+        assert_eq!(builtin.name(), rewired.name());
+        assert_eq!(builtin.microring_count(), rewired.microring_count());
+        assert_eq!(
+            builtin.plain_crossing_count(),
+            rewired.plain_crossing_count()
+        );
+        assert_eq!(builtin.supported_pairs(), rewired.supported_pairs());
+        let builtin = family(builtin);
+        assert_ne!(builtin, family(rewired), "same name, different wiring");
+        // The built-in crossbar's wiring keys like its copy.
+        assert_eq!(builtin, family(crossbar_router()));
+
+        let keys = [crux_router(), crossbar_router(), xy_crossbar_router()].map(family);
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
     }
 
     #[test]

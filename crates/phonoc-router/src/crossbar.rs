@@ -183,6 +183,7 @@ fn build_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::coupling;
     use phonoc_phys::PhysicalParameters;
 
     fn close(a: f64, b: f64) -> bool {
@@ -265,7 +266,8 @@ mod tests {
         // and do NOT add a first-order term.
         let r = crossbar_router();
         let p = PhysicalParameters::default();
-        let g = r.interaction_gain(
+        let g = coupling(
+            &r,
             PortPair::new(Port::North, Port::Local),
             PortPair::new(Port::West, Port::East),
             &p,
@@ -274,7 +276,8 @@ mod tests {
         assert!(close(g.0, expected), "got {}", g.0);
 
         // Column co-travellers: no first-order interaction.
-        let g2 = r.interaction_gain(
+        let g2 = coupling(
+            &r,
             PortPair::new(Port::West, Port::Local),
             PortPair::new(Port::North, Port::Local),
             &p,

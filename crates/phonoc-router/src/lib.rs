@@ -2,8 +2,11 @@
 //!
 //! This crate provides the router half of PhoNoCMap's "Architecture
 //! Modeling" module (paper Fig. 1): validated netlist models of 5×5
-//! optical routers, from which per-connection insertion losses and the
-//! first-order crosstalk interaction structure are derived automatically.
+//! optical routers, from which per-connection insertion losses
+//! ([`RouterModel::traversal_loss`]) and the 25×25 first-order crosstalk
+//! coupling matrix ([`RouterModel::interaction_matrix`], one walk over
+//! the aggressor traversals) are derived automatically. Those two are
+//! all an evaluator reads from a router.
 //!
 //! * [`netlist`] — the router description DSL: directed waveguide
 //!   segments, crossings, parallel/crossing PSEs, and walk-validated

@@ -17,9 +17,12 @@
 //!   internally consistent.
 //!
 //! The same netlist also fixes the **first-order crosstalk topology**:
-//! each element pass leaks power into a specific victim segment
-//! (Eqs. 1b/1d/1f/1h/1j of the paper), so "which aggressor disturbs which
-//! victim" is derived, never hand-maintained.
+//! each element pass leaks power into exactly one segment (Eqs.
+//! 1b/1d/1f/1h/1j of the paper), and the leak disturbs every connection
+//! whose traversal carries that segment. [`RouterModel::interaction_matrix`]
+//! derives the whole 25×25 victim/aggressor coupling matrix from these
+//! leaks in one walk over the aggressor traversals, so "which aggressor
+//! disturbs which victim" is derived, never hand-maintained.
 //!
 //! New routers are added by writing a new builder function — nothing in
 //! the analysis core changes, which is the extensibility requirement of
@@ -80,6 +83,33 @@ pub enum ElementConn {
     },
 }
 
+impl ElementConn {
+    /// The element's arms as `(inputs, outputs)`: the segments it
+    /// consumes and the segments it produces. The one table of each
+    /// element kind's arms that the netlist validators read.
+    fn arms(&self) -> (Vec<SegmentId>, Vec<SegmentId>) {
+        match *self {
+            ElementConn::Crossing {
+                a_in,
+                a_out,
+                b_in,
+                b_out,
+            } => (vec![a_in, b_in], vec![a_out, b_out]),
+            ElementConn::Ppse {
+                input,
+                through,
+                drop,
+            } => (vec![input], vec![through, drop]),
+            ElementConn::Cpse {
+                input,
+                through,
+                cross_in,
+                cross_out,
+            } => (vec![input, cross_in], vec![through, cross_out]),
+        }
+    }
+}
+
 /// A named element instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element {
@@ -128,10 +158,6 @@ pub struct Step {
     pub element: ElementId,
     /// The traversal mode.
     pub mode: PassMode,
-    /// Segment the signal is on when entering the element.
-    pub enters_on: SegmentId,
-    /// Segment the signal is on when leaving the element.
-    pub leaves_on: SegmentId,
 }
 
 /// A validated port-to-port traversal: the ordered steps plus the set of
@@ -141,22 +167,9 @@ pub struct Traversal {
     /// Ordered element passes from input port to output port.
     pub steps: Vec<Step>,
     /// Every segment the signal occupies, in traversal order, starting
-    /// with the input port's boundary segment.
+    /// with the input port's boundary segment: step `i` enters its
+    /// element on `segments[i]` and leaves it on `segments[i + 1]`.
     pub segments: Vec<SegmentId>,
-}
-
-/// A leak event: during `aggressor_step`, power `gain × P_aggressor`
-/// escapes into `target` (a segment that may belong to a victim's path).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeakEvent {
-    /// The element where the leak occurs.
-    pub element: ElementId,
-    /// The aggressor's pass mode at that element.
-    pub mode: PassMode,
-    /// The segment the leaked power enters.
-    pub target: SegmentId,
-    /// Linear power gain of the leak (e.g. `10^(Kc/10)`).
-    pub gain: LinearGain,
 }
 
 /// Errors produced while building or validating a router netlist.
@@ -263,17 +276,15 @@ impl std::error::Error for NetlistError {}
 /// Obtain one from a builder function such as
 /// [`crate::crux::crux_router`], or build your own with
 /// [`NetlistBuilder`]. All queries are total: unsupported port pairs
-/// return `None`.
+/// return `None` (or zero rows and columns of
+/// [`interaction_matrix`](Self::interaction_matrix)). What an evaluator
+/// reads from a router is each supported pair's
+/// [`traversal_loss`](Self::traversal_loss) and the coupling matrix.
 #[derive(Debug, Clone)]
 pub struct RouterModel {
     name: String,
     elements: Vec<Element>,
-    segment_names: Vec<String>,
     traversals: HashMap<PortPair, Traversal>,
-    /// For each consumed segment, the segment the light continues on when
-    /// the consuming element is passive (crossing pass, PSE OFF-through).
-    /// Used to propagate leaked noise forward to wherever it exits.
-    passive_next: HashMap<SegmentId, SegmentId>,
 }
 
 impl RouterModel {
@@ -322,12 +333,6 @@ impl RouterModel {
         &self.elements
     }
 
-    /// Human-readable segment name (for reports and errors).
-    #[must_use]
-    pub fn segment_name(&self, id: SegmentId) -> &str {
-        &self.segment_names[id.0 as usize]
-    }
-
     /// Insertion loss of the `pair` traversal under `params`
     /// (element losses only; waveguide propagation inside the router is
     /// neglected, consistent with the paper's hop-based model).
@@ -343,35 +348,17 @@ impl RouterModel {
         )
     }
 
-    /// All first-order leak events produced by the `pair` traversal.
-    #[must_use]
-    pub fn leak_events(
-        &self,
-        pair: PortPair,
-        params: &PhysicalParameters,
-    ) -> Option<Vec<LeakEvent>> {
-        let t = self.traversals.get(&pair)?;
-        let xfer = ElementTransfer::new(params);
-        let mut events = Vec::new();
-        for s in &t.steps {
-            let elem = &self.elements[s.element.0 as usize];
-            for (target, gain) in step_leaks(elem, s, &xfer) {
-                events.push(LeakEvent {
-                    element: s.element,
-                    mode: s.mode,
-                    target,
-                    gain,
-                });
-            }
-        }
-        Some(events)
-    }
-
-    /// Total linear crosstalk gain coupled from an `aggressor` traversal
-    /// into a `victim` traversal when both are simultaneously active in
-    /// this router. Returns `LinearGain::ZERO` when either pair is
-    /// unsupported, when victim equals aggressor, or when no leak lands
-    /// on the victim's path.
+    /// The first-order crosstalk coupling matrix under `params`:
+    /// `m[victim.index()][aggressor.index()]` is the total linear gain
+    /// coupled from the `aggressor` traversal into the `victim` traversal
+    /// when both are simultaneously active in this router. Entries are
+    /// `LinearGain::ZERO` when either pair is unsupported, when victim
+    /// equals aggressor, or when no leak lands on the victim's path.
+    ///
+    /// One walk over each supported aggressor traversal: every step
+    /// leaks into exactly one segment, and that leak is added into every
+    /// victim whose traversal carries the segment, in the aggressor's
+    /// step order.
     ///
     /// Two modeling rules, both consistent with the paper's
     /// victim-centric first-order analysis (Section II-C, following
@@ -393,36 +380,22 @@ impl RouterModel {
     /// Consistent with the paper's simplifications, no intra-router loss
     /// is applied to the noise inside the router where it is generated.
     #[must_use]
-    pub fn interaction_gain(
-        &self,
-        victim: PortPair,
-        aggressor: PortPair,
-        params: &PhysicalParameters,
-    ) -> LinearGain {
-        if victim == aggressor || victim.input == aggressor.input {
-            return LinearGain::ZERO;
-        }
-        let (Some(v), Some(events)) = (
-            self.traversals.get(&victim),
-            self.leak_events(aggressor, params),
-        ) else {
-            return LinearGain::ZERO;
-        };
-        let mut total = LinearGain::ZERO;
-        for ev in events {
-            if v.segments.contains(&ev.target) {
-                total = total + ev.gain;
+    pub fn interaction_matrix(&self, params: &PhysicalParameters) -> [[LinearGain; 25]; 25] {
+        let xfer = ElementTransfer::new(params);
+        let mut m = [[LinearGain::ZERO; 25]; 25];
+        for (aggressor, t) in &self.traversals {
+            for (step, &enters_on) in t.steps.iter().zip(&t.segments) {
+                let elem = &self.elements[step.element.0 as usize];
+                let (target, gain) = step_leak(elem, step.mode, enters_on, &xfer);
+                for (victim, v) in &self.traversals {
+                    if victim.input != aggressor.input && v.segments.contains(&target) {
+                        let cell = &mut m[victim.index()][aggressor.index()];
+                        *cell = *cell + gain;
+                    }
+                }
             }
         }
-        total
-    }
-
-    /// The segment light moves to when the element consuming `segment`
-    /// is passive (crossing pass / OFF through). Exposed for layout
-    /// debugging and documentation tooling.
-    #[must_use]
-    pub fn passive_next(&self, segment: SegmentId) -> Option<SegmentId> {
-        self.passive_next.get(&segment).copied()
+        m
     }
 }
 
@@ -449,12 +422,15 @@ fn step_loss(elem: &Element, mode: PassMode, xfer: &ElementTransfer<'_>) -> Db {
     }
 }
 
-fn step_leaks(
+/// The one segment a `mode` pass of `elem`, entered on `enters_on`,
+/// leaks into, and the leak's linear gain.
+fn step_leak(
     elem: &Element,
-    step: &Step,
+    mode: PassMode,
+    enters_on: SegmentId,
     xfer: &ElementTransfer<'_>,
-) -> Vec<(SegmentId, LinearGain)> {
-    match (&elem.conn, step.mode) {
+) -> (SegmentId, LinearGain) {
+    match (&elem.conn, mode) {
         // Eq. (1j): a crossing pass leaks Kc into the perpendicular
         // forward direction (the backward direction is back-reflection,
         // neglected by the paper). The signal's own arm is identified by
@@ -465,36 +441,32 @@ fn step_leaks(
             },
             PassMode::Cross,
         ) => {
-            let target = if step.enters_on == *a_in {
-                *b_out
-            } else {
-                *a_out
-            };
-            vec![(target, xfer.crossing_leak_gain())]
+            let target = if enters_on == *a_in { *b_out } else { *a_out };
+            (target, xfer.crossing_leak_gain())
         }
         // Eq. (1b): Kp,off into the drop port.
-        (ElementConn::Ppse { drop, .. }, PassMode::Off) => vec![(
+        (ElementConn::Ppse { drop, .. }, PassMode::Off) => (
             *drop,
             xfer.pse_leak_gain(PseKind::Parallel, ResonanceState::Off),
-        )],
+        ),
         // Eq. (1d): Kp,on into the through port.
-        (ElementConn::Ppse { through, .. }, PassMode::On) => vec![(
+        (ElementConn::Ppse { through, .. }, PassMode::On) => (
             *through,
             xfer.pse_leak_gain(PseKind::Parallel, ResonanceState::On),
-        )],
+        ),
         // Eq. (1f): (Kp,off + Kc) into the drop (perpendicular) output.
-        (ElementConn::Cpse { cross_out, .. }, PassMode::Off) => vec![(
+        (ElementConn::Cpse { cross_out, .. }, PassMode::Off) => (
             *cross_out,
             xfer.pse_leak_gain(PseKind::Crossing, ResonanceState::Off),
-        )],
+        ),
         // Eq. (1h): Kp,on into the through port.
-        (ElementConn::Cpse { through, .. }, PassMode::On) => vec![(
+        (ElementConn::Cpse { through, .. }, PassMode::On) => (
             *through,
             xfer.pse_leak_gain(PseKind::Crossing, ResonanceState::On),
-        )],
+        ),
         // Eq. (1j) applied to the CPSE's physical crossing.
         (ElementConn::Cpse { through, .. }, PassMode::Cross) => {
-            vec![(*through, xfer.crossing_leak_gain())]
+            (*through, xfer.crossing_leak_gain())
         }
         (conn, mode) => unreachable!("invalid mode {mode} for element {conn:?}"),
     }
@@ -696,67 +668,21 @@ impl NetlistBuilder {
             traversals.insert(*pair, t);
         }
 
-        let mut passive_next = HashMap::new();
-        for elem in &self.elements {
-            match &elem.conn {
-                ElementConn::Crossing {
-                    a_in,
-                    a_out,
-                    b_in,
-                    b_out,
-                } => {
-                    passive_next.insert(*a_in, *a_out);
-                    passive_next.insert(*b_in, *b_out);
-                }
-                ElementConn::Ppse { input, through, .. } => {
-                    passive_next.insert(*input, *through);
-                }
-                ElementConn::Cpse {
-                    input,
-                    through,
-                    cross_in,
-                    cross_out,
-                } => {
-                    passive_next.insert(*input, *through);
-                    passive_next.insert(*cross_in, *cross_out);
-                }
-            }
-        }
-
         Ok(RouterModel {
             name: self.name.clone(),
             elements: self.elements.clone(),
-            segment_names: self.segment_names.clone(),
             traversals,
-            passive_next,
         })
     }
 
     fn check_arm_aliasing(&self) -> Result<(), NetlistError> {
         for elem in &self.elements {
-            let arms: Vec<SegmentId> = match &elem.conn {
-                ElementConn::Crossing {
-                    a_in,
-                    a_out,
-                    b_in,
-                    b_out,
-                } => vec![*a_in, *a_out, *b_in, *b_out],
-                ElementConn::Ppse {
-                    input,
-                    through,
-                    drop,
-                } => vec![*input, *through, *drop],
-                ElementConn::Cpse {
-                    input,
-                    through,
-                    cross_in,
-                    cross_out,
-                } => vec![*input, *through, *cross_in, *cross_out],
-            };
-            let mut sorted = arms.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != arms.len() {
+            let (inputs, outputs) = elem.conn.arms();
+            let mut arms = [inputs, outputs].concat();
+            let count = arms.len();
+            arms.sort_unstable();
+            arms.dedup();
+            if arms.len() != count {
                 return Err(NetlistError::ArmAliasing {
                     element: elem.name.clone(),
                 });
@@ -773,38 +699,12 @@ impl NetlistBuilder {
         let mut producers = vec![0usize; n];
         let mut consumers = vec![0usize; n];
         for elem in &self.elements {
-            match &elem.conn {
-                ElementConn::Crossing {
-                    a_in,
-                    a_out,
-                    b_in,
-                    b_out,
-                } => {
-                    consumers[a_in.0 as usize] += 1;
-                    consumers[b_in.0 as usize] += 1;
-                    producers[a_out.0 as usize] += 1;
-                    producers[b_out.0 as usize] += 1;
-                }
-                ElementConn::Ppse {
-                    input,
-                    through,
-                    drop,
-                } => {
-                    consumers[input.0 as usize] += 1;
-                    producers[through.0 as usize] += 1;
-                    producers[drop.0 as usize] += 1;
-                }
-                ElementConn::Cpse {
-                    input,
-                    through,
-                    cross_in,
-                    cross_out,
-                } => {
-                    consumers[input.0 as usize] += 1;
-                    consumers[cross_in.0 as usize] += 1;
-                    producers[through.0 as usize] += 1;
-                    producers[cross_out.0 as usize] += 1;
-                }
+            let (inputs, outputs) = elem.conn.arms();
+            for seg in inputs {
+                consumers[seg.0 as usize] += 1;
+            }
+            for seg in outputs {
+                producers[seg.0 as usize] += 1;
             }
         }
         for seg in self.port_inputs.values() {
@@ -863,8 +763,6 @@ impl NetlistBuilder {
             walked.push(Step {
                 element: eid,
                 mode: *mode,
-                enters_on: current,
-                leaves_on: next,
             });
             current = next;
             segments.push(current);
@@ -927,10 +825,21 @@ fn transition(conn: &ElementConn, mode: PassMode, current: SegmentId) -> Option<
     }
 }
 
+/// `victim`'s coupling from `aggressor` under `params`, read off the
+/// router's interaction matrix.
+#[cfg(test)]
+pub(crate) fn coupling(
+    router: &RouterModel,
+    victim: PortPair,
+    aggressor: PortPair,
+    params: &PhysicalParameters,
+) -> LinearGain {
+    router.interaction_matrix(params)[victim.index()][aggressor.index()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phonoc_phys::PhysicalParameters;
 
     /// Two perpendicular waveguides through one crossing, plus a CPSE
     /// that lets West traffic turn onto the vertical waveguide.
@@ -987,7 +896,8 @@ mod tests {
         // cross output used by North→South traffic.
         let r = tiny_router();
         let p = PhysicalParameters::default();
-        let gain = r.interaction_gain(
+        let gain = coupling(
+            &r,
             PortPair::new(Port::North, Port::South),
             PortPair::new(Port::West, Port::East),
             &p,
@@ -1002,7 +912,8 @@ mod tests {
         // segment used by West→East traffic.
         let r = tiny_router();
         let p = PhysicalParameters::default();
-        let gain = r.interaction_gain(
+        let gain = coupling(
+            &r,
             PortPair::new(Port::West, Port::East),
             PortPair::new(Port::North, Port::South),
             &p,
@@ -1018,7 +929,8 @@ mod tests {
         // reports no interaction (single-wavelength exclusion rule).
         let r = tiny_router();
         let p = PhysicalParameters::default();
-        let gain = r.interaction_gain(
+        let gain = coupling(
+            &r,
             PortPair::new(Port::West, Port::East),
             PortPair::new(Port::West, Port::South),
             &p,
@@ -1030,7 +942,8 @@ mod tests {
     fn self_interaction_is_zero() {
         let r = tiny_router();
         let p = PhysicalParameters::default();
-        let g = r.interaction_gain(
+        let g = coupling(
+            &r,
             PortPair::new(Port::West, Port::East),
             PortPair::new(Port::West, Port::East),
             &p,
@@ -1042,7 +955,8 @@ mod tests {
     fn unsupported_pairs_have_zero_interaction() {
         let r = tiny_router();
         let p = PhysicalParameters::default();
-        let g = r.interaction_gain(
+        let g = coupling(
+            &r,
             PortPair::new(Port::East, Port::West),
             PortPair::new(Port::West, Port::East),
             &p,
@@ -1140,17 +1054,6 @@ mod tests {
         b.route(Port::West, Port::East, &[("turn", PassMode::Off)]);
         let err = b.build().unwrap_err();
         assert!(matches!(err, NetlistError::DuplicateRoute { .. }), "{err}");
-    }
-
-    #[test]
-    fn leak_events_enumerate_targets() {
-        let r = tiny_router();
-        let p = PhysicalParameters::default();
-        let events = r
-            .leak_events(PortPair::new(Port::West, Port::East), &p)
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(r.segment_name(events[0].target), "n_mid");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Human-readable router "datasheets": per-connection insertion losses
-//! and the pairwise crosstalk structure, rendered as text. Used by the
-//! command-line tool (`phonocmap describe-router`) and handy while
-//! designing custom netlists.
+//! and the nonzero entries of the crosstalk coupling matrix, rendered as
+//! text. Used by the command-line tool (`phonocmap describe-router`) and
+//! handy while designing custom netlists.
 
 use crate::netlist::RouterModel;
 use phonoc_phys::PhysicalParameters;
@@ -45,10 +45,11 @@ pub fn datasheet(router: &RouterModel, params: &PhysicalParameters) -> String {
         out,
         "\nfirst-order crosstalk couplings (victim <- aggressor):"
     );
+    let matrix = router.interaction_matrix(params);
     let mut any = false;
     for v in router.supported_pairs() {
         for a in router.supported_pairs() {
-            let gain = router.interaction_gain(v, a, params);
+            let gain = matrix[v.index()][a.index()];
             if gain.0 > 0.0 {
                 any = true;
                 let _ = writeln!(out, "  {v}  <-  {a}:  {:>7.2} dB", gain.to_db().0);
@@ -61,31 +62,9 @@ pub fn datasheet(router: &RouterModel, params: &PhysicalParameters) -> String {
     out
 }
 
-/// Summarizes the interaction structure: `(nonzero pairs, strongest
-/// coupling in dB)`. `None` if the router has no couplings at all.
-#[must_use]
-pub fn interaction_summary(
-    router: &RouterModel,
-    params: &PhysicalParameters,
-) -> Option<(usize, f64)> {
-    let mut count = 0usize;
-    let mut strongest = f64::NEG_INFINITY;
-    for v in router.supported_pairs() {
-        for a in router.supported_pairs() {
-            let g = router.interaction_gain(v, a, params);
-            if g.0 > 0.0 {
-                count += 1;
-                strongest = strongest.max(g.to_db().0);
-            }
-        }
-    }
-    (count > 0).then_some((count, strongest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossbar::crossbar_router;
     use crate::crux::crux_router;
 
     #[test]
@@ -96,17 +75,5 @@ mod tests {
         assert!(sheet.contains("microrings: 12"));
         assert!(sheet.contains("W→E"));
         assert!(sheet.contains("crosstalk couplings"));
-    }
-
-    #[test]
-    fn interaction_summary_orders_routers_sensibly() {
-        let params = PhysicalParameters::default();
-        let (crux_n, crux_max) =
-            interaction_summary(&crux_router(), &params).expect("crux couples");
-        let (xbar_n, xbar_max) =
-            interaction_summary(&crossbar_router(), &params).expect("xbar couples");
-        assert!(crux_n > 0 && xbar_n > 0);
-        // Strongest couplings are the (Kp,off + Kc) OFF-leaks in both.
-        assert!(crux_max < 0.0 && xbar_max < 0.0);
     }
 }

@@ -13,20 +13,6 @@ fn builtins() -> Vec<RouterModel> {
 }
 
 #[test]
-fn traversal_steps_chain_segments() {
-    for r in builtins() {
-        for pair in r.supported_pairs() {
-            let t = r.traversal(pair).expect("supported");
-            assert_eq!(t.segments.len(), t.steps.len() + 1);
-            for (i, s) in t.steps.iter().enumerate() {
-                assert_eq!(s.enters_on, t.segments[i], "{}/{pair}", r.name());
-                assert_eq!(s.leaves_on, t.segments[i + 1], "{}/{pair}", r.name());
-            }
-        }
-    }
-}
-
-#[test]
 fn losses_are_negative_and_finite_for_all_builtins() {
     let params = PhysicalParameters::default();
     for r in builtins() {
@@ -42,18 +28,25 @@ fn losses_are_negative_and_finite_for_all_builtins() {
 }
 
 #[test]
+fn coupling_counts_are_pinned_under_table_i() {
+    // The coupling lines `describe-router` prints for each builtin.
+    let params = PhysicalParameters::default();
+    for (r, expected) in builtins().into_iter().zip([84, 100, 58]) {
+        let m = r.interaction_matrix(&params);
+        let nonzero = m.iter().flatten().filter(|g| g.0 > 0.0).count();
+        assert_eq!(nonzero, expected, "{}", r.name());
+    }
+}
+
+#[test]
 fn same_input_pairs_never_interact() {
     let params = PhysicalParameters::default();
     for r in builtins() {
+        let m = r.interaction_matrix(&params);
         for v in r.supported_pairs() {
             for a in r.supported_pairs() {
                 if v.input == a.input {
-                    assert_eq!(
-                        r.interaction_gain(v, a, &params).0,
-                        0.0,
-                        "{}: {v} vs {a}",
-                        r.name()
-                    );
+                    assert_eq!(m[v.index()][a.index()].0, 0.0, "{}: {v} vs {a}", r.name());
                 }
             }
         }
@@ -73,9 +66,10 @@ fn interactions_are_bounded_by_physical_coefficients() {
             .map(|p| r.traversal(*p).unwrap().steps.len())
             .max()
             .unwrap();
+        let m = r.interaction_matrix(&params);
         for v in r.supported_pairs() {
             for a in r.supported_pairs() {
-                let g = r.interaction_gain(v, a, &params).0;
+                let g = m[v.index()][a.index()].0;
                 assert!(
                     g <= strongest * max_steps as f64 + 1e-12,
                     "{}: {v}<-{a} = {g}",
@@ -98,10 +92,11 @@ proptest! {
             b.pse_on_crosstalk(Db(-25.0 - delta));
         });
         let crux = crux_router();
+        let (m0, m1) = (crux.interaction_matrix(&base), crux.interaction_matrix(&weaker));
         for v in crux.supported_pairs() {
             for a in crux.supported_pairs() {
-                let g0 = crux.interaction_gain(v, a, &base).0;
-                let g1 = crux.interaction_gain(v, a, &weaker).0;
+                let g0 = m0[v.index()][a.index()].0;
+                let g1 = m1[v.index()][a.index()].0;
                 prop_assert!(g1 <= g0 + 1e-15, "{v}<-{a}: {g1} > {g0}");
             }
         }

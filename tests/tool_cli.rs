@@ -319,6 +319,33 @@ fn zero_counts_fail_before_any_work() {
     }
 }
 
+/// An unknown `sweep --neighborhood` value fails with one `error:` line
+/// that names every policy, before any sweep work starts.
+#[test]
+fn bad_sweep_neighborhoods_name_every_policy() {
+    let out_path = std::env::temp_dir().join("phonocmap_cli_bad_neighborhood.json");
+    let out = phonocmap(&[
+        "sweep",
+        "--smoke",
+        "--neighborhood",
+        "nearby",
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err
+        .lines()
+        .find(|l| l.starts_with("error:"))
+        .unwrap_or_else(|| panic!("no error line in {err}"));
+    assert!(line.contains("nearby"), "{line}");
+    for policy in phonoc_core::NeighborhoodPolicy::ALL {
+        assert!(line.contains(policy.name()), "{line} misses {policy}");
+    }
+    assert!(out.stdout.is_empty(), "sweep work started");
+    assert!(!out_path.exists(), "sweep wrote its report");
+}
+
 /// A trace whose `session_end` counters only reconcile when their sum
 /// wraps must fail with one `error:` line, not reconcile or panic.
 #[test]
