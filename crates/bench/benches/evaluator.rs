@@ -10,8 +10,8 @@ use bench::{paper_problem, TABLE2_APPS};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::{
-    DeltaScratch, DseConfig, EvalScratch, Mapping, MappingProblem, Objective, OptContext,
-    PeekStrategy,
+    BoundedLossDelta, DeltaScratch, DseConfig, EvalScratch, Mapping, MappingProblem, Objective,
+    OptContext, PeekStrategy,
 };
 use phonoc_opt::Rpbla;
 use phonoc_phys::{Db, PhysicalParameters};
@@ -382,6 +382,98 @@ fn loss_seat_vs_full_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// The loss family's per-move and per-seat work on `mpeg-like` d100 s1
+/// cells (4×4, 8×8, 16×16), from a random placement:
+///
+///  * `exact_*` — [`phonoc_core::Evaluator::evaluate_delta_loss`] over
+///    256 random swaps, one per iteration (what `sa` and `tabu` take on
+///    every move under `loss`/`power`);
+///  * `exact_worst_edge_*` — the same peek over 64 swaps that move the
+///    worst-loss edge, whose new worst case needs the whole edge scan
+///    (the swaps a bounded peek verifies);
+///  * `bounded_rejection_*` —
+///    [`phonoc_core::Evaluator::evaluate_delta_loss_bounded`] at the
+///    placement's own worst loss over the random swaps it rejects;
+///  * `seat_*` — [`OptContext::set_current`] under `loss`, the seat a
+///    portfolio lane takes on every restart.
+///
+/// Every case calls public API only, so this group can be copied into
+/// an older checkout to time both side by side.
+fn loss_peek(c: &mut Criterion) {
+    let mut group = c.benchmark_group("loss_peek");
+    let loss = Objective::by_name("loss").expect("loss objective");
+    for mesh in [4, 8, 16] {
+        let spec = ScenarioSpec {
+            family: ScenarioFamily::MpegLike,
+            mesh,
+            density_pct: 100,
+            seed: 1,
+        };
+        let problem = bench::sweep::scenario_problem(&spec);
+        let evaluator = problem.evaluator();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mapping = Mapping::random(problem.task_count(), problem.tile_count(), &mut rng);
+        let state = evaluator.init_state(&mapping);
+        let worst = state.worst_case_il();
+        let mut scratch = DeltaScratch::default();
+        let random: Vec<phonoc_core::Move> = (0..256)
+            .map(|_| mapping.random_swap_move(&mut rng))
+            .collect();
+        let verifies = |mv: &phonoc_core::Move, scratch: &mut DeltaScratch| {
+            let peek = evaluator.evaluate_delta_loss_bounded(&state, &mapping, *mv, scratch, worst);
+            matches!(peek, BoundedLossDelta::Exact { moved_edges, .. } if moved_edges > 0)
+        };
+        let rejected: Vec<_> = random
+            .iter()
+            .copied()
+            .filter(|mv| !verifies(mv, &mut scratch))
+            .collect();
+        let worst_edge: Vec<_> = (0..1 << 20)
+            .map(|_| mapping.random_swap_move(&mut rng))
+            .filter(|mv| verifies(mv, &mut scratch))
+            .take(64)
+            .collect();
+        let cases = [
+            ("exact", &random, false),
+            ("exact_worst_edge", &worst_edge, false),
+            ("bounded_rejection", &rejected, true),
+        ];
+        for (name, moves, bounded) in cases {
+            group.bench_function(&format!("{name}_{mesh}x{mesh}"), |b| {
+                let mut i = 0usize;
+                b.iter(|| {
+                    let mv = moves[i % moves.len()];
+                    i += 1;
+                    if bounded {
+                        black_box(evaluator.evaluate_delta_loss_bounded(
+                            &state,
+                            &mapping,
+                            mv,
+                            &mut scratch,
+                            worst,
+                        ));
+                    } else {
+                        black_box(evaluator.evaluate_delta_loss(
+                            &state,
+                            &mapping,
+                            mv,
+                            &mut scratch,
+                        ));
+                    }
+                });
+            });
+        }
+        group.bench_function(&format!("seat_{mesh}x{mesh}"), |b| {
+            // Effectively unlimited: the bench must never exhaust it.
+            let mut ctx = OptContext::new(&problem, 1usize << 40, 1);
+            ctx.set_objective(loss)
+                .expect("a fresh context has not evaluated yet");
+            b.iter(|| black_box(ctx.set_current(mapping.clone())));
+        });
+    }
+    group.finish();
+}
+
 /// The bounded full pass ([`phonoc_core::Evaluator::evaluate_bounded`])
 /// against the exact one on the two candidate sets that reach it:
 ///
@@ -482,6 +574,7 @@ criterion_group!(
     snr_peek_bound_vs_exact,
     snr_commit,
     loss_seat_vs_full_state,
+    loss_peek,
     full_pass_bounded
 );
 criterion_main!(benches);

@@ -595,7 +595,7 @@ impl Scorer<'_> {
 /// The score of one direct (non-peek) evaluation of `mapping` under
 /// `objective`, `None` once the pass proves the worst-case SNR `≤
 /// threshold`. A loss-family score reads only the worst-case insertion
-/// loss, so it takes the path-table fold ([`Evaluator::worst_case_il`])
+/// loss, so it takes the loss-table scan ([`Evaluator::worst_case_il`])
 /// instead of a crosstalk pass and never rejects; an SNR-family one
 /// runs the bounded full pass on `scratch`.
 fn score_direct(
@@ -939,9 +939,13 @@ impl<'p> OptContext<'p> {
         }
     }
 
+    /// Whether `score` would become the incumbent best.
+    fn beats_best(&self, score: f64) -> bool {
+        self.best.as_ref().is_none_or(|(_, s)| score > *s)
+    }
+
     fn record(&mut self, mapping: &Mapping, score: f64) {
-        let improved = self.best.as_ref().is_none_or(|(_, s)| score > *s);
-        if improved {
+        if self.beats_best(score) {
             self.best = Some((mapping.clone(), score));
             let index = self.used();
             self.history.push((index, score));
@@ -1045,7 +1049,7 @@ impl<'p> OptContext<'p> {
     /// score is not `known` (an empty `known` knows none) through the
     /// bounded full pass at `threshold` in one order-preserving parallel
     /// pass (inline for a loss-family objective, whose scores are
-    /// path-table folds), then billing and incumbent tracking for every
+    /// loss-table scans), then billing and incumbent tracking for every
     /// admitted mapping in input order.
     fn score_batch(
         &mut self,
@@ -1064,7 +1068,7 @@ impl<'p> OptContext<'p> {
             .map(|i| &mappings[i])
             .collect();
         let computed = if objective.is_loss_based() {
-            // A loss score is a path-table fold of well under a
+            // A loss score is a loss-table scan of well under a
             // microsecond: forking it costs more than it saves.
             let scratch = &mut self.scratch.full;
             fresh
@@ -1181,7 +1185,13 @@ impl<'p> OptContext<'p> {
         // seat replaces); an SNR cursor then takes its route.
         let evaluator = self.problem.evaluator();
         let state = if self.objective.is_loss_based() {
-            CursorState::Loss(evaluator.init_loss_state(&mapping))
+            // Reseat into the previous loss cursor's buffers, if any.
+            let mut state = match self.cursor.take().map(|c| c.state) {
+                Some(CursorState::Loss(state)) => state,
+                _ => LossState::default(),
+            };
+            evaluator.reseat_loss_state(&mut state, &mapping);
+            CursorState::Loss(state)
         } else {
             CursorState::Full
         };
@@ -1395,6 +1405,9 @@ impl<'p> OptContext<'p> {
             ev.mv(),
             ev.route()
         );
+        // Most commits do not beat the incumbent: only a new best pays
+        // for a copy of the mapping.
+        let new_best = self.beats_best(ev.score());
         let cursor = self
             .cursor
             .as_mut()
@@ -1412,13 +1425,22 @@ impl<'p> OptContext<'p> {
         // should track the placement the peeks actually score.
         cursor.reroute(evaluator, self.strategy);
         cursor.score = ev.score();
-        let mapping = cursor.mapping.clone();
         debug_assert_eq!(
-            self.direct_score(&mapping).to_bits(),
-            ev.score().to_bits(),
+            score_direct(
+                evaluator,
+                self.objective,
+                &cursor.mapping,
+                Db(f64::NEG_INFINITY),
+                &mut self.scratch.full
+            )
+            .map(f64::to_bits),
+            Some(ev.score().to_bits()),
             "committed move score diverged from a fresh evaluation"
         );
-        self.record(&mapping, ev.score());
+        if new_best {
+            let mapping = cursor.mapping.clone();
+            self.record(&mapping, ev.score());
+        }
     }
 
     /// The incumbent best, if any evaluation happened.

@@ -119,9 +119,32 @@
 //! only if no path visits a tile twice; the evaluator checks that once,
 //! when the first bounded pass builds the masks, and never probes a
 //! table that does. Evaluators that never run a bounded pass (the loss
-//! objectives score from the path table alone) never build them.
+//! objectives score from the loss table alone) never build them.
 //!
 //! [`Objective::threshold_for_score`]: crate::Objective::threshold_for_score
+//!
+//! # The loss family
+//!
+//! A loss-based objective (worst-case loss, laser power) reads one
+//! number per edge: its path's insertion loss. The evaluator keeps those
+//! in one dense `Vec<f64>` indexed like the path table (`path_db`, not a
+//! field of each path), so every loss step — the direct score
+//! ([`Evaluator::worst_case_il`]), the loss cursor's seat, peeks and
+//! commit, the full pass's per-edge losses and the certificate bound —
+//! reads a flat table instead of chasing a path per edge.
+//!
+//! Every worst-case loss is one private min-scan over that table (or the
+//! cursor's per-edge copy of it): eight independent compare-select
+//! lanes, folded at the end, so the scan runs at load speed rather than
+//! at one compare's latency per edge. Moved edges are skipped without a
+//! branch (their slot reads as a NaN, which never lowers a lane). Each
+//! lane starts at `+0.0` and keeps its value on ties, so the result is
+//! `+0.0` unless some loss is negative, and then the least loss: the
+//! bits the sequential `fold(0.0, f64::min)` gave, in any order. A peek
+//! whose moved edges do not carry the cursor's worst loss skips the
+//! scan (the worst edge stays, so its loss bounds the unmoved rest).
+//! The SNR delta takes the same scan for its worst loss and for the
+//! minimum SNR over its unaffected edges.
 //!
 //! # Reuse across problems: incremental mutation
 //!
@@ -385,9 +408,6 @@ struct PathInfo {
     tile_order: Vec<u32>,
     /// Total linear gain of the signal path.
     total_gain: f64,
-    /// Total insertion loss in dB (element + propagation + link
-    /// crossings).
-    total_db: f64,
 }
 
 /// The reusable, mapping-independent evaluation engine.
@@ -405,6 +425,10 @@ pub struct Evaluator {
     tile_count: usize,
     /// `paths[s * tile_count + d]`.
     paths: Vec<Option<PathInfo>>,
+    /// Per path, indexed like `paths`: its total insertion loss in dB
+    /// (element + propagation + link crossings; `NaN` for `s == d`).
+    /// Every loss-family step reads this dense table, not the path.
+    path_db: Vec<f64>,
     /// The victim-first probe's table, built by the first bounded pass:
     /// per path, the tiles it visits as a bitmask of `⌈tiles/64⌉` words
     /// at `idx * words..` (zero for `s == d`). The probe reads a path's
@@ -496,6 +520,7 @@ impl Evaluator {
         let prop_db_per_cm = params.propagation_loss_per_cm.0;
         let crossing_db = params.crossing_loss.0;
         let mut paths: Vec<Option<PathInfo>> = vec![None; tiles * tiles];
+        let mut path_db = vec![f64::NAN; tiles * tiles];
         for s in topology.tiles() {
             for d in topology.tiles() {
                 if s == d {
@@ -548,8 +573,8 @@ impl Evaluator {
                     hops,
                     tile_order,
                     total_gain,
-                    total_db,
                 });
+                path_db[s.0 * tiles + d.0] = total_db;
             }
         }
 
@@ -574,6 +599,7 @@ impl Evaluator {
             task_edges,
             tile_count: tiles,
             paths,
+            path_db,
             tile_masks: OnceLock::new(),
             interaction,
             row_mask,
@@ -694,7 +720,7 @@ impl Evaluator {
         scratch.to_metrics()
     }
 
-    /// The original allocating full pass, retained verbatim as a
+    /// The original allocating full pass, retained as a
     /// **reference implementation**: an independent oracle the property
     /// tests compare [`Evaluator::evaluate_into`] against bit-for-bit,
     /// and the baseline the `full_alloc_vs_scratch` bench measures the
@@ -721,17 +747,12 @@ impl Evaluator {
         let is_active = |e: usize| active.is_none_or(|a| a[e]);
 
         // Resolve each CG edge to its precomputed path.
-        let edge_paths: Vec<&PathInfo> = self
+        let edge_idx: Vec<usize> = self
             .edge_endpoints
             .iter()
-            .map(|&(s, d)| {
-                let st = mapping.tile_of_task(s).0;
-                let dt = mapping.tile_of_task(d).0;
-                self.paths[st * self.tile_count + dt]
-                    .as_ref()
-                    .expect("distinct tasks map to distinct tiles")
-            })
+            .map(|&(s, d)| mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0)
             .collect();
+        let edge_paths: Vec<&PathInfo> = edge_idx.iter().map(|&idx| self.path(idx)).collect();
 
         // Bucket (edge, hop) occupancies per tile (active edges only).
         let mut tile_hops: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.tile_count];
@@ -776,7 +797,7 @@ impl Evaluator {
             if !is_active(e) {
                 continue;
             }
-            let il = path.total_db;
+            let il = self.path_db[edge_idx[e]];
             let snr = self.snr_of(path.total_gain, noise[e]);
             worst_il = worst_il.min(il);
             worst_snr = worst_snr.min(snr);
@@ -938,7 +959,7 @@ impl Evaluator {
             let idx = st * tiles + dt;
             let path = self.path(idx);
             scratch.edge_path[e] = idx;
-            scratch.il[e] = path.total_db;
+            scratch.il[e] = self.path_db[idx];
             scratch.gain[e] = path.total_gain;
             scratch.edge_active[e] = active.is_none_or(|a| a[e]);
         }
@@ -1197,10 +1218,8 @@ impl Evaluator {
     /// distinct. Exposed for analysis and tests.
     #[must_use]
     pub fn path_loss(&self, s: usize, d: usize) -> Option<Db> {
-        self.paths
-            .get(s * self.tile_count + d)?
-            .as_ref()
-            .map(|p| Db(p.total_db))
+        let idx = s * self.tile_count + d;
+        self.paths.get(idx)?.as_ref().map(|_| Db(self.path_db[idx]))
     }
 
     /// Hop count of the precomputed `s → d` path.

@@ -164,10 +164,12 @@ impl<'a> CertificateBound<'a> {
     #[must_use]
     pub fn new(evaluator: &'a Evaluator, objective: Objective) -> CertificateBound<'a> {
         let tiles = evaluator.tile_count;
+        // `NaN` marks the `s == d` slots, which have no path.
         let mut pair_il_desc: Vec<f64> = evaluator
-            .paths
+            .path_db
             .iter()
-            .filter_map(|p| p.as_ref().map(|p| p.total_db))
+            .copied()
+            .filter(|db| !db.is_nan())
             .collect();
         pair_il_desc.sort_by(|a, b| b.total_cmp(a));
 
@@ -339,10 +341,9 @@ impl<'a> CertificateBound<'a> {
                 continue;
             }
             determined += 1;
-            let path = ev.paths[st * ev.tile_count + dt]
-                .as_ref()
-                .expect("distinct tasks map to distinct tiles");
-            self.det_min_il = self.det_min_il.min(path.total_db);
+            let idx = st * ev.tile_count + dt;
+            let path = ev.path(idx);
+            self.det_min_il = self.det_min_il.min(ev.path_db[idx]);
             self.noise[e] = 0.0;
             self.gain[e] = path.total_gain;
             self.det_edges.push(e as u32);

@@ -116,11 +116,16 @@ pub(super) struct Occ {
 /// case: all a loss-based objective scores (paper Eq. 3 reads only each
 /// edge's own path). A loss-family cursor holds just this; every
 /// [`EvalState`] embeds one, patched through the same commit.
-#[derive(Debug, Clone)]
+///
+/// `il` is each edge's entry of the evaluator's dense loss table, laid
+/// out in edge order so the worst-case scans ([`lane_min`]) read one
+/// contiguous slice. A cursor that moves to a new mapping reseats into
+/// its own buffers ([`Evaluator::reseat_loss_state`]).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LossState {
     /// Per edge: index of its current path (`src_tile * tiles + dst`).
     path_of_edge: Vec<usize>,
-    /// Per edge: insertion loss in dB (the path's `total_db`).
+    /// Per edge: insertion loss in dB (`path_db[path_of_edge[e]]`).
     il: Vec<f64>,
     worst_il: f64,
 }
@@ -464,11 +469,57 @@ impl DeltaScratch {
     }
 }
 
-/// The worst (most negative) of per-edge insertion losses, folded from
-/// `0.0` in the given order — the one loss min-scan of the seat and of
-/// [`Evaluator::worst_case_il`].
-fn worst_of_losses(losses: impl Iterator<Item = f64>) -> f64 {
-    losses.fold(0.0f64, f64::min)
+/// Independent accumulators of [`lane_min`].
+const LANES: usize = 8;
+
+/// One compare-select step of every minimum here: `x` if it is below
+/// `acc`, else `acc`. Ties keep the accumulator, as a sequential
+/// `fold(.., f64::min)` does, and so does a NaN `x`.
+#[inline(always)]
+fn lower(acc: f64, x: f64) -> f64 {
+    if x < acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// `x`, or a NaN when `skip` — which no [`lower`] step adopts: how a
+/// [`lane_min`] caller leaves an element out without a branch (a
+/// branch per element would mispredict on every moved edge).
+#[inline(always)]
+fn skip_if(skip: bool, x: f64) -> f64 {
+    f64::from_bits(x.to_bits() | u64::from(skip).wrapping_neg())
+}
+
+/// The minimum of `from` and `value(i)` for `i` in `0..n`: the one
+/// min-scan of the loss family (worst-case insertion loss) and of the
+/// SNR delta's unaffected edges. Element `i` goes to lane `i % LANES`,
+/// whose chains of [`lower`] are independent, so the scan is bound by
+/// its loads rather than by one compare's latency per element; the lanes
+/// then fold from `from`, lowest first. Callers skip elements with
+/// [`skip_if`].
+///
+/// The result equals the sequential `fold(from, f64::min)` bit for bit
+/// whenever no two compared values tie with different bits: distinct
+/// finite values have a unique minimum, and the one such tie, `+0.0`
+/// against `-0.0`, resolves to `from` when `from` is `+0.0` (no element
+/// can lower it unless negative). Insertion losses fold from `+0.0`.
+/// SNRs fold from `+∞`; a per-edge SNR is `-0.0` only under a `-0.0`
+/// SNR ceiling (`10·log10` of a positive ratio is never `-0.0`).
+#[inline(always)]
+fn lane_min(from: f64, n: usize, value: impl Fn(usize) -> f64) -> f64 {
+    let mut lanes = [from; LANES];
+    let whole = n - n % LANES;
+    for base in (0..whole).step_by(LANES) {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = lower(*lane, value(base + j));
+        }
+    }
+    for (lane, i) in lanes.iter_mut().zip(whole..n) {
+        *lane = lower(*lane, value(i));
+    }
+    lanes.into_iter().fold(from, lower)
 }
 
 impl Evaluator {
@@ -528,36 +579,48 @@ impl Evaluator {
 
     /// The loss cursor seat: per-edge paths and insertion losses plus
     /// the worst case, in `O(edges)` (see [`LossState`]). `worst_il` is
-    /// [`Evaluator::worst_case_il`]'s fold.
+    /// [`Evaluator::worst_case_il`]'s scan.
     pub(crate) fn init_loss_state(&self, mapping: &Mapping) -> LossState {
-        let path_of_edge: Vec<usize> = self.edge_paths(mapping).collect();
-        let il: Vec<f64> = path_of_edge
-            .iter()
-            .map(|&p| self.path(p).total_db)
-            .collect();
-        let worst_il = worst_of_losses(il.iter().copied());
-        LossState {
-            path_of_edge,
-            il,
-            worst_il,
-        }
+        let mut state = LossState::default();
+        self.reseat_loss_state(&mut state, mapping);
+        state
+    }
+
+    /// [`Evaluator::init_loss_state`] into a used state's buffers: the
+    /// seat a loss cursor takes when it moves to a new mapping, with no
+    /// allocation once the buffers fit the edge count.
+    pub(crate) fn reseat_loss_state(&self, state: &mut LossState, mapping: &Mapping) {
+        state.path_of_edge.clear();
+        state.path_of_edge.extend(self.edge_paths(mapping));
+        state.il.clear();
+        state
+            .il
+            .extend(state.path_of_edge.iter().map(|&p| self.path_db[p]));
+        let il = &state.il[..];
+        state.worst_il = lane_min(0.0, il.len(), |e| il[e]);
     }
 
     /// The worst-case insertion loss of `mapping` (paper Eq. 3) from
-    /// the path table alone, in `O(edges)` with no crosstalk pass — all
-    /// a loss-family objective scores. One fold from `0.0` over the
-    /// edges' path losses in edge order, the min-scan the full pass and
-    /// the loss seat run, so the result is bit-identical to
-    /// [`Evaluator::evaluate_into`]'s `worst_case_il`.
+    /// the loss table alone, in `O(edges)` with no crosstalk pass and no
+    /// allocation — all a loss-family objective scores. The loss seat's
+    /// min-scan over the edges' path losses, so the result is
+    /// bit-identical to [`Evaluator::evaluate_into`]'s `worst_case_il`.
     ///
     /// # Panics
     ///
     /// Panics if `mapping` does not match the topology.
     #[must_use]
     pub fn worst_case_il(&self, mapping: &Mapping) -> Db {
-        Db(worst_of_losses(
-            self.edge_paths(mapping).map(|p| self.path(p).total_db),
-        ))
+        assert_eq!(
+            mapping.tile_count(),
+            self.tile_count,
+            "mapping built for a different topology"
+        );
+        let ends = &self.edge_endpoints[..];
+        Db(lane_min(0.0, ends.len(), |e| {
+            let (s, d) = ends[e];
+            self.path_db[mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0]
+        }))
     }
 
     /// Per edge, in edge order: the index of its path under `mapping`
@@ -759,18 +822,25 @@ impl Evaluator {
 
     /// The exact new worst-case insertion loss after the move marked in
     /// `scratch`: the minimum over every edge, moved edges on their new
-    /// paths — the one scan both loss peeks verify with.
+    /// paths — the one scan both loss peeks, both commits and the SNR
+    /// kernel take. The unmoved edges' minimum is the old worst case
+    /// when no moved edge carries it (the worst edge stays), and
+    /// otherwise one [`lane_min`] over the losses with the moved edges
+    /// skipped; the moved edges' new losses fold in after it. Every
+    /// order gives the same bits (see [`lane_min`]).
     fn loss_worst_il(&self, state: &LossState, scratch: &DeltaScratch) -> f64 {
-        let mut worst_il = 0.0f64;
-        for e in 0..self.edge_endpoints.len() {
-            let il = if scratch.is_moved(e) {
-                self.path(scratch.new_path[e]).total_db
-            } else {
-                state.il[e]
-            };
-            worst_il = worst_il.min(il);
-        }
-        worst_il
+        let worst_moved = scratch.moved.iter().any(|&e| state.il[e] <= state.worst_il);
+        let kept = if worst_moved {
+            let n = self.edge_endpoints.len();
+            let (il, marks, epoch) = (&state.il[..n], &scratch.moved_mark[..n], scratch.epoch);
+            lane_min(0.0, n, |e| skip_if(marks[e] == epoch, il[e]))
+        } else {
+            state.worst_il
+        };
+        scratch
+            .moved
+            .iter()
+            .fold(kept, |w, &e| lower(w, self.path_db[scratch.new_path[e]]))
     }
 
     /// Bound-then-verify loss peek: scores `mv` only as far as needed to
@@ -836,7 +906,7 @@ impl Evaluator {
         let mut bound = f64::INFINITY;
         let mut worst_edge_moved = false;
         for &e in &scratch.moved {
-            bound = bound.min(self.path(scratch.new_path[e]).total_db);
+            bound = bound.min(self.path_db[scratch.new_path[e]]);
             if state.il[e] <= state.worst_il {
                 worst_edge_moved = true;
             }
@@ -1185,7 +1255,7 @@ impl Evaluator {
         for &e in &scratch.moved {
             let p = scratch.new_path[e];
             state.path_of_edge[e] = p;
-            state.il[e] = self.path(p).total_db;
+            state.il[e] = self.path_db[p];
         }
         state.worst_il = worst_il;
     }
@@ -1317,28 +1387,18 @@ impl Evaluator {
         }
     }
 
-    /// Worst-IL min-scan plus the minimum SNR over *unaffected* edges —
-    /// the structural part of every delta.
+    /// The worst-IL scan of the loss family plus the minimum SNR over
+    /// *unaffected* edges — the structural part of every delta, both
+    /// through [`lane_min`].
     fn delta_scan_il_and_unaffected_snr(
         &self,
         state: &EvalState,
         scratch: &DeltaScratch,
     ) -> (f64, f64) {
-        let edges = self.edge_endpoints.len();
-        let mut worst_il = 0.0f64;
-        let mut unaffected_snr = f64::INFINITY;
-        for e in 0..edges {
-            let il = if scratch.is_moved(e) {
-                self.path(scratch.new_path[e]).total_db
-            } else {
-                state.loss.il[e]
-            };
-            worst_il = worst_il.min(il);
-            if !scratch.is_affected(e) {
-                unaffected_snr = unaffected_snr.min(state.snr[e]);
-            }
-        }
-        (worst_il, unaffected_snr)
+        let n = self.edge_endpoints.len();
+        let (snr, marks, epoch) = (&state.snr[..n], &scratch.affected_mark[..n], scratch.epoch);
+        let unaffected_snr = lane_min(f64::INFINITY, n, |e| skip_if(marks[e] == epoch, snr[e]));
+        (self.loss_worst_il(&state.loss, scratch), unaffected_snr)
     }
 
     /// Debug-only reference: the worst SNR computed edge-by-edge with
@@ -1437,6 +1497,120 @@ mod tests {
             ev.apply_move(&mut full, &mut full_map, mv, &mut scratch);
             ev.apply_loss_move(&mut loss, &mut loss_map, mv, &mut scratch);
             assert_eq!(loss_map, full_map);
+        }
+    }
+
+    /// The path losses of a 4×4 VOPD evaluator under `params`.
+    fn path_losses(params: &PhysicalParameters) -> Vec<f64> {
+        let ev = Evaluator::new(
+            &phonoc_apps::benchmarks::vopd(),
+            &Topology::mesh(4, 4, Length::from_mm(2.5)),
+            &crux_router(),
+            &XyRouting,
+            params,
+        )
+        .unwrap();
+        ev.path_db.into_iter().filter(|db| !db.is_nan()).collect()
+    }
+
+    /// The lane kernel against the sequential fold it replaced, in every
+    /// build profile: random losses of Table I and of zero-loss
+    /// parameter sets (every loss coefficient `0.0` or `-0.0`), mixed
+    /// with drawn `0.0`s and `-0.0`s so a signed-zero tie shows, and
+    /// random moved marks skipped as the verify scan skips them, at
+    /// every length up to 40 and at 127 and 511; and from `+∞`, as the
+    /// SNR scan folds, where no `-0.0` is drawn.
+    #[test]
+    fn lane_min_matches_the_sequential_fold_bit_for_bit() {
+        use rand::Rng;
+        let mut pool = path_losses(&PhysicalParameters::default());
+        for zero in [0.0, -0.0] {
+            for odd in [0.0, -0.0] {
+                let params = PhysicalParameters::builder()
+                    .crossing_loss(Db(zero))
+                    .propagation_loss_per_cm(Db(odd))
+                    .ppse_off_loss(Db(zero))
+                    .ppse_on_loss(Db(odd))
+                    .cpse_off_loss(Db(zero))
+                    .cpse_on_loss(Db(odd))
+                    .build();
+                pool.extend(path_losses(&params));
+            }
+        }
+        // Zero-loss tables sum to `+0.0`; `-0.0` is drawn directly.
+        let bits = |x: f64| x.to_bits();
+        assert!(pool.iter().any(|&x| bits(x) == bits(0.0)));
+        let mut rng = StdRng::seed_from_u64(0x1A2E);
+        let epoch = 7u32;
+        for n in (0..=40).chain([127, 511]) {
+            for round in 0..64 {
+                // Early rounds draw mostly zeros, where a tie shows.
+                let zeros = round < 16;
+                let losses: Vec<f64> = (0..n)
+                    .map(|_| match zeros {
+                        true if rng.gen_bool(0.9) => [0.0, -0.0][rng.gen_range(0..2usize)],
+                        _ => pool[rng.gen_range(0..pool.len())],
+                    })
+                    .collect();
+                let marks: Vec<u32> = (0..n)
+                    .map(|_| if rng.gen_bool(0.25) { epoch } else { 0 })
+                    .collect();
+                let fold = losses
+                    .iter()
+                    .zip(&marks)
+                    .filter(|&(_, &m)| m != epoch)
+                    .map(|(&x, _)| x)
+                    .fold(0.0, f64::min);
+                let lanes = lane_min(0.0, n, |e| skip_if(marks[e] == epoch, losses[e]));
+                assert_eq!(bits(lanes), bits(fold), "{losses:?} skipping {marks:?}");
+                let all = lane_min(0.0, n, |e| losses[e]);
+                assert_eq!(bits(all), bits(losses.iter().copied().fold(0.0, f64::min)));
+                if !zeros {
+                    // From `+∞` (the SNR scan), with no `-0.0` to tie.
+                    let inf = f64::INFINITY;
+                    let kept = losses.iter().zip(&marks).filter(|&(_, &m)| m != epoch);
+                    let fold = kept.map(|(&x, _)| x).fold(inf, f64::min);
+                    let lanes = lane_min(inf, n, |e| skip_if(marks[e] == epoch, losses[e]));
+                    assert_eq!(bits(lanes), bits(fold), "from +inf: {losses:?}");
+                }
+            }
+        }
+    }
+
+    /// A loss cursor reseated into a used state's buffers is the state a
+    /// fresh seat builds: paths, losses and worst-loss bits, also when
+    /// the buffers come from a problem with more edges.
+    #[test]
+    fn reseating_a_used_loss_state_equals_a_fresh_seat() {
+        let dvopd = Evaluator::new(
+            &phonoc_apps::benchmarks::dvopd(),
+            &Topology::mesh(6, 6, Length::from_mm(2.5)),
+            &crux_router(),
+            &XyRouting,
+            &PhysicalParameters::default(),
+        )
+        .unwrap();
+        let ev = vopd();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut scratch = DeltaScratch::default();
+        let mut used_map = Mapping::random(32, 36, &mut rng);
+        let mut state = dvopd.init_loss_state(&used_map);
+        for (evaluator, tasks, tiles) in [(&dvopd, 32, 36), (&ev, 16, 25), (&ev, 16, 25)] {
+            for _ in 0..20 {
+                let target = Mapping::random(tasks, tiles, &mut rng);
+                evaluator.reseat_loss_state(&mut state, &target);
+                let fresh = evaluator.init_loss_state(&target);
+                assert_eq!(state.path_of_edge, fresh.path_of_edge);
+                let bits = |il: &[f64]| il.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&state.il), bits(&fresh.il));
+                assert_eq!(state.worst_il.to_bits(), fresh.worst_il.to_bits());
+                // Use the buffers before the next reseat.
+                used_map = target;
+                for _ in 0..5 {
+                    let mv = used_map.random_swap_move(&mut rng);
+                    evaluator.apply_loss_move(&mut state, &mut used_map, mv, &mut scratch);
+                }
+            }
         }
     }
 
