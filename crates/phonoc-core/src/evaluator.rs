@@ -151,7 +151,9 @@
 //! The precomputed tables split along what they depend on. The
 //! tile-pair paths, prefix/suffix gains and the 25×25 interaction
 //! matrix depend only on *(topology, router, routing, physical
-//! parameters)*; the edge-indexed caches (`edge_endpoints`, the
+//! parameters)*, and are shared behind one handle ([`ScoreTables`],
+//! whose fingerprint, folded while [`Evaluator::new`] builds them, keys
+//! the warm cache); the edge-indexed caches (`edge_endpoints`, the
 //! per-task adjacency) depend only on the *CG*. Request streams that
 //! mutate the CG — a traffic phase re-weighting edges, a workload
 //! change adding or dropping a communication — therefore patch the
@@ -184,11 +186,11 @@ mod delta;
 pub(crate) use delta::LossState;
 pub use delta::{BoundedDelta, BoundedLossDelta, DeltaScratch, EvalState, ScoreDelta};
 use phonoc_apps::CommunicationGraph;
-use phonoc_phys::{Db, LinearGain, PhysicalParameters};
+use phonoc_phys::{Db, PhysicalParameters};
 use phonoc_route::RoutingAlgorithm;
 use phonoc_router::{PortPair, RouterModel};
 use phonoc_topo::Topology;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Per-communication evaluation result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -386,7 +388,7 @@ struct ProbeBuffers {
 
 /// One hop of a precomputed path, with everything the noise accumulation
 /// needs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct HopInfo {
     /// Tile index of the router.
     tile: usize,
@@ -399,7 +401,7 @@ struct HopInfo {
 }
 
 /// A precomputed source→destination path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct PathInfo {
     hops: Vec<HopInfo>,
     /// Hop indices sorted ascending by `(tile, hop index)` — the order
@@ -408,6 +410,64 @@ struct PathInfo {
     tile_order: Vec<u32>,
     /// Total linear gain of the signal path.
     total_gain: f64,
+}
+
+/// The tables every score reads, behind one shared handle: each
+/// tile-pair path, the dense path loss table, the 25×25 coupling matrix
+/// and the SNR ceiling. Problems with equal tables score every mapping
+/// alike, whatever built them, so the warm cache keys a problem's
+/// architecture and physics by their [`fingerprint`](Self::fingerprint).
+/// Only [`Evaluator::new`] makes one, and nothing changes it after.
+#[derive(Debug, Clone)]
+pub struct ScoreTables {
+    /// `paths[s * tile_count + d]`.
+    paths: Arc<[Option<PathInfo>]>,
+    /// Per path, indexed like `paths`: its total insertion loss in dB
+    /// (element + propagation + link crossings; `NaN` for `s == d`).
+    /// Every loss-family step reads this dense table, not the path.
+    path_db: Arc<[f64]>,
+    /// 25×25 linear interaction gains.
+    interaction: Arc<[[f64; 25]; 25]>,
+    /// Ceiling reported when a path collects zero noise.
+    snr_ceiling: Db,
+    /// A word fold over the bits above, taken while they were built.
+    fingerprint: u64,
+}
+
+impl ScoreTables {
+    /// A deterministic hash of the tables: equal tables give equal
+    /// fingerprints.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+impl PartialEq for ScoreTables {
+    /// Equal bit for bit; each shared table (a clone of the same build's
+    /// handle) is equal by pointer without a walk. `path_db` compares
+    /// bits (its `s == d` slots are NaN); the rest compare by value,
+    /// which is bit equality there: gains and couplings are never NaN or
+    /// `-0.0`, and the ceiling is validated finite and positive.
+    fn eq(&self, other: &ScoreTables) -> bool {
+        let bits = |db: &f64| db.to_bits();
+        let (a, b) = (self, other);
+        a.fingerprint == b.fingerprint
+            && a.snr_ceiling == b.snr_ceiling
+            && (Arc::ptr_eq(&a.interaction, &b.interaction) || a.interaction == b.interaction)
+            && (Arc::ptr_eq(&a.path_db, &b.path_db)
+                || a.path_db.iter().map(bits).eq(b.path_db.iter().map(bits)))
+            && (Arc::ptr_eq(&a.paths, &b.paths) || a.paths == b.paths)
+    }
+}
+
+/// One step of the tables' fingerprint, FxHash's word step. For a fixed
+/// word each step is a bijection of the state, so two equally long
+/// word streams that differ in one word always end apart.
+fn fold(state: u64, words: &[u64]) -> u64 {
+    words.iter().fold(state, |h, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    })
 }
 
 /// The reusable, mapping-independent evaluation engine.
@@ -423,12 +483,8 @@ pub struct Evaluator {
     /// to task `t` (ascending). A move perturbs exactly these edges.
     task_edges: Vec<Vec<usize>>,
     tile_count: usize,
-    /// `paths[s * tile_count + d]`.
-    paths: Vec<Option<PathInfo>>,
-    /// Per path, indexed like `paths`: its total insertion loss in dB
-    /// (element + propagation + link crossings; `NaN` for `s == d`).
-    /// Every loss-family step reads this dense table, not the path.
-    path_db: Vec<f64>,
+    /// The tables every score reads.
+    tables: ScoreTables,
     /// The victim-first probe's table, built by the first bounded pass:
     /// per path, the tiles it visits as a bitmask of `⌈tiles/64⌉` words
     /// at `idx * words..` (zero for `s == d`). The probe reads a path's
@@ -436,16 +492,12 @@ pub struct Evaluator {
     /// `None` when some path visits a tile twice, and such a table is
     /// never probed.
     tile_masks: OnceLock<Option<Vec<u64>>>,
-    /// 25×25 linear interaction gains.
-    interaction: [[f64; 25]; 25],
     /// Bit `a` of `row_mask[v]` set iff `interaction[v][a] > 0`: the
     /// one coupling table. The full pass tests it against a router's
     /// present-pairs mask to skip victims that cannot collect noise
     /// there (an exact `+0.0` either way, so skipping is bit-exact);
     /// the incremental path's victim marking reads single bits.
     row_mask: [u32; 25],
-    /// Ceiling reported when a path collects zero noise.
-    snr_ceiling: Db,
     /// The most hops any tile-pair path has: the row stride of an
     /// [`EvalState`]'s per-(edge, hop) accumulation table. It depends
     /// only on the path table, so CG mutations leave it unchanged.
@@ -507,9 +559,12 @@ impl Evaluator {
         let interaction = router
             .interaction_matrix(params)
             .map(|row| row.map(|g| g.0));
+        // The tables' fingerprint, folded over each bit as it is made.
+        let mut fp = fold(0, &[params.snr_ceiling.0.to_bits()]);
         let mut row_mask = [0u32; 25];
         for (mask, row) in row_mask.iter_mut().zip(&interaction) {
             for (a, &g) in row.iter().enumerate() {
+                fp = fold(fp, &[g.to_bits()]);
                 if g > 0.0 {
                     *mask |= 1 << a;
                 }
@@ -554,15 +609,19 @@ impl Evaluator {
                 // suffix[i]: gain from exit of hop i to the detector.
                 let mut hops = Vec::with_capacity(h);
                 let mut prefix_db = 0.0;
+                fp = fold(fp, &[h as u64, total_db.to_bits(), total_gain.to_bits()]);
                 for i in 0..h {
                     let after_db: f64 = prefix_db + router_db[i].1;
                     let suffix_db = total_db - after_db;
-                    hops.push(HopInfo {
+                    let hop = HopInfo {
                         tile: net_path.hops[i].tile.0,
                         pair: router_db[i].0,
                         prefix: 10f64.powf(prefix_db / 10.0),
                         suffix: 10f64.powf(suffix_db / 10.0),
-                    });
+                    };
+                    let place = hop.tile as u64 | (hop.pair as u64) << 32;
+                    fp = fold(fp, &[place, hop.prefix.to_bits(), hop.suffix.to_bits()]);
+                    hops.push(hop);
                     if i < h - 1 {
                         prefix_db = after_db + link_db[i];
                     }
@@ -598,12 +657,15 @@ impl Evaluator {
             edge_endpoints,
             task_edges,
             tile_count: tiles,
-            paths,
-            path_db,
+            tables: ScoreTables {
+                paths: paths.into(),
+                path_db: path_db.into(),
+                interaction: Arc::new(interaction),
+                snr_ceiling: params.snr_ceiling,
+                fingerprint: fp,
+            },
             tile_masks: OnceLock::new(),
-            interaction,
             row_mask,
-            snr_ceiling: params.snr_ceiling,
             max_hops,
         })
     }
@@ -774,7 +836,7 @@ impl Evaluator {
             for &(ve, vh) in hops_here {
                 let victim = edge_paths[ve].hops[vh];
                 let v_src = self.edge_endpoints[ve].0;
-                let row = &self.interaction[victim.pair];
+                let row = &self.tables.interaction[victim.pair];
                 let mut acc = 0.0;
                 for &(ae, ah) in hops_here {
                     if ae == ve || self.edge_endpoints[ae].0 == v_src {
@@ -797,7 +859,7 @@ impl Evaluator {
             if !is_active(e) {
                 continue;
             }
-            let il = self.path_db[edge_idx[e]];
+            let il = self.tables.path_db[edge_idx[e]];
             let snr = self.snr_of(path.total_gain, noise[e]);
             worst_il = worst_il.min(il);
             worst_snr = worst_snr.min(snr);
@@ -808,7 +870,7 @@ impl Evaluator {
             });
         }
         if edges.is_empty() {
-            worst_snr = self.snr_ceiling.0;
+            worst_snr = self.tables.snr_ceiling.0;
         }
         NetworkMetrics {
             edges,
@@ -889,7 +951,7 @@ impl Evaluator {
     /// dev host) is a sizeable share of a small grid's pass, so the
     /// last result is kept on `scratch`.
     fn ratio_cutoff(&self, threshold: f64, scratch: &mut EvalScratch) -> f64 {
-        let ceiling = self.snr_ceiling.0;
+        let ceiling = self.tables.snr_ceiling.0;
         if let Some((t, c, r)) = scratch.cutoff {
             if t == threshold && c == ceiling {
                 return r;
@@ -949,7 +1011,7 @@ impl Evaluator {
         let tiles = self.tile_count;
         scratch.prepare(edges, tiles);
         scratch.edges = edges;
-        scratch.ceiling = self.snr_ceiling.0;
+        scratch.ceiling = self.tables.snr_ceiling.0;
 
         // Resolve each CG edge to its precomputed path; latch activity
         // and the path's IL/gain.
@@ -959,7 +1021,7 @@ impl Evaluator {
             let idx = st * tiles + dt;
             let path = self.path(idx);
             scratch.edge_path[e] = idx;
-            scratch.il[e] = self.path_db[idx];
+            scratch.il[e] = self.tables.path_db[idx];
             scratch.gain[e] = path.total_gain;
             scratch.edge_active[e] = active.is_none_or(|a| a[e]);
         }
@@ -1096,13 +1158,13 @@ impl Evaluator {
             }
         }
         let worst_snr = if !any_active {
-            self.snr_ceiling.0
+            self.tables.snr_ceiling.0
         } else if min_ratio.is_finite() {
-            (10.0 * min_ratio.log10()).min(self.snr_ceiling.0)
+            (10.0 * min_ratio.log10()).min(self.tables.snr_ceiling.0)
         } else {
             // Every active edge is noise-free: all SNRs sit at the
             // ceiling.
-            self.snr_ceiling.0
+            self.tables.snr_ceiling.0
         };
         scratch.worst_il = worst_il;
         scratch.worst_snr = worst_snr;
@@ -1115,7 +1177,7 @@ impl Evaluator {
                     if any_active {
                         f64::INFINITY
                     } else {
-                        self.snr_ceiling.0
+                        self.tables.snr_ceiling.0
                     },
                     f64::min
                 ),
@@ -1133,7 +1195,7 @@ impl Evaluator {
         let build = || {
             let (tiles, words) = (self.tile_count, self.tile_count.div_ceil(64));
             let mut masks = vec![0u64; tiles * tiles * words];
-            for (idx, path) in self.paths.iter().enumerate() {
+            for (idx, path) in self.tables.paths.iter().enumerate() {
                 let mask = &mut masks[idx * words..(idx + 1) * words];
                 for hop in path.iter().flat_map(|p| &p.hops) {
                     let (word, bit) = (hop.tile / 64, 1u64 << (hop.tile % 64));
@@ -1200,7 +1262,7 @@ impl Evaluator {
                     let ai = a_rank + (aw & below).count_ones() as usize;
                     let vh = &victim.hops[victim.tile_order[vi] as usize];
                     let ah = &aggressor.hops[aggressor.tile_order[ai] as usize];
-                    acc[vi] += ah.prefix * self.interaction[vh.pair][ah.pair];
+                    acc[vi] += ah.prefix * self.tables.interaction[vh.pair][ah.pair];
                     shared &= shared - 1;
                 }
                 v_rank += vw.count_ones() as usize;
@@ -1219,29 +1281,30 @@ impl Evaluator {
     #[must_use]
     pub fn path_loss(&self, s: usize, d: usize) -> Option<Db> {
         let idx = s * self.tile_count + d;
-        self.paths.get(idx)?.as_ref().map(|_| Db(self.path_db[idx]))
+        let t = &self.tables;
+        t.paths.get(idx)?.as_ref().map(|_| Db(t.path_db[idx]))
     }
 
     /// Hop count of the precomputed `s → d` path.
     #[must_use]
     pub fn path_hops(&self, s: usize, d: usize) -> Option<usize> {
-        self.paths
+        self.tables
+            .paths
             .get(s * self.tile_count + d)?
             .as_ref()
             .map(|p| p.hops.len())
     }
 
+    /// The tables every score reads (see [`ScoreTables`]).
+    #[must_use]
+    pub fn tables(&self) -> &ScoreTables {
+        &self.tables
+    }
+
     /// The configured SNR ceiling (reported when a path is noise-free).
     #[must_use]
     pub fn snr_ceiling(&self) -> Db {
-        self.snr_ceiling
-    }
-
-    /// Total interaction gain between two port pairs in the underlying
-    /// router (test/analysis hook).
-    #[must_use]
-    pub fn interaction(&self, victim: PortPair, aggressor: PortPair) -> LinearGain {
-        LinearGain(self.interaction[victim.index()][aggressor.index()])
+        self.tables.snr_ceiling
     }
 }
 
@@ -1311,7 +1374,7 @@ mod tests {
             for v in PortPair::all() {
                 for a in PortPair::all() {
                     assert_eq!(
-                        ev.interaction(v, a).0.to_bits(),
+                        ev.tables.interaction[v.index()][a.index()].to_bits(),
                         matrix[v.index()][a.index()].0.to_bits(),
                         "{}: {v} <- {a}",
                         router.name()
@@ -1481,6 +1544,81 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("65536"));
+    }
+
+    #[test]
+    fn score_tables_are_equal_by_pointer_or_bit_for_bit() {
+        use phonoc_router::crossbar::crossbar_router;
+        use phonoc_router::Port;
+        use phonoc_topo::TopologyBuilder;
+        let cg = two_task_cg();
+        let build = |topo: &Topology, router: &RouterModel, params: &PhysicalParameters| {
+            Evaluator::new(&cg, topo, router, &XyRouting, params)
+                .unwrap()
+                .tables()
+                .clone()
+        };
+        let table1 = PhysicalParameters::default();
+        let chain = |second: Length| {
+            TopologyBuilder::new(3, 1)
+                .connect((0, 0), (1, 0), Port::East, pitch(), 0)
+                .connect((1, 0), (2, 0), Port::East, second, 0)
+                .build()
+                .unwrap()
+        };
+        let base = build(&chain(pitch()), &crux_router(), &table1);
+
+        // A handle equals its clone by pointer.
+        let shared = |a: &ScoreTables, b: &ScoreTables| {
+            Arc::ptr_eq(&a.paths, &b.paths)
+                && Arc::ptr_eq(&a.path_db, &b.path_db)
+                && Arc::ptr_eq(&a.interaction, &b.interaction)
+        };
+        let clone = base.clone();
+        assert!(shared(&clone, &base));
+        assert_eq!(clone, base);
+
+        // Identical inputs, built twice: bit-equal, not pointer-equal. A
+        // builder chain and the 3×1 mesh lay the same links, so their
+        // tables are equal too, whatever the topology's kind.
+        for rebuilt in [
+            build(&chain(pitch()), &crux_router(), &table1),
+            build(&Topology::mesh(3, 1, pitch()), &crux_router(), &table1),
+        ] {
+            assert!(!Arc::ptr_eq(&rebuilt.paths, &base.paths));
+            assert!(!Arc::ptr_eq(&rebuilt.path_db, &base.path_db));
+            assert_eq!(rebuilt, base);
+            assert_eq!(rebuilt.fingerprint(), base.fingerprint());
+        }
+
+        // One coupling changed: unequal, even under the same
+        // fingerprint (as a hash collision would leave it).
+        let mut interaction = *base.interaction;
+        interaction[3][7] += 1e-6;
+        let recoupled = ScoreTables {
+            interaction: Arc::new(interaction),
+            ..base.clone()
+        };
+        assert_ne!(recoupled, base);
+
+        // Equal fingerprints come from equal tables, and unequal tables
+        // (one link length, a router, a loss coefficient) fold apart.
+        let lossier = PhysicalParameters::builder()
+            .crossing_loss(Db(-0.05))
+            .build();
+        let variants = [
+            base.clone(),
+            build(&chain(pitch() * 2.0), &crux_router(), &table1),
+            build(&chain(pitch()), &crossbar_router(), &table1),
+            build(&chain(pitch()), &crux_router(), &lossier),
+            build(&chain(pitch()), &crux_router(), &table1),
+        ];
+        for (i, a) in variants.iter().enumerate() {
+            for b in &variants[i + 1..] {
+                assert_eq!(a.fingerprint() == b.fingerprint(), a == b);
+            }
+        }
+        assert_ne!(variants[1], base, "one link length");
     }
 
     #[test]

@@ -166,6 +166,7 @@ impl<'a> CertificateBound<'a> {
         let tiles = evaluator.tile_count;
         // `NaN` marks the `s == d` slots, which have no path.
         let mut pair_il_desc: Vec<f64> = evaluator
+            .tables
             .path_db
             .iter()
             .copied()
@@ -235,7 +236,7 @@ impl<'a> CertificateBound<'a> {
     /// collected so far (relaxed — see the module docs), clamped to
     /// the evaluator's ceiling.
     fn snr_ub(&self) -> f64 {
-        let ceiling = self.ev.snr_ceiling.0;
+        let ceiling = self.ev.tables.snr_ceiling.0;
         let mut min_ratio = f64::INFINITY;
         for &e in &self.det_edges {
             let e = e as usize;
@@ -258,7 +259,7 @@ impl<'a> CertificateBound<'a> {
         let src = self.ev.edge_endpoints[e].0;
         for hop in &path.hops {
             let mut acc = 0.0;
-            let row = &self.ev.interaction[hop.pair];
+            let row = &self.ev.tables.interaction[hop.pair];
             for o in &self.tile_occ[hop.tile] {
                 if o.edge as usize == e || o.src as usize == src {
                     continue;
@@ -269,7 +270,7 @@ impl<'a> CertificateBound<'a> {
                     acc += o.prefix * k;
                 }
                 // … and the new edge aggresses the occupant.
-                let k = self.ev.interaction[o.pair as usize][hop.pair];
+                let k = self.ev.tables.interaction[o.pair as usize][hop.pair];
                 if k > 0.0 {
                     let victim = o.edge as usize;
                     self.undo.push((o.edge, self.noise[victim]));
@@ -343,7 +344,7 @@ impl<'a> CertificateBound<'a> {
             determined += 1;
             let idx = st * ev.tile_count + dt;
             let path = ev.path(idx);
-            self.det_min_il = self.det_min_il.min(ev.path_db[idx]);
+            self.det_min_il = self.det_min_il.min(ev.tables.path_db[idx]);
             self.noise[e] = 0.0;
             self.gain[e] = path.total_gain;
             self.det_edges.push(e as u32);

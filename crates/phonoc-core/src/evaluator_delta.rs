@@ -505,8 +505,8 @@ fn skip_if(skip: bool, x: f64) -> f64 {
 /// finite values have a unique minimum, and the one such tie, `+0.0`
 /// against `-0.0`, resolves to `from` when `from` is `+0.0` (no element
 /// can lower it unless negative). Insertion losses fold from `+0.0`.
-/// SNRs fold from `+∞`; a per-edge SNR is `-0.0` only under a `-0.0`
-/// SNR ceiling (`10·log10` of a positive ratio is never `-0.0`).
+/// SNRs fold from `+∞` and are never `-0.0` (`10·log10` of a positive
+/// ratio is not, and the SNR ceiling is validated positive).
 #[inline(always)]
 fn lane_min(from: f64, n: usize, value: impl Fn(usize) -> f64) -> f64 {
     let mut lanes = [from; LANES];
@@ -595,7 +595,7 @@ impl Evaluator {
         state.il.clear();
         state
             .il
-            .extend(state.path_of_edge.iter().map(|&p| self.path_db[p]));
+            .extend(state.path_of_edge.iter().map(|&p| self.tables.path_db[p]));
         let il = &state.il[..];
         state.worst_il = lane_min(0.0, il.len(), |e| il[e]);
     }
@@ -619,7 +619,8 @@ impl Evaluator {
         let ends = &self.edge_endpoints[..];
         Db(lane_min(0.0, ends.len(), |e| {
             let (s, d) = ends[e];
-            self.path_db[mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0]
+            self.tables.path_db
+                [mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0]
         }))
     }
 
@@ -644,7 +645,7 @@ impl Evaluator {
     }
 
     pub(super) fn path(&self, idx: usize) -> &PathInfo {
-        self.paths[idx]
+        self.tables.paths[idx]
             .as_ref()
             .expect("distinct tasks map to distinct tiles")
     }
@@ -655,9 +656,9 @@ impl Evaluator {
         let snr = if noise > 0.0 {
             10.0 * (total_gain / noise).log10()
         } else {
-            self.snr_ceiling.0
+            self.tables.snr_ceiling.0
         };
-        snr.min(self.snr_ceiling.0)
+        snr.min(self.tables.snr_ceiling.0)
     }
 
     /// Whether aggressor edge `ae` (port pair `a_pair`) contributes
@@ -696,7 +697,7 @@ impl Evaluator {
         v_src: u16,
         hops_here: &[Occ],
     ) -> f64 {
-        let row = &self.interaction[v_pair as usize];
+        let row = &self.tables.interaction[v_pair as usize];
         let mut acc = 0.0;
         for occ in hops_here {
             let excluded = (occ.edge == ve) | (occ.src == v_src);
@@ -837,10 +838,9 @@ impl Evaluator {
         } else {
             state.worst_il
         };
-        scratch
-            .moved
-            .iter()
-            .fold(kept, |w, &e| lower(w, self.path_db[scratch.new_path[e]]))
+        scratch.moved.iter().fold(kept, |w, &e| {
+            lower(w, self.tables.path_db[scratch.new_path[e]])
+        })
     }
 
     /// Bound-then-verify loss peek: scores `mv` only as far as needed to
@@ -906,7 +906,7 @@ impl Evaluator {
         let mut bound = f64::INFINITY;
         let mut worst_edge_moved = false;
         for &e in &scratch.moved {
-            bound = bound.min(self.path_db[scratch.new_path[e]]);
+            bound = bound.min(self.tables.path_db[scratch.new_path[e]]);
             if state.il[e] <= state.worst_il {
                 worst_edge_moved = true;
             }
@@ -1049,7 +1049,7 @@ impl Evaluator {
                     min_ratio = min_ratio.min(ratio);
                 } else if ratio < min_ratio {
                     min_ratio = ratio;
-                    let affected_snr = (10.0 * min_ratio.log10()).min(self.snr_ceiling.0);
+                    let affected_snr = (10.0 * min_ratio.log10()).min(self.tables.snr_ceiling.0);
                     if affected_snr <= threshold {
                         return BoundedDelta::Rejected {
                             bound: Db(unaffected_snr.min(affected_snr)),
@@ -1066,9 +1066,9 @@ impl Evaluator {
         // gain/noise, so the minimum affected SNR is attained at the
         // minimum ratio; noise-free victims sit at the ceiling.
         let affected_snr = if min_ratio.is_finite() {
-            (10.0 * min_ratio.log10()).min(self.snr_ceiling.0)
+            (10.0 * min_ratio.log10()).min(self.tables.snr_ceiling.0)
         } else if any_noise_free {
-            self.snr_ceiling.0
+            self.tables.snr_ceiling.0
         } else {
             f64::INFINITY
         };
@@ -1255,7 +1255,7 @@ impl Evaluator {
         for &e in &scratch.moved {
             let p = scratch.new_path[e];
             state.path_of_edge[e] = p;
-            state.il[e] = self.path_db[p];
+            state.il[e] = self.tables.path_db[p];
         }
         state.worst_il = worst_il;
     }
@@ -1421,7 +1421,7 @@ impl Evaluator {
             worst = worst.min(snr);
         }
         if edges == 0 {
-            worst = self.snr_ceiling.0;
+            worst = self.tables.snr_ceiling.0;
         }
         worst
     }
@@ -1510,7 +1510,12 @@ mod tests {
             params,
         )
         .unwrap();
-        ev.path_db.into_iter().filter(|db| !db.is_nan()).collect()
+        ev.tables
+            .path_db
+            .iter()
+            .copied()
+            .filter(|db| !db.is_nan())
+            .collect()
     }
 
     /// The lane kernel against the sequential fold it replaced, in every

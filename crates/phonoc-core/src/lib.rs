@@ -138,7 +138,7 @@ pub use error::CoreError;
 pub use evaluator::bound::CertificateBound;
 pub use evaluator::{
     BoundedDelta, BoundedLossDelta, DeltaScratch, EdgeMetrics, EvalScratch, EvalState, EvalSummary,
-    Evaluator, NetworkMetrics, ScoreDelta,
+    Evaluator, NetworkMetrics, ScoreDelta, ScoreTables,
 };
 pub use mapping::{Mapping, Move};
 pub use montecarlo::{activity_study, ActivityStudy};

@@ -580,4 +580,23 @@ mod tests {
             "SNR margin (ook)"
         );
     }
+
+    #[test]
+    fn a_nan_snr_ceiling_is_rejected_up_front() {
+        let err = MappingProblem::new(
+            phonoc_apps::benchmarks::pip(),
+            Topology::mesh(3, 3, Length::from_mm(2.5)),
+            crux_router(),
+            Box::new(XyRouting),
+            PhysicalParameters::builder()
+                .snr_ceiling(Db(f64::NAN))
+                .build(),
+            Objective::MaximizeWorstCaseSnr,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::BadParameters(msg) if msg.contains("snr_ceiling")),
+            "got {err}"
+        );
+    }
 }

@@ -7,10 +7,11 @@
 //! adding one communication. Every such request today pays full
 //! cold-start cost. [`WarmCache`] closes the loop:
 //!
-//! * **Exact hit** — the request's canonical key equals a stored one:
-//!   the cached [`PortfolioResult`] is returned verbatim with **zero**
-//!   optimizer evaluations. Results are deterministic per key, so the
-//!   cached result is bit-identical to what re-running would produce.
+//! * **Exact hit** — the request's canonical key equals a stored one,
+//!   on equal tables (see below): the cached [`PortfolioResult`] is
+//!   returned verbatim with **zero** optimizer evaluations. Results are
+//!   deterministic per key, so the cached result is bit-identical to
+//!   what re-running would produce.
 //! * **Near hit** — no exact match, but a stored request shares the
 //!   *family* (architecture + physics + objective + task count): the
 //!   best-overlapping neighbour's elite mapping seeds every round-0
@@ -34,19 +35,30 @@
 //!   different orders key identically (per-edge worst cases do not
 //!   depend on list position). Weights enter via [`f64::to_bits`]:
 //!   exact bit equality, no epsilon.
-//! * **Family** ([`FamilyKey`]) — the architecture half: topology kind
-//!   and dimensions, every link (endpoints, ports, length bits,
-//!   crossings), router identity (each supported pair's loss bits and
-//!   each nonzero coupling-matrix entry's bits under the problem's
-//!   parameters, not the router's name), routing name, all physical
-//!   parameters (bit patterns), task and tile counts, objective.
+//! * **Family** ([`FamilyKey`]) — the architecture half: the
+//!   fingerprint of the evaluator's [`ScoreTables`] (paths, path
+//!   losses, couplings, SNR ceiling: all any score reads), the grid's
+//!   width and height (the locality neighbourhood reads tile
+//!   coordinates), the task count and the objective. Topology, router,
+//!   routing and physics enter only through the tables, never by name:
+//!   a routing that calls itself `xy` but routes differently keys apart.
 //! * **Run parameters** — canonical portfolio spec string, budget,
 //!   seed.
 //!
-//! Equality is exact structural equality (`derive(PartialEq, Eq,
-//! Hash)` over integer bit patterns — no floating-point comparison),
-//! so keys collide **only** for canonically-equal requests
-//! (property-tested in `tests/warm_properties.rs`).
+//! Left out on purpose: parameters no score reads (laser power,
+//! detector sensitivity, nonlinearity threshold), so requests differing
+//! only there share their bit-identical results; and the table bits,
+//! since every problem of a stream builds its own copy of one
+//! architecture's tables and family lookups would stream megabytes.
+//!
+//! Keys are integers compared exactly, so they collide for
+//! canonically-equal requests and on a fingerprint hash collision.
+//! Exactness comes from the tables: each entry shares the tables it was
+//! solved on, and an exact hit needs them equal to the request's, by
+//! pointer (the same problem) or bit for bit (a rebuilt one); a key hit
+//! on other tables runs as a near hit. A colliding family only picks a
+//! near-hit donor, of the right shape (property-tested in
+//! `tests/warm_properties.rs`).
 //!
 //! # Telemetry
 //!
@@ -67,37 +79,21 @@
 
 use crate::portfolio::{run_portfolio_seeded_traced, PortfolioResult, PortfolioSpec};
 use phonoc_core::{
-    Mapping, MappingProblem, NullSink, Objective, TraceEvent, TraceSink, WarmOutcome,
+    Mapping, MappingProblem, NullSink, Objective, ScoreTables, TraceEvent, TraceSink, WarmOutcome,
 };
-use phonoc_phys::PhysicalParameters;
-use phonoc_router::PortPair;
 use std::collections::HashMap;
 
 /// The architecture-and-physics half of a request's identity: what has
 /// to match for one request's elite mapping to be a *meaningful* start
-/// for another (same tile grid, same loss/crosstalk landscape, same
-/// task count so mappings are shape-compatible). Edge structure is
-/// deliberately excluded — that is exactly what near-hit requests
+/// for another (same tables, same grid and task count). Edge structure
+/// is deliberately excluded — that is exactly what near-hit requests
 /// differ in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FamilyKey {
-    topo_kind: String,
+    /// [`ScoreTables::fingerprint`] of the problem's evaluator.
+    fingerprint: u64,
     width: usize,
     height: usize,
-    /// Every link: (from, to, from_port, to_port, length-bits,
-    /// crossings).
-    links: Vec<(usize, usize, usize, usize, u64, usize)>,
-    /// Router identity is what the evaluator reads from the router
-    /// under the problem's parameters, so two netlists that agree here
-    /// score every mapping alike, whatever their names. First each
-    /// supported pair's `(index, loss-bits)`.
-    router_losses: Vec<(usize, u64)>,
-    /// Then each nonzero coupling-matrix entry's
-    /// `(victim · 25 + aggressor, gain-bits)`.
-    router_couplings: Vec<(usize, u64)>,
-    routing: String,
-    /// Bit patterns of every physical parameter, in declaration order.
-    params: Vec<u64>,
     tasks: usize,
     objective: Objective,
 }
@@ -107,77 +103,10 @@ impl FamilyKey {
     #[must_use]
     pub fn of(problem: &MappingProblem) -> FamilyKey {
         let topo = problem.topology();
-        let router = problem.router();
-        // Exhaustive, so a parameter added later cannot fall out of the
-        // key (two requests with different physics would hit each
-        // other).
-        let PhysicalParameters {
-            crossing_loss,
-            propagation_loss_per_cm,
-            ppse_off_loss,
-            ppse_on_loss,
-            cpse_off_loss,
-            cpse_on_loss,
-            crossing_crosstalk,
-            pse_off_crosstalk,
-            pse_on_crosstalk,
-            laser_power,
-            detector_sensitivity,
-            nonlinearity_threshold,
-            snr_ceiling,
-        } = *problem.params();
-        let router_losses = PortPair::all()
-            .filter_map(|pair| {
-                let loss = router.traversal_loss(pair, problem.params())?;
-                Some((pair.index(), loss.0.to_bits()))
-            })
-            .collect();
-        let evaluator = problem.evaluator();
-        let mut router_couplings = Vec::new();
-        for v in PortPair::all() {
-            for a in PortPair::all() {
-                let gain = evaluator.interaction(v, a).0;
-                if gain > 0.0 {
-                    router_couplings.push((v.index() * 25 + a.index(), gain.to_bits()));
-                }
-            }
-        }
         FamilyKey {
-            topo_kind: topo.kind().to_string(),
+            fingerprint: problem.evaluator().tables().fingerprint(),
             width: topo.width(),
             height: topo.height(),
-            links: topo
-                .links()
-                .iter()
-                .map(|l| {
-                    (
-                        l.from.0,
-                        l.to.0,
-                        l.from_port.index(),
-                        l.to_port.index(),
-                        l.length.as_cm().to_bits(),
-                        l.crossings,
-                    )
-                })
-                .collect(),
-            router_losses,
-            router_couplings,
-            routing: problem.routing().name().to_owned(),
-            params: vec![
-                crossing_loss.0.to_bits(),
-                propagation_loss_per_cm.0.to_bits(),
-                ppse_off_loss.0.to_bits(),
-                ppse_on_loss.0.to_bits(),
-                cpse_off_loss.0.to_bits(),
-                cpse_on_loss.0.to_bits(),
-                crossing_crosstalk.0.to_bits(),
-                pse_off_crosstalk.0.to_bits(),
-                pse_on_crosstalk.0.to_bits(),
-                laser_power.0.to_bits(),
-                detector_sensitivity.0.to_bits(),
-                nonlinearity_threshold.0.to_bits(),
-                snr_ceiling.0.to_bits(),
-            ],
             tasks: problem.task_count(),
             objective: problem.objective(),
         }
@@ -232,8 +161,8 @@ impl RequestKey {
 /// How a [`WarmCache::solve`] request was satisfied.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WarmSource {
-    /// Canonically equal to a stored request: cached result returned,
-    /// zero optimizer evaluations performed.
+    /// Canonically equal to a stored request on equal tables: cached
+    /// result returned, zero optimizer evaluations performed.
     ExactHit,
     /// A same-family stored request seeded round 0 with its elite.
     NearHit {
@@ -265,6 +194,9 @@ struct Entry {
     /// scoring against near-hit candidates. The full key lives in
     /// `by_key`.
     endpoints: Vec<(usize, usize)>,
+    /// The tables the request was solved on, shared with its problem:
+    /// an exact hit needs them equal to the new request's.
+    tables: ScoreTables,
     result: PortfolioResult,
 }
 
@@ -354,9 +286,11 @@ impl WarmCache {
         sink: &mut dyn TraceSink,
     ) -> WarmSolve {
         let key = RequestKey::of(problem, spec, budget, seed);
-        // Classify the request: an exact hit, else the best same-family
-        // donor (a near hit), else cold.
-        let hit = self.by_key.get(&key).copied();
+        let tables = problem.evaluator().tables();
+        // Classify the request: an exact hit (same key, equal tables),
+        // else the best same-family donor (a near hit), else cold.
+        let same_key = self.by_key.get(&key).copied();
+        let hit = same_key.filter(|&i| self.entries[i].tables == *tables);
         let donor = hit.is_none().then(|| self.near_hit_donor(&key)).flatten();
         let (outcome, shared_edges) = match (hit, donor) {
             (Some(_), _) => (WarmOutcome::ExactHit, 0),
@@ -390,7 +324,7 @@ impl WarmCache {
         let evaluations_spent = result.evaluations;
         // Store the pure run counters; classify the request only on the
         // returned copy, so a later exact hit replays the original run.
-        self.insert(key, result.clone());
+        self.insert(key, tables.clone(), result.clone());
         if matches!(source, WarmSource::NearHit { .. }) {
             result.stats.warm_near_hits += 1;
         } else {
@@ -403,15 +337,16 @@ impl WarmCache {
         }
     }
 
-    fn insert(&mut self, key: RequestKey, result: PortfolioResult) {
+    fn insert(&mut self, key: RequestKey, tables: ScoreTables, result: PortfolioResult) {
         let endpoints: Vec<(usize, usize)> = key.edges.iter().map(|&(s, d, _)| (s, d)).collect();
         let index = self.entries.len();
-        self.by_family
-            .entry(key.family.clone())
-            .or_default()
-            .push(index);
+        self.by_family.entry(key.family).or_default().push(index);
         self.by_key.insert(key, index);
-        self.entries.push(Entry { endpoints, result });
+        self.entries.push(Entry {
+            endpoints,
+            tables,
+            result,
+        });
     }
 }
 
@@ -437,6 +372,7 @@ mod tests {
     use super::*;
     use crate::test_support::tiny_problem;
     use phonoc_apps::TaskId;
+    use phonoc_phys::PhysicalParameters;
     use phonoc_router::netlist::{NetlistBuilder, PassMode};
     use phonoc_router::{Port, RouterModel};
 

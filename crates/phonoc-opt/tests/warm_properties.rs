@@ -8,8 +8,15 @@
 //!   deterministic at any worker count.
 //! * [`RequestKey`]s are canonical: random edge reorderings of the same
 //!   CG key identically, while every parameter that changes the result
-//!   (weights, structure, budget, seed, spec, topology) changes the
-//!   key.
+//!   (weights, structure, budget, seed, spec, grid, topology kind,
+//!   routing function, loss coefficients, objective) changes the key.
+//!   The family half is the evaluator's table fingerprint, so a custom
+//!   routing that calls itself `xy` but routes differently keys apart
+//!   from the builtin, while parameters no score reads (laser power,
+//!   detector sensitivity) leave the key alone.
+//! * Exact hits are checked against the tables: a problem rebuilt from
+//!   identical inputs (equal tables, not the same object) is still an
+//!   exact hit.
 //!
 //! The worker override is process-global; like
 //! `phonoc-core/tests/thread_invariance.rs`, tests that pin it
@@ -22,10 +29,12 @@ use phonoc_core::{MappingProblem, Objective};
 use phonoc_opt::{
     run_portfolio_seeded, PortfolioResult, PortfolioSpec, RequestKey, WarmCache, WarmSource,
 };
-use phonoc_phys::{Length, PhysicalParameters};
-use phonoc_route::XyRouting;
+use phonoc_phys::{Db, Dbm, Length, PhysicalParameters};
+use phonoc_route::{NetworkPath, RoutingAlgorithm, RoutingError, XyRouting, YxRouting};
+use phonoc_router::crossbar::crossbar_router;
 use phonoc_router::crux::crux_router;
-use phonoc_topo::Topology;
+use phonoc_router::RouterModel;
+use phonoc_topo::{TileId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard};
@@ -287,8 +296,83 @@ fn every_result_relevant_parameter_changes_the_key() {
     assert_ne!(base, loss_key, "objective");
     assert_ne!(base.family(), loss_key.family());
 
-    // Identical reconstruction collides (the whole point).
+    // Identical reconstruction collides (the whole point)...
     assert_eq!(base, RequestKey::of(&problem_from(cg(), 2), &spec(), 50, 1));
+    // ...and a rebuilt problem (equal tables, another object) is an
+    // exact hit of the first one's cached result.
+    let mut cache = WarmCache::new();
+    let first = cache.solve(&problem_from(cg(), 2), &spec(), 50, 1);
+    let rebuilt = cache.solve(&problem_from(cg(), 2), &spec(), 50, 1);
+    assert_eq!(rebuilt.source, WarmSource::ExactHit);
+    assert_eq!(rebuilt.evaluations_spent, 0);
+    assert_eq!(fingerprint(&rebuilt.result), fingerprint(&first.result));
+
+    // The architecture keys by what the evaluator reads, not by names:
+    // a routing named `xy` that routes YX is not the builtin `xy`...
+    #[derive(Debug)]
+    struct CallsItselfXy;
+    impl RoutingAlgorithm for CallsItselfXy {
+        fn name(&self) -> &'static str {
+            "xy"
+        }
+        fn route(
+            &self,
+            topo: &Topology,
+            src: TileId,
+            dst: TileId,
+        ) -> Result<NetworkPath, RoutingError> {
+            YxRouting.route(topo, src, dst)
+        }
+    }
+    let family = |topo: Topology,
+                  router: RouterModel,
+                  routing: Box<dyn RoutingAlgorithm>,
+                  params: PhysicalParameters| {
+        let p = MappingProblem::new(
+            cg(),
+            topo,
+            router,
+            routing,
+            params,
+            Objective::MaximizeWorstCaseSnr,
+        )
+        .unwrap();
+        RequestKey::of(&p, &spec(), 50, 1)
+    };
+    let mesh3 = || Topology::mesh(3, 3, Length::from_mm(2.5));
+    let table1 = PhysicalParameters::default;
+    let builtin_xy = family(mesh3(), crossbar_router(), Box::new(XyRouting), table1());
+    let fake_xy = family(
+        mesh3(),
+        crossbar_router(),
+        Box::new(CallsItselfXy),
+        table1(),
+    );
+    assert_ne!(builtin_xy.family(), fake_xy.family(), "routing");
+    // ...a torus is not a mesh of the same size...
+    let crux_mesh = family(mesh3(), crux_router(), Box::new(XyRouting), table1());
+    let torus = Topology::torus(3, 3, Length::from_mm(2.5));
+    let crux_torus = family(torus, crux_router(), Box::new(XyRouting), table1());
+    assert_ne!(crux_mesh.family(), crux_torus.family(), "topology kind");
+    // ...and a changed loss coefficient is another physics.
+    let lossier = PhysicalParameters::builder()
+        .crossing_loss(Db(-0.05))
+        .build();
+    let lossier = family(mesh3(), crux_router(), Box::new(XyRouting), lossier);
+    assert_ne!(crux_mesh.family(), lossier.family(), "crossing loss");
+    // Parameters no score reads leave the whole key alone.
+    for unread in [
+        PhysicalParameters::builder().laser_power(Dbm(3.0)).build(),
+        PhysicalParameters::builder()
+            .detector_sensitivity(Dbm(-20.0))
+            .build(),
+    ] {
+        assert_eq!(
+            crux_mesh,
+            family(mesh3(), crux_router(), Box::new(XyRouting), unread),
+            "{unread:?}"
+        );
+    }
 
     // So do alias, case and `@auto` spellings of the same lanes: they
     // run the same race, so a repeated request must hit the same entry.

@@ -128,7 +128,8 @@ impl PhysicalParameters {
     }
 
     /// Validates physical plausibility: every loss coefficient must be
-    /// non-positive and every crosstalk coefficient strictly negative.
+    /// non-positive and every crosstalk coefficient strictly negative,
+    /// and the SNR ceiling finite and strictly positive.
     ///
     /// # Errors
     ///
@@ -162,6 +163,14 @@ impl PhysicalParameters {
                     "crosstalk coefficient {name} must be < 0 dB, got {v}"
                 ));
             }
+        }
+        // `!(x > 0)` also catches NaN, which no comparison passes.
+        let ceiling = self.snr_ceiling.0;
+        if !(ceiling > 0.0 && ceiling.is_finite()) {
+            return Err(format!(
+                "snr_ceiling must be finite and > 0 dB, got {}",
+                self.snr_ceiling
+            ));
         }
         if self.loss_budget().0 <= 0.0 {
             return Err(format!(
@@ -307,5 +316,20 @@ mod tests {
             .ppse_on_loss(Db(f64::NAN))
             .build();
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_non_positive_or_non_finite_snr_ceiling() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            let p = PhysicalParameters::builder().snr_ceiling(Db(bad)).build();
+            let err = p.validate().unwrap_err();
+            assert!(
+                err.contains("snr_ceiling"),
+                "{bad}: unexpected message: {err}"
+            );
+        }
+        let default = PhysicalParameters::default();
+        assert_eq!(default.snr_ceiling, Db(100.0));
+        default.validate().unwrap();
     }
 }
