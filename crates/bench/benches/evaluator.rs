@@ -565,6 +565,39 @@ fn full_pass_bounded(c: &mut Criterion) {
     group.finish();
 }
 
+/// Problem assembly (CG, routing of every tile pair, tables) on the
+/// `mpeg-like` d100 s1 cells at 8×8 and 16×16:
+///
+///  * `cold_*` — no other problem on the architecture is alive, so the
+///    build routes, computes every gain and registers new tables (each
+///    iteration also drops them);
+///  * `interned_*` — another problem on the architecture is alive, so
+///    the build routes, matches the live tables and shares them.
+///
+/// Every case calls public API only, so this group can be copied into
+/// an older checkout (where both cases build cold) to time both side by
+/// side.
+fn problem_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("problem_build");
+    for mesh in [8, 16] {
+        let spec = ScenarioSpec {
+            family: ScenarioFamily::MpegLike,
+            mesh,
+            density_pct: 100,
+            seed: 1,
+        };
+        group.bench_function(&format!("cold_mpeg_like_{mesh}x{mesh}"), |b| {
+            b.iter(|| bench::sweep::scenario_problem(&spec));
+        });
+        let alive = bench::sweep::scenario_problem(&spec);
+        group.bench_function(&format!("interned_mpeg_like_{mesh}x{mesh}"), |b| {
+            b.iter(|| bench::sweep::scenario_problem(&spec));
+        });
+        drop(alive);
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     evaluator_throughput,
@@ -575,6 +608,7 @@ criterion_group!(
     snr_commit,
     loss_seat_vs_full_state,
     loss_peek,
-    full_pass_bounded
+    full_pass_bounded,
+    problem_build
 );
 criterion_main!(benches);

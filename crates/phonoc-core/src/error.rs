@@ -1,7 +1,9 @@
 //! Error types for mapping-problem construction and evaluation.
 
+use phonoc_phys::Length;
 use phonoc_route::RoutingError;
 use phonoc_router::PortPair;
+use phonoc_topo::TileId;
 use std::fmt;
 
 /// Errors raised while assembling or evaluating a mapping problem.
@@ -32,6 +34,18 @@ pub enum CoreError {
         router: String,
         /// The unsupported (input, output) pair.
         pair: PortPair,
+    },
+    /// A routed path crosses a link whose length is NaN, infinite or
+    /// negative, which would give that path a meaningless loss.
+    BadLinkLength {
+        /// Source tile of the routed path.
+        src: TileId,
+        /// Destination tile of the routed path.
+        dst: TileId,
+        /// Index of the offending segment along the path.
+        link: usize,
+        /// Its length.
+        length: Length,
     },
     /// A mapping was structurally invalid (duplicate tile, out of range).
     InvalidMapping(String),
@@ -67,6 +81,17 @@ impl fmt::Display for CoreError {
                 f,
                 "router `{router}` does not implement the {pair} connection required by the routing algorithm"
             ),
+            CoreError::BadLinkLength {
+                src,
+                dst,
+                link,
+                length,
+            } => write!(
+                f,
+                "the routed path {src} -> {dst} crosses link {link} of length {} mm; \
+                 link lengths must be finite and non-negative",
+                length.as_mm()
+            ),
             CoreError::InvalidMapping(msg) => write!(f, "invalid mapping: {msg}"),
             CoreError::BadParameters(msg) => write!(f, "invalid physical parameters: {msg}"),
             CoreError::Mutation(msg) => write!(f, "invalid problem mutation: {msg}"),
@@ -98,7 +123,6 @@ impl From<RoutingError> for CoreError {
 mod tests {
     use super::*;
     use phonoc_router::Port;
-    use phonoc_topo::TileId;
 
     #[test]
     fn displays_are_informative() {

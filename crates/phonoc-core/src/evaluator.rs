@@ -146,18 +146,50 @@
 //! The SNR delta takes the same scan for its worst loss and for the
 //! minimum SNR over its unaffected edges.
 //!
-//! # Reuse across problems: incremental mutation
+//! # Reuse across problems
 //!
 //! The precomputed tables split along what they depend on. The
-//! tile-pair paths, prefix/suffix gains and the 25×25 interaction
-//! matrix depend only on *(topology, router, routing, physical
-//! parameters)*, and are shared behind one handle ([`ScoreTables`],
-//! whose fingerprint, folded while [`Evaluator::new`] builds them, keys
-//! the warm cache); the edge-indexed caches (`edge_endpoints`, the
-//! per-task adjacency) depend only on the *CG*. Request streams that
-//! mutate the CG — a traffic phase re-weighting edges, a workload
-//! change adding or dropping a communication — therefore patch the
-//! cheap edge caches in place and keep the expensive tables:
+//! tile-pair paths, their prefix/suffix gains, the dense loss table and
+//! the 25×25 interaction matrix depend only on *(topology, router,
+//! routing, physical parameters)*; the edge-indexed caches
+//! (`edge_endpoints`, the per-task adjacency) depend only on the *CG*.
+//! Many problems share one architecture (the paper's Table II maps eight
+//! applications onto one chip; a request stream maps many more), so the
+//! first kind is built once per architecture per process and shared
+//! behind one handle, [`ScoreTables`]:
+//!
+//! * [`Evaluator::new`] routes every tile pair and sums each path's dB
+//!   as a build would, but turns nothing into a linear gain yet. That
+//!   gives the tables' **dB image**: per path its hop count, total dB
+//!   and each hop's tile, port pair and prefix dB; the 25 port-pair dBs;
+//!   the coupling matrix; the SNR ceiling.
+//! * Every gain, the loss table, the tile orders and the fingerprint are
+//!   pure functions of that image (a hop's suffix dB is
+//!   `total − (prefix + pair dB)`, the operations a build runs), so equal
+//!   images give bit-equal tables. A table keeps its image (each hop its
+//!   prefix dB, in the bytes a `u32` tile and pair leave free; the table
+//!   its pair dBs), and `new` looks for a live table whose image equals
+//!   the new one bit for bit. On a hit it clones that handle, skipping
+//!   every `powf` and table allocation; on a miss it builds the tables
+//!   and registers them.
+//! * The registry is a process-wide list of weak references, pruned of
+//!   dead entries and checked again under its lock before registering
+//!   (two threads building one architecture end with one table). A
+//!   table lives as long as some evaluator or warm-cache entry holds it,
+//!   and what it derives lazily (the victim-first tile masks) is built
+//!   once for every problem sharing it.
+//!
+//! Two live equal tables are therefore always one allocation, and
+//! handles compare by pointer. The match is on the whole image, never on
+//! a hash, so a custom routing that calls itself `xy` but routes YX
+//! keeps its own table. The fingerprint, folded over the gains as a
+//! build makes them, keys the warm cache.
+//!
+//! ## Incremental mutation
+//!
+//! Request streams that mutate the CG — a traffic phase re-weighting
+//! edges, a workload change adding or dropping a communication — patch
+//! the cheap edge caches in place and keep the shared tables:
 //!
 //! * [`Evaluator::add_edge`] — O(1) append to the edge caches.
 //! * [`Evaluator::remove_edge`] — O(E) positional removal + adjacency
@@ -187,10 +219,10 @@ pub(crate) use delta::LossState;
 pub use delta::{BoundedDelta, BoundedLossDelta, DeltaScratch, EvalState, ScoreDelta};
 use phonoc_apps::CommunicationGraph;
 use phonoc_phys::{Db, PhysicalParameters};
-use phonoc_route::RoutingAlgorithm;
+use phonoc_route::{Hop, LinkSegment, RoutingAlgorithm};
 use phonoc_router::{PortPair, RouterModel};
 use phonoc_topo::Topology;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Per-communication evaluation result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -387,21 +419,28 @@ struct ProbeBuffers {
 }
 
 /// One hop of a precomputed path, with everything the noise accumulation
-/// needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// needs (32 bytes).
+#[derive(Debug, Clone, Copy)]
 struct HopInfo {
     /// Tile index of the router.
-    tile: usize,
+    tile: u32,
     /// Dense (input, output) pair index, `0..25`.
-    pair: usize,
+    pair: u32,
     /// Linear gain from injection to the *entry* of this router.
     prefix: f64,
     /// Linear gain from the *exit* of this router to the detector.
     suffix: f64,
+    /// `prefix` in dB, as routed: the table keeps it to be matched
+    /// against later builds (see [`ScoreTables`]).
+    prefix_db: f64,
 }
 
+// The prefix dB sits in the bytes `u32` tiles and pairs leave free: a
+// table that keeps its image is no larger than one that does not.
+const _: () = assert!(std::mem::size_of::<HopInfo>() == 32);
+
 /// A precomputed source→destination path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct PathInfo {
     hops: Vec<HopInfo>,
     /// Hop indices sorted ascending by `(tile, hop index)` — the order
@@ -414,50 +453,244 @@ struct PathInfo {
 
 /// The tables every score reads, behind one shared handle: each
 /// tile-pair path, the dense path loss table, the 25×25 coupling matrix
-/// and the SNR ceiling. Problems with equal tables score every mapping
-/// alike, whatever built them, so the warm cache keys a problem's
-/// architecture and physics by their [`fingerprint`](Self::fingerprint).
-/// Only [`Evaluator::new`] makes one, and nothing changes it after.
+/// and the SNR ceiling. Only [`Evaluator::new`] makes one, and nothing
+/// changes it after.
+///
+/// Tables are interned process-wide: every evaluator built from equal
+/// routed inputs (see the [module docs](self#reuse-across-problems))
+/// while another such table is alive shares that table. Two live equal
+/// tables are therefore one allocation, and handles compare by pointer.
+/// The warm cache keys a problem's architecture and physics by the
+/// tables' [`fingerprint`](Self::fingerprint).
 #[derive(Debug, Clone)]
-pub struct ScoreTables {
+pub struct ScoreTables(Arc<Tables>);
+
+/// What a [`ScoreTables`] handle shares. The big tables sit behind owned
+/// buffers: the interner's `Weak` keeps this struct's own allocation
+/// until it prunes the entry, but not those.
+#[derive(Debug)]
+struct Tables {
+    /// `paths` holds `tile_count²` entries.
+    tile_count: usize,
     /// `paths[s * tile_count + d]`.
-    paths: Arc<[Option<PathInfo>]>,
+    paths: Box<[Option<PathInfo>]>,
     /// Per path, indexed like `paths`: its total insertion loss in dB
     /// (element + propagation + link crossings; `NaN` for `s == d`).
     /// Every loss-family step reads this dense table, not the path.
-    path_db: Arc<[f64]>,
+    path_db: Box<[f64]>,
+    /// Per (input, output) pair index: the router's traversal loss in
+    /// dB (`0.0` for a connection it lacks, which no path uses).
+    pair_db: [f64; 25],
     /// 25×25 linear interaction gains.
-    interaction: Arc<[[f64; 25]; 25]>,
+    interaction: Box<[[f64; 25]; 25]>,
     /// Ceiling reported when a path collects zero noise.
     snr_ceiling: Db,
-    /// A word fold over the bits above, taken while they were built.
+    /// A word fold over the gains and losses above, taken while they
+    /// were built.
     fingerprint: u64,
+    /// Bit `a` of `row_mask[v]` set iff `interaction[v][a] > 0`: the
+    /// one coupling table. The full pass tests it against a router's
+    /// present-pairs mask to skip victims that cannot collect noise
+    /// there (an exact `+0.0` either way, so skipping is bit-exact);
+    /// the incremental path's victim marking reads single bits.
+    row_mask: [u32; 25],
+    /// The most hops any tile-pair path has: the row stride of an
+    /// [`EvalState`]'s per-(edge, hop) accumulation table.
+    max_hops: usize,
+    /// The victim-first probe's table, built by the first bounded pass
+    /// on any evaluator sharing these tables: per path, the tiles it
+    /// visits as a bitmask of `⌈tiles/64⌉` words at `idx * words..`
+    /// (zero for `s == d`). The probe reads a path's hop at a tile by
+    /// the tile's rank in its mask, so the table is `None` when some
+    /// path visits a tile twice, and such a table is never probed.
+    tile_masks: OnceLock<Option<Vec<u64>>>,
+}
+
+/// The routed inputs a [`Tables`] is a pure function of, before any
+/// `powf`: per path its hop count, total dB and each hop's tile, pair
+/// and prefix dB; the 25 pair dBs; the coupling matrix; the ceiling.
+/// Each hop's suffix dB is `total − (prefix + pair dB)`, so equal images
+/// give bit-equal tables.
+struct Image {
+    tile_count: usize,
+    pair_db: [f64; 25],
+    interaction: [[f64; 25]; 25],
+    snr_ceiling: Db,
+    /// Per path, indexed like `Tables::paths`: its total dB (`NaN` for
+    /// `s == d`).
+    path_db: Vec<f64>,
+    /// Every path's hops in path order, as `(tile, pair, prefix dB)`.
+    hops: Vec<(u32, u32, f64)>,
+    /// Path `idx`'s hops are `hops[bounds[idx]..bounds[idx + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl Image {
+    fn path_hops(&self, idx: usize) -> &[(u32, u32, f64)] {
+        &self.hops[self.bounds[idx]..self.bounds[idx + 1]]
+    }
+}
+
+/// Every table built in this process that may still be alive, so that
+/// builds from equal images share one (see [`ScoreTables::intern`]).
+static INTERNED: Mutex<Vec<Weak<Tables>>> = Mutex::new(Vec::new());
+
+/// The interner, pruned of dead tables. Its entries are valid whatever
+/// a panicking holder left, so a poisoned lock is taken as is.
+fn interned() -> MutexGuard<'static, Vec<Weak<Tables>>> {
+    let mut live = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    live.retain(|t| t.strong_count() > 0);
+    live
+}
+
+impl Tables {
+    /// The tables `image` gives: its gains (one `powf` per path and two
+    /// per hop), tile orders, coupling masks and fingerprint.
+    fn build(image: &Image) -> Tables {
+        let tiles = image.tile_count;
+        // The fingerprint, folded over each bit as it is made.
+        let mut fp = fold(0, &[image.snr_ceiling.0.to_bits()]);
+        let mut row_mask = [0u32; 25];
+        for (mask, row) in row_mask.iter_mut().zip(&image.interaction) {
+            for (a, &g) in row.iter().enumerate() {
+                fp = fold(fp, &[g.to_bits()]);
+                if g > 0.0 {
+                    *mask |= 1 << a;
+                }
+            }
+        }
+        let mut paths = Vec::with_capacity(tiles * tiles);
+        for (idx, &total_db) in image.path_db.iter().enumerate() {
+            if idx / tiles == idx % tiles {
+                paths.push(None);
+                continue;
+            }
+            let routed = image.path_hops(idx);
+            let total_gain = 10f64.powf(total_db / 10.0);
+            fp = fold(
+                fp,
+                &[
+                    routed.len() as u64,
+                    total_db.to_bits(),
+                    total_gain.to_bits(),
+                ],
+            );
+            let mut hops = Vec::with_capacity(routed.len());
+            for &(tile, pair, prefix_db) in routed {
+                // Gain from injection to the entry of this hop, and from
+                // its exit to the detector.
+                let suffix_db = total_db - (prefix_db + image.pair_db[pair as usize]);
+                let hop = HopInfo {
+                    tile,
+                    pair,
+                    prefix: 10f64.powf(prefix_db / 10.0),
+                    suffix: 10f64.powf(suffix_db / 10.0),
+                    prefix_db,
+                };
+                let place = u64::from(tile) | u64::from(pair) << 32;
+                fp = fold(fp, &[place, hop.prefix.to_bits(), hop.suffix.to_bits()]);
+                hops.push(hop);
+            }
+            let mut tile_order: Vec<u32> = (0..hops.len() as u32).collect();
+            tile_order.sort_by_key(|&i| (hops[i as usize].tile, i));
+            paths.push(Some(PathInfo {
+                hops,
+                tile_order,
+                total_gain,
+            }));
+        }
+        let max_hops = paths
+            .iter()
+            .flatten()
+            .map(|p| p.hops.len())
+            .max()
+            .unwrap_or(0);
+        Tables {
+            tile_count: tiles,
+            paths: paths.into(),
+            path_db: image.path_db.as_slice().into(),
+            pair_db: image.pair_db,
+            interaction: Box::new(image.interaction),
+            snr_ceiling: image.snr_ceiling,
+            fingerprint: fp,
+            row_mask,
+            max_hops,
+            tile_masks: OnceLock::new(),
+        }
+    }
+
+    /// Whether these tables were built from `image`: its every input
+    /// equal bit for bit.
+    fn is_built_from(&self, image: &Image) -> bool {
+        let bits = |x: &f64| x.to_bits();
+        let same = |a: &[f64], b: &[f64]| a.iter().map(bits).eq(b.iter().map(bits));
+        self.tile_count == image.tile_count
+            && bits(&self.snr_ceiling.0) == bits(&image.snr_ceiling.0)
+            && same(&self.pair_db, &image.pair_db)
+            && same(
+                self.interaction.as_flattened(),
+                image.interaction.as_flattened(),
+            )
+            && same(&self.path_db, &image.path_db)
+            && self.paths.iter().enumerate().all(|(idx, path)| {
+                let hops = path.as_ref().map_or(&[][..], |p| &p.hops);
+                let routed = image.path_hops(idx);
+                hops.len() == routed.len()
+                    && hops
+                        .iter()
+                        .zip(routed)
+                        .all(|(h, &(tile, pair, prefix_db))| {
+                            h.tile == tile
+                                && h.pair == pair
+                                && bits(&h.prefix_db) == bits(&prefix_db)
+                        })
+            })
+    }
 }
 
 impl ScoreTables {
+    /// The live tables built from `image`, else new ones, registered.
+    /// The interner is checked again before registering, so two threads
+    /// building from equal images end with one table.
+    fn intern(image: &Image) -> ScoreTables {
+        let find = |live: &[Weak<Tables>]| {
+            live.iter()
+                .filter_map(Weak::upgrade)
+                .find(|t| t.is_built_from(image))
+        };
+        if let Some(tables) = find(&interned()) {
+            return ScoreTables(tables);
+        }
+        let built = Arc::new(Tables::build(image));
+        let mut live = interned();
+        if let Some(tables) = find(&live) {
+            return ScoreTables(tables);
+        }
+        live.push(Arc::downgrade(&built));
+        ScoreTables(built)
+    }
+
     /// A deterministic hash of the tables: equal tables give equal
     /// fingerprints.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.0.fingerprint
+    }
+
+    /// How many distinct tables are alive in this process. Each is
+    /// shared by every evaluator built from the same architecture and
+    /// physics, so this counts architectures, not problems.
+    #[must_use]
+    pub fn live() -> usize {
+        interned().len()
     }
 }
 
 impl PartialEq for ScoreTables {
-    /// Equal bit for bit; each shared table (a clone of the same build's
-    /// handle) is equal by pointer without a walk. `path_db` compares
-    /// bits (its `s == d` slots are NaN); the rest compare by value,
-    /// which is bit equality there: gains and couplings are never NaN or
-    /// `-0.0`, and the ceiling is validated finite and positive.
+    /// The same tables: interning makes equal live tables one
+    /// allocation, so pointer equality is equality.
     fn eq(&self, other: &ScoreTables) -> bool {
-        let bits = |db: &f64| db.to_bits();
-        let (a, b) = (self, other);
-        a.fingerprint == b.fingerprint
-            && a.snr_ceiling == b.snr_ceiling
-            && (Arc::ptr_eq(&a.interaction, &b.interaction) || a.interaction == b.interaction)
-            && (Arc::ptr_eq(&a.path_db, &b.path_db)
-                || a.path_db.iter().map(bits).eq(b.path_db.iter().map(bits)))
-            && (Arc::ptr_eq(&a.paths, &b.paths) || a.paths == b.paths)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -482,30 +715,14 @@ pub struct Evaluator {
     /// Affected-edge index: `task_edges[t]` lists the CG edges incident
     /// to task `t` (ascending). A move perturbs exactly these edges.
     task_edges: Vec<Vec<usize>>,
-    tile_count: usize,
-    /// The tables every score reads.
+    /// The tables every score reads, and all that derives from them.
     tables: ScoreTables,
-    /// The victim-first probe's table, built by the first bounded pass:
-    /// per path, the tiles it visits as a bitmask of `⌈tiles/64⌉` words
-    /// at `idx * words..` (zero for `s == d`). The probe reads a path's
-    /// hop at a tile by the tile's rank in its mask, so the table is
-    /// `None` when some path visits a tile twice, and such a table is
-    /// never probed.
-    tile_masks: OnceLock<Option<Vec<u64>>>,
-    /// Bit `a` of `row_mask[v]` set iff `interaction[v][a] > 0`: the
-    /// one coupling table. The full pass tests it against a router's
-    /// present-pairs mask to skip victims that cannot collect noise
-    /// there (an exact `+0.0` either way, so skipping is bit-exact);
-    /// the incremental path's victim marking reads single bits.
-    row_mask: [u32; 25],
-    /// The most hops any tile-pair path has: the row stride of an
-    /// [`EvalState`]'s per-(edge, hop) accumulation table. It depends
-    /// only on the path table, so CG mutations leave it unchanged.
-    max_hops: usize,
 }
 
 impl Evaluator {
-    /// Precomputes all tables.
+    /// Routes every tile pair, then shares the live tables built from
+    /// the same routed inputs, or builds them (see the
+    /// [module docs](self#reuse-across-problems)).
     ///
     /// # Errors
     ///
@@ -516,6 +733,8 @@ impl Evaluator {
     /// * [`CoreError::UnsupportedConnection`] if a routed path requires a
     ///   router connection the netlist does not implement (e.g. YX
     ///   routing on Crux).
+    /// * [`CoreError::BadLinkLength`] if a routed path crosses a link
+    ///   whose length is NaN, infinite or negative.
     /// * [`CoreError::BadParameters`] if the physical parameters are
     ///   implausible.
     pub fn new(
@@ -545,46 +764,40 @@ impl Evaluator {
             });
         }
 
-        // Per-pair router losses as linear gains and dB.
-        let mut pair_gain = [0.0f64; 25];
-        let mut pair_db = [0.0f64; 25];
+        let mut image = Image {
+            tile_count: tiles,
+            pair_db: [0.0; 25],
+            interaction: router
+                .interaction_matrix(params)
+                .map(|row| row.map(|g| g.0)),
+            snr_ceiling: params.snr_ceiling,
+            path_db: vec![f64::NAN; tiles * tiles],
+            hops: Vec::new(),
+            bounds: Vec::with_capacity(tiles * tiles + 1),
+        };
         let mut pair_supported = [false; 25];
         for pair in PortPair::all() {
             if let Some(loss) = router.traversal_loss(pair, params) {
                 pair_supported[pair.index()] = true;
-                pair_db[pair.index()] = loss.0;
-                pair_gain[pair.index()] = loss.to_linear().0;
-            }
-        }
-        let interaction = router
-            .interaction_matrix(params)
-            .map(|row| row.map(|g| g.0));
-        // The tables' fingerprint, folded over each bit as it is made.
-        let mut fp = fold(0, &[params.snr_ceiling.0.to_bits()]);
-        let mut row_mask = [0u32; 25];
-        for (mask, row) in row_mask.iter_mut().zip(&interaction) {
-            for (a, &g) in row.iter().enumerate() {
-                fp = fold(fp, &[g.to_bits()]);
-                if g > 0.0 {
-                    *mask |= 1 << a;
-                }
+                image.pair_db[pair.index()] = loss.0;
             }
         }
 
-        // Precompute every ordered tile-pair path.
+        // Route every ordered tile pair; sum its dB without a `powf`.
+        // Tiles come in ascending order, so paths arrive in index order.
         let prop_db_per_cm = params.propagation_loss_per_cm.0;
         let crossing_db = params.crossing_loss.0;
-        let mut paths: Vec<Option<PathInfo>> = vec![None; tiles * tiles];
-        let mut path_db = vec![f64::NAN; tiles * tiles];
+        let link_db =
+            |l: &LinkSegment| prop_db_per_cm * l.length.as_cm() + crossing_db * l.crossings as f64;
+        image.bounds.push(0);
         for s in topology.tiles() {
             for d in topology.tiles() {
                 if s == d {
+                    image.bounds.push(image.hops.len());
                     continue;
                 }
                 let net_path = routing.route(topology, s, d)?;
-                // Per-hop router gains and per-link gains.
                 let h = net_path.hops.len();
-                let mut router_db = Vec::with_capacity(h);
                 for hop in &net_path.hops {
                     let pair = PortPair::new(hop.input, hop.output);
                     if !pair_supported[pair.index()] {
@@ -593,56 +806,39 @@ impl Evaluator {
                             pair,
                         });
                     }
-                    router_db.push((pair.index(), pair_db[pair.index()]));
                 }
-                let link_db: Vec<f64> = net_path
-                    .links
+                // Custom routings lay their own segments, so each one
+                // is checked here, not only when a topology is built.
+                if let Some(link) = net_path.links.iter().position(|l| !l.length.is_physical()) {
+                    return Err(CoreError::BadLinkLength {
+                        src: s,
+                        dst: d,
+                        link,
+                        length: net_path.links[link].length,
+                    });
+                }
+                let pair_of = |hop: &Hop| PortPair::new(hop.input, hop.output).index();
+                let total_db: f64 = net_path
+                    .hops
                     .iter()
-                    .map(|l| prop_db_per_cm * l.length.as_cm() + crossing_db * l.crossings as f64)
-                    .collect();
-
-                let total_db: f64 =
-                    router_db.iter().map(|(_, db)| db).sum::<f64>() + link_db.iter().sum::<f64>();
-                let total_gain = 10f64.powf(total_db / 10.0);
-
-                // prefix[i]: gain from injection to entry of hop i;
-                // suffix[i]: gain from exit of hop i to the detector.
-                let mut hops = Vec::with_capacity(h);
+                    .map(|hop| image.pair_db[pair_of(hop)])
+                    .sum::<f64>()
+                    + net_path.links.iter().map(link_db).sum::<f64>();
+                // The prefix of hop i: injection to the entry of hop i.
                 let mut prefix_db = 0.0;
-                fp = fold(fp, &[h as u64, total_db.to_bits(), total_gain.to_bits()]);
-                for i in 0..h {
-                    let after_db: f64 = prefix_db + router_db[i].1;
-                    let suffix_db = total_db - after_db;
-                    let hop = HopInfo {
-                        tile: net_path.hops[i].tile.0,
-                        pair: router_db[i].0,
-                        prefix: 10f64.powf(prefix_db / 10.0),
-                        suffix: 10f64.powf(suffix_db / 10.0),
-                    };
-                    let place = hop.tile as u64 | (hop.pair as u64) << 32;
-                    fp = fold(fp, &[place, hop.prefix.to_bits(), hop.suffix.to_bits()]);
-                    hops.push(hop);
+                for (i, hop) in net_path.hops.iter().enumerate() {
+                    let pair = pair_of(hop);
+                    let tile = u32::try_from(hop.tile.0)
+                        .expect("tile ids fit a u32: the path table holds tiles² entries");
+                    image.hops.push((tile, pair as u32, prefix_db));
                     if i < h - 1 {
-                        prefix_db = after_db + link_db[i];
+                        prefix_db = prefix_db + image.pair_db[pair] + link_db(&net_path.links[i]);
                     }
                 }
-                let mut tile_order: Vec<u32> = (0..h as u32).collect();
-                tile_order.sort_by_key(|&i| (hops[i as usize].tile, i));
-                paths[s.0 * tiles + d.0] = Some(PathInfo {
-                    hops,
-                    tile_order,
-                    total_gain,
-                });
-                path_db[s.0 * tiles + d.0] = total_db;
+                image.bounds.push(image.hops.len());
+                image.path_db[s.0 * tiles + d.0] = total_db;
             }
         }
-
-        let max_hops = paths
-            .iter()
-            .flatten()
-            .map(|p| p.hops.len())
-            .max()
-            .unwrap_or(0);
 
         let edge_endpoints: Vec<(usize, usize)> =
             cg.edges().iter().map(|e| (e.src.0, e.dst.0)).collect();
@@ -656,17 +852,7 @@ impl Evaluator {
         Ok(Evaluator {
             edge_endpoints,
             task_edges,
-            tile_count: tiles,
-            tables: ScoreTables {
-                paths: paths.into(),
-                path_db: path_db.into(),
-                interaction: Arc::new(interaction),
-                snr_ceiling: params.snr_ceiling,
-                fingerprint: fp,
-            },
-            tile_masks: OnceLock::new(),
-            row_mask,
-            max_hops,
+            tables: ScoreTables::intern(&image),
         })
     }
 
@@ -796,7 +982,7 @@ impl Evaluator {
     pub fn evaluate_reference(&self, mapping: &Mapping, active: Option<&[bool]>) -> NetworkMetrics {
         assert_eq!(
             mapping.tile_count(),
-            self.tile_count,
+            self.tables.0.tile_count,
             "mapping built for a different topology"
         );
         if let Some(active) = active {
@@ -812,18 +998,20 @@ impl Evaluator {
         let edge_idx: Vec<usize> = self
             .edge_endpoints
             .iter()
-            .map(|&(s, d)| mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0)
+            .map(|&(s, d)| {
+                mapping.tile_of_task(s).0 * self.tables.0.tile_count + mapping.tile_of_task(d).0
+            })
             .collect();
         let edge_paths: Vec<&PathInfo> = edge_idx.iter().map(|&idx| self.path(idx)).collect();
 
         // Bucket (edge, hop) occupancies per tile (active edges only).
-        let mut tile_hops: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.tile_count];
+        let mut tile_hops: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.tables.0.tile_count];
         for (e, path) in edge_paths.iter().enumerate() {
             if !is_active(e) {
                 continue;
             }
             for (h, hop) in path.hops.iter().enumerate() {
-                tile_hops[hop.tile].push((e, h));
+                tile_hops[hop.tile as usize].push((e, h));
             }
         }
 
@@ -836,14 +1024,14 @@ impl Evaluator {
             for &(ve, vh) in hops_here {
                 let victim = edge_paths[ve].hops[vh];
                 let v_src = self.edge_endpoints[ve].0;
-                let row = &self.tables.interaction[victim.pair];
+                let row = &self.tables.0.interaction[victim.pair as usize];
                 let mut acc = 0.0;
                 for &(ae, ah) in hops_here {
                     if ae == ve || self.edge_endpoints[ae].0 == v_src {
                         continue;
                     }
                     let aggressor = edge_paths[ae].hops[ah];
-                    let k = row[aggressor.pair];
+                    let k = row[aggressor.pair as usize];
                     if k > 0.0 {
                         acc += aggressor.prefix * k;
                     }
@@ -859,7 +1047,7 @@ impl Evaluator {
             if !is_active(e) {
                 continue;
             }
-            let il = self.tables.path_db[edge_idx[e]];
+            let il = self.tables.0.path_db[edge_idx[e]];
             let snr = self.snr_of(path.total_gain, noise[e]);
             worst_il = worst_il.min(il);
             worst_snr = worst_snr.min(snr);
@@ -870,7 +1058,7 @@ impl Evaluator {
             });
         }
         if edges.is_empty() {
-            worst_snr = self.tables.snr_ceiling.0;
+            worst_snr = self.tables.0.snr_ceiling.0;
         }
         NetworkMetrics {
             edges,
@@ -951,7 +1139,7 @@ impl Evaluator {
     /// dev host) is a sizeable share of a small grid's pass, so the
     /// last result is kept on `scratch`.
     fn ratio_cutoff(&self, threshold: f64, scratch: &mut EvalScratch) -> f64 {
-        let ceiling = self.tables.snr_ceiling.0;
+        let ceiling = self.tables.0.snr_ceiling.0;
         if let Some((t, c, r)) = scratch.cutoff {
             if t == threshold && c == ceiling {
                 return r;
@@ -997,7 +1185,7 @@ impl Evaluator {
         };
         assert_eq!(
             mapping.tile_count(),
-            self.tile_count,
+            self.tables.0.tile_count,
             "mapping built for a different topology"
         );
         let edges = self.edge_endpoints.len();
@@ -1008,10 +1196,10 @@ impl Evaluator {
                 "activity mask must cover every CG edge"
             );
         }
-        let tiles = self.tile_count;
+        let tiles = self.tables.0.tile_count;
         scratch.prepare(edges, tiles);
         scratch.edges = edges;
-        scratch.ceiling = self.tables.snr_ceiling.0;
+        scratch.ceiling = self.tables.0.snr_ceiling.0;
 
         // Resolve each CG edge to its precomputed path; latch activity
         // and the path's IL/gain.
@@ -1021,7 +1209,7 @@ impl Evaluator {
             let idx = st * tiles + dt;
             let path = self.path(idx);
             scratch.edge_path[e] = idx;
-            scratch.il[e] = self.tables.path_db[idx];
+            scratch.il[e] = self.tables.0.path_db[idx];
             scratch.gain[e] = path.total_gain;
             scratch.edge_active[e] = active.is_none_or(|a| a[e]);
         }
@@ -1058,7 +1246,7 @@ impl Evaluator {
             if scratch.edge_active[e] {
                 let hops = &self.path(scratch.edge_path[e]).hops;
                 for hop in hops {
-                    scratch.tile_offset[hop.tile + 1] += 1;
+                    scratch.tile_offset[hop.tile as usize + 1] += 1;
                 }
                 total += hops.len();
             }
@@ -1080,9 +1268,9 @@ impl Evaluator {
             }
             let src = self.edge_endpoints[e].0;
             for (h, hop) in self.path(scratch.edge_path[e]).hops.iter().enumerate() {
-                let slot = scratch.cursor[hop.tile] as usize;
-                scratch.cursor[hop.tile] += 1;
-                scratch.tile_pairs[hop.tile] |= 1 << hop.pair;
+                let slot = scratch.cursor[hop.tile as usize] as usize;
+                scratch.cursor[hop.tile as usize] += 1;
+                scratch.tile_pairs[hop.tile as usize] |= 1 << hop.pair;
                 scratch.occ[slot] = delta::Occ {
                     edge: e as u32,
                     hop: h as u32,
@@ -1121,7 +1309,7 @@ impl Evaluator {
                 // among the pairs present here would accumulate an
                 // exact 0.0 — skip them outright (bit-identical, since
                 // `x + 0.0 == x` for the non-negative noise sums).
-                if self.row_mask[victim.pair as usize] & present == 0 {
+                if self.tables.0.row_mask[victim.pair as usize] & present == 0 {
                     continue;
                 }
                 let acc =
@@ -1158,13 +1346,13 @@ impl Evaluator {
             }
         }
         let worst_snr = if !any_active {
-            self.tables.snr_ceiling.0
+            self.tables.0.snr_ceiling.0
         } else if min_ratio.is_finite() {
-            (10.0 * min_ratio.log10()).min(self.tables.snr_ceiling.0)
+            (10.0 * min_ratio.log10()).min(self.tables.0.snr_ceiling.0)
         } else {
             // Every active edge is noise-free: all SNRs sit at the
             // ceiling.
-            self.tables.snr_ceiling.0
+            self.tables.0.snr_ceiling.0
         };
         scratch.worst_il = worst_il;
         scratch.worst_snr = worst_snr;
@@ -1177,7 +1365,7 @@ impl Evaluator {
                     if any_active {
                         f64::INFINITY
                     } else {
-                        self.tables.snr_ceiling.0
+                        self.tables.0.snr_ceiling.0
                     },
                     f64::min
                 ),
@@ -1193,12 +1381,14 @@ impl Evaluator {
     /// built on the first call; `None` if some path revisits a tile.
     fn tile_masks(&self) -> Option<&[u64]> {
         let build = || {
-            let (tiles, words) = (self.tile_count, self.tile_count.div_ceil(64));
+            let t = &self.tables.0;
+            let (tiles, words) = (t.tile_count, t.tile_count.div_ceil(64));
             let mut masks = vec![0u64; tiles * tiles * words];
-            for (idx, path) in self.tables.paths.iter().enumerate() {
+            for (idx, path) in t.paths.iter().enumerate() {
                 let mask = &mut masks[idx * words..(idx + 1) * words];
                 for hop in path.iter().flat_map(|p| &p.hops) {
-                    let (word, bit) = (hop.tile / 64, 1u64 << (hop.tile % 64));
+                    let tile = hop.tile as usize;
+                    let (word, bit) = (tile / 64, 1u64 << (tile % 64));
                     if mask[word] & bit != 0 {
                         return None;
                     }
@@ -1207,7 +1397,7 @@ impl Evaluator {
             }
             Some(masks)
         };
-        self.tile_masks.get_or_init(build).as_deref()
+        self.tables.0.tile_masks.get_or_init(build).as_deref()
     }
 
     /// The final crosstalk noise of victim edge `v` under the resolved
@@ -1229,7 +1419,7 @@ impl Evaluator {
         v: usize,
         buf: &mut ProbeBuffers,
     ) -> f64 {
-        let words = self.tile_count.div_ceil(64);
+        let words = self.tables.0.tile_count.div_ceil(64);
         let mask = |p: usize| &masks[p * words..(p + 1) * words];
         let (victim, v_mask) = (self.path(edge_path[v]), mask(edge_path[v]));
         let v_src = self.edge_endpoints[v].0;
@@ -1262,7 +1452,8 @@ impl Evaluator {
                     let ai = a_rank + (aw & below).count_ones() as usize;
                     let vh = &victim.hops[victim.tile_order[vi] as usize];
                     let ah = &aggressor.hops[aggressor.tile_order[ai] as usize];
-                    acc[vi] += ah.prefix * self.tables.interaction[vh.pair][ah.pair];
+                    acc[vi] +=
+                        ah.prefix * self.tables.0.interaction[vh.pair as usize][ah.pair as usize];
                     shared &= shared - 1;
                 }
                 v_rank += vw.count_ones() as usize;
@@ -1280,17 +1471,17 @@ impl Evaluator {
     /// distinct. Exposed for analysis and tests.
     #[must_use]
     pub fn path_loss(&self, s: usize, d: usize) -> Option<Db> {
-        let idx = s * self.tile_count + d;
-        let t = &self.tables;
+        let t = &self.tables.0;
+        let idx = s * t.tile_count + d;
         t.paths.get(idx)?.as_ref().map(|_| Db(t.path_db[idx]))
     }
 
     /// Hop count of the precomputed `s → d` path.
     #[must_use]
     pub fn path_hops(&self, s: usize, d: usize) -> Option<usize> {
-        self.tables
-            .paths
-            .get(s * self.tile_count + d)?
+        let t = &self.tables.0;
+        t.paths
+            .get(s * t.tile_count + d)?
             .as_ref()
             .map(|p| p.hops.len())
     }
@@ -1304,7 +1495,7 @@ impl Evaluator {
     /// The configured SNR ceiling (reported when a path is noise-free).
     #[must_use]
     pub fn snr_ceiling(&self) -> Db {
-        self.tables.snr_ceiling
+        self.tables.0.snr_ceiling
     }
 }
 
@@ -1374,7 +1565,7 @@ mod tests {
             for v in PortPair::all() {
                 for a in PortPair::all() {
                     assert_eq!(
-                        ev.tables.interaction[v.index()][a.index()].to_bits(),
+                        ev.tables.0.interaction[v.index()][a.index()].to_bits(),
                         matrix[v.index()][a.index()].0.to_bits(),
                         "{}: {v} <- {a}",
                         router.name()
@@ -1568,38 +1759,20 @@ mod tests {
         };
         let base = build(&chain(pitch()), &crux_router(), &table1);
 
-        // A handle equals its clone by pointer.
-        let shared = |a: &ScoreTables, b: &ScoreTables| {
-            Arc::ptr_eq(&a.paths, &b.paths)
-                && Arc::ptr_eq(&a.path_db, &b.path_db)
-                && Arc::ptr_eq(&a.interaction, &b.interaction)
-        };
-        let clone = base.clone();
-        assert!(shared(&clone, &base));
-        assert_eq!(clone, base);
+        // A handle equals its clone.
+        assert_eq!(base.clone(), base);
 
-        // Identical inputs, built twice: bit-equal, not pointer-equal. A
-        // builder chain and the 3×1 mesh lay the same links, so their
-        // tables are equal too, whatever the topology's kind.
+        // Identical inputs, built again while `base` lives, get its very
+        // handle. A builder chain and the 3×1 mesh lay the same links,
+        // so whatever the topology's kind they share it too.
         for rebuilt in [
             build(&chain(pitch()), &crux_router(), &table1),
             build(&Topology::mesh(3, 1, pitch()), &crux_router(), &table1),
         ] {
-            assert!(!Arc::ptr_eq(&rebuilt.paths, &base.paths));
-            assert!(!Arc::ptr_eq(&rebuilt.path_db, &base.path_db));
+            assert!(Arc::ptr_eq(&rebuilt.0, &base.0));
             assert_eq!(rebuilt, base);
             assert_eq!(rebuilt.fingerprint(), base.fingerprint());
         }
-
-        // One coupling changed: unequal, even under the same
-        // fingerprint (as a hash collision would leave it).
-        let mut interaction = *base.interaction;
-        interaction[3][7] += 1e-6;
-        let recoupled = ScoreTables {
-            interaction: Arc::new(interaction),
-            ..base.clone()
-        };
-        assert_ne!(recoupled, base);
 
         // Equal fingerprints come from equal tables, and unequal tables
         // (one link length, a router, a loss coefficient) fold apart.
@@ -1619,6 +1792,59 @@ mod tests {
             }
         }
         assert_ne!(variants[1], base, "one link length");
+    }
+
+    /// XY routing whose every path lays its first segment at `self.0`,
+    /// as a custom routing may.
+    #[derive(Debug)]
+    struct StretchedRouting(Length);
+
+    impl RoutingAlgorithm for StretchedRouting {
+        fn name(&self) -> &'static str {
+            "stretched"
+        }
+
+        fn route(
+            &self,
+            topo: &Topology,
+            src: TileId,
+            dst: TileId,
+        ) -> Result<phonoc_route::NetworkPath, phonoc_route::RoutingError> {
+            let mut path = XyRouting.route(topo, src, dst)?;
+            path.links[0].length = self.0;
+            Ok(path)
+        }
+    }
+
+    #[test]
+    fn routed_links_of_no_physical_length_are_rejected() {
+        let cg = two_task_cg();
+        let topo = Topology::mesh(3, 1, pitch());
+        let p = PhysicalParameters::default();
+        let build = |mm: f64| {
+            let routing = StretchedRouting(Length::from_mm(mm));
+            Evaluator::new(&cg, &topo, &crux_router(), &routing, &p)
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            let err = build(bad).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::BadLinkLength {
+                        src: TileId(0),
+                        dst: TileId(1),
+                        link: 0,
+                        ..
+                    }
+                ),
+                "{bad} mm: {err}"
+            );
+            assert!(err.to_string().contains("t0 -> t1"), "{err}");
+        }
+        // A zero-length segment is a real (lossless) link.
+        let zero = build(0.0).unwrap().path_loss(0, 2).unwrap();
+        let laid = build(2.5).unwrap().path_loss(0, 2).unwrap();
+        assert!(zero.0 > laid.0, "{zero} vs {laid}");
     }
 
     #[test]
@@ -1847,7 +2073,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(0x9B0E);
             let mut noisy = 0;
             for _ in 0..50 {
-                let m = Mapping::random(tasks, ev.tile_count, &mut rng);
+                let m = Mapping::random(tasks, ev.tables.0.tile_count, &mut rng);
                 ev.evaluate_into(&m, None, &mut scratch);
                 for v in 0..edges {
                     let probed = ev.probe_noise(masks, &scratch.edge_path[..edges], v, &mut buf);
@@ -1855,7 +2081,7 @@ mod tests {
                         probed.to_bits(),
                         scratch.noise[v].to_bits(),
                         "victim {v} of {m:?} on {} tiles",
-                        ev.tile_count
+                        ev.tables.0.tile_count
                     );
                     noisy += usize::from(probed > 0.0);
                 }
@@ -1863,7 +2089,7 @@ mod tests {
             assert!(
                 noisy > 0,
                 "no victim collected noise on {} tiles",
-                ev.tile_count
+                ev.tables.0.tile_count
             );
         }
     }
@@ -1877,7 +2103,7 @@ mod tests {
             let (mut scratch, mut exact) = (EvalScratch::default(), EvalScratch::default());
             let mut incumbent = f64::NEG_INFINITY;
             for _ in 0..300 {
-                let m = Mapping::random(tasks, ev.tile_count, &mut rng);
+                let m = Mapping::random(tasks, ev.tables.0.tile_count, &mut rng);
                 let worst = ev.evaluate_into(&m, None, &mut exact).worst_case_snr.0;
                 match ev.evaluate_bounded(&m, Db(incumbent), &mut scratch) {
                     Some(summary) => {
@@ -1890,7 +2116,7 @@ mod tests {
             assert!(
                 scratch.probe_rejections > 0,
                 "no probe rejected a draw on {} tiles",
-                ev.tile_count
+                ev.tables.0.tile_count
             );
         }
     }
@@ -1954,7 +2180,7 @@ mod tests {
         let p = PhysicalParameters::default();
         let ev = Evaluator::new(&cg, &topo, &crossbar_router(), &LoopingRouting, &p).unwrap();
         assert!(
-            ev.tile_masks.get().is_none(),
+            ev.tables.0.tile_masks.get().is_none(),
             "built before any bounded pass"
         );
         let mut rng = StdRng::seed_from_u64(0x100B);
@@ -1967,7 +2193,7 @@ mod tests {
             rejected += usize::from(ev.evaluate_bounded(&m, worst, &mut scratch).is_none());
         }
         assert!(rejected > 0);
-        assert_eq!(ev.tile_masks.get(), Some(&None));
+        assert_eq!(ev.tables.0.tile_masks.get(), Some(&None));
         assert_eq!(scratch.probe_rejections, 0);
     }
 

@@ -163,10 +163,11 @@ impl<'a> CertificateBound<'a> {
     /// per sweep cell at any mesh size.
     #[must_use]
     pub fn new(evaluator: &'a Evaluator, objective: Objective) -> CertificateBound<'a> {
-        let tiles = evaluator.tile_count;
+        let tiles = evaluator.tables.0.tile_count;
         // `NaN` marks the `s == d` slots, which have no path.
         let mut pair_il_desc: Vec<f64> = evaluator
             .tables
+            .0
             .path_db
             .iter()
             .copied()
@@ -236,7 +237,7 @@ impl<'a> CertificateBound<'a> {
     /// collected so far (relaxed — see the module docs), clamped to
     /// the evaluator's ceiling.
     fn snr_ub(&self) -> f64 {
-        let ceiling = self.ev.tables.snr_ceiling.0;
+        let ceiling = self.ev.tables.0.snr_ceiling.0;
         let mut min_ratio = f64::INFINITY;
         for &e in &self.det_edges {
             let e = e as usize;
@@ -259,8 +260,8 @@ impl<'a> CertificateBound<'a> {
         let src = self.ev.edge_endpoints[e].0;
         for hop in &path.hops {
             let mut acc = 0.0;
-            let row = &self.ev.tables.interaction[hop.pair];
-            for o in &self.tile_occ[hop.tile] {
+            let row = &self.ev.tables.0.interaction[hop.pair as usize];
+            for o in &self.tile_occ[hop.tile as usize] {
                 if o.edge as usize == e || o.src as usize == src {
                     continue;
                 }
@@ -270,7 +271,7 @@ impl<'a> CertificateBound<'a> {
                     acc += o.prefix * k;
                 }
                 // … and the new edge aggresses the occupant.
-                let k = self.ev.tables.interaction[o.pair as usize][hop.pair];
+                let k = self.ev.tables.0.interaction[o.pair as usize][hop.pair as usize];
                 if k > 0.0 {
                     let victim = o.edge as usize;
                     self.undo.push((o.edge, self.noise[victim]));
@@ -278,14 +279,14 @@ impl<'a> CertificateBound<'a> {
                 }
             }
             self.noise[e] += acc * hop.suffix;
-            self.tile_occ[hop.tile].push(BoundOcc {
+            self.tile_occ[hop.tile as usize].push(BoundOcc {
                 edge: e as u32,
                 pair: hop.pair as u16,
                 src: src as u16,
                 prefix: hop.prefix,
                 suffix: hop.suffix,
             });
-            self.occ_log.push(hop.tile as u32);
+            self.occ_log.push(hop.tile);
         }
     }
 
@@ -342,9 +343,9 @@ impl<'a> CertificateBound<'a> {
                 continue;
             }
             determined += 1;
-            let idx = st * ev.tile_count + dt;
+            let idx = st * ev.tables.0.tile_count + dt;
             let path = ev.path(idx);
-            self.det_min_il = self.det_min_il.min(ev.tables.path_db[idx]);
+            self.det_min_il = self.det_min_il.min(ev.tables.0.path_db[idx]);
             self.noise[e] = 0.0;
             self.gain[e] = path.total_gain;
             self.det_edges.push(e as u32);

@@ -301,14 +301,14 @@ impl Evaluator {
     /// Panics if `mapping` does not match the topology.
     #[must_use]
     pub fn occupancy_concentration(&self, mapping: &Mapping) -> f64 {
-        let mut occupancy = vec![0usize; self.tile_count];
+        let mut occupancy = vec![0usize; self.tables.0.tile_count];
         for p in self.edge_paths(mapping) {
             for hop in &self.path(p).hops {
-                occupancy[hop.tile] += 1;
+                occupancy[hop.tile as usize] += 1;
             }
         }
         let hops = occupancy.iter().sum::<usize>() as f64;
-        let tiles = self.tile_count.max(1) as f64;
+        let tiles = self.tables.0.tile_count.max(1) as f64;
         let sum_sq: f64 = occupancy.iter().map(|&k| (k as f64).powi(2)).sum();
         let mean_occ = hops / tiles;
         // Size-biased mean occupancy E_sb[k] = Σk²/Σk: the expected
@@ -538,7 +538,7 @@ impl Evaluator {
         let path_of_edge: Vec<usize> = self.edge_paths(mapping).collect();
         // Accumulations the pass skips, and slots past a path's end, are
         // an exact `+0.0`.
-        let mut acc = vec![0.0f64; path_of_edge.len() * self.max_hops];
+        let mut acc = vec![0.0f64; path_of_edge.len() * self.tables.0.max_hops];
         let mut scratch = EvalScratch::default();
         let summary = self
             .full_pass(mapping, None, &mut scratch, f64::NEG_INFINITY, |o, a| {
@@ -595,7 +595,7 @@ impl Evaluator {
         state.il.clear();
         state
             .il
-            .extend(state.path_of_edge.iter().map(|&p| self.tables.path_db[p]));
+            .extend(state.path_of_edge.iter().map(|&p| self.tables.0.path_db[p]));
         let il = &state.il[..];
         state.worst_il = lane_min(0.0, il.len(), |e| il[e]);
     }
@@ -613,14 +613,14 @@ impl Evaluator {
     pub fn worst_case_il(&self, mapping: &Mapping) -> Db {
         assert_eq!(
             mapping.tile_count(),
-            self.tile_count,
+            self.tables.0.tile_count,
             "mapping built for a different topology"
         );
         let ends = &self.edge_endpoints[..];
         Db(lane_min(0.0, ends.len(), |e| {
             let (s, d) = ends[e];
-            self.tables.path_db
-                [mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0]
+            self.tables.0.path_db
+                [mapping.tile_of_task(s).0 * self.tables.0.tile_count + mapping.tile_of_task(d).0]
         }))
     }
 
@@ -630,22 +630,22 @@ impl Evaluator {
     fn edge_paths<'a>(&'a self, mapping: &'a Mapping) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(
             mapping.tile_count(),
-            self.tile_count,
+            self.tables.0.tile_count,
             "mapping built for a different topology"
         );
-        self.edge_endpoints
-            .iter()
-            .map(|&(s, d)| mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0)
+        self.edge_endpoints.iter().map(|&(s, d)| {
+            mapping.tile_of_task(s).0 * self.tables.0.tile_count + mapping.tile_of_task(d).0
+        })
     }
 
     /// Where hop `hop` of edge `edge` sits in [`EvalState`]'s `acc` (and
     /// the kernel's memo): row `edge`, at the fixed stride `max_hops`.
     fn acc_slot(&self, edge: usize, hop: usize) -> usize {
-        edge * self.max_hops + hop
+        edge * self.tables.0.max_hops + hop
     }
 
     pub(super) fn path(&self, idx: usize) -> &PathInfo {
-        self.tables.paths[idx]
+        self.tables.0.paths[idx]
             .as_ref()
             .expect("distinct tasks map to distinct tiles")
     }
@@ -656,9 +656,9 @@ impl Evaluator {
         let snr = if noise > 0.0 {
             10.0 * (total_gain / noise).log10()
         } else {
-            self.tables.snr_ceiling.0
+            self.tables.0.snr_ceiling.0
         };
-        snr.min(self.tables.snr_ceiling.0)
+        snr.min(self.tables.0.snr_ceiling.0)
     }
 
     /// Whether aggressor edge `ae` (port pair `a_pair`) contributes
@@ -667,7 +667,7 @@ impl Evaluator {
     fn interacts(&self, ve: usize, v_pair: u16, ae: usize, a_pair: u16) -> bool {
         ae != ve
             && self.edge_endpoints[ae].0 != self.edge_endpoints[ve].0
-            && (self.row_mask[v_pair as usize] >> a_pair) & 1 != 0
+            && (self.tables.0.row_mask[v_pair as usize] >> a_pair) & 1 != 0
     }
 
     /// One router's aggressor accumulation for victim edge `ve` (hop
@@ -697,7 +697,7 @@ impl Evaluator {
         v_src: u16,
         hops_here: &[Occ],
     ) -> f64 {
-        let row = &self.tables.interaction[v_pair as usize];
+        let row = &self.tables.0.interaction[v_pair as usize];
         let mut acc = 0.0;
         for occ in hops_here {
             let excluded = (occ.edge == ve) | (occ.src == v_src);
@@ -791,7 +791,7 @@ impl Evaluator {
     ) -> bool {
         let edges = self.edge_endpoints.len();
         let tasks = mapping.task_count();
-        scratch.begin(edges, self.tile_count, flat_hops);
+        scratch.begin(edges, self.tables.0.tile_count, flat_hops);
 
         let (a, b) = mv.positions(mapping);
         if a == b || a >= tasks || edges == 0 {
@@ -814,7 +814,7 @@ impl Evaluator {
                     scratch.moved_mark[e] = scratch.epoch;
                     scratch.moved.push(e);
                     let (s, d) = self.edge_endpoints[e];
-                    scratch.new_path[e] = new_tile(s) * self.tile_count + new_tile(d);
+                    scratch.new_path[e] = new_tile(s) * self.tables.0.tile_count + new_tile(d);
                 }
             }
         }
@@ -839,7 +839,7 @@ impl Evaluator {
             state.worst_il
         };
         scratch.moved.iter().fold(kept, |w, &e| {
-            lower(w, self.tables.path_db[scratch.new_path[e]])
+            lower(w, self.tables.0.path_db[scratch.new_path[e]])
         })
     }
 
@@ -906,7 +906,7 @@ impl Evaluator {
         let mut bound = f64::INFINITY;
         let mut worst_edge_moved = false;
         for &e in &scratch.moved {
-            bound = bound.min(self.tables.path_db[scratch.new_path[e]]);
+            bound = bound.min(self.tables.0.path_db[scratch.new_path[e]]);
             if state.il[e] <= state.worst_il {
                 worst_edge_moved = true;
             }
@@ -1049,7 +1049,7 @@ impl Evaluator {
                     min_ratio = min_ratio.min(ratio);
                 } else if ratio < min_ratio {
                     min_ratio = ratio;
-                    let affected_snr = (10.0 * min_ratio.log10()).min(self.tables.snr_ceiling.0);
+                    let affected_snr = (10.0 * min_ratio.log10()).min(self.tables.0.snr_ceiling.0);
                     if affected_snr <= threshold {
                         return BoundedDelta::Rejected {
                             bound: Db(unaffected_snr.min(affected_snr)),
@@ -1066,9 +1066,9 @@ impl Evaluator {
         // gain/noise, so the minimum affected SNR is attained at the
         // minimum ratio; noise-free victims sit at the ceiling.
         let affected_snr = if min_ratio.is_finite() {
-            (10.0 * min_ratio.log10()).min(self.tables.snr_ceiling.0)
+            (10.0 * min_ratio.log10()).min(self.tables.0.snr_ceiling.0)
         } else if any_noise_free {
-            self.tables.snr_ceiling.0
+            self.tables.0.snr_ceiling.0
         } else {
             f64::INFINITY
         };
@@ -1100,7 +1100,7 @@ impl Evaluator {
             return state.acc[flat];
         }
         if !warm && scratch.acc_done[flat] != scratch.epoch {
-            let slot = scratch.slot_of(hop.tile);
+            let slot = scratch.slot_of(hop.tile as usize);
             let acc = self.aggressor_sum(v, hop.pair as u16, &scratch.patched_lists[slot]);
             scratch.acc_new[flat] = acc;
             scratch.acc_done[flat] = scratch.epoch;
@@ -1139,7 +1139,7 @@ impl Evaluator {
                     // old path, so their cached slots still apply.
                     self.lazy_acc(state, scratch, base + h, v, hop, warm)
                 } else {
-                    let slot = scratch.slot_of(hop.tile);
+                    let slot = scratch.slot_of(hop.tile as usize);
                     let hops_here = &scratch.patched_lists[slot];
                     if hops_here.len() >= 2 {
                         self.aggressor_sum(v, hop.pair as u16, hops_here)
@@ -1255,7 +1255,7 @@ impl Evaluator {
         for &e in &scratch.moved {
             let p = scratch.new_path[e];
             state.path_of_edge[e] = p;
-            state.il[e] = self.tables.path_db[p];
+            state.il[e] = self.tables.0.path_db[p];
         }
         state.worst_il = worst_il;
     }
@@ -1331,14 +1331,14 @@ impl Evaluator {
             let src = self.edge_endpoints[e].0;
             let head = scratch.head_len[e] as usize;
             for hop in &self.path(state.loss.path_of_edge[e]).hops[head..] {
-                self.touch_tile(state, scratch, hop.tile);
-                let slot = scratch.slot_of(hop.tile);
+                self.touch_tile(state, scratch, hop.tile as usize);
+                let slot = scratch.slot_of(hop.tile as usize);
                 scratch.changed_occs[slot].push((e as u32, hop.pair as u16));
             }
             let new_path = self.path(scratch.new_path[e]);
             for (off, hop) in new_path.hops[head..].iter().enumerate() {
-                self.touch_tile(state, scratch, hop.tile);
-                let slot = scratch.slot_of(hop.tile);
+                self.touch_tile(state, scratch, hop.tile as usize);
+                let slot = scratch.slot_of(hop.tile as usize);
                 scratch.changed_occs[slot].push((e as u32, hop.pair as u16));
                 scratch.patched_lists[slot].push(Occ {
                     edge: e as u32,
@@ -1421,7 +1421,7 @@ impl Evaluator {
             worst = worst.min(snr);
         }
         if edges == 0 {
-            worst = self.tables.snr_ceiling.0;
+            worst = self.tables.0.snr_ceiling.0;
         }
         worst
     }
@@ -1511,6 +1511,7 @@ mod tests {
         )
         .unwrap();
         ev.tables
+            .0
             .path_db
             .iter()
             .copied()

@@ -48,15 +48,16 @@
 //! Left out on purpose: parameters no score reads (laser power,
 //! detector sensitivity, nonlinearity threshold), so requests differing
 //! only there share their bit-identical results; and the table bits,
-//! since every problem of a stream builds its own copy of one
-//! architecture's tables and family lookups would stream megabytes.
+//! which family lookups would stream by the megabyte.
 //!
 //! Keys are integers compared exactly, so they collide for
 //! canonically-equal requests and on a fingerprint hash collision.
 //! Exactness comes from the tables: each entry shares the tables it was
-//! solved on, and an exact hit needs them equal to the request's, by
-//! pointer (the same problem) or bit for bit (a rebuilt one); a key hit
-//! on other tables runs as a near hit. A colliding family only picks a
+//! solved on, and an exact hit needs them to be the request's. Tables
+//! are interned (see [`ScoreTables`](phonoc_core::ScoreTables)), so a
+//! problem rebuilt from equal inputs holds the very tables the entry
+//! keeps, and the check is one pointer compare; a key hit on other
+//! tables runs as a near hit. A colliding family only picks a
 //! near-hit donor, of the right shape (property-tested in
 //! `tests/warm_properties.rs`).
 //!

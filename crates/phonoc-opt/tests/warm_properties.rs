@@ -15,8 +15,8 @@
 //!   from the builtin, while parameters no score reads (laser power,
 //!   detector sensitivity) leave the key alone.
 //! * Exact hits are checked against the tables: a problem rebuilt from
-//!   identical inputs (equal tables, not the same object) is still an
-//!   exact hit.
+//!   identical inputs (another object, sharing the first one's interned
+//!   tables) is still an exact hit.
 //!
 //! The worker override is process-global; like
 //! `phonoc-core/tests/thread_invariance.rs`, tests that pin it
@@ -298,8 +298,8 @@ fn every_result_relevant_parameter_changes_the_key() {
 
     // Identical reconstruction collides (the whole point)...
     assert_eq!(base, RequestKey::of(&problem_from(cg(), 2), &spec(), 50, 1));
-    // ...and a rebuilt problem (equal tables, another object) is an
-    // exact hit of the first one's cached result.
+    // ...and a rebuilt problem (another object, sharing the interned
+    // tables) is an exact hit of the first one's cached result.
     let mut cache = WarmCache::new();
     let first = cache.solve(&problem_from(cg(), 2), &spec(), 50, 1);
     let rebuilt = cache.solve(&problem_from(cg(), 2), &spec(), 50, 1);

@@ -367,6 +367,13 @@ impl Length {
     pub fn as_cm(self) -> f64 {
         self.micrometers / 10_000.0
     }
+
+    /// Whether this is a length a waveguide can have: finite and not
+    /// negative (zero is allowed).
+    #[must_use]
+    pub fn is_physical(self) -> bool {
+        self.micrometers.is_finite() && self.micrometers >= 0.0
+    }
 }
 
 impl Add for Length {

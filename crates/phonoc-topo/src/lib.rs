@@ -124,10 +124,12 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `width` or `height` is zero.
+    /// Panics if `width` or `height` is zero, or if `tile_pitch` is NaN,
+    /// infinite or negative.
     #[must_use]
     pub fn mesh(width: usize, height: usize, tile_pitch: Length) -> Topology {
         assert!(width > 0 && height > 0, "mesh dimensions must be nonzero");
+        assert_physical(tile_pitch);
         let mut topo = Topology::empty(TopologyKind::Mesh, width, height);
         for y in 0..height {
             for x in 0..width {
@@ -162,10 +164,12 @@ impl Topology {
     ///
     /// Panics if `width` or `height` is zero, or exactly 2 (a 2-wide
     /// torus needs duplicate links between the same tile pair, which the
-    /// single-link-per-port router model cannot express).
+    /// single-link-per-port router model cannot express), or if
+    /// `tile_pitch` is NaN, infinite or negative.
     #[must_use]
     pub fn torus(width: usize, height: usize, tile_pitch: Length) -> Topology {
         assert!(width > 0 && height > 0, "torus dimensions must be nonzero");
+        assert_physical(tile_pitch);
         assert!(
             width != 2 && height != 2,
             "2-wide tori create duplicate links between tile pairs; use a mesh instead"
@@ -209,10 +213,12 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 3`.
+    /// Panics if `n < 3`, or if `tile_pitch` is NaN, infinite or
+    /// negative.
     #[must_use]
     pub fn ring(n: usize, tile_pitch: Length) -> Topology {
         assert!(n >= 3, "a ring needs at least 3 tiles");
+        assert_physical(tile_pitch);
         let mut topo = Topology::empty(TopologyKind::Ring, n, 1);
         let link_len = tile_pitch * 2.0;
         for x in 0..n {
@@ -384,6 +390,15 @@ pub fn fit_grid(tasks: usize) -> (usize, usize) {
     (w, h)
 }
 
+/// Panics unless `pitch` is a length a waveguide can have.
+fn assert_physical(pitch: Length) {
+    assert!(
+        pitch.is_physical(),
+        "tile pitch must be finite and non-negative, got {} mm",
+        pitch.as_mm()
+    );
+}
+
 /// Errors from [`TopologyBuilder::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -409,6 +424,14 @@ pub enum TopologyError {
     /// A link was declared through the Local port, which connects a
     /// router to its own tile, never to another router.
     LocalPort,
+    /// A link's length is NaN, infinite or negative, which would give
+    /// every path over it a meaningless loss.
+    BadLength {
+        /// The tile the link was declared from.
+        tile: TileId,
+        /// The port it leaves that tile through.
+        port: Port,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -424,6 +447,10 @@ impl fmt::Display for TopologyError {
             TopologyError::LocalPort => {
                 write!(f, "links cannot use the Local port")
             }
+            TopologyError::BadLength { tile, port } => write!(
+                f,
+                "the link from tile {tile} through port {port} must have a finite, non-negative length"
+            ),
         }
     }
 }
@@ -509,7 +536,8 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// Returns the first [`TopologyError`]: out-of-range coordinates,
-    /// self-links, Local-port links, or port conflicts.
+    /// self-links, Local-port links, port conflicts, or lengths that are
+    /// NaN, infinite or negative.
     pub fn build(self) -> Result<Topology, TopologyError> {
         let mut topo = Topology::empty(TopologyKind::Custom, self.width, self.height);
         for (a, b, port, length, crossings) in self.connections {
@@ -524,6 +552,9 @@ impl TopologyBuilder {
                 .ok_or(TopologyError::OutOfRange { x: b.x, y: b.y })?;
             if ta == tb {
                 return Err(TopologyError::SelfLink { tile: ta });
+            }
+            if !length.is_physical() {
+                return Err(TopologyError::BadLength { tile: ta, port });
             }
             if topo.link_from(ta, port).is_some() {
                 return Err(TopologyError::PortBusy { tile: ta, port });
@@ -754,6 +785,51 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, TopologyError::LocalPort);
+    }
+
+    #[test]
+    fn builder_rejects_lengths_no_waveguide_has() {
+        let chain = |first: Length| {
+            TopologyBuilder::new(3, 1)
+                .connect((0, 0), (1, 0), Port::East, pitch(), 0)
+                .connect((1, 0), (2, 0), Port::East, first, 0)
+                .build()
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            let err = chain(Length::from_mm(bad)).unwrap_err();
+            assert_eq!(
+                err,
+                TopologyError::BadLength {
+                    tile: TileId(1),
+                    port: Port::East
+                },
+                "{bad} mm"
+            );
+            assert!(err.to_string().contains("t1"), "{err}");
+        }
+        let zero = chain(Length::from_mm(0.0)).expect("a zero-length link is allowed");
+        assert_eq!(
+            zero.link_from(TileId(1), Port::East).unwrap().length,
+            Length::ZERO
+        );
+    }
+
+    #[test]
+    fn builtin_layouts_accept_only_physical_pitches() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            let pitch = Length::from_mm(bad);
+            let layouts: [fn(Length) -> Topology; 3] = [
+                |p| Topology::mesh(3, 3, p),
+                |p| Topology::torus(3, 3, p),
+                |p| Topology::ring(4, p),
+            ];
+            for layout in layouts {
+                let panic = std::panic::catch_unwind(|| layout(pitch)).unwrap_err();
+                let msg = panic.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains("tile pitch must be finite"), "{bad} mm: {msg}");
+            }
+        }
+        assert_eq!(Topology::mesh(2, 1, Length::ZERO).links().len(), 2);
     }
 
     #[test]
