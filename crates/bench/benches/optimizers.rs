@@ -66,6 +66,9 @@ fn optimizer_overhead(c: &mut Criterion) {
 ///   Quota 3 is what a short portfolio lane round draws; 32 is the
 ///   `MIN_SCAN` floor; 187 is `scan_quota(1500, …)`, a fresh descent's
 ///   quota at the sweep's budget.
+/// * `locality_lane_round` times one short portfolio lane round's
+///   stream work: a fresh locality stream, then quota-3 passes at radii
+///   2, 4 and 8 on one cursor, so per-radius setup counts.
 fn neighborhood_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighborhood_pass");
     for mesh in [8, 16] {
@@ -109,6 +112,17 @@ fn neighborhood_pass(c: &mut Criterion) {
                 b.iter(|| Neighborhood::with_policy(&ctx, policy, 7));
             });
         }
+        group.bench_function(&format!("locality_lane_round_{cell}"), |b| {
+            b.iter(|| {
+                let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, 7);
+                let mut drawn = n.pass(&ctx, 3).len();
+                for _ in 0..2 {
+                    n.widen(&mut ctx);
+                    drawn += n.pass(&ctx, 3).len();
+                }
+                black_box(drawn)
+            });
+        });
         let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Sampled, 7);
         n.pass(&ctx, 3);
         group.bench_function(&format!("sampled_pass_q3_{cell}"), |b| {

@@ -123,10 +123,15 @@
 //!
 //! All four peek entry points score through one per-move scorer and
 //! book through one routine: the sequential peeks on the context's own
-//! scratch, the batch scans on each worker's sticky one. A
-//! sequential peek is therefore indistinguishable from a one-element
-//! batch — same [`MoveEval`], ledger, counters and trace events
-//! (property-tested in `tests/hybrid_properties.rs`).
+//! scratch, forked batch scans on each worker's sticky one. A batch
+//! that would not fork (below the pool's fork floor, at one worker, on
+//! a pool worker, or under a loss-family objective, whose peeks cost
+//! less than a dispatch) is the sequential peek loop, booking each move
+//! as it is scored. A sequential peek is therefore indistinguishable
+//! from a one-element batch, and a batch from a loop of sequential
+//! peeks — same [`MoveEval`]s, ledger, counters and trace events
+//! (property-tested in `tests/hybrid_properties.rs` and
+//! `tests/batch_paths.rs`).
 //!
 //! All routes score each peek **bit-identically**, so the strategy can
 //! never change a single peek's score or which move one greedy scan
@@ -651,6 +656,9 @@ pub struct OptContext<'p> {
     /// perform no heap allocation. They outlive cursors, so the next
     /// [`OptContext::set_current`] starts warm.
     scratch: PeekScratch,
+    /// Moves the peek family has scored, billed or not (see
+    /// [`OptContext::scored_peeks`]).
+    scored_peeks: u64,
 }
 
 impl fmt::Debug for OptContext<'_> {
@@ -685,6 +693,7 @@ impl<'p> OptContext<'p> {
             stats: RunStats::default(),
             sink: Box::new(NullSink),
             scratch: PeekScratch::default(),
+            scored_peeks: 0,
         }
     }
 
@@ -892,6 +901,16 @@ impl<'p> OptContext<'p> {
     #[must_use]
     pub fn stats(&self) -> RunStats {
         self.stats
+    }
+
+    /// Moves the peek family has scored so far, whether or not they were
+    /// billed: the billed peeks plus whatever a forked batch scan scored
+    /// past the point where the budget ran out. A test hook (the billed
+    /// count is in [`OptContext::stats`]); it never changes a result.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn scored_peeks(&self) -> u64 {
+        self.scored_peeks
     }
 
     /// The convergence history so far: `(evaluation index, incumbent
@@ -1279,11 +1298,16 @@ impl<'p> OptContext<'p> {
     }
 
     /// Batch variant of [`OptContext::peek_move`] (the R-PBLA
-    /// admitted-list scan): scores every move in one order-preserving
-    /// parallel pass. Only as many moves as the remaining budget admits
-    /// are *charged*: the returned vector covers the charged prefix of
-    /// `moves` and may be shorter than the input. Deterministic: results
-    /// and incumbent updates are in input order.
+    /// admitted-list scan). Only as many moves as the remaining budget
+    /// admits are *charged*: the returned vector covers the charged
+    /// prefix of `moves` and may be shorter than the input.
+    /// Deterministic: results and incumbent updates are in input order,
+    /// identical to a [`OptContext::peek_move`] loop that stops at the
+    /// first `None`, at any worker count. A batch the worker pool would
+    /// run inline, and any loss-family batch, *is* that loop: each move
+    /// is booked as it is scored, so no move is scored past the budget.
+    /// A larger SNR-family batch is scored in one order-preserving
+    /// parallel pass and booked in order afterwards.
     ///
     /// # Panics
     ///
@@ -1320,17 +1344,35 @@ impl<'p> OptContext<'p> {
             .expect("peek_move without set_current")
             .scorer(self.problem.evaluator(), self.objective, improving);
         let (ev, cost) = scorer.score(mv, &mut self.scratch);
+        self.scored_peeks += 1;
         Some(self.book_peek(ev, cost))
     }
 
-    /// The batch scans: the shared scorer over `moves` in one
-    /// order-preserving parallel pass (each worker's sticky scratch slot
-    /// holds a peek scratch, built once per worker lifetime),
-    /// then the shared booking in input order until the budget runs
-    /// out.
+    /// The batch scans. A batch the pool would run inline, and every
+    /// loss-family batch, is the sequential peek loop: each move is
+    /// scored on the context's own scratch and booked before the next
+    /// is scored, so scoring stops where the budget does. A loss peek
+    /// costs well under a pool chunk's dispatch, so loss batches never
+    /// fork, as [`OptContext::score_batch`] already rules for loss
+    /// scores. Any other batch runs the shared scorer over `moves` in
+    /// one order-preserving parallel pass (each worker's sticky scratch
+    /// slot holds a peek scratch, built once per worker lifetime), then
+    /// the shared booking in input order until the budget runs out.
     fn peek_batch(&mut self, moves: &[Move], improving: bool) -> Vec<MoveEval> {
         if self.exhausted() || moves.is_empty() {
             return Vec::new();
+        }
+        if self.objective.is_loss_based() || parallel::runs_inline(moves.len()) {
+            // Every peek bills at least one unit.
+            let left = (self.budget_units - self.used_units).min(moves.len() as u64);
+            let mut out = Vec::with_capacity(left as usize);
+            for &mv in moves {
+                let Some(ev) = self.peek_one(mv, improving) else {
+                    break;
+                };
+                out.push(ev);
+            }
+            return out;
         }
         let scorer = self
             .cursor
@@ -1340,6 +1382,7 @@ impl<'p> OptContext<'p> {
         let scored = parallel::parallel_map_with(moves, PeekScratch::default, |scratch, &mv| {
             scorer.score(mv, scratch)
         });
+        self.scored_peeks += scored.len() as u64;
         let mut out = Vec::with_capacity(scored.len());
         for (ev, cost) in scored {
             if self.exhausted() {

@@ -386,9 +386,23 @@ where
     })
 }
 
-/// The shared entry: inline below the fork threshold or when already
-/// on a pool worker (nested batches — see the module docs), pool
-/// dispatch otherwise.
+/// Whether a batch of `n` items at `workers` runs inline: one worker,
+/// fewer than two items, or already on a pool worker (nested batches —
+/// see the module docs).
+fn inline(n: usize, workers: usize) -> bool {
+    workers <= 1 || n < 2 || IN_POOL_WORKER.with(Cell::get)
+}
+
+/// Whether [`parallel_map_with`] would run a batch of `n` items inline
+/// on the calling thread: below the fork floor, at one worker, or on a
+/// pool worker. Callers that can do better than a mapped closure on
+/// that path (the engine books each peek as it scores it) ask first.
+pub(crate) fn runs_inline(n: usize) -> bool {
+    inline(n, workers_for(n))
+}
+
+/// The shared entry: inline when [`inline`] says so, pool dispatch
+/// otherwise.
 fn run_batch<S, T, R, I, F>(items: &[T], workers: usize, init: I, f: F) -> Vec<R>
 where
     S: Send + 'static,
@@ -397,7 +411,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    if workers <= 1 || items.len() < 2 || IN_POOL_WORKER.with(Cell::get) {
+    if inline(items.len(), workers) {
         run_inline(items, &init, &f)
     } else {
         dispatch(items, workers, &init, &f)

@@ -58,8 +58,14 @@
 //! offset per admitted row — so it is O(tiles). The first pass that
 //! needs every pair builds them (`Exhaustive` as moves, `Sampled` and a
 //! fully widened `Locality` stream as packed pairs). A short locality
-//! pass below full radius never builds its pool: a branch-free per-row
-//! count sizes it, the shuffle draws ranks in it, and only the rows
+//! pass below full radius never builds its pool. The stream keeps one
+//! bitmask per tile and radius (bit `u` of tile `t`'s mask is set iff
+//! the two tiles lie within the radius), built from the diamonds'
+//! row-major bit runs the first time a radius is counted. Each row's
+//! pool share is then one masked popcount against the tiles the later
+//! positions hold, `O(rows · ⌈tiles/64⌉)` per pass instead of a
+//! distance test per admitted pair. The counts equal the built pool's
+//! row sizes, so the shuffle draws the same ranks, and only the rows
 //! holding a drawn rank are scanned. The pool is built whole only when
 //! the draws could read every row anyway (see [`Neighborhood::pass`]).
 //! Every path makes the same RNG calls and emits the same moves as a
@@ -167,14 +173,23 @@ pub struct Neighborhood {
     pool: Vec<u32>,
     /// `Locality` scratch: a pass's swaps, undone after its draws.
     swaps: Vec<(u32, u32)>,
-    /// `Locality` scratch: one row's within-radius marks.
-    mask: Vec<u8>,
+    /// `Locality` scratch: one row's within-radius marks (fill path).
+    marks: Vec<u8>,
     /// Grid coordinates of each tile (`Locality` only).
     tile_xy: Vec<(u16, u16)>,
     /// `Locality` scratch: the coordinates of the tile each permutation
-    /// position holds under the mapping being filtered.
+    /// position holds under the mapping being filtered (fill path).
     at_x: Vec<u16>,
     at_y: Vec<u16>,
+    /// Grid width: tile `t` sits at `(t % width, t / width)`.
+    width: usize,
+    /// `Locality`: each radius counted at so far, with its tile masks
+    /// (see [`radius_masks`]), built by the first counted pass at that
+    /// radius.
+    masks: Vec<(usize, Vec<u64>)>,
+    /// `Locality` scratch: the tiles held by the positions after the
+    /// row being counted, one bit per tile.
+    after: Vec<u64>,
     /// `Locality` scratch: within-radius pairs in the rows before each
     /// row (one entry per row plus the total), the rank-space twin of
     /// `row_start`.
@@ -258,14 +273,18 @@ impl Neighborhood {
             ranks: Vec::new(),
             pool: Vec::new(),
             swaps: Vec::new(),
-            mask: Vec::new(),
+            marks: Vec::new(),
             tile_xy,
             at_x: Vec::new(),
             at_y: Vec::new(),
+            width: topo.width(),
+            masks: Vec::new(),
+            after: Vec::new(),
             rank_start: Vec::new(),
             radius: LOCALITY_START_RADIUS,
-            // Every topology lays its tiles out on the full width ×
-            // height grid, so opposite corners span the widest pair.
+            // Every topology lays its tiles out row-major on the full
+            // width × height grid, so opposite corners span the widest
+            // pair.
             max_dist: topo.width() + topo.height() - 2,
             buf: Vec::new(),
         }
@@ -306,10 +325,10 @@ impl Neighborhood {
     /// exchanged tiles (`perm[a]`, `perm[b]`) lie within the radius,
     /// in canonical order (fully widened, every admitted pair). While
     /// `2·quota` stays below the admitted row count, the pass counts
-    /// and ranks instead of building that pool; from there on every row
-    /// may be read anyway, and the pool is built whole. Sampled subsets
-    /// are emitted in canonical admitted order (see the [module
-    /// docs](self) on plateau tie-breaking).
+    /// and ranks through per-radius tile masks instead of building that
+    /// pool; from there on every row may be read anyway, and the pool is
+    /// built whole. Sampled subsets are emitted in canonical admitted
+    /// order (see the [module docs](self) on plateau tie-breaking).
     ///
     /// # Panics
     ///
@@ -395,18 +414,27 @@ impl Neighborhood {
     /// partial Fisher–Yates over the pool in canonical order, emitted
     /// sorted back into that order.
     ///
-    /// Below full radius a short pass never builds the pool:
-    /// [`count_rows`] sizes it and places each row's ranks, the shuffle
-    /// draws ranks over a rank list it then restores, and one forward
-    /// scan resolves them. Each draw reads at most two pool slots, so
+    /// Below full radius a short pass never builds the pool. It sizes
+    /// each row from the radius's tile masks ([`radius_masks`], built
+    /// once per radius per stream): walking the rows from the back with
+    /// the set of tiles the later positions hold (seeded with the free
+    /// positions past the last row), row `a` counts
+    /// `popcount(mask[perm[a]] & after)`, which is exactly its number of
+    /// within-radius partners, so the pool size and every row's first
+    /// rank are those of the built pool. The shuffle then draws ranks
+    /// over a rank list it restores, and one forward scan resolves them,
+    /// testing each partner's tile against the row's mask. A pass costs
+    /// `O(rows · ⌈tiles/64⌉)` to count plus at most a row's partners per
+    /// drawn move to resolve. Each draw reads at most two pool slots, so
     /// once `2·quota` reaches the row count every row may be read
-    /// anyway: the pool is then built whole, its size falling out of
-    /// the fill, and nothing is counted. (On the `neighborhood_pass`
-    /// bench, counting and ranking at such quotas is up to twice as slow
-    /// as the fill at 8×8 and no faster at 16×16; filling at quota 3 is
-    /// 2–6× slower than counting.) Fully widened, every admitted pair
-    /// qualifies whatever the mapping, so the draws run over the
-    /// stream's canonical pair list, whose order each pass restores.
+    /// anyway: the pool is then built whole from grid coordinates, its
+    /// size falling out of the fill, and nothing is counted. (On the
+    /// `neighborhood_pass` bench, filling at quota 3 is several times
+    /// slower than counting, and filling by mask bits instead of
+    /// coordinates 1.1–1.3× slower than this fill.) Fully widened, every
+    /// admitted pair qualifies whatever the mapping, so the draws run
+    /// over the stream's canonical pair list, whose order each pass
+    /// restores.
     fn locality_draw(&mut self, mapping: &Mapping, quota: usize) {
         let rows = self.rows();
         self.buf.clear();
@@ -425,19 +453,20 @@ impl Neighborhood {
             self.buf.extend(self.pool.iter().map(|&p| unpair(p)));
             return;
         }
-        let (perm, tile_xy) = (mapping.permutation(), &self.tile_xy);
-        self.at_x.clear();
-        self.at_x.extend(perm.iter().map(|t| tile_xy[t.0].0));
-        self.at_y.clear();
-        self.at_y.extend(perm.iter().map(|t| tile_xy[t.0].1));
-        let (xs, ys, radius) = (&self.at_x[..], &self.at_y[..], self.radius as u16);
+        let perm = mapping.permutation();
         if quota.saturating_mul(2) >= rows {
-            self.mask.resize(self.tiles, 0);
+            let tile_xy = &self.tile_xy;
+            self.at_x.clear();
+            self.at_x.extend(perm.iter().map(|t| tile_xy[t.0].0));
+            self.at_y.clear();
+            self.at_y.extend(perm.iter().map(|t| tile_xy[t.0].1));
+            let (xs, ys, radius) = (&self.at_x[..], &self.at_y[..], self.radius as u16);
+            self.marks.resize(self.tiles, 0);
             self.pool.resize(self.admitted_len(), 0);
             let mut fill = 0;
             for a in 0..rows {
                 let out = &mut self.pool[fill..];
-                fill += filter_row(xs, ys, a, radius, &mut self.mask, out);
+                fill += filter_row(xs, ys, a, radius, &mut self.marks, out);
             }
             self.pool.truncate(fill);
             let k = quota.min(fill);
@@ -445,8 +474,46 @@ impl Neighborhood {
             self.buf.extend(self.pool[..k].iter().map(|&p| unpair(p)));
             return;
         }
+        let words = self.tiles.div_ceil(64);
+        let at = match self.masks.iter().position(|&(r, _)| r == self.radius) {
+            Some(at) => at,
+            None => {
+                let masks = radius_masks(self.width, self.tiles, self.radius);
+                self.masks.push((self.radius, masks));
+                self.masks.len() - 1
+            }
+        };
+        let masks = &self.masks[at].1;
+        let mask_of = |a: usize| &masks[perm[a].0 * words..][..words];
+        // Row `a` counts the tiles its mask shares with the positions
+        // after it, gathered in `after` walking the rows from the back.
+        let after = &mut self.after;
+        after.clear();
+        after.resize(words, 0);
+        for t in &perm[rows..] {
+            set(after, t.0);
+        }
         let starts = &mut self.rank_start;
-        count_rows(xs, ys, rows, radius, starts);
+        starts.clear();
+        starts.resize(rows + 1, 0);
+        if words == 1 {
+            // Up to 64 tiles: the bitset stays in a register.
+            let mut after = after[0];
+            for a in (0..rows).rev() {
+                let t = perm[a].0;
+                starts[a + 1] = (masks[t] & after).count_ones();
+                after |= 1 << t;
+            }
+        } else {
+            for a in (0..rows).rev() {
+                let count = mask_of(a).iter().zip(&*after);
+                starts[a + 1] = count.map(|(m, s)| (m & s).count_ones()).sum();
+                set(after, perm[a].0);
+            }
+        }
+        for a in 0..rows {
+            starts[a + 1] += starts[a];
+        }
         let n = starts[rows] as usize;
         if self.ranks.len() < n {
             let len = self.ranks.len() as u32;
@@ -461,18 +528,18 @@ impl Neighborhood {
         );
         // Ranks come out sorted, so one forward scan resolves them: it
         // walks the rows holding them in order and, within a row, the
-        // partners up to the last one drawn, counting the within-radius
-        // ones until the count passes the rank's offset in its row.
+        // partners up to the last one drawn, counting those whose tile
+        // is in the row's mask until the count passes the rank's offset
+        // in its row.
         let (mut a, mut b, mut seen) = (0, 1, 0);
         for &r in &self.pool {
             if starts[a + 1] <= r {
                 a += starts[a + 1..].partition_point(|&s| s <= r);
                 (b, seen) = (a + 1, 0);
             }
-            let offset = r - starts[a];
-            let (xa, ya) = (xs[a], ys[a]);
+            let (near, offset) = (mask_of(a), r - starts[a]);
             while seen <= offset {
-                seen += u32::from(xs[b].abs_diff(xa) + ys[b].abs_diff(ya) <= radius);
+                seen += u32::from(has(near, perm[b].0));
                 b += 1;
             }
             self.buf.push(Move::Swap(a, b - 1));
@@ -590,52 +657,82 @@ fn draw_restored(
     out.sort_unstable();
 }
 
-/// Sets `starts` to the running within-radius pair counts of `rows`
-/// rows (one entry per row plus the total): row `a` counts the
-/// positions after `a` whose tile (coordinates `xs`/`ys`) lies within
-/// `radius` of position `a`'s. Rows go four at a time, so one pass over
-/// their shared partners serves all four (pairs inside a block are
-/// counted apart). Branch-free over 16-bit lanes, so it vectorizes; a
-/// row has fewer than 2¹⁶ partners, so no count wraps.
-fn count_rows(xs: &[u16], ys: &[u16], rows: usize, radius: u16, starts: &mut Vec<u32>) {
-    let within =
-        |a: usize, b: usize| u16::from(xs[a].abs_diff(xs[b]) + ys[a].abs_diff(ys[b]) <= radius);
-    starts.clear();
-    starts.push(0);
-    let mut total = 0;
-    for a in (0..rows).step_by(4) {
-        let block = (rows - a).min(4);
-        let mut counts = [0u16; 4];
-        for (l, count) in counts[..block].iter_mut().enumerate() {
-            for m in l + 1..block {
-                *count += within(a + l, a + m);
-            }
-        }
-        let (tx, ty) = (&xs[a + block..], &ys[a + block..]);
-        if block == 4 {
-            let (x0, x1, x2, x3) = (xs[a], xs[a + 1], xs[a + 2], xs[a + 3]);
-            let (y0, y1, y2, y3) = (ys[a], ys[a + 1], ys[a + 2], ys[a + 3]);
-            let [mut c0, mut c1, mut c2, mut c3] = counts;
-            for (&x, &y) in tx.iter().zip(ty) {
-                c0 += u16::from(x.abs_diff(x0) + y.abs_diff(y0) <= radius);
-                c1 += u16::from(x.abs_diff(x1) + y.abs_diff(y1) <= radius);
-                c2 += u16::from(x.abs_diff(x2) + y.abs_diff(y2) <= radius);
-                c3 += u16::from(x.abs_diff(x3) + y.abs_diff(y3) <= radius);
-            }
-            counts = [c0, c1, c2, c3];
-        } else {
-            for (l, count) in counts[..block].iter_mut().enumerate() {
-                let (xa, ya) = (xs[a + l], ys[a + l]);
-                for (&x, &y) in tx.iter().zip(ty) {
-                    *count += u16::from(x.abs_diff(xa) + y.abs_diff(ya) <= radius);
+/// The tile masks of `radius` on a row-major grid `width` tiles wide:
+/// `⌈tiles/64⌉` words per tile, bit `u` of tile `t`'s mask set iff the
+/// two tiles lie within `radius` of each other (Manhattan distance on
+/// the grid); bits past the last tile stay clear. Tile ids are
+/// `y·width + x`, so a mask is its tile's diamond laid out as one run
+/// of bits per grid row. Row 0's diamonds are written run by run. Any
+/// other tile's is the diamond of the tile one row before it, shifted
+/// up by `width` bits, plus its run in row 0 while row 0 is within
+/// `radius`. A build costs `O(tiles · words)` word operations, not a
+/// distance test per tile pair.
+fn radius_masks(width: usize, tiles: usize, radius: usize) -> Vec<u64> {
+    let (words, height) = (tiles.div_ceil(64), tiles / width);
+    let valid = !0 >> (words * 64 - tiles);
+    let mut masks = vec![0; tiles * words];
+    let mut t = 0;
+    for y in 0..height {
+        for x in 0..width {
+            let (below, mask) = masks.split_at_mut(t * words);
+            let mask = &mut mask[..words];
+            let run = |mask: &mut [u64], v: usize| {
+                let (reach, row) = (radius - y.abs_diff(v), v * width);
+                let (lo, hi) = (x.saturating_sub(reach), (x + reach).min(width - 1));
+                set_run(mask, row + lo, row + hi);
+            };
+            if y == 0 {
+                for v in 0..=radius.min(height - 1) {
+                    run(mask, v);
+                }
+            } else {
+                shift_up(&below[(t - width) * words..], width, mask);
+                mask[words - 1] &= valid;
+                if y <= radius {
+                    run(mask, 0);
                 }
             }
-        }
-        for &count in &counts[..block] {
-            total += u32::from(count);
-            starts.push(total);
+            t += 1;
         }
     }
+    masks
+}
+
+/// Sets `dst` to the bitset `src` shifted `bits` places up (towards
+/// higher bits), dropping what passes the end of `dst`. `dst` starts
+/// clear.
+fn shift_up(src: &[u64], bits: usize, dst: &mut [u64]) {
+    let (skip, s) = (bits / 64, bits % 64);
+    for j in skip..dst.len() {
+        let carry = match (s, j.checked_sub(skip + 1)) {
+            (1.., Some(i)) => src[i] >> (64 - s),
+            _ => 0,
+        };
+        dst[j] = src[j - skip] << s | carry;
+    }
+}
+
+/// Sets bits `lo..=hi` of the bitset `words`.
+fn set_run(words: &mut [u64], lo: usize, hi: usize) {
+    let (first, last) = (lo / 64, hi / 64);
+    let (head, tail) = (!0 << (lo % 64), !0 >> (63 - hi % 64));
+    if first == last {
+        words[first] |= head & tail;
+    } else {
+        words[first] |= head;
+        words[first + 1..last].fill(!0);
+        words[last] |= tail;
+    }
+}
+
+/// Sets bit `t` of the bitset `words`.
+fn set(words: &mut [u64], t: usize) {
+    words[t / 64] |= 1 << (t % 64);
+}
+
+/// Whether bit `t` of the bitset `words` is set.
+fn has(words: &[u64], t: usize) -> bool {
+    words[t / 64] >> (t % 64) & 1 == 1
 }
 
 /// Writes row `a`'s within-radius pairs (see [`pair`]), ascending, to
@@ -735,6 +832,38 @@ mod tests {
         assert_eq!(n.admitted_len(), oracle.len());
         let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Sampled, 1);
         assert_eq!(n.pass(&ctx, usize::MAX), &oracle[..]);
+    }
+
+    #[test]
+    fn radius_masks_hold_exactly_the_tiles_within_the_radius() {
+        // One and several words per mask, a width past 64 (a ring's one
+        // row), ragged last words, and radii from 0 to past the widest
+        // pair; every bit against the distance, bits past the last tile
+        // clear.
+        for (width, height) in [
+            (3usize, 3usize),
+            (5, 3),
+            (8, 8),
+            (9, 9),
+            (16, 16),
+            (13, 7),
+            (100, 1),
+        ] {
+            let tiles = width * height;
+            let words = tiles.div_ceil(64);
+            for radius in 0..=width + height {
+                let masks = radius_masks(width, tiles, radius);
+                assert_eq!(masks.len(), tiles * words);
+                for (t, mask) in masks.chunks_exact(words).enumerate() {
+                    for u in 0..words * 64 {
+                        let near = u < tiles
+                            && (t % width).abs_diff(u % width) + (t / width).abs_diff(u / width)
+                                <= radius;
+                        assert_eq!(has(mask, u), near, "{width}×{height} r{radius}: {t}, {u}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! canonically-equal requests and on a fingerprint hash collision.
 //! Exactness comes from the tables: each entry shares the tables it was
 //! solved on, and an exact hit needs them to be the request's. Tables
-//! are interned (see [`ScoreTables`](phonoc_core::ScoreTables)), so a
+//! are interned (see [`ScoreTables`]), so a
 //! problem rebuilt from equal inputs holds the very tables the entry
 //! keeps, and the check is one pointer compare; a key hit on other
 //! tables runs as a near hit. A colliding family only picks a
