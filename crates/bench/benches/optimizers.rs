@@ -7,12 +7,16 @@
 use bench::paper_problem;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
+use phonoc_core::parallel::{parallel_map_with, set_worker_override, FORK_WORK};
 use phonoc_core::{
-    run_dse, DseConfig, MappingOptimizer, NeighborhoodPolicy, Objective, OptContext,
+    run_dse, DseConfig, MappingOptimizer, Move, NeighborhoodPolicy, Objective, OptContext,
+    PeekStrategy,
 };
 use phonoc_opt::neighborhood::Neighborhood;
 use phonoc_opt::{GeneticAlgorithm, RandomSearch, Rpbla, SimulatedAnnealing, TabuSearch};
 use phonoc_topo::TopologyKind;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn optimizer_overhead(c: &mut Criterion) {
     let problem = paper_problem("VOPD", TopologyKind::Mesh, Objective::MaximizeWorstCaseSnr);
@@ -144,5 +148,76 @@ fn neighborhood_pass(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, optimizer_overhead, neighborhood_pass);
+/// The pool's one dispatch rule, measured where it decides.
+///
+/// * `round_trip_{1,2}_workers` time an empty two-item batch stating
+///   `2 × FORK_WORK`: inline at one worker, and at two the dispatch
+///   round-trip (a send, two wake-ups, a receive) that `FORK_WORK` is
+///   sized from.
+/// * `{full,delta,loss}_{inline,forked}_mpeg_like_{8x8,16x16}` time one
+///   `peek_moves_improving` batch stating `2 × FORK_WORK` units (the
+///   least work that forks) against a seated random cursor on the
+///   mpeg-like d100 cells, at one worker and at two: full-routed and
+///   SNR-delta peeks state the edge count each, loss peeks one unit.
+///   Their inline time over `2 × FORK_WORK` is the route's ns per unit.
+fn dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dispatch");
+    let empty = [(), ()];
+    for workers in [1, 2] {
+        let name = format!(
+            "round_trip_{workers}_worker{}",
+            if workers > 1 { "s" } else { "" }
+        );
+        group.bench_function(&name, |b| {
+            set_worker_override(Some(workers));
+            b.iter(|| parallel_map_with(&empty, 2 * FORK_WORK, || (), |_, &()| ()));
+        });
+    }
+    for mesh in [8, 16] {
+        let spec = ScenarioSpec {
+            family: ScenarioFamily::MpegLike,
+            mesh,
+            density_pct: 100,
+            seed: 1,
+        };
+        for (route, objective, strategy) in [
+            ("full", Objective::MaximizeWorstCaseSnr, PeekStrategy::Full),
+            (
+                "delta",
+                Objective::MaximizeWorstCaseSnr,
+                PeekStrategy::Delta,
+            ),
+            (
+                "loss",
+                Objective::MinimizeWorstCaseLoss,
+                PeekStrategy::Hybrid,
+            ),
+        ] {
+            let problem = bench::sweep::scenario_problem_with_objective(&spec, objective);
+            let unit = problem.evaluator().edge_count();
+            let len = if route == "loss" {
+                2 * FORK_WORK
+            } else {
+                (2 * FORK_WORK).div_ceil(unit)
+            };
+            let mut ctx = OptContext::new(&problem, usize::MAX / unit, 5);
+            ctx.set_peek_strategy(strategy);
+            let start = ctx.random_mapping();
+            let mut rng = StdRng::seed_from_u64(9);
+            let moves: Vec<Move> = (0..len).map(|_| start.random_swap_move(&mut rng)).collect();
+            ctx.set_current(start).expect("budget is ample");
+            for (path, workers) in [("inline", 1), ("forked", 2)] {
+                let name = format!("{route}_{path}_mpeg_like_{mesh}x{mesh}");
+                group.bench_function(&name, |b| {
+                    set_worker_override(Some(workers));
+                    b.iter(|| black_box(ctx.peek_moves_improving(&moves).len()));
+                });
+            }
+        }
+    }
+    set_worker_override(None);
+    group.finish();
+}
+
+criterion_group!(benches, optimizer_overhead, neighborhood_pass, dispatch);
 criterion_main!(benches);

@@ -58,27 +58,34 @@ fn main() {
         let (mut snr_min, mut snr_max) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut loss_min, mut loss_max) = (f64::INFINITY, f64::NEG_INFINITY);
 
-        let sampled = phonoc_core::parallel::parallel_map_tasks(&shards, |&(w, todo)| {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut sh = Histogram::new(snr_range.0, snr_range.1, bins);
-            let mut lh = Histogram::new(loss_range.0, loss_range.1, bins);
-            let (mut smin, mut smax) = (f64::INFINITY, f64::NEG_INFINITY);
-            let (mut lmin, mut lmax) = (f64::INFINITY, f64::NEG_INFINITY);
-            for _ in 0..todo {
-                let m = Mapping::random(tasks, tiles, &mut rng);
-                let metrics = evaluator.evaluate(&m);
-                let snr = metrics.worst_case_snr.0;
-                let loss = metrics.worst_case_il.0;
-                sh.add(snr);
-                lh.add(loss);
-                smin = smin.min(snr);
-                smax = smax.max(snr);
-                lmin = lmin.min(loss);
-                lmax = lmax.max(loss);
-            }
-            (sh, lh, smin, smax, lmin, lmax)
-        });
+        // Every sample is one full evaluation, billed at the edge count.
+        let work = samples.saturating_mul(evaluator.edge_count().max(1));
+        let sampled = phonoc_core::parallel::parallel_map_with(
+            &shards,
+            work,
+            || (),
+            |_, &(w, todo)| {
+                let mut rng =
+                    StdRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut sh = Histogram::new(snr_range.0, snr_range.1, bins);
+                let mut lh = Histogram::new(loss_range.0, loss_range.1, bins);
+                let (mut smin, mut smax) = (f64::INFINITY, f64::NEG_INFINITY);
+                let (mut lmin, mut lmax) = (f64::INFINITY, f64::NEG_INFINITY);
+                for _ in 0..todo {
+                    let m = Mapping::random(tasks, tiles, &mut rng);
+                    let metrics = evaluator.evaluate(&m);
+                    let snr = metrics.worst_case_snr.0;
+                    let loss = metrics.worst_case_il.0;
+                    sh.add(snr);
+                    lh.add(loss);
+                    smin = smin.min(snr);
+                    smax = smax.max(snr);
+                    lmin = lmin.min(loss);
+                    lmax = lmax.max(loss);
+                }
+                (sh, lh, smin, smax, lmin, lmax)
+            },
+        );
         for (sh, lh, smin, smax, lmin, lmax) in sampled {
             snr_hist.merge(&sh);
             loss_hist.merge(&lh);

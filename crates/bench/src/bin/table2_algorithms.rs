@@ -51,12 +51,18 @@ fn main() {
     // Compute all cells in parallel: one pool task per (app, topology).
     // Item order is (app-major, mesh then torus) and the map preserves
     // it, so chunking by 2 below regroups the cells per application.
+    // Each task runs two sessions per algorithm of `budget` evaluations,
+    // every one billing at least a ledger unit: the work it states.
     let jobs: Vec<(&str, TopologyKind)> = TABLE2_APPS
         .iter()
         .flat_map(|&app| kinds.map(|kind| (app, kind)))
         .collect();
-    let collected: Vec<[Cell; 3]> =
-        phonoc_core::parallel::parallel_map_tasks(&jobs, |&(app, kind)| {
+    let work = (jobs.len() * 2 * algos.len()).saturating_mul(budget);
+    let collected: Vec<[Cell; 3]> = phonoc_core::parallel::parallel_map_with(
+        &jobs,
+        work,
+        || (),
+        |_, &(app, kind)| {
             let snr_problem = paper_problem(app, kind, Objective::MaximizeWorstCaseSnr);
             let loss_problem = paper_problem(app, kind, Objective::MinimizeWorstCaseLoss);
             let mut cells = [Cell {
@@ -71,7 +77,8 @@ fn main() {
                 cells[i] = Cell { snr, loss };
             }
             cells
-        });
+        },
+    );
     let results: Vec<Vec<[Cell; 3]>> = collected.chunks(2).map(<[_]>::to_vec).collect(); // [app][kind][algo]
 
     let mut csv =

@@ -123,14 +123,18 @@
 //!
 //! All four peek entry points score through one per-move scorer and
 //! book through one routine: the sequential peeks on the context's own
-//! scratch, forked batch scans on each worker's sticky one. A batch
-//! that would not fork (below the pool's fork floor, at one worker, on
-//! a pool worker, or a loss-family batch below [`LOSS_FORK_WORK`]
-//! moves × tiles, whose peeks cost less than a dispatch) is the
-//! sequential peek loop, booking each move as it is scored. A sequential peek is therefore indistinguishable
-//! from a one-element batch, and a batch from a loop of sequential
-//! peeks — same [`MoveEval`]s, ledger, counters and trace events
-//! (property-tested in `tests/hybrid_properties.rs` and
+//! scratch, forked batch scans on each worker's sticky one. Every batch
+//! states its work in ledger units to the pool's one dispatch rule
+//! ([`crate::parallel`]): `edge_count` per direct evaluation and per
+//! full-routed or SNR-delta peek, one per loss peek. A peek batch
+//! scores at most the moves the remaining budget can pay at their
+//! least bill. One that would not fork (below twice
+//! [`crate::parallel::FORK_WORK`], at one worker, or inside a forked
+//! batch such as a portfolio lane) is the sequential peek loop,
+//! booking each move as it is scored. A sequential peek is therefore
+//! indistinguishable from a one-element batch, and a batch from a loop
+//! of sequential peeks — same [`MoveEval`]s, ledger, counters and trace
+//! events (property-tested in `tests/hybrid_properties.rs` and
 //! `tests/batch_paths.rs`).
 //!
 //! All routes score each peek **bit-identically**, so the strategy can
@@ -214,17 +218,6 @@ use phonoc_phys::Db;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-
-/// Batch work (moves × tiles) below which a loss-family peek batch runs
-/// inline. A loss peek is a loss-table scan of roughly 100–250 ns, so
-/// the SNR batches' item floor would fork a handful of them for a
-/// dispatch that costs more than it saves. On a 2-thread Xeon, forked
-/// loss batches lost on 6×6 meshes and on 16×16 batches of ≤ 187
-/// moves, and won from ~900 moves on 12×12 and ~500 on 16×16, where
-/// each peek's table reads outgrow one core's cache. The whole 8×8
-/// neighbourhood (2016 moves, 129 024 move·tiles) stays inline; it
-/// measured either way.
-pub const LOSS_FORK_WORK: usize = 1 << 17;
 
 /// How SNR-objective peeks score a candidate move (loss-objective peeks
 /// always take the crosstalk-free loss delta, which no alternative
@@ -1078,9 +1071,8 @@ impl<'p> OptContext<'p> {
     /// The batch every entry point shares: the admitted mappings whose
     /// score is not `known` (an empty `known` knows none) through the
     /// bounded full pass at `threshold` in one order-preserving parallel
-    /// pass (inline for a loss-family objective, whose scores are
-    /// loss-table scans), then billing and incumbent tracking for every
-    /// admitted mapping in input order.
+    /// pass, stating `unit` work per pass, then billing and incumbent
+    /// tracking for every admitted mapping in input order.
     fn score_batch(
         &mut self,
         mappings: &[Mapping],
@@ -1097,19 +1089,11 @@ impl<'p> OptContext<'p> {
             .filter(|&i| known_at(i).is_none())
             .map(|i| &mappings[i])
             .collect();
-        let computed = if objective.is_loss_based() {
-            // A loss score is a loss-table scan of well under a
-            // microsecond: forking it costs more than it saves.
-            let scratch = &mut self.scratch.full;
-            fresh
-                .iter()
-                .map(|m| score_direct(evaluator, objective, m, threshold, scratch))
-                .collect()
-        } else {
-            parallel::parallel_map_with(&fresh, EvalScratch::default, |scratch, m| {
+        let work = fresh.len().saturating_mul(self.unit as usize);
+        let computed =
+            parallel::parallel_map_with(&fresh, work, EvalScratch::default, |scratch, m| {
                 score_direct(evaluator, objective, m, threshold, scratch)
-            })
-        };
+            });
         let mut computed = computed.into_iter();
         let mut scores = Vec::with_capacity(admit);
         for (i, mapping) in mappings[..admit].iter().enumerate() {
@@ -1314,11 +1298,12 @@ impl<'p> OptContext<'p> {
     /// prefix of `moves` and may be shorter than the input.
     /// Deterministic: results and incumbent updates are in input order,
     /// identical to a [`OptContext::peek_move`] loop that stops at the
-    /// first `None`, at any worker count. A batch the worker pool would
-    /// run inline, and a loss-family batch too light to fork, *is* that
-    /// loop: each move is booked as it is scored, so no move is scored
-    /// past the budget. A larger batch is scored in one order-preserving
-    /// parallel pass and booked in order afterwards.
+    /// first `None`, at any worker count. Only the moves the remaining
+    /// budget can pay at their least bill are scored at all. A batch
+    /// the worker pool would run inline *is* that loop: each move is
+    /// booked as it is scored. A forked batch is scored in one
+    /// order-preserving parallel pass and booked in order afterwards
+    /// (the rule is in the [module docs](self) and [`crate::parallel`]).
     ///
     /// # Panics
     ///
@@ -1359,25 +1344,35 @@ impl<'p> OptContext<'p> {
         Some(self.book_peek(ev, cost))
     }
 
-    /// The batch scans. A batch the pool would run inline, and a
-    /// loss-family batch below [`LOSS_FORK_WORK`] moves × tiles, is the
-    /// sequential peek loop: each move is scored on the context's own
-    /// scratch and booked before the next is scored, so scoring stops
-    /// where the budget does. Any other batch runs the shared scorer
-    /// over `moves` in one order-preserving parallel pass (each
-    /// worker's sticky scratch slot holds a peek scratch, built once
-    /// per worker lifetime), then the shared booking in input order
-    /// until the budget runs out.
+    /// The batch scans. A batch scores at most the moves the remaining
+    /// budget can pay at their least bill (`unit` full-routed, one unit
+    /// otherwise) and states their work to the pool (`unit` per
+    /// full-routed or SNR-delta peek, one per loss peek). Inline, it is
+    /// the sequential peek loop on the context's own scratch, booking
+    /// each move before scoring the next. Forked, it runs the shared
+    /// scorer in one order-preserving parallel pass on each worker's
+    /// sticky peek scratch, then books in input order until the budget
+    /// runs out; as every move pays at least its least bill, fewer moves
+    /// than the units left go unbilled, and none on the full route.
     fn peek_batch(&mut self, moves: &[Move], improving: bool) -> Vec<MoveEval> {
         if self.exhausted() || moves.is_empty() {
             return Vec::new();
         }
-        let light_loss =
-            self.objective.is_loss_based() && moves.len() * self.tile_count() < LOSS_FORK_WORK;
-        if light_loss || parallel::runs_inline(moves.len()) {
-            // Every peek bills at least one unit.
-            let left = (self.budget_units - self.used_units).min(moves.len() as u64);
-            let mut out = Vec::with_capacity(left as usize);
+        let cursor = self
+            .cursor
+            .as_ref()
+            .expect("peek_moves without set_current");
+        let unit = self.unit as usize;
+        let (least, per_move) = match cursor.state {
+            CursorState::Full => (unit, unit),
+            CursorState::Snr(_) => (1, unit),
+            CursorState::Loss(_) => (1, 1),
+        };
+        let left = usize::try_from(self.budget_units - self.used_units).unwrap_or(usize::MAX);
+        let moves = &moves[..moves.len().min(left.div_ceil(least))];
+        let work = moves.len().saturating_mul(per_move);
+        if parallel::workers_for(work) == 1 {
+            let mut out = Vec::with_capacity(moves.len());
             for &mv in moves {
                 let Some(ev) = self.peek_one(mv, improving) else {
                     break;
@@ -1386,14 +1381,11 @@ impl<'p> OptContext<'p> {
             }
             return out;
         }
-        let scorer = self
-            .cursor
-            .as_ref()
-            .expect("peek_moves without set_current")
-            .scorer(self.problem.evaluator(), self.objective, improving);
-        let scored = parallel::parallel_map_with(moves, PeekScratch::default, |scratch, &mv| {
-            scorer.score(mv, scratch)
-        });
+        let scorer = cursor.scorer(self.problem.evaluator(), self.objective, improving);
+        let scored =
+            parallel::parallel_map_with(moves, work, PeekScratch::default, |scratch, &mv| {
+                scorer.score(mv, scratch)
+            });
         self.scored_peeks += scored.len() as u64;
         let mut out = Vec::with_capacity(scored.len());
         for (ev, cost) in scored {

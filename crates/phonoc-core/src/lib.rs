@@ -41,8 +41,9 @@
 //!   peek family is objective-generic, so one optimizer implementation
 //!   serves all three objective families bit-identically.
 //! * [`parallel`] — the deterministic fork–join primitive behind batch
-//!   evaluation (std-thread based; no external dependencies; tiny
-//!   batches stay on the caller thread via a per-worker chunk floor).
+//!   evaluation (std-thread based; no external dependencies; a batch
+//!   forks only once the work it states reaches twice
+//!   [`parallel::FORK_WORK`] ledger units, never inside another).
 //! * [`telemetry`] — structured run traces: the [`telemetry::TraceSink`]
 //!   recorder every [`engine::OptContext`] carries (disabled
 //!   [`telemetry::NullSink`] by default — bit-identical results either

@@ -2,21 +2,17 @@
 //! **process-wide persistent worker pool**.
 //!
 //! The environment this workspace builds in has no registry access, so
-//! instead of `rayon` this module provides the order-preserving
-//! parallel maps the engine needs. Through PR 6 they were built on
-//! [`std::thread::scope`]: every batch call spawned fresh threads and
-//! rebuilt its scratch buffers from scratch. Both costs are gone:
+//! instead of `rayon` this module provides the one order-preserving
+//! parallel map the engine needs:
 //!
 //! * **Workers are spawned once and live for the process.** A batch is
 //!   dispatched as chunk descriptors over per-worker channels; the
 //!   caller thread itself runs chunk 0 and then waits for the remote
-//!   chunks' completion messages. Dispatch costs a few channel sends
-//!   and one wake-up per worker instead of a thread spawn per worker
-//!   (tens of microseconds each).
+//!   chunks' completion messages.
 //! * **Scratch slots are sticky.** Every thread (each pool worker and
 //!   every caller thread) owns a typed scratch arena keyed by the
 //!   scratch type of the call site; [`parallel_map_with`] callers build
-//!   their `EvalScratch`/`DeltaScratch` once per worker *lifetime*, not
+//!   their `EvalScratch`/`PeekScratch` once per thread *lifetime*, not
 //!   once per batch call. The slot contract: a scratch must be a
 //!   **buffer, not an accumulator** — the mapped function must produce
 //!   output that is a pure function of its item, whatever state a
@@ -25,17 +21,27 @@
 //!   (pinned by `tests/scratch_properties.rs` and the reused-slot
 //!   staleness test in `tests/thread_invariance.rs`).
 //!
-//! # Entry points
+//! # One entry point, one rule
 //!
-//! * [`parallel_map`] / [`parallel_map_with`] — the fine-grained maps
-//!   behind batch evaluation, gated by the fork floor ([`FORK_FLOOR`]):
-//!   below `2 × FORK_FLOOR` items a batch runs inline on the caller
-//!   thread (still on its sticky scratch slot); above it the worker
-//!   count scales with `n / FORK_FLOOR` up to the effective ceiling.
-//! * [`parallel_map_tasks`] — the coarse-grained map behind portfolio
-//!   lanes: items are whole optimizer runs (milliseconds to seconds
-//!   each), so it forks for *any* batch of two or more items instead of
-//!   applying the floor.
+//! [`parallel_map_with`]`(items, work, init, f)` is the only map. The
+//! caller states the batch's **work**: its bill in ledger units, as
+//! known or capped before scoring (the engine's direct evaluations,
+//! full-routed and SNR-delta peeks and portfolio lane allotments cost
+//! the problem's edge count each, a loss peek one unit). A batch forks
+//! only when it is not running inside another forked batch and its work
+//! reaches `2 × `[`FORK_WORK`], on `min(max workers, work / FORK_WORK)`
+//! workers; otherwise it runs inline on the caller thread (still on its
+//! sticky scratch slot). Every caller — engine batches, portfolio
+//! rounds, the experiment bins — goes through this one decision.
+//!
+//! **Nested batches run inline.** "Inside another forked batch" means
+//! any thread running a chunk of one: a pool worker, and also the
+//! caller thread while it runs its own chunk 0. A portfolio round's
+//! lanes therefore scan on their own cores: a lane on chunk 0 does not
+//! hand its scans to a worker that is busy with another lane and then
+//! wait for that whole lane. This is also the deadlock-free rule for a
+//! fixed-size pool: no thread ever blocks waiting for pool capacity it
+//! might itself be occupying.
 //!
 //! # Pool lifecycle
 //!
@@ -49,27 +55,21 @@
 //! next dispatch. Worker threads block on their channel when idle and
 //! die with the process.
 //!
-//! A batch dispatched from *inside* a pool worker (portfolio lanes
-//! calling the engine's batch scans) runs inline on that worker — its
-//! sticky arena serves the nested scratch types too. This is the
-//! standard deadlock-free rule for a fixed-size pool: a worker never
-//! blocks waiting for pool capacity it might itself be occupying, and
-//! a lane's scans stay on the lane's core instead of fighting the
-//! other lanes for it.
-//!
 //! # Worker-count control and invariance
 //!
 //! The worker ceiling is normally the machine's available parallelism,
 //! but can be pinned — `PHONOC_WORKERS=N` in the environment (read
-//! once), or [`set_worker_override`] at run time (tests; the runtime
-//! setting wins). **Results never depend on the worker count**: every
-//! map cuts the batch into contiguous chunks and concatenates
-//! per-chunk results in input order, so a 1-worker and an 8-worker run
-//! of the same batch are bit-identical as long as the mapped function
-//! is a pure function of its item (the scratch-slot buffer contract
-//! above) — property-tested in `tests/thread_invariance.rs` at
-//! 1/2/4/8 workers, including across a mid-run override resize. If
-//! `rayon` is ever vendored, only this module needs to change.
+//! once, a positive integer, see [`env_workers`]), or
+//! [`set_worker_override`] at run time (tests; the runtime setting
+//! wins). **Results never depend on the worker count**: the map cuts
+//! the batch into contiguous chunks and concatenates per-chunk results
+//! in input order, so a 1-worker and an 8-worker run of the same batch
+//! are bit-identical as long as the mapped function is a pure function
+//! of its item (the scratch-slot buffer contract above) —
+//! property-tested in `tests/thread_invariance.rs` and
+//! `tests/pool_stress.rs` at 1/2/4/8 workers, including across a
+//! mid-run override resize. If `rayon` is ever vendored, only this
+//! module needs to change.
 
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
@@ -80,16 +80,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, OnceLock};
 
-/// Minimum items per worker before a fine-grained batch forks.
+/// Ledger units of work each worker of a forked batch gets at least.
 ///
-/// Dispatching one pool chunk costs a channel send plus a wake-up —
-/// about 4 µs per remote chunk — and the items flowing through here
-/// (full or delta evaluations) cost a microsecond or more each, so a
-/// handful per worker amortize a dispatch. Below `2 × FORK_FLOOR`
-/// items, batches run inline on the caller thread (on its sticky
-/// scratch slot); above it, worker count scales with `n / FORK_FLOOR`
-/// up to the effective ceiling.
-pub const FORK_FLOOR: usize = 4;
+/// Sized from the pool's dispatch round-trip, not from speed-ups: an
+/// empty two-chunk batch (a send, two wake-ups, a receive) takes
+/// 12–31 µs on the 2-core host this was tuned on (criterion group
+/// `dispatch`, `round_trip_2_workers`, min to median over runs), and a
+/// ledger unit of a peek batch costs 45–600 ns there (the group's
+/// `*_inline_*` cases on mpeg-like 8×8 and 16×16: full-routed the
+/// cheapest, SNR-delta the dearest). A worker's share of 1024 units
+/// thus runs ~50–600 µs, well above the round trip, and the cheapest
+/// forked batch (`2 × FORK_WORK`) keeps the loss family's whole 8×8
+/// neighbourhood (2016 moves) inline. What a second worker gains on
+/// that host depends on co-tenant load more than on the batch: two
+/// threads ran a dependent-multiply loop 0.8–1.6× and a random walk
+/// over a 32 MB table 1.4–2.3× as fast as one, so the threshold only
+/// keeps dispatch from costing more than a fork could save.
+pub const FORK_WORK: usize = 1024;
 
 /// Runtime worker-count override; `0` means "not set". Takes
 /// precedence over the `PHONOC_WORKERS` environment variable.
@@ -106,36 +113,56 @@ pub fn set_worker_override(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.map_or(0, |w| w.max(1)), Ordering::Relaxed);
 }
 
-/// The `PHONOC_WORKERS` environment setting, parsed once: the CI
-/// worker matrix pins worker counts process-wide through it.
-fn env_workers() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PHONOC_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|w| w.max(1))
+/// The `PHONOC_WORKERS` environment setting, read and parsed once:
+/// `Ok(None)` when unset, `Ok(Some(n))` for a positive integer `n`
+/// (surrounding whitespace allowed).
+///
+/// # Errors
+///
+/// A message naming the value when it is anything else (`two`, `0`,
+/// `-1`, empty). The `phonocmap` CLI reports it and exits before any
+/// work; inside the library the first batch panics with it.
+pub fn env_workers() -> Result<Option<usize>, String> {
+    static ENV: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
+    ENV.get_or_init(|| {
+        let Some(value) = std::env::var_os("PHONOC_WORKERS") else {
+            return Ok(None);
+        };
+        let value = value.to_string_lossy();
+        match value.trim().parse::<usize>() {
+            Ok(workers) if workers > 0 => Ok(Some(workers)),
+            _ => Err(format!(
+                "PHONOC_WORKERS must be a positive integer, not `{value}`"
+            )),
+        }
     })
+    .clone()
 }
 
 /// The effective worker ceiling: runtime override, then
 /// `PHONOC_WORKERS`, then the machine's available parallelism.
-pub(crate) fn max_workers() -> usize {
+fn max_workers() -> usize {
     match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => env_workers().unwrap_or_else(|| {
-            std::thread::available_parallelism()
+        0 => match env_workers() {
+            Ok(Some(workers)) => workers,
+            Ok(None) => std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        }),
+                .unwrap_or(1),
+            Err(msg) => panic!("{msg}"),
+        },
         pinned => pinned,
     }
 }
 
-/// Number of worker threads to use for `n` fine-grained items: the
-/// effective worker ceiling, capped so every worker gets at least
-/// [`FORK_FLOOR`] items.
-fn workers_for(n: usize) -> usize {
-    max_workers().min(n / FORK_FLOOR).max(1)
+/// The one dispatch rule: how many workers a batch of `work` ledger
+/// units runs on (`1` = inline). Inline inside a forked batch's chunk
+/// and below `2 × FORK_WORK`; otherwise `work / FORK_WORK` workers, up
+/// to the ceiling.
+pub(crate) fn workers_for(work: usize) -> usize {
+    if IN_FORKED_CHUNK.with(Cell::get) {
+        return 1;
+    }
+    max_workers().min(work / FORK_WORK).max(1)
 }
 
 // ---------------------------------------------------------------------
@@ -149,9 +176,10 @@ thread_local! {
     /// duration of a chunk and put back after it, which keeps the
     /// arena re-entrant for nested inline batches.
     static ARENA: RefCell<Vec<(TypeId, Box<dyn Any + Send>)>> = const { RefCell::new(Vec::new()) };
-    /// Whether this thread is a pool worker (nested dispatches run
-    /// inline — see the module docs' deadlock-free rule).
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread is running a chunk of a forked batch: always
+    /// on a pool worker, and on a caller thread while it runs its own
+    /// chunk 0. Batches started there run inline (see the module docs).
+    static IN_FORKED_CHUNK: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `body` on this thread's sticky scratch slot for `S`, creating
@@ -214,7 +242,7 @@ static POOL: Mutex<Vec<Sender<ChunkMsg>>> = Mutex::new(Vec::new());
 /// mid-update when the panic unwound must not survive into a later
 /// batch).
 fn worker_main(jobs: &Receiver<ChunkMsg>) {
-    IN_POOL_WORKER.with(|flag| flag.set(true));
+    IN_FORKED_CHUNK.with(|flag| flag.set(true));
     while let Ok(msg) = jobs.recv() {
         // SAFETY: see `ChunkMsg` — the dispatcher keeps `work` alive
         // until this chunk's outcome is received.
@@ -338,12 +366,16 @@ where
     drop(done_tx);
 
     // The caller earns its keep on chunk 0 (and its thread's sticky
-    // scratch slot stays warm for the sequential fallback path).
+    // scratch slot stays warm for the inline path). Batches nested in
+    // it run inline, like those on the workers. Only a thread outside
+    // any forked chunk dispatches, so the flag goes back to `false`.
     // SAFETY: `work` outlives the outcome loop below, and chunk 0 is
     // touched by no other thread.
+    IN_FORKED_CHUNK.with(|flag| flag.set(true));
     let mine = catch_unwind(AssertUnwindSafe(|| unsafe {
         run_chunk::<S, T, R, I, F>(work_ptr, 0)
     }));
+    IN_FORKED_CHUNK.with(|flag| flag.set(false));
 
     // Wait for *every* remote chunk before unwinding or returning —
     // the chunks borrow this stack frame.
@@ -386,24 +418,25 @@ where
     })
 }
 
-/// Whether a batch of `n` items at `workers` runs inline: one worker,
-/// fewer than two items, or already on a pool worker (nested batches —
-/// see the module docs).
-fn inline(n: usize, workers: usize) -> bool {
-    workers <= 1 || n < 2 || IN_POOL_WORKER.with(Cell::get)
-}
-
-/// Whether [`parallel_map_with`] would run a batch of `n` items inline
-/// on the calling thread: below the fork floor, at one worker, or on a
-/// pool worker. Callers that can do better than a mapped closure on
-/// that path (the engine books each peek as it scores it) ask first.
-pub(crate) fn runs_inline(n: usize) -> bool {
-    inline(n, workers_for(n))
-}
-
-/// The shared entry: inline when [`inline`] says so, pool dispatch
-/// otherwise.
-fn run_batch<S, T, R, I, F>(items: &[T], workers: usize, init: I, f: F) -> Vec<R>
+/// Maps `f` over `items`, returning results in input order. `work` is
+/// the batch's bill in ledger units (see the [module docs](self)): the
+/// batch forks over the pool when [the rule](FORK_WORK) says so, on at
+/// most one worker per item, and runs inline otherwise.
+///
+/// `f` gets a private scratch value (e.g. reusable evaluation buffers)
+/// from the executing thread's **sticky scratch slot**: `init` runs
+/// only the first time a given worker (or the caller thread) sees the
+/// scratch type `S`, and the value persists across batch calls for the
+/// thread's lifetime. The scratch must therefore be a buffer, not an
+/// accumulator — `f`'s output must be a pure function of its item
+/// regardless of what an earlier batch left in the slot.
+///
+/// # Panics
+///
+/// Resumes the first panic of `f` (after every chunk has finished), and
+/// panics if `PHONOC_WORKERS` is set to anything but a positive integer
+/// ([`env_workers`]).
+pub fn parallel_map_with<S, T, R, I, F>(items: &[T], work: usize, init: I, f: F) -> Vec<R>
 where
     S: Send + 'static,
     T: Sync,
@@ -411,101 +444,61 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    if inline(items.len(), workers) {
+    let workers = workers_for(work).min(items.len());
+    if workers <= 1 {
         run_inline(items, &init, &f)
     } else {
         dispatch(items, workers, &init, &f)
     }
 }
 
-// ---------------------------------------------------------------------
-// Public maps
-// ---------------------------------------------------------------------
-
-/// Maps `f` over `items` in parallel, returning results in input order.
-///
-/// Falls back to an inline loop when the batch is too small to be
-/// worth forking (see [`FORK_FLOOR`]) or on a single-core machine.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, || (), move |_: &mut (), item| f(item))
-}
-
-/// Like [`parallel_map`], but hands the mapped function a private
-/// scratch value (e.g. reusable evaluation buffers) from the executing
-/// thread's **sticky scratch slot**: `init` runs only the first time a
-/// given worker (or the caller thread) sees the scratch type `S`, and
-/// the value persists across batch calls for the worker's lifetime.
-/// The scratch must therefore be a buffer, not an accumulator — `f`'s
-/// output must be a pure function of its item regardless of what an
-/// earlier batch left in the slot (see the [module docs](self)).
-pub fn parallel_map_with<S, T, R, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    S: Send + 'static,
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    run_batch(items, workers_for(items.len()), init, f)
-}
-
-/// Like [`parallel_map`], but for **coarse-grained** items (whole
-/// optimizer runs — the portfolio's bulk-synchronous lane rounds):
-/// forks for any batch of two or more items instead of applying the
-/// fork floor, since each item is many orders of magnitude heavier
-/// than a pool dispatch. Results are returned in input order, so the
-/// reduction over them is fixed regardless of the worker count.
-pub fn parallel_map_tasks<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = max_workers().min(items.len()).max(1);
-    run_batch(items, workers, || (), move |_: &mut (), item| f(item))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
+
+    /// Work that forks at any ceiling of 2 or more.
+    const HEAVY: usize = 2 * FORK_WORK;
 
     #[test]
     fn preserves_input_order() {
         let items: Vec<usize> = (0..1000).collect();
-        let out = parallel_map(&items, |&x| x * 3);
+        let out = parallel_map_with(&items, HEAVY, || (), |_, &x| x * 3);
         assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn tiny_batches_work() {
-        assert_eq!(parallel_map(&[] as &[usize], |&x| x), Vec::<usize>::new());
-        assert_eq!(parallel_map(&[7usize], |&x| x + 1), vec![8]);
+        let none = parallel_map_with(&[] as &[usize], HEAVY, || (), |_, &x| x);
+        assert_eq!(none, Vec::<usize>::new());
+        assert_eq!(
+            parallel_map_with(&[7usize], HEAVY, || (), |_, &x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]
-    fn fork_floor_results_are_input_ordered_and_identical() {
-        // Sizes straddling every boundary of the fork floor: empty,
-        // sub-floor (inline), exactly one floor, just above, several
-        // floors, and far beyond any plausible core count × floor. The
+    fn fork_work_results_are_input_ordered_and_identical() {
+        // Work straddling every boundary of the rule (inline below
+        // `2 × FORK_WORK`, then one more worker per `FORK_WORK`) and
+        // batch sizes from empty to far beyond any core count: the
         // result must always equal the sequential map, in input order.
-        for n in [
+        let _guard = override_lock();
+        set_worker_override(Some(4));
+        for work in [
             0,
-            1,
-            FORK_FLOOR - 1,
-            FORK_FLOOR,
-            FORK_FLOOR + 1,
-            3 * FORK_FLOOR,
-            1024,
+            FORK_WORK,
+            2 * FORK_WORK - 1,
+            2 * FORK_WORK,
+            3 * FORK_WORK,
+            usize::MAX,
         ] {
-            let items: Vec<usize> = (0..n).collect();
-            let expected: Vec<usize> = items.iter().map(|&x| x * 7 + 1).collect();
-            let out = parallel_map(&items, |&x| x * 7 + 1);
-            assert_eq!(out, expected, "n = {n}");
+            for n in [0, 1, 2, 3, 5, 1024] {
+                let items: Vec<usize> = (0..n).collect();
+                let expected: Vec<usize> = items.iter().map(|&x| x * 7 + 1).collect();
+                let out = parallel_map_with(&items, work, || (), |_, &x| x * 7 + 1);
+                assert_eq!(out, expected, "n = {n}, work = {work}");
+            }
         }
     }
 
@@ -521,72 +514,80 @@ mod tests {
         };
         let mut scratch = 0u64;
         let expected: Vec<u64> = items.iter().map(|x| f(&mut scratch, x)).collect();
-        for workers in [1, 2, 3, 4, 8, 64] {
+        for workers in [1, 2, 3, 4, 8] {
             set_worker_override(Some(workers));
             assert_eq!(
-                parallel_map_with(&items, || 0u64, f),
+                parallel_map_with(&items, usize::MAX, || 0u64, f),
                 expected,
                 "pool @ {workers} workers"
             );
         }
     }
 
-    #[test]
-    fn tasks_map_is_input_ordered_at_every_worker_count() {
-        // The override is process-global; serialize with the other
-        // override tests and always restore the default.
-        let _guard = override_lock();
-        let items: Vec<usize> = (0..37).collect();
-        let expected: Vec<usize> = items.iter().map(|&x| x * 11 + 5).collect();
-        for workers in [1, 2, 3, 4, 64] {
-            set_worker_override(Some(workers));
-            let out = parallel_map_tasks(&items, |&x| x * 11 + 5);
-            assert_eq!(out, expected, "workers = {workers}");
-        }
-        set_worker_override(None);
+    /// The distinct threads a batch of `work` over `n` items ran on.
+    fn threads_of(n: usize, work: usize) -> usize {
+        let items: Vec<usize> = (0..n).collect();
+        let mut ids = parallel_map_with(&items, work, || (), |_, _| std::thread::current().id());
+        ids.dedup();
+        ids.len()
     }
 
     #[test]
-    fn tasks_map_forks_small_batches() {
+    fn batches_fork_by_their_work() {
         let _guard = override_lock();
-        set_worker_override(Some(2));
-        // Two heavyweight items must land on two distinct threads (the
-        // fine-grained map would keep them on the caller thread).
-        let ids = parallel_map_tasks(&[0, 1], |_| std::thread::current().id());
-        assert_ne!(ids[0], ids[1], "coarse map must fork below the floor");
-        set_worker_override(None);
-        // Single items never fork.
-        let one = parallel_map_tasks(&[42usize], |&x| x);
-        assert_eq!(one, vec![42]);
+        set_worker_override(Some(4));
+        // Below twice the fork work a batch stays inline, at any item
+        // count; from there on it takes one worker per `FORK_WORK`, up
+        // to the ceiling and to one item per worker.
+        assert_eq!(threads_of(64, 2 * FORK_WORK - 1), 1);
+        assert_eq!(threads_of(64, 2 * FORK_WORK), 2);
+        assert_eq!(threads_of(64, 3 * FORK_WORK), 3);
+        assert_eq!(threads_of(64, 100 * FORK_WORK), 4);
+        assert_eq!(threads_of(2, 100 * FORK_WORK), 2, "two heavy items fork");
+        assert_eq!(threads_of(1, 100 * FORK_WORK), 1, "one item never forks");
+        set_worker_override(Some(1));
+        assert_eq!(threads_of(64, usize::MAX), 1, "one worker never forks");
     }
 
     #[test]
     fn nested_batches_run_inline_on_the_worker() {
         let _guard = override_lock();
         set_worker_override(Some(4));
-        // Each coarse item runs a nested fine-grained batch large
-        // enough to fork at top level. On chunks executed by *pool
-        // workers* the nested batch must stay on the worker's thread;
-        // the caller's own chunk 0 is not a pool worker and may fork.
+        // Each outer item runs a nested batch heavy enough to fork at
+        // top level. Every nested batch must stay on the thread that
+        // runs its outer chunk: a pool worker's, and the caller's own
+        // chunk 0 too.
         let caller = std::thread::current().id();
         let outer: Vec<usize> = (0..4).collect();
-        let runs = parallel_map_tasks(&outer, |_| {
-            let inner: Vec<usize> = (0..64).collect();
-            let ids = parallel_map(&inner, |_| std::thread::current().id());
-            let outer_id = std::thread::current().id();
-            (outer_id, ids.iter().all(|&id| id == outer_id))
-        });
-        assert!(
-            runs.iter()
-                .filter(|(outer_id, _)| *outer_id != caller)
-                .all(|&(_, inline)| inline),
-            "nested batches on pool workers must not re-enter the pool"
+        let runs: Vec<(ThreadId, bool)> = parallel_map_with(
+            &outer,
+            usize::MAX,
+            || (),
+            |_, _| {
+                let inner: Vec<usize> = (0..64).collect();
+                let ids = parallel_map_with(
+                    &inner,
+                    usize::MAX,
+                    || (),
+                    |_, _| std::thread::current().id(),
+                );
+                let outer_id = std::thread::current().id();
+                (outer_id, ids.iter().all(|&id| id == outer_id))
+            },
         );
+        for (i, &(outer_id, inline)) in runs.iter().enumerate() {
+            assert!(
+                inline,
+                "nested batch of outer item {i} (on {outer_id:?}) left its thread"
+            );
+        }
+        assert_eq!(runs[0].0, caller, "the caller runs chunk 0");
         assert!(
-            runs.iter().any(|(outer_id, _)| *outer_id != caller),
-            "the coarse map should have forked at override 4"
+            runs.iter().any(|&(outer_id, _)| outer_id != caller),
+            "the outer batch should have forked at override 4"
         );
-        set_worker_override(None);
+        // Back outside any chunk, the caller forks again.
+        assert_eq!(threads_of(64, usize::MAX), 4);
     }
 
     /// Serializes tests that touch the process-global worker override
@@ -616,6 +617,7 @@ mod tests {
         let run = || {
             parallel_map_with(
                 &items,
+                usize::MAX,
                 || Counter(0),
                 |c: &mut Counter, &x| {
                     c.0 += 1;
@@ -659,6 +661,7 @@ mod tests {
         let run = |panic_at: usize| {
             parallel_map_with(
                 &items,
+                usize::MAX,
                 || Counting(0),
                 |c: &mut Counting, &x| {
                     c.0 += 1;

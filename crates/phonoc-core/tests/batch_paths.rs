@@ -9,14 +9,22 @@
 //! [`MoveEval`]s and leaves the same ledger, [`RunStats`], trace and
 //! incumbent as `peek_move_improving` called once per move. The inline
 //! path must also score no move once the budget has run out
-//! ([`OptContext::scored_peeks`]).
+//! ([`OptContext::scored_peeks`]), and a forked batch no move past what
+//! the budget can pay at the route's least bill: a full-routed batch
+//! scores exactly what it books, any other leaves fewer unbilled moves
+//! than the units left at the call.
+//!
+//! A batch states its work to the pool's one rule (`edge_count` per
+//! full-routed or SNR-delta peek, one per loss peek). Every case that
+//! claims to fork checks, from the thread ids of a pool batch stating
+//! the same work, that the rule really forks it at that worker count,
+//! so the worker matrix cannot silently test only inline paths.
 //!
 //! The worker override is process-global, so the tests serialize on one
 //! mutex and restore the default before releasing it.
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
-use phonoc_core::engine::LOSS_FORK_WORK;
-use phonoc_core::parallel::{set_worker_override, FORK_FLOOR};
+use phonoc_core::parallel::{parallel_map_with, set_worker_override, FORK_WORK};
 use phonoc_core::{
     Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekRoute, PeekStrategy,
     RunStats, RunTrace, TraceEvent,
@@ -98,42 +106,59 @@ fn run(
     (outcome, ctx.scored_peeks())
 }
 
+/// Whether the pool forks a batch stating `work` at the current worker
+/// override, read from the thread ids its items run on.
+fn pool_forks(work: usize) -> bool {
+    let items: Vec<usize> = (0..64).collect();
+    let mut ids = parallel_map_with(&items, work, || (), |_, _| std::thread::current().id());
+    ids.dedup();
+    ids.len() > 1
+}
+
+/// Ledger units a batch of `len` moves states, and the moves it
+/// dispatches, on a cell with `unit` edges and `left` units to spend:
+/// the moves the budget can pay at their least bill, at `unit` each
+/// for full-routed and SNR-delta peeks and one each for loss peeks.
+fn stated(len: usize, unit: usize, left: usize, full: bool, loss: bool) -> (usize, usize) {
+    let least = if full { unit } else { 1 };
+    let capped = len.min(left.div_ceil(least));
+    let per_move = if loss { 1 } else { unit };
+    (capped * per_move, capped)
+}
+
 #[test]
 fn inline_forked_and_sequential_batches_agree() {
     let _pin = pin();
-    // Far above the fork floor, so 2 and 4 workers really fork, except
-    // a loss batch below the loss fork work; the heavy loss batch is
-    // just above it (the cell has 36 tiles).
-    let heavy_loss = LOSS_FORK_WORK / 36 + 1;
+    // Far above the fork work, so 2 and 4 workers really fork, except
+    // a loss batch below twice the fork work; the heavy loss batch is
+    // well above it (a loss peek states one unit).
     let routes = [
-        (
-            "full",
-            Objective::MaximizeWorstCaseSnr,
-            PeekStrategy::Full,
-            16 * FORK_FLOOR,
-        ),
+        ("full", Objective::MaximizeWorstCaseSnr, PeekStrategy::Full),
         (
             "snr-delta",
             Objective::MaximizeWorstCaseSnr,
             PeekStrategy::Delta,
-            16 * FORK_FLOOR,
         ),
         (
             "loss",
             Objective::MinimizeWorstCaseLoss,
             PeekStrategy::Hybrid,
-            16 * FORK_FLOOR,
         ),
         (
             "heavy-loss",
             Objective::MinimizeWorstCaseLoss,
             PeekStrategy::Hybrid,
-            heavy_loss,
         ),
     ];
-    for (name, objective, strategy, len) in routes {
+    for (name, objective, strategy) in routes {
         let p = problem(objective);
         assert_eq!(p.tile_count(), 36);
+        let unit = p.evaluator().edge_count();
+        let len = match name {
+            "loss" => FORK_WORK,
+            "heavy-loss" => 4 * FORK_WORK,
+            _ => (4 * FORK_WORK).div_ceil(unit),
+        };
         let mut rng = StdRng::seed_from_u64(0xBA7C);
         let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
         let moves: Vec<Move> = (0..len).map(|_| start.random_swap_move(&mut rng)).collect();
@@ -155,22 +180,99 @@ fn inline_forked_and_sequential_batches_agree() {
             assert!(billed > 0, "{label}: the batch scores something");
             let full = sequential.0.iter().all(|ev| ev.route() == PeekRoute::Full);
             assert_eq!(full, name == "full", "{label}: the route under test");
+            // Units left after the seat.
+            let left = (budget - 1) * unit;
+            let (work, capped) = stated(len, unit, left, full, objective.is_loss_based());
             for workers in [1, 2, 4] {
                 set_worker_override(Some(workers));
                 let (batch, scored) = run(&p, strategy, budget, &start, |ctx| {
                     ctx.peek_moves_improving(&moves)
                 });
                 assert_eq!(batch, sequential, "{label} at {workers} workers");
-                // Inline batches (one worker, or a light loss batch)
-                // book each move as they score it: nothing past the
-                // budget.
-                if workers == 1 || name == "loss" {
-                    assert_eq!(scored, billed as u64, "{label} at {workers} workers");
+                // With plenty of budget, every batch but the light loss
+                // one claims to fork on more than one worker.
+                let forked = pool_forks(work);
+                if budget > 4 && workers > 1 && name != "loss" {
+                    assert!(forked, "{label} must fork at {workers} workers");
+                }
+                if forked {
+                    // A forked batch scores what the budget can pay at
+                    // the route's least bill.
+                    assert_eq!(scored, capped as u64, "{label}: a forked batch");
+                    assert!(
+                        scored - billed as u64 <= left as u64,
+                        "{label} at {workers} workers"
+                    );
                 } else {
-                    assert_eq!(scored, moves.len() as u64, "{label}: a forked batch");
+                    // Inline batches (one worker, or a light loss batch)
+                    // book each move as they score it: nothing past the
+                    // budget.
+                    assert_eq!(scored, billed as u64, "{label} at {workers} workers");
                 }
             }
             set_worker_override(None);
         }
+    }
+}
+
+#[test]
+fn forked_batches_cut_by_the_budget_score_only_what_it_pays() {
+    let _pin = pin();
+    let p = problem(Objective::MaximizeWorstCaseSnr);
+    let unit = p.evaluator().edge_count();
+    let mut rng = StdRng::seed_from_u64(0xC07);
+    let start = Mapping::random(p.task_count(), p.tile_count(), &mut rng);
+    // Full route: a budget that pays for `paid` peeks (plus the seat),
+    // `paid` heavy enough to fork at 2 and 4 workers, and twice as many
+    // moves. SNR delta: as many moves as the fork needs, and a budget
+    // of as many units as moves, which its peeks (billed their affected
+    // edges) cannot all pay.
+    let paid = (4 * FORK_WORK).div_ceil(unit);
+    let delta_len = (4 * FORK_WORK).div_ceil(unit);
+    for (name, strategy, len, budget) in [
+        ("full", PeekStrategy::Full, 2 * paid, 1 + paid),
+        (
+            "snr-delta",
+            PeekStrategy::Delta,
+            delta_len,
+            1 + delta_len.div_ceil(unit),
+        ),
+    ] {
+        let moves: Vec<Move> = (0..len).map(|_| start.random_swap_move(&mut rng)).collect();
+        let (sequential, _) = run(&p, strategy, budget, &start, |ctx| {
+            moves
+                .iter()
+                .map_while(|&mv| ctx.peek_move_improving(mv))
+                .collect()
+        });
+        let billed = sequential.0.len() as u64;
+        assert!(billed < len as u64, "{name}: the budget cuts the batch");
+        let full = name == "full";
+        assert_eq!(
+            sequential.0.iter().all(|ev| ev.route() == PeekRoute::Full),
+            full,
+            "{name}: the route under test"
+        );
+        let left = (budget - 1) * unit;
+        let (work, _) = stated(len, unit, left, full, false);
+        for workers in [2, 4] {
+            set_worker_override(Some(workers));
+            assert!(pool_forks(work), "{name} must fork at {workers} workers");
+            let (batch, scored) = run(&p, strategy, budget, &start, |ctx| {
+                ctx.peek_moves_improving(&moves)
+            });
+            assert_eq!(batch, sequential, "{name} at {workers} workers");
+            if full {
+                assert_eq!(scored, billed, "full at {workers} workers: scored = booked");
+            } else {
+                assert!(scored > billed, "the delta batch scores past its bill");
+                assert!(
+                    scored - billed < left as u64,
+                    "delta at {workers} workers: {} unbilled, {left} units left",
+                    scored - billed
+                );
+            }
+        }
+        set_worker_override(None);
     }
 }

@@ -13,9 +13,7 @@
 //! The override is process-global, so every test serializes on one
 //! mutex and restores the default before releasing it.
 
-use phonoc_core::parallel::{
-    parallel_map, parallel_map_tasks, parallel_map_with, set_worker_override,
-};
+use phonoc_core::parallel::{parallel_map_with, set_worker_override, FORK_WORK};
 use phonoc_core::{EvalScratch, Mapping, MappingProblem, Move, Objective, OptContext, RunStats};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
@@ -65,23 +63,51 @@ fn problem(mesh: usize, density: u32, seed: u64) -> MappingProblem {
 fn plain_maps_are_worker_count_invariant() {
     let _pin = pin();
     let items: Vec<u64> = (0..257).collect();
+    let fine = |work: usize| {
+        parallel_map_with(
+            &items,
+            work,
+            || (),
+            |_, &x| x.wrapping_mul(0x9E37_79B9).rotate_left(7),
+        )
+    };
     set_worker_override(Some(1));
-    let reference = parallel_map(&items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
-    let tasks_reference = parallel_map_tasks(&items, |&x| x ^ (x << 13));
+    // Light work stays inline, heavy work forks: the same results.
+    let (light, heavy) = (FORK_WORK, usize::MAX);
+    let reference = fine(light);
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
-        let fine = parallel_map(&items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
-        let coarse = parallel_map_tasks(&items, |&x| x ^ (x << 13));
-        assert_eq!(fine, reference, "parallel_map @ {workers} workers");
-        assert_eq!(coarse, tasks_reference, "parallel_map_tasks @ {workers}");
+        assert_eq!(fine(light), reference, "light map @ {workers} workers");
+        assert_eq!(fine(heavy), reference, "heavy map @ {workers} workers");
     }
+}
+
+/// The ledger units one full evaluation on `p` bills: a batch of them
+/// states `unit` work per mapping.
+fn unit(p: &MappingProblem) -> usize {
+    p.evaluator().edge_count()
+}
+
+/// The distinct threads the engine's batch work for `mappings` on `p`
+/// lands on at the current override: a pool batch stating the same
+/// work as `OptContext::evaluate_batch` does, mapping thread ids.
+fn threads_for(p: &MappingProblem, mappings: &[Mapping]) -> usize {
+    let mut ids = parallel_map_with(
+        mappings,
+        mappings.len() * unit(p),
+        || (),
+        |_, _| std::thread::current().id(),
+    );
+    ids.dedup();
+    ids.len()
 }
 
 /// The worst-case bits of every mapping, through the engine's batch
 /// path: `evaluate_into` on each worker's sticky scratch.
 fn batch_bits(p: &MappingProblem, mappings: &[Mapping]) -> Vec<(u64, u64)> {
     let evaluator = p.evaluator();
-    parallel_map_with(mappings, EvalScratch::default, |scratch, m| {
+    let work = mappings.len() * unit(p);
+    parallel_map_with(mappings, work, EvalScratch::default, |scratch, m| {
         let s = evaluator.evaluate_into(m, None, scratch);
         (s.worst_case_snr.0.to_bits(), s.worst_case_il.0.to_bits())
     })
@@ -92,8 +118,9 @@ fn batch_evaluation_is_worker_count_invariant() {
     let _pin = pin();
     let p = problem(6, 150, 3);
     let mut rng = StdRng::seed_from_u64(99);
-    // Enough mappings that 4 workers genuinely fork (≥ 4 × FORK_FLOOR).
-    let mappings: Vec<Mapping> = (0..96)
+    // Enough mappings that 4 workers genuinely fork (≥ 4 × FORK_WORK
+    // units).
+    let mappings: Vec<Mapping> = (0..(4 * FORK_WORK).div_ceil(unit(&p)))
         .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
         .collect();
     // The known-score batch is told every third score (the sequential
@@ -137,6 +164,11 @@ fn batch_evaluation_is_worker_count_invariant() {
     assert_eq!(score_reference[2], score_reference[0], "known vs plain");
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
+        assert_eq!(
+            threads_for(&p, &mappings),
+            workers,
+            "forks @ {workers} workers"
+        );
         // Bit-exact, not approximately equal.
         assert_eq!(batch_bits(&p, &mappings), reference, "@ {workers} workers");
         assert_eq!(
@@ -192,8 +224,9 @@ fn pool_is_bit_identical_to_the_sequential_map() {
     let _pin = pin();
     let p = problem(6, 150, 11);
     let mut rng = StdRng::seed_from_u64(21);
-    // Enough mappings that 8 workers genuinely fork (≥ 8 × FORK_FLOOR).
-    let mappings: Vec<Mapping> = (0..48)
+    // Enough mappings that 8 workers genuinely fork (≥ 8 × FORK_WORK
+    // units).
+    let mappings: Vec<Mapping> = (0..(8 * FORK_WORK).div_ceil(unit(&p)))
         .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
         .collect();
     let evaluator = p.evaluator();
@@ -208,8 +241,16 @@ fn pool_is_bit_identical_to_the_sequential_map() {
         .collect();
     for workers in [1, 2, 4, 8] {
         set_worker_override(Some(workers));
-        let pooled = parallel_map_with(&mappings, EvalScratch::default, eval_bits);
+        let work = mappings.len() * unit(&p);
+        let (pooled, mut threads): (Vec<_>, Vec<_>) =
+            parallel_map_with(&mappings, work, EvalScratch::default, |scratch, m| {
+                (eval_bits(scratch, m), std::thread::current().id())
+            })
+            .into_iter()
+            .unzip();
         assert_eq!(pooled, reference, "pool @ {workers} workers");
+        threads.dedup();
+        assert_eq!(threads.len(), workers, "forks @ {workers} workers");
     }
 }
 

@@ -19,7 +19,8 @@
 //!
 //! 1. every lane runs one budgeted search session
 //!    ([`phonoc_core::run_dse`]) — in parallel across CPU
-//!    cores via [`phonoc_core::parallel::parallel_map_tasks`];
+//!    cores via [`phonoc_core::parallel::parallel_map_with`], stating
+//!    the round's allotted evaluations at the edge count each as work;
 //! 2. lane results are folded into per-lane incumbents in **fixed lane
 //!    order** (the reduction never depends on scheduling);
 //! 3. **broadcast-best exchange**: every lane restarts next round from
@@ -40,7 +41,7 @@
 //! Results are **bit-identical regardless of worker-thread count**:
 //! per-lane RNG streams are split up front with a SplitMix64 sequence
 //! over `(seed, lane, round)`, every lane round is a pure function of
-//! its inputs, `parallel_map_tasks` returns results in input order,
+//! its inputs, `parallel_map_with` returns results in input order,
 //! and the reductions above are fixed — property-tested in
 //! `tests/portfolio_properties.rs` at 1/2/4 workers.
 //!
@@ -77,7 +78,7 @@
 //! per seed.
 
 use crate::registry;
-use phonoc_core::parallel::parallel_map_tasks;
+use phonoc_core::parallel::parallel_map_with;
 use phonoc_core::{
     run_dse, DseConfig, Mapping, MappingProblem, NeighborhoodPolicy, NullSink, Objective,
     PeekStrategy, RunStats, TraceEvent, TraceSink,
@@ -590,13 +591,18 @@ pub fn run_portfolio_seeded_traced(
         // The bulk-synchronous step: every lane round is a pure
         // function of its optimizer and config, and results come back
         // in lane order — bit-identical at any worker count.
-        let results = parallel_map_tasks(&runs, |(algo, config)| {
+        let run_lane = |_: &mut (), (algo, config): &(&str, DseConfig)| {
             if config.budget == 0 {
                 return None;
             }
             let optimizer = registry::optimizer(algo).expect("lane specs are validated at parse");
             Some(run_dse(problem, optimizer.as_ref(), config))
-        });
+        };
+        let work = allot
+            .iter()
+            .sum::<usize>()
+            .saturating_mul(problem.evaluator().edge_count());
+        let results = parallel_map_with(&runs, work, || (), run_lane);
 
         // Fixed lane→result reduction.
         let mut round_used = 0usize;

@@ -44,7 +44,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    let result = match command.as_str() {
+    let result = phonocmap::core::parallel::env_workers().and_then(|_| match command.as_str() {
         "list" => cmd_list(rest),
         "describe-router" => cmd_describe_router(rest),
         "show-app" => cmd_show_app(rest),
@@ -59,7 +59,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

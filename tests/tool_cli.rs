@@ -521,3 +521,28 @@ fn every_builtin_optimizer_is_advertised() {
     assert!(portfolio.contains("[!objective]"), "{portfolio}");
     assert!(portfolio.contains("exchange=best"), "{portfolio}");
 }
+
+#[test]
+fn bad_worker_counts_fail_before_any_work() {
+    let with_workers = |value: &str| {
+        Command::new(env!("CARGO_BIN_EXE_phonocmap"))
+            .args(["list"])
+            .env("PHONOC_WORKERS", value)
+            .output()
+            .expect("binary runs")
+    };
+    for bad in ["two", "0", "-1", ""] {
+        let out = with_workers(bad);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "PHONOC_WORKERS=`{bad}`: {err}");
+        assert!(
+            err.starts_with("error:") && err.contains("PHONOC_WORKERS") && err.lines().count() == 1,
+            "PHONOC_WORKERS=`{bad}`: {err}"
+        );
+        assert!(out.stdout.is_empty(), "PHONOC_WORKERS=`{bad}` did work");
+    }
+    for good in ["1", " 2 "] {
+        let out = with_workers(good);
+        assert!(out.status.success(), "PHONOC_WORKERS=`{good}` must run");
+    }
+}
