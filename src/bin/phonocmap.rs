@@ -25,7 +25,8 @@
 //! that tracing is genuinely opt-in.
 //!
 //! Every subcommand rejects flags it does not know with an `error:`
-//! line and a non-zero exit. The CG text format is documented in
+//! line and a non-zero exit, and so does every command when
+//! `PHONOC_WORKERS` is set to anything but a positive integer. The CG text format is documented in
 //! `phonoc_apps::text`.
 
 use bench::CliArgs;
