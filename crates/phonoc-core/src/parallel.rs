@@ -88,15 +88,17 @@ use std::sync::{Mutex, OnceLock};
 /// `dispatch`, `round_trip_2_workers`, min to median over runs), and a
 /// ledger unit of a peek batch costs 45–600 ns there (the group's
 /// `*_inline_*` cases on mpeg-like 8×8 and 16×16: full-routed the
-/// cheapest, SNR-delta the dearest). A worker's share of 1024 units
-/// thus runs ~50–600 µs, well above the round trip, and the cheapest
-/// forked batch (`2 × FORK_WORK`) keeps the loss family's whole 8×8
-/// neighbourhood (2016 moves) inline. What a second worker gains on
-/// that host depends on co-tenant load more than on the batch: two
-/// threads ran a dependent-multiply loop 0.8–1.6× and a random walk
-/// over a 32 MB table 1.4–2.3× as fast as one, so the threshold only
-/// keeps dispatch from costing more than a fork could save.
-pub const FORK_WORK: usize = 1024;
+/// cheapest, SNR-delta the dearest, loss 135–215 ns). A worker's share
+/// of 512 units thus runs ~25–300 µs, from about one round trip on the
+/// cheapest route to ten on the dearest. Twice as much kept the loss
+/// family's whole 8×8 neighbourhood (2016 moves) inline, and the
+/// sweep's two 8×8 mpeg-like d100 `r-pbla!power` cells at budget 100000
+/// then ran a third slower at 2 workers than with it forked. What a
+/// second worker gains on that host depends on co-tenant load more
+/// than on the batch: two threads ran a dependent-multiply loop
+/// 0.8–1.6× and a random walk over a 32 MB table 1.4–2.3× as fast as
+/// one.
+pub const FORK_WORK: usize = 512;
 
 /// Runtime worker-count override; `0` means "not set". Takes
 /// precedence over the `PHONOC_WORKERS` environment variable.
