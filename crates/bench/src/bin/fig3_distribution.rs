@@ -58,11 +58,9 @@ fn main() {
         let (mut snr_min, mut snr_max) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut loss_min, mut loss_max) = (f64::INFINITY, f64::NEG_INFINITY);
 
-        // Every sample is one full evaluation, billed at the edge count.
-        let work = samples.saturating_mul(evaluator.edge_count().max(1));
         let sampled = phonoc_core::parallel::parallel_map_with(
             &shards,
-            work,
+            usize::MAX,
             || (),
             |_, &(w, todo)| {
                 let mut rng =

@@ -124,14 +124,11 @@
 //! All four peek entry points score through one per-move scorer and
 //! book through one routine: the sequential peeks on the context's own
 //! scratch, forked batch scans on each worker's sticky one. Every batch
-//! states its work in ledger units to the pool's one dispatch rule
-//! ([`crate::parallel`]): `edge_count` per direct evaluation and per
-//! full-routed or SNR-delta peek, one per loss peek. A peek batch
-//! scores at most the moves the remaining budget can pay at their
-//! least bill. One that would not fork (below twice
-//! [`crate::parallel::FORK_WORK`], at one worker, or inside a forked
-//! batch such as a portfolio lane) is the sequential peek loop,
-//! booking each move as it is scored. A sequential peek is therefore
+//! states to the pool's one dispatch rule ([`crate::parallel`]) what
+//! its route costs ([`evaluation_work`], `Scorer::bill_bounds`), and a
+//! peek batch scores at most the moves the remaining budget can pay at
+//! their least bill. One that would not fork is the sequential peek
+//! loop, booking each move as it is scored. A sequential peek is thus
 //! indistinguishable from a one-element batch, and a batch from a loop
 //! of sequential peeks — same [`MoveEval`]s, ledger, counters and trace
 //! events (property-tested in `tests/hybrid_properties.rs` and
@@ -599,6 +596,17 @@ impl Scorer<'_> {
         };
         (ev, cost)
     }
+
+    /// The least a peek on this route bills and the work it states to
+    /// the pool, in ledger units: a full pass bills and costs `unit`, an
+    /// SNR delta bills ≥ 1 at a full pass's work, a loss delta ≥ 1 at 1.
+    fn bill_bounds(&self) -> (usize, usize) {
+        match self.scoring {
+            Scoring::Full(_) => (self.unit, self.unit),
+            Scoring::Snr(..) => (1, self.unit),
+            Scoring::Loss(..) => (1, 1),
+        }
+    }
 }
 
 /// The score of one direct (non-peek) evaluation of `mapping` under
@@ -619,6 +627,18 @@ fn score_direct(
     }
     let summary = evaluator.evaluate_bounded(mapping, threshold, scratch)?;
     Some(objective.score_worst_snr(summary.worst_case_snr))
+}
+
+/// The pool work ([`crate::parallel`]) of one full evaluation under
+/// `objective`, in ledger units: the edge count for the SNR family's
+/// crosstalk pass, one for the loss family's loss-table scan.
+#[must_use]
+pub fn evaluation_work(evaluator: &Evaluator, objective: Objective) -> usize {
+    if objective.is_loss_based() {
+        1
+    } else {
+        evaluator.edge_count().max(1)
+    }
 }
 
 /// The search-side view of a problem: evaluation with budget
@@ -663,6 +683,8 @@ pub struct OptContext<'p> {
     /// Moves the peek family has scored, billed or not (see
     /// [`OptContext::scored_peeks`]).
     scored_peeks: u64,
+    /// See [`OptContext::forked_batches`].
+    forked_batches: u64,
 }
 
 impl fmt::Debug for OptContext<'_> {
@@ -698,6 +720,7 @@ impl<'p> OptContext<'p> {
             sink: Box::new(NullSink),
             scratch: PeekScratch::default(),
             scored_peeks: 0,
+            forked_batches: 0,
         }
     }
 
@@ -917,6 +940,14 @@ impl<'p> OptContext<'p> {
         self.scored_peeks
     }
 
+    /// Batches (direct or peek) this context forked over the pool: a
+    /// test hook to check claimed forks; it never changes a result.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn forked_batches(&self) -> u64 {
+        self.forked_batches
+    }
+
     /// The convergence history so far: `(evaluation index, incumbent
     /// score)` at every improvement — the same trajectory
     /// [`DseResult::history`] reports after the session.
@@ -1071,8 +1102,8 @@ impl<'p> OptContext<'p> {
     /// The batch every entry point shares: the admitted mappings whose
     /// score is not `known` (an empty `known` knows none) through the
     /// bounded full pass at `threshold` in one order-preserving parallel
-    /// pass, stating `unit` work per pass, then billing and incumbent
-    /// tracking for every admitted mapping in input order.
+    /// pass, stating [`evaluation_work`] per pass, then billing and
+    /// incumbent tracking for every admitted mapping in input order.
     fn score_batch(
         &mut self,
         mappings: &[Mapping],
@@ -1089,7 +1120,10 @@ impl<'p> OptContext<'p> {
             .filter(|&i| known_at(i).is_none())
             .map(|i| &mappings[i])
             .collect();
-        let work = fresh.len().saturating_mul(self.unit as usize);
+        let work = fresh
+            .len()
+            .saturating_mul(evaluation_work(evaluator, objective));
+        self.forked_batches += u64::from(parallel::workers_for(work, fresh.len()) > 1);
         let computed =
             parallel::parallel_map_with(&fresh, work, EvalScratch::default, |scratch, m| {
                 score_direct(evaluator, objective, m, threshold, scratch)
@@ -1298,12 +1332,9 @@ impl<'p> OptContext<'p> {
     /// prefix of `moves` and may be shorter than the input.
     /// Deterministic: results and incumbent updates are in input order,
     /// identical to a [`OptContext::peek_move`] loop that stops at the
-    /// first `None`, at any worker count. Only the moves the remaining
-    /// budget can pay at their least bill are scored at all. A batch
-    /// the worker pool would run inline *is* that loop: each move is
-    /// booked as it is scored. A forked batch is scored in one
-    /// order-preserving parallel pass and booked in order afterwards
-    /// (the rule is in the [module docs](self) and [`crate::parallel`]).
+    /// first `None`, at any worker count. Only moves the remaining budget
+    /// can pay at their least bill are scored: inline as that loop, or
+    /// forked ([`crate::parallel`]) in one parallel pass booked after.
     ///
     /// # Panics
     ///
@@ -1344,34 +1375,26 @@ impl<'p> OptContext<'p> {
         Some(self.book_peek(ev, cost))
     }
 
-    /// The batch scans. A batch scores at most the moves the remaining
-    /// budget can pay at their least bill (`unit` full-routed, one unit
-    /// otherwise) and states their work to the pool (`unit` per
-    /// full-routed or SNR-delta peek, one per loss peek). Inline, it is
-    /// the sequential peek loop on the context's own scratch, booking
-    /// each move before scoring the next. Forked, it runs the shared
-    /// scorer in one order-preserving parallel pass on each worker's
-    /// sticky peek scratch, then books in input order until the budget
-    /// runs out; as every move pays at least its least bill, fewer moves
-    /// than the units left go unbilled, and none on the full route.
+    /// The batch scans: at most the moves the remaining budget can pay
+    /// at their least bill ([`Scorer::bill_bounds`]). Inline, the
+    /// sequential peek loop. Forked, one order-preserving parallel pass
+    /// on each worker's sticky scratch, then booking in input order
+    /// until the budget runs out: fewer moves than the units left go
+    /// unbilled, and none on the full route.
     fn peek_batch(&mut self, moves: &[Move], improving: bool) -> Vec<MoveEval> {
         if self.exhausted() || moves.is_empty() {
             return Vec::new();
         }
-        let cursor = self
+        let scorer = self
             .cursor
             .as_ref()
-            .expect("peek_moves without set_current");
-        let unit = self.unit as usize;
-        let (least, per_move) = match cursor.state {
-            CursorState::Full => (unit, unit),
-            CursorState::Snr(_) => (1, unit),
-            CursorState::Loss(_) => (1, 1),
-        };
+            .expect("peek_moves without set_current")
+            .scorer(self.problem.evaluator(), self.objective, improving);
+        let (least, per_move) = scorer.bill_bounds();
         let left = usize::try_from(self.budget_units - self.used_units).unwrap_or(usize::MAX);
         let moves = &moves[..moves.len().min(left.div_ceil(least))];
         let work = moves.len().saturating_mul(per_move);
-        if parallel::workers_for(work) == 1 {
+        if parallel::workers_for(work, moves.len()) == 1 {
             let mut out = Vec::with_capacity(moves.len());
             for &mv in moves {
                 let Some(ev) = self.peek_one(mv, improving) else {
@@ -1381,7 +1404,7 @@ impl<'p> OptContext<'p> {
             }
             return out;
         }
-        let scorer = cursor.scorer(self.problem.evaluator(), self.objective, improving);
+        self.forked_batches += 1;
         let scored =
             parallel::parallel_map_with(moves, work, PeekScratch::default, |scratch, &mv| {
                 scorer.score(mv, scratch)

@@ -24,10 +24,13 @@
 //! # One entry point, one rule
 //!
 //! [`parallel_map_with`]`(items, work, init, f)` is the only map. The
-//! caller states the batch's **work**: its bill in ledger units, as
-//! known or capped before scoring (the engine's direct evaluations,
-//! full-routed and SNR-delta peeks and portfolio lane allotments cost
-//! the problem's edge count each, a loss peek one unit). A batch forks
+//! caller states the batch's **work**: what its items cost, in ledger
+//! units of the routes that score them, as known or capped before
+//! scoring (the engine's SNR-family direct evaluations, full-routed
+//! and SNR-delta peeks and portfolio lane allotments cost the problem's
+//! edge count each, a loss-family evaluation or peek one unit; a batch
+//! that must fork, such as the experiment bins' jobs, states
+//! `usize::MAX`). A batch forks
 //! only when it is not running inside another forked batch and its work
 //! reaches `2 × `[`FORK_WORK`], on `min(max workers, work / FORK_WORK)`
 //! workers; otherwise it runs inline on the caller thread (still on its
@@ -57,19 +60,16 @@
 //!
 //! # Worker-count control and invariance
 //!
-//! The worker ceiling is normally the machine's available parallelism,
-//! but can be pinned — `PHONOC_WORKERS=N` in the environment (read
-//! once, a positive integer, see [`env_workers`]), or
-//! [`set_worker_override`] at run time (tests; the runtime setting
-//! wins). **Results never depend on the worker count**: the map cuts
-//! the batch into contiguous chunks and concatenates per-chunk results
-//! in input order, so a 1-worker and an 8-worker run of the same batch
-//! are bit-identical as long as the mapped function is a pure function
-//! of its item (the scratch-slot buffer contract above) —
+//! The worker ceiling is the machine's available parallelism unless
+//! pinned by `PHONOC_WORKERS=N` (both read once, [`env_workers`]) or,
+//! winning over both, [`set_worker_override`] (tests). **Results never
+//! depend on the worker count**: the map cuts the batch into contiguous
+//! chunks and concatenates per-chunk results in input order, so runs
+//! at any worker count are bit-identical as long as the mapped function
+//! is a pure function of its item (the buffer contract above) —
 //! property-tested in `tests/thread_invariance.rs` and
-//! `tests/pool_stress.rs` at 1/2/4/8 workers, including across a
-//! mid-run override resize. If `rayon` is ever vendored, only this
-//! module needs to change.
+//! `tests/pool_stress.rs` at 1/2/4/8 workers, across mid-run override
+//! resizes too.
 
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
@@ -82,57 +82,49 @@ use std::sync::{Mutex, OnceLock};
 
 /// Ledger units of work each worker of a forked batch gets at least.
 ///
-/// Sized from the pool's dispatch round-trip, not from speed-ups: an
-/// empty two-chunk batch (a send, two wake-ups, a receive) takes
-/// 12–31 µs on the 2-core host this was tuned on (criterion group
-/// `dispatch`, `round_trip_2_workers`, min to median over runs), and a
-/// ledger unit of a peek batch costs 45–600 ns there (the group's
-/// `*_inline_*` cases on mpeg-like 8×8 and 16×16: full-routed the
-/// cheapest, SNR-delta the dearest, loss 135–215 ns). A worker's share
-/// of 512 units thus runs ~25–300 µs, from about one round trip on the
-/// cheapest route to ten on the dearest. Twice as much kept the loss
-/// family's whole 8×8 neighbourhood (2016 moves) inline, and the
-/// sweep's two 8×8 mpeg-like d100 `r-pbla!power` cells at budget 100000
-/// then ran a third slower at 2 workers than with it forked. What a
-/// second worker gains on that host depends on co-tenant load more
-/// than on the batch: two threads ran a dependent-multiply loop
-/// 0.8–1.6× and a random walk over a 32 MB table 1.4–2.3× as fast as
-/// one.
+/// Sized from the pool's dispatch round trip, not from speed-ups: on
+/// the 2-core host this was tuned on, an empty two-chunk batch takes
+/// 12–31 µs (criterion `dispatch/round_trip_2_workers`, min to median)
+/// and a ledger unit of a peek batch 45–600 ns (the group's inline
+/// cases: full-routed the cheapest, SNR-delta the dearest, loss
+/// 135–215 ns), so a worker's share runs one to ten round trips. Twice
+/// as much kept the 8×8 loss neighbourhood (2016 moves) inline, and the
+/// sweep's two 8×8 mpeg-like d100 `r-pbla!power` budget-100000 cells
+/// then ran a third slower at 2 workers.
 pub const FORK_WORK: usize = 512;
 
 /// Runtime worker-count override; `0` means "not set". Takes
 /// precedence over the `PHONOC_WORKERS` environment variable.
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Pins (Some, clamped to ≥ 1) or releases (None) the worker count
-/// used by every parallel map in this process. The thread-invariance
-/// property tests drive this; production runs use the
-/// `PHONOC_WORKERS` environment variable instead. Changing the worker
-/// count between batches resizes which pool workers the next batch is
-/// dispatched to, but never changes any map's results (see the
-/// [module docs](self)), only how the work is scheduled.
+/// Pins (Some, clamped to ≥ 1) or releases (None) the worker count of
+/// every later batch in this process (tests; runs use
+/// `PHONOC_WORKERS`). It changes how batches are scheduled, never
+/// their results (see the [module docs](self)).
 pub fn set_worker_override(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.map_or(0, |w| w.max(1)), Ordering::Relaxed);
 }
 
-/// The `PHONOC_WORKERS` environment setting, read and parsed once:
-/// `Ok(None)` when unset, `Ok(Some(n))` for a positive integer `n`
-/// (surrounding whitespace allowed).
+/// The worker ceiling the environment sets, worked out once: a
+/// positive integer `PHONOC_WORKERS` (surrounding whitespace allowed),
+/// else the machine's available parallelism, whose query reads the
+/// cgroup CPU quota on Linux (~16 µs, too dear to pay per batch).
 ///
 /// # Errors
 ///
-/// A message naming the value when it is anything else (`two`, `0`,
-/// `-1`, empty). The `phonocmap` CLI reports it and exits before any
-/// work; inside the library the first batch panics with it.
-pub fn env_workers() -> Result<Option<usize>, String> {
-    static ENV: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
+/// A message naming the value when `PHONOC_WORKERS` is set to anything
+/// else (`two`, `0`, `-1`, empty). The `phonocmap` CLI reports it and
+/// exits before any work; inside the library the first batch panics
+/// with it.
+pub fn env_workers() -> Result<usize, String> {
+    static ENV: OnceLock<Result<usize, String>> = OnceLock::new();
     ENV.get_or_init(|| {
         let Some(value) = std::env::var_os("PHONOC_WORKERS") else {
-            return Ok(None);
+            return Ok(std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
         };
         let value = value.to_string_lossy();
         match value.trim().parse::<usize>() {
-            Ok(workers) if workers > 0 => Ok(Some(workers)),
+            Ok(workers) if workers > 0 => Ok(workers),
             _ => Err(format!(
                 "PHONOC_WORKERS must be a positive integer, not `{value}`"
             )),
@@ -141,30 +133,24 @@ pub fn env_workers() -> Result<Option<usize>, String> {
     .clone()
 }
 
-/// The effective worker ceiling: runtime override, then
-/// `PHONOC_WORKERS`, then the machine's available parallelism.
+/// The effective worker ceiling: the runtime override, else
+/// [`env_workers`].
 fn max_workers() -> usize {
     match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => match env_workers() {
-            Ok(Some(workers)) => workers,
-            Ok(None) => std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
-            Err(msg) => panic!("{msg}"),
-        },
+        0 => env_workers().unwrap_or_else(|msg| panic!("{msg}")),
         pinned => pinned,
     }
 }
 
-/// The one dispatch rule: how many workers a batch of `work` ledger
-/// units runs on (`1` = inline). Inline inside a forked batch's chunk
-/// and below `2 × FORK_WORK`; otherwise `work / FORK_WORK` workers, up
-/// to the ceiling.
-pub(crate) fn workers_for(work: usize) -> usize {
+/// The one dispatch rule: how many workers a batch of `items` stating
+/// `work` ledger units runs on (`1` = inline). Inline inside a forked
+/// batch's chunk and below `2 × FORK_WORK`; otherwise `work /
+/// FORK_WORK` workers, up to the ceiling and to one item each.
+pub(crate) fn workers_for(work: usize, items: usize) -> usize {
     if IN_FORKED_CHUNK.with(Cell::get) {
         return 1;
     }
-    max_workers().min(work / FORK_WORK).max(1)
+    max_workers().min(work / FORK_WORK).min(items).max(1)
 }
 
 // ---------------------------------------------------------------------
@@ -405,33 +391,13 @@ where
     out
 }
 
-/// Runs the batch inline on the caller thread's sticky scratch slot.
-fn run_inline<S, T, R, I, F>(items: &[T], init: &I, f: &F) -> Vec<R>
-where
-    S: Send + 'static,
-    I: Fn() -> S,
-    F: Fn(&mut S, &T) -> R,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    with_slot(init, |scratch| {
-        items.iter().map(|item| f(scratch, item)).collect()
-    })
-}
-
 /// Maps `f` over `items`, returning results in input order. `work` is
-/// the batch's bill in ledger units (see the [module docs](self)): the
+/// the batch's cost in ledger units (see the [module docs](self)): the
 /// batch forks over the pool when [the rule](FORK_WORK) says so, on at
-/// most one worker per item, and runs inline otherwise.
-///
-/// `f` gets a private scratch value (e.g. reusable evaluation buffers)
-/// from the executing thread's **sticky scratch slot**: `init` runs
-/// only the first time a given worker (or the caller thread) sees the
-/// scratch type `S`, and the value persists across batch calls for the
-/// thread's lifetime. The scratch must therefore be a buffer, not an
-/// accumulator — `f`'s output must be a pure function of its item
-/// regardless of what an earlier batch left in the slot.
+/// most one worker per item, and runs inline on the caller thread
+/// otherwise. `f` runs on the executing thread's sticky scratch slot
+/// for `S` (built by `init` the first time that thread sees `S`), which
+/// must be a buffer, not an accumulator (see the module docs).
 ///
 /// # Panics
 ///
@@ -446,12 +412,13 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let workers = workers_for(work).min(items.len());
-    if workers <= 1 {
-        run_inline(items, &init, &f)
-    } else {
-        dispatch(items, workers, &init, &f)
+    let workers = workers_for(work, items.len());
+    if workers > 1 {
+        return dispatch(items, workers, &init, &f);
     }
+    with_slot(&init, |scratch| {
+        items.iter().map(|item| f(scratch, item)).collect()
+    })
 }
 
 #[cfg(test)]
@@ -507,22 +474,26 @@ mod tests {
     #[test]
     fn pool_matches_the_sequential_map_at_every_worker_count() {
         let _guard = override_lock();
-        let items: Vec<u64> = (0..321).collect();
         let f = |acc: &mut u64, &x: &u64| {
             // Scratch used as a buffer: overwritten, then read — the
             // output is a pure function of the item.
             *acc = x.wrapping_mul(0x9E37_79B9).rotate_left(9);
             *acc ^ 0xABCD
         };
-        let mut scratch = 0u64;
-        let expected: Vec<u64> = items.iter().map(|x| f(&mut scratch, x)).collect();
-        for workers in [1, 2, 3, 4, 8] {
-            set_worker_override(Some(workers));
-            assert_eq!(
-                parallel_map_with(&items, usize::MAX, || 0u64, f),
-                expected,
-                "pool @ {workers} workers"
-            );
+        // 37 items at 64 workers: a ceiling above the item count (one
+        // item per chunk) and far above any small host's cores.
+        for n in [321, 37] {
+            let items: Vec<u64> = (0..n).collect();
+            let mut scratch = 0u64;
+            let expected: Vec<u64> = items.iter().map(|x| f(&mut scratch, x)).collect();
+            for workers in [1, 2, 3, 4, 8, 64] {
+                set_worker_override(Some(workers));
+                assert_eq!(
+                    parallel_map_with(&items, usize::MAX, || 0u64, f),
+                    expected,
+                    "pool @ {workers} workers over {n} items"
+                );
+            }
         }
     }
 

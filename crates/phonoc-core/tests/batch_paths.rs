@@ -16,15 +16,16 @@
 //!
 //! A batch states its work to the pool's one rule (`edge_count` per
 //! full-routed or SNR-delta peek, one per loss peek). Every case that
-//! claims to fork checks, from the thread ids of a pool batch stating
-//! the same work, that the rule really forks it at that worker count,
-//! so the worker matrix cannot silently test only inline paths.
+//! claims to fork checks that the context really forked a batch
+//! ([`OptContext::forked_batches`]), and every one-worker case that it
+//! did not, so the worker matrix cannot silently test only inline
+//! paths.
 //!
 //! The worker override is process-global, so the tests serialize on one
 //! mutex and restore the default before releasing it.
 
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
-use phonoc_core::parallel::{parallel_map_with, set_worker_override, FORK_WORK};
+use phonoc_core::parallel::{set_worker_override, FORK_WORK};
 use phonoc_core::{
     Mapping, MappingProblem, Move, MoveEval, Objective, OptContext, PeekRoute, PeekStrategy,
     RunStats, RunTrace, TraceEvent,
@@ -82,14 +83,14 @@ type Outcome = (
 );
 
 /// Runs `scan` on a fresh traced context seated on `start`, and returns
-/// what it left plus the moves the context scored.
+/// what it left, the moves the context scored and the batches it forked.
 fn run(
     p: &MappingProblem,
     strategy: PeekStrategy,
     budget: usize,
     start: &Mapping,
     scan: impl FnOnce(&mut OptContext<'_>) -> Vec<MoveEval>,
-) -> (Outcome, u64) {
+) -> (Outcome, u64, u64) {
     let mut ctx = OptContext::new(p, budget, 0);
     ctx.set_trace_sink(Box::new(RunTrace::new()));
     ctx.set_peek_strategy(strategy);
@@ -103,27 +104,7 @@ fn run(
         ctx.drain_trace(),
         ctx.best().map(|(m, s)| (m.clone(), s)),
     );
-    (outcome, ctx.scored_peeks())
-}
-
-/// Whether the pool forks a batch stating `work` at the current worker
-/// override, read from the thread ids its items run on.
-fn pool_forks(work: usize) -> bool {
-    let items: Vec<usize> = (0..64).collect();
-    let mut ids = parallel_map_with(&items, work, || (), |_, _| std::thread::current().id());
-    ids.dedup();
-    ids.len() > 1
-}
-
-/// Ledger units a batch of `len` moves states, and the moves it
-/// dispatches, on a cell with `unit` edges and `left` units to spend:
-/// the moves the budget can pay at their least bill, at `unit` each
-/// for full-routed and SNR-delta peeks and one each for loss peeks.
-fn stated(len: usize, unit: usize, left: usize, full: bool, loss: bool) -> (usize, usize) {
-    let least = if full { unit } else { 1 };
-    let capped = len.min(left.div_ceil(least));
-    let per_move = if loss { 1 } else { unit };
-    (capped * per_move, capped)
+    (outcome, ctx.scored_peeks(), ctx.forked_batches())
 }
 
 #[test]
@@ -165,15 +146,15 @@ fn inline_forked_and_sequential_batches_agree() {
         // Plenty of budget, then a budget that runs out partway.
         for budget in [1_000_000, 4] {
             let label = format!("{name} at budget {budget}");
-            let (sequential, _) = run(&p, strategy, budget, &start, |ctx| {
+            let (sequential, _, _) = run(&p, strategy, budget, &start, |ctx| {
                 moves
                     .iter()
                     .map_while(|&mv| ctx.peek_move_improving(mv))
                     .collect()
             });
-            let billed = sequential.0.len();
+            let billed = sequential.0.len() as u64;
             assert_eq!(
-                billed < moves.len(),
+                billed < moves.len() as u64,
                 budget == 4,
                 "{label}: only the small budget cuts the batch"
             );
@@ -181,33 +162,34 @@ fn inline_forked_and_sequential_batches_agree() {
             let full = sequential.0.iter().all(|ev| ev.route() == PeekRoute::Full);
             assert_eq!(full, name == "full", "{label}: the route under test");
             // Units left after the seat.
-            let left = (budget - 1) * unit;
-            let (work, capped) = stated(len, unit, left, full, objective.is_loss_based());
+            let left = ((budget - 1) * unit) as u64;
             for workers in [1, 2, 4] {
                 set_worker_override(Some(workers));
-                let (batch, scored) = run(&p, strategy, budget, &start, |ctx| {
+                let (batch, scored, forked) = run(&p, strategy, budget, &start, |ctx| {
                     ctx.peek_moves_improving(&moves)
                 });
                 assert_eq!(batch, sequential, "{label} at {workers} workers");
                 // With plenty of budget, every batch but the light loss
-                // one claims to fork on more than one worker.
-                let forked = pool_forks(work);
-                if budget > 4 && workers > 1 && name != "loss" {
-                    assert!(forked, "{label} must fork at {workers} workers");
+                // one claims to fork on more than one worker; one
+                // worker, or the light loss batch, never forks.
+                if workers == 1 || name == "loss" {
+                    assert_eq!(forked, 0, "{label} must run inline at {workers} workers");
+                } else if budget > 4 {
+                    assert!(forked > 0, "{label} must fork at {workers} workers");
                 }
-                if forked {
-                    // A forked batch scores what the budget can pay at
-                    // the route's least bill.
-                    assert_eq!(scored, capped as u64, "{label}: a forked batch");
-                    assert!(
-                        scored - billed as u64 <= left as u64,
-                        "{label} at {workers} workers"
-                    );
+                if forked > 0 {
+                    // A forked batch scores no more than the budget can
+                    // pay at the route's least bill: a full-routed one
+                    // exactly what it books, any other fewer unbilled
+                    // moves than the units left.
+                    if full {
+                        assert_eq!(scored, billed, "{label} at {workers} workers");
+                    }
+                    assert!(scored - billed < left, "{label} at {workers} workers");
                 } else {
-                    // Inline batches (one worker, or a light loss batch)
-                    // book each move as they score it: nothing past the
-                    // budget.
-                    assert_eq!(scored, billed as u64, "{label} at {workers} workers");
+                    // Inline batches book each move as they score it:
+                    // nothing past the budget.
+                    assert_eq!(scored, billed, "{label} at {workers} workers");
                 }
             }
             set_worker_override(None);
@@ -239,7 +221,7 @@ fn forked_batches_cut_by_the_budget_score_only_what_it_pays() {
         ),
     ] {
         let moves: Vec<Move> = (0..len).map(|_| start.random_swap_move(&mut rng)).collect();
-        let (sequential, _) = run(&p, strategy, budget, &start, |ctx| {
+        let (sequential, _, _) = run(&p, strategy, budget, &start, |ctx| {
             moves
                 .iter()
                 .map_while(|&mv| ctx.peek_move_improving(mv))
@@ -254,13 +236,12 @@ fn forked_batches_cut_by_the_budget_score_only_what_it_pays() {
             "{name}: the route under test"
         );
         let left = (budget - 1) * unit;
-        let (work, _) = stated(len, unit, left, full, false);
         for workers in [2, 4] {
             set_worker_override(Some(workers));
-            assert!(pool_forks(work), "{name} must fork at {workers} workers");
-            let (batch, scored) = run(&p, strategy, budget, &start, |ctx| {
+            let (batch, scored, forked) = run(&p, strategy, budget, &start, |ctx| {
                 ctx.peek_moves_improving(&moves)
             });
+            assert!(forked > 0, "{name} must fork at {workers} workers");
             assert_eq!(batch, sequential, "{name} at {workers} workers");
             if full {
                 assert_eq!(scored, billed, "full at {workers} workers: scored = booked");

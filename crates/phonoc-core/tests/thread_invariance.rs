@@ -82,24 +82,10 @@ fn plain_maps_are_worker_count_invariant() {
     }
 }
 
-/// The ledger units one full evaluation on `p` bills: a batch of them
-/// states `unit` work per mapping.
+/// The ledger units one full SNR evaluation on `p` costs: a batch of
+/// them states `unit` work per mapping.
 fn unit(p: &MappingProblem) -> usize {
     p.evaluator().edge_count()
-}
-
-/// The distinct threads the engine's batch work for `mappings` on `p`
-/// lands on at the current override: a pool batch stating the same
-/// work as `OptContext::evaluate_batch` does, mapping thread ids.
-fn threads_for(p: &MappingProblem, mappings: &[Mapping]) -> usize {
-    let mut ids = parallel_map_with(
-        mappings,
-        mappings.len() * unit(p),
-        || (),
-        |_, _| std::thread::current().id(),
-    );
-    ids.dedup();
-    ids.len()
 }
 
 /// The worst-case bits of every mapping, through the engine's batch
@@ -139,7 +125,9 @@ fn batch_evaluation_is_worker_count_invariant() {
         Improving,
         Known,
     }
-    let scores = |batch: Batch| -> (Vec<Option<u64>>, usize, RunStats) {
+    type Outcome = (Vec<Option<u64>>, usize, RunStats);
+    // What each batch left, and whether the context forked it.
+    let scores = |batch: Batch| -> (Outcome, bool) {
         let mut ctx = OptContext::new(&p, 1_000, 1);
         let scores = match batch {
             Batch::Plain => ctx
@@ -155,27 +143,24 @@ fn batch_evaluation_is_worker_count_invariant() {
                 .collect(),
         };
         let bits = scores.into_iter().map(|s| s.map(f64::to_bits)).collect();
-        (bits, ctx.used(), ctx.stats())
+        ((bits, ctx.used(), ctx.stats()), ctx.forked_batches() > 0)
     };
     let all = || [Batch::Plain, Batch::Improving, Batch::Known].map(scores);
     set_worker_override(Some(1));
     let reference = batch_bits(&p, &mappings);
-    let score_reference = all();
+    let score_reference = all().map(|(outcome, _)| outcome);
     assert_eq!(score_reference[2], score_reference[0], "known vs plain");
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
-        assert_eq!(
-            threads_for(&p, &mappings),
-            workers,
-            "forks @ {workers} workers"
-        );
         // Bit-exact, not approximately equal.
         assert_eq!(batch_bits(&p, &mappings), reference, "@ {workers} workers");
-        assert_eq!(
-            all(),
-            score_reference,
-            "OptContext batches @ {workers} workers"
-        );
+        for (i, (outcome, forked)) in all().into_iter().enumerate() {
+            assert_eq!(
+                outcome, score_reference[i],
+                "OptContext batch {i} @ {workers} workers"
+            );
+            assert_eq!(forked, workers > 1, "batch {i} forks @ {workers} workers");
+        }
     }
 }
 

@@ -20,7 +20,8 @@
 //! 1. every lane runs one budgeted search session
 //!    ([`phonoc_core::run_dse`]) — in parallel across CPU
 //!    cores via [`phonoc_core::parallel::parallel_map_with`], stating
-//!    the round's allotted evaluations at the edge count each as work;
+//!    each lane's allotted evaluations at
+//!    [`phonoc_core::engine::evaluation_work`] each as work;
 //! 2. lane results are folded into per-lane incumbents in **fixed lane
 //!    order** (the reduction never depends on scheduling);
 //! 3. **broadcast-best exchange**: every lane restarts next round from
@@ -78,6 +79,7 @@
 //! per seed.
 
 use crate::registry;
+use phonoc_core::engine::evaluation_work;
 use phonoc_core::parallel::parallel_map_with;
 use phonoc_core::{
     run_dse, DseConfig, Mapping, MappingProblem, NeighborhoodPolicy, NullSink, Objective,
@@ -598,10 +600,13 @@ pub fn run_portfolio_seeded_traced(
             let optimizer = registry::optimizer(algo).expect("lane specs are validated at parse");
             Some(run_dse(problem, optimizer.as_ref(), config))
         };
-        let work = allot
-            .iter()
-            .sum::<usize>()
-            .saturating_mul(problem.evaluator().edge_count());
+        let work = (runs.iter())
+            .map(|(_, c)| {
+                let objective = c.objective.unwrap_or(problem.objective());
+                c.budget
+                    .saturating_mul(evaluation_work(problem.evaluator(), objective))
+            })
+            .fold(0, usize::saturating_add);
         let results = parallel_map_with(&runs, work, || (), run_lane);
 
         // Fixed lane→result reduction.
