@@ -64,15 +64,20 @@ fn optimizer_overhead(c: &mut Criterion) {
 ///   after widening all the way, where every admitted pair qualifies);
 ///   `locality_new` times the construction alone.
 /// * `new_sampled` and `new_locality` time construction per policy.
-/// * `locality_pass_r{2,4,8,max}_q{3,32,187}` and `sampled_pass_q3` time
-///   one pass of a stream built (and widened to that radius) outside
-///   the timed closure: the per-pass cost of a session's later passes.
-///   Quota 3 is what a short portfolio lane round draws; 32 is the
+/// * `locality_pass_r{2,4,8,max}_q{1,3,11,16,32,96,187}` and
+///   `sampled_pass_q3` time one pass of a stream built (and widened to
+///   that radius) outside the timed closure: the per-pass cost of a
+///   session's later passes. Quota 1 is a GA mutation's `draw_for`;
+///   3, 11 and 16 are what short portfolio lane rounds draw; 32 is the
 ///   `MIN_SCAN` floor; 187 is `scan_quota(1500, …)`, a fresh descent's
 ///   quota at the sweep's budget.
 /// * `locality_lane_round` times one short portfolio lane round's
 ///   stream work: a fresh locality stream, then quota-3 passes at radii
 ///   2, 4 and 8 on one cursor, so per-radius setup counts.
+/// * `lane_round_b11_{sampled,locality}` time a whole R-PBLA run at
+///   budget 11 under `power` (mpeg-like d100 s1): one portfolio lane
+///   round as the `stream-power` requests run it, stream and scoring
+///   together.
 fn neighborhood_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighborhood_pass");
     for mesh in [8, 16] {
@@ -137,12 +142,29 @@ fn neighborhood_pass(c: &mut Criterion) {
             if radius == "rmax" {
                 while n.widen(&mut ctx) {}
             }
-            for quota in [3, 32, 96, 187] {
+            for quota in [1, 3, 11, 16, 32, 96, 187] {
                 group.bench_function(&format!("locality_pass_{radius}_q{quota}_{cell}"), |b| {
                     b.iter(|| black_box(n.pass(&ctx, quota).len()));
                 });
             }
             n.widen(&mut ctx);
+        }
+        let spec = ScenarioSpec {
+            family: ScenarioFamily::MpegLike,
+            mesh,
+            density_pct: 100,
+            seed: 1,
+        };
+        let power = Objective::by_name("power").expect("power is an objective");
+        let problem = bench::sweep::scenario_problem_with_objective(&spec, power);
+        for (name, policy) in [
+            ("sampled", NeighborhoodPolicy::Sampled),
+            ("locality", NeighborhoodPolicy::Locality),
+        ] {
+            let config = DseConfig::new(11, 3).with_policy(policy);
+            group.bench_function(&format!("lane_round_b11_{name}_{cell}"), |b| {
+                b.iter(|| black_box(run_dse(&problem, &Rpbla, &config).best_score));
+            });
         }
     }
     group.finish();

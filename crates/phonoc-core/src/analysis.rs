@@ -3,6 +3,7 @@
 //! Section I's motivation, made quantitative) and the per-source
 //! launch-power aggregation behind the power-family objectives.
 
+use crate::evaluator::EvalScratch;
 use crate::mapping::Mapping;
 use crate::problem::MappingProblem;
 use phonoc_phys::ber::ber_from_snr;
@@ -190,20 +191,28 @@ impl fmt::Display for NetworkReport {
 /// programming error; use the same problem the mapping was built for).
 #[must_use]
 pub fn analyze(problem: &MappingProblem, mapping: &Mapping) -> NetworkReport {
-    let metrics = problem.evaluator().evaluate(mapping);
+    // Each edge's loss and SNR are read from the scratch, so no
+    // `NetworkMetrics` is built. A scratch kept per thread across
+    // reports saved no measurable time on mapbench's `stream-power`
+    // reports and only kept memory alive, so each report has its own.
+    let mut scratch = EvalScratch::default();
+    let metrics = problem
+        .evaluator()
+        .evaluate_into(mapping, None, &mut scratch);
     let cg = problem.cg();
     let budget = PowerBudget::new(*problem.params());
 
-    let mut edges = Vec::with_capacity(metrics.edges.len());
+    let mut edges = Vec::with_capacity(cg.edges().len());
     let mut worst_ber = 0.0f64;
-    for (e, em) in cg.edges().iter().zip(&metrics.edges) {
+    for (i, e) in cg.edges().iter().enumerate() {
+        let (insertion_loss, snr) = scratch.edge_loss_snr(i);
         let src_tile = mapping.tile_of_task(e.src.0).0;
         let dst_tile = mapping.tile_of_task(e.dst.0).0;
         let hops = problem
             .evaluator()
             .path_hops(src_tile, dst_tile)
             .expect("mapped tasks occupy distinct tiles");
-        let ber = ber_from_snr(em.snr);
+        let ber = ber_from_snr(snr);
         worst_ber = worst_ber.max(ber);
         edges.push(EdgeReport {
             src_task: cg.task_name(e.src).to_owned(),
@@ -211,8 +220,8 @@ pub fn analyze(problem: &MappingProblem, mapping: &Mapping) -> NetworkReport {
             src_tile,
             dst_tile,
             hops,
-            insertion_loss: em.insertion_loss,
-            snr: em.snr,
+            insertion_loss,
+            snr,
             ber,
         });
     }
@@ -248,20 +257,25 @@ fn laser_report(
 ) -> LaserReport {
     let budget = LaserBudget::new(*problem.params(), modulation);
     let mut sources: Vec<SourceLaserReport> = Vec::new();
+    // Each tile's index in `sources`, once it has one.
+    let mut slot = vec![usize::MAX; problem.tile_count()];
     for e in edges {
-        match sources.iter_mut().find(|s| s.src_tile == e.src_tile) {
+        match sources.get_mut(slot[e.src_tile]) {
             Some(s) => {
                 s.links += 1;
                 s.worst_loss = Db(s.worst_loss.0.min(e.insertion_loss.0));
             }
-            None => sources.push(SourceLaserReport {
-                src_task: e.src_task.clone(),
-                src_tile: e.src_tile,
-                links: 1,
-                worst_loss: e.insertion_loss,
-                launch_power: Dbm(f64::NAN), // filled below
-                feasible: false,
-            }),
+            None => {
+                slot[e.src_tile] = sources.len();
+                sources.push(SourceLaserReport {
+                    src_task: e.src_task.clone(),
+                    src_tile: e.src_tile,
+                    links: 1,
+                    worst_loss: e.insertion_loss,
+                    launch_power: Dbm(f64::NAN), // filled below
+                    feasible: false,
+                });
+            }
         }
     }
     for s in &mut sources {

@@ -360,6 +360,13 @@ impl EvalScratch {
         Db(self.worst_snr)
     }
 
+    /// Edge `e`'s insertion loss and SNR in the last
+    /// [`Evaluator::evaluate_into`] call, as [`EvalScratch::to_metrics`]
+    /// reports them.
+    pub(crate) fn edge_loss_snr(&self, e: usize) -> (Db, Db) {
+        (Db(self.il[e]), Db(self.edge_snr(e)))
+    }
+
     /// Materializes full [`NetworkMetrics`] (allocating) from the last
     /// [`Evaluator::evaluate_into`] call; inactive edges are omitted,
     /// exactly as [`Evaluator::evaluate_subset`] reports them.

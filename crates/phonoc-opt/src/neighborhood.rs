@@ -24,14 +24,13 @@
 //!   `perm[a]` and `perm[b]`, so each displaced task moves at most the
 //!   radius). The within-radius pool is defined against the live
 //!   mapping on every pass — it changes with every committed move —
-//!   through the grid coordinates of the tiles each position holds
-//!   (per-tile coordinates are gathered once at construction, in
-//!   O(tiles)); fully widened, it is simply every admitted pair. The
-//!   radius widens adaptively (doubling) when a scan goes dry and
-//!   narrows back on every committed improvement. Nearby swaps perturb
-//!   fewer paths, so their deltas are cheaper — the same budget buys
-//!   more probes — and grid embeddings improve mostly through local
-//!   repairs.
+//!   through the grid distance between the tiles the two positions
+//!   hold (wrap-around links ignored); fully widened, it is simply
+//!   every admitted pair. The radius widens adaptively (doubling) when
+//!   a scan goes dry and narrows back on every committed improvement.
+//!   Nearby swaps perturb fewer paths, so their deltas are cheaper —
+//!   the same budget buys more probes — and grid embeddings improve
+//!   mostly through local repairs.
 //! * [`NeighborhoodPolicy::Auto`] (the default) resolves to
 //!   `Exhaustive` while the admitted list fits
 //!   [`AUTO_EXHAUSTIVE_MAX_PAIRS`] (8×8-class meshes and below) and to
@@ -55,22 +54,30 @@
 //!
 //! A stream costs what it draws. Construction builds no move list —
 //! moves live in the canonical index space of [`admitted_moves`], one
-//! offset per admitted row — so it is O(tiles). The first pass that
-//! needs every pair builds them (`Exhaustive` as moves, `Sampled` and a
-//! fully widened `Locality` stream as packed pairs). A short locality
-//! pass below full radius never builds its pool. The stream keeps one
-//! bitmask per tile and radius (bit `u` of tile `t`'s mask is set iff
-//! the two tiles lie within the radius), built from the diamonds'
-//! row-major bit runs the first time a radius is counted. Each row's
-//! pool share is then one masked popcount against the tiles the later
-//! positions hold, `O(rows · ⌈tiles/64⌉)` per pass instead of a
-//! distance test per admitted pair. The counts equal the built pool's
-//! row sizes, so the shuffle draws the same ranks, and only the rows
-//! holding a drawn rank are scanned. The pool is built whole only when
-//! the draws could read every row anyway (see [`Neighborhood::pass`]).
-//! Every path makes the same RNG calls and emits the same moves as a
-//! partial Fisher–Yates over the materialized pool, which the property
-//! tests replay.
+//! offset per admitted row — so it is O(tiles). What depends only on
+//! the grid is built once per process and shared by every stream on
+//! that `(width, tiles)`, the way the evaluator's score tables are
+//! interned: the canonical list of packed position pairs (a stream's
+//! admitted pairs are its prefix), and per radius of the widening
+//! ladder one bitmask per tile (bit `u` of tile `t`'s mask is set iff
+//! the two tiles lie within the radius) with the radius's count of near
+//! tile pairs. Each part is built the first time any stream needs it
+//! and then lives as long as the process: 8 KB of pairs and 0.5 KB of
+//! masks per radius at 8×8. `Exhaustive` builds its move list on its
+//! first pass and needs no tables; `Sampled` and a fully widened
+//! `Locality` stream copy their prefix of the shared pair list into the
+//! pool they draw from (cheaper than regenerating it, and a draw then
+//! reads no second list).
+//!
+//! A locality pass below full radius never builds its pool and keeps no
+//! state from earlier passes. Its size is the radius's near-pair count
+//! less the near pairs among the tiles on free positions, so the
+//! shuffle draws its ranks first; one forward walk over the rows then
+//! counts each row against the tiles the earlier positions hold and
+//! resolves the ranks that fall in it, stopping after the last one (see
+//! [`Neighborhood::pass`]). Every path makes the same RNG calls and
+//! emits the same moves as a partial Fisher–Yates over the
+//! materialized pool, which the property tests replay.
 //!
 //! [`scan_quota`] derives the per-pass scan size from the remaining
 //! budget, so steepest descent becomes *best-of-scanned*: rather than
@@ -79,8 +86,10 @@
 //! budget.
 
 use phonoc_core::{Mapping, Move, NeighborhoodPolicy, OptContext};
+use phonoc_topo::TileId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The admitted move list: every position pair `(a, b)` with `a < b`
 /// where at least one side hosts a task (swapping two free tiles is a
@@ -159,41 +168,30 @@ pub struct Neighborhood {
     kind: NeighborhoodPolicy,
     /// The stream's private RNG (seeded once at construction).
     rng: StdRng,
-    /// Every admitted pair (see [`pair`]) in canonical order, built by
-    /// the first pass that needs it. `Sampled` shuffles it in place, a
-    /// pool persistent across passes; `Locality` draws from it when
-    /// fully widened and restores its order after each pass.
+    /// The grid's shared tables (`Sampled` and `Locality` only).
+    tables: Option<Arc<StreamTables>>,
+    /// A copy of the shared admitted pairs, made by the first pass that
+    /// draws from every pair. `Sampled` shuffles it in place, a pool
+    /// persistent across passes; `Locality` draws from it when fully
+    /// widened and restores its order after each pass.
     pairs: Vec<u32>,
     /// `Locality`: the ranks `0..len` in order, grown to the largest
-    /// within-radius pool a counted pass has sized. Counted passes draw
+    /// pool a pass below full radius has drawn from. Those passes draw
     /// from it and restore its order.
     ranks: Vec<u32>,
-    /// `Locality` scratch: a pass's drawn ranks, its drawn pairs, or
-    /// (when the quota reaches half the rows) every within-radius pair.
+    /// `Locality` scratch: a pass's drawn ranks, ascending.
     pool: Vec<u32>,
     /// `Locality` scratch: a pass's swaps, undone after its draws.
     swaps: Vec<(u32, u32)>,
-    /// `Locality` scratch: one row's within-radius marks (fill path).
-    marks: Vec<u8>,
-    /// Grid coordinates of each tile (`Locality` only).
-    tile_xy: Vec<(u16, u16)>,
-    /// `Locality` scratch: the coordinates of the tile each permutation
-    /// position holds under the mapping being filtered (fill path).
-    at_x: Vec<u16>,
-    at_y: Vec<u16>,
-    /// Grid width: tile `t` sits at `(t % width, t / width)`.
-    width: usize,
-    /// `Locality`: each radius counted at so far, with its tile masks
-    /// (see [`radius_masks`]), built by the first counted pass at that
-    /// radius.
-    masks: Vec<(usize, Vec<u64>)>,
-    /// `Locality` scratch: the tiles held by the positions after the
-    /// row being counted, one bit per tile.
-    after: Vec<u64>,
-    /// `Locality` scratch: within-radius pairs in the rows before each
-    /// row (one entry per row plus the total), the rank-space twin of
-    /// `row_start`.
-    rank_start: Vec<u32>,
+    /// `Locality` scratch: the position of each tile under the mapping
+    /// being walked.
+    position: Vec<u32>,
+    /// `Locality` scratch: one bit per tile, the tiles the positions
+    /// walked so far hold.
+    seen: Vec<u64>,
+    /// `Locality` scratch: one bit per position, the partners of the
+    /// row being resolved.
+    partners: Vec<u64>,
     /// Current `Locality` radius.
     radius: usize,
     /// Largest Manhattan distance any tile pair spans (widening stops
@@ -224,11 +222,9 @@ impl Neighborhood {
     ///
     /// # Panics
     ///
-    /// If the problem has more than 65 536 tiles: streams store
-    /// positions, grid coordinates and distances in 16 bits (every
-    /// topology fills its `width × height` grid, so the widest distance
-    /// `width + height − 2` fits whenever the positions do). No
-    /// problem that large fits in memory.
+    /// If the problem has more than 65 536 tiles: streams pack the two
+    /// positions of a pair in one 32-bit word (see `pair`). No problem
+    /// that large fits in memory.
     #[must_use]
     pub fn with_policy(
         ctx: &OptContext<'_>,
@@ -248,39 +244,22 @@ impl Neighborhood {
             }
             pinned => pinned,
         };
-        // Locality needs tile coordinates; the swap positions are
-        // permutation slots, so which *tiles* a move exchanges depends
-        // on the cursor mapping — only the tiles' coordinates are
-        // static. Wrap-around links are ignored: the distance is the
-        // layout's.
         let topo = ctx.problem().topology();
-        let tile_xy = if kind == NeighborhoodPolicy::Locality {
-            topo.tiles()
-                .map(|t| {
-                    let c = topo.coord(t);
-                    (c.x as u16, c.y as u16)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let tables = (kind != NeighborhoodPolicy::Exhaustive)
+            .then(|| StreamTables::get(topo.width(), tiles));
         Neighborhood {
             row_start,
             tiles,
             kind,
             rng: StdRng::seed_from_u64(seed),
+            tables,
             pairs: Vec::new(),
             ranks: Vec::new(),
             pool: Vec::new(),
             swaps: Vec::new(),
-            marks: Vec::new(),
-            tile_xy,
-            at_x: Vec::new(),
-            at_y: Vec::new(),
-            width: topo.width(),
-            masks: Vec::new(),
-            after: Vec::new(),
-            rank_start: Vec::new(),
+            position: Vec::new(),
+            seen: Vec::new(),
+            partners: Vec::new(),
             radius: LOCALITY_START_RADIUS,
             // Every topology lays its tiles out row-major on the full
             // width × height grid, so opposite corners span the widest
@@ -323,12 +302,12 @@ impl Neighborhood {
     /// draws up to `quota` moves the same way from its within-radius
     /// pool under the **current cursor mapping**: the swaps whose two
     /// exchanged tiles (`perm[a]`, `perm[b]`) lie within the radius,
-    /// in canonical order (fully widened, every admitted pair). While
-    /// `2·quota` stays below the admitted row count, the pass counts
-    /// and ranks through per-radius tile masks instead of building that
-    /// pool; from there on every row may be read anyway, and the pool is
-    /// built whole. Sampled subsets are emitted in canonical admitted
-    /// order (see the [module docs](self) on plateau tie-breaking).
+    /// in canonical order (fully widened, every admitted pair). Below
+    /// full radius the pass draws ranks into that pool without building
+    /// it and resolves them in one forward walk over the rows, which
+    /// stops after the last drawn rank (see `locality_draw`). Sampled
+    /// subsets are emitted in canonical admitted order (see the
+    /// [module docs](self) on plateau tie-breaking).
     ///
     /// # Panics
     ///
@@ -344,7 +323,9 @@ impl Neighborhood {
             }
             NeighborhoodPolicy::Sampled => {
                 if self.pairs.is_empty() {
-                    all_pairs(self.rows(), self.tiles, &mut self.pairs);
+                    let tables = self.tables.as_deref().expect("sampled streams hold tables");
+                    self.pairs
+                        .extend_from_slice(&tables.pairs()[..self.admitted_len()]);
                 }
                 let k = quota.min(self.pairs.len());
                 shuffle_prefix(&mut self.rng, &mut self.pairs, k);
@@ -414,33 +395,32 @@ impl Neighborhood {
     /// partial Fisher–Yates over the pool in canonical order, emitted
     /// sorted back into that order.
     ///
-    /// Below full radius a short pass never builds the pool. It sizes
-    /// each row from the radius's tile masks ([`radius_masks`], built
-    /// once per radius per stream): walking the rows from the back with
-    /// the set of tiles the later positions hold (seeded with the free
-    /// positions past the last row), row `a` counts
-    /// `popcount(mask[perm[a]] & after)`, which is exactly its number of
-    /// within-radius partners, so the pool size and every row's first
-    /// rank are those of the built pool. The shuffle then draws ranks
-    /// over a rank list it restores, and one forward scan resolves them,
-    /// testing each partner's tile against the row's mask. A pass costs
-    /// `O(rows · ⌈tiles/64⌉)` to count plus at most a row's partners per
-    /// drawn move to resolve. Each draw reads at most two pool slots, so
-    /// once `2·quota` reaches the row count every row may be read
-    /// anyway: the pool is then built whole from grid coordinates, its
-    /// size falling out of the fill, and nothing is counted. (On the
-    /// `neighborhood_pass` bench, filling at quota 3 is several times
-    /// slower than counting, and filling by mask bits instead of
-    /// coordinates 1.1–1.3× slower than this fill.) Fully widened, every
-    /// admitted pair qualifies whatever the mapping, so the draws run
-    /// over the stream's canonical pair list, whose order each pass
-    /// restores.
+    /// Below full radius the pool is never built. Its size is known
+    /// up front: it holds every near tile pair (the radius's count in
+    /// the shared tables) except those whose two tiles both sit on
+    /// free positions, which are counted against the radius's tile
+    /// masks. So the ranks are drawn first, over a rank list the draw
+    /// restores. One forward walk over the rows then resolves them:
+    /// with `seen` holding the tiles on positions up to `a`, row `a`'s
+    /// partners are the tiles in `mask[perm[a]] & !seen`, so its pool
+    /// share is one masked popcount, and a drawn rank that falls in the
+    /// row is its offset-th partner in position order, selected from
+    /// the partners' positions (set through the mapping's inverse). The
+    /// walk stops after the last drawn rank, so a pass costs its draws
+    /// plus the rows up to that rank: about half of them at quota 3,
+    /// and a third for one draw. Fully widened, every admitted pair
+    /// qualifies whatever the mapping, so the draws run over the
+    /// stream's copy of the canonical pair list.
     fn locality_draw(&mut self, mapping: &Mapping, quota: usize) {
-        let rows = self.rows();
         self.buf.clear();
+        let tables = self
+            .tables
+            .as_deref()
+            .expect("locality streams hold tables");
         if self.radius >= self.max_dist {
             if self.pairs.is_empty() {
-                all_pairs(rows, self.tiles, &mut self.pairs);
+                self.pairs
+                    .extend_from_slice(&tables.pairs()[..self.admitted_len()]);
             }
             let k = quota.min(self.pairs.len());
             draw_restored(
@@ -453,99 +433,46 @@ impl Neighborhood {
             self.buf.extend(self.pool.iter().map(|&p| unpair(p)));
             return;
         }
-        let perm = mapping.permutation();
-        if quota.saturating_mul(2) >= rows {
-            let tile_xy = &self.tile_xy;
-            self.at_x.clear();
-            self.at_x.extend(perm.iter().map(|t| tile_xy[t.0].0));
-            self.at_y.clear();
-            self.at_y.extend(perm.iter().map(|t| tile_xy[t.0].1));
-            let (xs, ys, radius) = (&self.at_x[..], &self.at_y[..], self.radius as u16);
-            self.marks.resize(self.tiles, 0);
-            self.pool.resize(self.admitted_len(), 0);
-            let mut fill = 0;
-            for a in 0..rows {
-                let out = &mut self.pool[fill..];
-                fill += filter_row(xs, ys, a, radius, &mut self.marks, out);
-            }
-            self.pool.truncate(fill);
-            let k = quota.min(fill);
-            shuffle_prefix(&mut self.rng, &mut self.pool, k);
-            self.buf.extend(self.pool[..k].iter().map(|&p| unpair(p)));
-            return;
-        }
+        let (perm, rows) = (mapping.permutation(), self.rows());
+        let near = tables.radius(self.radius);
         let words = self.tiles.div_ceil(64);
-        let at = match self.masks.iter().position(|&(r, _)| r == self.radius) {
-            Some(at) => at,
-            None => {
-                let masks = radius_masks(self.width, self.tiles, self.radius);
-                self.masks.push((self.radius, masks));
-                self.masks.len() - 1
-            }
-        };
-        let masks = &self.masks[at].1;
-        let mask_of = |a: usize| &masks[perm[a].0 * words..][..words];
-        // Row `a` counts the tiles its mask shares with the positions
-        // after it, gathered in `after` walking the rows from the back.
-        let after = &mut self.after;
-        after.clear();
-        after.resize(words, 0);
+        let mask_of = |t: usize| &near.masks[t * words..][..words];
+        let seen = &mut self.seen;
+        seen.clear();
+        seen.resize(words, 0);
+        let mut free_pairs = 0;
         for t in &perm[rows..] {
-            set(after, t.0);
+            free_pairs += common(mask_of(t.0), seen);
+            set(seen, t.0);
         }
-        let starts = &mut self.rank_start;
-        starts.clear();
-        starts.resize(rows + 1, 0);
-        if words == 1 {
-            // Up to 64 tiles: the bitset stays in a register (quota-3
-            // passes at 8×8 ran ~1.25× faster than through the word
-            // loop below).
-            let mut after = after[0];
-            for a in (0..rows).rev() {
-                let t = perm[a].0;
-                starts[a + 1] = (masks[t] & after).count_ones();
-                after |= 1 << t;
-            }
-        } else {
-            for a in (0..rows).rev() {
-                let count = mask_of(a).iter().zip(&*after);
-                starts[a + 1] = count.map(|(m, s)| (m & s).count_ones()).sum();
-                set(after, perm[a].0);
-            }
-        }
-        for a in 0..rows {
-            starts[a + 1] += starts[a];
-        }
-        let n = starts[rows] as usize;
+        let n = near.pairs - free_pairs as usize;
         if self.ranks.len() < n {
             let len = self.ranks.len() as u32;
             self.ranks.extend(len..n as u32);
         }
+        let ranks = &mut self.ranks[..n];
         draw_restored(
             &mut self.rng,
-            &mut self.ranks[..n],
+            ranks,
             quota.min(n),
             &mut self.swaps,
             &mut self.pool,
         );
-        // Ranks come out sorted, so one forward scan resolves them: it
-        // walks the rows holding them in order and, within a row, the
-        // partners up to the last one drawn, counting those whose tile
-        // is in the row's mask until the count passes the rank's offset
-        // in its row.
-        let (mut a, mut b, mut seen) = (0, 1, 0);
-        for &r in &self.pool {
-            if starts[a + 1] <= r {
-                a += starts[a + 1..].partition_point(|&s| s <= r);
-                (b, seen) = (a + 1, 0);
-            }
-            let (near, offset) = (mask_of(a), r - starts[a]);
-            while seen <= offset {
-                seen += u32::from(has(near, perm[b].0));
-                b += 1;
-            }
-            self.buf.push(Move::Swap(a, b - 1));
+        if self.pool.is_empty() {
+            return;
         }
+        self.position.resize(self.tiles, 0);
+        for (b, t) in perm.iter().enumerate() {
+            self.position[t.0] = b as u32;
+        }
+        self.partners.resize(words, 0);
+        let rows = Rows {
+            perm: &perm[..rows],
+            masks: &near.masks,
+            words,
+            position: &self.position,
+        };
+        rows.resolve(&self.pool, seen, &mut self.partners, &mut self.buf);
     }
 
     /// Reacts to a dry scan (no improving move found) and records it on
@@ -582,6 +509,249 @@ impl Neighborhood {
     /// drawing fresh subsets.
     pub fn reset(&mut self) {
         self.radius = LOCALITY_START_RADIUS;
+    }
+}
+
+/// The rows of one locality pass below full radius: the tiles the
+/// admitted rows' positions hold, the radius's tile masks (`words`
+/// words per tile) and each tile's position under the same mapping.
+struct Rows<'a> {
+    perm: &'a [TileId],
+    masks: &'a [u64],
+    words: usize,
+    position: &'a [u32],
+}
+
+impl Rows<'_> {
+    /// Appends the moves at the pool ranks `drawn` (ascending, each
+    /// below the pool size) to `out`, in one forward walk that stops
+    /// after the row of the last rank. `seen` and `partners` hold
+    /// `words` words each; `partners` must be clear, and is left clear.
+    fn resolve(&self, drawn: &[u32], seen: &mut [u64], partners: &mut [u64], out: &mut Vec<Move>) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `resolve_popcnt` only enables `popcnt`, which this
+            // CPU has.
+            return unsafe { self.resolve_popcnt(drawn, seen, partners, out) };
+        }
+        self.resolve_by_words(drawn, seen, partners, out);
+    }
+
+    /// [`Rows::resolve`] compiled with the `popcnt` instruction: a walk
+    /// is mostly row counts, and with the portable bit-twiddling
+    /// popcount the `neighborhood_pass` locality passes took 1.6–1.9×
+    /// as long at 16×16 (four words a mask) and 1.1–1.25× at 8×8.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn resolve_popcnt(
+        &self,
+        drawn: &[u32],
+        seen: &mut [u64],
+        partners: &mut [u64],
+        out: &mut Vec<Move>,
+    ) {
+        self.resolve_by_words(drawn, seen, partners, out);
+    }
+
+    /// The walk: on up to 64 tiles every bitset is one word and lives
+    /// in a register ([`Rows::walk_word`]), past that in `seen` and
+    /// `partners` ([`Rows::walk`]).
+    #[inline(always)]
+    fn resolve_by_words(
+        &self,
+        drawn: &[u32],
+        seen: &mut [u64],
+        partners: &mut [u64],
+        out: &mut Vec<Move>,
+    ) {
+        if self.words == 1 {
+            self.walk_word(drawn, out);
+        } else {
+            self.walk(drawn, seen, partners, out);
+        }
+    }
+
+    /// [`Rows::walk`] on up to 64 tiles, with every bitset one word in a
+    /// register. On the 8×8 `neighborhood_pass` cases, [`Rows::walk`]
+    /// compiled for one word takes 1.01–1.27× its time.
+    #[inline(always)]
+    fn walk_word(&self, drawn: &[u32], out: &mut Vec<Move>) {
+        let tiles = self.position.len();
+        let valid = !0 >> (64 - tiles);
+        let (mut seen, mut first, mut next) = (0u64, 0, 0);
+        for (a, t) in self.perm.iter().enumerate() {
+            seen |= 1 << t.0;
+            let mask = self.masks[t.0];
+            let row = mask & !seen;
+            let end = first + row.count_ones();
+            if drawn[next] < end {
+                let flip = 2 * (end - first) as usize > tiles - 1 - a;
+                let mut bits = if flip { !mask & !seen & valid } else { row };
+                let mut partners = 0u64;
+                while bits != 0 {
+                    partners |= 1 << self.position[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                }
+                if flip {
+                    partners = !partners & valid & !0 << a << 1;
+                }
+                while let Some(&rank) = drawn.get(next).filter(|&&r| r < end) {
+                    out.push(Move::Swap(a, select(partners, rank - first)));
+                    next += 1;
+                }
+                if next == drawn.len() {
+                    return;
+                }
+            }
+            first = end;
+        }
+    }
+
+    /// The walk at `words` words a mask (see `locality_draw`).
+    #[inline(always)]
+    fn walk(&self, drawn: &[u32], seen: &mut [u64], partners: &mut [u64], out: &mut Vec<Move>) {
+        let words = self.words;
+        let (seen, partners) = (&mut seen[..words], &mut partners[..words]);
+        seen.fill(0);
+        // Positions and tiles alike run up to `tiles`: `last` keeps the
+        // bits of the last word below it.
+        let tiles = self.position.len();
+        let last = !0 >> (words * 64 - tiles);
+        let (mut first, mut next) = (0, 0);
+        for (a, t) in self.perm.iter().enumerate() {
+            set(seen, t.0);
+            let mask = &self.masks[t.0 * words..][..words];
+            let row = |w: usize| mask[w] & !seen[w];
+            let end = first + (0..words).map(|w| row(w).count_ones()).sum::<u32>();
+            if drawn[next] < end {
+                // The row's partners by position: through the inverse
+                // from the row's tiles or, when those are most of the
+                // later positions' tiles, from the rest of them, whose
+                // positions then flip within the later positions.
+                let flip = 2 * (end - first) as usize > tiles - 1 - a;
+                let pick = |w: usize| {
+                    let rest = !mask[w] & !seen[w] & if w + 1 == words { last } else { !0 };
+                    if flip {
+                        rest
+                    } else {
+                        row(w)
+                    }
+                };
+                let later = |w: usize| {
+                    let above = match (a + 1).checked_sub(w * 64) {
+                        Some(skip) => (!0u64).checked_shl(skip as u32).unwrap_or(0),
+                        None => !0,
+                    };
+                    above & if w + 1 == words { last } else { !0 }
+                };
+                for w in 0..words {
+                    let mut bits = pick(w);
+                    while bits != 0 {
+                        let u = w * 64 + bits.trailing_zeros() as usize;
+                        set(partners, self.position[u] as usize);
+                        bits &= bits - 1;
+                    }
+                }
+                if flip {
+                    for (w, p) in partners.iter_mut().enumerate() {
+                        *p = !*p & later(w);
+                    }
+                }
+                // A rank's offset in the row picks its partner: the word
+                // holding it, then the bit within that word.
+                while let Some(&rank) = drawn.get(next).filter(|&&r| r < end) {
+                    let (mut skip, mut word) = (rank - first, 0);
+                    while skip >= partners[word].count_ones() {
+                        skip -= partners[word].count_ones();
+                        word += 1;
+                    }
+                    out.push(Move::Swap(a, word * 64 + select(partners[word], skip)));
+                    next += 1;
+                }
+                partners.fill(0);
+                if next == drawn.len() {
+                    return;
+                }
+            }
+            first = end;
+        }
+    }
+}
+
+/// What every stream on one grid shares (see the [module docs](self)):
+/// tile ids are `y·width + x` on a `width`-wide grid of `tiles` tiles.
+#[derive(Debug)]
+struct StreamTables {
+    width: usize,
+    tiles: usize,
+    /// Every pair of distinct positions (see [`pair`]) in canonical
+    /// order: a stream with `rows` admitted rows admits the prefix of
+    /// its first `rows` rows.
+    pairs: OnceLock<Box<[u32]>>,
+    /// One entry per radius of the widening ladder below the widest
+    /// pair distance: `LOCALITY_START_RADIUS << i` at index `i`.
+    radii: Box<[OnceLock<RadiusTable>]>,
+}
+
+/// One radius's tile masks (see [`radius_masks`]) and near pairs.
+#[derive(Debug)]
+struct RadiusTable {
+    masks: Box<[u64]>,
+    /// Unordered tile pairs within the radius:
+    /// `(Σₜ popcount(mask[t]) − tiles) / 2`, a tile's mask holding the
+    /// tile itself.
+    pairs: usize,
+}
+
+/// Every grid's tables built in this process.
+static STREAM_TABLES: Mutex<Vec<Arc<StreamTables>>> = Mutex::new(Vec::new());
+
+impl StreamTables {
+    /// The tables of a `width`-wide grid of `tiles` tiles: the
+    /// registered ones, else new empty ones, registered. The registry's
+    /// entries are never half-made, so a poisoned lock is taken as is.
+    fn get(width: usize, tiles: usize) -> Arc<StreamTables> {
+        let mut all = STREAM_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = all.iter().find(|t| (t.width, t.tiles) == (width, tiles)) {
+            return Arc::clone(t);
+        }
+        let max_dist = width + tiles / width - 2;
+        let ladder = (0..)
+            .take_while(|&i| LOCALITY_START_RADIUS << i < max_dist)
+            .count();
+        let tables = Arc::new(StreamTables {
+            width,
+            tiles,
+            pairs: OnceLock::new(),
+            radii: (0..ladder).map(|_| OnceLock::new()).collect(),
+        });
+        all.push(Arc::clone(&tables));
+        tables
+    }
+
+    /// Every pair of distinct positions in canonical order, built on
+    /// first use.
+    fn pairs(&self) -> &[u32] {
+        self.pairs.get_or_init(|| {
+            let mut pairs = Vec::new();
+            all_pairs(self.tiles, self.tiles, &mut pairs);
+            pairs.into()
+        })
+    }
+
+    /// The table of `radius`, a ladder radius below the widest pair
+    /// distance, built on first use.
+    fn radius(&self, radius: usize) -> &RadiusTable {
+        let step = (radius / LOCALITY_START_RADIUS).trailing_zeros() as usize;
+        debug_assert_eq!(LOCALITY_START_RADIUS << step, radius, "off the ladder");
+        self.radii[step].get_or_init(|| {
+            let masks = radius_masks(self.width, self.tiles, radius);
+            let bits: usize = masks.iter().map(|m| m.count_ones() as usize).sum();
+            RadiusTable {
+                masks: masks.into(),
+                pairs: (bits - self.tiles) / 2,
+            }
+        })
     }
 }
 
@@ -732,38 +902,25 @@ fn set(words: &mut [u64], t: usize) {
     words[t / 64] |= 1 << (t % 64);
 }
 
-/// Whether bit `t` of the bitset `words` is set.
-fn has(words: &[u64], t: usize) -> bool {
-    words[t / 64] >> (t % 64) & 1 == 1
+/// The index of the `k`-th lowest set bit of `bits` (from 0), which
+/// has more than `k`: a binary search by halves, free of data-dependent
+/// branches.
+#[inline(always)]
+fn select(mut bits: u64, mut k: u32) -> usize {
+    let mut at = 0;
+    for half in [32, 16, 8, 4, 2, 1] {
+        let low = (bits & ((1 << half) - 1)).count_ones();
+        let up = k >= low;
+        k -= if up { low } else { 0 };
+        at += if up { half } else { 0 };
+        bits = if up { bits >> half } else { bits };
+    }
+    at
 }
 
-/// Writes row `a`'s within-radius pairs (see [`pair`]), ascending, to
-/// the front of `out`, and returns how many. A vectorizable pass marks
-/// the partners in `mask`; the compaction then writes every candidate
-/// and advances the fill cursor only past the marked ones, so neither
-/// has a data-dependent branch. `mask` and `out` must hold the whole
-/// row. (One loop that tests and writes each pair, with no mask, runs
-/// about half as fast on the `neighborhood_pass` bench; marking into
-/// `out` and compacting in place, about 1.3× slower.)
-fn filter_row(
-    xs: &[u16],
-    ys: &[u16],
-    a: usize,
-    radius: u16,
-    mask: &mut [u8],
-    out: &mut [u32],
-) -> usize {
-    let (xa, ya) = (xs[a], ys[a]);
-    let mask = &mut mask[a + 1..xs.len()];
-    for ((m, &x), &y) in mask.iter_mut().zip(&xs[a + 1..]).zip(&ys[a + 1..]) {
-        *m = u8::from(x.abs_diff(xa) + y.abs_diff(ya) <= radius);
-    }
-    let mut fill = 0;
-    for (b, &m) in (a + 1..).zip(&*mask) {
-        out[fill] = pair(a, b);
-        fill += usize::from(m);
-    }
-    fill
+/// How many bits the bitsets `a` and `b` share.
+fn common(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
 }
 
 #[cfg(test)]
@@ -771,6 +928,11 @@ mod tests {
     use super::*;
     use crate::test_support::tiny_problem;
     use phonoc_core::OptContext;
+
+    /// Whether bit `t` of the bitset `words` is set.
+    fn has(words: &[u64], t: usize) -> bool {
+        words[t / 64] >> (t % 64) & 1 == 1
+    }
 
     #[test]
     fn admitted_list_excludes_free_free_pairs() {
@@ -865,6 +1027,54 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shared_tables_count_the_near_pairs_of_every_grid() {
+        // Mesh, torus (its wrap links do not shorten the distance), ring
+        // (one row past 64 tiles) and non-square grids: each ladder
+        // radius's near-pair total against a count over every tile
+        // pair, and the shared pair list against the admitted list.
+        let pitch = phonoc_phys::Length::from_mm(2.5);
+        for topo in [
+            phonoc_topo::Topology::mesh(8, 8, pitch),
+            phonoc_topo::Topology::mesh(16, 16, pitch),
+            phonoc_topo::Topology::torus(4, 4, pitch),
+            phonoc_topo::Topology::torus(9, 9, pitch),
+            phonoc_topo::Topology::ring(9, pitch),
+            phonoc_topo::Topology::ring(100, pitch),
+            phonoc_topo::Topology::mesh(5, 3, pitch),
+            phonoc_topo::Topology::mesh(13, 7, pitch),
+        ] {
+            let tiles = topo.tile_count();
+            let tables = StreamTables::get(topo.width(), tiles);
+            let distance = |t: usize, u: usize| {
+                let (a, b) = (topo.coord(TileId(t)), topo.coord(TileId(u)));
+                a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
+            };
+            let max_dist = topo.width() + topo.height() - 2;
+            let mut radius = LOCALITY_START_RADIUS;
+            while radius < max_dist {
+                let near = (0..tiles)
+                    .flat_map(|t| (t + 1..tiles).map(move |u| (t, u)))
+                    .filter(|&(t, u)| distance(t, u) <= radius)
+                    .count();
+                let name = topo.describe();
+                assert_eq!(tables.radius(radius).pairs, near, "{name} r{radius}");
+                radius *= 2;
+            }
+            // Every row count admits a prefix of the shared list.
+            for rows in [1, tiles / 3, tiles - 1, tiles] {
+                let admitted = admitted_moves(rows, tiles);
+                let moves: Vec<Move> = tables.pairs()[..admitted.len()]
+                    .iter()
+                    .map(|&p| unpair(p))
+                    .collect();
+                assert_eq!(moves, admitted, "{} rows {rows}", topo.describe());
+            }
+            let again = StreamTables::get(topo.width(), tiles);
+            assert!(Arc::ptr_eq(&tables, &again), "one table per grid");
         }
     }
 

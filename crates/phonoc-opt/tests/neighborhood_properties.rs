@@ -452,3 +452,108 @@ fn locality_passes_replay_the_filtered_pool_oracle() {
         }
     }
 }
+
+#[test]
+fn locality_passes_replay_the_oracle_across_commits_reseats_and_foreign_draws() {
+    // A pass keeps nothing from earlier passes, so one stream must stay
+    // on the oracle through what the optimizers do between passes:
+    // commits the stream is told of (R-PBLA, ILS), commits it is not
+    // (Tabu, SA), reseats (restarts), widening and narrowing, and GA's
+    // `draw_for` on mappings other than the cursor. Full occupancy and
+    // two sparse meshes, whose free positions take their near pairs
+    // out of the pool size.
+    let cases = [
+        ("mesh 8x8", full_mesh(8)),
+        ("sparse mesh 6x6", sparse_problem()),
+        (
+            "mesh 5x3",
+            problem_on(
+                phonoc_apps::synthetic::pipeline(11),
+                Topology::mesh(5, 3, Length::from_mm(2.5)),
+                Box::new(XyRouting),
+            ),
+        ),
+    ];
+    for (name, p) in &cases {
+        let (tasks, tiles) = (p.task_count(), p.tile_count());
+        let admitted = admitted_moves(tasks, tiles);
+        let mut ctx = ctx_with_cursor(p, 31);
+        let seed = 4_242;
+        let mut n = Neighborhood::with_policy(&ctx, NeighborhoodPolicy::Locality, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut script = StdRng::seed_from_u64(17);
+        // Passes at lane-round quotas, half the pool and past it, then
+        // a `draw_for`, all against the cursor.
+        let check = |n: &mut Neighborhood, ctx: &OptContext<'_>, rng: &mut StdRng, step: &str| {
+            let radius = n.radius().unwrap();
+            let perm = ctx.current_mapping().unwrap().permutation();
+            let pool = oracle_pool(ctx, &admitted, perm, radius);
+            for quota in [1, 3, 11, 16, pool.len() / 2, pool.len() + 1] {
+                let want = oracle_pass(rng, &pool, &admitted, quota);
+                assert_eq!(
+                    n.pass(ctx, quota),
+                    &want[..],
+                    "{name} after {step}: r={radius} quota {quota}"
+                );
+            }
+            let want = oracle_draw_for(rng, &pool, &admitted);
+            let mv = n.draw_for(ctx.current_mapping().unwrap());
+            assert_eq!(mv, Some(want), "{name} after {step}: draw_for");
+        };
+        check(&mut n, &ctx, &mut rng, "seating");
+        for step in 0..60 {
+            let mv = admitted[script.gen_range(0..admitted.len())];
+            let step = match script.gen_range(0..6) {
+                0 => {
+                    let ev = ctx.peek_move(mv).expect("budget is ample");
+                    ctx.apply_scored_move(&ev);
+                    n.notify_improved(&mut ctx);
+                    format!("step {step}: a told commit of {mv:?}")
+                }
+                1 => {
+                    let ev = ctx.peek_move(mv).expect("budget is ample");
+                    ctx.apply_scored_move(&ev);
+                    format!("step {step}: an untold commit of {mv:?}")
+                }
+                2 => {
+                    let start = ctx.random_mapping();
+                    ctx.set_current(start).expect("budget is ample");
+                    format!("step {step}: a reseat")
+                }
+                3 => {
+                    n.widen(&mut ctx);
+                    format!("step {step}: a widening")
+                }
+                4 => {
+                    n.notify_improved(&mut ctx);
+                    format!("step {step}: a narrowing")
+                }
+                _ => {
+                    // A population member: the draw is against it, and
+                    // the cursor's next pass must not notice.
+                    let member = Mapping::random(tasks, tiles, &mut script);
+                    let radius = n.radius().unwrap();
+                    let pool = oracle_pool(&ctx, &admitted, member.permutation(), radius);
+                    let want = oracle_draw_for(&mut rng, &pool, &admitted);
+                    assert_eq!(
+                        n.draw_for(&member),
+                        Some(want),
+                        "{name} step {step}: draw_for on a population member"
+                    );
+                    format!("step {step}: a foreign draw")
+                }
+            };
+            check(&mut n, &ctx, &mut rng, &step);
+        }
+    }
+}
+
+/// The in-test replay of one `draw_for` over `pool`: a uniform pick
+/// from it, or from the whole admitted list when it is empty.
+fn oracle_draw_for(rng: &mut StdRng, pool: &[usize], admitted: &[Move]) -> Move {
+    if pool.is_empty() {
+        admitted[rng.gen_range(0..admitted.len())]
+    } else {
+        admitted[pool[rng.gen_range(0..pool.len())]]
+    }
+}

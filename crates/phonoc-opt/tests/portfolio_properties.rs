@@ -2,7 +2,7 @@
 //! construction, pinned in CI:
 //!
 //! * **thread-count invariance** — a full portfolio run (lanes fanned
-//!   out over `parallel_map_tasks`, nested batch scans inside each
+//!   out over `parallel_map_with`, nested batch scans inside each
 //!   lane) is bit-identical at 1, 2 and 4 workers, for scan-based,
 //!   trajectory and population lanes;
 //! * **budget honesty** — lane allotments sum exactly to the global
